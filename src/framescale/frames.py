@@ -21,6 +21,9 @@ DEFAULT_TOL = 1e-8
 #: Relative singular value cutoff for numerical rank decisions.
 RANK_RTOL = 1e-10
 
+# largest deviation from norm one that still counts as a unit-norm vector
+_UNIT_NORM_TOL = 1e-8
+
 
 class InternalInconsistencyError(RuntimeError):
     """Two computation routes that must agree numerically did not.
@@ -155,16 +158,20 @@ def verify_parseval(vectors, target=None, tol: float = DEFAULT_TOL) -> Verificat
         raise ValueError("tol must be positive")
     V = as_vector_array(vectors)
     n = V.shape[1]
-    if target is None:
-        T = np.eye(n)
-    else:
+    T = None
+    if target is not None:
         T = np.asarray(target.matrix, dtype=float)
         if T.shape != (n, n):
             raise ValueError(f"target acts on R^{T.shape[0]} but vectors live in R^{n}")
+    return _parseval_report(V, T, tol)
+
+
+def _parseval_report(V: np.ndarray, T: np.ndarray | None, tol: float) -> VerificationReport:
+    # verify_parseval on checked rows; T is a projection matrix or None for the identity
     S = V.T @ V
-    op_res = float(np.linalg.norm(S - T, "fro"))
+    op_res = float(np.linalg.norm(S - (np.eye(V.shape[1]) if T is None else T), "fro"))
     detail: dict[str, tuple[bool, float]] = {"operator_identity": (op_res <= tol, op_res)}
-    if target is not None:
+    if T is not None:
         leak = V - V @ T
         range_res = float(np.linalg.norm(leak, axis=1).max())
         detail["range_membership"] = (range_res <= tol, range_res)

@@ -19,6 +19,7 @@ from .frames import (
     DEFAULT_TOL,
     Frame,
     InternalInconsistencyError,
+    _UNIT_NORM_TOL,
     VerificationReport,
     as_vector_array,
     verify_parseval,
@@ -27,7 +28,6 @@ from .projections import OrthogonalProjection
 from .piecewise import PiecewiseScaling, verify_piecewise
 from .scaling import StandardScaling
 
-_UNIT_NORM_TOL = 1e-8
 _BRANCH_SLACK = 1e-12
 
 

@@ -23,14 +23,14 @@ from .frames import (
     Frame,
     InternalInconsistencyError,
     _freeze,
+    _parseval_report,
     as_vector_array,
-    verify_parseval,
     VerificationReport,
 )
 from .projections import (
     OrthogonalProjection,
-    _orthonormalize,
     _random_projection,
+    _symmetrized,
     canonical_projection,
     complement,
     projection_from_basis,
@@ -112,8 +112,8 @@ def verify_piecewise(frame, ps: PiecewiseScaling, tol: float = DEFAULT_TOL) -> P
     _, Y, Z = _split_parts(frame, ps)
     P = ps.projection
     n = P.dim
-    p_rep = verify_parseval(ps.a[:, None] * Y, target=P, tol=tol)
-    q_rep = verify_parseval(ps.b[:, None] * Z, target=complement(P), tol=tol)
+    p_rep = _parseval_report(ps.a[:, None] * Y, P.matrix, tol)
+    q_rep = _parseval_report(ps.b[:, None] * Z, _symmetrized(np.eye(n) - P.matrix), tol)
     cross = float(np.linalg.norm(Y.T @ ((ps.a * ps.b)[:, None] * Z), "fro"))
     W = ps.a[:, None] * Y + ps.b[:, None] * Z
     direct = float(np.linalg.norm(W.T @ W - np.eye(n), "fro"))
@@ -467,6 +467,80 @@ def _disjoint_split_candidate(X: np.ndarray, P: OrthogonalProjection, tol: float
     return PiecewiseScaling(P, a, b)
 
 
+# candidates in the first batched pass of the two-dimensional filter; each
+# later pass doubles, so an early hit pays for few draws and a full miss
+# for a handful of passes
+_FIRST_CHUNK = 16
+
+# a row whose side part is at most this fraction of the row points in a
+# direction set by rounding, so the filter keeps its candidate
+_TRUSTED_SIDE = 1e-6
+
+
+def _candidate_rng(seed: int, k: int, candidate: int) -> np.random.Generator:
+    # the seeding contract: candidate j of rank k depends on (seed, k, j) only
+    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, k, candidate)))
+
+
+def _half_plane_margin(coords: np.ndarray) -> np.ndarray:
+    """Half-plane margin s of stacked families of nonzero vectors in R^2.
+
+    ``coords`` has shape (C, m, 2).  With G the largest circular gap
+    between the doubled angles 2 atan2(y, x) of a family's rows,
+    s = cos((2 pi - G) / 2); s > 0 exactly when the doubled angles fit in
+    an open half circle.
+    """
+    phi = np.mod(2.0 * np.arctan2(coords[..., 1], coords[..., 0]), 2.0 * np.pi)
+    phi.sort(axis=1)
+    gaps = np.diff(phi, axis=1, append=phi[:, :1] + 2.0 * np.pi)
+    return np.cos((2.0 * np.pi - gaps.max(axis=1)) / 2.0)
+
+
+def _two_dim_rejections(X: np.ndarray, k: int, seed: int, candidates: range, tol: float) -> np.ndarray:
+    """Which rank-k candidates a two-dimensional side proves infeasible.
+
+    Draws every candidate's first Gaussian block, as _random_projection
+    does, and gets all range and complement bases from one stacked
+    complete QR.  A rank-deficient draw is redrawn by _random_projection,
+    so its QR range proves nothing and it is never rejected.
+    """
+    n = X.shape[1]
+    G = np.stack([_candidate_rng(seed, k, c).standard_normal((n, k)) for c in candidates])
+    Q, R = np.linalg.qr(G, mode="complete")
+    pivots = np.abs(np.diagonal(R, axis1=1, axis2=2)).min(axis=1)
+    full_rank = pivots > 2.0 * RANK_RTOL * np.linalg.norm(G, axis=1).max(axis=1)
+    scales = np.linalg.norm(X, axis=1)
+    X, scales = X[scales > 0.0], scales[scales > 0.0]
+    rejected = np.zeros(len(candidates), dtype=bool)
+    for side in (slice(0, k), slice(k, n)):
+        B = Q[:, :, side]
+        if B.shape[2] != 2:
+            continue
+        coords = np.einsum("mi,cij->cmj", X, B)
+        trusted = (np.hypot(coords[..., 0], coords[..., 1]) > _TRUSTED_SIDE * scales).all(axis=1)
+        rejected |= trusted & (_half_plane_margin(coords) > 10.0 * tol)
+    return rejected & full_rank
+
+
+def _surviving_candidates(X: np.ndarray, k: int, budget: int, seed: int, tol: float):
+    """Candidate indices of rank k in order, less those a 2-D side rules out.
+
+    Without a two-dimensional side every index survives and nothing extra
+    is drawn.  Otherwise the filter runs on chunks of _FIRST_CHUNK
+    indices, doubling each time; chunks are filtered lazily, so none is
+    drawn after a hit.
+    """
+    if 2 not in (k, X.shape[1] - k):
+        yield from range(budget)
+        return
+    start, size = 0, _FIRST_CHUNK
+    while start < budget:
+        chunk = range(start, min(budget, start + size))
+        rejected = _two_dim_rejections(X, k, seed, chunk, tol)
+        yield from (c for c, r in zip(chunk, rejected) if not r)
+        start, size = chunk.stop, 2 * size
+
+
 def search_piecewise(
     frame,
     ranks=None,
@@ -483,6 +557,20 @@ def search_piecewise(
     Candidate k of rank r derives its generator from (seed, r, k), so the
     outcome does not depend on evaluation order.  A miss is not a proof
     that no scaling exists.
+
+    When the range or its complement is two-dimensional, candidates are
+    first screened in batches without any solve.  A side with coordinates
+    c_i scales exactly when I lies in the cone of the c_i c_i^T, and in
+    two dimensions that fails exactly when the doubled angles of the c_i
+    fit in an open half circle.  With G the largest circular gap between
+    them, s = cos((2 pi - G) / 2) and d the bisector of their arc, the
+    matrix s I - [[cos d, sin d], [sin d, -cos d]] separates I from the
+    cone, which therefore stays at least sqrt(2) s / sqrt(1 + s^2) away
+    from I in Frobenius norm.  A candidate with s > 10 tol on either side
+    is skipped: that distance exceeds tol, so the feasibility solve could
+    only reject it.  Candidates with a degenerate draw or a side part at
+    rounding level are never skipped, and survivors take the sequential
+    path, so the result is the same as without the screen.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -518,9 +606,8 @@ def search_piecewise(
             return built
         return None
     for k in valid:
-        for candidate in range(budget):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, k, candidate)))
-            P = _random_projection(rng, n, k)
+        for candidate in _surviving_candidates(X, k, budget, seed, tol):
+            P = _random_projection(_candidate_rng(seed, k, candidate), n, k)
             ps = _disjoint_split_candidate(X, P, tol)
             if ps is not None and verify_piecewise(fr, ps, tol).passed:
                 return ps

@@ -112,6 +112,22 @@ def canonical_projection(indices: Iterable[int], n: int) -> OrthogonalProjection
     return OrthogonalProjection(M, len(idx), B)
 
 
+def _projection_range_basis(M: np.ndarray, rank: int, columns: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of the projection matrix M of known rank.
+
+    ``columns`` are columns of M in the order to try them.  Those left
+    shorter than 0.5 by the running basis are dropped, which keeps only
+    well-conditioned directions.  Column j of M has norm sqrt(M_jj), so
+    every column can fall below that floor (each column of q q^T for
+    q = (1, ..., 1)/sqrt(5) has norm 1/sqrt(5)); the basis is then the
+    eigenvectors of the ``rank`` largest eigenvalues of M instead.
+    """
+    B = _orthonormalize(columns, drop_floor=0.5)
+    if B.shape[1] < rank:
+        B = np.linalg.eigh(M)[1][:, ::-1][:, :rank]
+    return B
+
+
 def _complement_basis(range_basis: np.ndarray, n: int) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of col(range_basis).
 
@@ -122,7 +138,7 @@ def _complement_basis(range_basis: np.ndarray, n: int) -> np.ndarray:
     B = np.asarray(range_basis, dtype=float)
     M = np.eye(n) - B @ B.T
     order = np.argsort(-np.diag(M), kind="stable")
-    return _orthonormalize(M[:, order], drop_floor=0.5)
+    return _projection_range_basis(M, n - B.shape[1], M[:, order])
 
 
 def complement(projection: OrthogonalProjection) -> OrthogonalProjection:
@@ -180,7 +196,7 @@ def projection_from_matrix(matrix, tol: float = DEFAULT_TOL) -> OrthogonalProjec
         )
     M = _symmetrized(np.array(matrix, dtype=float))
     rank = int(round(float(np.trace(M))))
-    B = _orthonormalize(M, drop_floor=0.5)
+    B = _projection_range_basis(M, rank, M)
     if B.shape[1] != rank:
         raise ValueError(
             f"trace suggests rank {rank} but the column span has dimension {B.shape[1]}"

@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import DEFAULT_TOL, InternalInconsistencyError, _freeze, as_vector_array
+from .frames import DEFAULT_TOL, InternalInconsistencyError, _UNIT_NORM_TOL, _freeze, as_vector_array
 from .nnls import nnls
 from .projections import OrthogonalProjection
-
-_UNIT_NORM_TOL = 1e-8
 
 
 @dataclass(frozen=True)

@@ -107,3 +107,60 @@ def r4_special_expected_basis() -> np.ndarray:
             [r, r, 0.0, 0.0],
         ]
     )
+
+
+def reference_search_piecewise(frame, ranks=None, budget: int = 100, seed: int = 0, tol: float = fs.DEFAULT_TOL):
+    """Sequential search_piecewise: every candidate through the solver, no screening.
+
+    A copy of the search before candidates were screened in batches; the
+    differential tests compare the library's search against it.
+    """
+    from framescale.piecewise import (
+        _complement_form,
+        _disjoint_split_candidate,
+        construct_r2,
+        construct_r3,
+    )
+    from framescale.projections import _random_projection
+
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+    fr = frame if isinstance(frame, fs.Frame) else fs.Frame(frame)
+    n = fr.dim
+    wanted = set(range(1, n)) if ranks is None else {int(k) for k in ranks} & set(range(1, n))
+    valid = sorted(wanted)
+    if not valid or not fr.is_frame():
+        return None
+    X = fr.vectors
+    verdict = fs.solve_standard_scaling(X, None, tol)
+    if verdict.feasible:
+        c = verdict.scaling.constants
+        ps = fs.PiecewiseScaling(fs.canonical_projection(range(valid[0]), n), c, c)
+        if fs.verify_piecewise(fr, ps, tol).passed:
+            return ps
+    if n <= 3:
+        try:
+            built = (
+                construct_r2(fr, fs.canonical_projection([0], 2), tol)
+                if n == 2
+                else construct_r3(fr, tol)
+            )
+        except ValueError:
+            return None
+        if built.projection.rank not in valid:
+            if (n - built.projection.rank) not in valid:
+                return None
+            built = _complement_form(built)
+        if fs.verify_piecewise(fr, built, tol).passed:
+            return built
+        return None
+    for k in valid:
+        for candidate in range(budget):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, k, candidate)))
+            P = _random_projection(rng, n, k)
+            ps = _disjoint_split_candidate(X, P, tol)
+            if ps is not None and fs.verify_piecewise(fr, ps, tol).passed:
+                return ps
+    return None

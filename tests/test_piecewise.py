@@ -353,3 +353,16 @@ def test_complement_form_swaps_sides():
     assert swapped.projection.rank == 2
     rep = fs.verify_piecewise(frame, swapped)
     assert rep.passed
+
+
+def test_verify_piecewise_sides_match_verify_parseval():
+    rng = np.random.default_rng(31)
+    for n in (3, 4, 5):
+        frame = random_unit_frame(rng, n, 2 * n)
+        for k in range(1, n):
+            P = fs.random_projection(n, k, seed=int(rng.integers(1000)))
+            ps = fs.PiecewiseScaling(P, rng.uniform(0.5, 1.5, 2 * n), rng.uniform(0.5, 1.5, 2 * n))
+            rep = fs.verify_piecewise(frame, ps)
+            Y = frame.vectors @ P.matrix
+            assert rep.p_side == fs.verify_parseval(ps.a[:, None] * Y, target=P)
+            assert rep.q_side == fs.verify_parseval(ps.b[:, None] * (frame.vectors - Y), target=fs.complement(P))

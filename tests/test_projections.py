@@ -111,3 +111,31 @@ def test_projection_basis_round_trip(seed):
     B = P.range_basis
     assert np.linalg.norm(B.T @ B - np.eye(k), "fro") <= 1e-12
     assert np.linalg.norm(P.matrix @ B - B, "fro") <= 1e-12
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_complement_of_hyperplane_with_short_columns(n):
+    # every column of q q^T has norm 1/sqrt(n) < 1/2, below the drop floor
+    q = np.ones(n) / np.sqrt(n)
+    P = fs.projection_from_basis(np.linalg.qr(np.column_stack([q, np.eye(n)[:, : n - 1]]))[0][:, 1:].T)
+    assert P.rank == n - 1
+    C = fs.complement(P)
+    assert C.rank == 1
+    assert abs(abs(float(C.range_basis[:, 0] @ q)) - 1.0) <= 1e-14
+    assert np.array_equal(C.matrix, (np.eye(n) - P.matrix + (np.eye(n) - P.matrix).T) / 2.0)
+    assert np.linalg.norm(fs.complement(C).matrix - P.matrix, "fro") <= 1e-14
+
+    line = fs.projection_from_matrix(np.outer(q, q))
+    assert line.rank == 1 and abs(abs(float(line.range_basis[:, 0] @ q)) - 1.0) <= 1e-14
+    back = fs.complement(line)
+    B = back.range_basis
+    assert back.rank == n - 1
+    assert np.linalg.norm(B.T @ B - np.eye(n - 1), "fro") <= 1e-14 and np.abs(q @ B).max() <= 1e-14
+
+
+def test_transport_across_hyperplane_with_short_columns():
+    q = np.ones(5) / np.sqrt(5)
+    P = fs.projection_from_matrix(np.eye(5) - np.outer(q, q))
+    U = fs.intertwiner(P, fs.canonical_projection(range(4), 5))
+    assert np.linalg.norm(U.T @ U - np.eye(5), "fro") <= 1e-12
+    assert np.linalg.norm(U @ P.matrix - np.diag([1.0, 1.0, 1.0, 1.0, 0.0]) @ U, "fro") <= 1e-12
