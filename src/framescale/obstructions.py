@@ -41,13 +41,89 @@ class ObstructionReport:
     detail: Mapping[str, object]
 
 
+# cells (rows x vectors in the screen, rows x vectors x coordinates in the
+# exact pass) one block of the distance kernel holds; a block's temporaries
+# peak near 16 bytes per cell
+_BLOCK_CELLS = 2**20
+
+# below this many cells the exact pass over every row costs less than the
+# screen's extra numpy calls
+_DIRECT_CELLS = 2**12
+
+
+def _screened_rows(X: np.ndarray) -> np.ndarray:
+    """Rows whose largest distance may reach the maximum over all pairs."""
+    m, n = X.shape
+    # distances do not move under translation, and centring on one row
+    # scales the rounding bound to the cluster instead of the norms
+    Y = X - X[0]
+    sq = np.einsum("ij,ij->i", Y, Y)
+    screened = np.empty(m)
+    step = max(1, _BLOCK_CELLS // m)
+    for start in range(0, m, step):
+        block = slice(start, start + step)
+        d2 = Y[block] @ Y.T
+        d2 *= -2.0
+        d2 += sq[block, None]
+        d2 += sq
+        screened[block] = d2.max(axis=1)
+    fl = np.finfo(float)
+    delta = 8.0 * (n + 4) * (fl.eps * float(sq.max()) + fl.tiny)
+    cut = float(screened.max()) - 2.0 * delta
+    if not np.isfinite(cut):
+        return np.arange(m)
+    return np.flatnonzero(screened >= cut)
+
+
+def _max_pair_distance(X: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """Largest distance ||x_i - x_j|| and its first pair in row-major order.
+
+    Bit-identical to the maximum and argmax of
+    ``np.sqrt(((X[:, None, :] - X[None, :, :])**2).sum(-1))``, but never
+    builds that (m, m, n) array.  The screen centres the rows, y_i =
+    x_i - x_0, and takes every row's largest
+    d^2 = ||y_i||^2 + ||y_j||^2 - 2 <y_i, y_j> from ``Y[block] @ Y.T`` in
+    row blocks of about _BLOCK_CELLS cells.  With R^2 = max ||y_i||^2 and
+    unit roundoff u = eps / 2, rounding the y_i moves d^2 by at most
+    8 u R^2, the Gram formula adds at most (4n + 7) u R^2 and the
+    difference formula's d^2 lies within (4n + 8) u R^2 of the exact
+    value, for any summation order, so the two differ by less than half
+    of delta = 8 (n + 4) (eps R^2 + tiny), where tiny (the smallest
+    normal float) covers underflow.  Only rows whose screened maximum lies
+    within 2 delta of the top can hold the maximum; the slack beyond the
+    rounding bound keeps every other row's rounded square root strictly
+    below it.  Those rows are recomputed with the difference formula in
+    blocks of about _BLOCK_CELLS cells, so memory stays O(m) plus one
+    block.
+    Inputs of at most _DIRECT_CELLS cells, and screens that overflow,
+    recompute every row.
+    """
+    m, n = X.shape
+    rows = np.arange(m) if m * m * n <= _DIRECT_CELLS else _screened_rows(X)
+    step = max(1, _BLOCK_CELLS // (m * n))
+    best, pair = -np.inf, (0, 0)
+    for start in range(0, rows.size, step):
+        chunk = rows[start : start + step]
+        dist = np.sqrt(((X[chunk, None, :] - X[None, :, :]) ** 2).sum(-1))
+        flat = int(np.argmax(dist))
+        # strictly greater: an earlier row keeps a tie, as argmax would
+        if dist.flat[flat] > best:
+            best, pair = float(dist.flat[flat]), (int(chunk[flat // m]), flat % m)
+    return best, pair
+
+
 def pairwise_closeness(frame) -> float:
-    """Largest pairwise distance max_{i != j} ||x_i - x_j||."""
+    """Largest pairwise distance max_{i != j} ||x_i - x_j||.
+
+    Computed by the blocked kernel described in ``closeness_obstruction``:
+    a Gram-matrix screen in row blocks, then an exact re-check of the
+    rows within 2 delta of the screened top, in O(m) memory plus one
+    block.
+    """
     X = as_vector_array(frame)
     if X.shape[0] < 2:
         raise ValueError("pairwise closeness needs at least two vectors")
-    diff = X[:, None, :] - X[None, :, :]
-    return float(np.sqrt((diff**2).sum(-1)).max())
+    return _max_pair_distance(X)[0]
 
 
 def _unit_norm_deviation(X: np.ndarray) -> float:
@@ -100,6 +176,16 @@ def closeness_obstruction(frame) -> ObstructionReport:
     In R^4 a cluster radius below 1/8 rules out rank 2; below 1/64 the
     ranks 2..n-2 are ruled out in any dimension n >= 4.  Thresholds are
     strict, and both gates also require unit norms within 1e-8.
+
+    The radius max ||x_i - x_j|| and ``detail["max_pair"]`` come from a
+    blocked kernel: a screen of every row's largest squared distance
+    through the Gram matrix, in row blocks, then an exact re-check with
+    the difference formula of the rows whose screened maximum lies
+    within 2 delta of the top, where delta = 8 (n + 4) (eps R^2 + tiny)
+    bounds the rounding gap between the two formulas (R the largest
+    distance from x_0).  The result is bit-identical to the full (m, m, n) broadcast
+    and its first argmax, and memory stays O(m) plus one block of about
+    2^20 cells.
     """
     X = as_vector_array(frame)
     m, n = X.shape
@@ -107,11 +193,7 @@ def closeness_obstruction(frame) -> ObstructionReport:
     detail: dict[str, object] = {"unit_norm_deviation": dev, "vector_count": m}
     if m < 2:
         return ObstructionReport(0.0, frozenset(), "none", detail)
-    diff = X[:, None, :] - X[None, :, :]
-    dist = np.sqrt((diff**2).sum(-1))
-    eps = float(dist.max())
-    far = np.unravel_index(int(np.argmax(dist)), dist.shape)
-    detail["max_pair"] = (int(far[0]), int(far[1]))
+    eps, detail["max_pair"] = _max_pair_distance(X)
     ranks: set[int] = set()
     theorem = "none"
     if dev <= _UNIT_NORM_TOL:

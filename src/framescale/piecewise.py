@@ -35,7 +35,7 @@ from .projections import (
     complement,
     projection_from_basis,
 )
-from .scaling import solve_standard_scaling
+from .scaling import _half_plane_margin, solve_standard_scaling
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,10 @@ def scaled_family(frame, ps: PiecewiseScaling) -> np.ndarray:
     return ps.a[:, None] * Y + ps.b[:, None] * Z
 
 
+def _cross(Y: np.ndarray, Z: np.ndarray, ps: PiecewiseScaling) -> np.ndarray:
+    return Y.T @ ((ps.a * ps.b)[:, None] * Z)
+
+
 def cross_operator(frame, ps: PiecewiseScaling) -> np.ndarray:
     """C = sum_i a_i b_i (P x_i) ((I - P) x_i)^T.
 
@@ -96,7 +100,7 @@ def cross_operator(frame, ps: PiecewiseScaling) -> np.ndarray:
     part of zero forces the whole operator to zero.
     """
     _, Y, Z = _split_parts(frame, ps)
-    return Y.T @ ((ps.a * ps.b)[:, None] * Z)
+    return _cross(Y, Z, ps)
 
 
 def verify_piecewise(frame, ps: PiecewiseScaling, tol: float = DEFAULT_TOL) -> PiecewiseReport:
@@ -114,7 +118,7 @@ def verify_piecewise(frame, ps: PiecewiseScaling, tol: float = DEFAULT_TOL) -> P
     n = P.dim
     p_rep = _parseval_report(ps.a[:, None] * Y, P.matrix, tol)
     q_rep = _parseval_report(ps.b[:, None] * Z, _symmetrized(np.eye(n) - P.matrix), tol)
-    cross = float(np.linalg.norm(Y.T @ ((ps.a * ps.b)[:, None] * Z), "fro"))
+    cross = float(np.linalg.norm(_cross(Y, Z, ps), "fro"))
     W = ps.a[:, None] * Y + ps.b[:, None] * Z
     direct = float(np.linalg.norm(W.T @ W - np.eye(n), "fro"))
     passed = direct <= tol
@@ -480,20 +484,6 @@ _TRUSTED_SIDE = 1e-6
 def _candidate_rng(seed: int, k: int, candidate: int) -> np.random.Generator:
     # the seeding contract: candidate j of rank k depends on (seed, k, j) only
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, k, candidate)))
-
-
-def _half_plane_margin(coords: np.ndarray) -> np.ndarray:
-    """Half-plane margin s of stacked families of nonzero vectors in R^2.
-
-    ``coords`` has shape (C, m, 2).  With G the largest circular gap
-    between the doubled angles 2 atan2(y, x) of a family's rows,
-    s = cos((2 pi - G) / 2); s > 0 exactly when the doubled angles fit in
-    an open half circle.
-    """
-    phi = np.mod(2.0 * np.arctan2(coords[..., 1], coords[..., 0]), 2.0 * np.pi)
-    phi.sort(axis=1)
-    gaps = np.diff(phi, axis=1, append=phi[:, :1] + 2.0 * np.pi)
-    return np.cos((2.0 * np.pi - gaps.max(axis=1)) / 2.0)
 
 
 def _two_dim_rejections(X: np.ndarray, k: int, seed: int, candidates: range, tol: float) -> np.ndarray:

@@ -4,8 +4,9 @@ A family is scalable when nonnegative weights on the outer products
 v_i v_i^T reproduce the target operator.  The decision runs nonnegative
 least squares over the vectorized symmetric system, with off-diagonal
 entries weighted by sqrt(2) so that the euclidean objective equals the
-Frobenius defect.  In two-dimensional ranges an open-quadrant test
-certifies infeasibility independently of the solver.
+Frobenius defect.  In two-dimensional ranges an open-quadrant test, or
+failing that the half-plane test on doubled angles, certifies
+infeasibility independently of the solver.
 """
 
 from __future__ import annotations
@@ -103,6 +104,20 @@ def open_quadrant_certificate(vectors) -> bool:
     return False
 
 
+def _half_plane_margin(coords: np.ndarray) -> np.ndarray:
+    """Half-plane margin s of stacked families of nonzero vectors in R^2.
+
+    ``coords`` has shape (C, m, 2).  With G the largest circular gap
+    between the doubled angles 2 atan2(y, x) of a family's rows,
+    s = cos((2 pi - G) / 2); s > 0 exactly when the doubled angles fit in
+    an open half circle.
+    """
+    phi = np.mod(2.0 * np.arctan2(coords[..., 1], coords[..., 0]), 2.0 * np.pi)
+    phi.sort(axis=1)
+    gaps = np.diff(phi, axis=1, append=phi[:, :1] + 2.0 * np.pi)
+    return np.cos((2.0 * np.pi - gaps.max(axis=1)) / 2.0)
+
+
 def solve_standard_scaling(
     vectors,
     target: OrthogonalProjection | None = None,
@@ -117,6 +132,12 @@ def solve_standard_scaling(
     range are projected onto it first and a warning is recorded.  The
     returned constants are the minimum-residual weights; no attempt is
     made to pick a canonical element of a non-unique feasible set.
+
+    A converged infeasible verdict in a two-dimensional range carries the
+    certificate "open-quadrant" when the sign-normalized vectors sit in
+    one open quadrant, else "half-plane" when their doubled angles fit in
+    an open half circle (half-plane margin s > 0), else
+    "residual-infeasible".
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -155,6 +176,9 @@ def solve_standard_scaling(
     if result.converged and rank == 2:
         coords = V if target is None else V @ target.range_basis
         nonzero = coords[np.linalg.norm(coords, axis=1) > 0.0]
-        if nonzero.shape[0] and open_quadrant_certificate(nonzero):
-            certificate = "open-quadrant"
+        if nonzero.shape[0]:
+            if open_quadrant_certificate(nonzero):
+                certificate = "open-quadrant"
+            elif _half_plane_margin(nonzero[None])[0] > 0.0:
+                certificate = "half-plane"
     return ScalabilityVerdict(False, None, certificate, result.residual, tuple(warnings))

@@ -164,3 +164,14 @@ def reference_search_piecewise(frame, ranks=None, budget: int = 100, seed: int =
             if ps is not None and fs.verify_piecewise(fr, ps, tol).passed:
                 return ps
     return None
+
+
+def reference_max_pair_distance(X: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """Largest pairwise distance and its row-major first argmax, by full broadcast.
+
+    The (m, m, n) difference formula closeness_obstruction used before
+    its blocked kernel; the differential tests require equal results.
+    """
+    dist = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
+    far = np.unravel_index(int(np.argmax(dist)), dist.shape)
+    return float(dist.max()), (int(far[0]), int(far[1]))

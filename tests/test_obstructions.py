@@ -1,10 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import framescale as fs
-from helpers import clustered_unit_frame, r3_fixture, tilted_pair_frame, unit_rows
+from framescale import obstructions as ob
+from helpers import (
+    clustered_unit_frame,
+    r3_fixture,
+    reference_max_pair_distance,
+    tilted_pair_frame,
+    unit_rows,
+)
 
 RT2 = np.sqrt(2.0)
 
@@ -30,6 +39,72 @@ def test_pairwise_closeness_perturbation_bound():
         rows.append(w / np.linalg.norm(w))
     # triangle inequality: every vector sits within ~0.01 of e1
     assert fs.pairwise_closeness(np.array(rows)) <= 0.02
+
+
+def _distance_cases(rng):
+    """(label, X) pairs covering the kernel's screen, ties and degenerate inputs."""
+    for m, n in ((2, 2), (2, 7), (3, 3), (17, 4), (60, 8), (150, 13), (300, 20)):
+        yield "random", unit_rows(rng, m, n)
+        yield "column-major", np.asfortranarray(unit_rows(rng, m, n))
+        center = unit_rows(rng, 1, n)[0]
+        for spread in (1e-3, 1e-8):
+            X = center + spread * rng.standard_normal((m, n))
+            yield f"clustered {spread:g}", X / np.linalg.norm(X, axis=1, keepdims=True)
+        yield "non-unit", unit_rows(rng, m, n) * rng.uniform(0.5, 2.0, (m, 1))
+        base = unit_rows(rng, max(1, m // 3), n)
+        yield "duplicates", base[rng.integers(0, base.shape[0], m)]
+        yield "identical", np.tile(center, (m, 1))
+
+
+@pytest.mark.parametrize("cells", [None, 64])
+def test_max_pair_distance_is_bit_identical_to_broadcast(monkeypatch, cells):
+    if cells is not None:
+        # tiny blocks: every input takes the screen in many row blocks and
+        # re-checks rows one block of a few rows at a time
+        monkeypatch.setattr(ob, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(ob, "_DIRECT_CELLS", 0)
+    rng = np.random.default_rng(31)
+    for label, X in _distance_cases(rng):
+        expected = reference_max_pair_distance(X)
+        assert ob._max_pair_distance(X) == expected, (label, X.shape)
+        report = fs.closeness_obstruction(X)
+        assert report.epsilon == expected[0] and report.detail["max_pair"] == expected[1]
+        assert fs.pairwise_closeness(X) == expected[0]
+        if label == "identical":
+            assert expected == (0.0, (0, 0))
+
+
+@pytest.mark.parametrize("spread", [None, 1e-9])
+def test_max_pair_distance_spanning_several_row_blocks(spread):
+    rng = np.random.default_rng(32)
+    X = unit_rows(rng, 1100, 3)
+    if spread is not None:
+        X = X[0] + spread * X
+    assert X.shape[0] > ob._BLOCK_CELLS // X.shape[0]  # the screen needs two blocks
+    assert ob._max_pair_distance(X) == reference_max_pair_distance(X)
+    # only the two rows of the farthest pair are re-checked, also in a
+    # cluster far smaller than the norms, since the screen centres the rows
+    assert ob._screened_rows(X).size <= 2
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_closeness_obstruction_memory_is_bounded():
+    rng = np.random.default_rng(33)
+    # the full (m, m, n) broadcast would take 1.6 GB per temporary
+    assert _peak_bytes(fs.closeness_obstruction, unit_rows(rng, 2000, 50)) < 64 * 2**20
+    # identical rows all tie, so every row is re-checked, one block at a
+    # time (one (m, m, n) temporary would take 92 MB)
+    X = np.tile(unit_rows(rng, 1, 8), (1200, 1))
+    assert ob._screened_rows(X).size == X.shape[0]
+    assert _peak_bytes(ob._max_pair_distance, X) < 64 * 2**20
 
 
 def test_dichotomy_repeated_vector():

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import framescale as fs
+from framescale.scaling import _gram_columns, _half_plane_margin, _vech
 from helpers import open_quadrant_frame, random_onb_rows, unit_rows
 
 RT2 = np.sqrt(2.0)
@@ -74,6 +75,53 @@ def test_quadrant_certificate_implies_infeasible_sampled():
         assert not verdict.feasible
         assert verdict.certificate == "open-quadrant"
     assert checked >= 900
+
+
+def _degrees(*angles):
+    a = np.radians(angles)
+    return np.column_stack([np.cos(a), np.sin(a)])
+
+
+def test_half_plane_certificate_outside_one_quadrant():
+    # doubled angles 100, 140 and 200 degrees fit in a half circle, but no
+    # sign flips put the three vectors in one open quadrant
+    V = _degrees(50.0, 70.0, 100.0)
+    assert not fs.open_quadrant_certificate(V)
+    verdict = fs.solve_standard_scaling(V)
+    assert not verdict.feasible and verdict.certificate == "half-plane"
+    s = float(_half_plane_margin(V[None])[0])
+    assert s == pytest.approx(np.cos(np.radians(50.0)))
+    assert verdict.residual >= np.sqrt(2.0) * s / np.sqrt(1.0 + s * s) - 1e-12
+
+    # the same family inside a rank-2 target in R^3
+    P = fs.canonical_projection([0, 2], 3)
+    W = np.column_stack([V[:, 0], np.zeros(3), V[:, 1]])
+    target = fs.solve_standard_scaling(W, target=P)
+    assert not target.feasible and target.certificate == "half-plane"
+
+
+def test_two_dim_certificates_only_on_nnls_infeasible_families():
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(41)
+    labels = {"open-quadrant": 0, "half-plane": 0, "residual-infeasible": 0, None: 0}
+    for _ in range(300):
+        m = int(rng.integers(2, 7))
+        arc = rng.uniform(0.1, 2.0 * np.pi)  # spread of the doubled angles
+        theta = (rng.uniform(0.0, 2.0 * np.pi) + rng.uniform(0.0, arc, m)) / 2.0
+        theta += np.pi * rng.integers(0, 2, m)
+        V = rng.uniform(0.5, 2.0, (m, 1)) * np.column_stack([np.cos(theta), np.sin(theta)])
+        verdict = fs.solve_standard_scaling(V)
+        labels[verdict.certificate] += 1
+        if verdict.certificate in ("open-quadrant", "half-plane"):
+            reference = scipy_optimize.nnls(_gram_columns(V), _vech(np.eye(2)))[1]
+            assert reference > fs.DEFAULT_TOL
+        s = float(_half_plane_margin(V[None])[0])
+        if s > 1e-6:
+            # a clear half-plane margin never leaves the bare solver label
+            assert verdict.certificate in ("open-quadrant", "half-plane")
+        if verdict.certificate == "half-plane":
+            assert verdict.residual >= np.sqrt(2.0) * s / np.sqrt(1.0 + s * s) - 1e-12
+    assert labels["half-plane"] >= 20 and labels["open-quadrant"] >= 20 and labels[None] >= 20
 
 
 @given(st.integers(0, 10_000))

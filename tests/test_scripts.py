@@ -1,0 +1,30 @@
+"""Smoke runs of the experiment scripts with tiny arguments, so they cannot rot unseen."""
+
+import runpy
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _run(name: str):
+    # run_path under a name other than __main__ skips the argument parser
+    return runpy.run_path(str(SCRIPTS / name))["run"]
+
+
+def test_obstruction_sweep_smoke(capsys):
+    _run("obstruction_sweep.py")(seed=0, frames_per_radius=1, budget=20)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["radius", "epsilon", "certified", "search", "found"]
+    assert len(lines) == 1 + 7  # one frame per radius
+
+
+def test_r3_scaling_stats_smoke(capsys):
+    _run("r3_scaling_stats.py")(runs=20, seed=0)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("frames (seed 0)")
+    assert [line.split(":")[0].strip() for line in lines[1:]] == [
+        "pair overlap",
+        "mixing weight",
+        "largest constant",
+        "direct residual",
+    ]
