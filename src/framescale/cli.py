@@ -2,8 +2,9 @@
 
 Subcommands: analyze, scale, piecewise, verify, obstruct, transport,
 canonical-parseval.  Every run writes a JSON report to stdout or --out.
-Exit codes: 0 verdict computed (including infeasible or not-found), 1
-usage error, 2 input format error, 3 internal inconsistency.
+Exit codes: 0 verdict computed (including infeasible, undecided or
+not-found), 1 usage error, 2 input format error, 3 internal
+inconsistency.
 """
 
 from __future__ import annotations
@@ -171,11 +172,16 @@ def _cmd_scale(args) -> dict:
     frame = load_frame(args.frame, args.format)
     verdict = solve_standard_scaling(frame.vectors, None, tol)
     report = _base_report("scale", args.frame, tol)
-    report["verdict"] = "feasible" if verdict.feasible else "infeasible"
     report["residuals"] = {"frobenius_defect": verdict.residual}
     if verdict.feasible:
+        report["verdict"] = "feasible"
         report["scaling"] = {"c": list(map(float, verdict.scaling.constants))}
+    elif verdict.certificate == "undecided":
+        report["verdict"] = "undecided"
+        report["nnls"] = {"converged": verdict.converged, "iterations": verdict.iterations}
+        report["note"] = "NNLS hit its iteration cap; this is not a proof that no scaling exists"
     else:
+        report["verdict"] = "infeasible"
         report["certificate"] = verdict.certificate
     for warning in verdict.warnings:
         print(f"warning: {warning}", file=sys.stderr)

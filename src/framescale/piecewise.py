@@ -542,8 +542,10 @@ def search_piecewise(
 
     Strategy, in order: standard scalability (equal constants work with
     any projection), the dedicated constructors for dimensions two and
-    three, then a seeded sweep of ``budget`` random projections per
-    requested rank, each tried with a disjoint-support feasibility split.
+    three (when they reject the input as numerically degenerate, the
+    search goes on), then a seeded sweep of ``budget`` random projections
+    per requested rank, each tried with a disjoint-support feasibility
+    split.
     Candidate k of rank r derives its generator from (seed, r, k), so the
     outcome does not depend on evaluation order.  A miss is not a proof
     that no scaling exists.
@@ -587,14 +589,16 @@ def search_piecewise(
                 else construct_r3(fr, tol)
             )
         except ValueError:
+            # a numerically degenerate selection: try the sampled route
+            built = None
+        if built is not None:
+            if built.projection.rank not in valid:
+                if (n - built.projection.rank) not in valid:
+                    return None
+                built = _complement_form(built)
+            if verify_piecewise(fr, built, tol).passed:
+                return built
             return None
-        if built.projection.rank not in valid:
-            if (n - built.projection.rank) not in valid:
-                return None
-            built = _complement_form(built)
-        if verify_piecewise(fr, built, tol).passed:
-            return built
-        return None
     for k in valid:
         for candidate in _surviving_candidates(X, k, budget, seed, tol):
             P = _random_projection(_candidate_rng(seed, k, candidate), n, k)

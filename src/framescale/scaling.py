@@ -35,13 +35,21 @@ class StandardScaling:
 
 @dataclass(frozen=True)
 class ScalabilityVerdict:
-    """Feasibility decision plus either the scaling or an infeasibility certificate."""
+    """Feasibility decision plus either the scaling or an infeasibility certificate.
+
+    ``converged`` and ``iterations`` come from the NNLS run behind the
+    decision; an infeasible verdict from a run that hit its iteration
+    cap carries the certificate "undecided" unless a two-dimensional
+    range certifies it geometrically.
+    """
 
     feasible: bool
     scaling: StandardScaling | None
     certificate: str | None
     residual: float
     warnings: tuple[str, ...] = ()
+    converged: bool = True
+    iterations: int = 0
 
 
 def _sym_embedding(n: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
@@ -133,11 +141,16 @@ def solve_standard_scaling(
     returned constants are the minimum-residual weights; no attempt is
     made to pick a canonical element of a non-unique feasible set.
 
-    A converged infeasible verdict in a two-dimensional range carries the
+    An infeasible verdict in a two-dimensional range carries the
     certificate "open-quadrant" when the sign-normalized vectors sit in
     one open quadrant, else "half-plane" when their doubled angles fit in
-    an open half circle (half-plane margin s > 0), else
-    "residual-infeasible".
+    an open half circle (half-plane margin s > 0).  Both tests need no
+    solver, so they certify infeasibility whether or not NNLS converged.
+    Otherwise the certificate is "residual-infeasible" when NNLS
+    converged, and "undecided" when it hit ``max_iter`` (default
+    ``50 * m``) first: the residual then only bounds the optimum from
+    above, so it proves nothing.  The verdict records the run's
+    ``converged`` flag and ``iterations``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -171,9 +184,11 @@ def solve_standard_scaling(
         if target is None:
             _post_check_unit_norm_invariants(V, constants, tol)
         scaling = StandardScaling(constants=constants, residual=result.residual, target_rank=rank)
-        return ScalabilityVerdict(True, scaling, None, result.residual, tuple(warnings))
-    certificate = "residual-infeasible"
-    if result.converged and rank == 2:
+        return ScalabilityVerdict(
+            True, scaling, None, result.residual, tuple(warnings), result.converged, result.iterations
+        )
+    certificate = "residual-infeasible" if result.converged else "undecided"
+    if rank == 2:
         coords = V if target is None else V @ target.range_basis
         nonzero = coords[np.linalg.norm(coords, axis=1) > 0.0]
         if nonzero.shape[0]:
@@ -181,4 +196,6 @@ def solve_standard_scaling(
                 certificate = "open-quadrant"
             elif _half_plane_margin(nonzero[None])[0] > 0.0:
                 certificate = "half-plane"
-    return ScalabilityVerdict(False, None, certificate, result.residual, tuple(warnings))
+    return ScalabilityVerdict(
+        False, None, certificate, result.residual, tuple(warnings), result.converged, result.iterations
+    )

@@ -48,6 +48,30 @@ def random_onb_rows(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.linalg.qr(rng.standard_normal((n, n)))[0].T
 
 
+def scalable_rows(rng: np.random.Generator, n: int, bases: int) -> np.ndarray:
+    """Weighted union of ``bases`` rotated orthonormal bases, rows rescaled at random.
+
+    The unscaled rows sqrt(w_j) U_j e_i form a Parseval frame, so the
+    rescaled family is standard scalable.
+    """
+    weights = rng.uniform(0.5, 1.5, bases)
+    weights /= weights.sum()
+    X = np.vstack([np.sqrt(w) * random_onb_rows(rng, n) for w in weights])
+    return X * rng.uniform(0.5, 2.0, X.shape[0])[:, None]
+
+
+def cone_rows(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """Unit rows with cos^2 to a common centre above 1/n, so no scaling exists."""
+    u = rng.standard_normal(n)
+    u /= np.linalg.norm(u)
+    W = rng.standard_normal((m, n))
+    W -= np.outer(W @ u, u)
+    W /= np.linalg.norm(W, axis=1, keepdims=True)
+    cos2 = rng.uniform(1.0 / n + 0.05, 1.0 / n + 0.5, m)
+    X = np.sqrt(cos2)[:, None] * u + np.sqrt(1.0 - cos2)[:, None] * W
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
 def open_quadrant_frame(rng: np.random.Generator, m: int) -> fs.Frame:
     """Spanning family of unit vectors with strictly positive coordinates."""
     for _ in range(32):
@@ -175,3 +199,60 @@ def reference_max_pair_distance(X: np.ndarray) -> tuple[float, tuple[int, int]]:
     dist = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
     far = np.unravel_index(int(np.argmax(dist)), dist.shape)
     return float(dist.max()), (int(far[0]), int(far[1]))
+
+
+def reference_nnls(A, b, max_iter: int | None = None):
+    """Lawson-Hanson NNLS with a fresh ``lstsq`` of A_P on every passive-set step.
+
+    A copy of framescale.nnls before its passive sets were solved from
+    the Gram system; the differential tests compare the library against it.
+    """
+    from framescale.nnls import NNLSResult
+
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float).ravel()
+    if A.ndim != 2 or b.shape[0] != A.shape[0]:
+        raise ValueError(f"incompatible shapes A={A.shape}, b={b.shape}")
+    nrow, ncol = A.shape
+    if max_iter is None:
+        max_iter = 50 * ncol
+    x = np.zeros(ncol)
+    passive = np.zeros(ncol, dtype=bool)
+    gtol = 1e-12 * max(1.0, float(np.abs(A.T @ b).max(initial=0.0)))
+    eps = float(np.finfo(float).eps)
+    objective = float(b @ b)
+    converged = False
+    iters = 0
+    while True:
+        grad = A.T @ (b - A @ x)
+        grad[passive] = -np.inf
+        j = int(np.argmax(grad))
+        if not np.isfinite(grad[j]) or grad[j] <= gtol:
+            converged = True
+            break
+        passive[j] = True
+        while iters < max_iter:
+            iters += 1
+            z = np.zeros(ncol)
+            z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+            if z[passive].size == 0 or z[passive].min() > 0.0:
+                x = z
+                break
+            shrink = passive & (z <= 0.0)
+            gap = x[shrink] - z[shrink]
+            safe = gap > 0.0
+            alpha = float((x[shrink][safe] / gap[safe]).min()) if safe.any() else 0.0
+            x = x + alpha * (z - x)
+            boundary = 10.0 * max(nrow, ncol) * eps * max(1.0, float(np.abs(x).max(initial=0.0)))
+            passive &= x > boundary
+            x[~passive] = 0.0
+        if iters >= max_iter:
+            break
+        r = A @ x - b
+        new_objective = float(r @ r)
+        if new_objective > objective * (1.0 - 1e-13):
+            converged = True
+            break
+        objective = new_objective
+    residual = float(np.linalg.norm(A @ x - b))
+    return NNLSResult(x=x, residual=residual, converged=converged, iterations=iters)

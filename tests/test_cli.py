@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 import subprocess
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import framescale as fs
+import framescale.cli as cli
 from framescale.cli import main
 from framescale.fileio import load_report
 from helpers import r3_fixture, tilted_pair_frame
@@ -46,6 +48,17 @@ def test_scale_feasible_and_infeasible(workdir, capsys):
     code, report, _ = run_cli(["scale", quad], capsys)
     assert code == 0
     assert report["verdict"] == "infeasible" and report["certificate"] == "open-quadrant"
+
+
+def test_scale_undecided_when_nnls_hits_its_cap(workdir, monkeypatch, capsys):
+    # the CLI keeps the default cap; a cap of one step forces the case
+    capped = functools.partial(fs.solve_standard_scaling, max_iter=1)
+    monkeypatch.setattr(cli, "solve_standard_scaling", capped)
+    code, report, _ = run_cli(["scale", workdir / "triple.csv"], capsys)
+    assert code == 0
+    assert report["verdict"] == "undecided"
+    assert report["nnls"] == {"converged": False, "iterations": 1}
+    assert "certificate" not in report and "scaling" not in report
 
 
 def test_piecewise_split_and_verify_round_trip(workdir, capsys):

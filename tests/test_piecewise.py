@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import framescale as fs
+import framescale.piecewise as pw
 from framescale.piecewise import _complement_form
 from helpers import (
     blocked_split_frame,
@@ -344,6 +345,28 @@ def test_search_random_route_finds_split_in_r4():
         assert again is not None
         assert np.array_equal(ps.a, again.a) and np.array_equal(ps.b, again.b)
         assert np.array_equal(ps.projection.matrix, again.projection.matrix)
+
+
+def test_search_falls_through_when_the_r3_constructor_rejects(monkeypatch):
+    # a spanning triple whose first two vectors overlap above 1 - 1e-12:
+    # construct_r3 calls the pair numerically dependent, and the search
+    # must go on to the sampled route instead of giving up
+    t = 1e-7
+    frame = fs.Frame([[1.0, 0.0, 0.0], [np.cos(t), np.sin(t), 0.0], [0.0, 0.0, 1.0]])
+    assert frame.is_frame()
+    with pytest.raises(ValueError, match="numerically dependent"):
+        fs.construct_r3(frame)
+    sampled = []
+    surviving = pw._surviving_candidates
+
+    def spy(X, k, budget, seed, tol):
+        sampled.append(k)
+        return surviving(X, k, budget, seed, tol)
+
+    monkeypatch.setattr(pw, "_surviving_candidates", spy)
+    found = fs.search_piecewise(frame, budget=50, seed=0)
+    assert sampled, "the search stopped at the constructor"
+    assert found is None or fs.verify_piecewise(frame, found).passed
 
 
 def test_complement_form_swaps_sides():

@@ -151,3 +151,27 @@ def test_feasibility_invariant_under_flips_and_rescaling(seed):
     if modified.feasible:
         scaled = modified.scaling.constants[:, None] * (signs * scales * X)
         assert fs.verify_parseval(scaled).passed
+
+
+def test_iteration_cap_gives_undecided_not_infeasible():
+    # two orthonormal bases of R^3: scalable, but NNLS needs more than one step
+    rng = np.random.default_rng(3)
+    X = np.vstack([random_onb_rows(rng, 3), random_onb_rows(rng, 3)])
+    full = fs.solve_standard_scaling(X)
+    assert full.feasible and full.converged and full.iterations > 1
+    capped = fs.solve_standard_scaling(X, max_iter=1)
+    assert not capped.feasible and capped.scaling is None
+    assert capped.certificate == "undecided"
+    assert not capped.converged and capped.iterations == 1
+    # a converged infeasible verdict keeps its certificate and records the run
+    cone = fs.solve_standard_scaling(unit_rows(rng, 4, 3) * [1.0, 0.1, 0.1] + [1.0, 0.0, 0.0])
+    assert not cone.feasible and cone.converged and cone.certificate == "residual-infeasible"
+    assert cone.iterations >= 1
+
+
+def test_iteration_cap_keeps_geometric_certificates():
+    # the open-quadrant test needs no solver, so a capped run still certifies
+    quad = np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 2.0]])
+    capped = fs.solve_standard_scaling(quad / np.linalg.norm(quad, axis=1, keepdims=True), max_iter=1)
+    assert not capped.converged
+    assert not capped.feasible and capped.certificate == "open-quadrant"
