@@ -75,6 +75,22 @@ def _screened_rows(X: np.ndarray) -> np.ndarray:
     return np.flatnonzero(screened >= cut)
 
 
+def _exact_rows(X: np.ndarray, step: int) -> np.ndarray:
+    """Rows the exact pass of _max_pair_distance recomputes, in order.
+
+    Every row of a small input, else the screened rows.  When those span
+    more than one block of ``step`` rows, exact copies collapse onto their
+    first occurrence: a copy has the same distances as that row, so it can
+    never win the strict > that keeps the first argmax, and the result
+    stays bit-identical while many tying copies cost one row.
+    """
+    m, n = X.shape
+    rows = np.arange(m) if m * m * n <= _DIRECT_CELLS else _screened_rows(X)
+    if rows.size > step:
+        rows = rows[np.sort(np.unique(X[rows], axis=0, return_index=True)[1])]
+    return rows
+
+
 def _max_pair_distance(X: np.ndarray) -> tuple[float, tuple[int, int]]:
     """Largest distance ||x_i - x_j|| and its first pair in row-major order.
 
@@ -96,11 +112,13 @@ def _max_pair_distance(X: np.ndarray) -> tuple[float, tuple[int, int]]:
     blocks of about _BLOCK_CELLS cells, so memory stays O(m) plus one
     block.
     Inputs of at most _DIRECT_CELLS cells, and screens that overflow,
-    recompute every row.
+    recompute every row.  When the re-checked rows fill more than one
+    block, exact copies of a row are re-checked once, at their first
+    occurrence (see _exact_rows).
     """
     m, n = X.shape
-    rows = np.arange(m) if m * m * n <= _DIRECT_CELLS else _screened_rows(X)
     step = max(1, _BLOCK_CELLS // (m * n))
+    rows = _exact_rows(X, step)
     best, pair = -np.inf, (0, 0)
     for start in range(0, rows.size, step):
         chunk = rows[start : start + step]

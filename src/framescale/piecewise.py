@@ -29,6 +29,7 @@ from .frames import (
 )
 from .projections import (
     OrthogonalProjection,
+    _projection_from_draw,
     _random_projection,
     _symmetrized,
     canonical_projection,
@@ -449,13 +450,23 @@ def _restricted_constants(V: np.ndarray, target: OrthogonalProjection, keep: np.
 def _disjoint_split_candidate(X: np.ndarray, P: OrthogonalProjection, tol: float):
     Y = X @ P.matrix
     Z = X - Y
-    Q = complement(P)
+    # the higher-rank side is the likelier to fail (a rank-1 side always
+    # scales), so it is solved first; both solves are independent, so the
+    # order changes only how soon a miss returns
+    q_first = P.dim - P.rank > P.rank
+    if q_first:
+        Q = complement(P)
+        vq = solve_standard_scaling(Z, Q, tol)
+        if not vq.feasible:
+            return None
     vp = solve_standard_scaling(Y, P, tol)
     if not vp.feasible:
         return None
-    vq = solve_standard_scaling(Z, Q, tol)
-    if not vq.feasible:
-        return None
+    if not q_first:
+        Q = complement(P)
+        vq = solve_standard_scaling(Z, Q, tol)
+        if not vq.feasible:
+            return None
     a = np.array(vp.scaling.constants)
     b = np.array(vq.scaling.constants)
     overlap = (a > 0.0) & (b > 0.0)
@@ -471,13 +482,13 @@ def _disjoint_split_candidate(X: np.ndarray, P: OrthogonalProjection, tol: float
     return PiecewiseScaling(P, a, b)
 
 
-# candidates in the first batched pass of the two-dimensional filter; each
-# later pass doubles, so an early hit pays for few draws and a full miss
-# for a handful of passes
+# candidates in the first batched pass of the screen; each later pass
+# doubles, so an early hit pays for few draws and a full miss for a
+# handful of passes
 _FIRST_CHUNK = 16
 
 # a row whose side part is at most this fraction of the row points in a
-# direction set by rounding, so the filter keeps its candidate
+# direction set by rounding, so the screen keeps its candidate
 _TRUSTED_SIDE = 1e-6
 
 
@@ -486,13 +497,40 @@ def _candidate_rng(seed: int, k: int, candidate: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, k, candidate)))
 
 
-def _two_dim_rejections(X: np.ndarray, k: int, seed: int, candidates: range, tol: float) -> np.ndarray:
-    """Which rank-k candidates a two-dimensional side proves infeasible.
+def _subspace_margin(units: np.ndarray) -> np.ndarray:
+    """Distance bound from I to the cone of stacked unit families in R^d.
+
+    ``units`` has shape (C, m, d), d >= 2, with unit rows u_i.  For the
+    top-j eigenvectors Pi_j of S = sum_i u_i u_i^T and
+    mu_j = min_i ||Pi_j^T u_i||^2 > j / d, the matrix
+    R = I - Pi_j Pi_j^T / mu_j has u_i^T R u_i <= 0 and
+    tr R = d - j / mu_j > 0, so it separates I from the cone by
+    tr R / ||R||_F.  Returns the best such bound over j = 1..d-1, or 0
+    when no j separates.
+    """
+    d = units.shape[2]
+    S = np.einsum("cmi,cmj->cij", units, units)
+    top = np.linalg.eigh(S)[1][:, :, ::-1]
+    # ||Pi_j^T u_i||^2 for j = 1..d-1
+    captured = np.cumsum(np.einsum("cmi,cij->cmj", units, top) ** 2, axis=2)[:, :, :-1]
+    mu = captured.min(axis=1)
+    j = np.arange(1, d)
+    separates = mu > j / d
+    mu = np.where(separates, mu, 1.0)
+    bound = (d - j / mu) / np.sqrt((d - j) + j * (1.0 - 1.0 / mu) ** 2)
+    return np.where(separates, bound, 0.0).max(axis=1)
+
+
+def _screen(X: np.ndarray, k: int, seed: int, candidates: range, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Which rank-k candidates a side proves infeasible, and their first draws.
 
     Draws every candidate's first Gaussian block, as _random_projection
     does, and gets all range and complement bases from one stacked
-    complete QR.  A rank-deficient draw is redrawn by _random_projection,
-    so its QR range proves nothing and it is never rejected.
+    complete QR.  A two-dimensional side rejects on its half-plane
+    margin, a side of dimension three or more on _subspace_margin, both
+    above 10 tol; a one-dimensional side always scales.  A rank-deficient
+    draw is redrawn by _random_projection, so its QR range proves nothing
+    and it is never rejected.
     """
     n = X.shape[1]
     G = np.stack([_candidate_rng(seed, k, c).standard_normal((n, k)) for c in candidates])
@@ -504,30 +542,31 @@ def _two_dim_rejections(X: np.ndarray, k: int, seed: int, candidates: range, tol
     rejected = np.zeros(len(candidates), dtype=bool)
     for side in (slice(0, k), slice(k, n)):
         B = Q[:, :, side]
-        if B.shape[2] != 2:
+        d = B.shape[2]
+        if d < 2:
             continue
         coords = np.einsum("mi,cij->cmj", X, B)
-        trusted = (np.hypot(coords[..., 0], coords[..., 1]) > _TRUSTED_SIDE * scales).all(axis=1)
-        rejected |= trusted & (_half_plane_margin(coords) > 10.0 * tol)
-    return rejected & full_rank
+        norms = np.linalg.norm(coords, axis=2)
+        trusted = np.flatnonzero((norms > _TRUSTED_SIDE * scales).all(axis=1) & ~rejected)
+        if d == 2:
+            margin = _half_plane_margin(coords[trusted])
+        else:
+            margin = _subspace_margin(coords[trusted] / norms[trusted, :, None])
+        rejected[trusted] = margin > 10.0 * tol
+    return rejected & full_rank, G
 
 
 def _surviving_candidates(X: np.ndarray, k: int, budget: int, seed: int, tol: float):
-    """Candidate indices of rank k in order, less those a 2-D side rules out.
+    """Rank-k candidates the screen keeps, in order, with their first draws.
 
-    Without a two-dimensional side every index survives and nothing extra
-    is drawn.  Otherwise the filter runs on chunks of _FIRST_CHUNK
-    indices, doubling each time; chunks are filtered lazily, so none is
-    drawn after a hit.
+    The screen runs on chunks of _FIRST_CHUNK indices, doubling each
+    time; chunks are screened lazily, so none is drawn after a hit.
     """
-    if 2 not in (k, X.shape[1] - k):
-        yield from range(budget)
-        return
     start, size = 0, _FIRST_CHUNK
     while start < budget:
         chunk = range(start, min(budget, start + size))
-        rejected = _two_dim_rejections(X, k, seed, chunk, tol)
-        yield from (c for c, r in zip(chunk, rejected) if not r)
+        rejected, G = _screen(X, k, seed, chunk, tol)
+        yield from ((c, g) for c, g, r in zip(chunk, G, rejected) if not r)
         start, size = chunk.stop, 2 * size
 
 
@@ -550,19 +589,28 @@ def search_piecewise(
     outcome does not depend on evaluation order.  A miss is not a proof
     that no scaling exists.
 
-    When the range or its complement is two-dimensional, candidates are
-    first screened in batches without any solve.  A side with coordinates
-    c_i scales exactly when I lies in the cone of the c_i c_i^T, and in
-    two dimensions that fails exactly when the doubled angles of the c_i
-    fit in an open half circle.  With G the largest circular gap between
-    them, s = cos((2 pi - G) / 2) and d the bisector of their arc, the
-    matrix s I - [[cos d, sin d], [sin d, -cos d]] separates I from the
-    cone, which therefore stays at least sqrt(2) s / sqrt(1 + s^2) away
-    from I in Frobenius norm.  A candidate with s > 10 tol on either side
-    is skipped: that distance exceeds tol, so the feasibility solve could
-    only reject it.  Candidates with a degenerate draw or a side part at
-    rounding level are never skipped, and survivors take the sequential
-    path, so the result is the same as without the screen.
+    Candidates are first screened in batches (16, then 32, 64, ...)
+    without any solve.  A side with coordinates c_i scales exactly when I
+    lies in the cone of the c_i c_i^T, so a symmetric R with
+    c_i^T R c_i <= 0 and tr R > 0 keeps that cone at least
+    tr R / ||R||_F away from I in Frobenius norm.  In two dimensions the
+    test is exact: scaling fails exactly when the doubled angles of the
+    c_i fit in an open half circle.  With G the largest circular gap
+    between them, s = cos((2 pi - G) / 2) and d the bisector of their arc,
+    R = s I - [[cos d, sin d], [sin d, -cos d]] gives the distance
+    sqrt(2) s / sqrt(1 + s^2), and a 2-D side with s > 10 tol rejects.  A
+    side of dimension d >= 3 uses the top-j eigenvectors Pi_j of
+    sum_i u_i u_i^T, u_i = c_i / ||c_i||: when
+    mu_j = min_i ||Pi_j^T u_i||^2 > j / d, R = I - Pi_j Pi_j^T / mu_j
+    gives the distance (d - j / mu_j) / sqrt((d - j) + j (1 - 1 / mu_j)^2),
+    and the side rejects when the best of these over j = 1..d-1 exceeds
+    10 tol (j = 1 is the cone obstruction).  A one-dimensional side always
+    scales.  A skipped candidate's distance exceeds tol, so the feasibility
+    solve could only reject it.  Candidates with a degenerate draw or a
+    side part at rounding level are never skipped, and survivors take the
+    sequential path: the higher-rank side is solved first (the range on a
+    tie) and the other only when it scales, so the result is the same as
+    without the screen.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -600,8 +648,11 @@ def search_piecewise(
                 return built
             return None
     for k in valid:
-        for candidate in _surviving_candidates(X, k, budget, seed, tol):
-            P = _random_projection(_candidate_rng(seed, k, candidate), n, k)
+        for candidate, G in _surviving_candidates(X, k, budget, seed, tol):
+            P = _projection_from_draw(G)
+            if P is None:
+                # the first draw was degenerate: redraw as _random_projection does
+                P = _random_projection(_candidate_rng(seed, k, candidate), n, k)
             ps = _disjoint_split_candidate(X, P, tol)
             if ps is not None and verify_piecewise(fr, ps, tol).passed:
                 return ps

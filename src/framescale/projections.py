@@ -153,11 +153,19 @@ def complement(projection: OrthogonalProjection) -> OrthogonalProjection:
     return OrthogonalProjection(_symmetrized(M), n - projection.rank, B)
 
 
+def _projection_from_draw(G: np.ndarray) -> OrthogonalProjection | None:
+    """Projection onto the span of the columns of G, or None when one drops."""
+    B = _orthonormalize(G)
+    if B.shape[1] != G.shape[1]:
+        return None
+    return OrthogonalProjection(_symmetrized(B @ B.T), B.shape[1], B)
+
+
 def _random_projection(rng: np.random.Generator, n: int, k: int) -> OrthogonalProjection:
     for _ in range(8):
-        B = _orthonormalize(rng.standard_normal((n, k)))
-        if B.shape[1] == k:
-            return OrthogonalProjection(_symmetrized(B @ B.T), k, B)
+        P = _projection_from_draw(rng.standard_normal((n, k)))
+        if P is not None:
+            return P
     raise InternalInconsistencyError("Gaussian draws failed to produce k independent vectors")
 
 

@@ -139,12 +139,7 @@ def reference_search_piecewise(frame, ranks=None, budget: int = 100, seed: int =
     A copy of the search before candidates were screened in batches; the
     differential tests compare the library's search against it.
     """
-    from framescale.piecewise import (
-        _complement_form,
-        _disjoint_split_candidate,
-        construct_r2,
-        construct_r3,
-    )
+    from framescale.piecewise import _complement_form, construct_r2, construct_r3
     from framescale.projections import _random_projection
 
     if budget < 1:
@@ -184,10 +179,43 @@ def reference_search_piecewise(frame, ranks=None, budget: int = 100, seed: int =
         for candidate in range(budget):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, k, candidate)))
             P = _random_projection(rng, n, k)
-            ps = _disjoint_split_candidate(X, P, tol)
+            ps = reference_disjoint_split_candidate(X, P, tol)
             if ps is not None and fs.verify_piecewise(fr, ps, tol).passed:
                 return ps
     return None
+
+
+def reference_disjoint_split_candidate(X: np.ndarray, P, tol: float):
+    """Disjoint-support split of one candidate projection, range side first.
+
+    A copy of the library's split before it solved the higher-rank side
+    first and built the complement lazily; the search differential tests
+    compare against it.
+    """
+    from framescale.piecewise import _restricted_constants
+
+    Y = X @ P.matrix
+    Z = X - Y
+    Q = fs.complement(P)
+    vp = fs.solve_standard_scaling(Y, P, tol)
+    if not vp.feasible:
+        return None
+    vq = fs.solve_standard_scaling(Z, Q, tol)
+    if not vq.feasible:
+        return None
+    a = np.array(vp.scaling.constants)
+    b = np.array(vq.scaling.constants)
+    overlap = (a > 0.0) & (b > 0.0)
+    if overlap.any():
+        resolved = _restricted_constants(Y, P, (a > 0.0) & ~overlap, tol)
+        if resolved is not None:
+            a = resolved
+        else:
+            resolved = _restricted_constants(Z, Q, (b > 0.0) & ~overlap, tol)
+            if resolved is None:
+                return None
+            b = resolved
+    return fs.PiecewiseScaling(P, a, b)
 
 
 def reference_max_pair_distance(X: np.ndarray) -> tuple[float, tuple[int, int]]:

@@ -87,6 +87,30 @@ def test_max_pair_distance_spanning_several_row_blocks(spread):
     assert ob._screened_rows(X).size <= 2
 
 
+def _repeated_rows(rng, label, m, n):
+    c = unit_rows(rng, 1, n)[0]
+    if label == "identical":
+        return np.tile(c, (m, 1))
+    return np.vstack([np.tile(c, (m // 2, 1)), np.tile(-c, (m - m // 2, 1))])
+
+
+@pytest.mark.parametrize("label", ["identical", "antipodal"])
+def test_max_pair_distance_collapses_repeated_rows(label):
+    rng = np.random.default_rng(34)
+    # 300 rows in R^50 already re-check more rows than one block holds
+    X = _repeated_rows(rng, label, 300, 50)
+    assert X.shape[0] > ob._BLOCK_CELLS // X.size
+    assert ob._max_pair_distance(X) == reference_max_pair_distance(X)
+    # at 2000 rows the broadcast reference would take 1.6 GB per temporary,
+    # so it runs on the distinct rows, whose first occurrences are 0 and 1000
+    X = _repeated_rows(rng, label, 2000, 50)
+    rows = ob._exact_rows(X, max(1, ob._BLOCK_CELLS // X.size))
+    assert rows.size <= 2
+    eps, (i, j) = reference_max_pair_distance(X[[0, 1000]])
+    assert ob._max_pair_distance(X) == (eps, ((0, 1000)[i], (0, 1000)[j]))
+    assert fs.closeness_obstruction(X).detail["max_pair"] == ((0, 1000)[i], (0, 1000)[j])
+
+
 def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:
@@ -100,8 +124,8 @@ def test_closeness_obstruction_memory_is_bounded():
     rng = np.random.default_rng(33)
     # the full (m, m, n) broadcast would take 1.6 GB per temporary
     assert _peak_bytes(fs.closeness_obstruction, unit_rows(rng, 2000, 50)) < 64 * 2**20
-    # identical rows all tie, so every row is re-checked, one block at a
-    # time (one (m, m, n) temporary would take 92 MB)
+    # identical rows all tie in the screen (one (m, m, n) temporary would
+    # take 92 MB); the exact pass then re-checks one copy
     X = np.tile(unit_rows(rng, 1, 8), (1200, 1))
     assert ob._screened_rows(X).size == X.shape[0]
     assert _peak_bytes(ob._max_pair_distance, X) < 64 * 2**20

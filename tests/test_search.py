@@ -1,4 +1,6 @@
-"""The batched two-dimensional screen of search_piecewise against the sequential search."""
+"""The batched screen of search_piecewise against the sequential search."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -6,7 +8,13 @@ import pytest
 import framescale as fs
 import framescale.piecewise as pw
 from framescale.projections import _random_projection
-from helpers import clustered_unit_frame, mercedes_frame, random_unit_frame, reference_search_piecewise
+from helpers import (
+    clustered_unit_frame,
+    mercedes_frame,
+    random_unit_frame,
+    reference_disjoint_split_candidate,
+    reference_search_piecewise,
+)
 
 TOL = fs.DEFAULT_TOL
 
@@ -26,10 +34,40 @@ def _cases():
     cases = [(clustered_unit_frame(rng, 4, int(rng.integers(5, 9)), 0.02), {2}) for _ in range(6)]
     for n in (4, 5):
         cases += [(random_unit_frame(rng, n, int(rng.integers(n + 1, 3 * n + 1))), None) for _ in range(8)]
+    # ranks with no two-dimensional side
+    for n in (4, 5):
+        for k in (1, n - 1):
+            cases += [(random_unit_frame(rng, n, int(rng.integers(n + 1, 3 * n + 1))), {k}) for _ in range(3)]
     return cases
 
 
 CASES = _cases()
+EDGE_RANK_CASES = [i for i, (frame, ranks) in enumerate(CASES) if ranks in ({1}, {frame.dim - 1})]
+
+
+def _rng(seed: int, k: int, candidate: int) -> np.random.Generator:
+    # the seeding contract: candidate j of rank k draws from (seed, k, j)
+    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, k, candidate)))
+
+
+def _recording_survivors(monkeypatch) -> list[int]:
+    """Patch the search to record the candidate indices the screen lets through."""
+    seen: list[int] = []
+    survivors = pw._surviving_candidates
+
+    def record(*args):
+        for candidate, G in survivors(*args):
+            seen.append(candidate)
+            yield candidate, G
+
+    monkeypatch.setattr(pw, "_surviving_candidates", record)
+    return seen
+
+
+def _side_fixture(k: int, n: int, side_coords: np.ndarray, other_coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows with the given range and complement coordinates for candidate 0 of rank k, seed 0."""
+    B = np.linalg.qr(_rng(0, k, 0).standard_normal((n, k)), mode="complete")[0]
+    return side_coords @ B[:, :k].T + other_coords @ B[:, k:].T, B
 
 
 @pytest.mark.parametrize("index", range(len(CASES)))
@@ -48,18 +86,39 @@ def test_search_matches_sequential_reference(index, monkeypatch):
         assert want is None and solved < budget // 4
 
 
-def test_search_reaches_a_hit_behind_rejected_candidates():
-    # hits at ranks where the screen also rejected candidates
-    hits = 0
+def test_screen_skips_candidates_on_ranks_without_a_two_dimensional_side(monkeypatch):
+    skipping = 0
+    for index in EDGE_RANK_CASES:
+        frame, ranks = CASES[index]
+        with monkeypatch.context() as patch:
+            seen = _recording_survivors(patch)
+            found = fs.search_piecewise(frame, ranks=ranks, budget=60, seed=index)
+        considered = seen[-1] + 1 if found is not None else 60
+        skipping += len(seen) < considered
+    assert skipping >= len(EDGE_RANK_CASES) // 2
+
+
+def test_search_reaches_a_hit_behind_rejected_candidates(monkeypatch):
+    # hits whose candidate index lies past candidates the screen rejected
+    two_dim = edge = 0
     for index, (frame, ranks) in enumerate(CASES):
-        if ranks is not None or frame.dim != 5:
+        if ranks is None and frame.dim == 5:
+            rank_sets = [{2}, {3}]
+        elif index in EDGE_RANK_CASES:
+            rank_sets = [ranks]
+        else:
             continue
-        for k in (2, 3):
-            rejected = pw._two_dim_rejections(frame.vectors, k, index, range(60), TOL)
-            found = fs.search_piecewise(frame, ranks={k}, budget=60, seed=index)
-            assert _same_result(found, reference_search_piecewise(frame, ranks={k}, budget=60, seed=index))
-            hits += found is not None and bool(rejected.any())
-    assert hits > 0
+        for wanted in rank_sets:
+            with monkeypatch.context() as patch:
+                seen = _recording_survivors(patch)
+                found = fs.search_piecewise(frame, ranks=wanted, budget=60, seed=index)
+            assert _same_result(found, reference_search_piecewise(frame, ranks=wanted, budget=60, seed=index))
+            behind = found is not None and len(seen) - 1 < seen[-1]
+            if index in EDGE_RANK_CASES:
+                edge += behind
+            else:
+                two_dim += behind
+    assert two_dim > 0 and edge > 0
 
 
 @pytest.mark.parametrize("index", range(len(CASES)))
@@ -68,13 +127,10 @@ def test_every_screened_candidate_fails_the_solver(index):
     X = frame.vectors
     n = frame.dim
     for k in range(1, n):
-        rejected = pw._two_dim_rejections(X, k, index, range(40), TOL)
-        if 2 not in (k, n - k):
-            assert not rejected.any()
-            continue
+        rejected, G = pw._screen(X, k, index, range(40), TOL)
         for c in np.nonzero(rejected)[0]:
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(index, k, int(c))))
-            assert pw._disjoint_split_candidate(X, _random_projection(rng, n, k), TOL) is None
+            assert np.array_equal(G[c], _rng(index, k, int(c)).standard_normal((n, k)))
+            assert reference_disjoint_split_candidate(X, _random_projection(_rng(index, k, int(c)), n, k), TOL) is None
 
 
 def _arc_family(rng, m, arc):
@@ -92,11 +148,14 @@ def test_half_plane_rejection_is_sound():
         for sign in (-1.0, 1.0):
             for _ in range(4):
                 V = _arc_family(rng, int(rng.integers(2, 7)), np.pi + sign * delta)
-                s = float(pw._half_plane_margin(V[None])[0])
-                if s <= 10.0 * TOL:
+                # rank 2 in R^3: the complement side always scales, so the
+                # screen's verdict on candidate 0 is the half-plane test on V
+                X = _side_fixture(2, 3, V, rng.uniform(0.5, 2.0, (V.shape[0], 1)))[0]
+                if not pw._screen(X, 2, 0, range(1), TOL)[0][0]:
                     kept += 1
                     continue
                 rejected += 1
+                s = float(pw._half_plane_margin(V[None])[0])
                 verdict = fs.solve_standard_scaling(V, None, TOL)
                 assert not verdict.feasible
                 assert verdict.residual >= np.sqrt(2.0) * s / np.sqrt(1.0 + s * s) - 1e-12
@@ -116,9 +175,68 @@ def test_half_plane_margin_values():
     assert pw._half_plane_margin(mercedes_frame().vectors[None])[0] < 0.0
 
 
+def _threshold_family(rng, d, j, t, anchored):
+    """Unit rows sqrt(t) u_p +- sqrt(1 - t) v_q over orthonormal u_1..u_j, v_1..v_(d-j).
+
+    Every such row has ||Pi_j^T u||^2 = t for Pi_j = span{u_p}, and the
+    family scales exactly when t = j / d.  Near that threshold the
+    eigenvalues of sum_i u_i u_i^T on Pi_j and on its complement nearly
+    coincide, so the screen's eigenvectors carry rounding; ``anchored``
+    adds the rows u_p themselves, which separate the two eigenvalues and
+    make the subspace margin the distance from I to the cone.  Rows come
+    rotated, rescaled and with random signs, none of which changes that
+    distance.
+    """
+    U = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    rows = [
+        np.sqrt(t) * U[:, p] + sign * np.sqrt(1.0 - t) * U[:, q]
+        for p in range(j)
+        for q in range(j, d)
+        for sign in (1.0, -1.0)
+    ]
+    if anchored:
+        rows += [U[:, p] for p in range(j)]
+    V = np.array(rows)
+    return V * (rng.uniform(0.2, 3.0, len(rows)) * rng.choice([-1.0, 1.0], len(rows)))[:, None]
+
+
+def test_subspace_rejection_is_sound():
+    # rank 1 in R^(d+1): the range side always scales, so the screen's
+    # verdict on candidate 0 is the subspace test on V
+    rng = np.random.default_rng(11)
+    rejected = kept = 0
+    for delta, sign, anchored in itertools.product(np.logspace(-12, 0, 25), (-1.0, 1.0), (False, True)):
+        for d in range(3, 7):
+            for j in range(1, d):
+                V = _threshold_family(rng, d, j, float(np.clip(j / d + sign * delta, 0.0, 1.0)), anchored)
+                X = _side_fixture(1, d + 1, rng.uniform(0.5, 2.0, (V.shape[0], 1)), V)[0]
+                if not pw._screen(X, 1, 0, range(1), TOL)[0][0]:
+                    kept += 1
+                    continue
+                rejected += 1
+                bound = float(pw._subspace_margin((V / np.linalg.norm(V, axis=1, keepdims=True))[None])[0])
+                verdict = fs.solve_standard_scaling(V, None, TOL)
+                assert not verdict.feasible
+                assert verdict.residual >= bound - 1e-12
+    assert rejected > 100 and kept > 100
+
+
+def test_subspace_margin_values():
+    # an orthonormal basis scales: no subspace separates
+    assert pw._subspace_margin(np.eye(4)[None])[0] == 0.0
+    # rows within 45 degrees of e1 in R^3: the cone obstruction (j = 1)
+    # with mu = 1/2 gives (3 - 2) / sqrt(2 + 1) = 1 / sqrt(3)
+    r = np.sqrt(0.5)
+    units = np.array([[r, r, 0.0], [r, -r, 0.0], [r, 0.0, r], [r, 0.0, -r]])
+    assert pw._subspace_margin(units[None])[0] == pytest.approx(1.0 / np.sqrt(3.0))
+    # stacked families keep their own margins
+    both = np.stack([units, np.vstack([np.eye(3), units[:1]])])
+    assert pw._subspace_margin(both)[1] == 0.0
+
+
 def test_screen_keeps_degenerate_and_rounding_level_sides(monkeypatch):
     X = clustered_unit_frame(np.random.default_rng(3), 4, 6, 0.02).vectors
-    assert pw._two_dim_rejections(X, 2, 0, range(16), TOL).all()
+    assert pw._screen(X, 2, 0, range(16), TOL)[0].all()
     # a draw with a dependent column is redrawn by _random_projection
     class Constant:
         def __init__(self, seed):
@@ -129,14 +247,23 @@ def test_screen_keeps_degenerate_and_rounding_level_sides(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(np.random, "default_rng", Constant)
-        assert not pw._two_dim_rejections(X, 2, 0, range(16), TOL).any()
-    # a frame vector inside a candidate's complement has no direction on the
-    # range side, the only two-dimensional side of rank 2 in R^5
-    X = clustered_unit_frame(np.random.default_rng(3), 5, 7, 0.02).vectors
-    assert pw._two_dim_rejections(X, 2, 0, range(1), TOL)[0]
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(0, 2, 0)))
-    B = np.linalg.qr(rng.standard_normal((5, 2)), mode="complete")[0]
-    assert not pw._two_dim_rejections(np.vstack([X, B[:, 2]]), 2, 0, range(1), TOL)[0]
+        assert not pw._screen(X, 2, 0, range(16), TOL)[0].any()
+    # rank 2 in R^5: the range side is a cluster of doubled angles in
+    # [0, 1], which only its two-dimensional side can reject, since the
+    # complement coordinates e_1, e_2, e_3 scale
+    theta = np.linspace(0.0, 0.5, 6)
+    X, B = _side_fixture(2, 5, np.column_stack([np.cos(theta), np.sin(theta)]), np.tile(np.eye(3), (2, 1)))
+    assert pw._screen(X, 2, 0, range(1), TOL)[0][0]
+    # a frame vector inside the candidate's complement has no direction on
+    # the range side, so the candidate is kept
+    assert not pw._screen(np.vstack([X, B[:, 2]]), 2, 0, range(1), TOL)[0][0]
+    # rank 1 in R^4: the three-dimensional complement side holds a cluster
+    # around e_1, which the cone obstruction rejects; a vector inside the
+    # range has a complement part at rounding level
+    cluster = np.array([[1.0, 0.1, 0.0], [1.0, -0.1, 0.0], [1.0, 0.0, 0.1], [1.0, 0.0, -0.1]])
+    X, B = _side_fixture(1, 4, np.ones((4, 1)), cluster)
+    assert pw._screen(X, 1, 0, range(1), TOL)[0][0]
+    assert not pw._screen(np.vstack([X, B[:, 0]]), 1, 0, range(1), TOL)[0][0]
 
 
 def test_chunked_screen_keeps_exactly_the_unrejected_candidates():
@@ -144,8 +271,7 @@ def test_chunked_screen_keeps_exactly_the_unrejected_candidates():
     X = frame.vectors
     for k in range(1, frame.dim):
         survivors = list(pw._surviving_candidates(X, k, 100, 9, TOL))
-        if 2 not in (k, frame.dim - k):
-            assert survivors == list(range(100))
-            continue
-        one_by_one = [c for c in range(100) if not pw._two_dim_rejections(X, k, 9, range(c, c + 1), TOL)[0]]
-        assert survivors == one_by_one and len(survivors) < 100
+        one_by_one = [pw._screen(X, k, 9, range(c, c + 1), TOL) for c in range(100)]
+        assert [c for c, _ in survivors] == [c for c in range(100) if not one_by_one[c][0][0]]
+        assert all(np.array_equal(G, one_by_one[c][1][0]) for c, G in survivors)
+        assert len(survivors) < 100
