@@ -435,10 +435,25 @@ def _complement_form(ps: PiecewiseScaling) -> PiecewiseScaling:
     return PiecewiseScaling(complement(ps.projection), ps.b, ps.a)
 
 
-def _restricted_constants(V: np.ndarray, target: OrthogonalProjection, keep: np.ndarray, tol: float):
+def _restricted_constants(
+    V: np.ndarray, target: OrthogonalProjection, keep: np.ndarray, scales: np.ndarray, tol: float
+):
+    """Constants scaling the kept rows of V to the target, zero elsewhere, or None.
+
+    ``scales`` are the norms of the frame rows that V projects.  A rank-2
+    target whose kept rows all have parts above _TRUSTED_SIDE of their
+    scale and a half-plane margin above 10 tol returns None without a
+    solve: the cone then stays sqrt(2) s / sqrt(1 + s^2) > tol from the
+    target, so the solver could only reject it.
+    """
     idx = np.nonzero(keep)[0]
     if idx.size == 0:
         return None
+    if target.rank == 2:
+        coords = V[idx] @ target.range_basis
+        trusted = (np.linalg.norm(coords, axis=1) > _TRUSTED_SIDE * scales[idx]).all()
+        if trusted and _half_plane_margin(coords[None])[0] > 10.0 * tol:
+            return None
     verdict = solve_standard_scaling(V[idx], target, tol)
     if not verdict.feasible:
         return None
@@ -471,11 +486,12 @@ def _disjoint_split_candidate(X: np.ndarray, P: OrthogonalProjection, tol: float
     b = np.array(vq.scaling.constants)
     overlap = (a > 0.0) & (b > 0.0)
     if overlap.any():
-        resolved = _restricted_constants(Y, P, (a > 0.0) & ~overlap, tol)
+        scales = np.linalg.norm(X, axis=1)
+        resolved = _restricted_constants(Y, P, (a > 0.0) & ~overlap, scales, tol)
         if resolved is not None:
             a = resolved
         else:
-            resolved = _restricted_constants(Z, Q, (b > 0.0) & ~overlap, tol)
+            resolved = _restricted_constants(Z, Q, (b > 0.0) & ~overlap, scales, tol)
             if resolved is None:
                 return None
             b = resolved
@@ -497,28 +513,73 @@ def _candidate_rng(seed: int, k: int, candidate: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, k, candidate)))
 
 
-def _subspace_margin(units: np.ndarray) -> np.ndarray:
-    """Distance bound from I to the cone of stacked unit families in R^d.
+def _fista_momentum(steps: int) -> tuple[float, ...]:
+    # the extrapolation weights (t_k - 1) / t_(k+1) of Beck and Teboulle
+    weights, t = [], 1.0
+    for _ in range(steps):
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        weights.append((t - 1.0) / t_next)
+        t = t_next
+    return tuple(weights)
 
-    ``units`` has shape (C, m, d), d >= 2, with unit rows u_i.  For the
-    top-j eigenvectors Pi_j of S = sum_i u_i u_i^T and
-    mu_j = min_i ||Pi_j^T u_i||^2 > j / d, the matrix
-    R = I - Pi_j Pi_j^T / mu_j has u_i^T R u_i <= 0 and
-    tr R = d - j / mu_j > 0, so it separates I from the cone by
-    tr R / ||R||_F.  Returns the best such bound over j = 1..d-1, or 0
-    when no j separates.
+
+# accelerated projected gradient steps behind each Farkas direction; the
+# bound holds for any weights, so more steps only buy more rejections
+_FARKAS_MOMENTUM = _fista_momentum(150)
+
+# Gram cells (candidates times rows squared) per batch of the Farkas
+# screen; a side with more rows than fit in one batch is not screened
+_FARKAS_CELLS = 2**20
+
+
+def _farkas_bound(units: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Lower bound on the distance from I to the cone of stacked unit families.
+
+    ``units`` has shape (C, m, d) with unit rows u_i and ``R`` shape
+    (C, d, d), symmetric.  With R^ = R / ||R||_F and
+    delta = max_i (u_i^T R^ u_i)_+, every S = sum_i w_i u_i u_i^T with
+    w >= 0 has <R^, S> <= delta tr S and tr S <= d + sqrt(d) ||S - I||_F,
+    so ||S - I||_F >= <R^, I - S> gives
+    ||S - I||_F >= (tr R^ - d delta) / (1 + sqrt(d) delta).  Returns that
+    bound, which holds for any R, or 0 where R = 0.
     """
     d = units.shape[2]
-    S = np.einsum("cmi,cmj->cij", units, units)
-    top = np.linalg.eigh(S)[1][:, :, ::-1]
-    # ||Pi_j^T u_i||^2 for j = 1..d-1
-    captured = np.cumsum(np.einsum("cmi,cij->cmj", units, top) ** 2, axis=2)[:, :, :-1]
-    mu = captured.min(axis=1)
-    j = np.arange(1, d)
-    separates = mu > j / d
-    mu = np.where(separates, mu, 1.0)
-    bound = (d - j / mu) / np.sqrt((d - j) + j * (1.0 - 1.0 / mu) ** 2)
-    return np.where(separates, bound, 0.0).max(axis=1)
+    norm = np.linalg.norm(R, axis=(1, 2))
+    # R = 0 stays 0, so its trace and delta vanish and so does its bound
+    R = R / np.where(norm > 0.0, norm, 1.0)[:, None, None]
+    delta = np.maximum(((units @ R) * units).sum(axis=2).max(axis=1), 0.0)
+    return (np.trace(R, axis1=1, axis2=2) - d * delta) / (1.0 + np.sqrt(d) * delta)
+
+
+def _farkas_direction(units: np.ndarray) -> np.ndarray:
+    """I - sum_i w_i u_i u_i^T after FISTA on min_{w >= 0} ||sum_i w_i u_i u_i^T - I||_F^2 / 2.
+
+    ``units`` has shape (C, m, d) with unit rows.  The gradient is H w - 1
+    with H_ij = (u_i^T u_j)^2, and the step is 1 / L with L the largest
+    row sum of H, which bounds its largest eigenvalue; a gradient step
+    y - (H y - 1) / L is then one batched product (I - H / L) y + 1 / L.
+    The step count is fixed, so the residual is a direction for
+    _farkas_bound, not an optimum.
+    """
+    H = (units @ units.transpose(0, 2, 1)) ** 2
+    step = 1.0 / H.sum(axis=2).max(axis=1)[:, None, None]
+    descent = np.eye(units.shape[1]) - step * H
+    w = y = np.zeros((*units.shape[:2], 1))
+    for beta in _FARKAS_MOMENTUM:
+        w_next = np.maximum(descent @ y + step, 0.0)
+        y = w_next + beta * (w_next - w)
+        w = w_next
+    return np.eye(units.shape[2]) - units.transpose(0, 2, 1) @ (w * units)
+
+
+def _farkas_margin(units: np.ndarray) -> np.ndarray:
+    """_farkas_bound of each family at its FISTA direction, in batches of _FARKAS_CELLS."""
+    C, m, _ = units.shape
+    batch = _FARKAS_CELLS // (m * m)
+    if batch == 0:
+        return np.zeros(C)
+    batches = np.split(units, range(batch, C, batch))
+    return np.concatenate([_farkas_bound(u, _farkas_direction(u)) for u in batches])
 
 
 def _screen(X: np.ndarray, k: int, seed: int, candidates: range, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -527,10 +588,14 @@ def _screen(X: np.ndarray, k: int, seed: int, candidates: range, tol: float) -> 
     Draws every candidate's first Gaussian block, as _random_projection
     does, and gets all range and complement bases from one stacked
     complete QR.  A two-dimensional side rejects on its half-plane
-    margin, a side of dimension three or more on _subspace_margin, both
-    above 10 tol; a one-dimensional side always scales.  A rank-deficient
-    draw is redrawn by _random_projection, so its QR range proves nothing
-    and it is never rejected.
+    margin, a side of dimension d >= 3 on the Farkas bound
+    (tr R^ - d delta) / (1 + sqrt(d) delta) at the FISTA residual R of
+    its unit coordinates (_farkas_margin), both above 10 tol; a
+    one-dimensional side always scales.  The smaller side goes first, so
+    the batched FISTA runs only on candidates the exact half-plane rule
+    kept.  A rank-deficient draw is redrawn by
+    _random_projection, so its QR range proves nothing and it is never
+    rejected.
     """
     n = X.shape[1]
     G = np.stack([_candidate_rng(seed, k, c).standard_normal((n, k)) for c in candidates])
@@ -540,7 +605,8 @@ def _screen(X: np.ndarray, k: int, seed: int, candidates: range, tol: float) -> 
     scales = np.linalg.norm(X, axis=1)
     X, scales = X[scales > 0.0], scales[scales > 0.0]
     rejected = np.zeros(len(candidates), dtype=bool)
-    for side in (slice(0, k), slice(k, n)):
+    sides = (slice(0, k), slice(k, n)) if k <= n - k else (slice(k, n), slice(0, k))
+    for side in sides:
         B = Q[:, :, side]
         d = B.shape[2]
         if d < 2:
@@ -548,10 +614,12 @@ def _screen(X: np.ndarray, k: int, seed: int, candidates: range, tol: float) -> 
         coords = np.einsum("mi,cij->cmj", X, B)
         norms = np.linalg.norm(coords, axis=2)
         trusted = np.flatnonzero((norms > _TRUSTED_SIDE * scales).all(axis=1) & ~rejected)
+        if trusted.size == 0:
+            continue
         if d == 2:
             margin = _half_plane_margin(coords[trusted])
         else:
-            margin = _subspace_margin(coords[trusted] / norms[trusted, :, None])
+            margin = _farkas_margin(coords[trusted] / norms[trusted, :, None])
         rejected[trusted] = margin > 10.0 * tol
     return rejected & full_rank, G
 
@@ -599,13 +667,15 @@ def search_piecewise(
     between them, s = cos((2 pi - G) / 2) and d the bisector of their arc,
     R = s I - [[cos d, sin d], [sin d, -cos d]] gives the distance
     sqrt(2) s / sqrt(1 + s^2), and a 2-D side with s > 10 tol rejects.  A
-    side of dimension d >= 3 uses the top-j eigenvectors Pi_j of
-    sum_i u_i u_i^T, u_i = c_i / ||c_i||: when
-    mu_j = min_i ||Pi_j^T u_i||^2 > j / d, R = I - Pi_j Pi_j^T / mu_j
-    gives the distance (d - j / mu_j) / sqrt((d - j) + j (1 - 1 / mu_j)^2),
-    and the side rejects when the best of these over j = 1..d-1 exceeds
-    10 tol (j = 1 is the cone obstruction).  A one-dimensional side always
-    scales.  A skipped candidate's distance exceeds tol, so the feasibility
+    side of dimension d >= 3 uses a Farkas bound: for any symmetric R,
+    with R^ = R / ||R||_F, u_i = c_i / ||c_i|| and
+    delta = max_i (u_i^T R^ u_i)_+, the cone stays at least
+    (tr R^ - d delta) / (1 + sqrt(d) delta) from I.  R is the residual
+    I - sum_i w_i u_i u_i^T after 150 FISTA steps on
+    min_{w >= 0} ||sum_i w_i u_i u_i^T - I||_F^2 / 2, batched over the
+    candidates, and the side rejects when the bound exceeds 10 tol; the
+    bound holds for any w, so it does not rest on convergence.  A
+    one-dimensional side always scales.  A skipped candidate's distance exceeds tol, so the feasibility
     solve could only reject it.  Candidates with a degenerate draw or a
     side part at rounding level are never skipped, and survivors take the
     sequential path: the higher-rank side is solved first (the range on a

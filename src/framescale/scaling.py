@@ -12,6 +12,7 @@ infeasibility independently of the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,10 +53,12 @@ class ScalabilityVerdict:
     iterations: int = 0
 
 
+@lru_cache(maxsize=32)
 def _sym_embedding(n: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    iu = np.triu_indices(n)
-    weights = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    return iu, weights
+    # cached per n, so every caller shares the arrays: they are read-only
+    rows, cols = np.triu_indices(n)
+    weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    return (_freeze(rows), _freeze(cols)), _freeze(weights)
 
 
 def _gram_columns(V: np.ndarray) -> np.ndarray:

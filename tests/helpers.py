@@ -189,11 +189,9 @@ def reference_disjoint_split_candidate(X: np.ndarray, P, tol: float):
     """Disjoint-support split of one candidate projection, range side first.
 
     A copy of the library's split before it solved the higher-rank side
-    first and built the complement lazily; the search differential tests
-    compare against it.
+    first, built the complement lazily and pre-checked rank-2 overlap
+    resolutions; the search differential tests compare against it.
     """
-    from framescale.piecewise import _restricted_constants
-
     Y = X @ P.matrix
     Z = X - Y
     Q = fs.complement(P)
@@ -207,15 +205,54 @@ def reference_disjoint_split_candidate(X: np.ndarray, P, tol: float):
     b = np.array(vq.scaling.constants)
     overlap = (a > 0.0) & (b > 0.0)
     if overlap.any():
-        resolved = _restricted_constants(Y, P, (a > 0.0) & ~overlap, tol)
+        resolved = reference_restricted_constants(Y, P, (a > 0.0) & ~overlap, tol)
         if resolved is not None:
             a = resolved
         else:
-            resolved = _restricted_constants(Z, Q, (b > 0.0) & ~overlap, tol)
+            resolved = reference_restricted_constants(Z, Q, (b > 0.0) & ~overlap, tol)
             if resolved is None:
                 return None
             b = resolved
     return fs.PiecewiseScaling(P, a, b)
+
+
+def reference_restricted_constants(V: np.ndarray, target, keep: np.ndarray, tol: float):
+    """Solver-only _restricted_constants: the kept rows always go through solve_standard_scaling."""
+    idx = np.nonzero(keep)[0]
+    if idx.size == 0:
+        return None
+    verdict = fs.solve_standard_scaling(V[idx], target, tol)
+    if not verdict.feasible:
+        return None
+    out = np.zeros(keep.shape[0])
+    out[idx] = verdict.scaling.constants
+    return out
+
+
+def reference_subspace_margin(units: np.ndarray) -> np.ndarray:
+    """Eigenvector distance bound from I to the cone of stacked unit families in R^d.
+
+    The search screen's bound for sides of dimension d >= 3 before the
+    Farkas bound replaced it; the domination test compares against it.
+    ``units`` has shape (C, m, d), d >= 2, with unit rows u_i.  For the
+    top-j eigenvectors Pi_j of S = sum_i u_i u_i^T and
+    mu_j = min_i ||Pi_j^T u_i||^2 > j / d, the matrix
+    R = I - Pi_j Pi_j^T / mu_j has u_i^T R u_i <= 0 and
+    tr R = d - j / mu_j > 0, so it separates I from the cone by
+    tr R / ||R||_F.  Returns the best such bound over j = 1..d-1, or 0
+    when no j separates.
+    """
+    d = units.shape[2]
+    S = np.einsum("cmi,cmj->cij", units, units)
+    top = np.linalg.eigh(S)[1][:, :, ::-1]
+    # ||Pi_j^T u_i||^2 for j = 1..d-1
+    captured = np.cumsum(np.einsum("cmi,cij->cmj", units, top) ** 2, axis=2)[:, :, :-1]
+    mu = captured.min(axis=1)
+    j = np.arange(1, d)
+    separates = mu > j / d
+    mu = np.where(separates, mu, 1.0)
+    bound = (d - j / mu) / np.sqrt((d - j) + j * (1.0 - 1.0 / mu) ** 2)
+    return np.where(separates, bound, 0.0).max(axis=1)
 
 
 def reference_max_pair_distance(X: np.ndarray) -> tuple[float, tuple[int, int]]:

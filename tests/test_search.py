@@ -11,9 +11,14 @@ from framescale.projections import _random_projection
 from helpers import (
     clustered_unit_frame,
     mercedes_frame,
+    random_onb_rows,
     random_unit_frame,
     reference_disjoint_split_candidate,
+    reference_restricted_constants,
     reference_search_piecewise,
+    reference_subspace_margin,
+    scalable_rows,
+    unit_rows,
 )
 
 TOL = fs.DEFAULT_TOL
@@ -181,11 +186,11 @@ def _threshold_family(rng, d, j, t, anchored):
     Every such row has ||Pi_j^T u||^2 = t for Pi_j = span{u_p}, and the
     family scales exactly when t = j / d.  Near that threshold the
     eigenvalues of sum_i u_i u_i^T on Pi_j and on its complement nearly
-    coincide, so the screen's eigenvectors carry rounding; ``anchored``
-    adds the rows u_p themselves, which separate the two eigenvalues and
-    make the subspace margin the distance from I to the cone.  Rows come
-    rotated, rescaled and with random signs, none of which changes that
-    distance.
+    coincide, so the eigenvectors of reference_subspace_margin carry
+    rounding; ``anchored`` adds the rows u_p themselves, which separate
+    the two eigenvalues and make that margin the distance from I to the
+    cone.  Rows come rotated, rescaled and with random signs, none of
+    which changes that distance.
     """
     U = np.linalg.qr(rng.standard_normal((d, d)))[0]
     rows = [
@@ -200,38 +205,160 @@ def _threshold_family(rng, d, j, t, anchored):
     return V * (rng.uniform(0.2, 3.0, len(rows)) * rng.choice([-1.0, 1.0], len(rows)))[:, None]
 
 
-def test_subspace_rejection_is_sound():
-    # rank 1 in R^(d+1): the range side always scales, so the screen's
-    # verdict on candidate 0 is the subspace test on V
+def _threshold_stacks():
+    """Threshold families for d = 3..6 and j = 1..d-1, stacked by shape, t = j / d +- 1e-12..1."""
     rng = np.random.default_rng(11)
+    for d, anchored in itertools.product(range(3, 7), (False, True)):
+        for j in range(1, d):
+            yield np.stack(
+                [
+                    _threshold_family(rng, d, j, float(np.clip(j / d + sign * delta, 0.0, 1.0)), anchored)
+                    for delta, sign in itertools.product(np.logspace(-12, 0, 25), (-1.0, 1.0))
+                ]
+            )
+
+
+def _units(V):
+    return V / np.linalg.norm(V, axis=-1, keepdims=True)
+
+
+def test_farkas_rejection_is_sound():
+    # rank 1 in R^(d+1): the range side always scales, so the screen's
+    # verdict on candidate 0 is the Farkas test on V
+    rng = np.random.default_rng(12)
     rejected = kept = 0
-    for delta, sign, anchored in itertools.product(np.logspace(-12, 0, 25), (-1.0, 1.0), (False, True)):
-        for d in range(3, 7):
-            for j in range(1, d):
-                V = _threshold_family(rng, d, j, float(np.clip(j / d + sign * delta, 0.0, 1.0)), anchored)
-                X = _side_fixture(1, d + 1, rng.uniform(0.5, 2.0, (V.shape[0], 1)), V)[0]
-                if not pw._screen(X, 1, 0, range(1), TOL)[0][0]:
-                    kept += 1
-                    continue
-                rejected += 1
-                bound = float(pw._subspace_margin((V / np.linalg.norm(V, axis=1, keepdims=True))[None])[0])
-                verdict = fs.solve_standard_scaling(V, None, TOL)
-                assert not verdict.feasible
-                assert verdict.residual >= bound - 1e-12
+    for stack in _threshold_stacks():
+        for V, bound in zip(stack, pw._farkas_margin(_units(stack))):
+            X = _side_fixture(1, V.shape[1] + 1, rng.uniform(0.5, 2.0, (V.shape[0], 1)), V)[0]
+            if not pw._screen(X, 1, 0, range(1), TOL)[0][0]:
+                kept += 1
+                continue
+            rejected += 1
+            verdict = fs.solve_standard_scaling(V, None, TOL)
+            assert not verdict.feasible
+            assert verdict.residual >= bound - 1e-12
     assert rejected > 100 and kept > 100
 
 
-def test_subspace_margin_values():
-    # an orthonormal basis scales: no subspace separates
-    assert pw._subspace_margin(np.eye(4)[None])[0] == 0.0
-    # rows within 45 degrees of e1 in R^3: the cone obstruction (j = 1)
-    # with mu = 1/2 gives (3 - 2) / sqrt(2 + 1) = 1 / sqrt(3)
+def test_farkas_bound_values():
+    e = np.eye(3)
+    # R = 0 proves nothing
+    assert pw._farkas_bound(e[None], np.zeros((1, 3, 3)))[0] == 0.0
+    # rows within 45 degrees of e_1 in R^3 and R = I - 2 e_1 e_1^T have
+    # u_i^T R u_i = 0 and tr R = 1, so delta = 0 and the bound is
+    # tr R / ||R||_F = 1 / sqrt(3), the distance from I to their cone
+    # (reached at S = 2/3 sum_i u_i u_i^T = diag(4/3, 2/3, 2/3))
     r = np.sqrt(0.5)
     units = np.array([[r, r, 0.0], [r, -r, 0.0], [r, 0.0, r], [r, 0.0, -r]])
-    assert pw._subspace_margin(units[None])[0] == pytest.approx(1.0 / np.sqrt(3.0))
-    # stacked families keep their own margins
-    both = np.stack([units, np.vstack([np.eye(3), units[:1]])])
-    assert pw._subspace_margin(both)[1] == 0.0
+    R = np.eye(3) - 2.0 * np.outer(e[0], e[0])
+    assert pw._farkas_bound(units[None], R[None])[0] == pytest.approx(1.0 / np.sqrt(3.0))
+    # the bound does not depend on the scale of R
+    assert pw._farkas_bound(units[None], 5.0 * R[None])[0] == pytest.approx(1.0 / np.sqrt(3.0))
+    # R = I: delta = 1 / sqrt(3), tr R^ = sqrt(3), so (sqrt(3) - sqrt(3)) / 2 = 0
+    assert pw._farkas_bound(units[None], np.eye(3)[None])[0] == pytest.approx(0.0, abs=1e-15)
+    # a row with u^T R^ u > 0 charges delta: u = e_2 gives delta = 1 / sqrt(3)
+    # and the bound (1 / sqrt(3) - sqrt(3)) / (1 + 1) = -1 / sqrt(3)
+    tilted = np.vstack([units, e[1]])
+    assert pw._farkas_bound(tilted[None], R[None])[0] == pytest.approx(-1.0 / np.sqrt(3.0))
+    # the FISTA direction nearly attains that distance for the cluster,
+    # proves nothing for a basis plus one row, and stacked families keep
+    # their own margins
+    margins = pw._farkas_margin(np.stack([units, np.vstack([e, units[:1]])]))
+    assert 0.99 / np.sqrt(3.0) <= margins[0] <= 1.0 / np.sqrt(3.0) + 1e-12
+    assert margins[1] <= 0.0
+
+
+def _random_and_clustered_families(rng):
+    """Stacks of 50 random and 50 clustered unit families for each d = 3..5 and m = d+1..3d."""
+    for d in range(3, 6):
+        for m in range(d + 1, 3 * d + 1):
+            yield _units(rng.standard_normal((50, m, d)))
+            yield _units(rng.standard_normal((50, 1, d)) + 0.3 * rng.standard_normal((50, m, d)))
+
+
+def test_farkas_screen_rejects_whatever_the_subspace_margin_rejected():
+    rng = np.random.default_rng(13)
+    sampled = list(_random_and_clustered_families(rng))
+    assert sum(len(units) for units in sampled) >= 2000
+    stacks = [_units(stack) for stack in _threshold_stacks()] + sampled
+    farkas_only = 0
+    for units in stacks:
+        reference = reference_subspace_margin(units) > 10.0 * TOL
+        farkas = pw._farkas_margin(units) > 10.0 * TOL
+        assert not (reference & ~farkas).any()
+        farkas_only += int((farkas & ~reference).sum())
+    assert farkas_only > 100
+
+
+def test_farkas_bound_stays_nonpositive_on_scalable_families():
+    rng = np.random.default_rng(14)
+    families = [scalable_rows(rng, d, bases) for d in range(3, 7) for bases in (1, 2, 3) for _ in range(10)]
+    # an orthonormal basis plus a copy perturbed by eps: the basis alone scales
+    for eps in np.logspace(-5, -9, 9):
+        for d in range(3, 7):
+            B = random_onb_rows(rng, d)
+            families.append(np.vstack([B, B + eps * rng.standard_normal(B.shape)]))
+    for V in families:
+        assert pw._farkas_margin(_units(V)[None])[0] <= 0.0
+
+
+def test_farkas_margin_batches_and_leaves_sides_with_too_many_rows(monkeypatch):
+    rng = np.random.default_rng(15)
+    units = _units(rng.standard_normal((3, 8, 3)) * [1.0, 0.1, 0.1])
+    whole = pw._farkas_margin(units)
+    assert (whole > 10.0 * TOL).all()
+    # one family's 8 x 8 Gram matrix per batch
+    monkeypatch.setattr(pw, "_FARKAS_CELLS", 64)
+    assert np.array_equal(pw._farkas_margin(units), whole)
+    # a family whose Gram matrix exceeds a batch is not judged
+    monkeypatch.setattr(pw, "_FARKAS_CELLS", 63)
+    assert not pw._farkas_margin(units).any()
+
+
+def _counting_solver(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    solve = pw.solve_standard_scaling
+    monkeypatch.setattr(pw, "solve_standard_scaling", lambda *args: calls.append(1) or solve(*args))
+    return calls
+
+
+def test_restricted_constants_precheck_rejects_only_what_the_solver_rejects(monkeypatch):
+    rng = np.random.default_rng(16)
+    calls = _counting_solver(monkeypatch)
+    prechecked = 0
+    for trial in range(300):
+        n = int(rng.integers(3, 6))
+        k = 2 if trial % 3 else int(rng.integers(1, n))
+        m = int(rng.integers(n + 1, 3 * n))
+        X = clustered_unit_frame(rng, n, m, 0.3).vectors if trial % 2 else unit_rows(rng, m, n)
+        P = _random_projection(rng, n, k)
+        V = X @ P.matrix
+        keep = rng.random(X.shape[0]) < 0.6
+        before = len(calls)
+        got = pw._restricted_constants(V, P, keep, np.linalg.norm(X, axis=1), TOL)
+        want = reference_restricted_constants(V, P, keep, TOL)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got, want)
+        prechecked += keep.any() and len(calls) == before
+    assert prechecked > 50
+
+
+def test_restricted_constants_precheck_trusts_only_sizable_parts(monkeypatch):
+    # a cluster of doubled angles in [0, 1] cannot scale to the rank-2 range
+    theta = np.linspace(0.0, 0.5, 5)
+    X, B = _side_fixture(2, 4, np.column_stack([np.cos(theta), np.sin(theta)]), np.ones((5, 2)))
+    P = fs.projection_from_basis(B[:, :2].T)
+    calls = _counting_solver(monkeypatch)
+
+    def restricted(X):
+        keep = np.ones(len(X), dtype=bool)
+        return pw._restricted_constants(X @ P.matrix, P, keep, np.linalg.norm(X, axis=1), TOL)
+
+    assert restricted(X) is None and not calls
+    # a row whose range part is at rounding level next to the row points
+    # where rounding sends it, so the solver decides
+    assert restricted(np.vstack([X, 1e-9 * B[:, 0] + B[:, 2] + B[:, 3]])) is None and len(calls) == 1
 
 
 def test_screen_keeps_degenerate_and_rounding_level_sides(monkeypatch):
@@ -258,12 +385,18 @@ def test_screen_keeps_degenerate_and_rounding_level_sides(monkeypatch):
     # the range side, so the candidate is kept
     assert not pw._screen(np.vstack([X, B[:, 2]]), 2, 0, range(1), TOL)[0][0]
     # rank 1 in R^4: the three-dimensional complement side holds a cluster
-    # around e_1, which the cone obstruction rejects; a vector inside the
+    # around e_1, which the Farkas bound rejects; a vector inside the
     # range has a complement part at rounding level
     cluster = np.array([[1.0, 0.1, 0.0], [1.0, -0.1, 0.0], [1.0, 0.0, 0.1], [1.0, 0.0, -0.1]])
     X, B = _side_fixture(1, 4, np.ones((4, 1)), cluster)
     assert pw._screen(X, 1, 0, range(1), TOL)[0][0]
     assert not pw._screen(np.vstack([X, B[:, 0]]), 1, 0, range(1), TOL)[0][0]
+    # e_1, e_2 and e_3 tilted by theta toward e_1 sit sqrt(2) theta from
+    # scaling, and the screen rejects only a bound above 10 tol
+    for theta, rejects in ((3e-8, False), (1e-6, True)):
+        tilted = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [np.sin(theta), 0.0, np.cos(theta)]])
+        X = _side_fixture(1, 4, np.ones((3, 1)), tilted)[0]
+        assert pw._screen(X, 1, 0, range(1), TOL)[0][0] == rejects
 
 
 def test_chunked_screen_keeps_exactly_the_unrejected_candidates():
