@@ -503,14 +503,119 @@ def _disjoint_split_candidate(X: np.ndarray, P: OrthogonalProjection, tol: float
 # handful of passes
 _FIRST_CHUNK = 16
 
+# fewest candidates whose seed words are hashed in one pass; a pass costs
+# about 200 array operations whatever its size, so a budget up to this
+# takes one pass per rank, and a larger one is hashed block by block
+_SEED_BLOCK = 256
+
 # a row whose side part is at most this fraction of the row points in a
 # direction set by rounding, so the screen keeps its candidate
 _TRUSTED_SIDE = 1e-6
 
 
+# numpy's SeedSequence hash constants (pool size 4, xorshift 16)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
 def _candidate_rng(seed: int, k: int, candidate: int) -> np.random.Generator:
     # the seeding contract: candidate j of rank k depends on (seed, k, j) only
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, k, candidate)))
+
+
+def _uint32_words(value: int) -> list[int]:
+    """SeedSequence's little-endian 32-bit words of a nonnegative integer; 0 is one zero word."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix with its running constant h: (v ^ h) * (h mult), then v ^ v >> 16.
+
+    Works on Python ints and on uint64 arrays of uint32 values alike.
+    """
+    h = init
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ h
+        h = h * mult & _MASK32
+        value = value * h & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 words, on Python ints or uint64 arrays."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _candidate_seed_words(seed: int, k: int, candidates: range) -> np.ndarray:
+    """SeedSequence(entropy=(seed, k, c)).generate_state(4, np.uint64) for every c, in one pass.
+
+    A copy of numpy's hash, vectorised over the candidates: uint32 words
+    live in uint64 arrays and are masked after every product.  The words
+    shared by all rows (seed, then k) stay Python ints until the pool mix
+    meets the candidate's word.  The candidate's word is last, and an
+    index of 2^32 or more adds a second one.
+    """
+    if not isinstance(seed, (int, np.integer)):
+        # fails exactly as the per-candidate seeding does, or reads a
+        # one-element integer array as it does
+        _candidate_rng(seed, k, candidates.start)
+        seed = np.asarray(seed).item()
+    c = np.arange(candidates.start, candidates.stop, dtype=np.uint64)
+    entropy = _uint32_words(int(seed)) + _uint32_words(k) + [c & _MASK32, c >> 32]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for i, word in enumerate(entropy[4:], 4):
+        mixed = [_mix(p, hashmix(word)) for p in pool]
+        # an index below 2^32 has no high word; in the pool that equals a
+        # zero word, past it the row must skip the word
+        last = i == len(entropy) - 1
+        pool = [np.where(c > _MASK32, m, p) for m, p in zip(mixed, pool)] if last else mixed
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = [hashmix(pool[i % 4]) for i in range(8)]
+    # uint32 pairs read as little-endian uint64
+    return np.column_stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)])
+
+
+def _candidate_draws(words: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Each candidate's first standard_normal((n, k)) block, from its seed words.
+
+    PCG64 seeded from words w takes initstate = w0 2^64 + w1 and
+    inc = 2 (w2 2^64 + w3) + 1, and steps its LCG twice:
+    state = (inc + initstate) M + inc mod 2^128.  One generator, built
+    here, is set to each candidate's state in turn, which draws what
+    _candidate_rng would without building a generator per candidate.
+    """
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    G = np.empty((len(words), n, k))
+    for g, (w0, w1, w2, w3) in zip(G, words.tolist()):
+        inc = ((w2 << 65) | (w3 << 1) | 1) & _MASK128
+        pcg["state"] = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+        pcg["inc"] = inc
+        bit_generator.state = state
+        generator.standard_normal(out=g)
+    return G
 
 
 def _fista_momentum(steps: int) -> tuple[float, ...]:
@@ -585,26 +690,37 @@ def _farkas_margin(units: np.ndarray) -> np.ndarray:
 def _screen(X: np.ndarray, k: int, seed: int, candidates: range, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Which rank-k candidates a side proves infeasible, and their first draws.
 
-    Draws every candidate's first Gaussian block, as _random_projection
-    does, and gets all range and complement bases from one stacked
-    complete QR.  A two-dimensional side rejects on its half-plane
-    margin, a side of dimension d >= 3 on the Farkas bound
-    (tr R^ - d delta) / (1 + sqrt(d) delta) at the FISTA residual R of
-    its unit coordinates (_farkas_margin), both above 10 tol; a
-    one-dimensional side always scales.  The smaller side goes first, so
-    the batched FISTA runs only on candidates the exact half-plane rule
-    kept.  A rank-deficient draw is redrawn by
+    The draws are hashed from (seed, k, c) in one batch and are
+    bit-identical to _candidate_rng(seed, k, c).standard_normal((n, k)),
+    that is to default_rng(SeedSequence((seed, k, c))); _rejected_draws
+    judges them.  The search itself hashes a rank's seeds once, in blocks
+    of _SEED_BLOCK, and screens the same draws chunk by chunk.
+    """
+    G = _candidate_draws(_candidate_seed_words(seed, k, candidates), X.shape[1], k)
+    return _rejected_draws(X, G, tol), G
+
+
+def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
+    """Which candidates, given by their first Gaussian blocks G (C, n, k), a side proves infeasible.
+
+    Gets all range and complement bases from one stacked complete QR of
+    the draws, as _random_projection would.  A two-dimensional side
+    rejects on its half-plane margin, a side of dimension d >= 3 on the
+    Farkas bound (tr R^ - d delta) / (1 + sqrt(d) delta) at the FISTA
+    residual R of its unit coordinates (_farkas_margin), both above
+    10 tol; a one-dimensional side always scales.  The smaller side goes
+    first, so the batched FISTA runs only on candidates the exact
+    half-plane rule kept.  A rank-deficient draw is redrawn by
     _random_projection, so its QR range proves nothing and it is never
     rejected.
     """
-    n = X.shape[1]
-    G = np.stack([_candidate_rng(seed, k, c).standard_normal((n, k)) for c in candidates])
+    n, k = G.shape[1:]
     Q, R = np.linalg.qr(G, mode="complete")
     pivots = np.abs(np.diagonal(R, axis1=1, axis2=2)).min(axis=1)
     full_rank = pivots > 2.0 * RANK_RTOL * np.linalg.norm(G, axis=1).max(axis=1)
     scales = np.linalg.norm(X, axis=1)
     X, scales = X[scales > 0.0], scales[scales > 0.0]
-    rejected = np.zeros(len(candidates), dtype=bool)
+    rejected = np.zeros(len(G), dtype=bool)
     sides = (slice(0, k), slice(k, n)) if k <= n - k else (slice(k, n), slice(0, k))
     for side in sides:
         B = Q[:, :, side]
@@ -621,19 +737,26 @@ def _screen(X: np.ndarray, k: int, seed: int, candidates: range, tol: float) -> 
         else:
             margin = _farkas_margin(coords[trusted] / norms[trusted, :, None])
         rejected[trusted] = margin > 10.0 * tol
-    return rejected & full_rank, G
+    return rejected & full_rank
 
 
 def _surviving_candidates(X: np.ndarray, k: int, budget: int, seed: int, tol: float):
     """Rank-k candidates the screen keeps, in order, with their first draws.
 
     The screen runs on chunks of _FIRST_CHUNK indices, doubling each
-    time; chunks are screened lazily, so none is drawn after a hit.
+    time; chunks are screened lazily, so none is drawn after a hit.  Seed
+    words are hashed ahead in blocks of at least _SEED_BLOCK indices.
     """
+    n = X.shape[1]
     start, size = 0, _FIRST_CHUNK
+    hashed = range(0)
     while start < budget:
         chunk = range(start, min(budget, start + size))
-        rejected, G = _screen(X, k, seed, chunk, tol)
+        if chunk.stop > hashed.stop:
+            hashed = range(start, min(budget, start + max(size, _SEED_BLOCK)))
+            words = _candidate_seed_words(seed, k, hashed)
+        G = _candidate_draws(words[start - hashed.start : chunk.stop - hashed.start], n, k)
+        rejected = _rejected_draws(X, G, tol)
         yield from ((c, g) for c, g, r in zip(chunk, G, rejected) if not r)
         start, size = chunk.stop, 2 * size
 
@@ -653,9 +776,11 @@ def search_piecewise(
     search goes on), then a seeded sweep of ``budget`` random projections
     per requested rank, each tried with a disjoint-support feasibility
     split.
-    Candidate k of rank r derives its generator from (seed, r, k), so the
-    outcome does not depend on evaluation order.  A miss is not a proof
-    that no scaling exists.
+    Candidate k of rank r draws from default_rng(SeedSequence((seed, r, k))),
+    so the outcome does not depend on evaluation order.  A miss is not a
+    proof that no scaling exists.  The seeds of a rank are hashed in one
+    batch and every candidate is drawn from one reused PCG64 set to its
+    state, bit-identically to a generator per candidate.
 
     Candidates are first screened in batches (16, then 32, 64, ...)
     without any solve.  A side with coordinates c_i scales exactly when I

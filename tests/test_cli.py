@@ -257,3 +257,15 @@ def test_subprocess_entry_point(workdir):
     assert result.returncode == 0
     report = json.loads(result.stdout)
     assert report["command"] == "analyze"
+
+
+def test_import_loads_no_numpy_random():
+    # numpy.random takes 12-16 ms to import, which every CLI process would
+    # pay; only a sampled search needs it, so it loads at the first draw
+    probe = (
+        "import sys, numpy; loaded = set(sys.modules); import framescale, framescale.cli; "
+        "print(sorted(m for m in set(sys.modules) - loaded if m.startswith('numpy.random')))"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

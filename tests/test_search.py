@@ -1,6 +1,7 @@
 """The batched screen of search_piecewise against the sequential search."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -365,15 +366,11 @@ def test_screen_keeps_degenerate_and_rounding_level_sides(monkeypatch):
     X = clustered_unit_frame(np.random.default_rng(3), 4, 6, 0.02).vectors
     assert pw._screen(X, 2, 0, range(16), TOL)[0].all()
     # a draw with a dependent column is redrawn by _random_projection
-    class Constant:
-        def __init__(self, seed):
-            pass
-
-        def standard_normal(self, shape):
-            return np.ones(shape)
+    def constant(words, n, k):
+        return np.ones((len(words), n, k))
 
     with monkeypatch.context() as patch:
-        patch.setattr(np.random, "default_rng", Constant)
+        patch.setattr(pw, "_candidate_draws", constant)
         assert not pw._screen(X, 2, 0, range(16), TOL)[0].any()
     # rank 2 in R^5: the range side is a cluster of doubled angles in
     # [0, 1], which only its two-dimensional side can reject, since the
@@ -408,3 +405,41 @@ def test_chunked_screen_keeps_exactly_the_unrejected_candidates():
         assert [c for c, _ in survivors] == [c for c in range(100) if not one_by_one[c][0][0]]
         assert all(np.array_equal(G, one_by_one[c][1][0]) for c, G in survivors)
         assert len(survivors) < 100
+
+
+# a one-element integer array is read as its element by SeedSequence
+CONTRACT_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 11, np.int64(2**40 + 3), np.array([7])] + [
+    int(s) for s in np.random.default_rng(17).integers(0, 2**62, 20)
+]
+
+
+@pytest.mark.parametrize("seed", CONTRACT_SEEDS)
+def test_batched_draws_keep_the_seeding_contract(seed, monkeypatch):
+    # with nothing rejected, the search draws candidates 0..619 through
+    # chunks 16, 32, ..., 256 and seed blocks starting at 0, 240 and 496
+    monkeypatch.setattr(pw, "_rejected_draws", lambda X, G, tol: np.zeros(len(G), dtype=bool))
+    n, budget = 6, 620
+    for k in range(1, n):
+        words = pw._candidate_seed_words(seed, k, range(budget))
+        want = [np.random.SeedSequence(entropy=(seed, k, c)).generate_state(4, np.uint64) for c in range(budget)]
+        assert np.array_equal(words, want)
+        drawn = list(pw._surviving_candidates(np.eye(n), k, budget, seed, TOL))
+        assert [c for c, _ in drawn] == list(range(budget))
+        want = [_rng(seed, k, c).standard_normal((n, k)) for c in range(budget)]
+        assert np.array_equal([G for _, G in drawn], want)
+
+
+@pytest.mark.parametrize("seed", [3, 2**40, 2**100 + 11])
+def test_seed_words_of_candidates_past_two_to_the_32(seed):
+    # such an index has a second entropy word, past the pool for large seeds
+    candidates = range(2**32 - 4, 2**32 + 4)
+    want = [np.random.SeedSequence(entropy=(seed, 2, c)).generate_state(4, np.uint64) for c in candidates]
+    assert np.array_equal(pw._candidate_seed_words(seed, 2, candidates), want)
+
+
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.0), np.array(3), np.bool_(True)])
+def test_non_integer_seeds_fail_as_the_seeding_contract_does(seed):
+    with pytest.raises(TypeError) as contract:
+        _rng(seed, 2, 0)
+    with pytest.raises(TypeError, match=re.escape(str(contract.value))):
+        fs.search_piecewise(CASES[0][0], ranks={2}, seed=seed)
