@@ -179,7 +179,7 @@ def _cmd_scale(args) -> dict:
     elif verdict.certificate == "undecided":
         report["verdict"] = "undecided"
         report["nnls"] = {"converged": verdict.converged, "iterations": verdict.iterations}
-        report["note"] = "NNLS hit its iteration cap; this is not a proof that no scaling exists"
+        report["note"] = "NNLS stopped before converging; this is not a proof that no scaling exists"
     else:
         report["verdict"] = "infeasible"
         report["certificate"] = verdict.certificate

@@ -44,7 +44,11 @@ def nnls(A, b, max_iter: int | None = None) -> NNLSResult:
     such solve uses the normal equations on the passive set, with A^T b
     computed once per call.  ``max_iter`` caps the total number of these
     solves (default ``50 * ncols``); on cap overflow the best iterate
-    found so far is returned with ``converged=False``.
+    found so far is returned with ``converged=False``.  A pass without
+    measurable progress also stops the run, and is ``converged`` only
+    when no free coordinate alone could still lower the objective by a
+    measurable share of b^T b; otherwise the stall is reported as
+    ``converged=False``.
 
     The result is then polished by one ``lstsq`` on the final passive
     set, kept only when it is positive there and does not raise the
@@ -95,8 +99,14 @@ def nnls(A, b, max_iter: int | None = None) -> NNLSResult:
         r = A @ x - b
         new_objective = float(r @ r)
         if new_objective > objective * (1.0 - 1e-13):
-            # no measurable progress this pass: rounding noise would cycle
-            converged = True
+            # no measurable progress this pass: rounding noise would cycle.
+            # The stop is optimal only if no free coordinate j could still
+            # lower the objective alone, by grad_j^2 / ||a_j||^2, by a
+            # measurable share of its value b^T b at x = 0
+            grad = -(A.T @ r)
+            free = ~passive & (grad > gtol)
+            descent = grad[free] ** 2 > 1e-13 * float(b @ b) * (A[:, free] ** 2).sum(axis=0)
+            converged = not descent.any()
             break
         objective = new_objective
     residual = float(np.linalg.norm(A @ x - b))

@@ -632,6 +632,11 @@ def _fista_momentum(steps: int) -> tuple[float, ...]:
 # bound holds for any weights, so more steps only buy more rejections
 _FARKAS_MOMENTUM = _fista_momentum(150)
 
+# steps after which the Farkas screen evaluates its bound: doubling, so a
+# family certified early leaves the batch after few steps, and the last
+# step, so a family that stays is judged where the fixed run judged it
+_FARKAS_CHECKPOINTS = frozenset([2**i for i in range(8)] + [len(_FARKAS_MOMENTUM)])
+
 # Gram cells (candidates times rows squared) per batch of the Farkas
 # screen; a side with more rows than fit in one batch is not screened
 _FARKAS_CELLS = 2**20
@@ -656,35 +661,55 @@ def _farkas_bound(units: np.ndarray, R: np.ndarray) -> np.ndarray:
     return (np.trace(R, axis1=1, axis2=2) - d * delta) / (1.0 + np.sqrt(d) * delta)
 
 
-def _farkas_direction(units: np.ndarray) -> np.ndarray:
-    """I - sum_i w_i u_i u_i^T after FISTA on min_{w >= 0} ||sum_i w_i u_i u_i^T - I||_F^2 / 2.
+def _fista_margin(units: np.ndarray, stop: float) -> np.ndarray:
+    """Each family's largest _farkas_bound over the checkpoints of its FISTA run.
 
+    FISTA minimises ||sum_i w_i u_i u_i^T - I||_F^2 / 2 over w >= 0.
     ``units`` has shape (C, m, d) with unit rows.  The gradient is H w - 1
     with H_ij = (u_i^T u_j)^2, and the step is 1 / L with L the largest
     row sum of H, which bounds its largest eigenvalue; a gradient step
     y - (H y - 1) / L is then one batched product (I - H / L) y + 1 / L.
-    The step count is fixed, so the residual is a direction for
-    _farkas_bound, not an optimum.
+    At each step of _FARKAS_CHECKPOINTS the bound is evaluated at the
+    residual I - sum_i w_i u_i u_i^T, a direction, not an optimum.  A
+    family whose bound exceeds ``stop`` leaves the batch; the others take
+    exactly the steps of a batch without exits.
     """
+    C, m, d = units.shape
     H = (units @ units.transpose(0, 2, 1)) ** 2
     step = 1.0 / H.sum(axis=2).max(axis=1)[:, None, None]
-    descent = np.eye(units.shape[1]) - step * H
-    w = y = np.zeros((*units.shape[:2], 1))
-    for beta in _FARKAS_MOMENTUM:
+    descent = np.eye(m) - step * H
+    w = y = np.zeros((C, m, 1))
+    margin = np.full(C, -np.inf)
+    live = np.arange(C)
+    for count, beta in enumerate(_FARKAS_MOMENTUM, 1):
         w_next = np.maximum(descent @ y + step, 0.0)
         y = w_next + beta * (w_next - w)
         w = w_next
-    return np.eye(units.shape[2]) - units.transpose(0, 2, 1) @ (w * units)
+        if count not in _FARKAS_CHECKPOINTS:
+            continue
+        bound = _farkas_bound(units, np.eye(d) - units.transpose(0, 2, 1) @ (w * units))
+        margin[live] = np.maximum(margin[live], bound)
+        leave = bound > stop
+        if leave.all():
+            break
+        if leave.any():
+            stay = ~leave
+            live, units, descent, step, w, y = (a[stay] for a in (live, units, descent, step, w, y))
+    return margin
 
 
-def _farkas_margin(units: np.ndarray) -> np.ndarray:
-    """_farkas_bound of each family at its FISTA direction, in batches of _FARKAS_CELLS."""
+def _farkas_margin(units: np.ndarray, stop: float = np.inf) -> np.ndarray:
+    """_fista_margin of each family, in batches of _FARKAS_CELLS.
+
+    A margin above ``stop`` may be lower than the fixed run of every step
+    would give, but it is still a bound above ``stop``.
+    """
     C, m, _ = units.shape
     batch = _FARKAS_CELLS // (m * m)
     if batch == 0:
         return np.zeros(C)
     batches = np.split(units, range(batch, C, batch))
-    return np.concatenate([_farkas_bound(u, _farkas_direction(u)) for u in batches])
+    return np.concatenate([_fista_margin(u, stop) for u in batches])
 
 
 def _screen(X: np.ndarray, k: int, seed: int, candidates: range, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -707,8 +732,10 @@ def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     the draws, as _random_projection would.  A two-dimensional side
     rejects on its half-plane margin, a side of dimension d >= 3 on the
     Farkas bound (tr R^ - d delta) / (1 + sqrt(d) delta) at the FISTA
-    residual R of its unit coordinates (_farkas_margin), both above
-    10 tol; a one-dimensional side always scales.  The smaller side goes
+    residuals R of its unit coordinates (_farkas_margin), both above
+    10 tol; a one-dimensional side always scales.  FISTA checks the bound
+    after steps 1, 2, 4, ..., 128 and 150, and a side leaves its batch at
+    the first checkpoint whose bound exceeds 10 tol.  The smaller side goes
     first, so the batched FISTA runs only on candidates the exact
     half-plane rule kept.  A rank-deficient draw is redrawn by
     _random_projection, so its QR range proves nothing and it is never
@@ -735,7 +762,7 @@ def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
         if d == 2:
             margin = _half_plane_margin(coords[trusted])
         else:
-            margin = _farkas_margin(coords[trusted] / norms[trusted, :, None])
+            margin = _farkas_margin(coords[trusted] / norms[trusted, :, None], 10.0 * tol)
         rejected[trusted] = margin > 10.0 * tol
     return rejected & full_rank
 
@@ -796,16 +823,19 @@ def search_piecewise(
     with R^ = R / ||R||_F, u_i = c_i / ||c_i|| and
     delta = max_i (u_i^T R^ u_i)_+, the cone stays at least
     (tr R^ - d delta) / (1 + sqrt(d) delta) from I.  R is the residual
-    I - sum_i w_i u_i u_i^T after 150 FISTA steps on
+    I - sum_i w_i u_i u_i^T of FISTA on
     min_{w >= 0} ||sum_i w_i u_i u_i^T - I||_F^2 / 2, batched over the
-    candidates, and the side rejects when the bound exceeds 10 tol; the
-    bound holds for any w, so it does not rest on convergence.  A
-    one-dimensional side always scales.  A skipped candidate's distance exceeds tol, so the feasibility
-    solve could only reject it.  Candidates with a degenerate draw or a
-    side part at rounding level are never skipped, and survivors take the
-    sequential path: the higher-rank side is solved first (the range on a
-    tie) and the other only when it scales, so the result is the same as
-    without the screen.
+    candidates, and the bound is evaluated after steps 1, 2, 4, ..., 128
+    and 150.  A side whose bound exceeds 10 tol rejects at once and leaves
+    the batch; the others run on, and the last step is a checkpoint, so
+    every side the fixed 150 steps rejected still rejects.  The bound
+    holds for any w, so it does not rest on convergence.  A
+    one-dimensional side always scales.  A skipped candidate's distance
+    exceeds tol, so the feasibility solve could only reject it.
+    Candidates with a degenerate draw or a side part at rounding level are
+    never skipped, and survivors take the sequential path: the higher-rank
+    side is solved first (the range on a tie) and the other only when it
+    scales, so the result is the same as without the screen.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")

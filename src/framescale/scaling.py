@@ -40,8 +40,8 @@ class ScalabilityVerdict:
 
     ``converged`` and ``iterations`` come from the NNLS run behind the
     decision; an infeasible verdict from a run that hit its iteration
-    cap carries the certificate "undecided" unless a two-dimensional
-    range certifies it geometrically.
+    cap or stalled short of optimality carries the certificate
+    "undecided" unless a two-dimensional range certifies it geometrically.
     """
 
     feasible: bool
@@ -151,9 +151,10 @@ def solve_standard_scaling(
     solver, so they certify infeasibility whether or not NNLS converged.
     Otherwise the certificate is "residual-infeasible" when NNLS
     converged, and "undecided" when it hit ``max_iter`` (default
-    ``50 * m``) first: the residual then only bounds the optimum from
-    above, so it proves nothing.  The verdict records the run's
-    ``converged`` flag and ``iterations``.
+    ``50 * m``) first or stalled while a free coordinate could still
+    lower its objective measurably: the residual then only bounds the
+    optimum from above, so it proves nothing.  The verdict records the
+    run's ``converged`` flag and ``iterations``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")

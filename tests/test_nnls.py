@@ -87,6 +87,20 @@ def test_kkt_optimality_certificate(seed):
     assert kkt_gap(A, b, res.x) <= 1e-9
 
 
+def test_stall_at_rounding_level_counts_as_converged():
+    # seed 200 of the KKT test: an exact fit with weights near 50 whose
+    # last pass makes no progress; a free gradient entry of 1.5e-12 then
+    # exceeds gtol = 1e-12 by rounding alone, and one step along it could
+    # lower the objective by about 1e-24, so the stop is optimal
+    rng = np.random.default_rng(200)
+    A = rng.standard_normal((int(rng.integers(2, 10)), int(rng.integers(1, 8))))
+    if rng.random() < 0.3:
+        A[:, int(rng.integers(0, A.shape[1]))] = A[:, int(rng.integers(0, A.shape[1]))]
+    b = rng.standard_normal(A.shape[0])
+    res = nnls(A, b)
+    assert res.converged and res.residual <= 1e-12
+
+
 @given(st.integers(0, 10_000))
 def test_never_worse_than_scipy(seed):
     # scipy's reported rnorm is unreliable on some inputs in this version,

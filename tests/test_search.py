@@ -15,6 +15,7 @@ from helpers import (
     random_onb_rows,
     random_unit_frame,
     reference_disjoint_split_candidate,
+    reference_farkas_margin,
     reference_restricted_constants,
     reference_search_piecewise,
     reference_subspace_margin,
@@ -206,6 +207,21 @@ def _threshold_family(rng, d, j, t, anchored):
     return V * (rng.uniform(0.2, 3.0, len(rows)) * rng.choice([-1.0, 1.0], len(rows)))[:, None]
 
 
+def test_stalled_solves_near_the_threshold_are_not_called_infeasible():
+    # the active-set solver stalls on these two families at residuals 0.650
+    # and 1.074 while scipy.optimize.nnls reaches 4.6e-10 and 4.6e-11, so
+    # the stall proves nothing
+    rng = np.random.default_rng(0)
+    _threshold_family(rng, 5, 2, 0.4 + 1e-10, False)  # the second draw of seed 0 stalls
+    families = [
+        _threshold_family(rng, 5, 2, 0.4 + 1e-10, False),
+        _threshold_family(np.random.default_rng(2), 5, 2, 0.4 + 1e-11, False),
+    ]
+    for V in families:
+        verdict = fs.solve_standard_scaling(V, None, TOL)
+        assert verdict.feasible or (verdict.certificate == "undecided" and not verdict.converged)
+
+
 def _threshold_stacks():
     """Threshold families for d = 3..6 and j = 1..d-1, stacked by shape, t = j / d +- 1e-12..1."""
     rng = np.random.default_rng(11)
@@ -314,6 +330,45 @@ def test_farkas_margin_batches_and_leaves_sides_with_too_many_rows(monkeypatch):
     # a family whose Gram matrix exceeds a batch is not judged
     monkeypatch.setattr(pw, "_FARKAS_CELLS", 63)
     assert not pw._farkas_margin(units).any()
+
+
+def test_early_exit_rejects_a_superset_of_the_fixed_run_soundly():
+    rng = np.random.default_rng(18)
+    stacks = [_units(stack) for stack in _threshold_stacks()] + list(_random_and_clustered_families(rng))
+    judged = 0
+    for units in stacks:
+        margin = pw._farkas_margin(units, 10.0 * TOL)
+        rejected = margin > 10.0 * TOL
+        assert not ((reference_farkas_margin(units) > 10.0 * TOL) & ~rejected).any()
+        for V, bound in zip(units[rejected], margin[rejected]):
+            assert fs.solve_standard_scaling(V, None, TOL).residual >= bound - 1e-12
+            judged += 1
+    assert judged > 1000
+
+
+def _recording_bounds(monkeypatch) -> list[int]:
+    """Patch the Farkas screen to record how many families each bound evaluation judges."""
+    sizes: list[int] = []
+    bound = pw._farkas_bound
+    monkeypatch.setattr(pw, "_farkas_bound", lambda units, R: sizes.append(len(units)) or bound(units, R))
+    return sizes
+
+
+def test_farkas_batch_ends_when_its_families_have_left(monkeypatch):
+    rng = np.random.default_rng(25)
+    clustered = _units(rng.standard_normal((50, 1, 3)) + 0.3 * rng.standard_normal((50, 6, 3)))
+    sizes = _recording_bounds(monkeypatch)
+    assert (pw._farkas_margin(clustered, 10.0 * TOL) > 10.0 * TOL).all()
+    # most families certify at step 1 and leave; every one has left by
+    # the fifth checkpoint, step 16
+    assert sizes[0] == 50 and sizes[1] < 10 and len(sizes) <= 5
+    # a basis plus three cluster rows scales, so its family stays to the
+    # last step, alone once the clustered families have left
+    sizes.clear()
+    mixed = np.concatenate([clustered, np.vstack([np.eye(3), clustered[0, :3]])[None]])
+    margin = pw._farkas_margin(mixed, 10.0 * TOL)
+    assert (margin[:-1] > 10.0 * TOL).all() and margin[-1] <= 0.0
+    assert len(sizes) == len(pw._FARKAS_CHECKPOINTS) and sizes[0] == 51 and sizes[-1] == 1
 
 
 def _counting_solver(monkeypatch) -> list[int]:
