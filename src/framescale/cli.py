@@ -120,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_tol(args, fallback: float = DEFAULT_TOL) -> float:
     tol = args.tol if args.tol is not None else fallback
-    if tol <= 0.0:
-        raise _UsageError("--tol must be positive")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise _UsageError(f"--tol must be finite and positive, got {tol}")
     return tol
 
 
@@ -253,6 +253,8 @@ def _frame_from_report(report: dict, override_path, fmt) -> Frame:
         return load_frame(override_path, fmt)
     if "frame" in report:
         return Frame(np.array(report["frame"], dtype=float))
+    if "input" not in report:
+        raise FrameFormatError("report has neither a 'frame' nor an 'input' entry")
     return load_frame(report["input"], fmt)
 
 
@@ -262,6 +264,9 @@ def _scaling_from_report(report: dict, tol: float):
         raise _UsageError("report carries no scaling to work with")
     if "c" in payload:
         return np.array(payload["c"], dtype=float)
+    for key in ("projection", "a", "b"):
+        if key not in payload:
+            raise FrameFormatError(f"report scaling lacks the '{key}' entry")
     P = projection_from_matrix(np.array(payload["projection"], dtype=float), tol)
     return PiecewiseScaling(P, np.array(payload["a"], dtype=float), np.array(payload["b"], dtype=float))
 

@@ -154,7 +154,7 @@ def verify_parseval(vectors, target=None, tol: float = DEFAULT_TOL) -> Verificat
     projection matrix and every vector must lie in its range; both
     residuals must stay within ``tol``.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     V = as_vector_array(vectors)
     n = V.shape[1]

@@ -112,7 +112,7 @@ def verify_piecewise(frame, ps: PiecewiseScaling, tol: float = DEFAULT_TOL) -> P
     InternalInconsistencyError because it can only come from a bug, not
     from the input.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     _, Y, Z = _split_parts(frame, ps)
     P = ps.projection
@@ -440,20 +440,17 @@ def _restricted_constants(
 ):
     """Constants scaling the kept rows of V to the target, zero elsewhere, or None.
 
-    ``scales`` are the norms of the frame rows that V projects.  A rank-2
-    target whose kept rows all have parts above _TRUSTED_SIDE of their
-    scale and a half-plane margin above 10 tol returns None without a
-    solve: the cone then stays sqrt(2) s / sqrt(1 + s^2) > tol from the
-    target, so the solver could only reject it.
+    ``scales`` are the norms of the frame rows that V projects.  The kept
+    rows' range coordinates first face the screen's rule
+    (_side_rejected), at every rank: a rejection returns None without a
+    solve, since the cone then stays more than tol from the target and
+    the solver could only reject it.
     """
     idx = np.nonzero(keep)[0]
     if idx.size == 0:
         return None
-    if target.rank == 2:
-        coords = V[idx] @ target.range_basis
-        trusted = (np.linalg.norm(coords, axis=1) > _TRUSTED_SIDE * scales[idx]).all()
-        if trusted and _half_plane_margin(coords[None])[0] > 10.0 * tol:
-            return None
+    if _side_rejected((V[idx] @ target.range_basis)[None], scales[idx], tol)[0]:
+        return None
     verdict = solve_standard_scaling(V[idx], target, tol)
     if not verdict.feasible:
         return None
@@ -464,38 +461,27 @@ def _restricted_constants(
 
 def _disjoint_split_candidate(X: np.ndarray, P: OrthogonalProjection, tol: float):
     Y = X @ P.matrix
-    Z = X - Y
+    sides = [(Y, P), (X - Y, complement(P))]
+    constants = [None, None]
     # the higher-rank side is the likelier to fail (a rank-1 side always
-    # scales), so it is solved first; both solves are independent, so the
-    # order changes only how soon a miss returns
-    q_first = P.dim - P.rank > P.rank
-    if q_first:
-        Q = complement(P)
-        vq = solve_standard_scaling(Z, Q, tol)
-        if not vq.feasible:
+    # scales), so it is solved first, the range on a tie; both solves are
+    # independent, so the order changes only how soon a miss returns
+    for i in sorted(range(2), key=lambda i: -sides[i][1].rank):
+        verdict = solve_standard_scaling(*sides[i], tol)
+        if not verdict.feasible:
             return None
-    vp = solve_standard_scaling(Y, P, tol)
-    if not vp.feasible:
-        return None
-    if not q_first:
-        Q = complement(P)
-        vq = solve_standard_scaling(Z, Q, tol)
-        if not vq.feasible:
-            return None
-    a = np.array(vp.scaling.constants)
-    b = np.array(vq.scaling.constants)
-    overlap = (a > 0.0) & (b > 0.0)
+        constants[i] = verdict.scaling.constants
+    overlap = (constants[0] > 0.0) & (constants[1] > 0.0)
     if overlap.any():
         scales = np.linalg.norm(X, axis=1)
-        resolved = _restricted_constants(Y, P, (a > 0.0) & ~overlap, scales, tol)
-        if resolved is not None:
-            a = resolved
+        for i, (V, target) in enumerate(sides):
+            resolved = _restricted_constants(V, target, (constants[i] > 0.0) & ~overlap, scales, tol)
+            if resolved is not None:
+                constants[i] = resolved
+                break
         else:
-            resolved = _restricted_constants(Z, Q, (b > 0.0) & ~overlap, scales, tol)
-            if resolved is None:
-                return None
-            b = resolved
-    return PiecewiseScaling(P, a, b)
+            return None
+    return PiecewiseScaling(P, *constants)
 
 
 # candidates in the first batched pass of the screen; each later pass
@@ -725,21 +711,45 @@ def _screen(X: np.ndarray, k: int, seed: int, candidates: range, tol: float) -> 
     return _rejected_draws(X, G, tol), G
 
 
+def _side_rejected(coords: np.ndarray, scales: np.ndarray, tol: float) -> np.ndarray:
+    """Which stacked side families, in coordinates (C, m, d) of their range, provably fail to scale.
+
+    ``scales`` are the norms of the m frame rows.  A family is judged
+    only when each of its rows has a part above _TRUSTED_SIDE of its
+    scale.  A two-dimensional side then rejects on its half-plane margin,
+    a side of dimension d >= 3 on the Farkas bound
+    (tr R^ - d delta) / (1 + sqrt(d) delta) at the FISTA residuals R of
+    its unit coordinates (_farkas_margin), both above 10 tol; a
+    one-dimensional side always scales.
+    """
+    rejected = np.zeros(len(coords), dtype=bool)
+    d = coords.shape[2]
+    if d < 2:
+        return rejected
+    norms = np.linalg.norm(coords, axis=2)
+    trusted = np.flatnonzero((norms > _TRUSTED_SIDE * scales).all(axis=1))
+    if trusted.size == 0:
+        return rejected
+    if d == 2:
+        margin = _half_plane_margin(coords[trusted])
+    else:
+        margin = _farkas_margin(coords[trusted] / norms[trusted, :, None], 10.0 * tol)
+    rejected[trusted] = margin > 10.0 * tol
+    return rejected
+
+
 def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     """Which candidates, given by their first Gaussian blocks G (C, n, k), a side proves infeasible.
 
     Gets all range and complement bases from one stacked complete QR of
-    the draws, as _random_projection would.  A two-dimensional side
-    rejects on its half-plane margin, a side of dimension d >= 3 on the
-    Farkas bound (tr R^ - d delta) / (1 + sqrt(d) delta) at the FISTA
-    residuals R of its unit coordinates (_farkas_margin), both above
-    10 tol; a one-dimensional side always scales.  FISTA checks the bound
-    after steps 1, 2, 4, ..., 128 and 150, and a side leaves its batch at
-    the first checkpoint whose bound exceeds 10 tol.  The smaller side goes
-    first, so the batched FISTA runs only on candidates the exact
-    half-plane rule kept.  A rank-deficient draw is redrawn by
-    _random_projection, so its QR range proves nothing and it is never
-    rejected.
+    the draws, as _random_projection would, and judges each side by
+    _side_rejected.  FISTA checks the Farkas bound after steps 1, 2, 4,
+    ..., 128 and 150, and a side leaves its batch at the first checkpoint
+    whose bound exceeds 10 tol.  The smaller side goes first, and the
+    other side is embedded only for the candidates it kept, so the
+    batched FISTA runs only on candidates the exact half-plane rule kept.
+    A rank-deficient draw is redrawn by _random_projection, so its QR
+    range proves nothing and it is never rejected.
     """
     n, k = G.shape[1:]
     Q, R = np.linalg.qr(G, mode="complete")
@@ -750,21 +760,10 @@ def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     rejected = np.zeros(len(G), dtype=bool)
     sides = (slice(0, k), slice(k, n)) if k <= n - k else (slice(k, n), slice(0, k))
     for side in sides:
-        B = Q[:, :, side]
-        d = B.shape[2]
-        if d < 2:
-            continue
-        coords = np.einsum("mi,cij->cmj", X, B)
-        norms = np.linalg.norm(coords, axis=2)
-        trusted = np.flatnonzero((norms > _TRUSTED_SIDE * scales).all(axis=1) & ~rejected)
-        if trusted.size == 0:
-            continue
-        if d == 2:
-            margin = _half_plane_margin(coords[trusted])
-        else:
-            margin = _farkas_margin(coords[trusted] / norms[trusted, :, None], 10.0 * tol)
-        rejected[trusted] = margin > 10.0 * tol
-    return rejected & full_rank
+        live = np.flatnonzero(full_rank & ~rejected)
+        coords = np.einsum("mi,cij->cmj", X, Q[live, :, side])
+        rejected[live] = _side_rejected(coords, scales, tol)
+    return rejected
 
 
 def _surviving_candidates(X: np.ndarray, k: int, budget: int, seed: int, tol: float):

@@ -50,20 +50,20 @@ class OrthogonalProjection:
         return self.rank == 0 or self.rank == self.dim
 
 
-def _orthonormalize(columns: np.ndarray, drop_rtol: float = RANK_RTOL, drop_floor: float = 0.0) -> np.ndarray:
+def _orthonormalize(columns: np.ndarray, drop_floor: float = 0.0) -> np.ndarray:
     """Orthonormalize columns left to right, dropping dependent ones.
 
     Each kept column is orthogonalized twice against the running basis,
     which keeps the output orthonormal near machine precision even for
     nearly dependent inputs.  A column is dropped when its residual norm
-    falls below max(drop_rtol * input scale, drop_floor).
+    falls below max(RANK_RTOL * input scale, drop_floor).
     """
     V = np.asarray(columns, dtype=float)
     n = V.shape[0]
     if V.size == 0:
         return np.zeros((n, 0))
     scale = float(np.linalg.norm(V, axis=0).max())
-    threshold = max(drop_rtol * scale, drop_floor)
+    threshold = max(RANK_RTOL * scale, drop_floor)
     kept: list[np.ndarray] = []
     for j in range(V.shape[1]):
         v = V[:, j].copy()

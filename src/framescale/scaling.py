@@ -1,12 +1,16 @@
 """Standard scalability as nonnegative linear feasibility.
 
 A family is scalable when nonnegative weights on the outer products
-v_i v_i^T reproduce the target operator.  The decision runs nonnegative
-least squares over the vectorized symmetric system, with off-diagonal
-entries weighted by sqrt(2) so that the euclidean objective equals the
-Frobenius defect.  In two-dimensional ranges an open-quadrant test, or
-failing that the half-plane test on doubled angles, certifies
-infeasibility independently of the solver.
+v_i v_i^T reproduce the target operator.  Toward a projection target of
+rank k this is the identity problem sum_i w_i c_i c_i^T = I_k in the
+coordinates c_i = B^T v_i of an orthonormal range basis B, since a
+unitary map changes neither the cone nor the Frobenius distance; the
+identity target is the case B = I.  The decision runs nonnegative least
+squares over the vectorized symmetric system, with off-diagonal entries
+weighted by sqrt(2) so that the euclidean objective equals the Frobenius
+defect.  In two-dimensional ranges an open-quadrant test, or failing
+that the half-plane test on doubled angles, certifies infeasibility
+independently of the solver.
 """
 
 from __future__ import annotations
@@ -93,8 +97,10 @@ def open_quadrant_certificate(vectors) -> bool:
     """True when, after canonical sign flips, all vectors sit strictly inside one quadrant.
 
     Sign flips never change scalability, so each vector is first flipped
-    to make its first nonzero coordinate positive.  A true result
-    certifies that no standard scaling exists for a spanning family in a
+    to make its first nonzero coordinate positive.  That puts every
+    vector in one open quadrant exactly when sign(x) sign(y) is nonzero
+    and the same for every vector (x, y).  A true result certifies that
+    no standard scaling exists for a spanning family in a
     two-dimensional range.
     """
     V = as_vector_array(vectors)
@@ -103,16 +109,8 @@ def open_quadrant_certificate(vectors) -> bool:
     norms = np.linalg.norm(V, axis=1)
     if np.any(norms == 0.0):
         raise ValueError(f"zero vector at index {int(np.argmin(norms))}")
-    W = V.copy()
-    for i in range(W.shape[0]):
-        nz = np.nonzero(W[i])[0]
-        if W[i, nz[0]] < 0.0:
-            W[i] = -W[i]
-    for s1 in (1.0, -1.0):
-        for s2 in (1.0, -1.0):
-            if np.all(s1 * W[:, 0] > 0.0) and np.all(s2 * W[:, 1] > 0.0):
-                return True
-    return False
+    s = np.sign(V[:, 0]) * np.sign(V[:, 1])
+    return bool(s[0] != 0.0 and (s == s[0]).all())
 
 
 def _half_plane_margin(coords: np.ndarray) -> np.ndarray:
@@ -137,17 +135,22 @@ def solve_standard_scaling(
 ) -> ScalabilityVerdict:
     """Decide standard scalability toward the identity or a projection target.
 
-    Solves min_{w >= 0} ||sum_i w_i v_i v_i^T - T||_F and declares the
+    Solves min_{w >= 0} ||sum_i w_i c_i c_i^T - I_k||_F and declares the
     family feasible when the optimum is within ``tol``; the returned
-    constants are sqrt(w).  With a projection target, vectors outside the
-    range are projected onto it first and a warning is recorded.  The
-    returned constants are the minimum-residual weights; no attempt is
-    made to pick a canonical element of a non-unique feasible set.
+    constants are sqrt(w).  The c_i are the vectors themselves for the
+    identity target, and their coordinates B^T v_i in the orthonormal
+    range basis B for a projection target, so a projection target is
+    solved in range coordinates; the distance equals the ambient
+    ||sum_i w_i (P v_i)(P v_i)^T - P||_F.  Vectors with a part outside the
+    range above ``tol`` are recorded in a warning, and the constants
+    scale their projections.  The returned constants are the
+    minimum-residual weights; no attempt is made to pick a canonical
+    element of a non-unique feasible set.
 
     An infeasible verdict in a two-dimensional range carries the
-    certificate "open-quadrant" when the sign-normalized vectors sit in
-    one open quadrant, else "half-plane" when their doubled angles fit in
-    an open half circle (half-plane margin s > 0).  Both tests need no
+    certificate "open-quadrant" when the sign-normalized coordinates sit
+    in one open quadrant, else "half-plane" when their doubled angles fit
+    in an open half circle (half-plane margin s > 0).  Both tests need no
     solver, so they certify infeasibility whether or not NNLS converged.
     Otherwise the certificate is "residual-infeasible" when NNLS
     converged, and "undecided" when it hit ``max_iter`` (default
@@ -156,31 +159,28 @@ def solve_standard_scaling(
     optimum from above, so it proves nothing.  The verdict records the
     run's ``converged`` flag and ``iterations``.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     V = as_vector_array(vectors)
     m, n = V.shape
     warnings: list[str] = []
     if target is None:
-        T = np.eye(n)
+        C = V
         rank = n
     else:
         if target.dim != n:
             raise ValueError(f"target acts on R^{target.dim} but vectors live in R^{n}")
-        T = np.asarray(target.matrix, dtype=float)
+        C = V @ target.range_basis
         rank = target.rank
-        leak = np.linalg.norm(V - V @ T, axis=1)
-        bad = np.nonzero(leak > tol)[0]
-        if bad.size:
-            W = np.array(V)
-            W[bad] = W[bad] @ T
-            V = W
+        leak = np.linalg.norm(V - V @ target.matrix, axis=1)
+        bad = np.count_nonzero(leak > tol)
+        if bad:
             warnings.append(
-                f"{bad.size} vector(s) projected onto the target range "
+                f"{bad} vector(s) projected onto the target range "
                 f"(worst out-of-range norm {leak.max():.3e})"
             )
-    A = _gram_columns(V)
-    bvec = _vech(T)
+    A = _gram_columns(C)
+    bvec = _vech(np.eye(rank))
     result = nnls(A, bvec, max_iter=max_iter if max_iter is not None else 50 * m)
     feasible = result.residual <= tol
     if feasible:
@@ -193,8 +193,7 @@ def solve_standard_scaling(
         )
     certificate = "residual-infeasible" if result.converged else "undecided"
     if rank == 2:
-        coords = V if target is None else V @ target.range_basis
-        nonzero = coords[np.linalg.norm(coords, axis=1) > 0.0]
+        nonzero = C[np.linalg.norm(C, axis=1) > 0.0]
         if nonzero.shape[0]:
             if open_quadrant_certificate(nonzero):
                 certificate = "open-quadrant"

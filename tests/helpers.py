@@ -349,3 +349,21 @@ def reference_nnls(A, b, max_iter: int | None = None):
         objective = new_objective
     residual = float(np.linalg.norm(A @ x - b))
     return NNLSResult(x=x, residual=residual, converged=converged, iterations=iters)
+
+
+def reference_open_quadrant_certificate(vectors) -> bool:
+    """open_quadrant_certificate by explicit sign flips and a try of all four quadrants.
+
+    The library's test before it became one sign-product comparison; the
+    differential test requires equal results.
+    """
+    W = np.array(vectors, dtype=float)
+    for i in range(W.shape[0]):
+        nz = np.nonzero(W[i])[0]
+        if W[i, nz[0]] < 0.0:
+            W[i] = -W[i]
+    for s1 in (1.0, -1.0):
+        for s2 in (1.0, -1.0):
+            if np.all(s1 * W[:, 0] > 0.0) and np.all(s2 * W[:, 1] > 0.0):
+                return True
+    return False

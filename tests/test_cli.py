@@ -215,6 +215,41 @@ def test_exit_codes(workdir, capsys):
     assert code == 2
 
 
+def test_malformed_reports_are_input_errors(workdir, capsys):
+    out = workdir / "r3.json"
+    code, _, _ = run_cli(["piecewise", workdir / "triple.csv", "--construct", "r3", "--out", out], capsys)
+    assert code == 0
+    recorded = load_report(out)
+    broken = workdir / "broken.json"
+    for key in ("projection", "a", "b"):
+        report = json.loads(json.dumps(recorded))
+        del report["scaling"][key]
+        broken.write_text(json.dumps(report))
+        for args in (["verify", broken], ["transport", broken, "--to-canonical"]):
+            code, _, err = run_cli(args, capsys)
+            assert code == 2 and f"'{key}'" in err
+    report = json.loads(json.dumps(recorded))
+    del report["input"]
+    broken.write_text(json.dumps(report))
+    for args in (["verify", broken], ["transport", broken, "--to-canonical"]):
+        code, _, err = run_cli(args, capsys)
+        assert code == 2 and "'frame'" in err and "'input'" in err
+
+
+def test_tol_must_be_finite_and_positive(workdir, capsys):
+    # e_1, e_2, e_1 + e_2 scales with residual 0; a NaN tolerance must not
+    # turn that into a certified infeasible verdict
+    frame = workdir / "three.csv"
+    frame.write_text("1,0\n0,1\n1,1\n")
+    recorded = workdir / "three.json"
+    code, _, _ = run_cli(["scale", frame, "--out", recorded], capsys)
+    assert code == 0 and load_report(recorded)["verdict"] == "feasible"
+    for tol in ("nan", "inf", "-inf", "0", "-1e-8"):
+        for args in (["scale", frame], ["piecewise", frame], ["verify", recorded]):
+            code, report, err = run_cli([*args, f"--tol={tol}"], capsys)
+            assert code == 1 and report is None and "--tol must be finite and positive" in err
+
+
 def test_report_determinism(workdir, capsys):
     from framescale.fileio import dumps_json
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import framescale as fs
 from framescale.scaling import _gram_columns, _half_plane_margin, _vech
-from helpers import open_quadrant_frame, random_onb_rows, unit_rows
+from helpers import open_quadrant_frame, random_onb_rows, reference_open_quadrant_certificate, unit_rows
 
 RT2 = np.sqrt(2.0)
 
@@ -175,3 +175,68 @@ def test_iteration_cap_keeps_geometric_certificates():
     capped = fs.solve_standard_scaling(quad / np.linalg.norm(quad, axis=1, keepdims=True), max_iter=1)
     assert not capped.converged
     assert not capped.feasible and capped.certificate == "open-quadrant"
+
+
+def test_open_quadrant_certificate_matches_the_sign_flip_loop():
+    rng = np.random.default_rng(29)
+    tiny = np.nextafter(0.0, 1.0)
+    # each coordinate is drawn from values that sit on and around the axes
+    edge = np.array([0.0, -0.0, tiny, -tiny, 1e-300, -1e-300, 1.0, -1.0, 2.5, -2.5])
+    families = []
+    for _ in range(2000):
+        m = int(rng.integers(1, 6))
+        if rng.random() < 0.5:
+            V = rng.choice(edge, size=(m, 2))
+        else:
+            V = rng.standard_normal((m, 2)) * 10.0 ** rng.integers(-150, 150, (m, 1))
+        families.append(V[np.linalg.norm(V, axis=1) > 0.0])
+    # quadrant families with one coordinate negated and random row signs
+    for _ in range(200):
+        flips = rng.choice([-1.0, 1.0], (4, 1))
+        families.append(open_quadrant_frame(rng, 4).vectors * [[1.0, -1.0]] * flips)
+    agree = {True: 0, False: 0}
+    for V in families:
+        if V.shape[0] == 0:
+            continue
+        got = fs.open_quadrant_certificate(V)
+        assert got == reference_open_quadrant_certificate(V)
+        agree[got] += 1
+    assert agree[True] >= 300 and agree[False] >= 300
+
+
+def test_rank_zero_target_is_feasible_with_zero_constants():
+    P = fs.canonical_projection([], 3)
+    vectors = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0]])
+    verdict = fs.solve_standard_scaling(vectors, target=P)
+    assert verdict.feasible and verdict.residual == 0.0
+    assert np.array_equal(verdict.scaling.constants, np.zeros(2)) and verdict.scaling.target_rank == 0
+    assert verdict.warnings and verdict.warnings[0].startswith("2 vector(s) projected")
+
+
+def test_full_rank_canonical_target_decides_as_the_identity():
+    rng = np.random.default_rng(30)
+    labels = set()
+    for _ in range(60):
+        n = int(rng.integers(2, 5))
+        X = unit_rows(rng, int(rng.integers(n, 3 * n)), n)
+        if rng.random() < 0.3:
+            X = np.vstack([random_onb_rows(rng, n), X[:1]])
+        identity = fs.solve_standard_scaling(X)
+        target = fs.solve_standard_scaling(X, target=fs.canonical_projection(range(n), n))
+        assert target.feasible == identity.feasible and target.certificate == identity.certificate
+        assert target.residual == identity.residual and not target.warnings
+        if identity.feasible:
+            assert np.array_equal(target.scaling.constants, identity.scaling.constants)
+        labels.add(identity.certificate)
+    assert {None, "residual-infeasible"} <= labels
+
+
+def test_nan_tol_raises():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="tol must be positive"):
+        fs.solve_standard_scaling(np.eye(2), tol=nan)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        fs.verify_parseval(np.eye(2), tol=nan)
+    ps = fs.PiecewiseScaling(fs.canonical_projection([0], 2), np.ones(2), np.ones(2))
+    with pytest.raises(ValueError, match="tol must be positive"):
+        fs.verify_piecewise(np.eye(2), ps, tol=nan)

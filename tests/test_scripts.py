@@ -1,9 +1,12 @@
-"""Smoke runs of the experiment scripts with tiny arguments, so they cannot rot unseen."""
+"""Smoke runs of the experiment scripts with tiny arguments, and of the README's
+library example, so they cannot rot unseen."""
 
+import re
 import runpy
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def _run(name: str):
@@ -28,3 +31,10 @@ def test_r3_scaling_stats_smoke(capsys):
         "largest constant",
         "direct residual",
     ]
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md (Library example)", "exec"), {})

@@ -417,6 +417,26 @@ def test_restricted_constants_precheck_trusts_only_sizable_parts(monkeypatch):
     assert restricted(np.vstack([X, 1e-9 * B[:, 0] + B[:, 2] + B[:, 3]])) is None and len(calls) == 1
 
 
+def test_restricted_constants_precheck_at_rank_three(monkeypatch):
+    # rows clustered around one axis of a rank-3 range in R^5 cannot scale
+    # to it, so the Farkas bound rejects them
+    cluster = np.array(
+        [[1.0, 0.1, 0.0], [1.0, -0.1, 0.0], [1.0, 0.0, 0.1], [1.0, 0.0, -0.1], [1.0, 0.05, 0.05]]
+    )
+    X, B = _side_fixture(3, 5, cluster, np.ones((5, 2)))
+    P = fs.projection_from_basis(B[:, :3].T)
+    calls = _counting_solver(monkeypatch)
+
+    def restricted(X):
+        keep = np.ones(len(X), dtype=bool)
+        return pw._restricted_constants(X @ P.matrix, P, keep, np.linalg.norm(X, axis=1), TOL)
+
+    assert restricted(X) is None and not calls
+    # a row whose range part is at rounding level next to the row points
+    # where rounding sends it, so the solver decides
+    assert restricted(np.vstack([X, 1e-9 * B[:, 0] + B[:, 3] + B[:, 4]])) is None and len(calls) == 1
+
+
 def test_screen_keeps_degenerate_and_rounding_level_sides(monkeypatch):
     X = clustered_unit_frame(np.random.default_rng(3), 4, 6, 0.02).vectors
     assert pw._screen(X, 2, 0, range(16), TOL)[0].all()
