@@ -179,7 +179,10 @@ def _cmd_scale(args) -> dict:
     elif verdict.certificate == "undecided":
         report["verdict"] = "undecided"
         report["nnls"] = {"converged": verdict.converged, "iterations": verdict.iterations}
-        report["note"] = "NNLS stopped before converging; this is not a proof that no scaling exists"
+        report["note"] = (
+            "NNLS found no scaling but did not certify infeasibility; "
+            "this is not a proof that no scaling exists"
+        )
     else:
         report["verdict"] = "infeasible"
         report["certificate"] = verdict.certificate
@@ -229,9 +232,15 @@ def _cmd_piecewise(args) -> dict:
         P = _load_projection(args.projection, args.format, tol)
         ps = construct_from_orthogonal_split(frame, P, args.p_indices, args.q_indices, tol)
     else:
+        if args.budget < 1:
+            raise _UsageError(f"--budget must be at least 1, got {args.budget}")
+        if args.seed < 0:
+            raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
         ranks = None
         if args.rank is not None:
             ranks = sorted({k for chunk in args.rank for k in chunk})
+            if not ranks or not all(1 <= k < frame.dim for k in ranks):
+                raise _UsageError(f"--rank values must lie in 1..{frame.dim - 1}, got {ranks}")
         ps = search_piecewise(frame, ranks=ranks, budget=args.budget, seed=args.seed, tol=tol)
     report = _base_report("piecewise", args.frame, tol)
     report["seed"] = args.seed

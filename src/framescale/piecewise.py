@@ -36,7 +36,7 @@ from .projections import (
     complement,
     projection_from_basis,
 )
-from .scaling import _half_plane_margin, solve_standard_scaling
+from .scaling import _farkas_bound, _half_plane_margin, solve_standard_scaling
 
 
 @dataclass(frozen=True)
@@ -435,52 +435,32 @@ def _complement_form(ps: PiecewiseScaling) -> PiecewiseScaling:
     return PiecewiseScaling(complement(ps.projection), ps.b, ps.a)
 
 
-def _restricted_constants(
-    V: np.ndarray, target: OrthogonalProjection, keep: np.ndarray, scales: np.ndarray, tol: float
-):
-    """Constants scaling the kept rows of V to the target, zero elsewhere, or None.
-
-    ``scales`` are the norms of the frame rows that V projects.  The kept
-    rows' range coordinates first face the screen's rule
-    (_side_rejected), at every rank: a rejection returns None without a
-    solve, since the cone then stays more than tol from the target and
-    the solver could only reject it.
-    """
-    idx = np.nonzero(keep)[0]
-    if idx.size == 0:
-        return None
-    if _side_rejected((V[idx] @ target.range_basis)[None], scales[idx], tol)[0]:
-        return None
-    verdict = solve_standard_scaling(V[idx], target, tol)
-    if not verdict.feasible:
-        return None
-    out = np.zeros(keep.shape[0])
-    out[idx] = verdict.scaling.constants
-    return out
-
-
 def _disjoint_split_candidate(X: np.ndarray, P: OrthogonalProjection, tol: float):
+    """Disjoint-support constants for one candidate projection, or None.
+
+    The higher-rank side is solved first, the range on a tie, since a
+    rank-1 side always scales; the other side is solved only when the
+    first scales.  Two scaling sides make a split only when their
+    supports are disjoint, so a_i b_i = 0 and the mixed term vanishes;
+    a shared index returns None.  Re-solving one side on its rows
+    outside the shared ones could succeed only at noise level: those
+    rows K lie inside the support S of that side's NNLS weights x, whose
+    passive columns A_S are independent (Lawson and Hanson), so weights
+    w' on K with residual at most tol would give
+    ||A_S (x - w')|| <= 2 tol, that is sigma_min(A_S) ||x_O|| <= 2 tol
+    for the weights x_O on the shared rows O.  A miss is not a proof, so
+    the search moves on to its next candidate.
+    """
     Y = X @ P.matrix
     sides = [(Y, P), (X - Y, complement(P))]
     constants = [None, None]
-    # the higher-rank side is the likelier to fail (a rank-1 side always
-    # scales), so it is solved first, the range on a tie; both solves are
-    # independent, so the order changes only how soon a miss returns
     for i in sorted(range(2), key=lambda i: -sides[i][1].rank):
         verdict = solve_standard_scaling(*sides[i], tol)
         if not verdict.feasible:
             return None
         constants[i] = verdict.scaling.constants
-    overlap = (constants[0] > 0.0) & (constants[1] > 0.0)
-    if overlap.any():
-        scales = np.linalg.norm(X, axis=1)
-        for i, (V, target) in enumerate(sides):
-            resolved = _restricted_constants(V, target, (constants[i] > 0.0) & ~overlap, scales, tol)
-            if resolved is not None:
-                constants[i] = resolved
-                break
-        else:
-            return None
+    if ((constants[0] > 0.0) & (constants[1] > 0.0)).any():
+        return None
     return PiecewiseScaling(P, *constants)
 
 
@@ -626,25 +606,6 @@ _FARKAS_CHECKPOINTS = frozenset([2**i for i in range(8)] + [len(_FARKAS_MOMENTUM
 # Gram cells (candidates times rows squared) per batch of the Farkas
 # screen; a side with more rows than fit in one batch is not screened
 _FARKAS_CELLS = 2**20
-
-
-def _farkas_bound(units: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Lower bound on the distance from I to the cone of stacked unit families.
-
-    ``units`` has shape (C, m, d) with unit rows u_i and ``R`` shape
-    (C, d, d), symmetric.  With R^ = R / ||R||_F and
-    delta = max_i (u_i^T R^ u_i)_+, every S = sum_i w_i u_i u_i^T with
-    w >= 0 has <R^, S> <= delta tr S and tr S <= d + sqrt(d) ||S - I||_F,
-    so ||S - I||_F >= <R^, I - S> gives
-    ||S - I||_F >= (tr R^ - d delta) / (1 + sqrt(d) delta).  Returns that
-    bound, which holds for any R, or 0 where R = 0.
-    """
-    d = units.shape[2]
-    norm = np.linalg.norm(R, axis=(1, 2))
-    # R = 0 stays 0, so its trace and delta vanish and so does its bound
-    R = R / np.where(norm > 0.0, norm, 1.0)[:, None, None]
-    delta = np.maximum(((units @ R) * units).sum(axis=2).max(axis=1), 0.0)
-    return (np.trace(R, axis1=1, axis2=2) - d * delta) / (1.0 + np.sqrt(d) * delta)
 
 
 def _fista_margin(units: np.ndarray, stop: float) -> np.ndarray:
@@ -834,7 +795,8 @@ def search_piecewise(
     Candidates with a degenerate draw or a side part at rounding level are
     never skipped, and survivors take the sequential path: the higher-rank
     side is solved first (the range on a tie) and the other only when it
-    scales, so the result is the same as without the screen.
+    scales, so the result is the same as without the screen.  Two scaling
+    sides whose supports share an index make a miss, not a split.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")

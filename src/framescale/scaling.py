@@ -10,7 +10,8 @@ squares over the vectorized symmetric system, with off-diagonal entries
 weighted by sqrt(2) so that the euclidean objective equals the Frobenius
 defect.  In two-dimensional ranges an open-quadrant test, or failing
 that the half-plane test on doubled angles, certifies infeasibility
-independently of the solver.
+independently of the solver; elsewhere a Farkas bound evaluated at the
+solver's residual must certify it, or the verdict is undecided.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ class ScalabilityVerdict:
     """Feasibility decision plus either the scaling or an infeasibility certificate.
 
     ``converged`` and ``iterations`` come from the NNLS run behind the
-    decision; an infeasible verdict from a run that hit its iteration
-    cap or stalled short of optimality carries the certificate
-    "undecided" unless a two-dimensional range certifies it geometrically.
+    decision.  An infeasible verdict carries the certificate "undecided"
+    unless a two-dimensional range certifies it geometrically or a
+    converged run's residual certifies it by its Farkas bound.
     """
 
     feasible: bool
@@ -76,6 +77,14 @@ def _gram_columns(V: np.ndarray) -> np.ndarray:
 def _vech(T: np.ndarray) -> np.ndarray:
     iu, weights = _sym_embedding(T.shape[0])
     return T[iu] * weights
+
+
+def _unvech(r: np.ndarray, n: int) -> np.ndarray:
+    # the symmetric matrix whose weighted upper triangle is r
+    iu, weights = _sym_embedding(n)
+    R = np.zeros((n, n))
+    R[iu] = r / weights
+    return R + np.triu(R, 1).T
 
 
 def _post_check_unit_norm_invariants(V: np.ndarray, constants: np.ndarray, tol: float) -> None:
@@ -127,6 +136,26 @@ def _half_plane_margin(coords: np.ndarray) -> np.ndarray:
     return np.cos((2.0 * np.pi - gaps.max(axis=1)) / 2.0)
 
 
+def _farkas_bound(units: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Lower bound on the distance from I to the cone of stacked unit families.
+
+    ``units`` has shape (C, m, d) with unit rows u_i and ``R`` shape
+    (C, d, d), symmetric.  With R^ = R / ||R||_F and
+    delta = max_i (u_i^T R^ u_i)_+, every S = sum_i w_i u_i u_i^T with
+    w >= 0 has <R^, S> <= delta tr S and tr S <= d + sqrt(d) ||S - I||_F,
+    so ||S - I||_F >= <R^, I - S> gives
+    ||S - I||_F >= (tr R^ - d delta) / (1 + sqrt(d) delta).  Returns that
+    bound, which holds for any R, or 0 where R = 0.
+    """
+    d = units.shape[2]
+    norm = np.linalg.norm(R, axis=(1, 2))
+    # R = 0 stays 0, so its trace and delta vanish and so does its bound
+    R = R / np.where(norm > 0.0, norm, 1.0)[:, None, None]
+    # a family without rows has delta 0, so its bound is tr R^
+    delta = ((units @ R) * units).sum(axis=2).max(axis=1, initial=0.0)
+    return (np.trace(R, axis1=1, axis2=2) - d * delta) / (1.0 + np.sqrt(d) * delta)
+
+
 def solve_standard_scaling(
     vectors,
     target: OrthogonalProjection | None = None,
@@ -153,11 +182,17 @@ def solve_standard_scaling(
     in an open half circle (half-plane margin s > 0).  Both tests need no
     solver, so they certify infeasibility whether or not NNLS converged.
     Otherwise the certificate is "residual-infeasible" when NNLS
-    converged, and "undecided" when it hit ``max_iter`` (default
-    ``50 * m``) first or stalled while a free coordinate could still
-    lower its objective measurably: the residual then only bounds the
-    optimum from above, so it proves nothing.  The verdict records the
-    run's ``converged`` flag and ``iterations``.
+    converged and its residual R = I_k - sum_i w_i c_i c_i^T certifies
+    the verdict: _farkas_bound of the unit rows c_i / ||c_i|| at R, a
+    lower bound on the optimum that costs one matrix product, exceeds
+    ``tol``.  A run that stops early on near-duplicate columns, above
+    ``tol`` while the optimum is below it, cannot meet that test.  The
+    certificate is "undecided" when the bound does not exceed ``tol``,
+    or when NNLS hit ``max_iter`` (default ``50 * m``) first or stalled
+    while a free coordinate could still lower its objective measurably:
+    the residual then only bounds the optimum from above, so it proves
+    nothing.  The verdict records the run's ``converged`` flag and
+    ``iterations``.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -191,14 +226,16 @@ def solve_standard_scaling(
         return ScalabilityVerdict(
             True, scaling, None, result.residual, tuple(warnings), result.converged, result.iterations
         )
-    certificate = "residual-infeasible" if result.converged else "undecided"
-    if rank == 2:
-        nonzero = C[np.linalg.norm(C, axis=1) > 0.0]
-        if nonzero.shape[0]:
-            if open_quadrant_certificate(nonzero):
-                certificate = "open-quadrant"
-            elif _half_plane_margin(nonzero[None])[0] > 0.0:
-                certificate = "half-plane"
+    nonzero = C[np.linalg.norm(C, axis=1) > 0.0]
+    if rank == 2 and nonzero.shape[0] and open_quadrant_certificate(nonzero):
+        certificate = "open-quadrant"
+    elif rank == 2 and nonzero.shape[0] and _half_plane_margin(nonzero[None])[0] > 0.0:
+        certificate = "half-plane"
+    else:
+        units = nonzero / np.linalg.norm(nonzero, axis=1, keepdims=True)
+        R = _unvech(bvec - A @ result.x, rank)
+        certified = result.converged and _farkas_bound(units[None], R[None])[0] > tol
+        certificate = "residual-infeasible" if certified else "undecided"
     return ScalabilityVerdict(
         False, None, certificate, result.residual, tuple(warnings), result.converged, result.iterations
     )

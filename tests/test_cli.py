@@ -215,6 +215,21 @@ def test_exit_codes(workdir, capsys):
     assert code == 2
 
 
+def test_search_flags_out_of_range_are_usage_errors(workdir, capsys):
+    # the triple spans R^3, so a search may ask for ranks 1 and 2
+    for flags, message in (
+        (["--budget", "0"], "--budget"),
+        (["--seed", "-1"], "--seed"),
+        (["--rank", "0"], "--rank"),
+        (["--rank", "1,3"], "--rank"),
+        (["--rank", ","], "--rank"),
+    ):
+        code, report, err = run_cli(["piecewise", workdir / "triple.csv", *flags], capsys)
+        assert code == 1 and report is None and message in err
+    code, report, _ = run_cli(["piecewise", workdir / "triple.csv", "--rank", "2", "--budget", "1"], capsys)
+    assert code == 0 and report["verdict"] in ("found", "not-found")
+
+
 def test_malformed_reports_are_input_errors(workdir, capsys):
     out = workdir / "r3.json"
     code, _, _ = run_cli(["piecewise", workdir / "triple.csv", "--construct", "r3", "--out", out], capsys)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 
 import framescale as fs
-from framescale.scaling import _gram_columns, _half_plane_margin, _vech
+from framescale.scaling import _gram_columns, _half_plane_margin, _unvech, _vech
 from helpers import open_quadrant_frame, random_onb_rows, reference_open_quadrant_certificate, unit_rows
 
 RT2 = np.sqrt(2.0)
@@ -167,6 +168,35 @@ def test_iteration_cap_gives_undecided_not_infeasible():
     cone = fs.solve_standard_scaling(unit_rows(rng, 4, 3) * [1.0, 0.1, 0.1] + [1.0, 0.0, 0.0])
     assert not cone.feasible and cone.converged and cone.certificate == "residual-infeasible"
     assert cone.iterations >= 1
+
+
+def test_residual_infeasible_only_where_scipy_cannot_scale():
+    # an orthonormal basis of R^6 and a copy moved by 1e-7 scales (scipy
+    # reaches about 1e-15), but NNLS stops above tol on near-duplicate
+    # columns; its residual carries no Farkas certificate, so it is
+    # undecided.  Random unit frames that scipy cannot scale stay certified
+    tol = fs.DEFAULT_TOL
+    rng = np.random.default_rng(8)
+    families = []
+    for _ in range(20):
+        Q = random_onb_rows(rng, 6)
+        families.append(np.vstack([Q, Q + 1e-7 * rng.standard_normal((6, 6))]))
+    for _ in range(200):
+        n = int(rng.integers(3, 7))
+        families.append(unit_rows(rng, int(rng.integers(n, 3 * n)), n))
+    labels = {True: set(), False: set()}
+    undecided = 0
+    for V in families:
+        A, b = _gram_columns(V), _vech(np.eye(V.shape[1]))
+        x, _ = scipy.optimize.nnls(A, b, maxiter=50 * len(V))
+        scalable = float(np.linalg.norm(A @ x - b)) <= tol
+        verdict = fs.solve_standard_scaling(V, None, tol)
+        labels[scalable].add(verdict.certificate)
+        undecided += scalable and verdict.certificate == "undecided"
+    assert "residual-infeasible" not in labels[True] and undecided >= 10
+    assert labels[False] == {"residual-infeasible"}
+    T = rng.standard_normal((4, 4))
+    assert np.allclose(_unvech(_vech(T + T.T), 4), T + T.T, rtol=0.0, atol=1e-15)
 
 
 def test_iteration_cap_keeps_geometric_certificates():

@@ -16,11 +16,9 @@ from helpers import (
     random_unit_frame,
     reference_disjoint_split_candidate,
     reference_farkas_margin,
-    reference_restricted_constants,
     reference_search_piecewise,
     reference_subspace_margin,
     scalable_rows,
-    unit_rows,
 )
 
 TOL = fs.DEFAULT_TOL
@@ -378,63 +376,22 @@ def _counting_solver(monkeypatch) -> list[int]:
     return calls
 
 
-def test_restricted_constants_precheck_rejects_only_what_the_solver_rejects(monkeypatch):
-    rng = np.random.default_rng(16)
-    calls = _counting_solver(monkeypatch)
-    prechecked = 0
-    for trial in range(300):
-        n = int(rng.integers(3, 6))
-        k = 2 if trial % 3 else int(rng.integers(1, n))
-        m = int(rng.integers(n + 1, 3 * n))
-        X = clustered_unit_frame(rng, n, m, 0.3).vectors if trial % 2 else unit_rows(rng, m, n)
-        P = _random_projection(rng, n, k)
-        V = X @ P.matrix
-        keep = rng.random(X.shape[0]) < 0.6
-        before = len(calls)
-        got = pw._restricted_constants(V, P, keep, np.linalg.norm(X, axis=1), TOL)
-        want = reference_restricted_constants(V, P, keep, TOL)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert np.array_equal(got, want)
-        prechecked += keep.any() and len(calls) == before
-    assert prechecked > 50
-
-
-def test_restricted_constants_precheck_trusts_only_sizable_parts(monkeypatch):
-    # a cluster of doubled angles in [0, 1] cannot scale to the rank-2 range
-    theta = np.linspace(0.0, 0.5, 5)
-    X, B = _side_fixture(2, 4, np.column_stack([np.cos(theta), np.sin(theta)]), np.ones((5, 2)))
-    P = fs.projection_from_basis(B[:, :2].T)
-    calls = _counting_solver(monkeypatch)
-
-    def restricted(X):
-        keep = np.ones(len(X), dtype=bool)
-        return pw._restricted_constants(X @ P.matrix, P, keep, np.linalg.norm(X, axis=1), TOL)
-
-    assert restricted(X) is None and not calls
-    # a row whose range part is at rounding level next to the row points
-    # where rounding sends it, so the solver decides
-    assert restricted(np.vstack([X, 1e-9 * B[:, 0] + B[:, 2] + B[:, 3]])) is None and len(calls) == 1
-
-
-def test_restricted_constants_precheck_at_rank_three(monkeypatch):
-    # rows clustered around one axis of a rank-3 range in R^5 cannot scale
-    # to it, so the Farkas bound rejects them
-    cluster = np.array(
-        [[1.0, 0.1, 0.0], [1.0, -0.1, 0.0], [1.0, 0.0, 0.1], [1.0, 0.0, -0.1], [1.0, 0.05, 0.05]]
-    )
-    X, B = _side_fixture(3, 5, cluster, np.ones((5, 2)))
+def test_shared_support_is_a_miss_after_two_solves(monkeypatch):
+    # candidate 0 of rank 3 in R^4: the range side scales on rows 0, 1
+    # and 2, the one-dimensional complement on row 0, so the supports share
+    # row 0.  Rows 1 and 2 alone cannot scale to the range, and row 2's
+    # range part is at rounding level, so no screen would judge them; the
+    # shared index is a miss without a third solve
+    side = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 5e-4]])
+    X, B = _side_fixture(3, 4, side, np.array([[1e4], [0.0], [1e3]]))
     P = fs.projection_from_basis(B[:, :3].T)
+    supports = [
+        fs.solve_standard_scaling(V, target, TOL).scaling.constants > 0.0
+        for V, target in ((X @ P.matrix, P), (X - X @ P.matrix, fs.complement(P)))
+    ]
+    assert supports[0].all() and supports[1].tolist() == [True, False, False]
     calls = _counting_solver(monkeypatch)
-
-    def restricted(X):
-        keep = np.ones(len(X), dtype=bool)
-        return pw._restricted_constants(X @ P.matrix, P, keep, np.linalg.norm(X, axis=1), TOL)
-
-    assert restricted(X) is None and not calls
-    # a row whose range part is at rounding level next to the row points
-    # where rounding sends it, so the solver decides
-    assert restricted(np.vstack([X, 1e-9 * B[:, 0] + B[:, 3] + B[:, 4]])) is None and len(calls) == 1
+    assert pw._disjoint_split_candidate(X, P, TOL) is None and len(calls) == 2
 
 
 def test_screen_keeps_degenerate_and_rounding_level_sides(monkeypatch):
