@@ -7,8 +7,9 @@ Parseval residual of the recombined family and the equivalent three-part
 decomposition: each projected family must rebuild its projection operator
 and the mixed-term operator must vanish.  Constructors cover frames in
 R^2 and R^3, orthogonal-split data in any dimension, and a special
-position in R^4; a seeded randomized search built on the feasibility
-solver handles the rest on a best-effort basis.
+position in R^4; a seeded search, which solves for an orthogonal split
+and then samples projections for the feasibility solver, handles the
+rest on a best-effort basis.
 """
 
 from __future__ import annotations
@@ -264,23 +265,22 @@ class R3Construction:
     complement_orthogonality_residual: float
 
 
-def _greedy_independent_triple(X: np.ndarray) -> tuple[int, int, int]:
-    # column-pivoted selection: each step takes the vector with the
-    # largest component outside the span chosen so far
+def _greedy_independent(X: np.ndarray, count: int, exclude=()) -> tuple[int, ...]:
+    # column-pivoted selection: each step takes the row outside ``exclude``
+    # with the largest component outside the span chosen so far
     R = X.T.copy()
     scale = float(np.linalg.norm(R, axis=0).max())
     chosen: list[int] = []
-    for _ in range(3):
+    for _ in range(count):
         norms = np.linalg.norm(R, axis=0)
-        if chosen:
-            norms[chosen] = -1.0
+        norms[[*exclude, *chosen]] = -1.0
         j = int(np.argmax(norms))
         if norms[j] <= RANK_RTOL * scale:
-            raise ValueError("frame must span R^3")
+            raise ValueError(f"the vectors to select from span fewer than {count} dimensions")
         q = R[:, j] / norms[j]
         R -= np.outer(q, q @ R)
         chosen.append(j)
-    return tuple(chosen)  # type: ignore[return-value]
+    return tuple(chosen)
 
 
 def construct_r3(frame, tol: float = DEFAULT_TOL) -> PiecewiseScaling:
@@ -307,7 +307,7 @@ def construct_r3_detailed(frame, tol: float = DEFAULT_TOL) -> R3Construction:
         raise ValueError("construct_r3 needs vectors in R^3")
     if m < 3:
         raise ValueError("frame must contain at least three vectors")
-    sel = (0, 1, 2) if m == 3 else _greedy_independent_triple(X)
+    sel = (0, 1, 2) if m == 3 else _greedy_independent(X, 3)
     triple = X[list(sel)]
     norms = np.linalg.norm(triple, axis=1)
     s = np.linalg.svd(triple, compute_uv=False)
@@ -748,6 +748,120 @@ def _surviving_candidates(X: np.ndarray, k: int, budget: int, seed: int, tol: fl
         start, size = chunk.stop, 2 * size
 
 
+# starts per rank of the orthogonal-split route, drawn as candidates
+# 0, 1, 2 of the seeding contract, and Levenberg-Marquardt steps per start
+_SPLIT_STARTS = 3
+_SPLIT_STEPS = 30
+
+# first damping of a start, divided by 10 after each accepted step and
+# multiplied by 10 after each rejected one
+_SPLIT_DAMPING = 1e-2
+
+
+def _split_system(V: np.ndarray, k: int):
+    """Residuals and Jacobian of the orthogonal split of the rows of V, as a function of Q.
+
+    The range is spanned by the first k columns of the orthogonal Q, the
+    complement by the rest, and W = V Q holds the rows' coordinates.  A row
+    of S (rows :k) owns its range part, a row of T (rows k:) its complement
+    part; the residuals are the cosines of the owned parts of the pairs
+    within S and within T.  The unknowns are the entries of Delta,
+    (n - k) x k, in the chart Q[:, :k] + Q[:, k:] Delta, that is
+    W <- W (I + A) with A = [[0, -Delta^T], [Delta, 0]] to first order.
+    With u and e a row's owned and other part over the norm of the owned
+    part, the derivative of cos_ij in Delta is M_ij + M_ji -
+    cos_ij (M_ii + M_jj), where M_ab is the block [k:, :k] of
+    e_a u_b^T - u_b e_a^T.  The function returns None where an owned part
+    is at most _TRUSTED_SIDE of its row: its direction is set by rounding.
+    """
+    n = V.shape[0]
+    own = (np.arange(n) < k)[:, None] == (np.arange(n) < k)[None, :]
+    i, j = (np.concatenate([p, q + k]) for p, q in zip(np.triu_indices(k, 1), np.triu_indices(n - k, 1)))
+    # flat indices of M_ij, M_ji, M_ii and M_jj for every pair
+    blocks = np.stack([i * n + j, j * n + i, i * (n + 1), j * (n + 1)])
+
+    def system(Q: np.ndarray):
+        W = V @ Q
+        O = W * own
+        owned = (O * O).sum(axis=1)
+        if (owned <= _TRUSTED_SIDE**2 * (W * W).sum(axis=1)).any():
+            return None
+        norms = np.sqrt(owned)[:, None]
+        u, e = O / norms, (W - O) / norms
+        cos = (u @ u.T).take(blocks[0])
+        M = e[:, None, k:, None] * u[None, :, None, :k] - u[None, :, k:, None] * e[:, None, None, :k]
+        m_ij, m_ji, m_ii, m_jj = M.reshape(n * n, -1).take(blocks, axis=0)
+        return cos, m_ij + m_ji - cos[:, None] * (m_ii + m_jj)
+
+    return system
+
+
+def _solve_split(system, Q: np.ndarray, k: int, tol: float) -> np.ndarray | None:
+    """Levenberg-Marquardt on a _split_system from the orthogonal Q; the final Q or None.
+
+    Each step is the minimum-norm damped Gauss-Newton step
+    Delta = -J^T (J J^T + lam I)^-1 r, taken as Q <- qr(Q[:, :k] +
+    Q[:, k:] Delta), and is kept only when it lowers ||r||.  The solve
+    stops at ||r|| <= tol / 1000 or after _SPLIT_STEPS steps, and returns
+    Q only when ||r|| <= tol.
+    """
+    start = system(Q)
+    if start is None:
+        return None
+    r, J = start
+    cost = float(r @ r)
+    damping = _SPLIT_DAMPING
+    for _ in range(_SPLIT_STEPS):
+        if cost <= (1e-3 * tol) ** 2:
+            break
+        step = -J.T @ np.linalg.solve(J @ J.T + damping * np.eye(len(r)), r)
+        trial_Q = np.linalg.qr(Q[:, :k] + Q[:, k:] @ step.reshape(-1, k), mode="complete")[0]
+        trial = system(trial_Q)
+        if trial is not None and float(trial[0] @ trial[0]) < cost:
+            Q, (r, J), cost = trial_Q, trial, float(trial[0] @ trial[0])
+            damping /= 10.0
+        else:
+            damping *= 10.0
+    return Q if cost <= tol * tol else None
+
+
+def _orthogonal_split_route(fr: Frame, ranks, seed: int, tol: float) -> PiecewiseScaling | None:
+    """An orthogonal-split scaling solved for at the given ranks, or None.
+
+    Rank k picks k rows S and then n - k further rows T by pivoted
+    selection, and looks for a rank-k projection under which the parts
+    P x_i (i in S) are orthogonal and so are the (I - P) x_j (j in T);
+    reciprocal norms on S and T then give an orthonormal basis.  Ranks
+    are tried nearest to n / 2 first, each from the _SPLIT_STARTS first
+    draws of the seeding contract, candidate j's first block of
+    default_rng(SeedSequence((seed, k, j))).  A result must pass
+    construct_from_orthogonal_split and verify_piecewise; a miss proves
+    nothing.
+    """
+    X = fr.vectors
+    n = fr.dim
+    for k in sorted(ranks, key=lambda k: (abs(2 * k - n), k)):
+        try:
+            S = _greedy_independent(X, k)
+            T = _greedy_independent(X, n - k, S)
+        except ValueError:
+            continue
+        system = _split_system(X[list(S + T)], k)
+        for start in range(_SPLIT_STARTS):
+            G = _candidate_rng(seed, k, start).standard_normal((n, k))
+            Q = _solve_split(system, np.linalg.qr(G, mode="complete")[0], k, tol)
+            if Q is None:
+                continue
+            B = Q[:, :k]
+            try:
+                ps = construct_from_orthogonal_split(fr, OrthogonalProjection(_symmetrized(B @ B.T), k, B), S, T, tol)
+            except ValueError:
+                continue
+            if verify_piecewise(fr, ps, tol).passed:
+                return ps
+    return None
+
+
 def search_piecewise(
     frame,
     ranks=None,
@@ -760,14 +874,29 @@ def search_piecewise(
     Strategy, in order: standard scalability (equal constants work with
     any projection), the dedicated constructors for dimensions two and
     three (when they reject the input as numerically degenerate, the
-    search goes on), then a seeded sweep of ``budget`` random projections
-    per requested rank, each tried with a disjoint-support feasibility
-    split.
+    search goes on), the orthogonal-split route, then a seeded sweep of
+    ``budget`` random projections per requested rank, each tried with a
+    disjoint-support feasibility split.
     Candidate k of rank r draws from default_rng(SeedSequence((seed, r, k))),
     so the outcome does not depend on evaluation order.  A miss is not a
-    proof that no scaling exists.  The seeds of a rank are hashed in one
-    batch and every candidate is drawn from one reused PCG64 set to its
-    state, bit-identically to a generator per candidate.
+    proof that no scaling exists.
+
+    The orthogonal-split route (_orthogonal_split_route) solves for the
+    split the paper's R^2 and R^3 constructions build: a rank-k projection
+    and disjoint row sets S and T, |S| = k and |T| = n - k, chosen by
+    pivoted selection, with the P x_i (i in S) orthogonal and the
+    (I - P) x_j (j in T) orthogonal, so that reciprocal norms give an
+    orthonormal basis.  It skips the ranks closeness_obstruction certifies
+    and tries the others nearest to n / 2 first.  Each rank starts from
+    the first blocks of its candidates 0, 1 and 2 and runs at most 30
+    Levenberg-Marquardt steps on the pairwise cosines of those parts,
+    in the chart B <- qr(B + C Delta) of the Grassmannian.  A result must
+    pass construct_from_orthogonal_split and verify_piecewise; otherwise
+    the sampled sweep below runs unchanged.
+
+    The seeds of a rank are hashed in one batch and every sampled
+    candidate is drawn from one reused PCG64 set to its state,
+    bit-identically to a generator per candidate.
 
     Candidates are first screened in batches (16, then 32, 64, ...)
     without any solve.  A side with coordinates c_i scales exactly when I
@@ -833,6 +962,12 @@ def search_piecewise(
             if verify_piecewise(fr, built, tol).passed:
                 return built
             return None
+    from .obstructions import closeness_obstruction  # obstructions imports this module
+
+    certified = closeness_obstruction(X).applicable_ranks
+    ps = _orthogonal_split_route(fr, [k for k in valid if k not in certified], seed, tol)
+    if ps is not None:
+        return ps
     for k in valid:
         for candidate, G in _surviving_candidates(X, k, budget, seed, tol):
             P = _projection_from_draw(G)

@@ -350,22 +350,18 @@ def test_search_random_route_finds_split_in_r4():
 def test_search_falls_through_when_the_r3_constructor_rejects(monkeypatch):
     # a spanning triple whose first two vectors overlap above 1 - 1e-12:
     # construct_r3 calls the pair numerically dependent, and the search
-    # must go on to the sampled route instead of giving up
+    # must go on to a later route instead of giving up
     t = 1e-7
     frame = fs.Frame([[1.0, 0.0, 0.0], [np.cos(t), np.sin(t), 0.0], [0.0, 0.0, 1.0]])
     assert frame.is_frame()
     with pytest.raises(ValueError, match="numerically dependent"):
         fs.construct_r3(frame)
-    sampled = []
-    surviving = pw._surviving_candidates
-
-    def spy(X, k, budget, seed, tol):
-        sampled.append(k)
-        return surviving(X, k, budget, seed, tol)
-
-    monkeypatch.setattr(pw, "_surviving_candidates", spy)
+    later = []
+    for name in ("_orthogonal_split_route", "_surviving_candidates"):
+        route = getattr(pw, name)
+        monkeypatch.setattr(pw, name, lambda *args, name=name, route=route: later.append(name) or route(*args))
     found = fs.search_piecewise(frame, budget=50, seed=0)
-    assert sampled, "the search stopped at the constructor"
+    assert later, "the search stopped at the constructor"
     assert found is None or fs.verify_piecewise(frame, found).passed
 
 

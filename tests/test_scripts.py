@@ -21,6 +21,13 @@ def test_obstruction_sweep_smoke(capsys):
     assert len(lines) == 1 + 7  # one frame per radius
 
 
+def test_split_route_sweep_smoke(capsys):
+    _run("split_route_sweep.py")(seed=0, frames=1, dims=[4])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["n", "m", "frames", "hits", "ms/frame"]
+    assert [line.split()[:3] for line in lines[1:]] == [["4", str(m), "1"] for m in (5, 7, 8, 12)]
+
+
 def test_r3_scaling_stats_smoke(capsys):
     _run("r3_scaling_stats.py")(runs=20, seed=0)
     lines = capsys.readouterr().out.splitlines()

@@ -69,6 +69,11 @@ def _recording_survivors(monkeypatch) -> list[int]:
     return seen
 
 
+def _sampled_stage_only(monkeypatch) -> None:
+    """Patch the orthogonal-split route out, so the sampled stage answers as in the reference search."""
+    monkeypatch.setattr(pw, "_orthogonal_split_route", lambda *args: None)
+
+
 def _side_fixture(k: int, n: int, side_coords: np.ndarray, other_coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows with the given range and complement coordinates for candidate 0 of rank k, seed 0."""
     B = np.linalg.qr(_rng(0, k, 0).standard_normal((n, k)), mode="complete")[0]
@@ -79,6 +84,7 @@ def _side_fixture(k: int, n: int, side_coords: np.ndarray, other_coords: np.ndar
 def test_search_matches_sequential_reference(index, monkeypatch):
     frame, ranks = CASES[index]
     budget = 60
+    _sampled_stage_only(monkeypatch)
     tried = []
     split = pw._disjoint_split_candidate
     monkeypatch.setattr(pw, "_disjoint_split_candidate", lambda X, P, tol: tried.append(P) or split(X, P, tol))
@@ -92,6 +98,7 @@ def test_search_matches_sequential_reference(index, monkeypatch):
 
 
 def test_screen_skips_candidates_on_ranks_without_a_two_dimensional_side(monkeypatch):
+    _sampled_stage_only(monkeypatch)
     skipping = 0
     for index in EDGE_RANK_CASES:
         frame, ranks = CASES[index]
@@ -105,6 +112,7 @@ def test_screen_skips_candidates_on_ranks_without_a_two_dimensional_side(monkeyp
 
 def test_search_reaches_a_hit_behind_rejected_candidates(monkeypatch):
     # hits whose candidate index lies past candidates the screen rejected
+    _sampled_stage_only(monkeypatch)
     two_dim = edge = 0
     for index, (frame, ranks) in enumerate(CASES):
         if ranks is None and frame.dim == 5:
