@@ -2,9 +2,10 @@
 
 For each dimension n = 4..8 and each frame size m the script draws seeded
 unit frames (rows uniform on the sphere, kept when they span R^n) and runs
-the orthogonal-split route of ``search_piecewise`` at every rank 1..n-1:
-pivoted row sets S and T, three seeded starts per rank and
-Levenberg-Marquardt on the pairwise cosines.  It prints how many frames
+the orthogonal-split route of ``search_piecewise`` at ranks 1..n-1:
+it skips the ranks with more cosines than unknowns, (n - 2k)^2 > n, and
+at the others it uses pivoted row sets S and T, three seeded starts per
+rank and Levenberg-Marquardt on the pairwise cosines.  It prints how many frames
 the route scaled (every result is re-checked with ``verify_piecewise``)
 and the mean milliseconds per frame.
 

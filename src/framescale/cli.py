@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-indices", type=_int_list, default=None, help="0-based projected-side indices (split)")
     p.add_argument("--q-indices", type=_int_list, default=None, help="0-based complement-side indices (split)")
     p.add_argument("--rank", type=_int_list, action="append", default=None, help="projection ranks to search")
-    p.add_argument("--budget", type=int, default=200, help="random projections per rank (search)")
+    p.add_argument("--budget", type=int, default=200, help="seeded candidates per rank (the route uses at most 3)")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("verify", parents=[common], help="re-check the scaling stored in a report")

@@ -9,7 +9,9 @@ and the mixed-term operator must vanish.  Constructors cover frames in
 R^2 and R^3, orthogonal-split data in any dimension, and a special
 position in R^4; a seeded search, which solves for an orthogonal split
 and then samples projections for the feasibility solver, handles the
-rest on a best-effort basis.
+rest on a best-effort basis.  Both draw the candidates of rank k from
+one seeded stream: candidate j is block j of
+default_rng((seed, k)).standard_normal((budget, n, k)).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .frames import (
 from .projections import (
     OrthogonalProjection,
     _projection_from_draw,
-    _random_projection,
     _symmetrized,
     canonical_projection,
     complement,
@@ -469,119 +470,9 @@ def _disjoint_split_candidate(X: np.ndarray, P: OrthogonalProjection, tol: float
 # handful of passes
 _FIRST_CHUNK = 16
 
-# fewest candidates whose seed words are hashed in one pass; a pass costs
-# about 200 array operations whatever its size, so a budget up to this
-# takes one pass per rank, and a larger one is hashed block by block
-_SEED_BLOCK = 256
-
 # a row whose side part is at most this fraction of the row points in a
 # direction set by rounding, so the screen keeps its candidate
 _TRUSTED_SIDE = 1e-6
-
-
-# numpy's SeedSequence hash constants (pool size 4, xorshift 16)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-
-# PCG64's 128-bit LCG multiplier
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
-
-
-def _candidate_rng(seed: int, k: int, candidate: int) -> np.random.Generator:
-    # the seeding contract: candidate j of rank k depends on (seed, k, j) only
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, k, candidate)))
-
-
-def _uint32_words(value: int) -> list[int]:
-    """SeedSequence's little-endian 32-bit words of a nonnegative integer; 0 is one zero word."""
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
-def _hasher(init: int, mult: int):
-    """SeedSequence's hashmix with its running constant h: (v ^ h) * (h mult), then v ^ v >> 16.
-
-    Works on Python ints and on uint64 arrays of uint32 values alike.
-    """
-    h = init
-
-    def hashmix(value):
-        nonlocal h
-        value = value ^ h
-        h = h * mult & _MASK32
-        value = value * h & _MASK32
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _mix(x, y):
-    """SeedSequence's mix of two uint32 words, on Python ints or uint64 arrays."""
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ result >> 16
-
-
-def _candidate_seed_words(seed: int, k: int, candidates: range) -> np.ndarray:
-    """SeedSequence(entropy=(seed, k, c)).generate_state(4, np.uint64) for every c, in one pass.
-
-    A copy of numpy's hash, vectorised over the candidates: uint32 words
-    live in uint64 arrays and are masked after every product.  The words
-    shared by all rows (seed, then k) stay Python ints until the pool mix
-    meets the candidate's word.  The candidate's word is last, and an
-    index of 2^32 or more adds a second one.
-    """
-    if not isinstance(seed, (int, np.integer)):
-        # fails exactly as the per-candidate seeding does, or reads a
-        # one-element integer array as it does
-        _candidate_rng(seed, k, candidates.start)
-        seed = np.asarray(seed).item()
-    c = np.arange(candidates.start, candidates.stop, dtype=np.uint64)
-    entropy = _uint32_words(int(seed)) + _uint32_words(k) + [c & _MASK32, c >> 32]
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for i, word in enumerate(entropy[4:], 4):
-        mixed = [_mix(p, hashmix(word)) for p in pool]
-        # an index below 2^32 has no high word; in the pool that equals a
-        # zero word, past it the row must skip the word
-        last = i == len(entropy) - 1
-        pool = [np.where(c > _MASK32, m, p) for m, p in zip(mixed, pool)] if last else mixed
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    state = [hashmix(pool[i % 4]) for i in range(8)]
-    # uint32 pairs read as little-endian uint64
-    return np.column_stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)])
-
-
-def _candidate_draws(words: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Each candidate's first standard_normal((n, k)) block, from its seed words.
-
-    PCG64 seeded from words w takes initstate = w0 2^64 + w1 and
-    inc = 2 (w2 2^64 + w3) + 1, and steps its LCG twice:
-    state = (inc + initstate) M + inc mod 2^128.  One generator, built
-    here, is set to each candidate's state in turn, which draws what
-    _candidate_rng would without building a generator per candidate.
-    """
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    G = np.empty((len(words), n, k))
-    for g, (w0, w1, w2, w3) in zip(G, words.tolist()):
-        inc = ((w2 << 65) | (w3 << 1) | 1) & _MASK128
-        pcg["state"] = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
-        pcg["inc"] = inc
-        bit_generator.state = state
-        generator.standard_normal(out=g)
-    return G
 
 
 def _fista_momentum(steps: int) -> tuple[float, ...]:
@@ -659,19 +550,6 @@ def _farkas_margin(units: np.ndarray, stop: float = np.inf) -> np.ndarray:
     return np.concatenate([_fista_margin(u, stop) for u in batches])
 
 
-def _screen(X: np.ndarray, k: int, seed: int, candidates: range, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Which rank-k candidates a side proves infeasible, and their first draws.
-
-    The draws are hashed from (seed, k, c) in one batch and are
-    bit-identical to _candidate_rng(seed, k, c).standard_normal((n, k)),
-    that is to default_rng(SeedSequence((seed, k, c))); _rejected_draws
-    judges them.  The search itself hashes a rank's seeds once, in blocks
-    of _SEED_BLOCK, and screens the same draws chunk by chunk.
-    """
-    G = _candidate_draws(_candidate_seed_words(seed, k, candidates), X.shape[1], k)
-    return _rejected_draws(X, G, tol), G
-
-
 def _side_rejected(coords: np.ndarray, scales: np.ndarray, tol: float) -> np.ndarray:
     """Which stacked side families, in coordinates (C, m, d) of their range, provably fail to scale.
 
@@ -700,17 +578,17 @@ def _side_rejected(coords: np.ndarray, scales: np.ndarray, tol: float) -> np.nda
 
 
 def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
-    """Which candidates, given by their first Gaussian blocks G (C, n, k), a side proves infeasible.
+    """Which candidates, given by their Gaussian blocks G (C, n, k), a side proves infeasible.
 
     Gets all range and complement bases from one stacked complete QR of
-    the draws, as _random_projection would, and judges each side by
+    the blocks, and judges each side by
     _side_rejected.  FISTA checks the Farkas bound after steps 1, 2, 4,
     ..., 128 and 150, and a side leaves its batch at the first checkpoint
     whose bound exceeds 10 tol.  The smaller side goes first, and the
     other side is embedded only for the candidates it kept, so the
     batched FISTA runs only on candidates the exact half-plane rule kept.
-    A rank-deficient draw is redrawn by _random_projection, so its QR
-    range proves nothing and it is never rejected.
+    A rank-deficient block has no rank-k range to judge, so it is never
+    rejected here; the search counts it a miss.
     """
     n, k = G.shape[1:]
     Q, R = np.linalg.qr(G, mode="complete")
@@ -728,28 +606,28 @@ def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _surviving_candidates(X: np.ndarray, k: int, budget: int, seed: int, tol: float):
-    """Rank-k candidates the screen keeps, in order, with their first draws.
+    """Rank-k candidates the screen keeps, in order, with their Gaussian blocks.
 
-    The screen runs on chunks of _FIRST_CHUNK indices, doubling each
-    time; chunks are screened lazily, so none is drawn after a hit.  Seed
-    words are hashed ahead in blocks of at least _SEED_BLOCK indices.
+    Candidate j is block j of
+    default_rng((seed, k)).standard_normal((budget, n, k)).  One
+    generator draws the chunks of _FIRST_CHUNK blocks, doubling each
+    time, lazily, so none is drawn after a hit; the normals come in the
+    same order whatever the chunking, so a block depends on (seed, k, j)
+    only.
     """
     n = X.shape[1]
+    rng = np.random.default_rng((seed, k))
     start, size = 0, _FIRST_CHUNK
-    hashed = range(0)
     while start < budget:
         chunk = range(start, min(budget, start + size))
-        if chunk.stop > hashed.stop:
-            hashed = range(start, min(budget, start + max(size, _SEED_BLOCK)))
-            words = _candidate_seed_words(seed, k, hashed)
-        G = _candidate_draws(words[start - hashed.start : chunk.stop - hashed.start], n, k)
+        G = rng.standard_normal((len(chunk), n, k))
         rejected = _rejected_draws(X, G, tol)
         yield from ((c, g) for c, g, r in zip(chunk, G, rejected) if not r)
         start, size = chunk.stop, 2 * size
 
 
-# starts per rank of the orthogonal-split route, drawn as candidates
-# 0, 1, 2 of the seeding contract, and Levenberg-Marquardt steps per start
+# starts per rank of the orthogonal-split route, the blocks of
+# candidates 0, 1, 2 of the search, and Levenberg-Marquardt steps per start
 _SPLIT_STARTS = 3
 _SPLIT_STEPS = 30
 
@@ -825,30 +703,33 @@ def _solve_split(system, Q: np.ndarray, k: int, tol: float) -> np.ndarray | None
     return Q if cost <= tol * tol else None
 
 
-def _orthogonal_split_route(fr: Frame, ranks, seed: int, tol: float) -> PiecewiseScaling | None:
+def _orthogonal_split_route(fr: Frame, ranks, seed: int, tol: float, budget: int = _SPLIT_STARTS) -> PiecewiseScaling | None:
     """An orthogonal-split scaling solved for at the given ranks, or None.
 
     Rank k picks k rows S and then n - k further rows T by pivoted
     selection, and looks for a rank-k projection under which the parts
     P x_i (i in S) are orthogonal and so are the (I - P) x_j (j in T);
-    reciprocal norms on S and T then give an orthonormal basis.  Ranks
-    are tried nearest to n / 2 first, each from the _SPLIT_STARTS first
-    draws of the seeding contract, candidate j's first block of
-    default_rng(SeedSequence((seed, k, j))).  A result must pass
-    construct_from_orthogonal_split and verify_piecewise; a miss proves
-    nothing.
+    reciprocal norms then give an orthonormal basis.  The system has
+    C(k, 2) + C(n - k, 2) cosines and k (n - k) unknowns, so a rank with
+    more cosines, (n - 2k)^2 > n, is skipped.  The other ranks are tried
+    nearest to n / 2 first, each from blocks 0 .. min(budget,
+    _SPLIT_STARTS) - 1 of the search's candidate stream
+    default_rng((seed, k)).standard_normal((budget, n, k)).  A result
+    must pass construct_from_orthogonal_split and verify_piecewise; a
+    miss proves nothing.
     """
     X = fr.vectors
     n = fr.dim
-    for k in sorted(ranks, key=lambda k: (abs(2 * k - n), k)):
+    solvable = [k for k in ranks if (n - 2 * k) ** 2 <= n]
+    for k in sorted(solvable, key=lambda k: (abs(2 * k - n), k)):
         try:
             S = _greedy_independent(X, k)
             T = _greedy_independent(X, n - k, S)
         except ValueError:
             continue
         system = _split_system(X[list(S + T)], k)
-        for start in range(_SPLIT_STARTS):
-            G = _candidate_rng(seed, k, start).standard_normal((n, k))
+        starts = np.random.default_rng((seed, k)).standard_normal((min(budget, _SPLIT_STARTS), n, k))
+        for G in starts:
             Q = _solve_split(system, np.linalg.qr(G, mode="complete")[0], k, tol)
             if Q is None:
                 continue
@@ -876,10 +757,11 @@ def search_piecewise(
     three (when they reject the input as numerically degenerate, the
     search goes on), the orthogonal-split route, then a seeded sweep of
     ``budget`` random projections per requested rank, each tried with a
-    disjoint-support feasibility split.
-    Candidate k of rank r draws from default_rng(SeedSequence((seed, r, k))),
-    so the outcome does not depend on evaluation order.  A miss is not a
-    proof that no scaling exists.
+    disjoint-support feasibility split.  Candidate j of rank k is block j
+    of default_rng((seed, k)).standard_normal((budget, n, k)), drawn in
+    chunks from one generator per rank; a block depends on (seed, k, j)
+    only, whatever the chunking, and a rank-deficient block is a miss.  A
+    miss is not a proof that no scaling exists.
 
     The orthogonal-split route (_orthogonal_split_route) solves for the
     split the paper's R^2 and R^3 constructions build: a rank-k projection
@@ -887,16 +769,13 @@ def search_piecewise(
     pivoted selection, with the P x_i (i in S) orthogonal and the
     (I - P) x_j (j in T) orthogonal, so that reciprocal norms give an
     orthonormal basis.  It skips the ranks closeness_obstruction certifies
-    and tries the others nearest to n / 2 first.  Each rank starts from
-    the first blocks of its candidates 0, 1 and 2 and runs at most 30
+    and the ranks with more cosines than unknowns, (n - 2k)^2 > n, and
+    tries the others nearest to n / 2 first.  Each rank starts from the
+    blocks of its candidates 0 .. min(budget, 3) - 1 and runs at most 30
     Levenberg-Marquardt steps on the pairwise cosines of those parts,
     in the chart B <- qr(B + C Delta) of the Grassmannian.  A result must
     pass construct_from_orthogonal_split and verify_piecewise; otherwise
     the sampled sweep below runs unchanged.
-
-    The seeds of a rank are hashed in one batch and every sampled
-    candidate is drawn from one reused PCG64 set to its state,
-    bit-identically to a generator per candidate.
 
     Candidates are first screened in batches (16, then 32, 64, ...)
     without any solve.  A side with coordinates c_i scales exactly when I
@@ -921,8 +800,8 @@ def search_piecewise(
     holds for any w, so it does not rest on convergence.  A
     one-dimensional side always scales.  A skipped candidate's distance
     exceeds tol, so the feasibility solve could only reject it.
-    Candidates with a degenerate draw or a side part at rounding level are
-    never skipped, and survivors take the sequential path: the higher-rank
+    Candidates with a rank-deficient block or a side part at rounding level
+    are never skipped, and survivors take the sequential path: the higher-rank
     side is solved first (the range on a tie) and the other only when it
     scales, so the result is the same as without the screen.  Two scaling
     sides whose supports share an index make a miss, not a split.
@@ -965,15 +844,15 @@ def search_piecewise(
     from .obstructions import closeness_obstruction  # obstructions imports this module
 
     certified = closeness_obstruction(X).applicable_ranks
-    ps = _orthogonal_split_route(fr, [k for k in valid if k not in certified], seed, tol)
+    ps = _orthogonal_split_route(fr, [k for k in valid if k not in certified], seed, tol, budget)
     if ps is not None:
         return ps
     for k in valid:
-        for candidate, G in _surviving_candidates(X, k, budget, seed, tol):
+        for _, G in _surviving_candidates(X, k, budget, seed, tol):
             P = _projection_from_draw(G)
             if P is None:
-                # the first draw was degenerate: redraw as _random_projection does
-                P = _random_projection(_candidate_rng(seed, k, candidate), n, k)
+                # a rank-deficient block is a miss: a redraw would shift every later candidate
+                continue
             ps = _disjoint_split_candidate(X, P, tol)
             if ps is not None and verify_piecewise(fr, ps, tol).passed:
                 return ps

@@ -181,18 +181,17 @@ def solve_standard_scaling(
     in one open quadrant, else "half-plane" when their doubled angles fit
     in an open half circle (half-plane margin s > 0).  Both tests need no
     solver, so they certify infeasibility whether or not NNLS converged.
-    Otherwise the certificate is "residual-infeasible" when NNLS
-    converged and its residual R = I_k - sum_i w_i c_i c_i^T certifies
-    the verdict: _farkas_bound of the unit rows c_i / ||c_i|| at R, a
-    lower bound on the optimum that costs one matrix product, exceeds
-    ``tol``.  A run that stops early on near-duplicate columns, above
-    ``tol`` while the optimum is below it, cannot meet that test.  The
-    certificate is "undecided" when the bound does not exceed ``tol``,
-    or when NNLS hit ``max_iter`` (default ``50 * m``) first or stalled
-    while a free coordinate could still lower its objective measurably:
-    the residual then only bounds the optimum from above, so it proves
-    nothing.  The verdict records the run's ``converged`` flag and
-    ``iterations``.
+    Otherwise the certificate is "residual-infeasible" when the residual
+    R = I_k - sum_i w_i c_i c_i^T of the NNLS run certifies the verdict:
+    _farkas_bound of the unit rows c_i / ||c_i|| at R, a lower bound on
+    the optimum that costs one matrix product, exceeds ``tol``.  The
+    bound holds for any weights w >= 0, so it certifies whether NNLS
+    converged, hit ``max_iter`` (default ``50 * m``) or stalled.  A run
+    that stops early on near-duplicate columns, above ``tol`` while the
+    optimum is below it, cannot meet that test.  The certificate is
+    "undecided" when the bound does not exceed ``tol``: the residual then
+    only bounds the optimum from above, so it proves nothing.  The
+    verdict records the run's ``converged`` flag and ``iterations``.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -234,8 +233,7 @@ def solve_standard_scaling(
     else:
         units = nonzero / np.linalg.norm(nonzero, axis=1, keepdims=True)
         R = _unvech(bvec - A @ result.x, rank)
-        certified = result.converged and _farkas_bound(units[None], R[None])[0] > tol
-        certificate = "residual-infeasible" if certified else "undecided"
+        certificate = "residual-infeasible" if _farkas_bound(units[None], R[None])[0] > tol else "undecided"
     return ScalabilityVerdict(
         False, None, certificate, result.residual, tuple(warnings), result.converged, result.iterations
     )

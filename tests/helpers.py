@@ -137,10 +137,13 @@ def reference_search_piecewise(frame, ranks=None, budget: int = 100, seed: int =
     """Sequential search_piecewise: every candidate through the solver, no screening.
 
     A copy of the search before candidates were screened in batches; the
-    differential tests compare the library's search against it.
+    differential tests compare the library's search against it.  Each
+    rank draws its candidates one by one from one generator
+    default_rng((seed, k)), so candidate c is block c of that stream, and
+    a rank-deficient block is a miss.
     """
     from framescale.piecewise import _complement_form, construct_r2, construct_r3
-    from framescale.projections import _random_projection
+    from framescale.projections import _projection_from_draw
 
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -176,9 +179,11 @@ def reference_search_piecewise(frame, ranks=None, budget: int = 100, seed: int =
             return built
         return None
     for k in valid:
-        for candidate in range(budget):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, k, candidate)))
-            P = _random_projection(rng, n, k)
+        rng = np.random.default_rng((seed, k))
+        for _ in range(budget):
+            P = _projection_from_draw(rng.standard_normal((n, k)))
+            if P is None:
+                continue
             ps = reference_disjoint_split_candidate(X, P, tol)
             if ps is not None and fs.verify_piecewise(fr, ps, tol).passed:
                 return ps

@@ -170,6 +170,17 @@ def test_iteration_cap_gives_undecided_not_infeasible():
     assert cone.iterations >= 1
 
 
+def test_capped_run_on_a_cone_is_certified():
+    # the Farkas bound holds for any NNLS weights, so one capped step on
+    # the cone family above already certifies it
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        random_onb_rows(rng, 3)
+    capped = fs.solve_standard_scaling(unit_rows(rng, 4, 3) * [1.0, 0.1, 0.1] + [1.0, 0.0, 0.0], max_iter=1)
+    assert not capped.feasible and capped.certificate == "residual-infeasible"
+    assert not capped.converged and capped.iterations == 1
+
+
 def test_residual_infeasible_only_where_scipy_cannot_scale():
     # an orthonormal basis of R^6 and a copy moved by 1e-7 scales (scipy
     # reaches about 1e-15), but NNLS stops above tol on near-duplicate

@@ -8,7 +8,7 @@ import pytest
 
 import framescale as fs
 import framescale.piecewise as pw
-from framescale.projections import _random_projection
+from framescale.projections import _projection_from_draw
 from helpers import (
     clustered_unit_frame,
     mercedes_frame,
@@ -50,9 +50,14 @@ CASES = _cases()
 EDGE_RANK_CASES = [i for i, (frame, ranks) in enumerate(CASES) if ranks in ({1}, {frame.dim - 1})]
 
 
-def _rng(seed: int, k: int, candidate: int) -> np.random.Generator:
-    # the seeding contract: candidate j of rank k draws from (seed, k, j)
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, k, candidate)))
+def _blocks(seed: int, k: int, n: int, count: int) -> np.ndarray:
+    # the seeding contract: candidate j of rank k is block j of one stream
+    return np.random.default_rng((seed, k)).standard_normal((count, n, k))
+
+
+def _first_rejected(X: np.ndarray, k: int) -> bool:
+    """Whether the screen rejects candidate 0 of rank k, seed 0."""
+    return bool(pw._rejected_draws(X, _blocks(0, k, X.shape[1], 1), TOL)[0])
 
 
 def _recording_survivors(monkeypatch) -> list[int]:
@@ -76,7 +81,7 @@ def _sampled_stage_only(monkeypatch) -> None:
 
 def _side_fixture(k: int, n: int, side_coords: np.ndarray, other_coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows with the given range and complement coordinates for candidate 0 of rank k, seed 0."""
-    B = np.linalg.qr(_rng(0, k, 0).standard_normal((n, k)), mode="complete")[0]
+    B = np.linalg.qr(_blocks(0, k, n, 1)[0], mode="complete")[0]
     return side_coords @ B[:, :k].T + other_coords @ B[:, k:].T, B
 
 
@@ -140,10 +145,9 @@ def test_every_screened_candidate_fails_the_solver(index):
     X = frame.vectors
     n = frame.dim
     for k in range(1, n):
-        rejected, G = pw._screen(X, k, index, range(40), TOL)
-        for c in np.nonzero(rejected)[0]:
-            assert np.array_equal(G[c], _rng(index, k, int(c)).standard_normal((n, k)))
-            assert reference_disjoint_split_candidate(X, _random_projection(_rng(index, k, int(c)), n, k), TOL) is None
+        G = _blocks(index, k, n, 40)
+        for g in G[pw._rejected_draws(X, G, TOL)]:
+            assert reference_disjoint_split_candidate(X, _projection_from_draw(g), TOL) is None
 
 
 def _arc_family(rng, m, arc):
@@ -164,7 +168,7 @@ def test_half_plane_rejection_is_sound():
                 # rank 2 in R^3: the complement side always scales, so the
                 # screen's verdict on candidate 0 is the half-plane test on V
                 X = _side_fixture(2, 3, V, rng.uniform(0.5, 2.0, (V.shape[0], 1)))[0]
-                if not pw._screen(X, 2, 0, range(1), TOL)[0][0]:
+                if not _first_rejected(X, 2):
                     kept += 1
                     continue
                 rejected += 1
@@ -253,7 +257,7 @@ def test_farkas_rejection_is_sound():
     for stack in _threshold_stacks():
         for V, bound in zip(stack, pw._farkas_margin(_units(stack))):
             X = _side_fixture(1, V.shape[1] + 1, rng.uniform(0.5, 2.0, (V.shape[0], 1)), V)[0]
-            if not pw._screen(X, 1, 0, range(1), TOL)[0][0]:
+            if not _first_rejected(X, 1):
                 kept += 1
                 continue
             rejected += 1
@@ -402,38 +406,33 @@ def test_shared_support_is_a_miss_after_two_solves(monkeypatch):
     assert pw._disjoint_split_candidate(X, P, TOL) is None and len(calls) == 2
 
 
-def test_screen_keeps_degenerate_and_rounding_level_sides(monkeypatch):
+def test_screen_keeps_degenerate_and_rounding_level_sides():
     X = clustered_unit_frame(np.random.default_rng(3), 4, 6, 0.02).vectors
-    assert pw._screen(X, 2, 0, range(16), TOL)[0].all()
-    # a draw with a dependent column is redrawn by _random_projection
-    def constant(words, n, k):
-        return np.ones((len(words), n, k))
-
-    with monkeypatch.context() as patch:
-        patch.setattr(pw, "_candidate_draws", constant)
-        assert not pw._screen(X, 2, 0, range(16), TOL)[0].any()
+    assert pw._rejected_draws(X, _blocks(0, 2, 4, 16), TOL).all()
+    # a block with a dependent column is a miss of the search, not of the screen
+    assert not pw._rejected_draws(X, np.ones((16, 4, 2)), TOL).any()
     # rank 2 in R^5: the range side is a cluster of doubled angles in
     # [0, 1], which only its two-dimensional side can reject, since the
     # complement coordinates e_1, e_2, e_3 scale
     theta = np.linspace(0.0, 0.5, 6)
     X, B = _side_fixture(2, 5, np.column_stack([np.cos(theta), np.sin(theta)]), np.tile(np.eye(3), (2, 1)))
-    assert pw._screen(X, 2, 0, range(1), TOL)[0][0]
+    assert _first_rejected(X, 2)
     # a frame vector inside the candidate's complement has no direction on
     # the range side, so the candidate is kept
-    assert not pw._screen(np.vstack([X, B[:, 2]]), 2, 0, range(1), TOL)[0][0]
+    assert not _first_rejected(np.vstack([X, B[:, 2]]), 2)
     # rank 1 in R^4: the three-dimensional complement side holds a cluster
     # around e_1, which the Farkas bound rejects; a vector inside the
     # range has a complement part at rounding level
     cluster = np.array([[1.0, 0.1, 0.0], [1.0, -0.1, 0.0], [1.0, 0.0, 0.1], [1.0, 0.0, -0.1]])
     X, B = _side_fixture(1, 4, np.ones((4, 1)), cluster)
-    assert pw._screen(X, 1, 0, range(1), TOL)[0][0]
-    assert not pw._screen(np.vstack([X, B[:, 0]]), 1, 0, range(1), TOL)[0][0]
+    assert _first_rejected(X, 1)
+    assert not _first_rejected(np.vstack([X, B[:, 0]]), 1)
     # e_1, e_2 and e_3 tilted by theta toward e_1 sit sqrt(2) theta from
     # scaling, and the screen rejects only a bound above 10 tol
     for theta, rejects in ((3e-8, False), (1e-6, True)):
         tilted = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [np.sin(theta), 0.0, np.cos(theta)]])
         X = _side_fixture(1, 4, np.ones((3, 1)), tilted)[0]
-        assert pw._screen(X, 1, 0, range(1), TOL)[0][0] == rejects
+        assert _first_rejected(X, 1) == rejects
 
 
 def test_chunked_screen_keeps_exactly_the_unrejected_candidates():
@@ -441,10 +440,22 @@ def test_chunked_screen_keeps_exactly_the_unrejected_candidates():
     X = frame.vectors
     for k in range(1, frame.dim):
         survivors = list(pw._surviving_candidates(X, k, 100, 9, TOL))
-        one_by_one = [pw._screen(X, k, 9, range(c, c + 1), TOL) for c in range(100)]
-        assert [c for c, _ in survivors] == [c for c in range(100) if not one_by_one[c][0][0]]
-        assert all(np.array_equal(G, one_by_one[c][1][0]) for c, G in survivors)
+        G = _blocks(9, k, frame.dim, 100)
+        one_by_one = [pw._rejected_draws(X, G[c : c + 1], TOL)[0] for c in range(100)]
+        assert [c for c, _ in survivors] == [c for c in range(100) if not one_by_one[c]]
+        assert all(np.array_equal(g, G[c]) for c, g in survivors)
         assert len(survivors) < 100
+
+
+def test_first_block_of_the_stream_is_pinned():
+    # candidate 0 of rank 2 in R^4, seed 0; a change of numpy's stream shows here
+    want = [
+        [-0.5998504999444954, -0.3505175280910633],
+        [-1.0038958719978983, 0.29056491451634336],
+        [-1.5641198470124649, -0.9617679017183549],
+        [-2.3442540545908086, -0.030541411967090967],
+    ]
+    assert np.array_equal(_blocks(0, 2, 4, 1)[0], want)
 
 
 # a one-element integer array is read as its element by SeedSequence
@@ -456,30 +467,18 @@ CONTRACT_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 11, np.int64(2**40
 @pytest.mark.parametrize("seed", CONTRACT_SEEDS)
 def test_batched_draws_keep_the_seeding_contract(seed, monkeypatch):
     # with nothing rejected, the search draws candidates 0..619 through
-    # chunks 16, 32, ..., 256 and seed blocks starting at 0, 240 and 496
+    # chunks 16, 32, ..., 256 and a last chunk of 124
     monkeypatch.setattr(pw, "_rejected_draws", lambda X, G, tol: np.zeros(len(G), dtype=bool))
     n, budget = 6, 620
     for k in range(1, n):
-        words = pw._candidate_seed_words(seed, k, range(budget))
-        want = [np.random.SeedSequence(entropy=(seed, k, c)).generate_state(4, np.uint64) for c in range(budget)]
-        assert np.array_equal(words, want)
         drawn = list(pw._surviving_candidates(np.eye(n), k, budget, seed, TOL))
         assert [c for c, _ in drawn] == list(range(budget))
-        want = [_rng(seed, k, c).standard_normal((n, k)) for c in range(budget)]
-        assert np.array_equal([G for _, G in drawn], want)
-
-
-@pytest.mark.parametrize("seed", [3, 2**40, 2**100 + 11])
-def test_seed_words_of_candidates_past_two_to_the_32(seed):
-    # such an index has a second entropy word, past the pool for large seeds
-    candidates = range(2**32 - 4, 2**32 + 4)
-    want = [np.random.SeedSequence(entropy=(seed, 2, c)).generate_state(4, np.uint64) for c in candidates]
-    assert np.array_equal(pw._candidate_seed_words(seed, 2, candidates), want)
+        assert np.array_equal([G for _, G in drawn], _blocks(seed, k, n, budget))
 
 
 @pytest.mark.parametrize("seed", [1.5, np.float64(2.0), np.array(3), np.bool_(True)])
 def test_non_integer_seeds_fail_as_the_seeding_contract_does(seed):
     with pytest.raises(TypeError) as contract:
-        _rng(seed, 2, 0)
+        np.random.default_rng((seed, 2))
     with pytest.raises(TypeError, match=re.escape(str(contract.value))):
         fs.search_piecewise(CASES[0][0], ranks={2}, seed=seed)

@@ -64,18 +64,40 @@ def test_greedy_selection_skips_excluded_rows():
 
 def test_starts_are_the_first_draws_of_the_seeding_contract(monkeypatch):
     rng = np.random.default_rng(8)
-    frame = random_unit_frame(rng, 5, 8)
+    frame = random_unit_frame(rng, 6, 9)
     starts = []
     monkeypatch.setattr(pw, "_solve_split", lambda system, Q, k, tol: starts.append((k, Q)))
     seed = 41
-    assert pw._orthogonal_split_route(frame, [1, 2, 3, 4], seed, TOL) is None
-    # nearest to n / 2 first, then every start of a rank before the next rank
-    assert [k for k, _ in starts] == [2, 2, 2, 3, 3, 3, 1, 1, 1, 4, 4, 4]
+    assert pw._orthogonal_split_route(frame, [1, 2, 3, 4, 5], seed, TOL) is None
+    # nearest to n / 2 first, then every start of a rank before the next
+    # rank; ranks 1 and 5 have more cosines than unknowns and are skipped
+    assert [k for k, _ in starts] == [3, 3, 3, 2, 2, 2, 4, 4, 4]
     for index, (k, Q) in enumerate(starts):
-        j = index % pw._SPLIT_STARTS
-        G = pw._candidate_rng(seed, k, j).standard_normal((5, k))
-        assert np.array_equal(G, pw._candidate_draws(pw._candidate_seed_words(seed, k, range(j, j + 1)), 5, k)[0])
+        # start j is block j of the rank's candidate stream
+        G = np.random.default_rng((seed, k)).standard_normal((pw._SPLIT_STARTS, 6, k))[index % pw._SPLIT_STARTS]
         assert np.array_equal(Q, np.linalg.qr(G, mode="complete")[0])
+
+
+def test_budget_bounds_the_starts_of_each_rank(monkeypatch):
+    rng = np.random.default_rng(8)
+    frame = random_unit_frame(rng, 5, 8)
+    assert not fs.solve_standard_scaling(frame).feasible and not fs.closeness_obstruction(frame).applicable_ranks
+    solved = []
+    monkeypatch.setattr(pw, "_solve_split", lambda system, Q, k, tol: solved.append(k))
+    for budget, starts in ((1, 1), (2, 2), (5, 3)):
+        solved.clear()
+        fs.search_piecewise(frame, budget=budget, seed=3)
+        assert solved == [2] * starts + [3] * starts
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_route_skips_ranks_with_more_cosines_than_unknowns(n, monkeypatch):
+    ranks = []
+    monkeypatch.setattr(pw, "_split_system", lambda V, k: ranks.append(k) or (lambda Q: None))
+    pw._orthogonal_split_route(random_unit_frame(np.random.default_rng(n), n, n + 2), range(1, n), 0, TOL)
+    square_or_under = {k for k in range(1, n) if k * (k - 1) // 2 + (n - k) * (n - k - 1) // 2 <= k * (n - k)}
+    assert set(ranks) == square_or_under
+    assert (1 in ranks) == (n <= 4)
 
 
 def _route_results(seed: int, count: int):
@@ -126,7 +148,9 @@ def test_route_never_solves_a_certified_rank(monkeypatch):
             fs.search_piecewise(frame, ranks=ranks, budget=4, seed=1)
             assert not set(solved) & certified
             if ranks is None:
-                assert solved  # the other ranks still reach the route
+                # at n = 4 the other ranks still reach the route; at n = 6
+                # they are 1 and 5, whose systems have more cosines than unknowns
+                assert solved if frame.dim == 4 else not set(solved) & {1, 5}
 
 
 @pytest.mark.parametrize("n", [4, 5])
