@@ -160,9 +160,10 @@ def _index_list(indices, m: int, what: str) -> list[int]:
 def construct_r2(frame, projection: OrthogonalProjection, tol: float = DEFAULT_TOL) -> PiecewiseScaling:
     """Scaling for a spanning family in R^2 under any non-trivial projection.
 
-    Finds indices i != j with P x_i and (I - P) x_j both nonzero and puts
-    reciprocal norms there; every spanning family admits such a pair, so
-    the result is an orthonormal basis of R^2.
+    Finds the first indices i != j with P x_i and (I - P) x_j both nonzero
+    and returns construct_from_orthogonal_split on S = {i}, T = {j}; every
+    spanning family admits such a pair, so the result is an orthonormal
+    basis of R^2.
     """
     X = as_vector_array(frame)
     m, n = X.shape
@@ -183,13 +184,8 @@ def construct_r2(frame, projection: OrthogonalProjection, tol: float = DEFAULT_T
         if yn[i] <= tol * xn[i]:
             continue
         for j in range(m):
-            if j == i or zn[j] <= tol * xn[j]:
-                continue
-            a = np.zeros(m)
-            b = np.zeros(m)
-            a[i] = 1.0 / yn[i]
-            b[j] = 1.0 / zn[j]
-            return PiecewiseScaling(projection, a, b)
+            if j != i and zn[j] > tol * xn[j]:
+                return construct_from_orthogonal_split(X, projection, [i], [j], tol)
     raise InternalInconsistencyError("no valid index pair exists for a spanning family")
 
 
@@ -206,7 +202,9 @@ def construct_from_orthogonal_split(
     nonzero vectors spanning the range of the projection, and likewise
     the complement parts on ``q_indices`` for the complementary range.
     Disjoint supports make the mixed term vanish structurally, so the
-    rescaled family is an orthonormal basis.
+    rescaled family is an orthonormal basis.  A part at most tol times its
+    vector's norm counts as numerically zero and raises ValueError, as does
+    a normalized overlap above tol.  Every explicit constructor ends here.
     """
     X = as_vector_array(frame)
     m, n = X.shape
@@ -229,33 +227,35 @@ def construct_from_orthogonal_split(
     xn = np.linalg.norm(X, axis=1)
     a = np.zeros(m)
     b = np.zeros(m)
-    _check_orthogonal_nonzero(Y[pidx], xn[pidx], tol, "projected p-side")
-    _check_orthogonal_nonzero(Z[qidx], xn[qidx], tol, "complement q-side")
-    for i in pidx:
-        a[i] = 1.0 / float(np.linalg.norm(Y[i]))
-    for j in qidx:
-        b[j] = 1.0 / float(np.linalg.norm(Z[j]))
+    a[pidx] = 1.0 / _check_orthogonal_nonzero(Y[pidx], xn[pidx], tol, "projected p-side")
+    b[qidx] = 1.0 / _check_orthogonal_nonzero(Z[qidx], xn[qidx], tol, "complement q-side")
     return PiecewiseScaling(projection, a, b)
 
 
-def _check_orthogonal_nonzero(rows: np.ndarray, scales: np.ndarray, tol: float, what: str) -> None:
+def _check_orthogonal_nonzero(rows: np.ndarray, scales: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """The norms of ``rows``, after checking they are nonzero and pairwise orthogonal."""
     norms = np.linalg.norm(rows, axis=1)
     small = np.nonzero(norms <= tol * np.maximum(scales, 1e-300))[0]
     if small.size:
         raise ValueError(f"{what} vector {int(small[0])} is numerically zero")
     if rows.shape[0] < 2:
-        return
+        return norms
     G = rows @ rows.T
     C = np.abs(G) / np.outer(norms, norms)
     np.fill_diagonal(C, 0.0)
     worst = float(C.max())
     if worst > tol:
         raise ValueError(f"{what} set is not orthogonal (worst normalized overlap {worst:.3e})")
+    return norms
 
 
 @dataclass(frozen=True)
 class R3Construction:
-    """A rank-1 scaling in R^3 together with its construction diagnostics."""
+    """A rank-1 scaling in R^3 together with its construction diagnostics.
+
+    ``norm_identity_residual`` is relative, |u^T u - e| / e with
+    e = 2 lam^2 (1 + overlap) + 1, since e reaches about 1e8 on clustered frames.
+    """
 
     scaling: PiecewiseScaling
     indices: tuple[int, int, int]
@@ -299,8 +299,9 @@ def construct_r3_detailed(frame, tol: float = DEFAULT_TOL) -> R3Construction:
     lam = sqrt(overlap / (1 - overlap^2)).  Projecting out span{u} with
     u = lam (x1 + x2) + z makes the complement parts of the pair
     orthogonal, while one of the two signs of lam keeps the third vector
-    visible on the projected side.  Constants are reciprocal norms,
-    rescaled so they apply to the original, unnormalized vectors.
+    visible on the projected side.  The scaling is
+    construct_from_orthogonal_split with P = span{u}, S the third index
+    and T the pair, so a numerically degenerate part raises ValueError.
     """
     X = as_vector_array(frame)
     m, n = X.shape
@@ -329,16 +330,15 @@ def construct_r3_detailed(frame, tol: float = DEFAULT_TOL) -> R3Construction:
     lam0 = float(np.sqrt(overlap / (1.0 - overlap**2)))
     u = None
     lam = 0.0
-    p_norm3 = 0.0
     for candidate in (lam0, -lam0):
         trial = candidate * (x1 + x2) + z
-        trial_norm3 = abs(float(x3 @ trial)) / float(np.linalg.norm(trial))
-        if trial_norm3 > tol:
-            u, lam, p_norm3 = trial, candidate, trial_norm3
+        if abs(float(x3 @ trial)) > tol * float(np.linalg.norm(trial)):
+            u, lam = trial, candidate
             break
     if u is None:
         raise ValueError("triple is numerically degenerate: the third vector hides from both mixings")
-    identity_residual = abs(float(u @ u) - (2.0 * lam * lam * (1.0 + overlap) + 1.0))
+    expected = 2.0 * lam * lam * (1.0 + overlap) + 1.0
+    identity_residual = abs(float(u @ u) - expected) / expected
     if identity_residual > tol:
         raise InternalInconsistencyError(
             f"mixing vector norm identity violated by {identity_residual:.3e}"
@@ -351,17 +351,8 @@ def construct_r3_detailed(frame, tol: float = DEFAULT_TOL) -> R3Construction:
         raise InternalInconsistencyError(
             f"complement parts of the pair are not orthogonal (residual {orth_residual:.3e})"
         )
-    q1n = float(np.linalg.norm(q1))
-    q2n = float(np.linalg.norm(q2))
-    if min(q1n, q2n) <= tol:
-        raise InternalInconsistencyError("complement part of the pair vanished")
-    a = np.zeros(m)
-    b = np.zeros(m)
-    b[sel[0]] = 1.0 / (q1n * norms[0])
-    b[sel[1]] = 1.0 / (q2n * norms[1])
-    a[sel[2]] = 1.0 / (p_norm3 * norms[2])
     return R3Construction(
-        scaling=PiecewiseScaling(P, a, b),
+        scaling=construct_from_orthogonal_split(X, P, sel[2:], sel[:2], tol),
         indices=sel,
         mixing_vector=_freeze(u),
         mixing_weight=lam,
@@ -378,7 +369,8 @@ def construct_r4_special(frame, indices, tol: float = DEFAULT_TOL) -> PiecewiseS
     x3 orthogonal to x4 while x1 is not.  Two successive complements
     produce an orthonormal pair (u, v) whose span projects x1, x2 to an
     orthogonal pair and leaves x3, x4 orthogonal on the complement side;
-    reciprocal norms then give an orthonormal basis.
+    construct_from_orthogonal_split with P = span{u, v}, S = {x1, x2} and
+    T = {x3, x4} then gives an orthonormal basis.
     """
     X = as_vector_array(frame)
     m, n = X.shape
@@ -411,23 +403,7 @@ def construct_r4_special(frame, indices, tol: float = DEFAULT_TOL) -> PiecewiseS
     if zn <= tol:
         raise ValueError("x2 lies in span{x1, x3, u}; the vectors are not in special position")
     v = zvec / zn
-    P = projection_from_basis([u, v])
-    if P.rank != 2:
-        raise InternalInconsistencyError("mixing pair failed to span a plane")
-    y1 = P.matrix @ x1
-    y2 = P.matrix @ x2
-    q3 = x3 - P.matrix @ x3
-    q4 = x4 - P.matrix @ x4
-    parts = [float(np.linalg.norm(t)) for t in (y1, y2, q3, q4)]
-    if min(parts) <= tol:
-        raise InternalInconsistencyError("a projected part vanished despite the position hypotheses")
-    a = np.zeros(m)
-    b = np.zeros(m)
-    a[idx[0]] = 1.0 / parts[0]
-    a[idx[1]] = 1.0 / parts[1]
-    b[idx[2]] = 1.0 / parts[2]
-    b[idx[3]] = 1.0 / parts[3]
-    return PiecewiseScaling(P, a, b)
+    return construct_from_orthogonal_split(X, projection_from_basis([u, v]), idx[:2], idx[2:], tol)
 
 
 def _complement_form(ps: PiecewiseScaling) -> PiecewiseScaling:
@@ -754,10 +730,10 @@ def search_piecewise(
 
     Strategy, in order: standard scalability (equal constants work with
     any projection), the dedicated constructors for dimensions two and
-    three (when they reject the input as numerically degenerate, the
-    search goes on), the orthogonal-split route, then a seeded sweep of
-    ``budget`` random projections per requested rank, each tried with a
-    disjoint-support feasibility split.  Candidate j of rank k is block j
+    three (when they reject the input as numerically degenerate or their
+    result fails verification, the search goes on), the orthogonal-split
+    route, then a seeded sweep of ``budget`` random projections per
+    requested rank, each tried with a disjoint-support feasibility split.  Candidate j of rank k is block j
     of default_rng((seed, k)).standard_normal((budget, n, k)), drawn in
     chunks from one generator per rank; a block depends on (seed, k, j)
     only, whatever the chunking, and a rank-deficient block is a miss.  A
@@ -824,23 +800,16 @@ def search_piecewise(
         if verify_piecewise(fr, ps, tol).passed:
             return ps
     if n <= 3:
+        # a numerically degenerate selection, like a failing result, goes on to the later routes
         try:
-            built = (
-                construct_r2(fr, canonical_projection([0], 2), tol)
-                if n == 2
-                else construct_r3(fr, tol)
-            )
+            built = construct_r2(fr, canonical_projection([0], 2), tol) if n == 2 else construct_r3(fr, tol)
         except ValueError:
-            # a numerically degenerate selection: try the sampled route
-            built = None
-        if built is not None:
-            if built.projection.rank not in valid:
-                if (n - built.projection.rank) not in valid:
-                    return None
+            pass
+        else:
+            if 1 not in valid:  # built has rank 1, and a valid set without 1 holds n - 1
                 built = _complement_form(built)
             if verify_piecewise(fr, built, tol).passed:
                 return built
-            return None
     from .obstructions import closeness_obstruction  # obstructions imports this module
 
     certified = closeness_obstruction(X).applicable_ranks

@@ -11,7 +11,7 @@ import framescale as fs
 import framescale.cli as cli
 from framescale.cli import main
 from framescale.fileio import load_report
-from helpers import r3_fixture, tilted_pair_frame
+from helpers import clustered_unit_frame, r3_fixture, tilted_pair_frame
 
 
 @pytest.fixture()
@@ -296,6 +296,18 @@ def test_internal_inconsistency_exit_code(workdir, capsys, monkeypatch):
         ["piecewise", workdir / "triple.csv", "--construct", "r3"], capsys
     )
     assert code == 3 and "internal inconsistency" in err
+
+
+def test_clustered_r3_frame_exits_zero(workdir, capsys):
+    # a clustered triple whose mixing vector has u^T u about 4.8e8: the
+    # r3 constructor's norm-identity check is relative, so rounding alone
+    # is no internal inconsistency
+    path = workdir / "clustered.csv"
+    fs.save_frame(clustered_unit_frame(np.random.default_rng(34), 3, 5, 5.6e-5), path)
+    for extra in ([], ["--construct", "r3"]):
+        code, report, err = run_cli(["piecewise", path, *extra], capsys)
+        assert code == 0, err
+        assert report["verdict"] == "found" and report["residuals"]["direct"] <= 5e-9
 
 
 def test_subprocess_entry_point(workdir):

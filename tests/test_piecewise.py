@@ -10,6 +10,7 @@ from helpers import (
     blocked_split_frame,
     clustered_unit_frame,
     r3_fixture,
+    r4_special_fixture,
     random_onb_rows,
     random_unit_frame,
     tilted_pair_frame,
@@ -363,6 +364,74 @@ def test_search_falls_through_when_the_r3_constructor_rejects(monkeypatch):
     found = fs.search_piecewise(frame, budget=50, seed=0)
     assert later, "the search stopped at the constructor"
     assert found is None or fs.verify_piecewise(frame, found).passed
+
+
+def test_search_falls_through_when_the_r3_constructor_fails_verification(monkeypatch):
+    # a constructor result that fails verify_piecewise is a miss of that
+    # route, like a ValueError, so the search must try the later routes
+    frame = random_unit_frame(np.random.default_rng(8), 3, 6)
+    assert not fs.solve_standard_scaling(frame.vectors).feasible
+    failing = fs.PiecewiseScaling(fs.canonical_projection([0], 3), np.zeros(6), np.zeros(6))
+    assert not fs.verify_piecewise(frame, failing).passed
+    monkeypatch.setattr(pw, "construct_r3", lambda *args: failing)
+    later = []
+    route = pw._orthogonal_split_route
+    monkeypatch.setattr(pw, "_orthogonal_split_route", lambda *args: later.append(args) or route(*args))
+    found = fs.search_piecewise(frame, seed=0)
+    assert later, "the search stopped at the failing constructor result"
+    assert found is not None and fs.verify_piecewise(frame, found).passed
+
+
+def test_clustered_r3_frame_is_scaled_not_an_internal_error():
+    # the pair overlap is 1 - 4.2e-9, so u^T u is about 4.8e8; an absolute
+    # norm-identity check fails on rounding alone, a relative one does not
+    frame = clustered_unit_frame(np.random.default_rng(34), 3, 5, 5.6e-5)
+    detail = fs.construct_r3_detailed(frame)
+    assert detail.mixing_vector @ detail.mixing_vector > 1e8
+    assert detail.norm_identity_residual <= 1e-14
+    found = fs.search_piecewise(frame, seed=0)
+    rep = fs.verify_piecewise(frame, found)
+    assert rep.passed and rep.direct_residual <= 5e-9
+
+
+def _same_scaling(got, want) -> bool:
+    return (
+        np.array_equal(got.a, want.a)
+        and np.array_equal(got.b, want.b)
+        and np.array_equal(got.projection.matrix, want.projection.matrix)
+    )
+
+
+def test_constructors_return_the_orthogonal_split_of_their_choice():
+    # every constructor picks P, S and T, and the constants are exactly
+    # what construct_from_orthogonal_split builds from them
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        frame = random_unit_frame(rng, 2, int(rng.integers(2, 6)))
+        for P in [fs.canonical_projection([0], 2), fs.canonical_projection([1], 2)] + [
+            fs.random_projection(2, 1, seed=int(rng.integers(0, 2**31))) for _ in range(3)
+        ]:
+            ps = fs.construct_r2(frame, P)
+            # the first i with a visible projected part, then the first j != i with a visible complement part
+            Y = frame.vectors @ P.matrix
+            xn = np.linalg.norm(frame.vectors, axis=1)
+            i = np.flatnonzero(np.linalg.norm(Y, axis=1) > 1e-8 * xn)[0]
+            j = [j for j in np.flatnonzero(np.linalg.norm(frame.vectors - Y, axis=1) > 1e-8 * xn) if j != i][0]
+            assert np.flatnonzero(ps.a).tolist() == [i] and np.flatnonzero(ps.b).tolist() == [j]
+            assert _same_scaling(ps, fs.construct_from_orthogonal_split(frame, P, [i], [j]))
+
+    frames = [r3_fixture()] + [random_unit_frame(rng, 3, int(rng.integers(3, 9))) for _ in range(30)]
+    for frame in frames:
+        detail = fs.construct_r3_detailed(frame)
+        sel = list(detail.indices)
+        want = fs.construct_from_orthogonal_split(frame, detail.scaling.projection, sel[2:], sel[:2])
+        assert _same_scaling(detail.scaling, want)
+        assert np.flatnonzero(detail.scaling.a).tolist() == sel[2:]
+        assert np.flatnonzero(detail.scaling.b).tolist() == sorted(sel[:2])
+
+    frame = r4_special_fixture()
+    ps = fs.construct_r4_special(frame, [0, 1, 2, 3])
+    assert _same_scaling(ps, fs.construct_from_orthogonal_split(frame, ps.projection, [0, 1], [2, 3]))
 
 
 def test_complement_form_swaps_sides():
