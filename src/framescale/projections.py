@@ -50,32 +50,18 @@ class OrthogonalProjection:
         return self.rank == 0 or self.rank == self.dim
 
 
-def _orthonormalize(columns: np.ndarray, drop_floor: float = 0.0) -> np.ndarray:
-    """Orthonormalize columns left to right, dropping dependent ones.
+def _span_basis(columns: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the span of the nonempty columns: the left
+    singular vectors whose singular value exceeds RANK_RTOL times the largest."""
+    U, s, _ = np.linalg.svd(columns, full_matrices=False)
+    return U[:, s > RANK_RTOL * s[0]]
 
-    Each kept column is orthogonalized twice against the running basis,
-    which keeps the output orthonormal near machine precision even for
-    nearly dependent inputs.  A column is dropped when its residual norm
-    falls below max(RANK_RTOL * input scale, drop_floor).
-    """
-    V = np.asarray(columns, dtype=float)
-    n = V.shape[0]
-    if V.size == 0:
-        return np.zeros((n, 0))
-    scale = float(np.linalg.norm(V, axis=0).max())
-    threshold = max(RANK_RTOL * scale, drop_floor)
-    kept: list[np.ndarray] = []
-    for j in range(V.shape[1]):
-        v = V[:, j].copy()
-        for _ in range(2):
-            for q in kept:
-                v -= (q @ v) * q
-        nv = float(np.linalg.norm(v))
-        if nv > threshold:
-            kept.append(v / nv)
-    if not kept:
-        return np.zeros((n, 0))
-    return np.column_stack(kept)
+
+def _range_basis(M: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of the symmetric projection matrix M:
+    its eigenvectors whose eigenvalue exceeds 1/2, largest first."""
+    w, V = np.linalg.eigh(M)
+    return V[:, w > 0.5][:, ::-1]
 
 
 def _symmetrized(M: np.ndarray) -> np.ndarray:
@@ -85,11 +71,11 @@ def _symmetrized(M: np.ndarray) -> np.ndarray:
 def projection_from_basis(vectors) -> OrthogonalProjection:
     """Orthogonal projection onto the span of the given vectors.
 
-    Dependent inputs are allowed and collapse; the rank is the dimension
-    of the span.
+    The range basis is their left singular vectors above RANK_RTOL times
+    the largest singular value, so dependent inputs collapse.
     """
     V = as_vector_array(vectors).T
-    B = _orthonormalize(V)
+    B = _span_basis(V)
     if B.shape[1] == 0:
         raise ValueError("cannot project onto the span of all-zero vectors")
     return OrthogonalProjection(_symmetrized(B @ B.T), B.shape[1], B)
@@ -112,37 +98,14 @@ def canonical_projection(indices: Iterable[int], n: int) -> OrthogonalProjection
     return OrthogonalProjection(M, len(idx), B)
 
 
-def _projection_range_basis(M: np.ndarray, rank: int, columns: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the range of the projection matrix M of known rank.
-
-    ``columns`` are columns of M in the order to try them.  Those left
-    shorter than 0.5 by the running basis are dropped, which keeps only
-    well-conditioned directions.  Column j of M has norm sqrt(M_jj), so
-    every column can fall below that floor (each column of q q^T for
-    q = (1, ..., 1)/sqrt(5) has norm 1/sqrt(5)); the basis is then the
-    eigenvectors of the ``rank`` largest eigenvalues of M instead.
-    """
-    B = _orthonormalize(columns, drop_floor=0.5)
-    if B.shape[1] < rank:
-        B = np.linalg.eigh(M)[1][:, ::-1][:, :rank]
-    return B
-
-
 def _complement_basis(range_basis: np.ndarray, n: int) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of col(range_basis).
-
-    Candidate directions are the columns of I - B B^T taken in order of
-    decreasing diagonal weight (ties by index), which makes the
-    completion deterministic.
-    """
-    B = np.asarray(range_basis, dtype=float)
-    M = np.eye(n) - B @ B.T
-    order = np.argsort(-np.diag(M), kind="stable")
-    return _projection_range_basis(M, n - B.shape[1], M[:, order])
+    """Orthonormal basis of the orthogonal complement of col(range_basis)."""
+    return _range_basis(np.eye(n) - range_basis @ range_basis.T)
 
 
 def complement(projection: OrthogonalProjection) -> OrthogonalProjection:
-    """The projection I - P onto the orthogonal complement of range(P)."""
+    """The projection I - P onto the orthogonal complement of range(P); its range
+    basis is the eigenvectors of I - B B^T (B that of P) with eigenvalue above 1/2."""
     n = projection.dim
     M = np.eye(n) - projection.matrix
     B = _complement_basis(projection.range_basis, n)
@@ -155,7 +118,7 @@ def complement(projection: OrthogonalProjection) -> OrthogonalProjection:
 
 def _projection_from_draw(G: np.ndarray) -> OrthogonalProjection | None:
     """Projection onto the span of the columns of G, or None when one drops."""
-    B = _orthonormalize(G)
+    B = _span_basis(G)
     if B.shape[1] != G.shape[1]:
         return None
     return OrthogonalProjection(_symmetrized(B @ B.T), B.shape[1], B)
@@ -196,7 +159,8 @@ def validate_projection(matrix, tol: float = DEFAULT_TOL) -> VerificationReport:
 
 
 def projection_from_matrix(matrix, tol: float = DEFAULT_TOL) -> OrthogonalProjection:
-    """Validate a raw matrix and attach its rank and range basis."""
+    """Validate a raw matrix and attach its rank, round(trace), and its range
+    basis, the eigenvectors with eigenvalue above 1/2; the two counts must agree."""
     report = validate_projection(matrix, tol)
     if not report.passed:
         raise ValueError(
@@ -204,9 +168,7 @@ def projection_from_matrix(matrix, tol: float = DEFAULT_TOL) -> OrthogonalProjec
         )
     M = _symmetrized(np.array(matrix, dtype=float))
     rank = int(round(float(np.trace(M))))
-    B = _projection_range_basis(M, rank, M)
+    B = _range_basis(M)
     if B.shape[1] != rank:
-        raise ValueError(
-            f"trace suggests rank {rank} but the column span has dimension {B.shape[1]}"
-        )
+        raise ValueError(f"trace suggests rank {rank} but {B.shape[1]} eigenvalues exceed 1/2")
     return OrthogonalProjection(M, rank, B)

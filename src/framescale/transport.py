@@ -76,7 +76,9 @@ def to_canonical(frame, ps: PiecewiseScaling) -> tuple[Frame, PiecewiseScaling]:
 
     The transported projection is snapped to the exact 0/1 diagonal once
     it sits within 1e-10 of it, so the output projection is exactly the
-    canonical one.
+    canonical one.  The moved frame is fixed only up to orthogonal
+    changes of basis within the range and within the complement: it
+    follows the eigenvector complement bases of ``framescale.projections``.
     """
     P = ps.projection
     target = canonical_projection(range(P.rank), P.dim)

@@ -111,11 +111,16 @@ def test_projection_basis_round_trip(seed):
     B = P.range_basis
     assert np.linalg.norm(B.T @ B - np.eye(k), "fro") <= 1e-12
     assert np.linalg.norm(P.matrix @ B - B, "fro") <= 1e-12
+    # the complement's basis is orthonormal and annihilated by the projection
+    C = fs.complement(P).range_basis
+    assert np.linalg.norm(C.T @ C - np.eye(n - k), "fro") <= 1e-12
+    assert np.linalg.norm(P.matrix @ C, "fro") <= 1e-12
 
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_complement_of_hyperplane_with_short_columns(n):
-    # every column of q q^T has norm 1/sqrt(n) < 1/2, below the drop floor
+    # every column of q q^T has norm 1/sqrt(n) < 1/2, so no single column of
+    # the complement's matrix is a well-conditioned basis direction
     q = np.ones(n) / np.sqrt(n)
     P = fs.projection_from_basis(np.linalg.qr(np.column_stack([q, np.eye(n)[:, : n - 1]]))[0][:, 1:].T)
     assert P.rank == n - 1
@@ -139,3 +144,22 @@ def test_transport_across_hyperplane_with_short_columns():
     U = fs.intertwiner(P, fs.canonical_projection(range(4), 5))
     assert np.linalg.norm(U.T @ U - np.eye(5), "fro") <= 1e-12
     assert np.linalg.norm(U @ P.matrix - np.diag([1.0, 1.0, 1.0, 1.0, 0.0]) @ U, "fro") <= 1e-12
+
+
+def test_basis_edge_cases():
+    # complements of the trivial projections: everything and nothing
+    everything = fs.complement(fs.canonical_projection([], 4))
+    assert everything.rank == 4 and everything.range_basis.shape == (4, 4)
+    assert np.linalg.norm(everything.range_basis.T @ everything.range_basis - np.eye(4), "fro") <= 1e-15
+    nothing = fs.complement(fs.canonical_projection(range(4), 4))
+    assert nothing.rank == 0 and nothing.range_basis.shape == (4, 0)
+
+    # a nearly dependent pair keeps both directions while its smaller singular
+    # value exceeds RANK_RTOL times the larger
+    assert fs.projection_from_basis([[1.0, 0.0, 0.0], [1.0, 1e-8, 0.0]]).rank == 2
+    assert fs.projection_from_basis([[1.0, 0.0, 0.0], [1.0, 1e-12, 0.0]]).rank == 1
+
+    # passes the residual test at tol 1, but trace 1.2 rounds to rank 1 while
+    # both eigenvalues exceed 1/2
+    with pytest.raises(ValueError):
+        fs.projection_from_matrix(np.diag([0.6, 0.6]), tol=1.0)
