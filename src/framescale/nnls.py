@@ -1,20 +1,25 @@
 """Nonnegative least squares by the classic active-set iteration.
 
-Each passive-set least squares step solves the normal equations
-A_P^T A_P z_P = (A^T b)_P, which costs a small Gram product and one
-dense solve instead of a full SVD-based ``lstsq`` of A_P.  Normal
-equations square the condition number, so one ``lstsq`` on the final
-passive set brings the result back to ``lstsq`` accuracy wherever that
-solution stays positive.
+The passive columns are kept as a thin QR factor A_P = Q R, updated as
+the passive set changes (Bro & de Jong 1997): an entering column is
+orthogonalized against Q by two classical Gram-Schmidt passes, and the
+columns a pull-back drops are deleted with one Householder QR of the
+part of R they leave untriangular.  With Q^T b and R^-1 kept beside Q,
+each passive-set step z_P = R^-1 Q^T b costs O(|P|^2).  QR least
+squares does not square the condition number, so no final ``lstsq`` is
+needed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .frames import _freeze
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -25,14 +30,87 @@ class NNLSResult:
     iterations: int
 
 
-def _passive_solution(A: np.ndarray, b: np.ndarray, Atb: np.ndarray, passive: np.ndarray) -> np.ndarray:
-    # least squares on the passive columns from the Gram system; lstsq
-    # only when that system is exactly singular
-    AP = A[:, passive]
-    try:
-        return np.linalg.solve(AP.T @ AP, Atb[passive])
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(AP, b, rcond=None)[0]
+class _PassiveFactor:
+    """Thin QR factor A_P = Q R of the passive columns of A, in the order they entered.
+
+    Row i of ``F`` holds row i of R, row i of R^-T, row i of Q^T and
+    (Q^T b)_i side by side, so one orthogonal transformation of its rows
+    updates all four.  ``F`` is sized for the largest passive set,
+    s = min(nrow, ncol); with k passive columns, the R and R^-T blocks
+    are zero outside their leading k x k corners.  ``floor`` holds each
+    column's rounding level, nrow * eps * ||a_j||.
+    """
+
+    def __init__(self, A: np.ndarray, b: np.ndarray, floor: np.ndarray):
+        self.A, self.b, self.floor = A, b, floor
+        self.s = min(A.shape)
+        self.cols: list[int] = []
+        self.F = np.zeros((self.s, 2 * self.s + A.shape[0] + 1))
+
+    def add(self, j: int) -> bool:
+        """Append column j by two classical Gram-Schmidt passes; False,
+        leaving the factor as it was, when the part of a_j outside the
+        passive span is at rounding level."""
+        k, s, F = len(self.cols), self.s, self.F
+        if k == s:
+            return False
+        Qt = F[:k, 2 * s : -1]
+        a = self.A[:, j]
+        coef = Qt @ a
+        v = a - coef @ Qt
+        again = Qt @ v
+        v -= again @ Qt
+        rho = math.sqrt(v @ v)
+        if rho <= self.floor[j]:
+            return False
+        coef += again
+        # [[R, c], [0, rho]]^-1 = [[R^-1, -R^-1 c / rho], [0, 1 / rho]]
+        row = F[k]
+        F[:k, k] = coef
+        row[k] = rho
+        np.matmul(coef * (-1.0 / rho), F[:k, s : s + k], out=row[s : s + k])
+        row[s + k] = 1.0 / rho
+        q = np.divide(v, rho, out=row[2 * s : -1])
+        row[-1] = q @ self.b
+        self.cols.append(j)
+        return True
+
+    def keep(self, passive: np.ndarray) -> None:
+        """Delete the columns no longer marked passive.
+
+        Without them R is still triangular before the first deleted
+        position i; when columns remain after i, one Householder QR of
+        R's rows and columns from i on, H = Q2 R2, restores the rest, and
+        Q2^T acts on those rows of Q^T, Q^T b and R^-T as well (the
+        columns of R^-T, rows of R^-1, are selected like those of R).
+        """
+        k, s, F = len(self.cols), self.s, self.F
+        kept = [p for p, j in enumerate(self.cols) if passive[j]]
+        n = len(kept)
+        if n == k:
+            return
+        i = next(p for p, j in enumerate(self.cols) if not passive[j])
+        for start in (0, s):
+            F[:k, start : start + n] = F[:k, [start + p for p in kept]]
+            F[:k, start + n : start + k] = 0.0
+        if i < n:
+            Q2 = np.linalg.qr(F[i:k, i:n], mode="complete")[0]
+            F[i:k] = Q2.T @ F[i:k]
+        F[n:k, : 2 * s] = 0.0
+        self.cols = [self.cols[p] for p in kept]
+
+    def solve(self) -> np.ndarray:
+        """Least squares coefficients z_P = R^-1 Q^T b, in the order of ``cols``."""
+        k, s = len(self.cols), self.s
+        return self.F[:k, -1] @ self.F[:k, s : s + k]
+
+
+def _no_descent(b: np.ndarray, grad: np.ndarray, passive: np.ndarray, colsq: np.ndarray, gtol: float) -> bool:
+    # the stop is optimal only if no free coordinate j could still lower
+    # the objective alone, by grad_j^2 / ||a_j||^2, by a measurable share
+    # of its value b^T b at x = 0
+    free = ~passive & (grad > gtol)
+    return not (grad[free] ** 2 > 1e-13 * float(b @ b) * colsq[free]).any()
 
 
 def nnls(A, b, max_iter: int | None = None) -> NNLSResult:
@@ -41,47 +119,52 @@ def nnls(A, b, max_iter: int | None = None) -> NNLSResult:
     The passive set grows by the most positive gradient coordinate; the
     unconstrained least squares solution on it is pulled back toward
     feasibility whenever a passive coordinate would go negative.  Each
-    such solve uses the normal equations on the passive set, with A^T b
-    computed once per call.  ``max_iter`` caps the total number of these
-    solves (default ``50 * ncols``); on cap overflow the best iterate
-    found so far is returned with ``converged=False``.  A pass without
-    measurable progress also stops the run, and is ``converged`` only
-    when no free coordinate alone could still lower the objective by a
-    measurable share of b^T b; otherwise the stall is reported as
-    ``converged=False``.
-
-    The result is then polished by one ``lstsq`` on the final passive
-    set, kept only when it is positive there and does not raise the
-    residual; the polish is not counted in ``iterations``.
+    such solve comes from the updated QR factor of the passive columns.
+    ``max_iter`` caps the total number of these solves (default
+    ``50 * ncols``); on cap overflow the best iterate found so far is
+    returned with ``converged=False``.  A pass without measurable
+    progress also stops the run, and so does an entering column that lies
+    within rounding of the span of the passive ones; either stall is
+    ``converged`` only when no free coordinate alone could still lower
+    the objective by a measurable share of b^T b, and ``converged=False``
+    otherwise.  A or b with a non-finite entry raises ``ValueError``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
     if A.ndim != 2 or b.shape[0] != A.shape[0]:
         raise ValueError(f"incompatible shapes A={A.shape}, b={b.shape}")
+    for name, value in (("A", A), ("b", b)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} has non-finite entries")
     nrow, ncol = A.shape
     if max_iter is None:
         max_iter = 50 * ncol
     x = np.zeros(ncol)
     passive = np.zeros(ncol, dtype=bool)
-    Atb = A.T @ b
-    gtol = 1e-12 * max(1.0, float(np.abs(Atb).max(initial=0.0)))
-    eps = float(np.finfo(float).eps)
+    colsq = np.einsum("ij,ij->j", A, A)
+    factor = _PassiveFactor(A, b, nrow * _EPS * np.sqrt(colsq))
+    grad = A.T @ b
+    gtol = 1e-12 * max(1.0, float(np.abs(grad).max(initial=0.0)))
     objective = float(b @ b)
-    converged = False
+    # with no columns x = 0 is the optimum
+    converged = ncol == 0
     iters = 0
-    while True:
-        grad = A.T @ (b - A @ x)
+    while not converged:
         grad[passive] = -np.inf
-        j = int(np.argmax(grad))
-        if not np.isfinite(grad[j]) or grad[j] <= gtol:
+        j = int(grad.argmax())
+        if not gtol < grad[j] < np.inf:
             converged = True
+            break
+        if not factor.add(j):
+            converged = _no_descent(b, grad, passive, colsq, gtol)
             break
         passive[j] = True
         while iters < max_iter:
             iters += 1
+            zP = factor.solve()
             z = np.zeros(ncol)
-            z[passive] = _passive_solution(A, b, Atb, passive)
-            if z[passive].size == 0 or z[passive].min() > 0.0:
+            z[factor.cols] = zP
+            if zP.size == 0 or zP.min() > 0.0:
                 x = z
                 break
             shrink = passive & (z <= 0.0)
@@ -91,29 +174,19 @@ def nnls(A, b, max_iter: int | None = None) -> NNLSResult:
             x = x + alpha * (z - x)
             # coordinates pulled to the boundary land at rounding level,
             # not exactly at zero; clip them so the passive set shrinks
-            boundary = 10.0 * max(nrow, ncol) * eps * max(1.0, float(np.abs(x).max(initial=0.0)))
+            boundary = 10.0 * max(nrow, ncol) * _EPS * max(1.0, float(np.abs(x).max(initial=0.0)))
             passive &= x > boundary
             x[~passive] = 0.0
+            factor.keep(passive)
         if iters >= max_iter:
             break
-        r = A @ x - b
+        r = b - A @ x
+        grad = A.T @ r
         new_objective = float(r @ r)
         if new_objective > objective * (1.0 - 1e-13):
-            # no measurable progress this pass: rounding noise would cycle.
-            # The stop is optimal only if no free coordinate j could still
-            # lower the objective alone, by grad_j^2 / ||a_j||^2, by a
-            # measurable share of its value b^T b at x = 0
-            grad = -(A.T @ r)
-            free = ~passive & (grad > gtol)
-            descent = grad[free] ** 2 > 1e-13 * float(b @ b) * (A[:, free] ** 2).sum(axis=0)
-            converged = not descent.any()
+            # no measurable progress this pass: rounding noise would cycle
+            converged = _no_descent(b, grad, passive, colsq, gtol)
             break
         objective = new_objective
     residual = float(np.linalg.norm(A @ x - b))
-    if passive.any():
-        polished = np.zeros(ncol)
-        polished[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
-        polished_residual = float(np.linalg.norm(A @ polished - b))
-        if polished[passive].min() > 0.0 and polished_residual <= residual:
-            x, residual = polished, polished_residual
     return NNLSResult(x=_freeze(x), residual=residual, converged=converged, iterations=iters)

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import framescale as fs
-from framescale.nnls import nnls
+from framescale.nnls import _PassiveFactor, nnls
 from framescale.scaling import _gram_columns, _vech
 from helpers import clustered_unit_frame, cone_rows, random_onb_rows, reference_nnls, scalable_rows, unit_rows
 
@@ -49,6 +49,26 @@ def test_iteration_cap_reports_not_converged():
 def test_shape_validation():
     with pytest.raises(ValueError):
         nnls(np.eye(3), np.ones(2))
+
+
+def test_no_columns_gives_the_empty_optimum():
+    b = np.array([1.0, -2.0, 2.0])
+    res = nnls(np.zeros((3, 0)), b)
+    assert res.x.shape == (0,) and res.converged and res.iterations == 0
+    assert res.residual == 3.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises(bad):
+    A = np.eye(3)
+    b = np.ones(3)
+    A_bad, b_bad = A.copy(), b.copy()
+    A_bad[1, 2] = bad
+    b_bad[0] = bad
+    with pytest.raises(ValueError, match="A has non-finite"):
+        nnls(A_bad, b)
+    with pytest.raises(ValueError, match="b has non-finite"):
+        nnls(A, b_bad)
 
 
 def test_known_degenerate_instance_reaches_the_optimum():
@@ -122,7 +142,7 @@ def _scipy_residual(A, b):
 
 
 def _stressed_frames():
-    """Seeded families whose scaling systems stress the solver: n up to 24, m in the hundreds."""
+    """Seeded families whose scaling systems stress the solver: n up to 24, m up to 800."""
     rng = np.random.default_rng(20261018)
     frames = [("random", unit_rows(rng, m, n)) for n, m in ((6, 30), (10, 80), (16, 150), (20, 250), (24, 120))]
     frames += [("scalable", scalable_rows(rng, n, k)) for n, k in ((6, 5), (12, 8), (16, 10), (24, 3))]
@@ -143,28 +163,29 @@ def _stressed_frames():
         else:
             X = clustered_unit_frame(rng, n, int(rng.integers(n, 4 * n + 50)), 10.0 ** -rng.integers(2, 8)).vectors
         frames.append((kind, X))
+    # tall systems, m >> nrow, where the passive set can fill every row
+    frames += [("tall", unit_rows(rng, m, n)) for n, m in ((4, 800), (8, 600), (16, 800))]
     return frames
 
 
-def _counting_solve(monkeypatch):
-    # counts the Gram solves and the ones that raise, which fall back to lstsq
-    counts = {"solves": 0, "singular": 0}
-    solve = np.linalg.solve
+def _counting_add(monkeypatch):
+    # counts the columns offered to the passive factor and the ones it
+    # refuses as lying within rounding of the passive span
+    counts = {"adds": 0, "dependent": 0}
+    add = _PassiveFactor.add
 
-    def counting(*args, **kwargs):
-        counts["solves"] += 1
-        try:
-            return solve(*args, **kwargs)
-        except np.linalg.LinAlgError:
-            counts["singular"] += 1
-            raise
+    def counting(self, j):
+        counts["adds"] += 1
+        taken = add(self, j)
+        counts["dependent"] += not taken
+        return taken
 
-    monkeypatch.setattr(np.linalg, "solve", counting)
+    monkeypatch.setattr(_PassiveFactor, "add", counting)
     return counts
 
 
 def test_differential_against_lstsq_solver_at_stressed_sizes(monkeypatch):
-    """The Gram-based solver against the lstsq Lawson-Hanson it replaced.
+    """The QR-updated solver against the per-step lstsq Lawson-Hanson.
 
     It must reach the KKT point, be no worse than scipy, and give the
     same feasibility verdict wherever the reference residual is not
@@ -172,7 +193,8 @@ def test_differential_against_lstsq_solver_at_stressed_sizes(monkeypatch):
     rounding, not a defect.
     """
     tol = fs.DEFAULT_TOL
-    counts = _counting_solve(monkeypatch)
+    counts = _counting_add(monkeypatch)
+    full = 0
     for index, (kind, X) in enumerate(_stressed_frames()):
         A = _gram_columns(X)
         b = _vech(np.eye(X.shape[1]))
@@ -185,9 +207,12 @@ def test_differential_against_lstsq_solver_at_stressed_sizes(monkeypatch):
         assert got.residual <= _scipy_residual(A, b) + 1e-9, where
         if not tol / 10 <= ref.residual <= 10 * tol:
             assert (got.residual <= tol) == (ref.residual <= tol), where
-    # the lstsq fallback inside the loop is for exactly singular Gram
-    # systems only; this set meets none in about 3650 solves
-    assert counts["singular"] <= counts["solves"] // 1000, counts
+        full += np.count_nonzero(got.x) == A.shape[0]
+    # some runs end with a full factor, |P| = nrow
+    assert full >= 1
+    # a column refused as dependent ends the run as a stall; this set
+    # meets none in about 3500 column additions
+    assert counts["dependent"] <= counts["adds"] // 1000, counts
 
 
 def test_basis_plus_perturbed_copy_matches_the_reference():
@@ -212,9 +237,9 @@ def test_basis_plus_perturbed_copy_matches_the_reference():
 
 
 def test_polish_never_raises_the_residual():
-    # the final lstsq is kept only when it is positive on the passive set
-    # and does not raise the residual, so the result is never worse than
-    # the reference on the degenerate columns the hypothesis tests use
+    # on the degenerate columns the hypothesis tests use, the reported
+    # residual is that of the returned x and never worse than the
+    # reference's, with no final lstsq on the passive set
     rng = np.random.default_rng(11)
     for _ in range(200):
         A = rng.standard_normal((int(rng.integers(2, 10)), int(rng.integers(1, 8))))
@@ -226,9 +251,9 @@ def test_polish_never_raises_the_residual():
 
 
 def test_polish_restores_lstsq_accuracy():
-    # columns a1 and a1 + 1e-5 a2: the Gram system has condition ~1e20
-    # relative to lstsq's 1e10, so without the final lstsq the solution
-    # is off by about 1e-5 and the residual by about 1e-10
+    # columns a1 and a1 + 1e-5 a2: normal equations would square the
+    # condition number and leave the solution off by about 1e-5 and the
+    # residual by about 1e-10; the QR factor keeps lstsq accuracy
     rng = np.random.default_rng(0)
     x_true = np.array([1.0, 2.0, 0.5])
     for _ in range(3):
@@ -239,17 +264,30 @@ def test_polish_restores_lstsq_accuracy():
         assert np.abs(got.x - x_true).max() <= 1e-9
 
 
-def test_singular_gram_system_falls_back_to_lstsq(monkeypatch):
-    # with every Gram solve singular each step is the reference's lstsq step
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("Singular matrix")
+def test_dependent_entering_column_is_a_judged_stall(monkeypatch):
+    # once the factor holds nrow columns every column lies in its span.  A
+    # column of norm 1e8 orthogonal to b then has a gradient of rounding
+    # size times 1e8, above gtol, and is offered: the run stops there and
+    # the descent test finds nothing left to gain
+    counts = _counting_add(monkeypatch)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        P = rng.uniform(0.5, 2.0, (4, 4)) + 3.0 * np.eye(4)
+        b = P @ rng.uniform(0.5, 1.5, 4)
+        u = rng.standard_normal(4)
+        u -= (u @ b) / (b @ b) * b
+        u *= 1e8 / np.linalg.norm(u)
+        res = nnls(np.column_stack([P, u, -u]), b)
+        assert res.converged and res.residual <= 1e-12
+    assert counts["dependent"] >= 1, counts
 
-    rng = np.random.default_rng(5)
-    cases = [(rng.standard_normal((9, 6)), rng.standard_normal(9)) for _ in range(20)]
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    for A, b in cases:
-        got = nnls(A, b)
-        ref = reference_nnls(A, b)
-        assert got.iterations == ref.iterations and got.converged == ref.converged
-        assert abs(got.residual - ref.residual) <= 1e-12
-        assert kkt_gap(A, b, got.x) <= 1e-9
+    # a refused column with descent left is a stall that is not converged
+    add = _PassiveFactor.add
+
+    def refuse_second(self, j):
+        return not self.cols and add(self, j)
+
+    monkeypatch.setattr(_PassiveFactor, "add", refuse_second)
+    res = nnls(np.eye(3), np.ones(3))
+    assert not res.converged and res.iterations == 1
+    assert np.array_equal(res.x, [1.0, 0.0, 0.0]) and res.residual == np.sqrt(2.0)

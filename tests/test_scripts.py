@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts with tiny arguments, and of the README's
 library example, so they cannot rot unseen."""
 
+import json
 import re
 import runpy
 from pathlib import Path
@@ -45,3 +46,16 @@ def test_readme_library_example_runs():
     section = readme.split("## Library example", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md (Library example)", "exec"), {})
+
+
+def test_nnls_layer_bench_smoke(tmp_path):
+    out = tmp_path / "BENCH_nnls.json"
+    report = _run("nnls_layer_bench.py")(str(ROOT / "src"), rounds=1, out=out, cycles=1, search_frames=2)
+    assert json.loads(out.read_text()) == report
+    shapes = [f"{kind} n={n}" for n in (12, 16, 20) for kind in ("scalable", "random", "cone")]
+    shapes += [f"tall n={n}" for n in (4, 8, 16)] + [f"search d={d}" for d in range(2, 6)]
+    assert list(report["shapes"]) == shapes
+    for label in ("current", "baseline"):
+        assert list(report["results"][label]) == shapes
+        assert all(0.0 < row["q1"] <= row["median"] <= row["q3"] for row in report["results"][label].values())
+    assert set(report["current_over_baseline"]) == set(shapes)
