@@ -97,21 +97,41 @@ def _quartiles(values: list[float]) -> dict[str, float]:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def run(src: str | None, rounds: int, out: Path, cycles: int = LARGE_CYCLES, search_frames: int = SEARCH_FRAMES) -> dict:
+def _host() -> dict:
+    return {
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas_threads": 1,
+    }
+
+
+def _alternate(src: str | None, rounds: int, worker: str, path: Path) -> dict[str, list[dict[str, float]]]:
+    """Run ``worker`` on ``path`` in a fresh process per round and tree, alternating which tree runs first.
+
+    The trees are this checkout's ``src`` ("current") and, with ``src``, the
+    package directory ``src`` ("baseline").  The worker is Python source
+    that receives the tree, this directory and ``path`` as argv[1:4] and
+    prints a JSON object of times; the result lists each tree's objects,
+    one per round.
+    """
     trees = {"current": str(ROOT / "src")}
     if src is not None:
         trees["baseline"] = str(Path(src).resolve())
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "systems.npz"
-        shapes = build_systems(path, cycles, search_frames)
-        per_round: dict[str, list[dict[str, float]]] = {label: [] for label in trees}
-        for index in range(rounds):
-            order = list(trees) if index % 2 == 0 else list(trees)[::-1]
-            for label in order:
-                argv = [sys.executable, "-c", WORKER, trees[label], str(ROOT / "scripts"), str(path)]
-                done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-                per_round[label].append(json.loads(done.stdout.splitlines()[-1]))
+    per_round: dict[str, list[dict[str, float]]] = {label: [] for label in trees}
+    for index in range(rounds):
+        order = list(trees) if index % 2 == 0 else list(trees)[::-1]
+        for label in order:
+            argv = [sys.executable, "-c", worker, trees[label], str(ROOT / "scripts"), str(path)]
+            done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+            per_round[label].append(json.loads(done.stdout.splitlines()[-1]))
+    return per_round
+
+
+def _summary(per_round: dict[str, list[dict[str, float]]], shapes: dict[str, list[str]]) -> dict:
+    """Median and quartiles over rounds of each shape's mean time, and the current/baseline ratios."""
     results = {
         label: {
             key: _quartiles([statistics.fmean(times[name] for name in names) for times in runs])
@@ -119,25 +139,27 @@ def run(src: str | None, rounds: int, out: Path, cycles: int = LARGE_CYCLES, sea
         }
         for label, runs in per_round.items()
     }
+    summary = {"shapes": {key: len(names) for key, names in shapes.items()}, "results": results}
+    if "baseline" in results:
+        summary["current_over_baseline"] = {
+            key: round(results["current"][key]["median"] / results["baseline"][key]["median"], 3) for key in shapes
+        }
+    return summary
+
+
+def run(src: str | None, rounds: int, out: Path, cycles: int = LARGE_CYCLES, search_frames: int = SEARCH_FRAMES) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "systems.npz"
+        shapes = build_systems(path, cycles, search_frames)
+        per_round = _alternate(src, rounds, WORKER, path)
     report = {
         "script": "scripts/nnls_layer_bench.py",
         "unit": "ms per nnls call, fastest of 5 per system: median and quartiles over rounds of each shape's mean",
         "rounds": rounds,
         "seed": SEED,
-        "host": {
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "blas_threads": 1,
-        },
-        "shapes": {key: len(names) for key, names in shapes.items()},
-        "results": results,
+        "host": _host(),
+        **_summary(per_round, shapes),
     }
-    if "baseline" in results:
-        report["current_over_baseline"] = {
-            key: round(results["current"][key]["median"] / results["baseline"][key]["median"], 3) for key in shapes
-        }
     out.write_text(json.dumps(report, indent=2) + "\n")
     return report
 

@@ -43,8 +43,10 @@ class ObstructionReport:
 
 # cells (rows x vectors in the screen, rows x vectors x coordinates in the
 # exact pass) one block of the distance kernel holds; a block's temporaries
-# peak near 16 bytes per cell
-_BLOCK_CELLS = 2**20
+# peak near 16 bytes per cell, 1 MB at 2^16 cells, which fits a 2 MB
+# per-core L2 cache; on such an x86-64 host, with BLAS on one thread,
+# 2^20-cell blocks ran the screen two to three times slower at m = 1500
+_BLOCK_CELLS = 2**16
 
 # below this many cells the exact pass over every row costs less than the
 # screen's extra numpy calls
@@ -58,15 +60,15 @@ def _screened_rows(X: np.ndarray) -> np.ndarray:
     # scales the rounding bound to the cluster instead of the norms
     Y = X - X[0]
     sq = np.einsum("ij,ij->i", Y, Y)
+    ones = np.ones(m)
+    # row i of left against row j of right is ||y_i||^2 + ||y_j||^2 - 2 <y_i, y_j>
+    left = np.column_stack([-2.0 * Y, sq, ones])
+    right = np.column_stack([Y, ones, sq])
     screened = np.empty(m)
     step = max(1, _BLOCK_CELLS // m)
     for start in range(0, m, step):
         block = slice(start, start + step)
-        d2 = Y[block] @ Y.T
-        d2 *= -2.0
-        d2 += sq[block, None]
-        d2 += sq
-        screened[block] = d2.max(axis=1)
+        (left[block] @ right.T).max(axis=1, out=screened[block])
     fl = np.finfo(float)
     delta = 8.0 * (n + 4) * (fl.eps * float(sq.max()) + fl.tiny)
     cut = float(screened.max()) - 2.0 * delta
@@ -97,36 +99,56 @@ def _max_pair_distance(X: np.ndarray) -> tuple[float, tuple[int, int]]:
     Bit-identical to the maximum and argmax of
     ``np.sqrt(((X[:, None, :] - X[None, :, :])**2).sum(-1))``, but never
     builds that (m, m, n) array.  The screen centres the rows, y_i =
-    x_i - x_0, and takes every row's largest
-    d^2 = ||y_i||^2 + ||y_j||^2 - 2 <y_i, y_j> from ``Y[block] @ Y.T`` in
-    row blocks of about _BLOCK_CELLS cells.  With R^2 = max ||y_i||^2 and
-    unit roundoff u = eps / 2, rounding the y_i moves d^2 by at most
-    8 u R^2, the Gram formula adds at most (4n + 7) u R^2 and the
-    difference formula's d^2 lies within (4n + 8) u R^2 of the exact
-    value, for any summation order, so the two differ by less than half
-    of delta = 8 (n + 4) (eps R^2 + tiny), where tiny (the smallest
-    normal float) covers underflow.  Only rows whose screened maximum lies
-    within 2 delta of the top can hold the maximum; the slack beyond the
-    rounding bound keeps every other row's rounded square root strictly
-    below it.  Those rows are recomputed with the difference formula in
-    blocks of about _BLOCK_CELLS cells, so memory stays O(m) plus one
-    block.
+    x_i - x_0, with s_i the computed ||y_i||^2, and takes each squared
+    distance d^2 = ||y_i||^2 + ||y_j||^2 - 2 <y_i, y_j> as one
+    (n + 2)-term dot product: row i of [-2Y, s, 1] against row j of
+    [Y, 1, s].  So a row block of about _BLOCK_CELLS cells costs one GEMM
+    and one row maximum.
+
+    Rounding bound.  With R^2 = max s_i and unit roundoff u = eps / 2,
+    to first order in u and for any summation order, with or without
+    fused multiply-adds:
+
+    - rounding the y_i moves d^2 by at most 8 u R^2;
+    - each s_i lies within n u R^2 of ||y_i||^2, which moves d^2 by at
+      most 2n u R^2;
+    - -2 y_ik is exact, and the dot product's terms have absolute sum at
+      most 2 ||y_i|| ||y_j|| + s_i + s_j <= 4 R^2, so its rounding adds
+      at most 4 (n + 2) u R^2;
+    - the exact pass's difference formula lies within (4n + 8) u R^2 of
+      the true d^2 <= 4 R^2.
+
+    A screened value and the exact pass's d^2 of the same pair therefore
+    differ by at most B = (10n + 24) u R^2.  Two d^2 whose rounded square
+    roots both equal the maximum M <= 2R differ by at most
+    2 ulp(M) M <= 4 u M^2 <= S = 16 u R^2.  So the top screened value
+    exceeds that of any row holding the maximum by at most
+    2B + S = (20n + 64) u R^2, below 2 delta = (32n + 128) u R^2 with
+    delta = 8 (n + 4) (eps R^2 + tiny); the margin covers the
+    second-order terms, and tiny (the smallest normal float) covers
+    underflow.  Only rows whose screened maximum lies within 2 delta of
+    the top can hold the maximum.  Those rows are recomputed with the
+    difference formula in blocks of about _BLOCK_CELLS cells, so memory
+    stays O(m n) plus one block.
+
     Inputs of at most _DIRECT_CELLS cells, and screens that overflow,
-    recompute every row.  When the re-checked rows fill more than one
-    block, exact copies of a row are re-checked once, at their first
-    occurrence (see _exact_rows).
+    recompute every row; overflow there is expected, so it raises no
+    warning.  When the re-checked rows fill more than one block, exact
+    copies of a row are re-checked once, at their first occurrence (see
+    _exact_rows).
     """
     m, n = X.shape
     step = max(1, _BLOCK_CELLS // (m * n))
-    rows = _exact_rows(X, step)
     best, pair = -np.inf, (0, 0)
-    for start in range(0, rows.size, step):
-        chunk = rows[start : start + step]
-        dist = np.sqrt(((X[chunk, None, :] - X[None, :, :]) ** 2).sum(-1))
-        flat = int(np.argmax(dist))
-        # strictly greater: an earlier row keeps a tie, as argmax would
-        if dist.flat[flat] > best:
-            best, pair = float(dist.flat[flat]), (int(chunk[flat // m]), flat % m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _exact_rows(X, step)
+        for start in range(0, rows.size, step):
+            chunk = rows[start : start + step]
+            dist = np.sqrt(((X[chunk, None, :] - X[None, :, :]) ** 2).sum(-1))
+            flat = int(np.argmax(dist))
+            # strictly greater: an earlier row keeps a tie, as argmax would
+            if dist.flat[flat] > best:
+                best, pair = float(dist.flat[flat]), (int(chunk[flat // m]), flat % m)
     return best, pair
 
 
@@ -134,9 +156,9 @@ def pairwise_closeness(frame) -> float:
     """Largest pairwise distance max_{i != j} ||x_i - x_j||.
 
     Computed by the blocked kernel described in ``closeness_obstruction``:
-    a Gram-matrix screen in row blocks, then an exact re-check of the
-    rows within 2 delta of the screened top, in O(m) memory plus one
-    block.
+    a screen of squared distances, one GEMM per row block, then an exact
+    re-check of the rows within 2 delta of the screened top, in O(m n)
+    memory plus one block.
     """
     X = as_vector_array(frame)
     if X.shape[0] < 2:
@@ -145,7 +167,9 @@ def pairwise_closeness(frame) -> float:
 
 
 def _unit_norm_deviation(X: np.ndarray) -> float:
-    return float(np.abs(np.linalg.norm(X, axis=1) - 1.0).max())
+    # a row whose squared norm overflows lies infinitely far from unit norm
+    with np.errstate(over="ignore"):
+        return float(np.abs(np.linalg.norm(X, axis=1) - 1.0).max())
 
 
 def dichotomy_check(frame, projection: OrthogonalProjection, epsilon: float) -> str:
@@ -196,14 +220,15 @@ def closeness_obstruction(frame) -> ObstructionReport:
     strict, and both gates also require unit norms within 1e-8.
 
     The radius max ||x_i - x_j|| and ``detail["max_pair"]`` come from a
-    blocked kernel: a screen of every row's largest squared distance
-    through the Gram matrix, in row blocks, then an exact re-check with
-    the difference formula of the rows whose screened maximum lies
-    within 2 delta of the top, where delta = 8 (n + 4) (eps R^2 + tiny)
-    bounds the rounding gap between the two formulas (R the largest
-    distance from x_0).  The result is bit-identical to the full (m, m, n) broadcast
-    and its first argmax, and memory stays O(m) plus one block of about
-    2^20 cells.
+    blocked kernel: a screen of every row's largest squared distance,
+    one GEMM of the centred rows with their squared norms appended per
+    row block, then an exact re-check with the difference formula of the
+    rows whose screened maximum lies within 2 delta of the top, where
+    delta = 8 (n + 4) (eps R^2 + tiny) covers the rounding gap between
+    the two formulas (R the largest distance from x_0; the derivation is
+    in ``_max_pair_distance``).  The result is bit-identical to the full
+    (m, m, n) broadcast and its first argmax, and memory stays O(m n)
+    plus one block of about 2^16 cells.
     """
     X = as_vector_array(frame)
     m, n = X.shape

@@ -41,9 +41,12 @@ def test_pairwise_closeness_perturbation_bound():
     assert fs.pairwise_closeness(np.array(rows)) <= 0.02
 
 
+_DISTANCE_SHAPES = ((2, 2), (2, 7), (3, 3), (17, 4), (60, 8), (150, 13), (300, 20))
+
+
 def _distance_cases(rng):
-    """(label, X) pairs covering the kernel's screen, ties and degenerate inputs."""
-    for m, n in ((2, 2), (2, 7), (3, 3), (17, 4), (60, 8), (150, 13), (300, 20)):
+    """(label, X) pairs covering the kernel's screen, ties, overflow and degenerate inputs."""
+    for m, n in _DISTANCE_SHAPES:
         yield "random", unit_rows(rng, m, n)
         yield "column-major", np.asfortranarray(unit_rows(rng, m, n))
         center = unit_rows(rng, 1, n)[0]
@@ -54,6 +57,15 @@ def _distance_cases(rng):
         base = unit_rows(rng, max(1, m // 3), n)
         yield "duplicates", base[rng.integers(0, base.shape[0], m)]
         yield "identical", np.tile(center, (m, 1))
+    # drawn after the cases above, so those keep their values
+    for m, n in _DISTANCE_SHAPES:
+        # finite rows whose squared norms and distances overflow
+        yield "huge", 1e200 * unit_rows(rng, m, n)
+        # an un-normalized cluster far from the origin
+        yield "far-offset", 1e6 * unit_rows(rng, 1, n)[0] + 1e-3 * rng.standard_normal((m, n))
+        # distinct rows and their negatives: every row ties at the top
+        U = unit_rows(rng, max(1, m // 2), n)
+        yield "antipodal", np.vstack([U, -U])
 
 
 @pytest.mark.parametrize("cells", [None, 64])
@@ -65,13 +77,24 @@ def test_max_pair_distance_is_bit_identical_to_broadcast(monkeypatch, cells):
         monkeypatch.setattr(ob, "_DIRECT_CELLS", 0)
     rng = np.random.default_rng(31)
     for label, X in _distance_cases(rng):
-        expected = reference_max_pair_distance(X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = reference_max_pair_distance(X)
         assert ob._max_pair_distance(X) == expected, (label, X.shape)
         report = fs.closeness_obstruction(X)
         assert report.epsilon == expected[0] and report.detail["max_pair"] == expected[1]
         assert fs.pairwise_closeness(X) == expected[0]
         if label == "identical":
             assert expected == (0.0, (0, 0))
+        elif label == "huge":
+            assert expected == (np.inf, (0, 1))
+        elif label == "far-offset":
+            # centring keeps delta relative to the cluster, not to its 1e6 norms
+            assert ob._screened_rows(X).size <= 2
+        elif label == "antipodal":
+            m = X.shape[0]
+            assert ob._screened_rows(X).size == m
+            # distinct rows: the exact pass keeps every one, in any block size
+            assert ob._exact_rows(X, 1).size == m
 
 
 @pytest.mark.parametrize("spread", [None, 1e-9])

@@ -59,3 +59,16 @@ def test_nnls_layer_bench_smoke(tmp_path):
         assert list(report["results"][label]) == shapes
         assert all(0.0 < row["q1"] <= row["median"] <= row["q3"] for row in report["results"][label].values())
     assert set(report["current_over_baseline"]) == set(shapes)
+
+
+def test_obstruction_layer_bench_smoke(tmp_path):
+    out = tmp_path / "BENCH_obstruction.json"
+    report = _run("obstruction_layer_bench.py")(str(ROOT / "src"), rounds=1, out=out, cycles=1)
+    assert json.loads(out.read_text()) == report
+    shapes = [f"{kind} n={n}" for n in (12, 16, 20) for kind in ("scalable", "random", "cone")]
+    shapes += [f"tall n={n}" for n in (4, 8, 16)] + ["antipodal n=8"]
+    assert list(report["shapes"]) == shapes
+    for label in ("current", "baseline"):
+        assert list(report["results"][label]) == shapes
+        assert all(0.0 < row["q1"] <= row["median"] <= row["q3"] for row in report["results"][label].values())
+    assert set(report["current_over_baseline"]) == set(shapes)
