@@ -10,6 +10,7 @@ satisfy on unit-norm frames.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -53,8 +54,26 @@ _BLOCK_CELLS = 2**16
 _DIRECT_CELLS = 2**12
 
 
+def _squares_fit(X: np.ndarray) -> bool:
+    """Whether no square the distance kernel or the unit-norm check forms can overflow.
+
+    With a = max |x_ik|, every row's squared norm is at most n a^2, every
+    squared distance and every ||x_i - x_0||^2 at most R^2 <= 4 n a^2, and
+    every term and partial sum of the screen's dot product at most
+    4 R^2 <= 16 n a^2, all to first order in the unit roundoff.  So when
+    32 n a^2 is finite none of them overflows; the factor 2 covers the
+    rounding.
+    """
+    a = float(np.abs(X).max())
+    return math.isfinite(32.0 * X.shape[1] * a * a)
+
+
 def _screened_rows(X: np.ndarray) -> np.ndarray:
-    """Rows whose largest distance may reach the maximum over all pairs."""
+    """Rows whose largest distance may reach the maximum over all pairs.
+
+    Requires _squares_fit(X): a single term of the screen that overflowed
+    would drop its pair from the screen, not its row's maximum.
+    """
     m, n = X.shape
     # distances do not move under translation, and centring on one row
     # scales the rounding bound to the cluster instead of the norms
@@ -71,10 +90,7 @@ def _screened_rows(X: np.ndarray) -> np.ndarray:
         (left[block] @ right.T).max(axis=1, out=screened[block])
     fl = np.finfo(float)
     delta = 8.0 * (n + 4) * (fl.eps * float(sq.max()) + fl.tiny)
-    cut = float(screened.max()) - 2.0 * delta
-    if not np.isfinite(cut):
-        return np.arange(m)
-    return np.flatnonzero(screened >= cut)
+    return np.flatnonzero(screened >= float(screened.max()) - 2.0 * delta)
 
 
 def _exact_rows(X: np.ndarray, step: int) -> np.ndarray:
@@ -84,7 +100,8 @@ def _exact_rows(X: np.ndarray, step: int) -> np.ndarray:
     more than one block of ``step`` rows, exact copies collapse onto their
     first occurrence: a copy has the same distances as that row, so it can
     never win the strict > that keeps the first argmax, and the result
-    stays bit-identical while many tying copies cost one row.
+    stays bit-identical while many tying copies cost one row.  Requires
+    _squares_fit(X), as the screen does.
     """
     m, n = X.shape
     rows = np.arange(m) if m * m * n <= _DIRECT_CELLS else _screened_rows(X)
@@ -93,7 +110,7 @@ def _exact_rows(X: np.ndarray, step: int) -> np.ndarray:
     return rows
 
 
-def _max_pair_distance(X: np.ndarray) -> tuple[float, tuple[int, int]]:
+def _max_pair_distance(X: np.ndarray, fits: bool) -> tuple[float, tuple[int, int]]:
     """Largest distance ||x_i - x_j|| and its first pair in row-major order.
 
     Bit-identical to the maximum and argmax of
@@ -107,7 +124,8 @@ def _max_pair_distance(X: np.ndarray) -> tuple[float, tuple[int, int]]:
 
     Rounding bound.  With R^2 = max s_i and unit roundoff u = eps / 2,
     to first order in u and for any summation order, with or without
-    fused multiply-adds:
+    fused multiply-adds, provided no term or partial sum overflows
+    (_squares_fit checks that first):
 
     - rounding the y_i moves d^2 by at most 8 u R^2;
     - each s_i lies within n u R^2 of ||y_i||^2, which moves d^2 by at
@@ -131,24 +149,35 @@ def _max_pair_distance(X: np.ndarray) -> tuple[float, tuple[int, int]]:
     difference formula in blocks of about _BLOCK_CELLS cells, so memory
     stays O(m n) plus one block.
 
-    Inputs of at most _DIRECT_CELLS cells, and screens that overflow,
-    recompute every row; overflow there is expected, so it raises no
-    warning.  When the re-checked rows fill more than one block, exact
-    copies of a row are re-checked once, at their first occurrence (see
-    _exact_rows).
+    Inputs of at most _DIRECT_CELLS cells recompute every row.  So do
+    inputs whose squares may overflow, which skip the screen: one
+    overflowing term would drop its pair from the screen unseen.  There
+    overflow warnings are off, since an infinite distance is the expected
+    result.  ``fits`` is _squares_fit(X), which each public caller
+    computes once.  When the re-checked rows fill more than one block,
+    exact copies of a row are re-checked once, at their first occurrence
+    (see _exact_rows).
     """
     m, n = X.shape
     step = max(1, _BLOCK_CELLS // (m * n))
+    if not fits:
+        # a distance may overflow to inf, the expected result for such rows
+        with np.errstate(over="ignore"):
+            return _blocked_max(X, np.arange(m), step)
+    return _blocked_max(X, _exact_rows(X, step), step)
+
+
+def _blocked_max(X: np.ndarray, rows: np.ndarray, step: int) -> tuple[float, tuple[int, int]]:
+    """Largest difference-formula distance from ``rows`` to every row, ``step`` rows at a time."""
+    m = X.shape[0]
     best, pair = -np.inf, (0, 0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = _exact_rows(X, step)
-        for start in range(0, rows.size, step):
-            chunk = rows[start : start + step]
-            dist = np.sqrt(((X[chunk, None, :] - X[None, :, :]) ** 2).sum(-1))
-            flat = int(np.argmax(dist))
-            # strictly greater: an earlier row keeps a tie, as argmax would
-            if dist.flat[flat] > best:
-                best, pair = float(dist.flat[flat]), (int(chunk[flat // m]), flat % m)
+    for start in range(0, rows.size, step):
+        chunk = rows[start : start + step]
+        dist = np.sqrt(((X[chunk, None, :] - X[None, :, :]) ** 2).sum(-1))
+        flat = int(np.argmax(dist))
+        # strictly greater: an earlier row keeps a tie, as argmax would
+        if dist.flat[flat] > best:
+            best, pair = float(dist.flat[flat]), (int(chunk[flat // m]), flat % m)
     return best, pair
 
 
@@ -163,10 +192,12 @@ def pairwise_closeness(frame) -> float:
     X = as_vector_array(frame)
     if X.shape[0] < 2:
         raise ValueError("pairwise closeness needs at least two vectors")
-    return _max_pair_distance(X)[0]
+    return _max_pair_distance(X, _squares_fit(X))[0]
 
 
-def _unit_norm_deviation(X: np.ndarray) -> float:
+def _unit_norm_deviation(X: np.ndarray, fits: bool) -> float:
+    if fits:
+        return float(np.abs(np.linalg.norm(X, axis=1) - 1.0).max())
     # a row whose squared norm overflows lies infinitely far from unit norm
     with np.errstate(over="ignore"):
         return float(np.abs(np.linalg.norm(X, axis=1) - 1.0).max())
@@ -186,7 +217,7 @@ def dichotomy_check(frame, projection: OrthogonalProjection, epsilon: float) -> 
         raise ValueError("dichotomy check needs at least two vectors")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    dev = _unit_norm_deviation(X)
+    dev = _unit_norm_deviation(X, _squares_fit(X))
     if dev > _UNIT_NORM_TOL:
         raise ValueError(f"frame must be unit-norm within {_UNIT_NORM_TOL:g} (deviation {dev:.3e})")
     if pairwise_closeness(X) > epsilon:
@@ -232,11 +263,12 @@ def closeness_obstruction(frame) -> ObstructionReport:
     """
     X = as_vector_array(frame)
     m, n = X.shape
-    dev = _unit_norm_deviation(X)
+    fits = _squares_fit(X)
+    dev = _unit_norm_deviation(X, fits)
     detail: dict[str, object] = {"unit_norm_deviation": dev, "vector_count": m}
     if m < 2:
         return ObstructionReport(0.0, frozenset(), "none", detail)
-    eps, detail["max_pair"] = _max_pair_distance(X)
+    eps, detail["max_pair"] = _max_pair_distance(X, fits)
     ranks: set[int] = set()
     theorem = "none"
     if dev <= _UNIT_NORM_TOL:
@@ -283,7 +315,7 @@ def check_constant_bounds(frame, scaling, tol: float = DEFAULT_TOL) -> Verificat
     fr = frame if isinstance(frame, Frame) else Frame(frame)
     X = fr.vectors
     m, n = X.shape
-    dev = _unit_norm_deviation(X)
+    dev = _unit_norm_deviation(X, _squares_fit(X))
     if dev > tol:
         raise ValueError(f"frame must be unit-norm within {tol:g} (deviation {dev:.3e})")
     detail: dict[str, tuple[bool, float]] = {}

@@ -66,6 +66,13 @@ def _distance_cases(rng):
         # distinct rows and their negatives: every row ties at the top
         U = unit_rows(rng, max(1, m // 2), n)
         yield "antipodal", np.vstack([U, -U])
+    # the farthest pair, rows 41 and 42, has the finite d^2 = 17.6e307, but
+    # its screen term -2 p^2 = -18.4e307 overflows, while rows 43 and 44
+    # (d^2 = 16e307) screen without overflow
+    s = np.sqrt(1e307)
+    p, q, c, z = s * np.sqrt([9.2, 4.4, 8.94, 4.0])
+    far = [[p, q, 0.0], [p, -q, 0.0], [c, 0.0, z], [c, 0.0, -z]]
+    yield "cancelling", np.vstack([np.zeros(3), 0.01 * s * rng.standard_normal((40, 3)), far])
 
 
 @pytest.mark.parametrize("cells", [None, 64])
@@ -79,7 +86,7 @@ def test_max_pair_distance_is_bit_identical_to_broadcast(monkeypatch, cells):
     for label, X in _distance_cases(rng):
         with np.errstate(over="ignore", invalid="ignore"):
             expected = reference_max_pair_distance(X)
-        assert ob._max_pair_distance(X) == expected, (label, X.shape)
+        assert ob._max_pair_distance(X, ob._squares_fit(X)) == expected, (label, X.shape)
         report = fs.closeness_obstruction(X)
         assert report.epsilon == expected[0] and report.detail["max_pair"] == expected[1]
         assert fs.pairwise_closeness(X) == expected[0]
@@ -87,6 +94,9 @@ def test_max_pair_distance_is_bit_identical_to_broadcast(monkeypatch, cells):
             assert expected == (0.0, (0, 0))
         elif label == "huge":
             assert expected == (np.inf, (0, 1))
+        elif label == "cancelling":
+            assert expected[1] == (41, 42) and np.isfinite(expected[0])
+            assert not ob._squares_fit(X)  # so the screen is skipped
         elif label == "far-offset":
             # centring keeps delta relative to the cluster, not to its 1e6 norms
             assert ob._screened_rows(X).size <= 2
@@ -104,7 +114,7 @@ def test_max_pair_distance_spanning_several_row_blocks(spread):
     if spread is not None:
         X = X[0] + spread * X
     assert X.shape[0] > ob._BLOCK_CELLS // X.shape[0]  # the screen needs two blocks
-    assert ob._max_pair_distance(X) == reference_max_pair_distance(X)
+    assert ob._max_pair_distance(X, ob._squares_fit(X)) == reference_max_pair_distance(X)
     # only the two rows of the farthest pair are re-checked, also in a
     # cluster far smaller than the norms, since the screen centres the rows
     assert ob._screened_rows(X).size <= 2
@@ -123,14 +133,14 @@ def test_max_pair_distance_collapses_repeated_rows(label):
     # 300 rows in R^50 already re-check more rows than one block holds
     X = _repeated_rows(rng, label, 300, 50)
     assert X.shape[0] > ob._BLOCK_CELLS // X.size
-    assert ob._max_pair_distance(X) == reference_max_pair_distance(X)
+    assert ob._max_pair_distance(X, ob._squares_fit(X)) == reference_max_pair_distance(X)
     # at 2000 rows the broadcast reference would take 1.6 GB per temporary,
     # so it runs on the distinct rows, whose first occurrences are 0 and 1000
     X = _repeated_rows(rng, label, 2000, 50)
     rows = ob._exact_rows(X, max(1, ob._BLOCK_CELLS // X.size))
     assert rows.size <= 2
     eps, (i, j) = reference_max_pair_distance(X[[0, 1000]])
-    assert ob._max_pair_distance(X) == (eps, ((0, 1000)[i], (0, 1000)[j]))
+    assert ob._max_pair_distance(X, ob._squares_fit(X)) == (eps, ((0, 1000)[i], (0, 1000)[j]))
     assert fs.closeness_obstruction(X).detail["max_pair"] == ((0, 1000)[i], (0, 1000)[j])
 
 
@@ -151,7 +161,7 @@ def test_closeness_obstruction_memory_is_bounded():
     # take 92 MB); the exact pass then re-checks one copy
     X = np.tile(unit_rows(rng, 1, 8), (1200, 1))
     assert ob._screened_rows(X).size == X.shape[0]
-    assert _peak_bytes(ob._max_pair_distance, X) < 64 * 2**20
+    assert _peak_bytes(ob._max_pair_distance, X, ob._squares_fit(X)) < 64 * 2**20
 
 
 def test_dichotomy_repeated_vector():
