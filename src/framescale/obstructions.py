@@ -217,10 +217,11 @@ def dichotomy_check(frame, projection: OrthogonalProjection, epsilon: float) -> 
         raise ValueError("dichotomy check needs at least two vectors")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    dev = _unit_norm_deviation(X, _squares_fit(X))
+    fits = _squares_fit(X)
+    dev = _unit_norm_deviation(X, fits)
     if dev > _UNIT_NORM_TOL:
         raise ValueError(f"frame must be unit-norm within {_UNIT_NORM_TOL:g} (deviation {dev:.3e})")
-    if pairwise_closeness(X) > epsilon:
+    if _max_pair_distance(X, fits)[0] > epsilon:
         raise ValueError("pairwise distances exceed epsilon")
     if projection.dim != X.shape[1]:
         raise ValueError("projection dimension does not match the vectors")

@@ -441,11 +441,6 @@ def _disjoint_split_candidate(X: np.ndarray, P: OrthogonalProjection, tol: float
     return PiecewiseScaling(P, *constants)
 
 
-# candidates in the first batched pass of the screen; each later pass
-# doubles, so an early hit pays for few draws and a full miss for a
-# handful of passes
-_FIRST_CHUNK = 16
-
 # a row whose side part is at most this fraction of the row points in a
 # direction set by rounding, so the screen keeps its candidate
 _TRUSTED_SIDE = 1e-6
@@ -470,12 +465,13 @@ _FARKAS_MOMENTUM = _fista_momentum(150)
 # step, so a family that stays is judged where the fixed run judged it
 _FARKAS_CHECKPOINTS = frozenset([2**i for i in range(8)] + [len(_FARKAS_MOMENTUM)])
 
-# Gram cells (candidates times rows squared) per batch of the Farkas
-# screen; a side with more rows than fit in one batch is not screened
+# Gram cells (candidates times rows squared) per batch of the screen; as
+# m >= n, it also caps a batch's blocks, QR factors and side coordinates.
+# A side whose m^2 alone exceeds it is not screened
 _FARKAS_CELLS = 2**20
 
 
-def _fista_margin(units: np.ndarray, stop: float) -> np.ndarray:
+def _farkas_margin(units: np.ndarray, stop: float = np.inf) -> np.ndarray:
     """Each family's largest _farkas_bound over the checkpoints of its FISTA run.
 
     FISTA minimises ||sum_i w_i u_i u_i^T - I||_F^2 / 2 over w >= 0.
@@ -485,10 +481,16 @@ def _fista_margin(units: np.ndarray, stop: float) -> np.ndarray:
     y - (H y - 1) / L is then one batched product (I - H / L) y + 1 / L.
     At each step of _FARKAS_CHECKPOINTS the bound is evaluated at the
     residual I - sum_i w_i u_i u_i^T, a direction, not an optimum.  A
-    family whose bound exceeds ``stop`` leaves the batch; the others take
-    exactly the steps of a batch without exits.
+    family whose bound exceeds ``stop`` leaves the stack; the others take
+    exactly the steps of a stack without exits, so a family's margin does
+    not depend on the families stacked with it.  A margin above ``stop``
+    may be lower than the fixed run of every step would give, but it is
+    still a bound above ``stop``.  A side with m^2 above _FARKAS_CELLS
+    gets margin 0.
     """
     C, m, d = units.shape
+    if m * m > _FARKAS_CELLS:
+        return np.zeros(C)
     H = (units @ units.transpose(0, 2, 1)) ** 2
     step = 1.0 / H.sum(axis=2).max(axis=1)[:, None, None]
     descent = np.eye(m) - step * H
@@ -510,20 +512,6 @@ def _fista_margin(units: np.ndarray, stop: float) -> np.ndarray:
             stay = ~leave
             live, units, descent, step, w, y = (a[stay] for a in (live, units, descent, step, w, y))
     return margin
-
-
-def _farkas_margin(units: np.ndarray, stop: float = np.inf) -> np.ndarray:
-    """_fista_margin of each family, in batches of _FARKAS_CELLS.
-
-    A margin above ``stop`` may be lower than the fixed run of every step
-    would give, but it is still a bound above ``stop``.
-    """
-    C, m, _ = units.shape
-    batch = _FARKAS_CELLS // (m * m)
-    if batch == 0:
-        return np.zeros(C)
-    batches = np.split(units, range(batch, C, batch))
-    return np.concatenate([_fista_margin(u, stop) for u in batches])
 
 
 def _side_rejected(coords: np.ndarray, scales: np.ndarray, tol: float) -> np.ndarray:
@@ -557,14 +545,14 @@ def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     """Which candidates, given by their Gaussian blocks G (C, n, k), a side proves infeasible.
 
     Gets all range and complement bases from one stacked complete QR of
-    the blocks, and judges each side by
-    _side_rejected.  FISTA checks the Farkas bound after steps 1, 2, 4,
-    ..., 128 and 150, and a side leaves its batch at the first checkpoint
-    whose bound exceeds 10 tol.  The smaller side goes first, and the
-    other side is embedded only for the candidates it kept, so the
-    batched FISTA runs only on candidates the exact half-plane rule kept.
-    A rank-deficient block has no rank-k range to judge, so it is never
-    rejected here; the search counts it a miss.
+    the blocks, and judges each side by _side_rejected.  FISTA checks the
+    Farkas bound after steps 1, 2, 4, ..., 128 and 150, and a side leaves
+    the stack at the first checkpoint whose bound exceeds 10 tol.  The
+    smaller side goes first, and the other side is embedded only for the
+    candidates it kept, so the batched FISTA runs only on candidates the
+    exact half-plane rule kept.  A rank-deficient block has no rank-k
+    range to judge, so it is never rejected here; the search counts it a
+    miss.
     """
     n, k = G.shape[1:]
     Q, R = np.linalg.qr(G, mode="complete")
@@ -586,20 +574,18 @@ def _surviving_candidates(X: np.ndarray, k: int, budget: int, seed: int, tol: fl
 
     Candidate j is block j of
     default_rng((seed, k)).standard_normal((budget, n, k)).  One
-    generator draws the chunks of _FIRST_CHUNK blocks, doubling each
-    time, lazily, so none is drawn after a hit; the normals come in the
-    same order whatever the chunking, so a block depends on (seed, k, j)
-    only.
+    generator draws and screens them in batches of
+    max(1, _FARKAS_CELLS // m^2) blocks for the m rows of X, so memory
+    does not grow with ``budget``, and draws none after a hit; a block
+    depends on (seed, k, j) only, whatever the batching.
     """
     n = X.shape[1]
     rng = np.random.default_rng((seed, k))
-    start, size = 0, _FIRST_CHUNK
-    while start < budget:
-        chunk = range(start, min(budget, start + size))
-        G = rng.standard_normal((len(chunk), n, k))
+    batch = max(1, _FARKAS_CELLS // len(X) ** 2)
+    for start in range(0, budget, batch):
+        G = rng.standard_normal((min(batch, budget - start), n, k))
         rejected = _rejected_draws(X, G, tol)
-        yield from ((c, g) for c, g, r in zip(chunk, G, rejected) if not r)
-        start, size = chunk.stop, 2 * size
+        yield from ((c, g) for c, g, r in zip(range(start, budget), G, rejected) if not r)
 
 
 # starts per rank of the orthogonal-split route, the blocks of
@@ -733,10 +719,11 @@ def search_piecewise(
     three (when they reject the input as numerically degenerate or their
     result fails verification, the search goes on), the orthogonal-split
     route, then a seeded sweep of ``budget`` random projections per
-    requested rank, each tried with a disjoint-support feasibility split.  Candidate j of rank k is block j
-    of default_rng((seed, k)).standard_normal((budget, n, k)), drawn in
-    chunks from one generator per rank; a block depends on (seed, k, j)
-    only, whatever the chunking, and a rank-deficient block is a miss.  A
+    requested rank, each tried with a disjoint-support feasibility split.
+    Candidate j of rank k is block j of
+    default_rng((seed, k)).standard_normal((budget, n, k)), drawn in
+    batches from one generator per rank; a block depends on (seed, k, j)
+    only, whatever the batching, and a rank-deficient block is a miss.  A
     miss is not a proof that no scaling exists.
 
     The orthogonal-split route (_orthogonal_split_route) solves for the
@@ -753,9 +740,13 @@ def search_piecewise(
     pass construct_from_orthogonal_split and verify_piecewise; otherwise
     the sampled sweep below runs unchanged.
 
-    Candidates are first screened in batches (16, then 32, 64, ...)
-    without any solve.  A side with coordinates c_i scales exactly when I
-    lies in the cone of the c_i c_i^T, so a symmetric R with
+    Candidates are first screened without any solve, in batches of
+    max(1, 2^20 // m^2) blocks, one per rank at budget 200 up to m = 72.
+    The stage's traffic is almost all full-budget misses at certified
+    ranks, where the route does not run, so one pass serves it best and a
+    hit pays for screening its whole batch.  A side with coordinates c_i
+    scales exactly when I lies in the cone of the c_i c_i^T, so a
+    symmetric R with
     c_i^T R c_i <= 0 and tr R > 0 keeps that cone at least
     tr R / ||R||_F away from I in Frobenius norm.  In two dimensions the
     test is exact: scaling fails exactly when the doubled angles of the
@@ -777,8 +768,9 @@ def search_piecewise(
     one-dimensional side always scales.  A skipped candidate's distance
     exceeds tol, so the feasibility solve could only reject it.
     Candidates with a rank-deficient block or a side part at rounding level
-    are never skipped, and survivors take the sequential path: the higher-rank
-    side is solved first (the range on a tie) and the other only when it
+    are never skipped, nor is a side of dimension d >= 3 on over 1,024
+    rows; survivors take the sequential path: the higher-rank side is
+    solved first (the range on a tie) and the other only when it
     scales, so the result is the same as without the screen.  Two scaling
     sides whose supports share an index make a miss, not a split.
     """

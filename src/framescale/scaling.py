@@ -196,7 +196,7 @@ def solve_standard_scaling(
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     V = as_vector_array(vectors)
-    m, n = V.shape
+    n = V.shape[1]
     warnings: list[str] = []
     if target is None:
         C = V
@@ -215,7 +215,7 @@ def solve_standard_scaling(
             )
     A = _gram_columns(C)
     bvec = _vech(np.eye(rank))
-    result = nnls(A, bvec, max_iter=max_iter if max_iter is not None else 50 * m)
+    result = nnls(A, bvec, max_iter=max_iter)
     feasible = result.residual <= tol
     if feasible:
         constants = np.sqrt(np.maximum(result.x, 0.0))

@@ -72,3 +72,17 @@ def test_obstruction_layer_bench_smoke(tmp_path):
         assert list(report["results"][label]) == shapes
         assert all(0.0 < row["q1"] <= row["median"] <= row["q3"] for row in report["results"][label].values())
     assert set(report["current_over_baseline"]) == set(shapes)
+
+
+def test_screen_layer_bench_smoke(tmp_path):
+    out = tmp_path / "BENCH_screen.json"
+    bench = _run("screen_layer_bench.py")
+    report = bench(str(ROOT / "src"), rounds=1, out=out, miss_ops=4, sweep_frames=2, clustered_rows=(300,))
+    assert json.loads(out.read_text()) == report
+    shapes = ["search-miss", "sweep hit", "sweep miss", "clustered n=5 m=300"]
+    assert list(report["shapes"]) == shapes
+    assert report["shapes"]["search-miss"] == 4
+    for label in ("current", "baseline"):
+        assert list(report["results"][label]) == shapes
+        assert all(0.0 < row["q1"] <= row["median"] <= row["q3"] for row in report["results"][label].values())
+    assert set(report["current_over_baseline"]) == set(shapes)

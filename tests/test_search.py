@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,12 +330,12 @@ def test_farkas_bound_stays_nonpositive_on_scalable_families():
         assert pw._farkas_margin(_units(V)[None])[0] <= 0.0
 
 
-def test_farkas_margin_batches_and_leaves_sides_with_too_many_rows(monkeypatch):
+def test_farkas_margin_leaves_sides_with_too_many_rows(monkeypatch):
     rng = np.random.default_rng(15)
     units = _units(rng.standard_normal((3, 8, 3)) * [1.0, 0.1, 0.1])
     whole = pw._farkas_margin(units)
     assert (whole > 10.0 * TOL).all()
-    # one family's 8 x 8 Gram matrix per batch
+    # a family whose 8 x 8 Gram matrix just fits is judged as before
     monkeypatch.setattr(pw, "_FARKAS_CELLS", 64)
     assert np.array_equal(pw._farkas_margin(units), whole)
     # a family whose Gram matrix exceeds a batch is not judged
@@ -435,9 +436,11 @@ def test_screen_keeps_degenerate_and_rounding_level_sides():
         assert _first_rejected(X, 1) == rejects
 
 
-def test_chunked_screen_keeps_exactly_the_unrejected_candidates():
+def test_chunked_screen_keeps_exactly_the_unrejected_candidates(monkeypatch):
     frame, _ = CASES[-1]
     X = frame.vectors
+    # batches of 7 candidates: 14 full batches and a last one of 2
+    monkeypatch.setattr(pw, "_FARKAS_CELLS", 7 * len(X) ** 2)
     for k in range(1, frame.dim):
         survivors = list(pw._surviving_candidates(X, k, 100, 9, TOL))
         G = _blocks(9, k, frame.dim, 100)
@@ -445,6 +448,20 @@ def test_chunked_screen_keeps_exactly_the_unrejected_candidates():
         assert [c for c, _ in survivors] == [c for c in range(100) if not one_by_one[c]]
         assert all(np.array_equal(g, G[c]) for c, g in survivors)
         assert len(survivors) < 100
+
+
+def test_screen_memory_does_not_grow_with_the_budget():
+    # a certified rank-2 miss in R^4 screens all 200,000 candidates in
+    # batches of 2^20 // 36 blocks, so the peak is that of one batch;
+    # chunks that grow with the budget peak above 45 MB here
+    frame = clustered_unit_frame(np.random.default_rng(3), 4, 6, 0.02)
+    tracemalloc.start()
+    try:
+        assert fs.search_piecewise(frame, ranks={2}, budget=200_000, seed=0) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_first_block_of_the_stream_is_pinned():
@@ -467,9 +484,10 @@ CONTRACT_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 11, np.int64(2**40
 @pytest.mark.parametrize("seed", CONTRACT_SEEDS)
 def test_batched_draws_keep_the_seeding_contract(seed, monkeypatch):
     # with nothing rejected, the search draws candidates 0..619 through
-    # chunks 16, 32, ..., 256 and a last chunk of 124
+    # 88 batches of 7 and a last batch of 4
     monkeypatch.setattr(pw, "_rejected_draws", lambda X, G, tol: np.zeros(len(G), dtype=bool))
     n, budget = 6, 620
+    monkeypatch.setattr(pw, "_FARKAS_CELLS", 7 * n * n)
     for k in range(1, n):
         drawn = list(pw._surviving_candidates(np.eye(n), k, budget, seed, TOL))
         assert [c for c, _ in drawn] == list(range(budget))
