@@ -16,7 +16,7 @@ of the package directory DIR too (say, the ``src`` of a second checkout at
 the parent commit); the trees alternate which runs first.  A system's
 time in a round is the fastest of five calls, and for each shape the file
 records the median and quartiles, over rounds, of the mean of those
-times in milliseconds.
+times in milliseconds, and of each round's current/baseline ratio.
 
 Usage, from the repository root:
 
@@ -131,18 +131,30 @@ def _alternate(src: str | None, rounds: int, worker: str, path: Path) -> dict[st
 
 
 def _summary(per_round: dict[str, list[dict[str, float]]], shapes: dict[str, list[str]]) -> dict:
-    """Median and quartiles over rounds of each shape's mean time, and the current/baseline ratios."""
-    results = {
+    """Median and quartiles over rounds of each shape's mean time, and the current/baseline ratios.
+
+    ``current_over_baseline`` is the ratio of the two medians.  Rounds pair
+    one run of each tree, so ``round_ratio_quartiles`` gives the median and
+    quartiles over rounds of each round's ratio: a shape reads as resolved
+    only when that spread stays clear of 1.
+    """
+    means = {
         label: {
-            key: _quartiles([statistics.fmean(times[name] for name in names) for times in runs])
+            key: [statistics.fmean(times[name] for name in names) for times in runs]
             for key, names in shapes.items()
         }
         for label, runs in per_round.items()
+    }
+    results = {
+        label: {key: _quartiles(values) for key, values in by_shape.items()} for label, by_shape in means.items()
     }
     summary = {"shapes": {key: len(names) for key, names in shapes.items()}, "results": results}
     if "baseline" in results:
         summary["current_over_baseline"] = {
             key: round(results["current"][key]["median"] / results["baseline"][key]["median"], 3) for key in shapes
+        }
+        summary["round_ratio_quartiles"] = {
+            key: _quartiles([c / b for c, b in zip(means["current"][key], means["baseline"][key])]) for key in shapes
         }
     return summary
 

@@ -79,10 +79,13 @@ def _screened_rows(X: np.ndarray) -> np.ndarray:
     # scales the rounding bound to the cluster instead of the norms
     Y = X - X[0]
     sq = np.einsum("ij,ij->i", Y, Y)
-    ones = np.ones(m)
-    # row i of left against row j of right is ||y_i||^2 + ||y_j||^2 - 2 <y_i, y_j>
-    left = np.column_stack([-2.0 * Y, sq, ones])
-    right = np.column_stack([Y, ones, sq])
+    # row i of left = [-2Y, s, 1] against row j of right = [Y, 1, s] is
+    # ||y_i||^2 + ||y_j||^2 - 2 <y_i, y_j>
+    left, right = np.empty((m, n + 2)), np.empty((m, n + 2))
+    np.multiply(Y, -2.0, out=left[:, :n])
+    right[:, :n] = Y
+    left[:, n], right[:, n + 1] = sq, sq
+    left[:, n + 1] = right[:, n] = 1.0
     screened = np.empty(m)
     step = max(1, _BLOCK_CELLS // m)
     for start in range(0, m, step):

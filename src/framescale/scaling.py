@@ -70,8 +70,11 @@ def _gram_columns(V: np.ndarray) -> np.ndarray:
     # column i is the weighted upper triangle of v_i v_i^T, so that the
     # euclidean norm of the stacked system equals the Frobenius norm
     iu, weights = _sym_embedding(V.shape[1])
-    cols = V[:, iu[0]] * V[:, iu[1]]
-    return (cols * weights).T
+    # the fancy index copies, so both products go in place
+    cols = V[:, iu[0]]
+    cols *= V[:, iu[1]]
+    cols *= weights
+    return cols.T
 
 
 def _vech(T: np.ndarray) -> np.ndarray:

@@ -215,6 +215,73 @@ def test_differential_against_lstsq_solver_at_stressed_sizes(monkeypatch):
     assert counts["dependent"] <= counts["adds"] // 1000, counts
 
 
+def _factor_errors(factor):
+    """Rounding-level invariants of the passive factor, and the exact zeros add relies on."""
+    k, s, F = len(factor.cols), factor.s, factor.F
+    Qt, R, RinvT = F[:k, 2 * s : -1], F[:k, :k], F[:k, s : s + k]
+    AP, z = factor.A[:, factor.cols], factor.solve()
+    assert not F[:k, k:s].any() and not F[:k, s + k : 2 * s].any() and not F[k:, : 2 * s].any()
+    assert np.array_equal(R, np.triu(R))
+    if k == 0:
+        return {}
+    return {
+        "orthonormal": np.abs(Qt @ Qt.T - np.eye(k)).max(),
+        "factor": np.linalg.norm(AP - Qt.T @ R) / np.linalg.norm(AP),
+        # relative to the condition number: clustered columns make R^-1 large
+        "inverse": np.abs(RinvT @ R.T - np.eye(k)).max() / (np.linalg.norm(R, 2) * np.linalg.norm(RinvT, 2)),
+        # relative to the scale of A_P z_P, which carries z_P's error
+        "residual": np.abs(factor.residual() - (factor.b - AP @ z)).max() / (np.linalg.norm(AP, 2) * np.linalg.norm(z)),
+    }
+
+
+def test_factor_invariants_hold_after_every_add_and_keep(monkeypatch):
+    # tall, wide n = 20 and clustered systems; after every update Q has
+    # orthonormal rows, Q R reproduces the passive columns, R^-T inverts
+    # R^T and the factor's residual b - Q Q^T b is that of the passive
+    # least squares solution, all at rounding level.  Both branches of
+    # the conditional second Gram-Schmidt pass are taken.
+    add, keep = _PassiveFactor.add, _PassiveFactor.keep
+    worst = {"orthonormal": 0.0, "factor": 0.0, "inverse": 0.0, "residual": 0.0}
+    counts = {"one pass": 0, "two passes": 0, "keeps": 0}
+
+    def record(factor):
+        for key, value in _factor_errors(factor).items():
+            worst[key] = max(worst[key], float(value))
+
+    def checked_add(self, j):
+        k, s = len(self.cols), self.s
+        if k < s:
+            # the first pass's remainder decides on the second (DGKS)
+            Qt, a = self.F[:k, 2 * s : -1], self.A[:, j]
+            v = a - (Qt @ a) @ Qt
+            counts["two passes" if 2.0 * (v @ v) < a @ a else "one pass"] += 1
+        taken = add(self, j)
+        record(self)
+        return taken
+
+    def checked_keep(self, kept):
+        keep(self, kept)
+        counts["keeps"] += 1
+        record(self)
+
+    monkeypatch.setattr(_PassiveFactor, "add", checked_add)
+    monkeypatch.setattr(_PassiveFactor, "keep", checked_keep)
+    frames = _stressed_frames()
+    picked = [X for kind, X in frames if kind == "tall"]
+    picked += [X for kind, X in frames if kind == "random" and X.shape[1] == 20]
+    # the stressed set's clustered frames come in spread order 1e-2 .. 1e-7,
+    # four per spread; the fifth spread is 1e-6
+    picked += [X for kind, X in frames if kind == "clustered"][16:19]
+    for X in picked:
+        res = nnls(_gram_columns(X), _vech(np.eye(X.shape[1])))
+        assert res.converged
+    assert worst["orthonormal"] <= 1e-13, worst
+    assert worst["factor"] <= 1e-14, worst
+    assert worst["inverse"] <= 1e-14, worst
+    assert worst["residual"] <= 1e-14, worst
+    assert counts["one pass"] >= 1 and counts["two passes"] >= 1 and counts["keeps"] >= 1, counts
+
+
 def test_basis_plus_perturbed_copy_matches_the_reference():
     # an orthonormal basis and a copy moved by delta: the columns of the
     # copy differ from the originals by about delta, so the gradient along

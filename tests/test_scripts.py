@@ -59,6 +59,8 @@ def test_nnls_layer_bench_smoke(tmp_path):
         assert list(report["results"][label]) == shapes
         assert all(0.0 < row["q1"] <= row["median"] <= row["q3"] for row in report["results"][label].values())
     assert set(report["current_over_baseline"]) == set(shapes)
+    assert list(report["round_ratio_quartiles"]) == shapes
+    assert all(0.0 < row["q1"] <= row["median"] <= row["q3"] for row in report["round_ratio_quartiles"].values())
 
 
 def test_obstruction_layer_bench_smoke(tmp_path):
