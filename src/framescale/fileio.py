@@ -76,32 +76,27 @@ def _load_json_object(text: str, path) -> dict:
     return obj
 
 
-def _vectors_from_json(obj: dict, path) -> np.ndarray:
-    vectors = obj.get("vectors")
-    if not isinstance(vectors, list) or not vectors:
-        raise FrameFormatError('"vectors" must be a nonempty array of arrays', path)
+def _rows_from_json(obj: dict, key: str, path) -> np.ndarray:
+    """The array of arrays of numbers under ``key``; diagnostics name that key."""
+    entries = obj.get(key)
+    if not isinstance(entries, list) or not entries:
+        raise FrameFormatError(f'"{key}" must be a nonempty array of arrays', path)
     width: int | None = None
     rows: list[list[float]] = []
-    for i, row in enumerate(vectors):
+    for i, row in enumerate(entries):
         if not isinstance(row, list):
-            raise FrameFormatError(f'"vectors" entry {i} is not an array', path)
+            raise FrameFormatError(f'"{key}" entry {i} is not an array', path)
         if width is None:
             width = len(row)
         elif len(row) != width:
-            raise FrameFormatError(
-                f'"vectors" entry {i} has length {len(row)}, expected {width}', path
-            )
+            raise FrameFormatError(f'"{key}" entry {i} has length {len(row)}, expected {width}', path)
         values: list[float] = []
         for j, item in enumerate(row):
             if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise FrameFormatError(f'"vectors" entry {i}, coordinate {j} is not a number', path)
+                raise FrameFormatError(f'"{key}" entry {i}, coordinate {j} is not a number', path)
             values.append(float(item))
         rows.append(values)
-    arr = np.array(rows, dtype=float)
-    dim = obj.get("dim")
-    if dim is not None and int(dim) != arr.shape[1]:
-        raise FrameFormatError(f'"dim" is {dim} but vectors have {arr.shape[1]} coordinates', path)
-    return arr
+    return np.array(rows, dtype=float)
 
 
 def load_frame(path, fmt: str | None = None) -> Frame:
@@ -112,7 +107,13 @@ def load_frame(path, fmt: str | None = None) -> Frame:
         arr = _parse_csv_rows(text, path)
     else:
         obj = _load_json_object(text, path)
-        arr = _vectors_from_json(obj, path)
+        arr = _rows_from_json(obj, "vectors", path)
+        dim = obj.get("dim")
+        if dim is not None:
+            if isinstance(dim, bool) or not isinstance(dim, int):
+                raise FrameFormatError(f'"dim" must be an integer, got {json.dumps(dim)}', path)
+            if dim != arr.shape[1]:
+                raise FrameFormatError(f'"dim" is {dim} but vectors have {arr.shape[1]} coordinates', path)
         raw_labels = obj.get("labels")
         if raw_labels is not None:
             if not isinstance(raw_labels, list) or len(raw_labels) != arr.shape[0]:
@@ -145,7 +146,7 @@ def load_matrix(path, fmt: str | None = None) -> np.ndarray:
         obj = _load_json_object(text, path)
         if "matrix" not in obj:
             raise FrameFormatError('expected a "matrix" key', path)
-        arr = _vectors_from_json({"vectors": obj["matrix"]}, path)
+        arr = _rows_from_json(obj, "matrix", path)
     if arr.shape[0] != arr.shape[1]:
         raise FrameFormatError(f"matrix must be square, got {arr.shape[0]} x {arr.shape[1]}", path)
     return arr

@@ -10,8 +10,10 @@ R^2 and R^3, orthogonal-split data in any dimension, and a special
 position in R^4; a seeded search, which solves for an orthogonal split
 and then samples projections for the feasibility solver, handles the
 rest on a best-effort basis.  Both draw the candidates of rank k from
-one seeded stream: candidate j is block j of
-default_rng((seed, k)).standard_normal((budget, n, k)).
+one seeded stream: candidate j is the orthogonal factor Q_j of the
+complete QR of block j of
+default_rng((seed, k)).standard_normal((budget, n, k)), and projects
+onto the span of the first k columns of Q_j.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .frames import (
 )
 from .projections import (
     OrthogonalProjection,
-    _projection_from_draw,
+    _leading_projection,
     _symmetrized,
     canonical_projection,
     complement,
@@ -169,8 +171,7 @@ def construct_r2(frame, projection: OrthogonalProjection, tol: float = DEFAULT_T
     m, n = X.shape
     if n != 2:
         raise ValueError("construct_r2 needs vectors in R^2")
-    s = np.linalg.svd(X, compute_uv=False)
-    if m < 2 or s[0] == 0.0 or s[1] <= RANK_RTOL * s[0]:
+    if Frame(X).numerical_rank() < 2:
         raise ValueError("frame must span R^2")
     if projection.dim != 2:
         raise ValueError("projection must act on R^2")
@@ -312,8 +313,7 @@ def construct_r3_detailed(frame, tol: float = DEFAULT_TOL) -> R3Construction:
     sel = (0, 1, 2) if m == 3 else _greedy_independent(X, 3)
     triple = X[list(sel)]
     norms = np.linalg.norm(triple, axis=1)
-    s = np.linalg.svd(triple, compute_uv=False)
-    if s[0] == 0.0 or s[2] <= RANK_RTOL * s[0]:
+    if Frame(triple).numerical_rank() < 3:
         raise ValueError("frame must span R^3")
     x1, x2, x3 = triple / norms[:, None]
     overlap = float(x1 @ x2)
@@ -383,8 +383,7 @@ def construct_r4_special(frame, indices, tol: float = DEFAULT_TOL) -> PiecewiseS
     norms = np.linalg.norm(quad, axis=1)
     if np.abs(norms - 1.0).max() > tol:
         raise ValueError("the selected vectors must be unit-norm")
-    s = np.linalg.svd(quad, compute_uv=False)
-    if s[0] == 0.0 or s[3] <= RANK_RTOL * s[0]:
+    if Frame(quad).numerical_rank() < 4:
         raise ValueError("the selected vectors must be linearly independent")
     x1, x2, x3, x4 = quad
     if abs(float(x2 @ x4)) > tol or abs(float(x3 @ x4)) > tol:
@@ -412,14 +411,17 @@ def _complement_form(ps: PiecewiseScaling) -> PiecewiseScaling:
     return PiecewiseScaling(complement(ps.projection), ps.b, ps.a)
 
 
-def _disjoint_split_candidate(X: np.ndarray, P: OrthogonalProjection, tol: float):
-    """Disjoint-support constants for one candidate projection, or None.
+def _disjoint_split_candidate(X: np.ndarray, G: np.ndarray, tol: float):
+    """Disjoint-support split for the candidate of the Gaussian block G (n, k), or None.
 
-    The higher-rank side is solved first, the range on a tie, since a
-    rank-1 side always scales; the other side is solved only when the
-    first scales.  Two scaling sides make a split only when their
-    supports are disjoint, so a_i b_i = 0 and the mixed term vanishes;
-    a shared index returns None.  Re-solving one side on its rows
+    With Q the orthogonal factor of the complete QR of G, the candidate
+    projects onto the span of Q[:, :k], and its sides are the identity
+    problems in the coordinates W = X Q that the screen judges, W[:, :k]
+    and W[:, k:].  The higher-rank side is solved first, the range on a
+    tie, since a rank-1 side always scales; the other side is solved
+    only when the first scales.  Two scaling sides make a split only
+    when their supports are disjoint, so a_i b_i = 0 and the mixed term
+    vanishes; a shared index returns None.  Re-solving one side on its rows
     outside the shared ones could succeed only at noise level: those
     rows K lie inside the support S of that side's NNLS weights x, whose
     passive columns A_S are independent (Lawson and Hanson), so weights
@@ -428,17 +430,19 @@ def _disjoint_split_candidate(X: np.ndarray, P: OrthogonalProjection, tol: float
     for the weights x_O on the shared rows O.  A miss is not a proof, so
     the search moves on to its next candidate.
     """
-    Y = X @ P.matrix
-    sides = [(Y, P), (X - Y, complement(P))]
+    k = G.shape[1]
+    Q = np.linalg.qr(G, mode="complete")[0]
+    W = X @ Q
+    sides = (W[:, :k], W[:, k:])
     constants = [None, None]
-    for i in sorted(range(2), key=lambda i: -sides[i][1].rank):
-        verdict = solve_standard_scaling(*sides[i], tol)
+    for i in sorted(range(2), key=lambda i: -sides[i].shape[1]):
+        verdict = solve_standard_scaling(sides[i], None, tol)
         if not verdict.feasible:
             return None
         constants[i] = verdict.scaling.constants
     if ((constants[0] > 0.0) & (constants[1] > 0.0)).any():
         return None
-    return PiecewiseScaling(P, *constants)
+    return PiecewiseScaling(_leading_projection(Q, k), *constants)
 
 
 # a row whose side part is at most this fraction of the row points in a
@@ -544,26 +548,24 @@ def _side_rejected(coords: np.ndarray, scales: np.ndarray, tol: float) -> np.nda
 def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     """Which candidates, given by their Gaussian blocks G (C, n, k), a side proves infeasible.
 
-    Gets all range and complement bases from one stacked complete QR of
-    the blocks, and judges each side by _side_rejected.  FISTA checks the
+    Gets every candidate's orthogonal factor from one stacked complete QR
+    of the blocks, equal bit for bit to the QR of each block alone that
+    _disjoint_split_candidate solves in, and judges each side by
+    _side_rejected on the rows of nonzero norm.  FISTA checks the
     Farkas bound after steps 1, 2, 4, ..., 128 and 150, and a side leaves
     the stack at the first checkpoint whose bound exceeds 10 tol.  The
     smaller side goes first, and the other side is embedded only for the
     candidates it kept, so the batched FISTA runs only on candidates the
-    exact half-plane rule kept.  A rank-deficient block has no rank-k
-    range to judge, so it is never rejected here; the search counts it a
-    miss.
+    exact half-plane rule kept.
     """
     n, k = G.shape[1:]
-    Q, R = np.linalg.qr(G, mode="complete")
-    pivots = np.abs(np.diagonal(R, axis1=1, axis2=2)).min(axis=1)
-    full_rank = pivots > 2.0 * RANK_RTOL * np.linalg.norm(G, axis=1).max(axis=1)
+    Q = np.linalg.qr(G, mode="complete")[0]
     scales = np.linalg.norm(X, axis=1)
     X, scales = X[scales > 0.0], scales[scales > 0.0]
     rejected = np.zeros(len(G), dtype=bool)
     sides = (slice(0, k), slice(k, n)) if k <= n - k else (slice(k, n), slice(0, k))
     for side in sides:
-        live = np.flatnonzero(full_rank & ~rejected)
+        live = np.flatnonzero(~rejected)
         coords = np.einsum("mi,cij->cmj", X, Q[live, :, side])
         rejected[live] = _side_rejected(coords, scales, tol)
     return rejected
@@ -695,9 +697,8 @@ def _orthogonal_split_route(fr: Frame, ranks, seed: int, tol: float, budget: int
             Q = _solve_split(system, np.linalg.qr(G, mode="complete")[0], k, tol)
             if Q is None:
                 continue
-            B = Q[:, :k]
             try:
-                ps = construct_from_orthogonal_split(fr, OrthogonalProjection(_symmetrized(B @ B.T), k, B), S, T, tol)
+                ps = construct_from_orthogonal_split(fr, _leading_projection(Q, k), S, T, tol)
             except ValueError:
                 continue
             if verify_piecewise(fr, ps, tol).passed:
@@ -720,11 +721,14 @@ def search_piecewise(
     result fails verification, the search goes on), the orthogonal-split
     route, then a seeded sweep of ``budget`` random projections per
     requested rank, each tried with a disjoint-support feasibility split.
-    Candidate j of rank k is block j of
-    default_rng((seed, k)).standard_normal((budget, n, k)), drawn in
-    batches from one generator per rank; a block depends on (seed, k, j)
-    only, whatever the batching, and a rank-deficient block is a miss.  A
-    miss is not a proof that no scaling exists.
+    Candidate j of rank k is the orthogonal factor Q_j of the complete QR
+    of block j of default_rng((seed, k)).standard_normal((budget, n, k)),
+    drawn in batches from one generator per rank; a block depends on
+    (seed, k, j) only, whatever the batching.  The candidate projects onto
+    the span of the first k columns of Q_j, so every block, a dependent
+    one too, gives a rank-k candidate, and its sides are the identity
+    problems in the coordinates X Q_j[:, :k] and X Q_j[:, k:].  A miss
+    is not a proof that no scaling exists.
 
     The orthogonal-split route (_orthogonal_split_route) solves for the
     split the paper's R^2 and R^3 constructions build: a rank-k projection
@@ -767,9 +771,9 @@ def search_piecewise(
     holds for any w, so it does not rest on convergence.  A
     one-dimensional side always scales.  A skipped candidate's distance
     exceeds tol, so the feasibility solve could only reject it.
-    Candidates with a rank-deficient block or a side part at rounding level
-    are never skipped, nor is a side of dimension d >= 3 on over 1,024
-    rows; survivors take the sequential path: the higher-rank side is
+    Candidates with a side part at rounding level are never skipped, nor
+    is a side of dimension d >= 3 on over 1,024 rows; survivors take the
+    sequential path in the same coordinates: the higher-rank side is
     solved first (the range on a tie) and the other only when it
     scales, so the result is the same as without the screen.  Two scaling
     sides whose supports share an index make a miss, not a split.
@@ -810,11 +814,7 @@ def search_piecewise(
         return ps
     for k in valid:
         for _, G in _surviving_candidates(X, k, budget, seed, tol):
-            P = _projection_from_draw(G)
-            if P is None:
-                # a rank-deficient block is a miss: a redraw would shift every later candidate
-                continue
-            ps = _disjoint_split_candidate(X, P, tol)
+            ps = _disjoint_split_candidate(X, G, tol)
             if ps is not None and verify_piecewise(fr, ps, tol).passed:
                 return ps
     return None

@@ -116,30 +116,23 @@ def complement(projection: OrthogonalProjection) -> OrthogonalProjection:
     return OrthogonalProjection(_symmetrized(M), n - projection.rank, B)
 
 
-def _projection_from_draw(G: np.ndarray) -> OrthogonalProjection | None:
-    """Projection onto the span of the columns of G, or None when one drops."""
-    B = _span_basis(G)
-    if B.shape[1] != G.shape[1]:
-        return None
-    return OrthogonalProjection(_symmetrized(B @ B.T), B.shape[1], B)
-
-
-def _random_projection(rng: np.random.Generator, n: int, k: int) -> OrthogonalProjection:
-    for _ in range(8):
-        P = _projection_from_draw(rng.standard_normal((n, k)))
-        if P is not None:
-            return P
-    raise InternalInconsistencyError("Gaussian draws failed to produce k independent vectors")
+def _leading_projection(Q: np.ndarray, k: int) -> OrthogonalProjection:
+    """Projection onto the span of the first k columns of the orthogonal Q."""
+    B = Q[:, :k]
+    return OrthogonalProjection(_symmetrized(B @ B.T), k, B)
 
 
 def random_projection(n: int, k: int, seed: int) -> OrthogonalProjection:
-    """Projection onto the span of k orthonormalized seeded Gaussian vectors.
+    """Projection onto the span of the first k columns of Q, the orthogonal
+    factor of the complete QR of default_rng(seed).standard_normal((n, k)).
 
-    The output is a function of (n, k, seed) only.
+    This is how the search defines a candidate; the output is a function
+    of (n, k, seed) only.
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"rank must satisfy 1 <= k <= n - 1, got k={k}, n={n}")
-    return _random_projection(np.random.default_rng(seed), n, k)
+    G = np.random.default_rng(seed).standard_normal((n, k))
+    return _leading_projection(np.linalg.qr(G, mode="complete")[0], k)
 
 
 def validate_projection(matrix, tol: float = DEFAULT_TOL) -> VerificationReport:

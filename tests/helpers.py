@@ -139,11 +139,10 @@ def reference_search_piecewise(frame, ranks=None, budget: int = 100, seed: int =
     A copy of the search before candidates were screened in batches; the
     differential tests compare the library's search against it.  Each
     rank draws its candidates one by one from one generator
-    default_rng((seed, k)), so candidate c is block c of that stream, and
-    a rank-deficient block is a miss.
+    default_rng((seed, k)), so candidate c comes from block c of that
+    stream.
     """
     from framescale.piecewise import _complement_form, construct_r2, construct_r3
-    from framescale.projections import _projection_from_draw
 
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -181,52 +180,55 @@ def reference_search_piecewise(frame, ranks=None, budget: int = 100, seed: int =
     for k in valid:
         rng = np.random.default_rng((seed, k))
         for _ in range(budget):
-            P = _projection_from_draw(rng.standard_normal((n, k)))
-            if P is None:
-                continue
-            ps = reference_disjoint_split_candidate(X, P, tol)
+            ps = reference_disjoint_split_candidate(X, rng.standard_normal((n, k)), tol)
             if ps is not None and fs.verify_piecewise(fr, ps, tol).passed:
                 return ps
     return None
 
 
-def reference_disjoint_split_candidate(X: np.ndarray, P, tol: float):
-    """Disjoint-support split of one candidate projection, range side first.
+def reference_disjoint_split_candidate(X: np.ndarray, G: np.ndarray, tol: float):
+    """Disjoint-support split of the candidate of one Gaussian block G (n, k), range side first.
 
     A copy of the library's split before it solved the higher-rank side
-    first, built the complement lazily and pre-checked rank-2 overlap
-    resolutions; the search differential tests compare against it.
+    first and pre-checked rank-2 overlap resolutions; the search
+    differential tests compare against it.  The candidate projects onto
+    the first k columns of the orthogonal factor Q of the complete QR of
+    G, and its sides are the identity problems in the columns of X Q,
+    formed as one product as in the library.
     """
-    Y = X @ P.matrix
-    Z = X - Y
-    Q = fs.complement(P)
-    vp = fs.solve_standard_scaling(Y, P, tol)
+    from framescale.projections import _leading_projection
+
+    k = G.shape[1]
+    Q = np.linalg.qr(G, mode="complete")[0]
+    W = X @ Q
+    Y, Z = W[:, :k], W[:, k:]
+    vp = fs.solve_standard_scaling(Y, None, tol)
     if not vp.feasible:
         return None
-    vq = fs.solve_standard_scaling(Z, Q, tol)
+    vq = fs.solve_standard_scaling(Z, None, tol)
     if not vq.feasible:
         return None
     a = np.array(vp.scaling.constants)
     b = np.array(vq.scaling.constants)
     overlap = (a > 0.0) & (b > 0.0)
     if overlap.any():
-        resolved = reference_restricted_constants(Y, P, (a > 0.0) & ~overlap, tol)
+        resolved = reference_restricted_constants(Y, (a > 0.0) & ~overlap, tol)
         if resolved is not None:
             a = resolved
         else:
-            resolved = reference_restricted_constants(Z, Q, (b > 0.0) & ~overlap, tol)
+            resolved = reference_restricted_constants(Z, (b > 0.0) & ~overlap, tol)
             if resolved is None:
                 return None
             b = resolved
-    return fs.PiecewiseScaling(P, a, b)
+    return fs.PiecewiseScaling(_leading_projection(Q, k), a, b)
 
 
-def reference_restricted_constants(V: np.ndarray, target, keep: np.ndarray, tol: float):
-    """Solver-only _restricted_constants: the kept rows always go through solve_standard_scaling."""
+def reference_restricted_constants(V: np.ndarray, keep: np.ndarray, tol: float):
+    """Solver-only _restricted_constants: the kept coordinate rows always go through solve_standard_scaling."""
     idx = np.nonzero(keep)[0]
     if idx.size == 0:
         return None
-    verdict = fs.solve_standard_scaling(V[idx], target, tol)
+    verdict = fs.solve_standard_scaling(V[idx], None, tol)
     if not verdict.feasible:
         return None
     out = np.zeros(keep.shape[0])

@@ -73,6 +73,39 @@ def test_json_frame_diagnostics(tmp_path):
         fs.load_frame(broken)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"dim": "abc", "vectors": [[1, 0], [0, 1]]}', '"dim" must be an integer, got "abc"'),
+        ('{"dim": 2.5, "vectors": [[1, 0], [0, 1]]}', '"dim" must be an integer, got 2.5'),
+        ('{"dim": true, "vectors": [[1, 0], [0, 1]]}', '"dim" must be an integer, got true'),
+        ('{"dim": "2", "vectors": [[1, 0], [0, 1]]}', '"dim" must be an integer, got "2"'),
+    ],
+)
+def test_json_dim_must_be_an_integer(tmp_path, text, message):
+    path = tmp_path / "dim.json"
+    path.write_text(text)
+    with pytest.raises(FrameFormatError) as err:
+        fs.load_frame(path)
+    assert str(err.value) == f"{path}: {message}"
+    assert err.value.path == path
+
+
+def test_json_matrix_diagnostics_name_the_matrix_key(tmp_path):
+    cases = [
+        ('{"matrix": [[1, 0], [0]]}', '"matrix" entry 1 has length 1, expected 2'),
+        ('{"matrix": [[1, 0], 5]}', '"matrix" entry 1 is not an array'),
+        ('{"matrix": [[1, "x"], [0, 1]]}', '"matrix" entry 0, coordinate 1 is not a number'),
+        ('{"matrix": []}', '"matrix" must be a nonempty array of arrays'),
+    ]
+    for i, (text, message) in enumerate(cases):
+        path = tmp_path / f"mat{i}.json"
+        path.write_text(text)
+        with pytest.raises(FrameFormatError) as err:
+            fs.load_matrix(path)
+        assert str(err.value) == f"{path}: {message}"
+
+
 def test_load_matrix(tmp_path):
     path = tmp_path / "mat.csv"
     path.write_text("1,0\n0,1\n")

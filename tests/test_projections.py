@@ -67,6 +67,15 @@ def test_random_projection_determinism_and_contracts():
         fs.random_projection(4, 4, seed=0)
 
 
+def test_random_projection_is_the_leading_columns_of_its_blocks_qr():
+    for n, k, seed in ((4, 2, 11), (5, 1, 0), (6, 4, 7), (3, 2, 2**40)):
+        G = np.random.default_rng(seed).standard_normal((n, k))
+        B = np.linalg.qr(G, mode="complete")[0][:, :k]
+        P = fs.random_projection(n, k, seed)
+        assert P.rank == k and np.array_equal(P.range_basis, B)
+        assert np.array_equal(P.matrix, (B @ B.T + (B @ B.T).T) / 2.0)
+
+
 def test_validate_projection_examples():
     assert fs.validate_projection(np.diag([1.0, 0.0])).passed
     assert not fs.validate_projection(np.array([[1.0, 1.0], [0.0, 0.0]])).passed

@@ -9,7 +9,6 @@ import pytest
 
 import framescale as fs
 import framescale.piecewise as pw
-from framescale.projections import _projection_from_draw
 from helpers import (
     clustered_unit_frame,
     mercedes_frame,
@@ -148,7 +147,7 @@ def test_every_screened_candidate_fails_the_solver(index):
     for k in range(1, n):
         G = _blocks(index, k, n, 40)
         for g in G[pw._rejected_draws(X, G, TOL)]:
-            assert reference_disjoint_split_candidate(X, _projection_from_draw(g), TOL) is None
+            assert reference_disjoint_split_candidate(X, g, TOL) is None
 
 
 def _arc_family(rng, m, arc):
@@ -397,21 +396,62 @@ def test_shared_support_is_a_miss_after_two_solves(monkeypatch):
     # shared index is a miss without a third solve
     side = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 5e-4]])
     X, B = _side_fixture(3, 4, side, np.array([[1e4], [0.0], [1e3]]))
-    P = fs.projection_from_basis(B[:, :3].T)
-    supports = [
-        fs.solve_standard_scaling(V, target, TOL).scaling.constants > 0.0
-        for V, target in ((X @ P.matrix, P), (X - X @ P.matrix, fs.complement(P)))
-    ]
+    W = X @ B
+    supports = [fs.solve_standard_scaling(V, None, TOL).scaling.constants > 0.0 for V in (W[:, :3], W[:, 3:])]
     assert supports[0].all() and supports[1].tolist() == [True, False, False]
     calls = _counting_solver(monkeypatch)
-    assert pw._disjoint_split_candidate(X, P, TOL) is None and len(calls) == 2
+    assert pw._disjoint_split_candidate(X, _blocks(0, 3, 4, 1)[0], TOL) is None and len(calls) == 2
+
+
+def test_survivors_are_solved_in_the_screens_orthogonal_factor(monkeypatch):
+    # the screen judges candidate c in the orthogonal factor of the stacked
+    # QR of its batch; a survivor is solved in X Q for the QR of its block
+    # alone, which must be the same Q bit for bit
+    solved: list[np.ndarray] = []
+    solve = pw.solve_standard_scaling
+    monkeypatch.setattr(pw, "solve_standard_scaling", lambda V, *args: solved.append(V) or solve(V, *args))
+    survivors = hits = 0
+    for index, (frame, _) in enumerate(CASES[::3]):
+        X, n = frame.vectors, frame.dim
+        for k in range(1, n):
+            stacked = np.linalg.qr(_blocks(index, k, n, 40), mode="complete")[0]
+            for c, G in pw._surviving_candidates(X, k, 40, index, TOL):
+                Q = stacked[c]
+                assert np.array_equal(np.linalg.qr(G, mode="complete")[0], Q)
+                solved.clear()
+                ps = pw._disjoint_split_candidate(X, G, TOL)
+                W = X @ Q
+                sides = sorted((W[:, :k], W[:, k:]), key=lambda V: -V.shape[1])
+                assert 1 <= len(solved) <= 2 and all(map(np.array_equal, solved, sides))
+                survivors += 1
+                if ps is not None:
+                    assert np.array_equal(ps.projection.range_basis, Q[:, :k])
+                    hits += 1
+    assert survivors > 100 and hits > 0
+
+
+def test_a_dependent_block_is_an_ordinary_rank_k_candidate():
+    # np.ones((4, 2)) has rank one, yet the orthogonal factor of its
+    # complete QR has two leading columns: a rank-2 candidate like any other
+    G = np.ones((4, 2))
+    Q = np.linalg.qr(G, mode="complete")[0]
+    assert np.linalg.norm(Q.T @ Q - np.eye(4)) <= 1e-14
+    # a certified rank-2 miss: the screen rejects it and the solver finds no split
+    X = clustered_unit_frame(np.random.default_rng(3), 4, 6, 0.02).vectors
+    assert pw._rejected_draws(X, G[None], TOL)[0]
+    assert pw._disjoint_split_candidate(X, G, TOL) is None
+    # the columns of Q as frame rows split into the two coordinate sides
+    X = Q.T
+    assert not pw._rejected_draws(X, G[None], TOL)[0]
+    ps = pw._disjoint_split_candidate(X, G, TOL)
+    assert ps.projection.rank == 2 and np.array_equal(ps.projection.range_basis, Q[:, :2])
+    assert np.allclose(ps.a, [1.0, 1.0, 0.0, 0.0], atol=1e-12) and np.allclose(ps.b, [0.0, 0.0, 1.0, 1.0], atol=1e-12)
+    assert fs.verify_piecewise(X, ps, TOL).passed
 
 
 def test_screen_keeps_degenerate_and_rounding_level_sides():
     X = clustered_unit_frame(np.random.default_rng(3), 4, 6, 0.02).vectors
     assert pw._rejected_draws(X, _blocks(0, 2, 4, 16), TOL).all()
-    # a block with a dependent column is a miss of the search, not of the screen
-    assert not pw._rejected_draws(X, np.ones((16, 4, 2)), TOL).any()
     # rank 2 in R^5: the range side is a cluster of doubled angles in
     # [0, 1], which only its two-dimensional side can reject, since the
     # complement coordinates e_1, e_2, e_3 scale
