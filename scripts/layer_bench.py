@@ -1,0 +1,302 @@
+"""Time one framescale layer on fixed-seed inputs and write BENCH_<layer>.json.
+
+The layers and their inputs, built by this checkout from seed 3 with
+perfbench/workloads.py:
+
+- nnls: ``nnls(A, b)`` on the standard-scaling systems (vectorized Gram
+  columns against the vectorized identity) of the ``large-frames``
+  workload, four of each shape: wide scalable, random and cone frames at
+  n = 12, 16, 20 with m = 4n..7n, and tall random unit frames at
+  n = 4, 8, 16 with m = 800..1500; and of 40 random spanning unit frames
+  in R^d per d = 2..5 with d < m <= 15, so search-size systems have at
+  most 15 rows and 15 columns;
+- obstruction: ``closeness_obstruction(X)`` on the same ``large-frames``
+  frames and on one antipodal tie, 750 random unit rows in R^8 and their
+  negatives, so every row ties at the top of the screen and the exact
+  pass re-checks all 1,500;
+- screen: ``search_piecewise(X, ranks={k}, budget=200, seed=s)``, so the
+  sampled stage, when reached, screens up to 200 candidates of one rank.
+  The searches are the ``search-miss`` workload (clustered R^4 frames,
+  m = 5..8, whose rank 2 ``closeness_obstruction`` certifies, searched at
+  rank 2 with the workload's seeds, so each is a full-budget miss of the
+  sampled stage); the rank-restricted sweep (spanning unit frames from
+  one ``default_rng(2026)`` stream, 60 for each n = 4, 5, 6 in turn,
+  with m from ``integers(n + 1, 3n + 1)``, every rank searched alone at
+  seed 0), of which only the searches that reach the sampled stage are
+  timed, split into those it answers with a scaling ("sweep hit") and
+  those it misses ("sweep miss"); and four clustered R^5 frames (spread
+  0.02) at each of m = 300 and m = 2,000, searched at rank 1, where the
+  orthogonal-split route does not run.
+
+The inputs are timed in fresh processes, one per round and tree, with
+BLAS on one thread.  Each round times this checkout's ``src`` and, with
+``--src DIR``, the package directory DIR too (say, the ``src`` of a
+second checkout at the parent commit); the trees alternate which runs
+first.  An input's time in a round is the fastest of a few calls, and
+for each shape the file records the median and quartiles, over rounds,
+of the mean of those times in milliseconds, and of each round's
+current/baseline ratio.
+
+Usage, from the repository root:
+
+    python3 scripts/layer_bench.py nnls --src ../parent/src --rounds 10
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Callable
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+SEED = 3
+BUDGET = 200  # of every search the screen layer times
+WORKER = (
+    "import sys; sys.path[:0] = sys.argv[1:3]; "
+    "from layer_bench import time_inputs; time_inputs(sys.argv[3], sys.argv[4])"
+)
+
+# each shape's inputs, an input being the arguments of one timed call
+Inputs = dict[str, list[tuple]]
+
+
+def _large_frames(smoke: bool) -> dict[str, list[np.ndarray]]:
+    import workloads
+
+    frames: dict[str, list[np.ndarray]] = {}
+    large = workloads.LargeFrames()
+    for item in large.build(SEED, (1 if smoke else 4) * large.round_size):
+        frames.setdefault(f"{item.kind} n={item.n}", []).append(item.frame)
+    return frames
+
+
+def nnls_systems(smoke: bool) -> Inputs:
+    import workloads
+    from framescale.scaling import _gram_columns, _vech
+
+    frames = _large_frames(smoke)
+    rng = np.random.default_rng([SEED, 15])
+    count = 2 if smoke else 40  # per dimension d
+    for d in range(2, 6):
+        frames[f"search d={d}"] = [workloads.spanning_unit_frame(rng, d, int(rng.integers(d + 1, 16))) for _ in range(count)]
+    return {key: [(_gram_columns(X), _vech(np.eye(X.shape[1]))) for X in group] for key, group in frames.items()}
+
+
+def obstruction_frames(smoke: bool) -> Inputs:
+    import workloads
+
+    frames = _large_frames(smoke)
+    U = workloads.spanning_unit_frame(np.random.default_rng([SEED, 16]), 8, 750)
+    frames["antipodal n=8"] = [np.vstack([U, -U])]
+    return {key: [(X,) for X in group] for key, group in frames.items()}
+
+
+def _reaches_sampled_stage(pw, X: np.ndarray, k: int) -> tuple[bool, bool]:
+    """Whether the rank-k search of X at seed 0 reaches the sampled stage, and whether it finds a scaling."""
+    reached = []
+    survivors = pw._surviving_candidates
+
+    def record(*args):
+        reached.append(True)
+        yield from survivors(*args)
+
+    pw._surviving_candidates = record
+    try:
+        found = pw.search_piecewise(X, ranks={k}, budget=BUDGET, seed=0) is not None
+    finally:
+        pw._surviving_candidates = survivors
+    return bool(reached), found
+
+
+def screen_searches(smoke: bool) -> Inputs:
+    import workloads
+
+    import framescale.piecewise as pw
+
+    miss = workloads.SearchMiss().build(SEED, 4 if smoke else 164)  # the ops of a 25 s benchmark run
+    searches: Inputs = {"search-miss": [(item.frame, 2, item.index) for item in miss], "sweep hit": [], "sweep miss": []}
+    rng = np.random.default_rng(2026)
+    for n in (4, 5, 6):
+        for _ in range(2 if smoke else 60):
+            X = workloads.spanning_unit_frame(rng, n, int(rng.integers(n + 1, 3 * n + 1)))
+            for k in range(1, n):
+                reached, found = _reaches_sampled_stage(pw, X, k)
+                if reached:
+                    searches["sweep hit" if found else "sweep miss"].append((X, k, 0))
+    count = 1 if smoke else 4  # per clustered shape
+    for m in (300,) if smoke else (300, 2000):
+        rng = np.random.default_rng([SEED, m])
+        searches[f"clustered n=5 m={m}"] = [(workloads.clustered_frame(rng, 5, m, 0.02), 1, 0) for _ in range(count)]
+    return searches
+
+
+@dataclass(frozen=True)
+class Layer:
+    build: Callable[[bool], Inputs]  # the fixed-seed inputs, a few per shape when smoke is set
+    call: Callable[..., object]  # the timed call, on the framescale package and an input
+    calls: int  # per input and round; the fastest counts, as with timeit
+    unit: str
+    settings: dict = field(default_factory=dict)  # fixed arguments the report records
+
+
+LAYERS = {
+    "nnls": Layer(
+        nnls_systems,
+        lambda fs, A, b: fs.nnls(A, b),
+        5,
+        "ms per nnls call, fastest of 5 per system: median and quartiles over rounds of each shape's mean",
+    ),
+    "obstruction": Layer(
+        obstruction_frames,
+        lambda fs, X: fs.closeness_obstruction(X),
+        5,
+        "ms per closeness_obstruction call, fastest of 5 per frame: median and quartiles over rounds of each shape's mean",
+    ),
+    "screen": Layer(
+        screen_searches,
+        lambda fs, X, k, seed: fs.search_piecewise(X, ranks={int(k)}, budget=BUDGET, seed=int(seed)),
+        3,
+        "ms per search_piecewise call at one rank, fastest of 3 per search: median and quartiles over rounds of each shape's mean",
+        {"budget": BUDGET},
+    ),
+}
+
+
+def time_inputs(path: str, layer: str) -> None:
+    """Worker: print the fastest of the layer's calls on each input, in milliseconds, as JSON."""
+    import framescale
+
+    spec = LAYERS[layer]
+    data = np.load(path)
+    inputs: dict[str, list[np.ndarray]] = {}
+    for key in data.files:  # "<input>_<position>", in order
+        inputs.setdefault(key.rsplit("_", 1)[0], []).append(data[key])
+    out = {}
+    for name, arguments in inputs.items():
+        calls = []
+        for _ in range(spec.calls):
+            start = time.perf_counter()
+            spec.call(framescale, *arguments)
+            calls.append(time.perf_counter() - start)
+        out[name] = min(calls) * 1e3
+    print(json.dumps(out))
+
+
+def _quartiles(values: list[float]) -> dict[str, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def _host() -> dict:
+    return {
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas_threads": 1,
+    }
+
+
+def _alternate(src: str | None, rounds: int, layer: str, path: Path) -> dict[str, list[dict[str, float]]]:
+    """Time the inputs at ``path`` in a fresh process per round and tree, alternating which tree runs first.
+
+    The trees are this checkout's ``src`` ("current") and, with ``src``,
+    the package directory ``src`` ("baseline"); the result lists each
+    tree's times by input, one object per round.
+    """
+    trees = {"current": str(ROOT / "src")}
+    if src is not None:
+        trees["baseline"] = str(Path(src).resolve())
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    per_round: dict[str, list[dict[str, float]]] = {label: [] for label in trees}
+    for index in range(rounds):
+        order = list(trees) if index % 2 == 0 else list(trees)[::-1]
+        for label in order:
+            argv = [sys.executable, "-c", WORKER, trees[label], str(ROOT / "scripts"), str(path), layer]
+            done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+            per_round[label].append(json.loads(done.stdout.splitlines()[-1]))
+    return per_round
+
+
+def _summary(per_round: dict[str, list[dict[str, float]]], shapes: dict[str, list[str]]) -> dict:
+    """Median and quartiles over rounds of each shape's mean time, and the current/baseline ratios.
+
+    ``current_over_baseline`` is the ratio of the two medians.  Rounds pair
+    one run of each tree, so ``round_ratio_quartiles`` gives the median and
+    quartiles over rounds of each round's ratio: a shape reads as resolved
+    only when that spread stays clear of 1.
+    """
+    means = {
+        label: {
+            key: [statistics.fmean(times[name] for name in names) for times in runs]
+            for key, names in shapes.items()
+        }
+        for label, runs in per_round.items()
+    }
+    results = {
+        label: {key: _quartiles(values) for key, values in by_shape.items()} for label, by_shape in means.items()
+    }
+    summary = {"shapes": {key: len(names) for key, names in shapes.items()}, "results": results}
+    if "baseline" in results:
+        summary["current_over_baseline"] = {
+            key: round(results["current"][key]["median"] / results["baseline"][key]["median"], 3) for key in shapes
+        }
+        summary["round_ratio_quartiles"] = {
+            key: _quartiles([c / b for c, b in zip(means["current"][key], means["baseline"][key])]) for key in shapes
+        }
+    return summary
+
+
+def run(layer: str, src: str | None, rounds: int, out: Path, smoke: bool = False) -> dict:
+    """Build the layer's inputs, time them for ``rounds`` rounds and write the report to ``out``."""
+    spec = LAYERS[layer]
+    # the inputs come from this checkout's package and benchmark workloads
+    sys.path[:0] = [path for path in (str(ROOT / "src"), str(ROOT / "perfbench")) if path not in sys.path]
+    arrays: dict[str, np.ndarray] = {}
+    shapes: dict[str, list[str]] = {}
+    number = itertools.count()
+    for key, group in spec.build(smoke).items():
+        shapes[key] = [f"x{next(number)}" for _ in group]
+        for name, arguments in zip(shapes[key], group):
+            arrays.update({f"{name}_{position}": np.asarray(value) for position, value in enumerate(arguments)})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inputs.npz"
+        np.savez(path, **arrays)
+        per_round = _alternate(src, rounds, layer, path)
+    report = {
+        "script": f"scripts/layer_bench.py {layer}",
+        "unit": spec.unit,
+        "rounds": rounds,
+        "seed": SEED,
+        **spec.settings,
+        "host": _host(),
+        **_summary(per_round, shapes),
+    }
+    out.write_text(json.dumps(report, indent=2) + "\n")
+    return report
+
+
+def main(argv: list[str] | None = None) -> dict:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("layer", choices=LAYERS)
+    parser.add_argument("--src", help="package directory of a second tree to time as the baseline")
+    parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--out", type=Path, help="the report (default: BENCH_<layer>.json at the repository root)")
+    args = parser.parse_args(argv)
+    return run(args.layer, args.src, args.rounds, args.out or ROOT / f"BENCH_{args.layer}.json")
+
+
+if __name__ == "__main__":
+    main()

@@ -113,7 +113,7 @@ def _exact_rows(X: np.ndarray, step: int) -> np.ndarray:
     return rows
 
 
-def _max_pair_distance(X: np.ndarray, fits: bool) -> tuple[float, tuple[int, int]]:
+def _max_pair_distance(X: np.ndarray) -> tuple[float, tuple[int, int]]:
     """Largest distance ||x_i - x_j|| and its first pair in row-major order.
 
     Bit-identical to the maximum and argmax of
@@ -156,14 +156,13 @@ def _max_pair_distance(X: np.ndarray, fits: bool) -> tuple[float, tuple[int, int
     inputs whose squares may overflow, which skip the screen: one
     overflowing term would drop its pair from the screen unseen.  There
     overflow warnings are off, since an infinite distance is the expected
-    result.  ``fits`` is _squares_fit(X), which each public caller
-    computes once.  When the re-checked rows fill more than one block,
-    exact copies of a row are re-checked once, at their first occurrence
-    (see _exact_rows).
+    result.  When the re-checked rows fill more than one block, exact
+    copies of a row are re-checked once, at their first occurrence (see
+    _exact_rows).
     """
     m, n = X.shape
     step = max(1, _BLOCK_CELLS // (m * n))
-    if not fits:
+    if not _squares_fit(X):
         # a distance may overflow to inf, the expected result for such rows
         with np.errstate(over="ignore"):
             return _blocked_max(X, np.arange(m), step)
@@ -195,12 +194,10 @@ def pairwise_closeness(frame) -> float:
     X = as_vector_array(frame)
     if X.shape[0] < 2:
         raise ValueError("pairwise closeness needs at least two vectors")
-    return _max_pair_distance(X, _squares_fit(X))[0]
+    return _max_pair_distance(X)[0]
 
 
-def _unit_norm_deviation(X: np.ndarray, fits: bool) -> float:
-    if fits:
-        return float(np.abs(np.linalg.norm(X, axis=1) - 1.0).max())
+def _unit_norm_deviation(X: np.ndarray) -> float:
     # a row whose squared norm overflows lies infinitely far from unit norm
     with np.errstate(over="ignore"):
         return float(np.abs(np.linalg.norm(X, axis=1) - 1.0).max())
@@ -220,11 +217,10 @@ def dichotomy_check(frame, projection: OrthogonalProjection, epsilon: float) -> 
         raise ValueError("dichotomy check needs at least two vectors")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    fits = _squares_fit(X)
-    dev = _unit_norm_deviation(X, fits)
+    dev = _unit_norm_deviation(X)
     if dev > _UNIT_NORM_TOL:
         raise ValueError(f"frame must be unit-norm within {_UNIT_NORM_TOL:g} (deviation {dev:.3e})")
-    if _max_pair_distance(X, fits)[0] > epsilon:
+    if _max_pair_distance(X)[0] > epsilon:
         raise ValueError("pairwise distances exceed epsilon")
     if projection.dim != X.shape[1]:
         raise ValueError("projection dimension does not match the vectors")
@@ -267,12 +263,11 @@ def closeness_obstruction(frame) -> ObstructionReport:
     """
     X = as_vector_array(frame)
     m, n = X.shape
-    fits = _squares_fit(X)
-    dev = _unit_norm_deviation(X, fits)
+    dev = _unit_norm_deviation(X)
     detail: dict[str, object] = {"unit_norm_deviation": dev, "vector_count": m}
     if m < 2:
         return ObstructionReport(0.0, frozenset(), "none", detail)
-    eps, detail["max_pair"] = _max_pair_distance(X, fits)
+    eps, detail["max_pair"] = _max_pair_distance(X)
     ranks: set[int] = set()
     theorem = "none"
     if dev <= _UNIT_NORM_TOL:
@@ -319,7 +314,7 @@ def check_constant_bounds(frame, scaling, tol: float = DEFAULT_TOL) -> Verificat
     fr = frame if isinstance(frame, Frame) else Frame(frame)
     X = fr.vectors
     m, n = X.shape
-    dev = _unit_norm_deviation(X, _squares_fit(X))
+    dev = _unit_norm_deviation(X)
     if dev > tol:
         raise ValueError(f"frame must be unit-norm within {tol:g} (deviation {dev:.3e})")
     detail: dict[str, tuple[bool, float]] = {}

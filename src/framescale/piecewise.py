@@ -18,7 +18,7 @@ onto the span of the first k columns of Q_j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .projections import (
     complement,
     projection_from_basis,
 )
-from .scaling import _farkas_bound, _half_plane_margin, solve_standard_scaling
+from .scaling import _farkas_bound, _half_plane_margin, _row_shifts, _unshifted, solve_standard_scaling
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,17 @@ def _split_parts(frame, ps: PiecewiseScaling) -> tuple[np.ndarray, np.ndarray, n
     return X, Y, X - Y
 
 
+def _scaled_parts(frame, ps: PiecewiseScaling) -> tuple[np.ndarray, np.ndarray]:
+    # the rows a_i P x_i and b_i (I - P) x_i; the mixed term pairs these,
+    # never a_i b_i, which can overflow where both parts stay finite
+    _, Y, Z = _split_parts(frame, ps)
+    return ps.a[:, None] * Y, ps.b[:, None] * Z
+
+
 def scaled_family(frame, ps: PiecewiseScaling) -> np.ndarray:
     """Rows a_i P x_i + b_i (I - P) x_i of the rescaled family."""
-    _, Y, Z = _split_parts(frame, ps)
-    return ps.a[:, None] * Y + ps.b[:, None] * Z
-
-
-def _cross(Y: np.ndarray, Z: np.ndarray, ps: PiecewiseScaling) -> np.ndarray:
-    return Y.T @ ((ps.a * ps.b)[:, None] * Z)
+    aY, bZ = _scaled_parts(frame, ps)
+    return aY + bZ
 
 
 def cross_operator(frame, ps: PiecewiseScaling) -> np.ndarray:
@@ -104,8 +107,8 @@ def cross_operator(frame, ps: PiecewiseScaling) -> np.ndarray:
     the quadratic form x -> x^T C x is the mixed sum, and a symmetric
     part of zero forces the whole operator to zero.
     """
-    _, Y, Z = _split_parts(frame, ps)
-    return _cross(Y, Z, ps)
+    aY, bZ = _scaled_parts(frame, ps)
+    return aY.T @ bZ
 
 
 def verify_piecewise(frame, ps: PiecewiseScaling, tol: float = DEFAULT_TOL) -> PiecewiseReport:
@@ -118,13 +121,13 @@ def verify_piecewise(frame, ps: PiecewiseScaling, tol: float = DEFAULT_TOL) -> P
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    _, Y, Z = _split_parts(frame, ps)
+    aY, bZ = _scaled_parts(frame, ps)
     P = ps.projection
     n = P.dim
-    p_rep = _parseval_report(ps.a[:, None] * Y, P.matrix, tol)
-    q_rep = _parseval_report(ps.b[:, None] * Z, _symmetrized(np.eye(n) - P.matrix), tol)
-    cross = float(np.linalg.norm(_cross(Y, Z, ps), "fro"))
-    W = ps.a[:, None] * Y + ps.b[:, None] * Z
+    p_rep = _parseval_report(aY, P.matrix, tol)
+    q_rep = _parseval_report(bZ, _symmetrized(np.eye(n) - P.matrix), tol)
+    cross = float(np.linalg.norm(aY.T @ bZ, "fro"))
+    W = aY + bZ
     direct = float(np.linalg.norm(W.T @ W - np.eye(n), "fro"))
     passed = direct <= tol
     three_way = p_rep.passed and q_rep.passed and cross <= tol
@@ -143,6 +146,11 @@ def verify_piecewise(frame, ps: PiecewiseScaling, tol: float = DEFAULT_TOL) -> P
         direct_residual=direct,
         tolerance=tol,
     )
+
+
+def _shifted(ps: PiecewiseScaling, shifts: np.ndarray) -> PiecewiseScaling:
+    # constants found for the rows 2^s_i x_i (_row_shifts), carried back to the rows x_i
+    return PiecewiseScaling(ps.projection, _unshifted(ps.a, shifts), _unshifted(ps.b, shifts))
 
 
 def _require_nontrivial(P: OrthogonalProjection) -> None:
@@ -165,9 +173,13 @@ def construct_r2(frame, projection: OrthogonalProjection, tol: float = DEFAULT_T
     Finds the first indices i != j with P x_i and (I - P) x_j both nonzero
     and returns construct_from_orthogonal_split on S = {i}, T = {j}; every
     spanning family admits such a pair, so the result is an orthonormal
-    basis of R^2.
+    basis of R^2.  Rows whose squares would leave the normal range are
+    scaled by powers of two first (_row_shifts), and their constants back.
     """
     X = as_vector_array(frame)
+    shifts = _row_shifts(X)
+    if shifts is not None:
+        return _shifted(construct_r2(np.ldexp(X, shifts[:, None]), projection, tol), shifts)
     m, n = X.shape
     if n != 2:
         raise ValueError("construct_r2 needs vectors in R^2")
@@ -303,8 +315,14 @@ def construct_r3_detailed(frame, tol: float = DEFAULT_TOL) -> R3Construction:
     visible on the projected side.  The scaling is
     construct_from_orthogonal_split with P = span{u}, S the third index
     and T the pair, so a numerically degenerate part raises ValueError.
+    Rows whose squares would leave the normal range are scaled by powers
+    of two first (_row_shifts), and their constants back.
     """
     X = as_vector_array(frame)
+    shifts = _row_shifts(X)
+    if shifts is not None:
+        built = construct_r3_detailed(np.ldexp(X, shifts[:, None]), tol)
+        return replace(built, scaling=_shifted(built.scaling, shifts))
     m, n = X.shape
     if n != 3:
         raise ValueError("construct_r3 needs vectors in R^3")
@@ -777,12 +795,21 @@ def search_piecewise(
     solved first (the range on a tie) and the other only when it
     scales, so the result is the same as without the screen.  Two scaling
     sides whose supports share an index make a miss, not a split.
+
+    A positive factor on a vector does not change whether a scaling
+    exists, so rows whose squares would leave the normal range are
+    scaled by powers of two first (_row_shifts); the search runs on those
+    rows, and the constants of its result are scaled back.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     fr = frame if isinstance(frame, Frame) else Frame(frame)
+    shifts = _row_shifts(fr.vectors)
+    if shifts is not None:
+        ps = search_piecewise(np.ldexp(fr.vectors, shifts[:, None]), ranks, budget, seed, tol)
+        return None if ps is None else _shifted(ps, shifts)
     n = fr.dim
     wanted = set(range(1, n)) if ranks is None else {int(k) for k in ranks} & set(range(1, n))
     valid = sorted(wanted)

@@ -16,7 +16,7 @@ solver's residual must certify it, or the verdict is undecided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -88,6 +88,40 @@ def _unvech(r: np.ndarray, n: int) -> np.ndarray:
     R = np.zeros((n, n))
     R[iu] = r / weights
     return R + np.triu(R, 1).T
+
+
+# a row whose largest entry lies outside this window is moved into
+# [1/2, 1) by an exact power of two before any square is formed; inside
+# it the fourth powers nnls forms, and their sums, stay normal
+_ROW_WINDOW = (2.0**-240, 2.0**240)
+
+
+def _row_shifts(V: np.ndarray) -> np.ndarray | None:
+    """Exponents s_i that bring every row 2^s_i v_i inside _ROW_WINDOW, or None when all lie in it.
+
+    A row inside the window, a zero row included, gets s_i = 0, so its
+    bytes do not change.  A positive factor on a vector does not change
+    scalability: constants c_i for the rows 2^s_i v_i are 2^s_i c_i for
+    the rows v_i, exact while that product stays a normal double.
+    """
+    lo, hi = _ROW_WINDOW
+    a = np.abs(V)
+    # a row's largest entry leaves the window only if some entry does;
+    # this test skips the slower row maxima on nearly every input
+    if a.min() >= lo and a.max() <= hi:
+        return None
+    top = a.max(axis=1)
+    outside = (top > hi) | ((top < lo) & (top > 0.0))
+    return np.where(outside, -np.frexp(top)[1], 0) if outside.any() else None
+
+
+def _unshifted(constants: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Constants for the rows v_i from those for the rows 2^s_i v_i (see _row_shifts)."""
+    with np.errstate(over="ignore"):
+        c = np.ldexp(constants, shifts)
+    if not np.isfinite(c).all():
+        raise ValueError("the scaling constants of rows this small exceed the range of doubles")
+    return c
 
 
 def _post_check_unit_norm_invariants(V: np.ndarray, constants: np.ndarray, tol: float) -> None:
@@ -195,10 +229,22 @@ def solve_standard_scaling(
     "undecided" when the bound does not exceed ``tol``: the residual then
     only bounds the optimum from above, so it proves nothing.  The
     verdict records the run's ``converged`` flag and ``iterations``.
+
+    A row whose squares or fourth powers would leave the normal range of
+    doubles is first multiplied by a power of two (_row_shifts), and its
+    constant is multiplied back by the same power, so neither underflow
+    nor overflow can decide the verdict.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     V = as_vector_array(vectors)
+    shifts = _row_shifts(V)
+    if shifts is not None:
+        verdict = solve_standard_scaling(np.ldexp(V, shifts[:, None]), target, tol, max_iter)
+        if not verdict.feasible:
+            return verdict
+        constants = _unshifted(verdict.scaling.constants, shifts)
+        return replace(verdict, scaling=replace(verdict.scaling, constants=constants))
     n = V.shape[1]
     warnings: list[str] = []
     if target is None:

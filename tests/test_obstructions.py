@@ -86,7 +86,7 @@ def test_max_pair_distance_is_bit_identical_to_broadcast(monkeypatch, cells):
     for label, X in _distance_cases(rng):
         with np.errstate(over="ignore", invalid="ignore"):
             expected = reference_max_pair_distance(X)
-        assert ob._max_pair_distance(X, ob._squares_fit(X)) == expected, (label, X.shape)
+        assert ob._max_pair_distance(X) == expected, (label, X.shape)
         report = fs.closeness_obstruction(X)
         assert report.epsilon == expected[0] and report.detail["max_pair"] == expected[1]
         assert fs.pairwise_closeness(X) == expected[0]
@@ -114,7 +114,7 @@ def test_max_pair_distance_spanning_several_row_blocks(spread):
     if spread is not None:
         X = X[0] + spread * X
     assert X.shape[0] > ob._BLOCK_CELLS // X.shape[0]  # the screen needs two blocks
-    assert ob._max_pair_distance(X, ob._squares_fit(X)) == reference_max_pair_distance(X)
+    assert ob._max_pair_distance(X) == reference_max_pair_distance(X)
     # only the two rows of the farthest pair are re-checked, also in a
     # cluster far smaller than the norms, since the screen centres the rows
     assert ob._screened_rows(X).size <= 2
@@ -133,14 +133,14 @@ def test_max_pair_distance_collapses_repeated_rows(label):
     # 300 rows in R^50 already re-check more rows than one block holds
     X = _repeated_rows(rng, label, 300, 50)
     assert X.shape[0] > ob._BLOCK_CELLS // X.size
-    assert ob._max_pair_distance(X, ob._squares_fit(X)) == reference_max_pair_distance(X)
+    assert ob._max_pair_distance(X) == reference_max_pair_distance(X)
     # at 2000 rows the broadcast reference would take 1.6 GB per temporary,
     # so it runs on the distinct rows, whose first occurrences are 0 and 1000
     X = _repeated_rows(rng, label, 2000, 50)
     rows = ob._exact_rows(X, max(1, ob._BLOCK_CELLS // X.size))
     assert rows.size <= 2
     eps, (i, j) = reference_max_pair_distance(X[[0, 1000]])
-    assert ob._max_pair_distance(X, ob._squares_fit(X)) == (eps, ((0, 1000)[i], (0, 1000)[j]))
+    assert ob._max_pair_distance(X) == (eps, ((0, 1000)[i], (0, 1000)[j]))
     assert fs.closeness_obstruction(X).detail["max_pair"] == ((0, 1000)[i], (0, 1000)[j])
 
 
@@ -161,7 +161,7 @@ def test_closeness_obstruction_memory_is_bounded():
     # take 92 MB); the exact pass then re-checks one copy
     X = np.tile(unit_rows(rng, 1, 8), (1200, 1))
     assert ob._screened_rows(X).size == X.shape[0]
-    assert _peak_bytes(ob._max_pair_distance, X, ob._squares_fit(X)) < 64 * 2**20
+    assert _peak_bytes(ob._max_pair_distance, X) < 64 * 2**20
 
 
 def test_dichotomy_repeated_vector():

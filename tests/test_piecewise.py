@@ -9,6 +9,7 @@ from framescale.piecewise import _complement_form
 from helpers import (
     blocked_split_frame,
     clustered_unit_frame,
+    open_quadrant_frame,
     r3_fixture,
     r4_special_fixture,
     random_onb_rows,
@@ -392,6 +393,19 @@ def test_clustered_r3_frame_is_scaled_not_an_internal_error():
     found = fs.search_piecewise(frame, seed=0)
     rep = fs.verify_piecewise(frame, found)
     assert rep.passed and rep.direct_residual <= 5e-9
+
+
+@pytest.mark.parametrize("exponent", [-565, 565])
+def test_search_and_constructors_scale_power_of_two_multiples(exponent):
+    # the norms underflow to 0 at 2^-565 and the fourth powers overflow at
+    # 2^565; every result must verify on the frame as given
+    R2 = np.ldexp(open_quadrant_frame(np.random.default_rng(35), 4).vectors, exponent)
+    R3 = np.ldexp(r3_fixture().vectors, exponent)
+    for X in (R2, R3, np.ldexp(np.eye(3), exponent)):
+        found = fs.search_piecewise(X, seed=0)
+        assert found is not None and fs.verify_piecewise(X, found).passed
+    assert fs.verify_piecewise(R2, fs.construct_r2(R2, fs.canonical_projection([0], 2))).passed
+    assert fs.verify_piecewise(R3, fs.construct_r3(R3)).passed
 
 
 def _same_scaling(got, want) -> bool:

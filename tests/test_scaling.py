@@ -272,6 +272,32 @@ def test_full_rank_canonical_target_decides_as_the_identity():
     assert {None, "residual-infeasible"} <= labels
 
 
+@pytest.mark.parametrize("exponent", [-565, 565])
+def test_power_of_two_multiples_decide_as_the_frame(exponent):
+    # at 2^-565 every square underflows to 0 and at 2^565 every fourth
+    # power overflows; a positive factor on a vector cannot change scalability
+    rng = np.random.default_rng(31)
+    frames = [np.eye(3), open_quadrant_frame(rng, 4).vectors, unit_rows(rng, 6, 3)]
+    for X in frames:
+        want = fs.solve_standard_scaling(X)
+        got = fs.solve_standard_scaling(np.ldexp(X, exponent))
+        assert (got.feasible, got.certificate) == (want.feasible, want.certificate)
+        if want.feasible:
+            c = np.ldexp(got.scaling.constants, exponent)
+            assert np.allclose(c, want.scaling.constants, rtol=1e-12, atol=1e-12)
+    assert {fs.solve_standard_scaling(X).certificate for X in frames} == {None, "open-quadrant", "residual-infeasible"}
+
+
+def test_rows_of_mixed_extreme_magnitudes_scale():
+    X = np.diag([1e-170, 1.0, 1e250])
+    verdict = fs.solve_standard_scaling(X)
+    assert verdict.feasible and np.array_equal(verdict.scaling.constants, 1.0 / np.diag(X))
+    assert fs.verify_parseval(verdict.scaling.constants[:, None] * X).passed
+    # rows below 2^-1024 need constants above the largest double
+    with pytest.raises(ValueError, match="exceed the range of doubles"):
+        fs.solve_standard_scaling(np.eye(2) * 1e-310)
+
+
 def test_nan_tol_raises():
     nan = float("nan")
     with pytest.raises(ValueError, match="tol must be positive"):

@@ -48,43 +48,48 @@ def test_readme_library_example_runs():
     exec(compile(code, "README.md (Library example)", "exec"), {})
 
 
-def test_nnls_layer_bench_smoke(tmp_path):
-    out = tmp_path / "BENCH_nnls.json"
-    report = _run("nnls_layer_bench.py")(str(ROOT / "src"), rounds=1, out=out, cycles=1, search_frames=2)
+def _layer_bench(layer: str, tmp_path: Path) -> dict:
+    out = tmp_path / f"BENCH_{layer}.json"
+    report = _run("layer_bench.py")(layer, str(ROOT / "src"), rounds=1, out=out, smoke=True)
     assert json.loads(out.read_text()) == report
-    shapes = [f"{kind} n={n}" for n in (12, 16, 20) for kind in ("scalable", "random", "cone")]
-    shapes += [f"tall n={n}" for n in (4, 8, 16)] + [f"search d={d}" for d in range(2, 6)]
-    assert list(report["shapes"]) == shapes
+    assert report["script"] == f"scripts/layer_bench.py {layer}"
     for label in ("current", "baseline"):
-        assert list(report["results"][label]) == shapes
+        assert list(report["results"][label]) == list(report["shapes"])
         assert all(0.0 < row["q1"] <= row["median"] <= row["q3"] for row in report["results"][label].values())
-    assert set(report["current_over_baseline"]) == set(shapes)
-    assert list(report["round_ratio_quartiles"]) == shapes
+    assert set(report["current_over_baseline"]) == set(report["shapes"])
+    assert list(report["round_ratio_quartiles"]) == list(report["shapes"])
     assert all(0.0 < row["q1"] <= row["median"] <= row["q3"] for row in report["round_ratio_quartiles"].values())
+    return report
+
+
+LARGE_SHAPES = [f"{kind} n={n}" for n in (12, 16, 20) for kind in ("scalable", "random", "cone")] + [
+    f"tall n={n}" for n in (4, 8, 16)
+]
+
+
+def test_nnls_layer_bench_smoke(tmp_path):
+    report = _layer_bench("nnls", tmp_path)
+    assert list(report["shapes"]) == LARGE_SHAPES + [f"search d={d}" for d in range(2, 6)]
+    assert set(report["shapes"].values()) == {1, 2}
 
 
 def test_obstruction_layer_bench_smoke(tmp_path):
-    out = tmp_path / "BENCH_obstruction.json"
-    report = _run("obstruction_layer_bench.py")(str(ROOT / "src"), rounds=1, out=out, cycles=1)
-    assert json.loads(out.read_text()) == report
-    shapes = [f"{kind} n={n}" for n in (12, 16, 20) for kind in ("scalable", "random", "cone")]
-    shapes += [f"tall n={n}" for n in (4, 8, 16)] + ["antipodal n=8"]
-    assert list(report["shapes"]) == shapes
-    for label in ("current", "baseline"):
-        assert list(report["results"][label]) == shapes
-        assert all(0.0 < row["q1"] <= row["median"] <= row["q3"] for row in report["results"][label].values())
-    assert set(report["current_over_baseline"]) == set(shapes)
+    report = _layer_bench("obstruction", tmp_path)
+    assert list(report["shapes"]) == LARGE_SHAPES + ["antipodal n=8"]
 
 
 def test_screen_layer_bench_smoke(tmp_path):
-    out = tmp_path / "BENCH_screen.json"
-    bench = _run("screen_layer_bench.py")
-    report = bench(str(ROOT / "src"), rounds=1, out=out, miss_ops=4, sweep_frames=2, clustered_rows=(300,))
-    assert json.loads(out.read_text()) == report
-    shapes = ["search-miss", "sweep hit", "sweep miss", "clustered n=5 m=300"]
-    assert list(report["shapes"]) == shapes
+    report = _layer_bench("screen", tmp_path)
+    assert list(report["shapes"]) == ["search-miss", "sweep hit", "sweep miss", "clustered n=5 m=300"]
     assert report["shapes"]["search-miss"] == 4
-    for label in ("current", "baseline"):
-        assert list(report["results"][label]) == shapes
-        assert all(0.0 < row["q1"] <= row["median"] <= row["q3"] for row in report["results"][label].values())
-    assert set(report["current_over_baseline"]) == set(shapes)
+    assert report["budget"] == 200
+
+
+def test_layer_bench_command_line(tmp_path):
+    out = tmp_path / "obstruction.json"
+    runpy.run_path(str(SCRIPTS / "layer_bench.py"))["main"](["obstruction", "--rounds", "1", "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert report["script"] == "scripts/layer_bench.py obstruction"
+    assert report["rounds"] == 1 and list(report["results"]) == ["current"]
+    assert report["shapes"] == {**{key: 4 for key in LARGE_SHAPES}, "antipodal n=8": 1}
+    assert "current_over_baseline" not in report
