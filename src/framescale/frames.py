@@ -24,6 +24,12 @@ RANK_RTOL = 1e-10
 # largest deviation from norm one that still counts as a unit-norm vector
 _UNIT_NORM_TOL = 1e-8
 
+# a row, or for frame quantities the whole frame, whose largest entry lies
+# outside this window is moved into [1/2, 1) by an exact power of two
+# before any square is formed; inside it the squares and fourth powers
+# the library forms, and their sums, stay normal
+_ROW_WINDOW = (2.0**-240, 2.0**240)
+
 
 class InternalInconsistencyError(RuntimeError):
     """Two computation routes that must agree numerically did not.
@@ -106,7 +112,9 @@ class FrameBounds:
 
     @property
     def spanning(self) -> bool:
-        return self.lower > 0.0
+        # the quotient is a ratio of singular values, finite exactly when
+        # they span; a bound alone can underflow to 0 or overflow to inf
+        return self.condition_number < float("inf")
 
 
 @dataclass(frozen=True)
@@ -123,27 +131,66 @@ class VerificationReport:
     tolerance: float
 
 
+def _shifted_frame(X: np.ndarray) -> tuple[int, np.ndarray]:
+    """(s, 2^s X), with 2^s bringing the largest entry into [1/2, 1), or (0, X) inside _ROW_WINDOW.
+
+    One exact power of two on the whole frame multiplies its frame
+    operator and bounds by 4^s and leaves S^(-1/2) X unchanged, so no
+    square formed from 2^s X underflows or overflows; a frame inside the
+    window keeps its bytes.
+    """
+    top = float(np.abs(X).max())
+    lo, hi = _ROW_WINDOW
+    if lo <= top <= hi or top == 0.0:
+        return 0, X
+    s = -int(np.frexp(top)[1])
+    return s, np.ldexp(X, s)
+
+
+def _unshifted_square(value, s: int):
+    # a quadratic quantity of 2^s X carried back to X; beyond the range
+    # of doubles it reads 0 or inf, which is its value in doubles
+    if not s:
+        return value
+    with np.errstate(over="ignore"):
+        return np.ldexp(value, -2 * s)
+
+
 def frame_operator(frame) -> np.ndarray:
-    """Sum of the outer products x_i x_i^T, a symmetric PSD n x n matrix."""
-    X = as_vector_array(frame)
-    S = X.T @ X
-    return (S + S.T) / 2.0
+    """Sum of the outer products x_i x_i^T, a symmetric PSD n x n matrix.
+
+    It is formed from the shifted frame of _shifted_frame and scaled
+    back, so an entry overflows or underflows only when its own value
+    lies outside the range of doubles.
+    """
+    s, Y = _shifted_frame(as_vector_array(frame))
+    S = Y.T @ Y
+    return _unshifted_square((S + S.T) / 2.0, s)
 
 
 def frame_bounds(frame) -> FrameBounds:
     """Extreme eigenvalues of the frame operator and their quotient.
 
     A non-spanning family gets lower bound 0 and an infinite condition
-    number; that is a flagged value, not an error.
+    number; that is a flagged value, not an error.  Spanning and the
+    condition number come from the singular values of the shifted frame
+    of _shifted_frame, which do not depend on the frame's scale; the
+    bounds are scaled back, so a spanning frame whose bounds leave the
+    range of doubles reads 0 or inf there and is still spanning.
     """
     X = as_vector_array(frame)
     m, n = X.shape
-    s = np.linalg.svd(X, compute_uv=False)
+    shift, Y = _shifted_frame(X)
+    s = np.linalg.svd(Y, compute_uv=False)
     upper = float(s[0] ** 2)
     spanning = m >= n and s[0] > 0.0 and s[n - 1] > RANK_RTOL * s[0]
     lower = float(s[n - 1] ** 2) if spanning else 0.0
-    cond = upper / lower if lower > 0.0 else float("inf")
-    return FrameBounds(lower=lower, upper=upper, condition_number=cond)
+    cond = upper / lower if spanning else float("inf")
+    return FrameBounds(
+        lower=float(_unshifted_square(lower, shift)),
+        upper=float(_unshifted_square(upper, shift)),
+        condition_number=cond,
+    )
 
 
 def verify_parseval(vectors, target=None, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -183,15 +230,19 @@ def canonical_parseval(frame) -> Frame:
     """Return the tightened family {S^(-1/2) x_i}, which verifies as Parseval.
 
     S^(-1/2) comes from a symmetric eigendecomposition; the frame must
-    span, otherwise the inverse square root does not exist.
+    span, otherwise the inverse square root does not exist.  The family
+    does not change when X is multiplied by a power of two, so it is
+    computed from the shifted frame of _shifted_frame, whose frame
+    operator neither underflows nor overflows.
     """
     fr = frame if isinstance(frame, Frame) else Frame(frame)
-    S = frame_operator(fr)
-    lam, V = np.linalg.eigh(S)
+    Y = _shifted_frame(fr.vectors)[1]
+    S = Y.T @ Y
+    lam, V = np.linalg.eigh((S + S.T) / 2.0)
     if lam[-1] <= 0.0 or lam[0] <= RANK_RTOL * lam[-1]:
         raise ValueError("canonical Parseval tightening needs a spanning frame")
     inv_sqrt = (V / np.sqrt(lam)) @ V.T
-    return Frame(fr.vectors @ inv_sqrt, labels=fr.labels)
+    return Frame(Y @ inv_sqrt, labels=fr.labels)
 
 
 def apply_unitary(frame, unitary, tol: float = DEFAULT_TOL) -> Frame:

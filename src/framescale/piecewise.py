@@ -40,7 +40,14 @@ from .projections import (
     complement,
     projection_from_basis,
 )
-from .scaling import _farkas_bound, _half_plane_margin, _row_shifts, _unshifted, solve_standard_scaling
+from .scaling import (
+    _FARKAS_CELLS,
+    _TRUSTED_SIDE,
+    _row_shifts,
+    _side_rejected,
+    _unshifted,
+    solve_standard_scaling,
+)
 
 
 @dataclass(frozen=True)
@@ -218,8 +225,14 @@ def construct_from_orthogonal_split(
     rescaled family is an orthonormal basis.  A part at most tol times its
     vector's norm counts as numerically zero and raises ValueError, as does
     a normalized overlap above tol.  Every explicit constructor ends here.
+    Rows whose squares would leave the normal range are scaled by powers
+    of two first (_row_shifts), and their constants back.
     """
     X = as_vector_array(frame)
+    shifts = _row_shifts(X)
+    if shifts is not None:
+        scaled = np.ldexp(X, shifts[:, None])
+        return _shifted(construct_from_orthogonal_split(scaled, projection, p_indices, q_indices, tol), shifts)
     m, n = X.shape
     if projection.dim != n:
         raise ValueError(f"projection acts on R^{projection.dim} but vectors live in R^{n}")
@@ -463,106 +476,6 @@ def _disjoint_split_candidate(X: np.ndarray, G: np.ndarray, tol: float):
     return PiecewiseScaling(_leading_projection(Q, k), *constants)
 
 
-# a row whose side part is at most this fraction of the row points in a
-# direction set by rounding, so the screen keeps its candidate
-_TRUSTED_SIDE = 1e-6
-
-
-def _fista_momentum(steps: int) -> tuple[float, ...]:
-    # the extrapolation weights (t_k - 1) / t_(k+1) of Beck and Teboulle
-    weights, t = [], 1.0
-    for _ in range(steps):
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        weights.append((t - 1.0) / t_next)
-        t = t_next
-    return tuple(weights)
-
-
-# accelerated projected gradient steps behind each Farkas direction; the
-# bound holds for any weights, so more steps only buy more rejections
-_FARKAS_MOMENTUM = _fista_momentum(150)
-
-# steps after which the Farkas screen evaluates its bound: doubling, so a
-# family certified early leaves the batch after few steps, and the last
-# step, so a family that stays is judged where the fixed run judged it
-_FARKAS_CHECKPOINTS = frozenset([2**i for i in range(8)] + [len(_FARKAS_MOMENTUM)])
-
-# Gram cells (candidates times rows squared) per batch of the screen; as
-# m >= n, it also caps a batch's blocks, QR factors and side coordinates.
-# A side whose m^2 alone exceeds it is not screened
-_FARKAS_CELLS = 2**20
-
-
-def _farkas_margin(units: np.ndarray, stop: float = np.inf) -> np.ndarray:
-    """Each family's largest _farkas_bound over the checkpoints of its FISTA run.
-
-    FISTA minimises ||sum_i w_i u_i u_i^T - I||_F^2 / 2 over w >= 0.
-    ``units`` has shape (C, m, d) with unit rows.  The gradient is H w - 1
-    with H_ij = (u_i^T u_j)^2, and the step is 1 / L with L the largest
-    row sum of H, which bounds its largest eigenvalue; a gradient step
-    y - (H y - 1) / L is then one batched product (I - H / L) y + 1 / L.
-    At each step of _FARKAS_CHECKPOINTS the bound is evaluated at the
-    residual I - sum_i w_i u_i u_i^T, a direction, not an optimum.  A
-    family whose bound exceeds ``stop`` leaves the stack; the others take
-    exactly the steps of a stack without exits, so a family's margin does
-    not depend on the families stacked with it.  A margin above ``stop``
-    may be lower than the fixed run of every step would give, but it is
-    still a bound above ``stop``.  A side with m^2 above _FARKAS_CELLS
-    gets margin 0.
-    """
-    C, m, d = units.shape
-    if m * m > _FARKAS_CELLS:
-        return np.zeros(C)
-    H = (units @ units.transpose(0, 2, 1)) ** 2
-    step = 1.0 / H.sum(axis=2).max(axis=1)[:, None, None]
-    descent = np.eye(m) - step * H
-    w = y = np.zeros((C, m, 1))
-    margin = np.full(C, -np.inf)
-    live = np.arange(C)
-    for count, beta in enumerate(_FARKAS_MOMENTUM, 1):
-        w_next = np.maximum(descent @ y + step, 0.0)
-        y = w_next + beta * (w_next - w)
-        w = w_next
-        if count not in _FARKAS_CHECKPOINTS:
-            continue
-        bound = _farkas_bound(units, np.eye(d) - units.transpose(0, 2, 1) @ (w * units))
-        margin[live] = np.maximum(margin[live], bound)
-        leave = bound > stop
-        if leave.all():
-            break
-        if leave.any():
-            stay = ~leave
-            live, units, descent, step, w, y = (a[stay] for a in (live, units, descent, step, w, y))
-    return margin
-
-
-def _side_rejected(coords: np.ndarray, scales: np.ndarray, tol: float) -> np.ndarray:
-    """Which stacked side families, in coordinates (C, m, d) of their range, provably fail to scale.
-
-    ``scales`` are the norms of the m frame rows.  A family is judged
-    only when each of its rows has a part above _TRUSTED_SIDE of its
-    scale.  A two-dimensional side then rejects on its half-plane margin,
-    a side of dimension d >= 3 on the Farkas bound
-    (tr R^ - d delta) / (1 + sqrt(d) delta) at the FISTA residuals R of
-    its unit coordinates (_farkas_margin), both above 10 tol; a
-    one-dimensional side always scales.
-    """
-    rejected = np.zeros(len(coords), dtype=bool)
-    d = coords.shape[2]
-    if d < 2:
-        return rejected
-    norms = np.linalg.norm(coords, axis=2)
-    trusted = np.flatnonzero((norms > _TRUSTED_SIDE * scales).all(axis=1))
-    if trusted.size == 0:
-        return rejected
-    if d == 2:
-        margin = _half_plane_margin(coords[trusted])
-    else:
-        margin = _farkas_margin(coords[trusted] / norms[trusted, :, None], 10.0 * tol)
-    rejected[trusted] = margin > 10.0 * tol
-    return rejected
-
-
 def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     """Which candidates, given by their Gaussian blocks G (C, n, k), a side proves infeasible.
 
@@ -748,6 +661,15 @@ def search_piecewise(
     problems in the coordinates X Q_j[:, :k] and X Q_j[:, k:].  A miss
     is not a proof that no scaling exists.
 
+    The standard step first judges the whole frame, its nonzero rows as
+    one family in R^n, by the candidates' screen below (_side_rejected).
+    Piecewise scaling is for frames that standard scaling cannot make
+    Parseval, so nearly every frame the search sees fails this step.  A
+    rejection bounds the frame's distance to the cone above 10 tol, where
+    the standard solve could only report infeasibility, so that solve is
+    skipped and the result is the same as without the pre-screen.  A
+    frame of dimension n >= 3 with more than 1,024 rows is not screened.
+
     The orthogonal-split route (_orthogonal_split_route) solves for the
     split the paper's R^2 and R^3 constructions build: a rank-k projection
     and disjoint row sets S and T, |S| = k and |T| = n - k, chosen by
@@ -816,12 +738,15 @@ def search_piecewise(
     if not valid or not fr.is_frame():
         return None
     X = fr.vectors
-    verdict = solve_standard_scaling(X, None, tol)
-    if verdict.feasible:
-        c = verdict.scaling.constants
-        ps = PiecewiseScaling(canonical_projection(range(valid[0]), n), c, c)
-        if verify_piecewise(fr, ps, tol).passed:
-            return ps
+    norms = np.linalg.norm(X, axis=1)
+    nz = norms > 0.0
+    if not _side_rejected(X[nz][None], norms[nz], tol)[0]:
+        verdict = solve_standard_scaling(X, None, tol)
+        if verdict.feasible:
+            c = verdict.scaling.constants
+            ps = PiecewiseScaling(canonical_projection(range(valid[0]), n), c, c)
+            if verify_piecewise(fr, ps, tol).passed:
+                return ps
     if n <= 3:
         # a numerically degenerate selection, like a failing result, goes on to the later routes
         try:

@@ -11,7 +11,10 @@ weighted by sqrt(2) so that the euclidean objective equals the Frobenius
 defect.  In two-dimensional ranges an open-quadrant test, or failing
 that the half-plane test on doubled angles, certifies infeasibility
 independently of the solver; elsewhere a Farkas bound evaluated at the
-solver's residual must certify it, or the verdict is undecided.
+solver's residual must certify it, or the verdict is undecided.  The
+same bound, evaluated along a batched FISTA run instead of at an NNLS
+optimum, screens stacked families without any solve (_side_rejected);
+the search uses it to skip solves that could only report infeasibility.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frames import DEFAULT_TOL, InternalInconsistencyError, _UNIT_NORM_TOL, _freeze, as_vector_array
+from .frames import DEFAULT_TOL, InternalInconsistencyError, _ROW_WINDOW, _UNIT_NORM_TOL, _freeze, as_vector_array
 from .nnls import nnls
 from .projections import OrthogonalProjection
 
@@ -88,12 +91,6 @@ def _unvech(r: np.ndarray, n: int) -> np.ndarray:
     R = np.zeros((n, n))
     R[iu] = r / weights
     return R + np.triu(R, 1).T
-
-
-# a row whose largest entry lies outside this window is moved into
-# [1/2, 1) by an exact power of two before any square is formed; inside
-# it the fourth powers nnls forms, and their sums, stay normal
-_ROW_WINDOW = (2.0**-240, 2.0**240)
 
 
 def _row_shifts(V: np.ndarray) -> np.ndarray | None:
@@ -191,6 +188,107 @@ def _farkas_bound(units: np.ndarray, R: np.ndarray) -> np.ndarray:
     # a family without rows has delta 0, so its bound is tr R^
     delta = ((units @ R) * units).sum(axis=2).max(axis=1, initial=0.0)
     return (np.trace(R, axis1=1, axis2=2) - d * delta) / (1.0 + np.sqrt(d) * delta)
+
+
+# a row whose side part is at most this fraction of the row points in a
+# direction set by rounding, so the screen keeps its candidate
+_TRUSTED_SIDE = 1e-6
+
+
+def _fista_momentum(steps: int) -> tuple[float, ...]:
+    # the extrapolation weights (t_k - 1) / t_(k+1) of Beck and Teboulle
+    weights, t = [], 1.0
+    for _ in range(steps):
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        weights.append((t - 1.0) / t_next)
+        t = t_next
+    return tuple(weights)
+
+
+# accelerated projected gradient steps behind each Farkas direction; the
+# bound holds for any weights, so more steps only buy more rejections
+_FARKAS_MOMENTUM = _fista_momentum(150)
+
+# steps after which the Farkas screen evaluates its bound: doubling, so a
+# family certified early leaves the batch after few steps, and the last
+# step, so a family that stays is judged where the fixed run judged it
+_FARKAS_CHECKPOINTS = frozenset([2**i for i in range(8)] + [len(_FARKAS_MOMENTUM)])
+
+# Gram cells (families times rows squared) per batch of the screen; the
+# search draws its candidates in batches of this many cells, and as
+# m >= n it also caps a batch's blocks, QR factors and side coordinates.
+# A side whose m^2 alone exceeds it is not screened
+_FARKAS_CELLS = 2**20
+
+
+def _farkas_margin(units: np.ndarray, stop: float = np.inf) -> np.ndarray:
+    """Each family's largest _farkas_bound over the checkpoints of its FISTA run.
+
+    FISTA minimises ||sum_i w_i u_i u_i^T - I||_F^2 / 2 over w >= 0.
+    ``units`` has shape (C, m, d) with unit rows.  The gradient is H w - 1
+    with H_ij = (u_i^T u_j)^2, and the step is 1 / L with L the largest
+    row sum of H, which bounds its largest eigenvalue; a gradient step
+    y - (H y - 1) / L is then one batched product (I - H / L) y + 1 / L.
+    At each step of _FARKAS_CHECKPOINTS the bound is evaluated at the
+    residual I - sum_i w_i u_i u_i^T, a direction, not an optimum.  A
+    family whose bound exceeds ``stop`` leaves the stack; the others take
+    exactly the steps of a stack without exits, so a family's margin does
+    not depend on the families stacked with it.  A margin above ``stop``
+    may be lower than the fixed run of every step would give, but it is
+    still a bound above ``stop``.  A side with m^2 above _FARKAS_CELLS
+    gets margin 0.
+    """
+    C, m, d = units.shape
+    if m * m > _FARKAS_CELLS:
+        return np.zeros(C)
+    H = (units @ units.transpose(0, 2, 1)) ** 2
+    step = 1.0 / H.sum(axis=2).max(axis=1)[:, None, None]
+    descent = np.eye(m) - step * H
+    w = y = np.zeros((C, m, 1))
+    margin = np.full(C, -np.inf)
+    live = np.arange(C)
+    for count, beta in enumerate(_FARKAS_MOMENTUM, 1):
+        w_next = np.maximum(descent @ y + step, 0.0)
+        y = w_next + beta * (w_next - w)
+        w = w_next
+        if count not in _FARKAS_CHECKPOINTS:
+            continue
+        bound = _farkas_bound(units, np.eye(d) - units.transpose(0, 2, 1) @ (w * units))
+        margin[live] = np.maximum(margin[live], bound)
+        leave = bound > stop
+        if leave.all():
+            break
+        if leave.any():
+            stay = ~leave
+            live, units, descent, step, w, y = (a[stay] for a in (live, units, descent, step, w, y))
+    return margin
+
+
+def _side_rejected(coords: np.ndarray, scales: np.ndarray, tol: float) -> np.ndarray:
+    """Which stacked side families, in coordinates (C, m, d) of their range, provably fail to scale.
+
+    ``scales`` are the norms of the m frame rows.  A family is judged
+    only when each of its rows has a part above _TRUSTED_SIDE of its
+    scale.  A two-dimensional side then rejects on its half-plane margin,
+    a side of dimension d >= 3 on the Farkas bound
+    (tr R^ - d delta) / (1 + sqrt(d) delta) at the FISTA residuals R of
+    its unit coordinates (_farkas_margin), both above 10 tol; a
+    one-dimensional side always scales.
+    """
+    rejected = np.zeros(len(coords), dtype=bool)
+    d = coords.shape[2]
+    if d < 2:
+        return rejected
+    norms = np.linalg.norm(coords, axis=2)
+    trusted = np.flatnonzero((norms > _TRUSTED_SIDE * scales).all(axis=1))
+    if trusted.size == 0:
+        return rejected
+    if d == 2:
+        margin = _half_plane_margin(coords[trusted])
+    else:
+        margin = _farkas_margin(coords[trusted] / norms[trusted, :, None], 10.0 * tol)
+    rejected[trusted] = margin > 10.0 * tol
+    return rejected
 
 
 def solve_standard_scaling(

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,23 @@ def test_clustered_r3_frame_exits_zero(workdir, capsys):
         code, report, err = run_cli(["piecewise", path, *extra], capsys)
         assert code == 0, err
         assert report["verdict"] == "found" and report["residuals"]["direct"] <= 5e-9
+
+
+@pytest.mark.parametrize("rows", [1e-170 * np.eye(2), 1e200 * np.eye(3)], ids=["tiny", "huge"])
+def test_frame_quantities_of_extreme_frames_exit_zero(workdir, capsys, rows):
+    # squares of these entries leave the range of doubles; the frame
+    # quantities come from one power-of-two shift of the whole frame, so
+    # no command warns, and the verdicts match the unit basis
+    path = workdir / "extreme.csv"
+    fs.save_frame(fs.Frame(rows), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report, err = run_cli(["analyze", path], capsys)
+        assert code == 0, err
+        assert report["verdict"] == "spanning" and report["bounds"]["condition_number"] == 1
+        code, report, err = run_cli(["canonical-parseval", path], capsys)
+        assert code == 0, err
+        assert report["frame"] == np.eye(len(rows)).tolist()
 
 
 def test_subprocess_entry_point(workdir):

@@ -64,6 +64,26 @@ def test_frame_bounds_examples():
     assert deficient.condition_number == np.inf
 
 
+@pytest.mark.parametrize("exponent", [-565, -300, 300, 565])
+def test_frame_quantities_of_power_of_two_multiples(exponent):
+    # the squares of the entries underflow at 2^-565 and overflow at 2^565;
+    # spanning, the condition number and S^(-1/2) X do not depend on the
+    # scale, and the bounds scale by 4^exponent where a double holds them
+    X = np.vstack([np.eye(3), np.ones(3)])
+    want = fs.frame_bounds(X)
+    got = fs.frame_bounds(np.ldexp(X, exponent))
+    assert got.spanning and got.condition_number == pytest.approx(want.condition_number, rel=1e-12)
+    with np.errstate(over="ignore"):
+        scaled = [np.ldexp(b, 2 * exponent) for b in (want.lower, want.upper)]
+    assert [got.lower, got.upper] == pytest.approx(scaled, rel=1e-12)
+    tight = fs.canonical_parseval(np.ldexp(X, exponent)).vectors
+    assert np.allclose(tight, fs.canonical_parseval(X).vectors, rtol=0.0, atol=1e-14)
+    assert fs.verify_parseval(tight).passed
+    S = fs.frame_operator(np.ldexp(X, exponent))
+    with np.errstate(over="ignore"):
+        assert np.allclose(S, np.ldexp(fs.frame_operator(X), 2 * exponent), rtol=1e-14, atol=0.0)
+
+
 @given(st.integers(0, 10_000))
 def test_frame_bounds_sandwich_property(seed):
     rng = np.random.default_rng(seed)

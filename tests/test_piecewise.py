@@ -406,6 +406,17 @@ def test_search_and_constructors_scale_power_of_two_multiples(exponent):
         assert found is not None and fs.verify_piecewise(X, found).passed
     assert fs.verify_piecewise(R2, fs.construct_r2(R2, fs.canonical_projection([0], 2))).passed
     assert fs.verify_piecewise(R3, fs.construct_r3(R3)).passed
+    E = np.ldexp(np.eye(2), exponent)
+    assert fs.verify_piecewise(E, fs.construct_from_orthogonal_split(E, fs.canonical_projection([0], 2), [0], [1])).passed
+
+
+def test_orthogonal_split_of_a_tiny_basis():
+    # the norms of I_2 * 1e-170 underflow in a square; the rows are shifted
+    # first, so the split is valid and its constants are the reciprocals
+    X = 1e-170 * np.eye(2)
+    ps = fs.construct_from_orthogonal_split(X, fs.canonical_projection([0], 2), [0], [1])
+    assert ps.a.tolist() == [1e170, 0.0] and ps.b.tolist() == [0.0, 1e170]
+    assert fs.verify_piecewise(X, ps).passed
 
 
 def _same_scaling(got, want) -> bool:

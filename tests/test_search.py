@@ -9,8 +9,10 @@ import pytest
 
 import framescale as fs
 import framescale.piecewise as pw
+import framescale.scaling as sc
 from helpers import (
     clustered_unit_frame,
+    cone_rows,
     mercedes_frame,
     random_onb_rows,
     random_unit_frame,
@@ -172,7 +174,7 @@ def test_half_plane_rejection_is_sound():
                     kept += 1
                     continue
                 rejected += 1
-                s = float(pw._half_plane_margin(V[None])[0])
+                s = float(sc._half_plane_margin(V[None])[0])
                 verdict = fs.solve_standard_scaling(V, None, TOL)
                 assert not verdict.feasible
                 assert verdict.residual >= np.sqrt(2.0) * s / np.sqrt(1.0 + s * s) - 1e-12
@@ -183,13 +185,13 @@ def test_half_plane_margin_values():
     e1, e2 = [1.0, 0.0], [0.0, 1.0]
     r = np.sqrt(0.5)
     # an orthonormal pair: doubled angles 0 and pi, a closed half circle
-    assert pw._half_plane_margin(np.array([[e1, e2]]))[0] == pytest.approx(0.0, abs=1e-15)
+    assert sc._half_plane_margin(np.array([[e1, e2]]))[0] == pytest.approx(0.0, abs=1e-15)
     # one direction: gap 2 pi, margin 1
-    assert pw._half_plane_margin(np.array([[e1, [-2.0, 0.0]]]))[0] == 1.0
+    assert sc._half_plane_margin(np.array([[e1, [-2.0, 0.0]]]))[0] == 1.0
     # doubled angles 0 and pi/2 leave a gap of 3 pi / 2
-    assert pw._half_plane_margin(np.array([[e1, [r, r]]]))[0] == pytest.approx(np.cos(np.pi / 4.0))
+    assert sc._half_plane_margin(np.array([[e1, [r, r]]]))[0] == pytest.approx(np.cos(np.pi / 4.0))
     # the Mercedes frame spreads its doubled angles evenly
-    assert pw._half_plane_margin(mercedes_frame().vectors[None])[0] < 0.0
+    assert sc._half_plane_margin(mercedes_frame().vectors[None])[0] < 0.0
 
 
 def _threshold_family(rng, d, j, t, anchored):
@@ -255,7 +257,7 @@ def test_farkas_rejection_is_sound():
     rng = np.random.default_rng(12)
     rejected = kept = 0
     for stack in _threshold_stacks():
-        for V, bound in zip(stack, pw._farkas_margin(_units(stack))):
+        for V, bound in zip(stack, sc._farkas_margin(_units(stack))):
             X = _side_fixture(1, V.shape[1] + 1, rng.uniform(0.5, 2.0, (V.shape[0], 1)), V)[0]
             if not _first_rejected(X, 1):
                 kept += 1
@@ -270,7 +272,7 @@ def test_farkas_rejection_is_sound():
 def test_farkas_bound_values():
     e = np.eye(3)
     # R = 0 proves nothing
-    assert pw._farkas_bound(e[None], np.zeros((1, 3, 3)))[0] == 0.0
+    assert sc._farkas_bound(e[None], np.zeros((1, 3, 3)))[0] == 0.0
     # rows within 45 degrees of e_1 in R^3 and R = I - 2 e_1 e_1^T have
     # u_i^T R u_i = 0 and tr R = 1, so delta = 0 and the bound is
     # tr R / ||R||_F = 1 / sqrt(3), the distance from I to their cone
@@ -278,19 +280,19 @@ def test_farkas_bound_values():
     r = np.sqrt(0.5)
     units = np.array([[r, r, 0.0], [r, -r, 0.0], [r, 0.0, r], [r, 0.0, -r]])
     R = np.eye(3) - 2.0 * np.outer(e[0], e[0])
-    assert pw._farkas_bound(units[None], R[None])[0] == pytest.approx(1.0 / np.sqrt(3.0))
+    assert sc._farkas_bound(units[None], R[None])[0] == pytest.approx(1.0 / np.sqrt(3.0))
     # the bound does not depend on the scale of R
-    assert pw._farkas_bound(units[None], 5.0 * R[None])[0] == pytest.approx(1.0 / np.sqrt(3.0))
+    assert sc._farkas_bound(units[None], 5.0 * R[None])[0] == pytest.approx(1.0 / np.sqrt(3.0))
     # R = I: delta = 1 / sqrt(3), tr R^ = sqrt(3), so (sqrt(3) - sqrt(3)) / 2 = 0
-    assert pw._farkas_bound(units[None], np.eye(3)[None])[0] == pytest.approx(0.0, abs=1e-15)
+    assert sc._farkas_bound(units[None], np.eye(3)[None])[0] == pytest.approx(0.0, abs=1e-15)
     # a row with u^T R^ u > 0 charges delta: u = e_2 gives delta = 1 / sqrt(3)
     # and the bound (1 / sqrt(3) - sqrt(3)) / (1 + 1) = -1 / sqrt(3)
     tilted = np.vstack([units, e[1]])
-    assert pw._farkas_bound(tilted[None], R[None])[0] == pytest.approx(-1.0 / np.sqrt(3.0))
+    assert sc._farkas_bound(tilted[None], R[None])[0] == pytest.approx(-1.0 / np.sqrt(3.0))
     # the FISTA direction nearly attains that distance for the cluster,
     # proves nothing for a basis plus one row, and stacked families keep
     # their own margins
-    margins = pw._farkas_margin(np.stack([units, np.vstack([e, units[:1]])]))
+    margins = sc._farkas_margin(np.stack([units, np.vstack([e, units[:1]])]))
     assert 0.99 / np.sqrt(3.0) <= margins[0] <= 1.0 / np.sqrt(3.0) + 1e-12
     assert margins[1] <= 0.0
 
@@ -311,7 +313,7 @@ def test_farkas_screen_rejects_whatever_the_subspace_margin_rejected():
     farkas_only = 0
     for units in stacks:
         reference = reference_subspace_margin(units) > 10.0 * TOL
-        farkas = pw._farkas_margin(units) > 10.0 * TOL
+        farkas = sc._farkas_margin(units) > 10.0 * TOL
         assert not (reference & ~farkas).any()
         farkas_only += int((farkas & ~reference).sum())
     assert farkas_only > 100
@@ -326,20 +328,20 @@ def test_farkas_bound_stays_nonpositive_on_scalable_families():
             B = random_onb_rows(rng, d)
             families.append(np.vstack([B, B + eps * rng.standard_normal(B.shape)]))
     for V in families:
-        assert pw._farkas_margin(_units(V)[None])[0] <= 0.0
+        assert sc._farkas_margin(_units(V)[None])[0] <= 0.0
 
 
 def test_farkas_margin_leaves_sides_with_too_many_rows(monkeypatch):
     rng = np.random.default_rng(15)
     units = _units(rng.standard_normal((3, 8, 3)) * [1.0, 0.1, 0.1])
-    whole = pw._farkas_margin(units)
+    whole = sc._farkas_margin(units)
     assert (whole > 10.0 * TOL).all()
     # a family whose 8 x 8 Gram matrix just fits is judged as before
-    monkeypatch.setattr(pw, "_FARKAS_CELLS", 64)
-    assert np.array_equal(pw._farkas_margin(units), whole)
+    monkeypatch.setattr(sc, "_FARKAS_CELLS", 64)
+    assert np.array_equal(sc._farkas_margin(units), whole)
     # a family whose Gram matrix exceeds a batch is not judged
-    monkeypatch.setattr(pw, "_FARKAS_CELLS", 63)
-    assert not pw._farkas_margin(units).any()
+    monkeypatch.setattr(sc, "_FARKAS_CELLS", 63)
+    assert not sc._farkas_margin(units).any()
 
 
 def test_early_exit_rejects_a_superset_of_the_fixed_run_soundly():
@@ -347,7 +349,7 @@ def test_early_exit_rejects_a_superset_of_the_fixed_run_soundly():
     stacks = [_units(stack) for stack in _threshold_stacks()] + list(_random_and_clustered_families(rng))
     judged = 0
     for units in stacks:
-        margin = pw._farkas_margin(units, 10.0 * TOL)
+        margin = sc._farkas_margin(units, 10.0 * TOL)
         rejected = margin > 10.0 * TOL
         assert not ((reference_farkas_margin(units) > 10.0 * TOL) & ~rejected).any()
         for V, bound in zip(units[rejected], margin[rejected]):
@@ -359,8 +361,8 @@ def test_early_exit_rejects_a_superset_of_the_fixed_run_soundly():
 def _recording_bounds(monkeypatch) -> list[int]:
     """Patch the Farkas screen to record how many families each bound evaluation judges."""
     sizes: list[int] = []
-    bound = pw._farkas_bound
-    monkeypatch.setattr(pw, "_farkas_bound", lambda units, R: sizes.append(len(units)) or bound(units, R))
+    bound = sc._farkas_bound
+    monkeypatch.setattr(sc, "_farkas_bound", lambda units, R: sizes.append(len(units)) or bound(units, R))
     return sizes
 
 
@@ -368,7 +370,7 @@ def test_farkas_batch_ends_when_its_families_have_left(monkeypatch):
     rng = np.random.default_rng(25)
     clustered = _units(rng.standard_normal((50, 1, 3)) + 0.3 * rng.standard_normal((50, 6, 3)))
     sizes = _recording_bounds(monkeypatch)
-    assert (pw._farkas_margin(clustered, 10.0 * TOL) > 10.0 * TOL).all()
+    assert (sc._farkas_margin(clustered, 10.0 * TOL) > 10.0 * TOL).all()
     # most families certify at step 1 and leave; every one has left by
     # the fifth checkpoint, step 16
     assert sizes[0] == 50 and sizes[1] < 10 and len(sizes) <= 5
@@ -376,9 +378,9 @@ def test_farkas_batch_ends_when_its_families_have_left(monkeypatch):
     # last step, alone once the clustered families have left
     sizes.clear()
     mixed = np.concatenate([clustered, np.vstack([np.eye(3), clustered[0, :3]])[None]])
-    margin = pw._farkas_margin(mixed, 10.0 * TOL)
+    margin = sc._farkas_margin(mixed, 10.0 * TOL)
     assert (margin[:-1] > 10.0 * TOL).all() and margin[-1] <= 0.0
-    assert len(sizes) == len(pw._FARKAS_CHECKPOINTS) and sizes[0] == 51 and sizes[-1] == 1
+    assert len(sizes) == len(sc._FARKAS_CHECKPOINTS) and sizes[0] == 51 and sizes[-1] == 1
 
 
 def _counting_solver(monkeypatch) -> list[int]:
@@ -386,6 +388,48 @@ def _counting_solver(monkeypatch) -> list[int]:
     solve = pw.solve_standard_scaling
     monkeypatch.setattr(pw, "solve_standard_scaling", lambda *args: calls.append(1) or solve(*args))
     return calls
+
+
+def _prescreen_frames(rng):
+    """Random, clustered, cone and scalable frames at n = 2..6, each with whether it was built to scale."""
+    for n in range(2, 7):
+        for _ in range(8):
+            m = int(rng.integers(n + 1, 3 * n + 1))
+            yield random_unit_frame(rng, n, m), False
+            yield clustered_unit_frame(rng, n, m, 0.05), False
+            yield fs.Frame(cone_rows(rng, m, n)), False
+            yield fs.Frame(scalable_rows(rng, n, int(rng.integers(1, 4)))), True
+
+
+def test_prescreen_rejects_only_frames_the_solver_cannot_scale(monkeypatch):
+    # the search judges the whole frame by the screen before its standard
+    # solve; a frame whose full-frame solve never runs was rejected, and
+    # the skipped solve must have found it infeasible
+    frames = list(_prescreen_frames(np.random.default_rng(41)))
+    solve = fs.solve_standard_scaling
+    solved: list[np.ndarray] = []
+    monkeypatch.setattr(pw, "solve_standard_scaling", lambda V, *args: solved.append(V) or solve(V, *args))
+    rejected = {False: 0, True: 0}
+    for frame, scalable in frames:
+        assert frame.is_frame()
+        solved.clear()
+        pw.search_piecewise(frame, ranks={1}, budget=1)
+        if any(V is frame.vectors for V in solved):
+            continue
+        rejected[scalable] += 1
+        assert not solve(frame.vectors, None, TOL).feasible
+    assert rejected[True] == 0 and rejected[False] > 100
+
+
+def test_rejected_frame_makes_no_standard_solve(monkeypatch):
+    # a certified rank-2 miss in R^4: the screen rejects the whole frame and
+    # every candidate, so the search solves nothing; a scalable frame
+    # passes the screen and is solved once
+    X = clustered_unit_frame(np.random.default_rng(3), 4, 6, 0.02).vectors
+    assert sc._side_rejected(X[None], np.linalg.norm(X, axis=1), TOL)[0]
+    calls = _counting_solver(monkeypatch)
+    assert fs.search_piecewise(X, ranks={2}, budget=200, seed=0) is None and calls == []
+    assert fs.search_piecewise(np.eye(4), ranks={2}) is not None and len(calls) == 1
 
 
 def test_shared_support_is_a_miss_after_two_solves(monkeypatch):
