@@ -237,8 +237,7 @@ def canonical_parseval(frame) -> Frame:
     """
     fr = frame if isinstance(frame, Frame) else Frame(frame)
     Y = _shifted_frame(fr.vectors)[1]
-    S = Y.T @ Y
-    lam, V = np.linalg.eigh((S + S.T) / 2.0)
+    lam, V = np.linalg.eigh(frame_operator(Y))
     if lam[-1] <= 0.0 or lam[0] <= RANK_RTOL * lam[-1]:
         raise ValueError("canonical Parseval tightening needs a spanning frame")
     inv_sqrt = (V / np.sqrt(lam)) @ V.T
