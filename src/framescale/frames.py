@@ -24,10 +24,10 @@ RANK_RTOL = 1e-10
 # largest deviation from norm one that still counts as a unit-norm vector
 _UNIT_NORM_TOL = 1e-8
 
-# a row, or for frame quantities the whole frame, whose largest entry lies
-# outside this window is moved into [1/2, 1) by an exact power of two
-# before any square is formed; inside it the squares and fourth powers
-# the library forms, and their sums, stay normal
+# for frame quantities and distances, a frame whose largest entry lies
+# outside this window is moved into [1/2, 1) by one exact power of two
+# before any square is formed; inside it the squares the library forms,
+# and their sums, stay normal
 _ROW_WINDOW = (2.0**-240, 2.0**240)
 
 
@@ -147,13 +147,53 @@ def _shifted_frame(X: np.ndarray) -> tuple[int, np.ndarray]:
     return s, np.ldexp(X, s)
 
 
-def _unshifted_square(value, s: int):
-    # a quadratic quantity of 2^s X carried back to X; beyond the range
-    # of doubles it reads 0 or inf, which is its value in doubles
-    if not s:
+def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """(U, r, e): the unit rows u_i = x_i / ||x_i|| and each norm as ||x_i|| = r_i 2^e_i.
+
+    A positive factor on a vector is absorbed by its scaling constant, so
+    every scaling question is asked of the u_i.  Each row is first
+    multiplied by the exact power of two 2^-e_i that brings its largest
+    entry into [1/2, 1), so its norm r_i lies in [1/2, sqrt(n)) and can
+    neither underflow nor overflow.  A zero row, and a row whose norm
+    lies within _UNIT_NORM_TOL of 1, comes back as it is with r_i = 1 and
+    e_i = 0, so unit inputs keep their bytes and U is its own result.
+    When every row comes back as it is, U is X and r and e are None.
+    """
+    with np.errstate(over="ignore"):
+        squares = np.einsum("ij,ij->i", X, X)
+    # a squared norm within the tolerance of 1 puts the norm within half
+    # of it; one that overflows reads inf, and one that underflows 0
+    if np.abs(squares - 1.0).max() <= _UNIT_NORM_TOL:
+        return X, None, None
+    e = np.frexp(np.abs(X).max(axis=1))[1]
+    Y = np.ldexp(X, -e[:, None])
+    r = np.linalg.norm(Y, axis=1)
+    # beyond 2^2 the norm is at least 4, so capping the exponent there
+    # decides the same rows and keeps the power of two finite
+    keep = (r == 0.0) | (np.abs(np.ldexp(r, np.minimum(e, 2)) - 1.0) <= _UNIT_NORM_TOL)
+    if keep.all():
+        return X, None, None
+    U = np.divide(Y, r[:, None], out=np.array(X), where=~keep[:, None])
+    r[keep], e[keep] = 1.0, 0
+    return U, r, e
+
+
+def _row_constants(constants: np.ndarray, r: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Constants c_i / ||x_i|| for the rows x_i from the constants c_i of their unit rows (_unit_rows)."""
+    with np.errstate(over="ignore"):
+        c = np.ldexp(constants / r, -e)
+    if not np.isfinite(c).all():
+        raise ValueError("the scaling constants of rows this small exceed the range of doubles")
+    return c
+
+
+def _scaled_back(value, k: int):
+    # a quantity that 2^s X multiplies by 2^k, carried back to X; beyond
+    # the range of doubles it reads 0 or inf, which is its value in doubles
+    if not k:
         return value
     with np.errstate(over="ignore"):
-        return np.ldexp(value, -2 * s)
+        return np.ldexp(value, -k)
 
 
 def frame_operator(frame) -> np.ndarray:
@@ -165,7 +205,7 @@ def frame_operator(frame) -> np.ndarray:
     """
     s, Y = _shifted_frame(as_vector_array(frame))
     S = Y.T @ Y
-    return _unshifted_square((S + S.T) / 2.0, s)
+    return _scaled_back((S + S.T) / 2.0, 2 * s)
 
 
 def frame_bounds(frame) -> FrameBounds:
@@ -187,8 +227,8 @@ def frame_bounds(frame) -> FrameBounds:
     lower = float(s[n - 1] ** 2) if spanning else 0.0
     cond = upper / lower if spanning else float("inf")
     return FrameBounds(
-        lower=float(_unshifted_square(lower, shift)),
-        upper=float(_unshifted_square(upper, shift)),
+        lower=float(_scaled_back(lower, 2 * shift)),
+        upper=float(_scaled_back(upper, 2 * shift)),
         condition_number=cond,
     )
 

@@ -10,7 +10,6 @@ satisfy on unit-norm frames.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -21,6 +20,8 @@ from .frames import (
     Frame,
     InternalInconsistencyError,
     _UNIT_NORM_TOL,
+    _scaled_back,
+    _shifted_frame,
     VerificationReport,
     as_vector_array,
     verify_parseval,
@@ -54,25 +55,12 @@ _BLOCK_CELLS = 2**16
 _DIRECT_CELLS = 2**12
 
 
-def _squares_fit(X: np.ndarray) -> bool:
-    """Whether no square the distance kernel or the unit-norm check forms can overflow.
-
-    With a = max |x_ik|, every row's squared norm is at most n a^2, every
-    squared distance and every ||x_i - x_0||^2 at most R^2 <= 4 n a^2, and
-    every term and partial sum of the screen's dot product at most
-    4 R^2 <= 16 n a^2, all to first order in the unit roundoff.  So when
-    32 n a^2 is finite none of them overflows; the factor 2 covers the
-    rounding.
-    """
-    a = float(np.abs(X).max())
-    return math.isfinite(32.0 * X.shape[1] * a * a)
-
-
 def _screened_rows(X: np.ndarray) -> np.ndarray:
     """Rows whose largest distance may reach the maximum over all pairs.
 
-    Requires _squares_fit(X): a single term of the screen that overflowed
-    would drop its pair from the screen, not its row's maximum.
+    Requires a frame inside _ROW_WINDOW, as _shifted_frame leaves it: a
+    single term of the screen that overflowed would drop its pair from
+    the screen, not its row's maximum.
     """
     m, n = X.shape
     # distances do not move under translation, and centring on one row
@@ -104,7 +92,7 @@ def _exact_rows(X: np.ndarray, step: int) -> np.ndarray:
     first occurrence: a copy has the same distances as that row, so it can
     never win the strict > that keeps the first argmax, and the result
     stays bit-identical while many tying copies cost one row.  Requires
-    _squares_fit(X), as the screen does.
+    a frame inside _ROW_WINDOW, as the screen does.
     """
     m, n = X.shape
     rows = np.arange(m) if m * m * n <= _DIRECT_CELLS else _screened_rows(X)
@@ -117,8 +105,12 @@ def _max_pair_distance(X: np.ndarray) -> tuple[float, tuple[int, int]]:
     """Largest distance ||x_i - x_j|| and its first pair in row-major order.
 
     Bit-identical to the maximum and argmax of
-    ``np.sqrt(((X[:, None, :] - X[None, :, :])**2).sum(-1))``, but never
-    builds that (m, m, n) array.  The screen centres the rows, y_i =
+    ``np.sqrt(((X[:, None, :] - X[None, :, :])**2).sum(-1))`` on the
+    shifted frame 2^s X of _shifted_frame, multiplied by 2^-s, but never
+    builds that (m, m, n) array.  The shift is exact and is the identity
+    inside _ROW_WINDOW, so no square the kernel forms overflows, and a
+    distance leaves the range of doubles only when its own value does.
+    The screen centres the rows, y_i =
     x_i - x_0, with s_i the computed ||y_i||^2, and takes each squared
     distance d^2 = ||y_i||^2 + ||y_j||^2 - 2 <y_i, y_j> as one
     (n + 2)-term dot product: row i of [-2Y, s, 1] against row j of
@@ -127,8 +119,7 @@ def _max_pair_distance(X: np.ndarray) -> tuple[float, tuple[int, int]]:
 
     Rounding bound.  With R^2 = max s_i and unit roundoff u = eps / 2,
     to first order in u and for any summation order, with or without
-    fused multiply-adds, provided no term or partial sum overflows
-    (_squares_fit checks that first):
+    fused multiply-adds, as no term or partial sum overflows:
 
     - rounding the y_i moves d^2 by at most 8 u R^2;
     - each s_i lies within n u R^2 of ||y_i||^2, which moves d^2 by at
@@ -152,21 +143,15 @@ def _max_pair_distance(X: np.ndarray) -> tuple[float, tuple[int, int]]:
     difference formula in blocks of about _BLOCK_CELLS cells, so memory
     stays O(m n) plus one block.
 
-    Inputs of at most _DIRECT_CELLS cells recompute every row.  So do
-    inputs whose squares may overflow, which skip the screen: one
-    overflowing term would drop its pair from the screen unseen.  There
-    overflow warnings are off, since an infinite distance is the expected
-    result.  When the re-checked rows fill more than one block, exact
-    copies of a row are re-checked once, at their first occurrence (see
-    _exact_rows).
+    Inputs of at most _DIRECT_CELLS cells recompute every row.  When the
+    re-checked rows fill more than one block, exact copies of a row are
+    re-checked once, at their first occurrence (see _exact_rows).
     """
     m, n = X.shape
     step = max(1, _BLOCK_CELLS // (m * n))
-    if not _squares_fit(X):
-        # a distance may overflow to inf, the expected result for such rows
-        with np.errstate(over="ignore"):
-            return _blocked_max(X, np.arange(m), step)
-    return _blocked_max(X, _exact_rows(X, step), step)
+    s, Y = _shifted_frame(X)
+    dist, pair = _blocked_max(Y, _exact_rows(Y, step), step)
+    return float(_scaled_back(dist, s)), pair
 
 
 def _blocked_max(X: np.ndarray, rows: np.ndarray, step: int) -> tuple[float, tuple[int, int]]:
@@ -258,8 +243,9 @@ def closeness_obstruction(frame) -> ObstructionReport:
     delta = 8 (n + 4) (eps R^2 + tiny) covers the rounding gap between
     the two formulas (R the largest distance from x_0; the derivation is
     in ``_max_pair_distance``).  The result is bit-identical to the full
-    (m, m, n) broadcast and its first argmax, and memory stays O(m n)
-    plus one block of about 2^16 cells.
+    (m, m, n) broadcast and its first argmax on the frame that
+    _shifted_frame scales by one power of two, scaled back, and memory
+    stays O(m n) plus one block of about 2^16 cells.
     """
     X = as_vector_array(frame)
     m, n = X.shape

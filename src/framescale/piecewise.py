@@ -18,7 +18,7 @@ onto the span of the first k columns of Q_j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,8 @@ from .frames import (
     InternalInconsistencyError,
     _freeze,
     _parseval_report,
+    _row_constants,
+    _unit_rows,
     as_vector_array,
     VerificationReport,
 )
@@ -40,14 +42,7 @@ from .projections import (
     complement,
     projection_from_basis,
 )
-from .scaling import (
-    _FARKAS_CELLS,
-    _TRUSTED_SIDE,
-    _row_shifts,
-    _side_rejected,
-    _unshifted,
-    solve_standard_scaling,
-)
+from .scaling import _FARKAS_CELLS, _TRUSTED_SIDE, _side_rejected, _standard_verdict, solve_standard_scaling
 
 
 @dataclass(frozen=True)
@@ -155,9 +150,11 @@ def verify_piecewise(frame, ps: PiecewiseScaling, tol: float = DEFAULT_TOL) -> P
     )
 
 
-def _shifted(ps: PiecewiseScaling, shifts: np.ndarray) -> PiecewiseScaling:
-    # constants found for the rows 2^s_i x_i (_row_shifts), carried back to the rows x_i
-    return PiecewiseScaling(ps.projection, _unshifted(ps.a, shifts), _unshifted(ps.b, shifts))
+def _for_rows(ps: PiecewiseScaling, r: np.ndarray | None, e: np.ndarray | None) -> PiecewiseScaling:
+    # constants found for the unit rows of _unit_rows, carried back to the rows x_i
+    if r is None:
+        return ps
+    return PiecewiseScaling(ps.projection, _row_constants(ps.a, r, e), _row_constants(ps.b, r, e))
 
 
 def _require_nontrivial(P: OrthogonalProjection) -> None:
@@ -180,13 +177,10 @@ def construct_r2(frame, projection: OrthogonalProjection, tol: float = DEFAULT_T
     Finds the first indices i != j with P x_i and (I - P) x_j both nonzero
     and returns construct_from_orthogonal_split on S = {i}, T = {j}; every
     spanning family admits such a pair, so the result is an orthonormal
-    basis of R^2.  Rows whose squares would leave the normal range are
-    scaled by powers of two first (_row_shifts), and their constants back.
+    basis of R^2.  The pair is chosen, and the split built, on the unit
+    rows of _unit_rows; the constants are divided by the row norms.
     """
-    X = as_vector_array(frame)
-    shifts = _row_shifts(X)
-    if shifts is not None:
-        return _shifted(construct_r2(np.ldexp(X, shifts[:, None]), projection, tol), shifts)
+    X, r, e = _unit_rows(as_vector_array(frame))
     m, n = X.shape
     if n != 2:
         raise ValueError("construct_r2 needs vectors in R^2")
@@ -196,16 +190,14 @@ def construct_r2(frame, projection: OrthogonalProjection, tol: float = DEFAULT_T
         raise ValueError("projection must act on R^2")
     _require_nontrivial(projection)
     Y = X @ projection.matrix
-    Z = X - Y
-    xn = np.linalg.norm(X, axis=1)
     yn = np.linalg.norm(Y, axis=1)
-    zn = np.linalg.norm(Z, axis=1)
+    zn = np.linalg.norm(X - Y, axis=1)
     for i in range(m):
-        if yn[i] <= tol * xn[i]:
+        if yn[i] <= tol:
             continue
         for j in range(m):
-            if j != i and zn[j] > tol * xn[j]:
-                return construct_from_orthogonal_split(X, projection, [i], [j], tol)
+            if j != i and zn[j] > tol:
+                return _for_rows(_orthogonal_split(X, projection, [i], [j], tol), r, e)
     raise InternalInconsistencyError("no valid index pair exists for a spanning family")
 
 
@@ -222,17 +214,18 @@ def construct_from_orthogonal_split(
     nonzero vectors spanning the range of the projection, and likewise
     the complement parts on ``q_indices`` for the complementary range.
     Disjoint supports make the mixed term vanish structurally, so the
-    rescaled family is an orthonormal basis.  A part at most tol times its
-    vector's norm counts as numerically zero and raises ValueError, as does
-    a normalized overlap above tol.  Every explicit constructor ends here.
-    Rows whose squares would leave the normal range are scaled by powers
-    of two first (_row_shifts), and their constants back.
+    rescaled family is an orthonormal basis.  The parts are those of the
+    unit rows of _unit_rows, and the constants are divided by the row
+    norms.  A part at most tol times its vector's norm counts as
+    numerically zero and raises ValueError, as does a normalized overlap
+    above tol.  Every explicit constructor ends here.
     """
-    X = as_vector_array(frame)
-    shifts = _row_shifts(X)
-    if shifts is not None:
-        scaled = np.ldexp(X, shifts[:, None])
-        return _shifted(construct_from_orthogonal_split(scaled, projection, p_indices, q_indices, tol), shifts)
+    X, r, e = _unit_rows(as_vector_array(frame))
+    return _for_rows(_orthogonal_split(X, projection, p_indices, q_indices, tol), r, e)
+
+
+def _orthogonal_split(X: np.ndarray, projection: OrthogonalProjection, p_indices, q_indices, tol: float) -> PiecewiseScaling:
+    # construct_from_orthogonal_split on rows that are unit or zero
     m, n = X.shape
     if projection.dim != n:
         raise ValueError(f"projection acts on R^{projection.dim} but vectors live in R^{n}")
@@ -250,18 +243,17 @@ def construct_from_orthogonal_split(
         raise ValueError(f"need exactly {n - k} q-side vectors to span the complement, got {len(qidx)}")
     Y = X @ projection.matrix
     Z = X - Y
-    xn = np.linalg.norm(X, axis=1)
     a = np.zeros(m)
     b = np.zeros(m)
-    a[pidx] = 1.0 / _check_orthogonal_nonzero(Y[pidx], xn[pidx], tol, "projected p-side")
-    b[qidx] = 1.0 / _check_orthogonal_nonzero(Z[qidx], xn[qidx], tol, "complement q-side")
+    a[pidx] = 1.0 / _check_orthogonal_nonzero(Y[pidx], tol, "projected p-side")
+    b[qidx] = 1.0 / _check_orthogonal_nonzero(Z[qidx], tol, "complement q-side")
     return PiecewiseScaling(projection, a, b)
 
 
-def _check_orthogonal_nonzero(rows: np.ndarray, scales: np.ndarray, tol: float, what: str) -> np.ndarray:
-    """The norms of ``rows``, after checking they are nonzero and pairwise orthogonal."""
+def _check_orthogonal_nonzero(rows: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """The norms of parts of unit rows, after checking they are nonzero and pairwise orthogonal."""
     norms = np.linalg.norm(rows, axis=1)
-    small = np.nonzero(norms <= tol * np.maximum(scales, 1e-300))[0]
+    small = np.nonzero(norms <= tol)[0]
     if small.size:
         raise ValueError(f"{what} vector {int(small[0])} is numerically zero")
     if rows.shape[0] < 2:
@@ -328,14 +320,10 @@ def construct_r3_detailed(frame, tol: float = DEFAULT_TOL) -> R3Construction:
     visible on the projected side.  The scaling is
     construct_from_orthogonal_split with P = span{u}, S the third index
     and T the pair, so a numerically degenerate part raises ValueError.
-    Rows whose squares would leave the normal range are scaled by powers
-    of two first (_row_shifts), and their constants back.
+    The triple is selected, and the split built, on the unit rows of
+    _unit_rows; the constants are divided by the row norms.
     """
-    X = as_vector_array(frame)
-    shifts = _row_shifts(X)
-    if shifts is not None:
-        built = construct_r3_detailed(np.ldexp(X, shifts[:, None]), tol)
-        return replace(built, scaling=_shifted(built.scaling, shifts))
+    X, r, e = _unit_rows(as_vector_array(frame))
     m, n = X.shape
     if n != 3:
         raise ValueError("construct_r3 needs vectors in R^3")
@@ -383,7 +371,7 @@ def construct_r3_detailed(frame, tol: float = DEFAULT_TOL) -> R3Construction:
             f"complement parts of the pair are not orthogonal (residual {orth_residual:.3e})"
         )
     return R3Construction(
-        scaling=construct_from_orthogonal_split(X, P, sel[2:], sel[:2], tol),
+        scaling=_for_rows(_orthogonal_split(X, P, sel[2:], sel[:2], tol), r, e),
         indices=sel,
         mixing_vector=_freeze(u),
         mixing_weight=lam,
@@ -467,7 +455,7 @@ def _disjoint_split_candidate(X: np.ndarray, G: np.ndarray, tol: float):
     sides = (W[:, :k], W[:, k:])
     constants = [None, None]
     for i in sorted(range(2), key=lambda i: -sides[i].shape[1]):
-        verdict = solve_standard_scaling(sides[i], None, tol)
+        verdict = _standard_verdict(sides[i], None, tol)
         if not verdict.feasible:
             return None
         constants[i] = verdict.scaling.constants
@@ -629,7 +617,7 @@ def _orthogonal_split_route(fr: Frame, ranks, seed: int, tol: float, budget: int
             if Q is None:
                 continue
             try:
-                ps = construct_from_orthogonal_split(fr, _leading_projection(Q, k), S, T, tol)
+                ps = _orthogonal_split(X, _leading_projection(Q, k), S, T, tol)
             except ValueError:
                 continue
             if verify_piecewise(fr, ps, tol).passed:
@@ -719,24 +707,29 @@ def search_piecewise(
     sides whose supports share an index make a miss, not a split.
 
     A positive factor on a vector does not change whether a scaling
-    exists, so rows whose squares would leave the normal range are
-    scaled by powers of two first (_row_shifts); the search runs on those
-    rows, and the constants of its result are scaled back.
+    exists, so the search runs on the unit rows of _unit_rows, and the
+    constants of its result are divided by the row norms.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     fr = frame if isinstance(frame, Frame) else Frame(frame)
-    shifts = _row_shifts(fr.vectors)
-    if shifts is not None:
-        ps = search_piecewise(np.ldexp(fr.vectors, shifts[:, None]), ranks, budget, seed, tol)
-        return None if ps is None else _shifted(ps, shifts)
     n = fr.dim
     wanted = set(range(1, n)) if ranks is None else {int(k) for k in ranks} & set(range(1, n))
     valid = sorted(wanted)
-    if not valid or not fr.is_frame():
+    if not valid:
         return None
+    U, r, e = _unit_rows(fr.vectors)
+    ps = _search(fr if U is fr.vectors else Frame(U), valid, budget, seed, tol)
+    return None if ps is None else _for_rows(ps, r, e)
+
+
+def _search(fr: Frame, valid: list[int], budget: int, seed: int, tol: float) -> PiecewiseScaling | None:
+    # search_piecewise on a frame of unit or zero rows, for the sorted ranks ``valid``
+    if not fr.is_frame():
+        return None
+    n = fr.dim
     X = fr.vectors
     norms = np.linalg.norm(X, axis=1)
     nz = norms > 0.0

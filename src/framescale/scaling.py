@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frames import DEFAULT_TOL, InternalInconsistencyError, _ROW_WINDOW, _UNIT_NORM_TOL, _freeze, as_vector_array
+from .frames import DEFAULT_TOL, InternalInconsistencyError, _freeze, _row_constants, _unit_rows, as_vector_array
 from .nnls import nnls
 from .projections import OrthogonalProjection
 
@@ -93,42 +93,10 @@ def _unvech(r: np.ndarray, n: int) -> np.ndarray:
     return R + np.triu(R, 1).T
 
 
-def _row_shifts(V: np.ndarray) -> np.ndarray | None:
-    """Exponents s_i that bring every row 2^s_i v_i inside _ROW_WINDOW, or None when all lie in it.
-
-    A row inside the window, a zero row included, gets s_i = 0, so its
-    bytes do not change.  A positive factor on a vector does not change
-    scalability: constants c_i for the rows 2^s_i v_i are 2^s_i c_i for
-    the rows v_i, exact while that product stays a normal double.
-    """
-    lo, hi = _ROW_WINDOW
-    a = np.abs(V)
-    # a row's largest entry leaves the window only if some entry does;
-    # this test skips the slower row maxima on nearly every input
-    if a.min() >= lo and a.max() <= hi:
-        return None
-    top = a.max(axis=1)
-    outside = (top > hi) | ((top < lo) & (top > 0.0))
-    return np.where(outside, -np.frexp(top)[1], 0) if outside.any() else None
-
-
-def _unshifted(constants: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Constants for the rows v_i from those for the rows 2^s_i v_i (see _row_shifts)."""
-    with np.errstate(over="ignore"):
-        c = np.ldexp(constants, shifts)
-    if not np.isfinite(c).all():
-        raise ValueError("the scaling constants of rows this small exceed the range of doubles")
-    return c
-
-
-def _post_check_unit_norm_invariants(V: np.ndarray, constants: np.ndarray, tol: float) -> None:
-    # for unit-norm inputs scaled to the identity no constant may exceed
+def _post_check_unit_norm_invariants(constants: np.ndarray, n: int, tol: float) -> None:
+    # for unit rows scaled to the identity of R^n no constant may exceed
     # one in square and the squares must sum to the dimension
-    norms = np.linalg.norm(V, axis=1)
-    if np.abs(norms - 1.0).max() > _UNIT_NORM_TOL:
-        return
     csq = constants**2
-    n = V.shape[1]
     if csq.max(initial=0.0) > 1.0 + 10.0 * tol or abs(float(csq.sum()) - n) > 10.0 * tol:
         raise InternalInconsistencyError(
             f"feasible scaling violates the unit-norm constant bounds: "
@@ -306,8 +274,8 @@ def solve_standard_scaling(
     range basis B for a projection target, so a projection target is
     solved in range coordinates; the distance equals the ambient
     ||sum_i w_i (P v_i)(P v_i)^T - P||_F.  Vectors with a part outside the
-    range above ``tol`` are recorded in a warning, and the constants
-    scale their projections.  The returned constants are the
+    range above ``tol`` times their norm are recorded in a warning, and
+    the constants scale their projections.  The returned constants are the
     minimum-residual weights; no attempt is made to pick a canonical
     element of a non-unique feasible set.
 
@@ -328,21 +296,30 @@ def solve_standard_scaling(
     only bounds the optimum from above, so it proves nothing.  The
     verdict records the run's ``converged`` flag and ``iterations``.
 
-    A row whose squares or fourth powers would leave the normal range of
-    doubles is first multiplied by a power of two (_row_shifts), and its
-    constant is multiplied back by the same power, so neither underflow
-    nor overflow can decide the verdict.
+    A positive factor on a vector is absorbed by its constant, so the
+    question is decided on the unit rows v_i / ||v_i|| (_unit_rows), and
+    a feasible verdict's constants are theirs divided by ||v_i||; no row's
+    magnitude can decide the verdict.  Rows with a constant above the
+    largest double raise ValueError.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    V = as_vector_array(vectors)
-    shifts = _row_shifts(V)
-    if shifts is not None:
-        verdict = solve_standard_scaling(np.ldexp(V, shifts[:, None]), target, tol, max_iter)
-        if not verdict.feasible:
-            return verdict
-        constants = _unshifted(verdict.scaling.constants, shifts)
-        return replace(verdict, scaling=replace(verdict.scaling, constants=constants))
+    U, r, e = _unit_rows(as_vector_array(vectors))
+    verdict = _standard_verdict(U, target, tol, max_iter)
+    if verdict.feasible and target is None:
+        _post_check_unit_norm_invariants(verdict.scaling.constants, U.shape[1], tol)
+    if not verdict.feasible or r is None:
+        return verdict
+    constants = _row_constants(verdict.scaling.constants, r, e)
+    return replace(verdict, scaling=replace(verdict.scaling, constants=constants))
+
+
+def _standard_verdict(V: np.ndarray, target: OrthogonalProjection | None, tol: float, max_iter: int | None = None) -> ScalabilityVerdict:
+    """solve_standard_scaling on the rows V as given, without normalising them.
+
+    The search's side coordinates are solved here: their rows keep the
+    lengths of their parts, so a side part at rounding level stays one.
+    """
     n = V.shape[1]
     warnings: list[str] = []
     if target is None:
@@ -366,8 +343,6 @@ def solve_standard_scaling(
     feasible = result.residual <= tol
     if feasible:
         constants = np.sqrt(np.maximum(result.x, 0.0))
-        if target is None:
-            _post_check_unit_norm_invariants(V, constants, tol)
         scaling = StandardScaling(constants=constants, residual=result.residual, target_rank=rank)
         return ScalabilityVerdict(
             True, scaling, None, result.residual, tuple(warnings), result.converged, result.iterations

@@ -133,6 +133,40 @@ def r4_special_expected_basis() -> np.ndarray:
     )
 
 
+def magnitude_gate_frames(rng: np.random.Generator) -> list[np.ndarray]:
+    """Unit, clustered, scalable, cone and open-quadrant frames, then the extreme fixtures.
+
+    The extreme fixtures are I_2 * 1e-170, I_3 * 1e200, and I_3 plus the
+    row (1, 1, 1) times 1e-170 and times 1e200: their squares leave the
+    range of doubles.
+    """
+    frames = [open_quadrant_frame(rng, 4).vectors, open_quadrant_frame(rng, 5).vectors]
+    for n in (3, 4, 5):
+        frames += [
+            random_unit_frame(rng, n, 2 * n).vectors,
+            clustered_unit_frame(rng, n, 2 * n, 0.05).vectors,
+            scalable_rows(rng, n, 2),
+            cone_rows(rng, 2 * n, n),
+        ]
+    four = np.vstack([np.eye(3), np.ones(3)])
+    return frames + [1e-170 * np.eye(2), 1e200 * np.eye(3), 1e-170 * four, 1e200 * four]
+
+
+def row_transform(
+    rng: np.random.Generator, X: np.ndarray, permute: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Y, order, factors): Y = factors * X[order], with factors sign * 2^e, e uniform in [-64, 64].
+
+    None of these changes whether, or how, a frame scales: the constants
+    of row i of Y are those of row order[i] of X divided by |factors[i]|.
+    ``order`` is the identity unless ``permute``.
+    """
+    m = X.shape[0]
+    order = rng.permutation(m) if permute else np.arange(m)
+    factors = rng.choice([-1.0, 1.0], m) * np.ldexp(1.0, rng.integers(-64, 65, m))
+    return factors[:, None] * X[order], order, factors
+
+
 def reference_search_piecewise(frame, ranks=None, budget: int = 100, seed: int = 0, tol: float = fs.DEFAULT_TOL):
     """Sequential search_piecewise: every candidate through the solver, no screening.
 
@@ -194,18 +228,20 @@ def reference_disjoint_split_candidate(X: np.ndarray, G: np.ndarray, tol: float)
     differential tests compare against it.  The candidate projects onto
     the first k columns of the orthogonal factor Q of the complete QR of
     G, and its sides are the identity problems in the columns of X Q,
-    formed as one product as in the library.
+    formed as one product as in the library.  Like the library, it
+    solves the side coordinates as they are, without normalising rows.
     """
     from framescale.projections import _leading_projection
+    from framescale.scaling import _standard_verdict
 
     k = G.shape[1]
     Q = np.linalg.qr(G, mode="complete")[0]
     W = X @ Q
     Y, Z = W[:, :k], W[:, k:]
-    vp = fs.solve_standard_scaling(Y, None, tol)
+    vp = _standard_verdict(Y, None, tol)
     if not vp.feasible:
         return None
-    vq = fs.solve_standard_scaling(Z, None, tol)
+    vq = _standard_verdict(Z, None, tol)
     if not vq.feasible:
         return None
     a = np.array(vp.scaling.constants)
@@ -224,11 +260,13 @@ def reference_disjoint_split_candidate(X: np.ndarray, G: np.ndarray, tol: float)
 
 
 def reference_restricted_constants(V: np.ndarray, keep: np.ndarray, tol: float):
-    """Solver-only _restricted_constants: the kept coordinate rows always go through solve_standard_scaling."""
+    """Solver-only _restricted_constants: the kept coordinate rows always go through the solver, not normalised."""
+    from framescale.scaling import _standard_verdict
+
     idx = np.nonzero(keep)[0]
     if idx.size == 0:
         return None
-    verdict = fs.solve_standard_scaling(V[idx], None, tol)
+    verdict = _standard_verdict(V[idx], None, tol)
     if not verdict.feasible:
         return None
     out = np.zeros(keep.shape[0])

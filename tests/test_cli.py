@@ -314,8 +314,9 @@ def test_clustered_r3_frame_exits_zero(workdir, capsys):
 @pytest.mark.parametrize("rows", [1e-170 * np.eye(2), 1e200 * np.eye(3)], ids=["tiny", "huge"])
 def test_frame_quantities_of_extreme_frames_exit_zero(workdir, capsys, rows):
     # squares of these entries leave the range of doubles; the frame
-    # quantities come from one power-of-two shift of the whole frame, so
-    # no command warns, and the verdicts match the unit basis
+    # quantities and the cluster radius come from one power-of-two shift
+    # of the whole frame and scaling questions from the unit rows, so no
+    # command warns, and the verdicts match the unit basis
     path = workdir / "extreme.csv"
     fs.save_frame(fs.Frame(rows), path)
     with warnings.catch_warnings():
@@ -326,6 +327,13 @@ def test_frame_quantities_of_extreme_frames_exit_zero(workdir, capsys, rows):
         code, report, err = run_cli(["canonical-parseval", path], capsys)
         assert code == 0, err
         assert report["frame"] == np.eye(len(rows)).tolist()
+        code, report, err = run_cli(["scale", path], capsys)
+        assert code == 0 and report["verdict"] == "feasible", err
+        code, report, err = run_cli(["piecewise", path], capsys)
+        assert code == 0 and report["verdict"] == "found", err
+        code, report, err = run_cli(["obstruct", path], capsys)
+        assert code == 0, err
+        assert report["epsilon"] == pytest.approx(np.sqrt(2.0) * rows[0, 0], rel=1e-15, abs=0.0)
 
 
 def test_subprocess_entry_point(workdir):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import framescale as fs
 from framescale import obstructions as ob
+from framescale.frames import _shifted_frame
 from helpers import (
     clustered_unit_frame,
     r3_fixture,
@@ -84,8 +85,14 @@ def test_max_pair_distance_is_bit_identical_to_broadcast(monkeypatch, cells):
         monkeypatch.setattr(ob, "_DIRECT_CELLS", 0)
     rng = np.random.default_rng(31)
     for label, X in _distance_cases(rng):
+        # the broadcast on the shifted frame, scaled back; where the
+        # broadcast on X itself stays finite, the two are equal
+        s, Y = _shifted_frame(X)
+        dist, pair = reference_max_pair_distance(Y)
+        expected = (float(np.ldexp(dist, -s)), pair)
         with np.errstate(over="ignore", invalid="ignore"):
-            expected = reference_max_pair_distance(X)
+            direct = reference_max_pair_distance(X)
+        assert expected == direct or not np.isfinite(direct[0]), (label, X.shape)
         assert ob._max_pair_distance(X) == expected, (label, X.shape)
         report = fs.closeness_obstruction(X)
         assert report.epsilon == expected[0] and report.detail["max_pair"] == expected[1]
@@ -93,10 +100,11 @@ def test_max_pair_distance_is_bit_identical_to_broadcast(monkeypatch, cells):
         if label == "identical":
             assert expected == (0.0, (0, 0))
         elif label == "huge":
-            assert expected == (np.inf, (0, 1))
+            # the broadcast on X overflows; the distance itself is a double
+            assert np.isinf(direct[0]) and np.isfinite(expected[0])
+            assert expected[0] == pytest.approx(1e200 * reference_max_pair_distance(X / 1e200)[0], rel=1e-14)
         elif label == "cancelling":
             assert expected[1] == (41, 42) and np.isfinite(expected[0])
-            assert not ob._squares_fit(X)  # so the screen is skipped
         elif label == "far-offset":
             # centring keeps delta relative to the cluster, not to its 1e6 norms
             assert ob._screened_rows(X).size <= 2

@@ -9,11 +9,13 @@ from framescale.piecewise import _complement_form
 from helpers import (
     blocked_split_frame,
     clustered_unit_frame,
+    magnitude_gate_frames,
     open_quadrant_frame,
     r3_fixture,
     r4_special_fixture,
     random_onb_rows,
     random_unit_frame,
+    row_transform,
     tilted_pair_frame,
     unit_rows,
 )
@@ -408,11 +410,33 @@ def test_search_and_constructors_scale_power_of_two_multiples(exponent):
     assert fs.verify_piecewise(R3, fs.construct_r3(R3)).passed
     E = np.ldexp(np.eye(2), exponent)
     assert fs.verify_piecewise(E, fs.construct_from_orthogonal_split(E, fs.canonical_projection([0], 2), [0], [1])).passed
+    # row factors 2^e with e in [-64, 64] and signs, drawn afresh per
+    # exponent, keep a found search found; with the row order changed too,
+    # the constructors verify on the frame as given.  The search is not
+    # given new row orders: its pivoted selection breaks ties of equal
+    # unit norms by row index, so an order can change its route
+    rng = np.random.default_rng(abs(exponent) + (exponent < 0))
+    for X in magnitude_gate_frames(rng):
+        if fs.search_piecewise(X, seed=0, budget=20) is not None:
+            Z = row_transform(rng, X, permute=False)[0]
+            found = fs.search_piecewise(Z, seed=0, budget=20)
+            assert found is not None and fs.verify_piecewise(Z, found).passed, X
+        Y, order, _ = row_transform(rng, X)
+        n = X.shape[1]
+        if n == 2:
+            assert fs.verify_piecewise(Y, fs.construct_r2(Y, fs.canonical_projection([0], 2))).passed
+        if n == 3:
+            assert fs.verify_piecewise(Y, fs.construct_r3(Y)).passed
+        if X.shape == (n, n) and np.array_equal(X, X[0, 0] * np.eye(n)):
+            # a basis splits under any coordinate projection
+            where = np.argsort(order)
+            ps = fs.construct_from_orthogonal_split(Y, fs.canonical_projection([0], n), where[:1], where[1:])
+            assert fs.verify_piecewise(Y, ps).passed
 
 
 def test_orthogonal_split_of_a_tiny_basis():
-    # the norms of I_2 * 1e-170 underflow in a square; the rows are shifted
-    # first, so the split is valid and its constants are the reciprocals
+    # the norms of I_2 * 1e-170 underflow in a square; the split is built
+    # on the unit rows, so it is valid and its constants are the reciprocals
     X = 1e-170 * np.eye(2)
     ps = fs.construct_from_orthogonal_split(X, fs.canonical_projection([0], 2), [0], [1])
     assert ps.a.tolist() == [1e170, 0.0] and ps.b.tolist() == [0.0, 1e170]

@@ -6,7 +6,15 @@ from hypothesis import strategies as st
 
 import framescale as fs
 from framescale.scaling import _gram_columns, _half_plane_margin, _unvech, _vech
-from helpers import open_quadrant_frame, random_onb_rows, reference_open_quadrant_certificate, unit_rows
+from helpers import (
+    magnitude_gate_frames,
+    open_quadrant_frame,
+    random_onb_rows,
+    random_rotation,
+    reference_open_quadrant_certificate,
+    row_transform,
+    unit_rows,
+)
 
 RT2 = np.sqrt(2.0)
 
@@ -183,9 +191,11 @@ def test_capped_run_on_a_cone_is_certified():
 
 def test_residual_infeasible_only_where_scipy_cannot_scale():
     # an orthonormal basis of R^6 and a copy moved by 1e-7 scales (scipy
-    # reaches about 1e-15), but NNLS stops above tol on near-duplicate
-    # columns; its residual carries no Farkas certificate, so it is
-    # undecided.  Random unit frames that scipy cannot scale stay certified
+    # reaches about 1e-15).  On the copy's unit rows NNLS reaches tol on
+    # most of them, but on some it stops above tol on near-duplicate
+    # columns; that residual carries no Farkas certificate, so the verdict
+    # is undecided, never infeasible.  Random unit frames that scipy cannot
+    # scale stay certified
     tol = fs.DEFAULT_TOL
     rng = np.random.default_rng(8)
     families = []
@@ -204,7 +214,9 @@ def test_residual_infeasible_only_where_scipy_cannot_scale():
         verdict = fs.solve_standard_scaling(V, None, tol)
         labels[scalable].add(verdict.certificate)
         undecided += scalable and verdict.certificate == "undecided"
-    assert "residual-infeasible" not in labels[True] and undecided >= 10
+        if verdict.feasible:
+            assert fs.verify_parseval(verdict.scaling.constants[:, None] * V, None, tol).passed
+    assert "residual-infeasible" not in labels[True] and undecided >= 1
     assert labels[False] == {"residual-infeasible"}
     T = rng.standard_normal((4, 4))
     assert np.allclose(_unvech(_vech(T + T.T), 4), T + T.T, rtol=0.0, atol=1e-15)
@@ -286,6 +298,21 @@ def test_power_of_two_multiples_decide_as_the_frame(exponent):
             c = np.ldexp(got.scaling.constants, exponent)
             assert np.allclose(c, want.scaling.constants, rtol=1e-12, atol=1e-12)
     assert {fs.solve_standard_scaling(X).certificate for X in frames} == {None, "open-quadrant", "residual-infeasible"}
+    # row factors 2^e with e in [-64, 64], row order and signs, drawn
+    # afresh per exponent, leave the verdict and its certificate as they
+    # are; a change of basis may only trade the quadrant for the half-plane
+    coordinate = {"open-quadrant": "two-dim", "half-plane": "two-dim"}
+    rng = np.random.default_rng(abs(exponent) + (exponent < 0))
+    for X in magnitude_gate_frames(rng):
+        want = fs.solve_standard_scaling(X)
+        Y = row_transform(rng, X)[0]
+        got = fs.solve_standard_scaling(Y)
+        assert (got.feasible, got.certificate) == (want.feasible, want.certificate), X
+        if got.feasible:
+            assert fs.verify_parseval(got.scaling.constants[:, None] * Y).passed
+        turned = fs.solve_standard_scaling(X @ random_rotation(rng, X.shape[1]))
+        assert turned.feasible == want.feasible
+        assert coordinate.get(turned.certificate, turned.certificate) == coordinate.get(want.certificate, want.certificate)
 
 
 def test_rows_of_mixed_extreme_magnitudes_scale():

@@ -384,9 +384,12 @@ def test_farkas_batch_ends_when_its_families_have_left(monkeypatch):
 
 
 def _counting_solver(monkeypatch) -> list[int]:
+    # the search solves the whole frame with solve_standard_scaling and the
+    # side coordinates with its unnormalised core
     calls: list[int] = []
-    solve = pw.solve_standard_scaling
-    monkeypatch.setattr(pw, "solve_standard_scaling", lambda *args: calls.append(1) or solve(*args))
+    for name in ("solve_standard_scaling", "_standard_verdict"):
+        solve = getattr(pw, name)
+        monkeypatch.setattr(pw, name, lambda *args, solve=solve: calls.append(1) or solve(*args))
     return calls
 
 
@@ -414,7 +417,8 @@ def test_prescreen_rejects_only_frames_the_solver_cannot_scale(monkeypatch):
         assert frame.is_frame()
         solved.clear()
         pw.search_piecewise(frame, ranks={1}, budget=1)
-        if any(V is frame.vectors for V in solved):
+        # the search solves its unit rows, so a whole-frame solve is told by its shape
+        if any(V.shape == frame.vectors.shape for V in solved):
             continue
         rejected[scalable] += 1
         assert not solve(frame.vectors, None, TOL).feasible
@@ -452,8 +456,8 @@ def test_survivors_are_solved_in_the_screens_orthogonal_factor(monkeypatch):
     # QR of its batch; a survivor is solved in X Q for the QR of its block
     # alone, which must be the same Q bit for bit
     solved: list[np.ndarray] = []
-    solve = pw.solve_standard_scaling
-    monkeypatch.setattr(pw, "solve_standard_scaling", lambda V, *args: solved.append(V) or solve(V, *args))
+    solve = pw._standard_verdict
+    monkeypatch.setattr(pw, "_standard_verdict", lambda V, *args: solved.append(V) or solve(V, *args))
     survivors = hits = 0
     for index, (frame, _) in enumerate(CASES[::3]):
         X, n = frame.vectors, frame.dim
