@@ -159,12 +159,6 @@ def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray
     e_i = 0, so unit inputs keep their bytes and U is its own result.
     When every row comes back as it is, U is X and r and e are None.
     """
-    with np.errstate(over="ignore"):
-        squares = np.einsum("ij,ij->i", X, X)
-    # a squared norm within the tolerance of 1 puts the norm within half
-    # of it; one that overflows reads inf, and one that underflows 0
-    if np.abs(squares - 1.0).max() <= _UNIT_NORM_TOL:
-        return X, None, None
     e = np.frexp(np.abs(X).max(axis=1))[1]
     Y = np.ldexp(X, -e[:, None])
     r = np.linalg.norm(Y, axis=1)

@@ -197,7 +197,7 @@ def construct_r2(frame, projection: OrthogonalProjection, tol: float = DEFAULT_T
             continue
         for j in range(m):
             if j != i and zn[j] > tol:
-                return _for_rows(_orthogonal_split(X, projection, [i], [j], tol), r, e)
+                return _for_rows(construct_from_orthogonal_split(X, projection, [i], [j], tol), r, e)
     raise InternalInconsistencyError("no valid index pair exists for a spanning family")
 
 
@@ -221,11 +221,6 @@ def construct_from_orthogonal_split(
     above tol.  Every explicit constructor ends here.
     """
     X, r, e = _unit_rows(as_vector_array(frame))
-    return _for_rows(_orthogonal_split(X, projection, p_indices, q_indices, tol), r, e)
-
-
-def _orthogonal_split(X: np.ndarray, projection: OrthogonalProjection, p_indices, q_indices, tol: float) -> PiecewiseScaling:
-    # construct_from_orthogonal_split on rows that are unit or zero
     m, n = X.shape
     if projection.dim != n:
         raise ValueError(f"projection acts on R^{projection.dim} but vectors live in R^{n}")
@@ -247,7 +242,7 @@ def _orthogonal_split(X: np.ndarray, projection: OrthogonalProjection, p_indices
     b = np.zeros(m)
     a[pidx] = 1.0 / _check_orthogonal_nonzero(Y[pidx], tol, "projected p-side")
     b[qidx] = 1.0 / _check_orthogonal_nonzero(Z[qidx], tol, "complement q-side")
-    return PiecewiseScaling(projection, a, b)
+    return _for_rows(PiecewiseScaling(projection, a, b), r, e)
 
 
 def _check_orthogonal_nonzero(rows: np.ndarray, tol: float, what: str) -> np.ndarray:
@@ -371,7 +366,7 @@ def construct_r3_detailed(frame, tol: float = DEFAULT_TOL) -> R3Construction:
             f"complement parts of the pair are not orthogonal (residual {orth_residual:.3e})"
         )
     return R3Construction(
-        scaling=_for_rows(_orthogonal_split(X, P, sel[2:], sel[:2], tol), r, e),
+        scaling=_for_rows(construct_from_orthogonal_split(X, P, sel[2:], sel[:2], tol), r, e),
         indices=sel,
         mixing_vector=_freeze(u),
         mixing_weight=lam,
@@ -617,7 +612,7 @@ def _orthogonal_split_route(fr: Frame, ranks, seed: int, tol: float, budget: int
             if Q is None:
                 continue
             try:
-                ps = _orthogonal_split(X, _leading_projection(Q, k), S, T, tol)
+                ps = construct_from_orthogonal_split(X, _leading_projection(Q, k), S, T, tol)
             except ValueError:
                 continue
             if verify_piecewise(fr, ps, tol).passed:

@@ -93,14 +93,16 @@ def _unvech(r: np.ndarray, n: int) -> np.ndarray:
     return R + np.triu(R, 1).T
 
 
-def _post_check_unit_norm_invariants(constants: np.ndarray, n: int, tol: float) -> None:
-    # for unit rows scaled to the identity of R^n no constant may exceed
-    # one in square and the squares must sum to the dimension
-    csq = constants**2
+def _post_check_unit_norm_invariants(constants: np.ndarray, U: np.ndarray, tol: float) -> None:
+    # for rows u_i scaled to the identity of R^n no c_i^2 ||u_i||^2 may
+    # exceed one and their sum is the trace n; the rows of _unit_rows lie
+    # only within _UNIT_NORM_TOL of unit norm, so their norms enter here
+    csq = constants**2 * np.einsum("ij,ij->i", U, U)
+    n = U.shape[1]
     if csq.max(initial=0.0) > 1.0 + 10.0 * tol or abs(float(csq.sum()) - n) > 10.0 * tol:
         raise InternalInconsistencyError(
             f"feasible scaling violates the unit-norm constant bounds: "
-            f"max c^2 = {csq.max():.6g}, sum c^2 = {csq.sum():.6g}, n = {n}"
+            f"max c^2 |u|^2 = {csq.max():.6g}, sum c^2 |u|^2 = {csq.sum():.6g}, n = {n}"
         )
 
 
@@ -307,7 +309,7 @@ def solve_standard_scaling(
     U, r, e = _unit_rows(as_vector_array(vectors))
     verdict = _standard_verdict(U, target, tol, max_iter)
     if verdict.feasible and target is None:
-        _post_check_unit_norm_invariants(verdict.scaling.constants, U.shape[1], tol)
+        _post_check_unit_norm_invariants(verdict.scaling.constants, U, tol)
     if not verdict.feasible or r is None:
         return verdict
     constants = _row_constants(verdict.scaling.constants, r, e)

@@ -320,6 +320,11 @@ def test_rows_of_mixed_extreme_magnitudes_scale():
     verdict = fs.solve_standard_scaling(X)
     assert verdict.feasible and np.array_equal(verdict.scaling.constants, 1.0 / np.diag(X))
     assert fs.verify_parseval(verdict.scaling.constants[:, None] * X).passed
+    # rows within 1e-8 of unit norm are used as given, beside a row that
+    # is normalised and alone; their constants sum to n only with the norms
+    for X in (np.diag([1.0 + 0.9e-8] * 9 + [2.0]), np.eye(10) * (1.0 + 0.9e-8)):
+        verdict = fs.solve_standard_scaling(X)
+        assert verdict.feasible and fs.verify_parseval(verdict.scaling.constants[:, None] * X).passed
     # rows below 2^-1024 need constants above the largest double
     with pytest.raises(ValueError, match="exceed the range of doubles"):
         fs.solve_standard_scaling(np.eye(2) * 1e-310)
