@@ -92,10 +92,8 @@ class Frame:
         return self.vectors.T
 
     def numerical_rank(self) -> int:
-        s = np.linalg.svd(self.vectors, compute_uv=False)
-        if s[0] == 0.0:
-            return 0
-        return int(np.sum(s > RANK_RTOL * s[0]))
+        """Count of singular values above RANK_RTOL times the largest (_rank) of the shifted frame."""
+        return _rank(np.linalg.svd(_shifted_frame(self.vectors)[1], compute_uv=False))
 
     def is_frame(self) -> bool:
         """True when the vectors span R^n, i.e. the lower frame bound is positive."""
@@ -129,6 +127,11 @@ class VerificationReport:
     residual: float
     detail: Mapping[str, tuple[bool, float]]
     tolerance: float
+
+
+def _rank(s: np.ndarray) -> int:
+    """Numerical rank of singular values s, largest first: the count above RANK_RTOL * s[0], 0 if s[0] = 0."""
+    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
 def _shifted_frame(X: np.ndarray) -> tuple[int, np.ndarray]:
@@ -212,13 +215,11 @@ def frame_bounds(frame) -> FrameBounds:
     bounds are scaled back, so a spanning frame whose bounds leave the
     range of doubles reads 0 or inf there and is still spanning.
     """
-    X = as_vector_array(frame)
-    m, n = X.shape
-    shift, Y = _shifted_frame(X)
+    shift, Y = _shifted_frame(as_vector_array(frame))
     s = np.linalg.svd(Y, compute_uv=False)
     upper = float(s[0] ** 2)
-    spanning = m >= n and s[0] > 0.0 and s[n - 1] > RANK_RTOL * s[0]
-    lower = float(s[n - 1] ** 2) if spanning else 0.0
+    spanning = _rank(s) == Y.shape[1]
+    lower = float(s[-1] ** 2) if spanning else 0.0
     cond = upper / lower if spanning else float("inf")
     return FrameBounds(
         lower=float(_scaled_back(lower, 2 * shift)),
@@ -263,19 +264,16 @@ def _parseval_report(V: np.ndarray, T: np.ndarray | None, tol: float) -> Verific
 def canonical_parseval(frame) -> Frame:
     """Return the tightened family {S^(-1/2) x_i}, which verifies as Parseval.
 
-    S^(-1/2) comes from a symmetric eigendecomposition; the frame must
-    span, otherwise the inverse square root does not exist.  The family
-    does not change when X is multiplied by a power of two, so it is
-    computed from the shifted frame of _shifted_frame, whose frame
-    operator neither underflows nor overflows.
+    With the thin SVD X = U diag(s) V^T, X S^(-1/2) = U V^T, the polar
+    factor of X; the frame must span (_rank(s) = n), otherwise S^(-1/2)
+    does not exist.  The SVD is that of the shifted frame of
+    _shifted_frame, which leaves U V^T unchanged.
     """
     fr = frame if isinstance(frame, Frame) else Frame(frame)
-    Y = _shifted_frame(fr.vectors)[1]
-    lam, V = np.linalg.eigh(frame_operator(Y))
-    if lam[-1] <= 0.0 or lam[0] <= RANK_RTOL * lam[-1]:
+    U, s, Vt = np.linalg.svd(_shifted_frame(fr.vectors)[1], full_matrices=False)
+    if _rank(s) < fr.dim:
         raise ValueError("canonical Parseval tightening needs a spanning frame")
-    inv_sqrt = (V / np.sqrt(lam)) @ V.T
-    return Frame(Y @ inv_sqrt, labels=fr.labels)
+    return Frame(U @ Vt, labels=fr.labels)
 
 
 def apply_unitary(frame, unitary, tol: float = DEFAULT_TOL) -> Frame:

@@ -174,11 +174,11 @@ def _index_list(indices, m: int, what: str) -> list[int]:
 def construct_r2(frame, projection: OrthogonalProjection, tol: float = DEFAULT_TOL) -> PiecewiseScaling:
     """Scaling for a spanning family in R^2 under any non-trivial projection.
 
-    Finds the first indices i != j with P x_i and (I - P) x_j both nonzero
-    and returns construct_from_orthogonal_split on S = {i}, T = {j}; every
-    spanning family admits such a pair, so the result is an orthonormal
-    basis of R^2.  The pair is chosen, and the split built, on the unit
-    rows of _unit_rows; the constants are divided by the row norms.
+    Finds the first indices i != j with P x_i and (I - P) x_j both above
+    tol and returns construct_from_orthogonal_split on S = {i}, T = {j}, an
+    orthonormal basis of R^2; a spanning family without such a pair is
+    numerically degenerate for P and raises ValueError.  The pair and the
+    split are taken on the unit rows of _unit_rows, constants divided by the row norms.
     """
     X, r, e = _unit_rows(as_vector_array(frame))
     m, n = X.shape
@@ -198,7 +198,7 @@ def construct_r2(frame, projection: OrthogonalProjection, tol: float = DEFAULT_T
         for j in range(m):
             if j != i and zn[j] > tol:
                 return _for_rows(construct_from_orthogonal_split(X, projection, [i], [j], tol), r, e)
-    raise InternalInconsistencyError("no valid index pair exists for a spanning family")
+    raise ValueError("no pair i != j has P x_i and (I - P) x_j above tol; the frame is numerically degenerate")
 
 
 def construct_from_orthogonal_split(

@@ -9,10 +9,11 @@ import numpy as np
 
 from .frames import (
     DEFAULT_TOL,
-    RANK_RTOL,
     InternalInconsistencyError,
     VerificationReport,
     _freeze,
+    _rank,
+    _shifted_frame,
     as_vector_array,
 )
 
@@ -51,10 +52,10 @@ class OrthogonalProjection:
 
 
 def _span_basis(columns: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the span of the nonempty columns: the left
-    singular vectors whose singular value exceeds RANK_RTOL times the largest."""
-    U, s, _ = np.linalg.svd(columns, full_matrices=False)
-    return U[:, s > RANK_RTOL * s[0]]
+    """Orthonormal basis of the span of the nonempty columns: the left singular
+    vectors of the numerical rank (_rank) of the shifted columns of _shifted_frame."""
+    U, s, _ = np.linalg.svd(_shifted_frame(columns)[1], full_matrices=False)
+    return U[:, : _rank(s)]
 
 
 def _range_basis(M: np.ndarray) -> np.ndarray:

@@ -94,6 +94,14 @@ def tilted_pair_frame(eps: float) -> fs.Frame:
     return fs.Frame([[eps, np.sqrt(1.0 - eps**2)], [r, r]])
 
 
+def ill_conditioned_frame() -> fs.Frame:
+    """Four rows in R^3 with singular values 1, 1e-2 and 2e-5 (default_rng(1))."""
+    rng = np.random.default_rng(1)
+    U = np.linalg.qr(rng.standard_normal((4, 3)))[0]
+    V = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    return fs.Frame((U * [1.0, 1e-2, 2e-5]) @ V.T)
+
+
 def blocked_split_frame() -> fs.Frame:
     """Basis of R^4 whose coordinate split scales on each side but never jointly."""
     return fs.Frame(

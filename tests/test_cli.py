@@ -12,7 +12,7 @@ import framescale as fs
 import framescale.cli as cli
 from framescale.cli import main
 from framescale.fileio import load_report
-from helpers import clustered_unit_frame, r3_fixture, tilted_pair_frame
+from helpers import clustered_unit_frame, ill_conditioned_frame, r3_fixture, tilted_pair_frame
 
 
 @pytest.fixture()
@@ -181,6 +181,11 @@ def test_canonical_parseval_command(workdir, capsys):
     tightened = fs.load_frame(out_frame)
     assert fs.verify_parseval(tightened.vectors).passed
 
+    # singular values 1, 1e-2, 2e-5: the polar factor keeps the defect at rounding level
+    fs.save_frame(ill_conditioned_frame(), workdir / "ill.csv")
+    code, report, _ = run_cli(["canonical-parseval", workdir / "ill.csv"], capsys)
+    assert code == 0 and report["residuals"]["parseval_defect"] <= 1e-12
+
 
 def test_exit_codes(workdir, capsys):
     bad = workdir / "ragged.csv"
@@ -214,6 +219,15 @@ def test_exit_codes(workdir, capsys):
 
     code, _, _ = run_cli(["analyze", workdir / "does-not-exist.csv"], capsys)
     assert code == 2
+
+    # a spanning pair with no row outside tol of P = diag(1, 0): the r2
+    # constructor calls it degenerate input, and the search goes on to later routes
+    flat = workdir / "flat.csv"
+    fs.save_frame(fs.Frame([[1.0, 0.0], [1.0, 1e-9]]), flat)
+    code, _, _ = run_cli(["piecewise", flat], capsys)
+    assert code == 0
+    code, _, err = run_cli(["piecewise", flat, "--construct", "r2"], capsys)
+    assert code == 2 and "numerically degenerate" in err
 
 
 def test_search_flags_out_of_range_are_usage_errors(workdir, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import framescale as fs
-from helpers import mercedes_frame, random_unit_frame, tilted_pair_frame
+from helpers import ill_conditioned_frame, mercedes_frame, random_unit_frame, tilted_pair_frame
 
 RT2 = np.sqrt(2.0)
 
@@ -62,6 +62,11 @@ def test_frame_bounds_examples():
     deficient = fs.frame_bounds([[1.0, 0.0]])
     assert deficient.lower == 0.0 and not deficient.spanning
     assert deficient.condition_number == np.inf
+
+    # near the largest double an unshifted SVD overflows; is_frame and
+    # frame_bounds ask the same rule of the same shifted frame
+    huge = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1e-3]]) * 1.7e308
+    assert fs.Frame(huge).is_frame() and fs.frame_bounds(huge).spanning
 
 
 @pytest.mark.parametrize("exponent", [-565, -300, 300, 565])
@@ -135,6 +140,32 @@ def test_canonical_parseval_examples():
 
     with pytest.raises(ValueError):
         fs.canonical_parseval([[1.0, 0.0], [2.0, 0.0]])
+
+    # singular values 1, 1e-2, 2e-5: S = X^T X squares that spread, so a
+    # tightening taken from S misses Parseval by about 4e-7
+    assert fs.verify_parseval(fs.canonical_parseval(ill_conditioned_frame()).vectors).residual <= 1e-12
+
+    # singular values spread by about 1e-7 span by the rank rule of frame_bounds
+    thin = [[1.0, 0.0], [0.0, 1e-7], [1.0, 1e-7]]
+    assert fs.frame_bounds(thin).spanning
+    assert fs.verify_parseval(fs.canonical_parseval(thin).vectors).residual <= 1e-12
+
+
+@given(st.integers(0, 10_000))
+def test_canonical_parseval_exactly_when_spanning(seed):
+    # singular values geometric from 1 down to 10^-t, t up to 11, so the
+    # spread crosses RANK_RTOL = 1e-10 on both sides
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(n, 3 * n))
+    U = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    X = (U * np.geomspace(1.0, 10.0 ** -rng.uniform(0.0, 11.0), n)) @ V.T
+    if not fs.frame_bounds(X).spanning:
+        with pytest.raises(ValueError):
+            fs.canonical_parseval(X)
+        return
+    assert fs.verify_parseval(fs.canonical_parseval(X).vectors, tol=1e-12).passed
 
 
 @given(st.integers(0, 10_000))

@@ -353,20 +353,28 @@ def test_search_random_route_finds_split_in_r4():
 
 def test_search_falls_through_when_the_r3_constructor_rejects(monkeypatch):
     # a spanning triple whose first two vectors overlap above 1 - 1e-12:
-    # construct_r3 calls the pair numerically dependent, and the search
-    # must go on to a later route instead of giving up
+    # construct_r3 calls the pair numerically dependent; and a spanning
+    # pair with no row outside tol of P = diag(1, 0): construct_r2 calls it
+    # numerically degenerate.  The search must go on to a later route
+    # instead of giving up
     t = 1e-7
-    frame = fs.Frame([[1.0, 0.0, 0.0], [np.cos(t), np.sin(t), 0.0], [0.0, 0.0, 1.0]])
-    assert frame.is_frame()
-    with pytest.raises(ValueError, match="numerically dependent"):
-        fs.construct_r3(frame)
+    triple = fs.Frame([[1.0, 0.0, 0.0], [np.cos(t), np.sin(t), 0.0], [0.0, 0.0, 1.0]])
+    pair = fs.Frame([[1.0, 0.0], [1.0, 1e-9]])
     later = []
     for name in ("_orthogonal_split_route", "_surviving_candidates"):
         route = getattr(pw, name)
         monkeypatch.setattr(pw, name, lambda *args, name=name, route=route: later.append(name) or route(*args))
-    found = fs.search_piecewise(frame, budget=50, seed=0)
-    assert later, "the search stopped at the constructor"
-    assert found is None or fs.verify_piecewise(frame, found).passed
+    for frame, construct, match in (
+        (triple, fs.construct_r3, "numerically dependent"),
+        (pair, lambda f: fs.construct_r2(f, fs.canonical_projection([0], 2)), "numerically degenerate"),
+    ):
+        assert frame.is_frame()
+        with pytest.raises(ValueError, match=match):
+            construct(frame)
+        later.clear()
+        found = fs.search_piecewise(frame, budget=50, seed=0)
+        assert later, "the search stopped at the constructor"
+        assert found is None or fs.verify_piecewise(frame, found).passed
 
 
 def test_search_falls_through_when_the_r3_constructor_fails_verification(monkeypatch):

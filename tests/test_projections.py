@@ -21,6 +21,10 @@ def test_projection_from_basis_examples():
     with pytest.raises(ValueError):
         fs.projection_from_basis([[0.0, 0.0]])
 
+    # near the largest double the largest singular value overflows unless shifted
+    huge = fs.projection_from_basis(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1e-3]]) * 1.7e308)
+    assert huge.rank == 2 and np.allclose(huge.matrix, np.eye(2), atol=1e-15)
+
 
 def test_canonical_projection_examples():
     P = fs.canonical_projection([0, 1], 4)
