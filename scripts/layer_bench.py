@@ -10,6 +10,9 @@ perfbench/workloads.py:
   n = 4, 8, 16 with m = 800..1500; and of 40 random spanning unit frames
   in R^d per d = 2..5 with d < m <= 15, so search-size systems have at
   most 15 rows and 15 columns;
+- scale: ``solve_standard_scaling(X)`` on the same ``large-frames``
+  frames, so the wide infeasible frames show the screen before NNLS and
+  the tall ones, which it does not screen, the solve alone;
 - obstruction: ``closeness_obstruction(X)`` on the same ``large-frames``
   frames and on one antipodal tie, 750 random unit rows in R^8 and their
   negatives, so every row ties at the top of the screen and the exact
@@ -94,13 +97,17 @@ def nnls_systems(smoke: bool) -> Inputs:
     return {key: [(_gram_columns(X), _vech(np.eye(X.shape[1]))) for X in group] for key, group in frames.items()}
 
 
+def scale_frames(smoke: bool) -> Inputs:
+    return {key: [(X,) for X in group] for key, group in _large_frames(smoke).items()}
+
+
 def obstruction_frames(smoke: bool) -> Inputs:
     import workloads
 
-    frames = _large_frames(smoke)
+    frames = scale_frames(smoke)
     U = workloads.spanning_unit_frame(np.random.default_rng([SEED, 16]), 8, 750)
-    frames["antipodal n=8"] = [np.vstack([U, -U])]
-    return {key: [(X,) for X in group] for key, group in frames.items()}
+    frames["antipodal n=8"] = [(np.vstack([U, -U]),)]
+    return frames
 
 
 def _reaches_sampled_stage(pw, X: np.ndarray, k: int) -> tuple[bool, bool]:
@@ -157,6 +164,12 @@ LAYERS = {
         lambda fs, A, b: fs.nnls(A, b),
         5,
         "ms per nnls call, fastest of 5 per system: median and quartiles over rounds of each shape's mean",
+    ),
+    "scale": Layer(
+        scale_frames,
+        lambda fs, X: fs.solve_standard_scaling(X),
+        5,
+        "ms per solve_standard_scaling call, fastest of 5 per frame: median and quartiles over rounds of each shape's mean",
     ),
     "obstruction": Layer(
         obstruction_frames,

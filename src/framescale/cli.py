@@ -172,7 +172,9 @@ def _cmd_scale(args) -> dict:
     frame = load_frame(args.frame, args.format)
     verdict = solve_standard_scaling(frame.vectors, None, tol)
     report = _base_report("scale", args.frame, tol)
-    report["residuals"] = {"frobenius_defect": verdict.residual}
+    # a certified verdict of no NNLS iterations holds the screen's bound, not a defect reached
+    screened = not verdict.feasible and verdict.iterations == 0 and verdict.certificate != "undecided"
+    report["residuals"] = {"distance_lower_bound" if screened else "frobenius_defect": verdict.residual}
     if verdict.feasible:
         report["verdict"] = "feasible"
         report["scaling"] = {"c": list(map(float, verdict.scaling.constants))}

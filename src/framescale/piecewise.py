@@ -42,7 +42,7 @@ from .projections import (
     complement,
     projection_from_basis,
 )
-from .scaling import _FARKAS_CELLS, _TRUSTED_SIDE, _side_rejected, _standard_verdict, solve_standard_scaling
+from .scaling import _FARKAS_CELLS, _TRUSTED_SIDE, _side_margins, _standard_verdict, solve_standard_scaling
 
 
 @dataclass(frozen=True)
@@ -464,13 +464,13 @@ def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
 
     Gets every candidate's orthogonal factor from one stacked complete QR
     of the blocks, equal bit for bit to the QR of each block alone that
-    _disjoint_split_candidate solves in, and judges each side by
-    _side_rejected on the rows of nonzero norm.  FISTA checks the
-    Farkas bound after steps 1, 2, 4, ..., 128 and 150, and a side leaves
-    the stack at the first checkpoint whose bound exceeds 10 tol.  The
-    smaller side goes first, and the other side is embedded only for the
-    candidates it kept, so the batched FISTA runs only on candidates the
-    exact half-plane rule kept.
+    _disjoint_split_candidate solves in, and rejects a side whose
+    _side_margins margin on the rows of nonzero norm exceeds 10 tol.
+    FISTA checks the Farkas bound after steps 1, 2, 4, ..., 128 and 150,
+    and a side leaves the stack at the first checkpoint whose bound
+    exceeds 10 tol.  The smaller side goes first, and the other side is
+    embedded only for the candidates it kept, so the batched FISTA runs
+    only on candidates the exact half-plane rule kept.
     """
     n, k = G.shape[1:]
     Q = np.linalg.qr(G, mode="complete")[0]
@@ -481,7 +481,7 @@ def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     for side in sides:
         live = np.flatnonzero(~rejected)
         coords = np.einsum("mi,cij->cmj", X, Q[live, :, side])
-        rejected[live] = _side_rejected(coords, scales, tol)
+        rejected[live] = _side_margins(coords, scales, tol) > 10.0 * tol
     return rejected
 
 
@@ -644,14 +644,14 @@ def search_piecewise(
     problems in the coordinates X Q_j[:, :k] and X Q_j[:, k:].  A miss
     is not a proof that no scaling exists.
 
-    The standard step first judges the whole frame, its nonzero rows as
-    one family in R^n, by the candidates' screen below (_side_rejected).
+    The standard step is solve_standard_scaling, which first screens the
+    whole frame and runs NNLS only on a frame the screen cannot reject.
     Piecewise scaling is for frames that standard scaling cannot make
     Parseval, so nearly every frame the search sees fails this step.  A
     rejection bounds the frame's distance to the cone above 10 tol, where
-    the standard solve could only report infeasibility, so that solve is
-    skipped and the result is the same as without the pre-screen.  A
-    frame of dimension n >= 3 with more than 1,024 rows is not screened.
+    NNLS could only report infeasibility.  That screen is the one below
+    with 16 FISTA steps in place of 150, and a frame of dimension n >= 3
+    with more than n^2 rows goes to NNLS unscreened.
 
     The orthogonal-split route (_orthogonal_split_route) solves for the
     split the paper's R^2 and R^3 constructions build: a rank-k projection
@@ -726,15 +726,12 @@ def _search(fr: Frame, valid: list[int], budget: int, seed: int, tol: float) -> 
         return None
     n = fr.dim
     X = fr.vectors
-    norms = np.linalg.norm(X, axis=1)
-    nz = norms > 0.0
-    if not _side_rejected(X[nz][None], norms[nz], tol)[0]:
-        verdict = solve_standard_scaling(X, None, tol)
-        if verdict.feasible:
-            c = verdict.scaling.constants
-            ps = PiecewiseScaling(canonical_projection(range(valid[0]), n), c, c)
-            if verify_piecewise(fr, ps, tol).passed:
-                return ps
+    verdict = solve_standard_scaling(fr, None, tol)
+    if verdict.feasible:
+        c = verdict.scaling.constants
+        ps = PiecewiseScaling(canonical_projection(range(valid[0]), n), c, c)
+        if verify_piecewise(fr, ps, tol).passed:
+            return ps
     if n <= 3:
         # a numerically degenerate selection, like a failing result, goes on to the later routes
         try:

@@ -5,16 +5,20 @@ v_i v_i^T reproduce the target operator.  Toward a projection target of
 rank k this is the identity problem sum_i w_i c_i c_i^T = I_k in the
 coordinates c_i = B^T v_i of an orthonormal range basis B, since a
 unitary map changes neither the cone nor the Frobenius distance; the
-identity target is the case B = I.  The decision runs nonnegative least
-squares over the vectorized symmetric system, with off-diagonal entries
-weighted by sqrt(2) so that the euclidean objective equals the Frobenius
-defect.  In two-dimensional ranges an open-quadrant test, or failing
-that the half-plane test on doubled angles, certifies infeasibility
-independently of the solver; elsewhere a Farkas bound evaluated at the
-solver's residual must certify it, or the verdict is undecided.  The
-same bound, evaluated along a batched FISTA run instead of at an NNLS
-optimum, screens stacked families without any solve (_side_rejected);
-the search uses it to skip solves that could only report infeasibility.
+identity target is the case B = I.  The decision certifies before it
+solves: a screen first looks for a proof that I_k lies more than
+10 tol from the cone, the exact half-plane test on doubled angles in a
+two-dimensional range, and in a range of dimension k >= 3 with at most
+k^2 rows a Farkas bound at the residuals of 16 FISTA steps.  A family
+the screen proves infeasible needs no solve.  The others go to
+nonnegative least squares over the vectorized symmetric system, with
+off-diagonal entries weighted by sqrt(2) so that the euclidean objective
+equals the Frobenius defect.  In two-dimensional ranges an open-quadrant
+test, or failing that the half-plane test, certifies an infeasible
+solve independently of the solver; elsewhere the Farkas bound evaluated
+at the solver's residual must certify it, or the verdict is undecided.
+The same screen, batched over stacked families (_side_margins), lets the
+search skip the candidates whose solves could only report infeasibility.
 """
 
 from __future__ import annotations
@@ -47,9 +51,14 @@ class ScalabilityVerdict:
     """Feasibility decision plus either the scaling or an infeasibility certificate.
 
     ``converged`` and ``iterations`` come from the NNLS run behind the
-    decision.  An infeasible verdict carries the certificate "undecided"
-    unless a two-dimensional range certifies it geometrically or a
-    converged run's residual certifies it by its Farkas bound.
+    decision, and ``residual`` is the Frobenius defect that run reached.
+    An infeasible verdict carries the certificate "undecided" unless a
+    two-dimensional range certifies it geometrically or the run's
+    residual certifies it by its Farkas bound.  A verdict the screen of
+    solve_standard_scaling decided ran no NNLS: it is infeasible with a
+    certificate, ``converged`` True and ``iterations`` 0, and its
+    ``residual`` is the certified lower bound on the distance from the
+    target to the cone, above 10 tol, not a defect any weights reached.
     """
 
     feasible: bool
@@ -152,7 +161,8 @@ def _farkas_bound(units: np.ndarray, R: np.ndarray) -> np.ndarray:
     bound, which holds for any R, or 0 where R = 0.
     """
     d = units.shape[2]
-    norm = np.linalg.norm(R, axis=(1, 2))
+    # the Frobenius norms as np.linalg.norm forms them, without its dispatch
+    norm = np.sqrt((R * R).sum(axis=(1, 2)))
     # R = 0 stays 0, so its trace and delta vanish and so does its bound
     R = R / np.where(norm > 0.0, norm, 1.0)[:, None, None]
     # a family without rows has delta 0, so its bound is tr R^
@@ -181,8 +191,14 @@ _FARKAS_MOMENTUM = _fista_momentum(150)
 
 # steps after which the Farkas screen evaluates its bound: doubling, so a
 # family certified early leaves the batch after few steps, and the last
-# step, so a family that stays is judged where the fixed run judged it
+# step, so a family that stays is judged where the fixed run judged it;
+# a shorter run also checks its own last step
 _FARKAS_CHECKPOINTS = frozenset([2**i for i in range(8)] + [len(_FARKAS_MOMENTUM)])
+
+# FISTA steps of the screen solve_standard_scaling runs before NNLS; on
+# the infeasible wide frames of the large-frames benchmark every
+# rejection comes by step 16, and a feasible frame pays only these steps
+_SCREEN_STEPS = 16
 
 # Gram cells (families times rows squared) per batch of the screen; the
 # search draws its candidates in batches of this many cells, and as
@@ -191,19 +207,20 @@ _FARKAS_CHECKPOINTS = frozenset([2**i for i in range(8)] + [len(_FARKAS_MOMENTUM
 _FARKAS_CELLS = 2**20
 
 
-def _farkas_margin(units: np.ndarray, stop: float = np.inf) -> np.ndarray:
-    """Each family's largest _farkas_bound over the checkpoints of its FISTA run.
+def _farkas_margin(units: np.ndarray, stop: float = np.inf, steps: int = len(_FARKAS_MOMENTUM)) -> np.ndarray:
+    """Each family's largest _farkas_bound over the checkpoints of its FISTA run of ``steps`` steps.
 
     FISTA minimises ||sum_i w_i u_i u_i^T - I||_F^2 / 2 over w >= 0.
     ``units`` has shape (C, m, d) with unit rows.  The gradient is H w - 1
     with H_ij = (u_i^T u_j)^2, and the step is 1 / L with L the largest
     row sum of H, which bounds its largest eigenvalue; a gradient step
     y - (H y - 1) / L is then one batched product (I - H / L) y + 1 / L.
-    At each step of _FARKAS_CHECKPOINTS the bound is evaluated at the
-    residual I - sum_i w_i u_i u_i^T, a direction, not an optimum.  A
-    family whose bound exceeds ``stop`` leaves the stack; the others take
-    exactly the steps of a stack without exits, so a family's margin does
-    not depend on the families stacked with it.  A margin above ``stop``
+    At each step of _FARKAS_CHECKPOINTS up to ``steps``, and at the last
+    step, the bound is evaluated at the residual I - sum_i w_i u_i u_i^T,
+    a direction, not an optimum.  A family whose bound exceeds ``stop``
+    leaves the stack; the others take exactly the steps of a stack
+    without exits, so a family's margin does not depend on the families
+    stacked with it.  A margin above ``stop``
     may be lower than the fixed run of every step would give, but it is
     still a bound above ``stop``.  A side with m^2 above _FARKAS_CELLS
     gets margin 0.
@@ -217,11 +234,11 @@ def _farkas_margin(units: np.ndarray, stop: float = np.inf) -> np.ndarray:
     w = y = np.zeros((C, m, 1))
     margin = np.full(C, -np.inf)
     live = np.arange(C)
-    for count, beta in enumerate(_FARKAS_MOMENTUM, 1):
+    for count, beta in enumerate(_FARKAS_MOMENTUM[:steps], 1):
         w_next = np.maximum(descent @ y + step, 0.0)
         y = w_next + beta * (w_next - w)
         w = w_next
-        if count not in _FARKAS_CHECKPOINTS:
+        if count not in _FARKAS_CHECKPOINTS and count < steps:
             continue
         bound = _farkas_bound(units, np.eye(d) - units.transpose(0, 2, 1) @ (w * units))
         margin[live] = np.maximum(margin[live], bound)
@@ -234,31 +251,57 @@ def _farkas_margin(units: np.ndarray, stop: float = np.inf) -> np.ndarray:
     return margin
 
 
-def _side_rejected(coords: np.ndarray, scales: np.ndarray, tol: float) -> np.ndarray:
-    """Which stacked side families, in coordinates (C, m, d) of their range, provably fail to scale.
+def _side_margins(coords: np.ndarray, scales: np.ndarray, tol: float, steps: int = len(_FARKAS_MOMENTUM)) -> np.ndarray:
+    """Screen margins of stacked side families, in coordinates (C, m, d) of their range.
 
     ``scales`` are the norms of the m frame rows.  A family is judged
     only when each of its rows has a part above _TRUSTED_SIDE of its
-    scale.  A two-dimensional side then rejects on its half-plane margin,
-    a side of dimension d >= 3 on the Farkas bound
-    (tr R^ - d delta) / (1 + sqrt(d) delta) at the FISTA residuals R of
-    its unit coordinates (_farkas_margin), both above 10 tol; a
-    one-dimensional side always scales.
+    scale.  A two-dimensional side then gets its half-plane margin, a
+    side of dimension d >= 3 the Farkas bound
+    (tr R^ - d delta) / (1 + sqrt(d) delta) at the residuals R of
+    ``steps`` FISTA steps on its unit coordinates (_farkas_margin).  A
+    margin above 10 tol proves that the family cannot scale.  A family
+    that is not judged, and a one-dimensional side, which always scales,
+    gets -inf.
     """
-    rejected = np.zeros(len(coords), dtype=bool)
+    margin = np.full(len(coords), -np.inf)
     d = coords.shape[2]
     if d < 2:
-        return rejected
+        return margin
     norms = np.linalg.norm(coords, axis=2)
     trusted = np.flatnonzero((norms > _TRUSTED_SIDE * scales).all(axis=1))
     if trusted.size == 0:
-        return rejected
+        return margin
     if d == 2:
-        margin = _half_plane_margin(coords[trusted])
+        margin[trusted] = _half_plane_margin(coords[trusted])
     else:
-        margin = _farkas_margin(coords[trusted] / norms[trusted, :, None], 10.0 * tol)
-    rejected[trusted] = margin > 10.0 * tol
-    return rejected
+        margin[trusted] = _farkas_margin(coords[trusted] / norms[trusted, :, None], 10.0 * tol, steps)
+    return margin
+
+
+def _screen_bound(V: np.ndarray, C: np.ndarray, tol: float) -> float:
+    """A certified lower bound above 10 tol on the distance from I to the cone of the rows C, or 0.
+
+    C holds the range coordinates of the m rows V, and the rows of V
+    with norm zero are left out.  A two-dimensional range is judged by
+    its half-plane margin s, whose direction gives the distance
+    sqrt(2) s / sqrt(1 + s^2); a range of dimension d >= 3 only when
+    m <= d^2, by the Farkas margin of _SCREEN_STEPS FISTA steps.  There a
+    step costs m^2 cells, no more than the m d^2 of the solve's system,
+    and taller families go to NNLS unscreened.  Where the screen proves
+    nothing, the result is 0.
+    """
+    m, d = C.shape
+    if d > 2 and m > d * d:
+        return 0.0
+    scales = np.linalg.norm(V, axis=1)
+    rows = scales > 0.0
+    if not rows.any():
+        return 0.0
+    s = _side_margins(C[rows][None], scales[rows], tol, _SCREEN_STEPS)[0]
+    if not s > 10.0 * tol:
+        return 0.0
+    return float(np.sqrt(2.0) * s / np.sqrt(1.0 + s * s)) if d == 2 else float(s)
 
 
 def solve_standard_scaling(
@@ -269,10 +312,12 @@ def solve_standard_scaling(
 ) -> ScalabilityVerdict:
     """Decide standard scalability toward the identity or a projection target.
 
-    Solves min_{w >= 0} ||sum_i w_i c_i c_i^T - I_k||_F and declares the
-    family feasible when the optimum is within ``tol``; the returned
-    constants are sqrt(w).  The c_i are the vectors themselves for the
-    identity target, and their coordinates B^T v_i in the orthonormal
+    First screens the family for a proof that it cannot scale
+    (_screen_bound), then solves
+    min_{w >= 0} ||sum_i w_i c_i c_i^T - I_k||_F and declares the family
+    feasible when the optimum is within ``tol``; the returned constants
+    are sqrt(w).  The c_i are the vectors themselves for the identity
+    target, and their coordinates B^T v_i in the orthonormal
     range basis B for a projection target, so a projection target is
     solved in range coordinates; the distance equals the ambient
     ||sum_i w_i (P v_i)(P v_i)^T - P||_F.  Vectors with a part outside the
@@ -281,12 +326,26 @@ def solve_standard_scaling(
     minimum-residual weights; no attempt is made to pick a canonical
     element of a non-unique feasible set.
 
+    The screen runs on the unit rows c_i / ||c_i|| when every row has a
+    range part above _TRUSTED_SIDE of its norm.  In a two-dimensional
+    range it rejects when the half-plane margin s exceeds 10 ``tol``; in a
+    range of dimension k >= 3 with at most k^2 rows, when the Farkas bound
+    at the residual of 16 FISTA steps, checked after steps 1, 2, 4, 8 and
+    16, exceeds 10 ``tol``.  A rejection returns the infeasible verdict
+    without NNLS: its ``residual`` is that lower bound on the distance,
+    ``converged`` is True and ``iterations`` 0.  The bound proves the
+    optimum above ``tol``, so the solve could only have found the family
+    infeasible, and no feasible verdict depends on the screen.  Taller
+    families, and families the screen keeps, are solved.
+
     An infeasible verdict in a two-dimensional range carries the
     certificate "open-quadrant" when the sign-normalized coordinates sit
     in one open quadrant, else "half-plane" when their doubled angles fit
     in an open half circle (half-plane margin s > 0).  Both tests need no
     solver, so they certify infeasibility whether or not NNLS converged.
-    Otherwise the certificate is "residual-infeasible" when the residual
+    A screened rejection in a range of dimension k >= 3 carries
+    "residual-infeasible".  Otherwise the certificate is
+    "residual-infeasible" when the residual
     R = I_k - sum_i w_i c_i c_i^T of the NNLS run certifies the verdict:
     _farkas_bound of the unit rows c_i / ||c_i|| at R, a lower bound on
     the optimum that costs one matrix product, exceeds ``tol``.  The
@@ -307,7 +366,7 @@ def solve_standard_scaling(
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     U, r, e = _unit_rows(as_vector_array(vectors))
-    verdict = _standard_verdict(U, target, tol, max_iter)
+    verdict = _standard_verdict(U, target, tol, max_iter, screen=True)
     if verdict.feasible and target is None:
         _post_check_unit_norm_invariants(verdict.scaling.constants, U, tol)
     if not verdict.feasible or r is None:
@@ -316,11 +375,15 @@ def solve_standard_scaling(
     return replace(verdict, scaling=replace(verdict.scaling, constants=constants))
 
 
-def _standard_verdict(V: np.ndarray, target: OrthogonalProjection | None, tol: float, max_iter: int | None = None) -> ScalabilityVerdict:
+def _standard_verdict(
+    V: np.ndarray, target: OrthogonalProjection | None, tol: float, max_iter: int | None = None, screen: bool = False
+) -> ScalabilityVerdict:
     """solve_standard_scaling on the rows V as given, without normalising them.
 
     The search's side coordinates are solved here: their rows keep the
     lengths of their parts, so a side part at rounding level stays one.
+    The sampled stage screened them already, so only ``screen`` runs
+    solve_standard_scaling's screen (_screen_bound) before the solve.
     """
     n = V.shape[1]
     warnings: list[str] = []
@@ -339,25 +402,30 @@ def _standard_verdict(V: np.ndarray, target: OrthogonalProjection | None, tol: f
                 f"{bad} vector(s) projected onto the target range "
                 f"(worst out-of-range norm {leak.max():.3e})"
             )
-    A = _gram_columns(C)
-    bvec = _vech(np.eye(rank))
-    result = nnls(A, bvec, max_iter=max_iter)
-    feasible = result.residual <= tol
-    if feasible:
-        constants = np.sqrt(np.maximum(result.x, 0.0))
-        scaling = StandardScaling(constants=constants, residual=result.residual, target_rank=rank)
-        return ScalabilityVerdict(
-            True, scaling, None, result.residual, tuple(warnings), result.converged, result.iterations
-        )
+    bound = _screen_bound(V, C, tol) if screen else 0.0
+    if not bound:
+        A = _gram_columns(C)
+        bvec = _vech(np.eye(rank))
+        result = nnls(A, bvec, max_iter=max_iter)
+        if result.residual <= tol:
+            constants = np.sqrt(np.maximum(result.x, 0.0))
+            scaling = StandardScaling(constants=constants, residual=result.residual, target_rank=rank)
+            return ScalabilityVerdict(
+                True, scaling, None, result.residual, tuple(warnings), result.converged, result.iterations
+            )
     nonzero = C[np.linalg.norm(C, axis=1) > 0.0]
     if rank == 2 and nonzero.shape[0] and open_quadrant_certificate(nonzero):
         certificate = "open-quadrant"
     elif rank == 2 and nonzero.shape[0] and _half_plane_margin(nonzero[None])[0] > 0.0:
         certificate = "half-plane"
+    elif bound:
+        certificate = "residual-infeasible"
     else:
         units = nonzero / np.linalg.norm(nonzero, axis=1, keepdims=True)
         R = _unvech(bvec - A @ result.x, rank)
         certificate = "residual-infeasible" if _farkas_bound(units[None], R[None])[0] > tol else "undecided"
+    if bound:
+        return ScalabilityVerdict(False, None, certificate, bound, tuple(warnings), True, 0)
     return ScalabilityVerdict(
         False, None, certificate, result.residual, tuple(warnings), result.converged, result.iterations
     )

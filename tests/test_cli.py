@@ -52,14 +52,37 @@ def test_scale_feasible_and_infeasible(workdir, capsys):
 
 
 def test_scale_undecided_when_nnls_hits_its_cap(workdir, monkeypatch, capsys):
-    # the CLI keeps the default cap; a cap of one step forces the case
+    # the CLI keeps the default cap; a cap of one step forces the case on
+    # two orthonormal bases of R^3, which scale, so the screen keeps them
+    bases = workdir / "bases.csv"
+    r = np.sqrt(0.5)
+    fs.save_frame(fs.Frame(np.vstack([np.eye(3), [[r, r, 0.0], [r, -r, 0.0], [0.0, 0.0, 1.0]]])), bases)
     capped = functools.partial(fs.solve_standard_scaling, max_iter=1)
     monkeypatch.setattr(cli, "solve_standard_scaling", capped)
-    code, report, _ = run_cli(["scale", workdir / "triple.csv"], capsys)
+    code, report, _ = run_cli(["scale", bases], capsys)
     assert code == 0
     assert report["verdict"] == "undecided"
     assert report["nnls"] == {"converged": False, "iterations": 1}
     assert "certificate" not in report and "scaling" not in report
+    assert list(report["residuals"]) == ["frobenius_defect"]
+
+
+def test_scale_report_names_the_screens_bound(workdir, capsys):
+    # the r3 fixture is three independent, non-orthogonal vectors in R^3:
+    # the screen rejects it without NNLS, so the report holds a lower bound
+    code, report, _ = run_cli(["scale", workdir / "triple.csv"], capsys)
+    assert code == 0
+    assert report["verdict"] == "infeasible" and report["certificate"] == "residual-infeasible"
+    verdict = fs.solve_standard_scaling(fs.load_frame(workdir / "triple.csv").vectors)
+    assert verdict.iterations == 0
+    assert report["residuals"] == {"distance_lower_bound": verdict.residual}
+    # ten vectors in R^3 exceed n^2, so NNLS decides them and the report
+    # holds the defect its weights reached
+    cone = workdir / "cone.csv"
+    fs.save_frame(fs.Frame([[2.0, 0.0, 0.0], [1.0, 0.1, 0.0], [1.0, 0.0, 0.1]] * 3 + [[1.0, 0.1, 0.1]]), cone)
+    code, report, _ = run_cli(["scale", cone], capsys)
+    assert report["verdict"] == "infeasible" and report["certificate"] == "residual-infeasible"
+    assert list(report["residuals"]) == ["frobenius_defect"] and report["residuals"]["frobenius_defect"] > 1e-2
 
 
 def test_piecewise_split_and_verify_round_trip(workdir, capsys):

@@ -5,14 +5,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import framescale as fs
-from framescale.scaling import _gram_columns, _half_plane_margin, _unvech, _vech
+import framescale.scaling as sc
+from framescale.frames import _unit_rows
+from framescale.scaling import _gram_columns, _half_plane_margin, _standard_verdict, _unvech, _vech
 from helpers import (
+    cone_rows,
     magnitude_gate_frames,
     open_quadrant_frame,
     random_onb_rows,
     random_rotation,
     reference_open_quadrant_certificate,
     row_transform,
+    scalable_rows,
     unit_rows,
 )
 
@@ -100,7 +104,10 @@ def test_half_plane_certificate_outside_one_quadrant():
     assert not verdict.feasible and verdict.certificate == "half-plane"
     s = float(_half_plane_margin(V[None])[0])
     assert s == pytest.approx(np.cos(np.radians(50.0)))
-    assert verdict.residual >= np.sqrt(2.0) * s / np.sqrt(1.0 + s * s) - 1e-12
+    # the screen decides it and reports the bound; NNLS reaches no less
+    assert verdict.iterations == 0 and verdict.residual == np.sqrt(2.0) * s / np.sqrt(1.0 + s * s)
+    solved = _standard_verdict(V, None, fs.DEFAULT_TOL)
+    assert solved.certificate == "half-plane" and solved.residual >= verdict.residual - 1e-12
 
     # the same family inside a rank-2 target in R^3
     P = fs.canonical_projection([0, 2], 3)
@@ -121,14 +128,16 @@ def test_two_dim_certificates_only_on_nnls_infeasible_families():
         V = rng.uniform(0.5, 2.0, (m, 1)) * np.column_stack([np.cos(theta), np.sin(theta)])
         verdict = fs.solve_standard_scaling(V)
         labels[verdict.certificate] += 1
+        reference = scipy_optimize.nnls(_gram_columns(V), _vech(np.eye(2)))[1]
         if verdict.certificate in ("open-quadrant", "half-plane"):
-            reference = scipy_optimize.nnls(_gram_columns(V), _vech(np.eye(2)))[1]
             assert reference > fs.DEFAULT_TOL
         s = float(_half_plane_margin(V[None])[0])
         if s > 1e-6:
             # a clear half-plane margin never leaves the bare solver label
             assert verdict.certificate in ("open-quadrant", "half-plane")
         if verdict.certificate == "half-plane":
+            # the screen reports the bound, a solve a residual above it
+            assert reference >= np.sqrt(2.0) * s / np.sqrt(1.0 + s * s) - 1e-12
             assert verdict.residual >= np.sqrt(2.0) * s / np.sqrt(1.0 + s * s) - 1e-12
     assert labels["half-plane"] >= 20 and labels["open-quadrant"] >= 20 and labels[None] >= 20
 
@@ -172,8 +181,9 @@ def test_iteration_cap_gives_undecided_not_infeasible():
     assert not capped.feasible and capped.scaling is None
     assert capped.certificate == "undecided"
     assert not capped.converged and capped.iterations == 1
-    # a converged infeasible verdict keeps its certificate and records the run
-    cone = fs.solve_standard_scaling(unit_rows(rng, 4, 3) * [1.0, 0.1, 0.1] + [1.0, 0.0, 0.0])
+    # a converged infeasible verdict keeps its certificate and records the
+    # run; ten rows in R^3 exceed d^2, so the screen leaves the cone to NNLS
+    cone = fs.solve_standard_scaling(unit_rows(rng, 10, 3) * [1.0, 0.1, 0.1] + [1.0, 0.0, 0.0])
     assert not cone.feasible and cone.converged and cone.certificate == "residual-infeasible"
     assert cone.iterations >= 1
 
@@ -184,7 +194,7 @@ def test_capped_run_on_a_cone_is_certified():
     rng = np.random.default_rng(3)
     for _ in range(2):
         random_onb_rows(rng, 3)
-    capped = fs.solve_standard_scaling(unit_rows(rng, 4, 3) * [1.0, 0.1, 0.1] + [1.0, 0.0, 0.0], max_iter=1)
+    capped = fs.solve_standard_scaling(unit_rows(rng, 10, 3) * [1.0, 0.1, 0.1] + [1.0, 0.0, 0.0], max_iter=1)
     assert not capped.feasible and capped.certificate == "residual-infeasible"
     assert not capped.converged and capped.iterations == 1
 
@@ -223,11 +233,18 @@ def test_residual_infeasible_only_where_scipy_cannot_scale():
 
 
 def test_iteration_cap_keeps_geometric_certificates():
-    # the open-quadrant test needs no solver, so a capped run still certifies
+    # the open-quadrant test needs no solver, so a capped run still
+    # certifies; the family's half-plane margin is about 0.8, so at
+    # tol 0.1 the screen, which needs a margin above 10 tol, leaves it to NNLS
     quad = np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 2.0]])
-    capped = fs.solve_standard_scaling(quad / np.linalg.norm(quad, axis=1, keepdims=True), max_iter=1)
-    assert not capped.converged
+    quad /= np.linalg.norm(quad, axis=1, keepdims=True)
+    capped = fs.solve_standard_scaling(quad, tol=0.1, max_iter=1)
+    assert not capped.converged and capped.iterations == 1
     assert not capped.feasible and capped.certificate == "open-quadrant"
+    # at the default tol the screen certifies it without a solve
+    screened = fs.solve_standard_scaling(quad, max_iter=1)
+    assert screened.converged and screened.iterations == 0
+    assert not screened.feasible and screened.certificate == "open-quadrant"
 
 
 def test_open_quadrant_certificate_matches_the_sign_flip_loop():
@@ -339,3 +356,73 @@ def test_nan_tol_raises():
     ps = fs.PiecewiseScaling(fs.canonical_projection([0], 2), np.ones(2), np.ones(2))
     with pytest.raises(ValueError, match="tol must be positive"):
         fs.verify_piecewise(np.eye(2), ps, tol=nan)
+
+
+@given(st.integers(0, 10_000))
+def test_screen_decides_as_the_solve_of_the_unit_rows(seed):
+    # the screen before NNLS changes no feasibility and no label, never
+    # rejects a scalable frame, and reports a bound the solve does not beat
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 21))
+    m = int(rng.integers(n + 1, 3 * n + 1))
+    frames = {
+        "scalable": scalable_rows(rng, n, int(rng.integers(1, 4))),
+        "random": unit_rows(rng, m, n),
+        "cone": cone_rows(rng, m, n),
+    }
+    for kind, X in frames.items():
+        verdict = fs.solve_standard_scaling(X)
+        solved = _standard_verdict(_unit_rows(X)[0], None, fs.DEFAULT_TOL)
+        assert (verdict.feasible, verdict.certificate) == (solved.feasible, solved.certificate)
+        if verdict.iterations == 0:
+            assert kind != "scalable" and verdict.converged
+            assert fs.DEFAULT_TOL < verdict.residual <= solved.residual + 1e-12
+
+
+def _counting(monkeypatch, name: str) -> list[int]:
+    calls: list[int] = []
+    original = getattr(sc, name)
+    monkeypatch.setattr(sc, name, lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    return calls
+
+
+def test_screened_cone_makes_no_nnls_call(monkeypatch):
+    rng = np.random.default_rng(32)
+    nnls_calls = _counting(monkeypatch, "nnls")
+    for n in (3, 12, 20):
+        verdict = fs.solve_standard_scaling(cone_rows(rng, 3 * n, n))
+        assert not verdict.feasible and verdict.certificate == "residual-infeasible"
+        assert verdict.converged and verdict.iterations == 0
+    assert nnls_calls == []
+
+
+def test_tall_frame_goes_to_nnls_unscreened(monkeypatch):
+    # 17 rows in R^4 exceed d^2 = 16: the screen would cost more than it saves
+    rng = np.random.default_rng(33)
+    nnls_calls = _counting(monkeypatch, "nnls")
+    margin_calls = _counting(monkeypatch, "_farkas_margin")
+    verdict = fs.solve_standard_scaling(cone_rows(rng, 17, 4))
+    assert not verdict.feasible and verdict.certificate == "residual-infeasible" and verdict.iterations >= 1
+    assert len(nnls_calls) == 1 and margin_calls == []
+    # at d^2 rows the screen runs and rejects
+    verdict = fs.solve_standard_scaling(cone_rows(rng, 16, 4))
+    assert verdict.iterations == 0 and len(nnls_calls) == 1 and len(margin_calls) == 1
+
+
+def test_screened_projection_target_keeps_its_warning(monkeypatch):
+    # a cone in the range of a rank-3 target in R^4 and a half-plane family
+    # in a rank-2 one, each row leaking 1e-4 out of the range
+    rng = np.random.default_rng(34)
+    nnls_calls = _counting(monkeypatch, "nnls")
+    cases = [
+        (fs.canonical_projection([0, 1, 2], 4), cone_rows(rng, 6, 3), "residual-infeasible"),
+        (fs.canonical_projection([0, 2], 3), _degrees(50.0, 70.0, 100.0), "half-plane"),
+    ]
+    for P, C, certificate in cases:
+        V = np.zeros((len(C), P.dim))
+        V[:, np.flatnonzero(np.diag(P.matrix))] = C
+        V[:, np.flatnonzero(np.diag(P.matrix) == 0.0)[0]] = 1e-4
+        verdict = fs.solve_standard_scaling(V, target=P)
+        assert not verdict.feasible and verdict.certificate == certificate and verdict.iterations == 0
+        assert verdict.warnings == (f"{len(C)} vector(s) projected onto the target range (worst out-of-range norm 1.000e-04)",)
+    assert nnls_calls == []

@@ -73,6 +73,12 @@ def test_nnls_layer_bench_smoke(tmp_path):
     assert set(report["shapes"].values()) == {1, 2}
 
 
+def test_scale_layer_bench_smoke(tmp_path):
+    report = _layer_bench("scale", tmp_path)
+    assert list(report["shapes"]) == LARGE_SHAPES
+    assert set(report["shapes"].values()) == {1}
+
+
 def test_obstruction_layer_bench_smoke(tmp_path):
     report = _layer_bench("obstruction", tmp_path)
     assert list(report["shapes"]) == LARGE_SHAPES + ["antipodal n=8"]

@@ -175,7 +175,7 @@ def test_half_plane_rejection_is_sound():
                     continue
                 rejected += 1
                 s = float(sc._half_plane_margin(V[None])[0])
-                verdict = fs.solve_standard_scaling(V, None, TOL)
+                verdict = sc._standard_verdict(V, None, TOL)
                 assert not verdict.feasible
                 assert verdict.residual >= np.sqrt(2.0) * s / np.sqrt(1.0 + s * s) - 1e-12
     assert rejected > 100 and kept > 100
@@ -263,7 +263,7 @@ def test_farkas_rejection_is_sound():
                 kept += 1
                 continue
             rejected += 1
-            verdict = fs.solve_standard_scaling(V, None, TOL)
+            verdict = sc._standard_verdict(V, None, TOL)
             assert not verdict.feasible
             assert verdict.residual >= bound - 1e-12
     assert rejected > 100 and kept > 100
@@ -353,7 +353,7 @@ def test_early_exit_rejects_a_superset_of_the_fixed_run_soundly():
         rejected = margin > 10.0 * TOL
         assert not ((reference_farkas_margin(units) > 10.0 * TOL) & ~rejected).any()
         for V, bound in zip(units[rejected], margin[rejected]):
-            assert fs.solve_standard_scaling(V, None, TOL).residual >= bound - 1e-12
+            assert sc._standard_verdict(V, None, TOL).residual >= bound - 1e-12
             judged += 1
     assert judged > 1000
 
@@ -405,33 +405,45 @@ def _prescreen_frames(rng):
 
 
 def test_prescreen_rejects_only_frames_the_solver_cannot_scale(monkeypatch):
-    # the search judges the whole frame by the screen before its standard
-    # solve; a frame whose full-frame solve never runs was rejected, and
-    # the skipped solve must have found it infeasible
+    # the search's standard step screens the whole frame before NNLS; a
+    # verdict of no NNLS iterations was rejected, and the skipped solve
+    # must have found it infeasible
     frames = list(_prescreen_frames(np.random.default_rng(41)))
     solve = fs.solve_standard_scaling
-    solved: list[np.ndarray] = []
-    monkeypatch.setattr(pw, "solve_standard_scaling", lambda V, *args: solved.append(V) or solve(V, *args))
+    verdicts: list = []
+
+    def record(fr, *args):
+        verdicts.append((fr.vectors, solve(fr, *args)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(pw, "solve_standard_scaling", record)
     rejected = {False: 0, True: 0}
     for frame, scalable in frames:
         assert frame.is_frame()
-        solved.clear()
+        verdicts.clear()
         pw.search_piecewise(frame, ranks={1}, budget=1)
-        # the search solves its unit rows, so a whole-frame solve is told by its shape
-        if any(V.shape == frame.vectors.shape for V in solved):
+        V, verdict = verdicts[0]
+        if verdict.iterations:
             continue
         rejected[scalable] += 1
-        assert not solve(frame.vectors, None, TOL).feasible
+        assert not sc._standard_verdict(V, None, TOL).feasible
     assert rejected[True] == 0 and rejected[False] > 100
+
+
+def _counting_nnls(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    solve = sc.nnls
+    monkeypatch.setattr(sc, "nnls", lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+    return calls
 
 
 def test_rejected_frame_makes_no_standard_solve(monkeypatch):
     # a certified rank-2 miss in R^4: the screen rejects the whole frame and
-    # every candidate, so the search solves nothing; a scalable frame
+    # every candidate, so the search runs no NNLS; a scalable frame
     # passes the screen and is solved once
     X = clustered_unit_frame(np.random.default_rng(3), 4, 6, 0.02).vectors
-    assert sc._side_rejected(X[None], np.linalg.norm(X, axis=1), TOL)[0]
-    calls = _counting_solver(monkeypatch)
+    assert fs.solve_standard_scaling(X).iterations == 0
+    calls = _counting_nnls(monkeypatch)
     assert fs.search_piecewise(X, ranks={2}, budget=200, seed=0) is None and calls == []
     assert fs.search_piecewise(np.eye(4), ranks={2}) is not None and len(calls) == 1
 
