@@ -12,7 +12,10 @@ perfbench/workloads.py:
   most 15 rows and 15 columns;
 - scale: ``solve_standard_scaling(X)`` on the same ``large-frames``
   frames, so the wide infeasible frames show the screen before NNLS and
-  the tall ones, which it does not screen, the solve alone;
+  the tall ones the minimum-norm weights that decide them without NNLS;
+  and on four tall cone frames at each n = 4, 8, 16 (one in a smoke
+  run), ``cone_frame`` with m cycled over 800..1500, which those weights
+  cannot scale, so they pay for the weights and NNLS both;
 - obstruction: ``closeness_obstruction(X)`` on the same ``large-frames``
   frames and on one antipodal tie, 750 random unit rows in R^8 and their
   negatives, so every row ties at the top of the screen and the exact
@@ -98,13 +101,21 @@ def nnls_systems(smoke: bool) -> Inputs:
 
 
 def scale_frames(smoke: bool) -> Inputs:
-    return {key: [(X,) for X in group] for key, group in _large_frames(smoke).items()}
+    import workloads
+
+    frames = _large_frames(smoke)
+    rng = np.random.default_rng([SEED, 17])
+    count = 1 if smoke else 4  # per n
+    for n in workloads.LargeFrames.TALL:
+        sizes = workloads.cycled(rng, workloads.LargeFrames.TALL_M, count)
+        frames[f"tall cone n={n}"] = [workloads.cone_frame(rng, n, m) for m in sizes]
+    return {key: [(X,) for X in group] for key, group in frames.items()}
 
 
 def obstruction_frames(smoke: bool) -> Inputs:
     import workloads
 
-    frames = scale_frames(smoke)
+    frames: Inputs = {key: [(X,) for X in group] for key, group in _large_frames(smoke).items()}
     U = workloads.spanning_unit_frame(np.random.default_rng([SEED, 16]), 8, 750)
     frames["antipodal n=8"] = [(np.vstack([U, -U]),)]
     return frames

@@ -42,7 +42,13 @@ from .projections import (
     complement,
     projection_from_basis,
 )
-from .scaling import _FARKAS_CELLS, _TRUSTED_SIDE, _side_margins, _standard_verdict, solve_standard_scaling
+from .scaling import (
+    _FARKAS_CELLS,
+    _TRUSTED_SIDE,
+    _post_check_unit_norm_invariants,
+    _side_margins,
+    _standard_verdict,
+)
 
 
 @dataclass(frozen=True)
@@ -644,14 +650,17 @@ def search_piecewise(
     problems in the coordinates X Q_j[:, :k] and X Q_j[:, k:].  A miss
     is not a proof that no scaling exists.
 
-    The standard step is solve_standard_scaling, which first screens the
-    whole frame and runs NNLS only on a frame the screen cannot reject.
-    Piecewise scaling is for frames that standard scaling cannot make
-    Parseval, so nearly every frame the search sees fails this step.  A
-    rejection bounds the frame's distance to the cone above 10 tol, where
-    NNLS could only report infeasibility.  That screen is the one below
-    with 16 FISTA steps in place of 150, and a frame of dimension n >= 3
-    with more than n^2 rows goes to NNLS unscreened.
+    The standard step is solve_standard_scaling's decision on the unit
+    rows the search already holds, which first screens the whole frame
+    and runs NNLS only on a frame the screen cannot reject.  Piecewise
+    scaling is for frames that standard scaling cannot make Parseval, so
+    nearly every frame the search sees fails this step.  A rejection
+    bounds the frame's distance to the cone above 10 tol, where NNLS could
+    only report infeasibility.  That screen is the one below with 16
+    FISTA steps in place of 150; a frame of dimension n >= 3 with more
+    than n^2 rows is not screened, and its minimum-norm weights decide it
+    without NNLS when they scale it.  A scaling found here is checked
+    against the unit-norm constant bounds before it is verified.
 
     The orthogonal-split route (_orthogonal_split_route) solves for the
     split the paper's R^2 and R^3 constructions build: a rank-k projection
@@ -709,6 +718,8 @@ def search_piecewise(
         raise ValueError("budget must be at least 1")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     fr = frame if isinstance(frame, Frame) else Frame(frame)
     n = fr.dim
     wanted = set(range(1, n)) if ranks is None else {int(k) for k in ranks} & set(range(1, n))
@@ -726,9 +737,10 @@ def _search(fr: Frame, valid: list[int], budget: int, seed: int, tol: float) -> 
         return None
     n = fr.dim
     X = fr.vectors
-    verdict = solve_standard_scaling(fr, None, tol)
+    verdict = _standard_verdict(X, None, tol, screen=True)
     if verdict.feasible:
         c = verdict.scaling.constants
+        _post_check_unit_norm_invariants(c, X, tol)
         ps = PiecewiseScaling(canonical_projection(range(valid[0]), n), c, c)
         if verify_piecewise(fr, ps, tol).passed:
             return ps

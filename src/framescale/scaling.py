@@ -10,7 +10,10 @@ solves: a screen first looks for a proof that I_k lies more than
 10 tol from the cone, the exact half-plane test on doubled angles in a
 two-dimensional range, and in a range of dimension k >= 3 with at most
 k^2 rows a Farkas bound at the residuals of 16 FISTA steps.  A family
-the screen proves infeasible needs no solve.  The others go to
+the screen proves infeasible needs no solve.  A taller family in such a
+range first gets the minimum-norm weights that reproduce I_k, from a few
+semismooth Newton steps on their dual, and needs no solve when those
+weights reach it within tol.  The others go to
 nonnegative least squares over the vectorized symmetric system, with
 off-diagonal entries weighted by sqrt(2) so that the euclidean objective
 equals the Frobenius defect.  In two-dimensional ranges an open-quadrant
@@ -29,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .frames import DEFAULT_TOL, InternalInconsistencyError, _freeze, _row_constants, _unit_rows, as_vector_array
-from .nnls import nnls
+from .nnls import NNLSResult, nnls
 from .projections import OrthogonalProjection
 
 
@@ -54,11 +57,14 @@ class ScalabilityVerdict:
     decision, and ``residual`` is the Frobenius defect that run reached.
     An infeasible verdict carries the certificate "undecided" unless a
     two-dimensional range certifies it geometrically or the run's
-    residual certifies it by its Farkas bound.  A verdict the screen of
-    solve_standard_scaling decided ran no NNLS: it is infeasible with a
-    certificate, ``converged`` True and ``iterations`` 0, and its
-    ``residual`` is the certified lower bound on the distance from the
-    target to the cone, above 10 tol, not a defect any weights reached.
+    residual certifies it by its Farkas bound.  A verdict with
+    ``iterations`` 0 from solve_standard_scaling ran no NNLS and has
+    ``converged`` True.  When it is feasible, the minimum-norm weights of
+    a tall family (_interior_weights) decided it, and ``residual`` is the
+    defect they reach, at most tol.  When it is infeasible, the screen
+    decided it with a certificate, and ``residual`` is the certified
+    lower bound on the distance from the target to the cone, above
+    10 tol, not a defect any weights reached.
     """
 
     feasible: bool
@@ -285,15 +291,13 @@ def _screen_bound(V: np.ndarray, C: np.ndarray, tol: float) -> float:
     C holds the range coordinates of the m rows V, and the rows of V
     with norm zero are left out.  A two-dimensional range is judged by
     its half-plane margin s, whose direction gives the distance
-    sqrt(2) s / sqrt(1 + s^2); a range of dimension d >= 3 only when
-    m <= d^2, by the Farkas margin of _SCREEN_STEPS FISTA steps.  There a
-    step costs m^2 cells, no more than the m d^2 of the solve's system,
-    and taller families go to NNLS unscreened.  Where the screen proves
-    nothing, the result is 0.
+    sqrt(2) s / sqrt(1 + s^2); a range of dimension d >= 3 by the Farkas
+    margin of _SCREEN_STEPS FISTA steps.  Its callers screen such a range
+    only when m <= d^2, where a step costs m^2 cells, no more than the
+    m d^2 of the solve's system.  Where the screen proves nothing, the
+    result is 0.
     """
-    m, d = C.shape
-    if d > 2 and m > d * d:
-        return 0.0
+    d = C.shape[1]
     scales = np.linalg.norm(V, axis=1)
     rows = scales > 0.0
     if not rows.any():
@@ -302,6 +306,53 @@ def _screen_bound(V: np.ndarray, C: np.ndarray, tol: float) -> float:
     if not s > 10.0 * tol:
         return 0.0
     return float(np.sqrt(2.0) * s / np.sqrt(1.0 + s * s)) if d == 2 else float(s)
+
+
+# semismooth Newton steps of _interior_weights after its start; on the
+# tall frames of the large-frames benchmark every one is decided by step 2
+_NEWTON_STEPS = 8
+
+
+def _interior_weights(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Semismooth Newton weights for min ||w||^2 / 2 subject to A w = b, w >= 0, or None.
+
+    The minimiser is w = (A^T y)_+ for a y that solves A (A^T y)_+ = b,
+    the dual of Mangasarian's finite Newton method (J. Optim. Theory
+    Appl. 2004).  Starting from y = (A A^T)^-1 b, each step takes
+    w = (A^T y)_+ and g = b - A w and sets y += (A_S A_S^T)^-1 g on the
+    columns S with A^T y > 0.  When S is the set the last solve used,
+    A w = b up to rounding and w is the minimiser; the run also stops
+    when ||g|| no longer falls, after _NEWTON_STEPS steps, or on a
+    singular A_S A_S^T.  Returns the w of the smallest ||g|| reached, or
+    None when A A^T itself is singular.  A w away from b proves nothing:
+    the caller must check ||A w - b||.  On a nearly singular A A^T, say
+    rows repeated up to rounding, a w that passes that check is still a
+    scaling but need not be the minimiser.
+    """
+    try:
+        y = np.linalg.solve(A @ A.T, b)
+    except np.linalg.LinAlgError:
+        return None
+    solved = np.ones(A.shape[1], dtype=bool)
+    w, gg = None, np.inf
+    for step in range(_NEWTON_STEPS + 1):
+        z = A.T @ y
+        S = z > 0.0
+        w_next = np.where(S, z, 0.0)
+        g = b - A @ w_next
+        gg_next = float(g @ g)
+        if not gg_next < gg:
+            break
+        w, gg = w_next, gg_next
+        if step == _NEWTON_STEPS or (S == solved).all():
+            break
+        AS = A[:, S]
+        try:
+            y = y + np.linalg.solve(AS @ AS.T, g)
+        except np.linalg.LinAlgError:
+            break
+        solved = S
+    return w
 
 
 def solve_standard_scaling(
@@ -322,9 +373,11 @@ def solve_standard_scaling(
     solved in range coordinates; the distance equals the ambient
     ||sum_i w_i (P v_i)(P v_i)^T - P||_F.  Vectors with a part outside the
     range above ``tol`` times their norm are recorded in a warning, and
-    the constants scale their projections.  The returned constants are the
-    minimum-residual weights; no attempt is made to pick a canonical
-    element of a non-unique feasible set.
+    the constants scale their projections.  The constants of a tall
+    family decided without NNLS (below) are the unique minimum-norm
+    weights; otherwise they are the minimum-residual weights NNLS
+    reached, and no attempt is made to pick a canonical element of a
+    non-unique feasible set.
 
     The screen runs on the unit rows c_i / ||c_i|| when every row has a
     range part above _TRUSTED_SIDE of its norm.  In a two-dimensional
@@ -335,8 +388,19 @@ def solve_standard_scaling(
     without NNLS: its ``residual`` is that lower bound on the distance,
     ``converged`` is True and ``iterations`` 0.  The bound proves the
     optimum above ``tol``, so the solve could only have found the family
-    infeasible, and no feasible verdict depends on the screen.  Taller
-    families, and families the screen keeps, are solved.
+    infeasible, and no feasible verdict depends on the screen.  Families
+    the screen keeps are solved.
+
+    A taller family, with more than k^2 rows in a range of dimension
+    k >= 3, is not screened.  It first gets the weights
+    w = argmin ||w||^2 subject to sum_i w_i c_i c_i^T = I_k, w >= 0, from
+    at most _NEWTON_STEPS semismooth Newton steps on their dual
+    (_interior_weights).  When those w reach
+    ||sum_i w_i c_i c_i^T - I_k||_F <= ``tol``, the test NNLS's result
+    must meet, the verdict is feasible with constants sqrt(w),
+    ``converged`` True and ``iterations`` 0, and no NNLS runs.  Otherwise
+    the family is solved as above; the weights certify nothing when they
+    miss.  ``max_iter`` caps NNLS only.
 
     An infeasible verdict in a two-dimensional range carries the
     certificate "open-quadrant" when the sign-normalized coordinates sit
@@ -383,7 +447,10 @@ def _standard_verdict(
     The search's side coordinates are solved here: their rows keep the
     lengths of their parts, so a side part at rounding level stays one.
     The sampled stage screened them already, so only ``screen`` runs
-    solve_standard_scaling's screen (_screen_bound) before the solve.
+    solve_standard_scaling's steps before NNLS: the screen (_screen_bound)
+    and, on a tall family, the minimum-norm weights (_interior_weights).
+    Side solves keep NNLS alone, whose sparse basic solutions the
+    disjoint-support test needs.
     """
     n = V.shape[1]
     warnings: list[str] = []
@@ -402,11 +469,21 @@ def _standard_verdict(
                 f"{bad} vector(s) projected onto the target range "
                 f"(worst out-of-range norm {leak.max():.3e})"
             )
-    bound = _screen_bound(V, C, tol) if screen else 0.0
+    # a family of m > rank^2 rows in a range of dimension 3 or more is
+    # tall: a screen step's m^2 cells would exceed the system's m rank^2,
+    # and the minimum-norm weights of _interior_weights decide nearly
+    # every tall family that scales
+    tall = rank > 2 and C.shape[0] > rank * rank
+    bound = _screen_bound(V, C, tol) if screen and not tall else 0.0
     if not bound:
         A = _gram_columns(C)
         bvec = _vech(np.eye(rank))
-        result = nnls(A, bvec, max_iter=max_iter)
+        w = _interior_weights(A, bvec) if screen and tall else None
+        if w is not None and (residual := float(np.linalg.norm(A @ w - bvec))) <= tol:
+            # the test NNLS's result must meet, met without NNLS
+            result = NNLSResult(w, residual, True, 0)
+        else:
+            result = nnls(A, bvec, max_iter=max_iter)
         if result.residual <= tol:
             constants = np.sqrt(np.maximum(result.x, 0.0))
             scaling = StandardScaling(constants=constants, residual=result.residual, target_rank=rank)

@@ -9,6 +9,7 @@ import framescale.scaling as sc
 from framescale.frames import _unit_rows
 from framescale.scaling import _gram_columns, _half_plane_margin, _standard_verdict, _unvech, _vech
 from helpers import (
+    clustered_unit_frame,
     cone_rows,
     magnitude_gate_frames,
     open_quadrant_frame,
@@ -397,7 +398,8 @@ def test_screened_cone_makes_no_nnls_call(monkeypatch):
 
 
 def test_tall_frame_goes_to_nnls_unscreened(monkeypatch):
-    # 17 rows in R^4 exceed d^2 = 16: the screen would cost more than it saves
+    # 17 rows in R^4 exceed d^2 = 16: the screen would cost more than it
+    # saves, and the minimum-norm weights of a cone miss, so NNLS decides
     rng = np.random.default_rng(33)
     nnls_calls = _counting(monkeypatch, "nnls")
     margin_calls = _counting(monkeypatch, "_farkas_margin")
@@ -426,3 +428,93 @@ def test_screened_projection_target_keeps_its_warning(monkeypatch):
         assert not verdict.feasible and verdict.certificate == certificate and verdict.iterations == 0
         assert verdict.warnings == (f"{len(C)} vector(s) projected onto the target range (worst out-of-range norm 1.000e-04)",)
     assert nnls_calls == []
+
+
+def _tall_frames(rng, n: int) -> dict[str, np.ndarray]:
+    # frames of m in (n^2, 6 n^2] rows in R^n; the scalable one is a union of more than n bases
+    m = int(rng.integers(n * n + 1, 6 * n * n + 1))
+    return {
+        "random": unit_rows(rng, m, n),
+        "scalable": scalable_rows(rng, n, int(rng.integers(n + 1, 6 * n + 1))),
+        "cone": cone_rows(rng, m, n),
+        "clustered": clustered_unit_frame(rng, n, m, 0.3).vectors,
+    }
+
+
+@given(st.integers(0, 10_000))
+def test_tall_verdicts_without_nnls_only_where_nnls_scales(seed):
+    # a tall frame decided by the minimum-norm weights must be one the
+    # solver reaches tol on; every other frame keeps the verdict of NNLS
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 13))
+    for kind, X in _tall_frames(rng, n).items():
+        verdict = fs.solve_standard_scaling(X)
+        U = _unit_rows(X)[0]
+        solved = _standard_verdict(U, None, fs.DEFAULT_TOL)
+        if verdict.feasible:
+            assert fs.verify_parseval(verdict.scaling.constants[:, None] * X).passed
+        if verdict.feasible and verdict.iterations == 0:
+            assert verdict.converged and verdict.residual <= fs.DEFAULT_TOL
+            reference = scipy.optimize.nnls(_gram_columns(U), _vech(np.eye(n)))[1]
+            assert reference <= fs.DEFAULT_TOL
+            assert solved.feasible or solved.certificate == "undecided"
+        else:
+            assert (verdict.feasible, verdict.certificate, verdict.residual) == (
+                solved.feasible,
+                solved.certificate,
+                solved.residual,
+            ), kind
+        if kind == "scalable":
+            assert verdict.feasible
+        if kind == "cone":
+            assert not verdict.feasible
+
+
+def test_tall_scalable_frame_makes_no_nnls_call(monkeypatch):
+    rng = np.random.default_rng(35)
+    nnls_calls = _counting(monkeypatch, "nnls")
+    for n in (3, 8, 16):
+        verdict = fs.solve_standard_scaling(scalable_rows(rng, n, n + 2))
+        assert verdict.feasible and verdict.converged and verdict.iterations == 0
+        assert verdict.residual <= fs.DEFAULT_TOL and verdict.scaling.residual == verdict.residual
+    assert nnls_calls == []
+    verdict = fs.solve_standard_scaling(cone_rows(rng, 400, 8))
+    assert not verdict.feasible and verdict.certificate == "residual-infeasible" and verdict.iterations >= 1
+    assert len(nnls_calls) == 1
+
+
+def test_tall_constants_are_the_unique_minimum_norm_weights():
+    # the minimum-norm weights are w = (A^T y)_+ for some y, so on their
+    # support w = A_S^T y and off it A^T y <= 0; they are unique, so a row
+    # permutation permutes them and row factors 2^e divide them
+    rng = np.random.default_rng(36)
+    for n in (3, 5, 8):
+        X = unit_rows(rng, 3 * n * n, n)
+        verdict = fs.solve_standard_scaling(X)
+        assert verdict.feasible and verdict.iterations == 0
+        c = verdict.scaling.constants
+        A = _gram_columns(X)
+        support = c > 0.0
+        y = np.linalg.lstsq(A[:, support].T, c[support] ** 2, rcond=None)[0]
+        assert np.allclose(A[:, support].T @ y, c[support] ** 2, rtol=0.0, atol=1e-12)
+        assert (A[:, ~support].T @ y <= 1e-12).all()
+        Y, order, factors = row_transform(rng, X)
+        moved = fs.solve_standard_scaling(Y)
+        assert moved.feasible and moved.iterations == 0
+        assert np.allclose(moved.scaling.constants * np.abs(factors), c[order], rtol=0.0, atol=1e-12)
+
+
+def test_tall_projection_target_decides_as_the_identity_on_its_range():
+    # a rank-3 target in R^5 and range coordinates of more than 9 rows:
+    # the same minimum-norm weights, or the same NNLS verdict
+    rng = np.random.default_rng(37)
+    B = np.linalg.qr(rng.standard_normal((5, 3)))[0]
+    P = fs.projection_from_basis(B.T)
+    for C in (scalable_rows(rng, 3, 5), unit_rows(rng, 30, 3), cone_rows(rng, 30, 3)):
+        identity = fs.solve_standard_scaling(C)
+        target = fs.solve_standard_scaling(C @ B.T, target=P)
+        assert (target.feasible, target.certificate) == (identity.feasible, identity.certificate)
+        assert (target.iterations == 0) == (identity.iterations == 0) and not target.warnings
+        if identity.feasible:
+            assert np.allclose(target.scaling.constants, identity.scaling.constants, rtol=0.0, atol=1e-10)
+    assert fs.solve_standard_scaling(scalable_rows(rng, 3, 5)).iterations == 0

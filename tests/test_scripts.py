@@ -75,7 +75,7 @@ def test_nnls_layer_bench_smoke(tmp_path):
 
 def test_scale_layer_bench_smoke(tmp_path):
     report = _layer_bench("scale", tmp_path)
-    assert list(report["shapes"]) == LARGE_SHAPES
+    assert list(report["shapes"]) == LARGE_SHAPES + [f"tall cone n={n}" for n in (4, 8, 16)]
     assert set(report["shapes"].values()) == {1}
 
 

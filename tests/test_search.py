@@ -384,12 +384,11 @@ def test_farkas_batch_ends_when_its_families_have_left(monkeypatch):
 
 
 def _counting_solver(monkeypatch) -> list[int]:
-    # the search solves the whole frame with solve_standard_scaling and the
-    # side coordinates with its unnormalised core
+    # the search solves the whole frame's unit rows and the side
+    # coordinates with solve_standard_scaling's unnormalised core
     calls: list[int] = []
-    for name in ("solve_standard_scaling", "_standard_verdict"):
-        solve = getattr(pw, name)
-        monkeypatch.setattr(pw, name, lambda *args, solve=solve: calls.append(1) or solve(*args))
+    solve = pw._standard_verdict
+    monkeypatch.setattr(pw, "_standard_verdict", lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
     return calls
 
 
@@ -409,14 +408,14 @@ def test_prescreen_rejects_only_frames_the_solver_cannot_scale(monkeypatch):
     # verdict of no NNLS iterations was rejected, and the skipped solve
     # must have found it infeasible
     frames = list(_prescreen_frames(np.random.default_rng(41)))
-    solve = fs.solve_standard_scaling
+    solve = pw._standard_verdict
     verdicts: list = []
 
-    def record(fr, *args):
-        verdicts.append((fr.vectors, solve(fr, *args)))
+    def record(V, *args, **kwargs):
+        verdicts.append((V, solve(V, *args, **kwargs)))
         return verdicts[-1][1]
 
-    monkeypatch.setattr(pw, "solve_standard_scaling", record)
+    monkeypatch.setattr(pw, "_standard_verdict", record)
     rejected = {False: 0, True: 0}
     for frame, scalable in frames:
         assert frame.is_frame()
@@ -600,3 +599,11 @@ def test_non_integer_seeds_fail_as_the_seeding_contract_does(seed):
         np.random.default_rng((seed, 2))
     with pytest.raises(TypeError, match=re.escape(str(contract.value))):
         fs.search_piecewise(CASES[0][0], ranks={2}, seed=seed)
+
+
+def test_search_rejects_a_nonpositive_tol():
+    # tol is checked before any route runs, so a family that spans nothing rejects it too
+    for frame in (np.eye(3), [[1.0, 0.0, 0.0]]):
+        for tol in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                fs.search_piecewise(frame, tol=tol)
