@@ -651,16 +651,11 @@ def search_piecewise(
     is not a proof that no scaling exists.
 
     The standard step is solve_standard_scaling's decision on the unit
-    rows the search already holds, which first screens the whole frame
-    and runs NNLS only on a frame the screen cannot reject.  Piecewise
-    scaling is for frames that standard scaling cannot make Parseval, so
-    nearly every frame the search sees fails this step.  A rejection
-    bounds the frame's distance to the cone above 10 tol, where NNLS could
-    only report infeasibility.  That screen is the one below with 16
-    FISTA steps in place of 150; a frame of dimension n >= 3 with more
-    than n^2 rows is not screened, and its minimum-norm weights decide it
-    without NNLS when they scale it.  A scaling found here is checked
-    against the unit-norm constant bounds before it is verified.
+    rows the search already holds, with every step it takes before NNLS.
+    Piecewise scaling is for frames that standard scaling cannot make
+    Parseval, so nearly every frame the search sees fails this step.  A
+    scaling found here is checked against the unit-norm constant bounds
+    before it is verified.
 
     The orthogonal-split route (_orthogonal_split_route) solves for the
     split the paper's R^2 and R^3 constructions build: a rank-k projection
@@ -680,35 +675,19 @@ def search_piecewise(
     max(1, 2^20 // m^2) blocks, one per rank at budget 200 up to m = 72.
     The stage's traffic is almost all full-budget misses at certified
     ranks, where the route does not run, so one pass serves it best and a
-    hit pays for screening its whole batch.  A side with coordinates c_i
-    scales exactly when I lies in the cone of the c_i c_i^T, so a
-    symmetric R with
-    c_i^T R c_i <= 0 and tr R > 0 keeps that cone at least
-    tr R / ||R||_F away from I in Frobenius norm.  In two dimensions the
-    test is exact: scaling fails exactly when the doubled angles of the
-    c_i fit in an open half circle.  With G the largest circular gap
-    between them, s = cos((2 pi - G) / 2) and d the bisector of their arc,
-    R = s I - [[cos d, sin d], [sin d, -cos d]] gives the distance
-    sqrt(2) s / sqrt(1 + s^2), and a 2-D side with s > 10 tol rejects.  A
-    side of dimension d >= 3 uses a Farkas bound: for any symmetric R,
-    with R^ = R / ||R||_F, u_i = c_i / ||c_i|| and
-    delta = max_i (u_i^T R^ u_i)_+, the cone stays at least
-    (tr R^ - d delta) / (1 + sqrt(d) delta) from I.  R is the residual
-    I - sum_i w_i u_i u_i^T of FISTA on
-    min_{w >= 0} ||sum_i w_i u_i u_i^T - I||_F^2 / 2, batched over the
-    candidates, and the bound is evaluated after steps 1, 2, 4, ..., 128
-    and 150.  A side whose bound exceeds 10 tol rejects at once and leaves
-    the batch; the others run on, and the last step is a checkpoint, so
-    every side the fixed 150 steps rejected still rejects.  The bound
-    holds for any w, so it does not rest on convergence.  A
-    one-dimensional side always scales.  A skipped candidate's distance
-    exceeds tol, so the feasibility solve could only reject it.
-    Candidates with a side part at rounding level are never skipped, nor
-    is a side of dimension d >= 3 on over 1,024 rows; survivors take the
-    sequential path in the same coordinates: the higher-rank side is
-    solved first (the range on a tie) and the other only when it
-    scales, so the result is the same as without the screen.  Two scaling
-    sides whose supports share an index make a miss, not a split.
+    hit pays for screening its whole batch.  Each side is judged by
+    _side_margins: in two dimensions by the exact half-plane margin, in
+    d >= 3 by the Farkas bound along 150 FISTA steps (_farkas_margin),
+    which a side leaves once its bound exceeds 10 tol; a one-dimensional
+    side always scales.  The bound holds for any weights, so a skipped
+    candidate's distance exceeds tol and the feasibility solve could only
+    reject it.  Candidates with a side part at rounding level are never
+    skipped, nor is a side of dimension d >= 3 on over 1,024 rows;
+    survivors take the sequential path in the same coordinates: the
+    higher-rank side is solved first (the range on a tie) and the other
+    only when it scales, so the result is the same as without the screen.
+    Two scaling sides whose supports share an index make a miss, not a
+    split.
 
     A positive factor on a vector does not change whether a scaling
     exists, so the search runs on the unit rows of _unit_rows, and the

@@ -5,27 +5,14 @@ v_i v_i^T reproduce the target operator.  Toward a projection target of
 rank k this is the identity problem sum_i w_i c_i c_i^T = I_k in the
 coordinates c_i = B^T v_i of an orthonormal range basis B, since a
 unitary map changes neither the cone nor the Frobenius distance; the
-identity target is the case B = I.  The decision certifies before it
-solves: a screen first looks for a proof that I_k lies more than
-10 tol from the cone, the exact half-plane test on doubled angles in a
-two-dimensional range, and in a range of dimension k >= 3 with at most
-k^2 rows a Farkas bound at the residuals of 16 FISTA steps.  A family
-the screen proves infeasible needs no solve.  A taller family in such a
-range first gets the minimum-norm weights that reproduce I_k, from a few
-semismooth Newton steps on their dual, and needs no solve when those
-weights reach it within tol.  The others go to
-nonnegative least squares over the vectorized symmetric system, with
-off-diagonal entries weighted by sqrt(2) so that the euclidean objective
-equals the Frobenius defect.  In two-dimensional ranges an open-quadrant
-test, or failing that the half-plane test, certifies an infeasible
-solve independently of the solver; elsewhere the Farkas bound evaluated
-at the solver's residual must certify it, or the verdict is undecided.
-The same screen, batched over stacked families (_side_margins), lets the
-search skip the candidates whose solves could only report infeasibility.
+identity target is the case B = I.  solve_standard_scaling states once
+the order in which the steps below decide it.  The search's sampled
+stage batches the same screen over stacked families (_side_margins).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -54,17 +41,12 @@ class ScalabilityVerdict:
     """Feasibility decision plus either the scaling or an infeasibility certificate.
 
     ``converged`` and ``iterations`` come from the NNLS run behind the
-    decision, and ``residual`` is the Frobenius defect that run reached.
-    An infeasible verdict carries the certificate "undecided" unless a
-    two-dimensional range certifies it geometrically or the run's
-    residual certifies it by its Farkas bound.  A verdict with
-    ``iterations`` 0 from solve_standard_scaling ran no NNLS and has
-    ``converged`` True.  When it is feasible, the minimum-norm weights of
-    a tall family (_interior_weights) decided it, and ``residual`` is the
-    defect they reach, at most tol.  When it is infeasible, the screen
-    decided it with a certificate, and ``residual`` is the certified
-    lower bound on the distance from the target to the cone, above
-    10 tol, not a defect any weights reached.
+    decision, and ``residual`` is the Frobenius defect its weights
+    reached.  A verdict with ``iterations`` 0 from solve_standard_scaling
+    ran no NNLS and has ``converged`` True: a step before NNLS decided it
+    (see there).  When such a verdict is infeasible, ``residual`` is the
+    certified lower bound above 10 tol on the distance from the target to
+    the cone, not a defect any weights reached.
     """
 
     feasible: bool
@@ -203,13 +185,14 @@ _FARKAS_CHECKPOINTS = frozenset([2**i for i in range(8)] + [len(_FARKAS_MOMENTUM
 
 # FISTA steps of the screen solve_standard_scaling runs before NNLS; on
 # the infeasible wide frames of the large-frames benchmark every
-# rejection comes by step 16, and a feasible frame pays only these steps
+# rejection comes by step 16
 _SCREEN_STEPS = 16
 
 # Gram cells (families times rows squared) per batch of the screen; the
 # search draws its candidates in batches of this many cells, and as
 # m >= n it also caps a batch's blocks, QR factors and side coordinates.
-# A side whose m^2 alone exceeds it is not screened
+# A side whose m^2 alone exceeds it is not screened, and a family whose
+# m^2 does gets no least-squares weights (_gram_weights)
 _FARKAS_CELLS = 2**20
 
 
@@ -312,6 +295,62 @@ def _screen_bound(V: np.ndarray, C: np.ndarray, tol: float) -> float:
 # tall frames of the large-frames benchmark every one is decided by step 2
 _NEWTON_STEPS = 8
 
+# a solution x of G x = b with ||x|| tr G / len(G) above this multiple of
+# ||b|| proves cond G above it, as tr G / len(G) <= ||G||; rounding may then
+# move x by 1e-8 of its size
+_SOLVE_COND = 1e8
+
+
+def _psd_solves(G: np.ndarray, b: np.ndarray) -> Iterator[np.ndarray | None]:
+    """Solutions of G x = b for a positive semidefinite G: the plain solve, then a Tikhonov one.
+
+    Yields x = G^-1 b, then the solution of (G + delta I) x = b with
+    delta = 1e-12 tr G / len(G), which exists on a singular G.  Either
+    comes as None when its solve raises LinAlgError or gives a non-finite
+    x, and the plain one also when _SOLVE_COND proves G ill-conditioned.
+    """
+    scale = float(np.trace(G)) / len(G)
+    for delta in (0.0, 1e-12 * scale):
+        try:
+            x = np.linalg.solve(G + delta * np.eye(len(G)) if delta else G, b)
+        except np.linalg.LinAlgError:
+            yield None
+            continue
+        # a nan or infinite x fails either limit
+        limit = np.inf if delta else _SOLVE_COND * float(np.linalg.norm(b)) / scale
+        yield x if float(np.linalg.norm(x)) < limit else None
+
+
+def _psd_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    # the first solution _psd_solves gives, or None when neither solve gives one
+    return next((x for x in _psd_solves(G, b) if x is not None), None)
+
+
+def _gram_weights(C: np.ndarray, tol: float) -> tuple[NNLSResult | None, float]:
+    """Decide the rows C by the least-squares weights of sum_i w_i c_i c_i^T = I, or leave them.
+
+    With H = (C C^T)^2 entrywise, H w = (||c_i||^2)_i are the normal
+    equations of that system.  Returns (the NNLSResult of w, its defect
+    and 0 iterations, 0.0) when a solution of _psd_solves has w >= 0 and
+    defect ||I - sum_i w_i c_i c_i^T||_F <= tol, and (None, bound) when
+    _farkas_bound of the unit rows at the plain solution's residual is a
+    bound above 10 tol; otherwise (None, 0.0).
+    """
+    G = C @ C.T
+    sq = np.diag(G)
+    for plain, w in zip((True, False), _psd_solves(G * G, sq)):
+        if w is None:
+            continue
+        R = np.eye(C.shape[1]) - (C.T * w) @ C
+        defect = float(np.linalg.norm(R))
+        if defect <= tol and (w >= 0.0).all():
+            return NNLSResult(w, defect, True, 0), 0.0
+        if plain:
+            bound = float(_farkas_bound((C / np.sqrt(sq)[:, None])[None], R[None])[0])
+            if bound > 10.0 * tol:
+                return None, bound
+    return None, 0.0
+
 
 def _interior_weights(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Semismooth Newton weights for min ||w||^2 / 2 subject to A w = b, w >= 0, or None.
@@ -320,18 +359,19 @@ def _interior_weights(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     the dual of Mangasarian's finite Newton method (J. Optim. Theory
     Appl. 2004).  Starting from y = (A A^T)^-1 b, each step takes
     w = (A^T y)_+ and g = b - A w and sets y += (A_S A_S^T)^-1 g on the
-    columns S with A^T y > 0.  When S is the set the last solve used,
+    columns S with A^T y > 0, where A_S A_S^T is A A^T less the columns
+    outside S when fewer than half are.  Each solve is _psd_solve's, so a
+    nearly singular A A^T, say rows repeated up to rounding, gets Tikhonov
+    weights near the minimiser.  When S is the set the last solve used,
     A w = b up to rounding and w is the minimiser; the run also stops
-    when ||g|| no longer falls, after _NEWTON_STEPS steps, or on a
-    singular A_S A_S^T.  Returns the w of the smallest ||g|| reached, or
-    None when A A^T itself is singular.  A w away from b proves nothing:
-    the caller must check ||A w - b||.  On a nearly singular A A^T, say
-    rows repeated up to rounding, a w that passes that check is still a
-    scaling but need not be the minimiser.
+    when a step does not halve ||g||, after _NEWTON_STEPS steps, or when
+    no solve succeeds.  Returns the w of the smallest ||g|| reached, or
+    None when A A^T admits no solve.  A w away from b proves nothing: the
+    caller must check ||A w - b||.
     """
-    try:
-        y = np.linalg.solve(A @ A.T, b)
-    except np.linalg.LinAlgError:
+    G = A @ A.T
+    y = _psd_solve(G, b)
+    if y is None:
         return None
     solved = np.ones(A.shape[1], dtype=bool)
     w, gg = None, np.inf
@@ -343,14 +383,21 @@ def _interior_weights(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         gg_next = float(g @ g)
         if not gg_next < gg:
             break
+        slow = gg_next > 0.25 * gg
         w, gg = w_next, gg_next
-        if step == _NEWTON_STEPS or (S == solved).all():
+        if slow or step == _NEWTON_STEPS or (S == solved).all():
             break
-        AS = A[:, S]
-        try:
-            y = y + np.linalg.solve(AS @ AS.T, g)
-        except np.linalg.LinAlgError:
+        N = ~S
+        if 2 * np.count_nonzero(N) < len(S):
+            AN = A[:, N]
+            GS = G - AN @ AN.T
+        else:
+            AS = A[:, S]
+            GS = AS @ AS.T
+        dy = _psd_solve(GS, g)
+        if dy is None:
             break
+        y = y + dy
         solved = S
     return w
 
@@ -363,68 +410,59 @@ def solve_standard_scaling(
 ) -> ScalabilityVerdict:
     """Decide standard scalability toward the identity or a projection target.
 
-    First screens the family for a proof that it cannot scale
-    (_screen_bound), then solves
-    min_{w >= 0} ||sum_i w_i c_i c_i^T - I_k||_F and declares the family
-    feasible when the optimum is within ``tol``; the returned constants
-    are sqrt(w).  The c_i are the vectors themselves for the identity
-    target, and their coordinates B^T v_i in the orthonormal
-    range basis B for a projection target, so a projection target is
-    solved in range coordinates; the distance equals the ambient
-    ||sum_i w_i (P v_i)(P v_i)^T - P||_F.  Vectors with a part outside the
+    The family is feasible when min_{w >= 0} ||sum_i w_i c_i c_i^T - I_k||_F
+    is at most ``tol``, and the constants are sqrt(w).  The c_i are the
+    vectors for the identity target, and their coordinates B^T v_i in the
+    orthonormal range basis B of a projection target of rank k < n, so
+    the distance equals the ambient ||sum_i w_i (P v_i)(P v_i)^T - P||_F;
+    a full-rank target is the identity.  Vectors with a part outside the
     range above ``tol`` times their norm are recorded in a warning, and
-    the constants scale their projections.  The constants of a tall
-    family decided without NNLS (below) are the unique minimum-norm
-    weights; otherwise they are the minimum-residual weights NNLS
-    reached, and no attempt is made to pick a canonical element of a
-    non-unique feasible set.
+    the constants scale their projections.
 
-    The screen runs on the unit rows c_i / ||c_i|| when every row has a
-    range part above _TRUSTED_SIDE of its norm.  In a two-dimensional
-    range it rejects when the half-plane margin s exceeds 10 ``tol``; in a
-    range of dimension k >= 3 with at most k^2 rows, when the Farkas bound
-    at the residual of 16 FISTA steps, checked after steps 1, 2, 4, 8 and
-    16, exceeds 10 ``tol``.  A rejection returns the infeasible verdict
-    without NNLS: its ``residual`` is that lower bound on the distance,
-    ``converged`` is True and ``iterations`` 0.  The bound proves the
-    optimum above ``tol``, so the solve could only have found the family
-    infeasible, and no feasible verdict depends on the screen.  Families
-    the screen keeps are solved.
+    The decision order.  Step 1 runs only when every row has a range part
+    above _TRUSTED_SIDE of its norm and m^2 is at most _FARKAS_CELLS for
+    the m rows, step 2 only when every nonzero row has such a part.  A
+    step that decides returns a verdict with ``iterations`` 0 and
+    ``converged`` True, and no NNLS runs.
 
-    A taller family, with more than k^2 rows in a range of dimension
-    k >= 3, is not screened.  It first gets the weights
-    w = argmin ||w||^2 subject to sum_i w_i c_i c_i^T = I_k, w >= 0, from
-    at most _NEWTON_STEPS semismooth Newton steps on their dual
-    (_interior_weights).  When those w reach
-    ||sum_i w_i c_i c_i^T - I_k||_F <= ``tol``, the test NNLS's result
-    must meet, the verdict is feasible with constants sqrt(w),
-    ``converged`` True and ``iterations`` 0, and no NNLS runs.  Otherwise
-    the family is solved as above; the weights certify nothing when they
-    miss.  ``max_iter`` caps NNLS only.
+    1. In a range of dimension k >= 3 with m <= k^2, the least-squares
+       weights of H w = (||c_i||^2)_i, H = ((c_i^T c_j)^2), the normal
+       equations of the system (_gram_weights): the plain solve, then, if
+       that neither decides nor certifies, a Tikhonov one (_psd_solves).
+       Weights w >= 0 whose defect, computed directly, is at most ``tol``
+       decide feasible.  A Farkas bound above 10 ``tol`` at the plain
+       solve's residual decides infeasible.
+    2. The screen (_screen_bound), in a two-dimensional range or one of
+       dimension k >= 3 with m <= k^2: a half-plane margin, or the Farkas
+       bound along 16 FISTA steps, above 10 ``tol`` decides infeasible.
+    3. In a range of dimension k >= 3 with m > k^2, the minimum-norm
+       weights of at most _NEWTON_STEPS semismooth Newton steps
+       (_interior_weights) decide feasible when their defect is at most
+       ``tol``; they certify nothing when they miss.
+    4. NNLS over the vectorized symmetric system, off-diagonal entries
+       weighted by sqrt(2) so that its objective is the Frobenius defect,
+       capped at ``max_iter`` (default 50 m) iterations, decides the rest.
 
-    An infeasible verdict in a two-dimensional range carries the
-    certificate "open-quadrant" when the sign-normalized coordinates sit
-    in one open quadrant, else "half-plane" when their doubled angles fit
-    in an open half circle (half-plane margin s > 0).  Both tests need no
-    solver, so they certify infeasibility whether or not NNLS converged.
-    A screened rejection in a range of dimension k >= 3 carries
-    "residual-infeasible".  Otherwise the certificate is
-    "residual-infeasible" when the residual
-    R = I_k - sum_i w_i c_i c_i^T of the NNLS run certifies the verdict:
-    _farkas_bound of the unit rows c_i / ||c_i|| at R, a lower bound on
-    the optimum that costs one matrix product, exceeds ``tol``.  The
-    bound holds for any weights w >= 0, so it certifies whether NNLS
-    converged, hit ``max_iter`` (default ``50 * m``) or stalled.  A run
-    that stops early on near-duplicate columns, above ``tol`` while the
-    optimum is below it, cannot meet that test.  The certificate is
-    "undecided" when the bound does not exceed ``tol``: the residual then
-    only bounds the optimum from above, so it proves nothing.  The
-    verdict records the run's ``converged`` flag and ``iterations``.
+    An infeasible verdict from step 1 or 2 reports as ``residual`` its
+    certified lower bound on the distance.  Its certificate, and that of
+    an NNLS run above ``tol``, is "open-quadrant" in a two-dimensional
+    range whose sign-normalized coordinates sit in one open quadrant,
+    else "half-plane" when their doubled angles fit in an open half
+    circle; both need no solver.  In a range of dimension k >= 3 it is
+    "residual-infeasible" after step 1 or 2, and after NNLS when
+    _farkas_bound of the unit rows at the run's residual exceeds ``tol``.
+    The bound holds for any weights, so it certifies whether NNLS
+    converged, hit ``max_iter`` or stalled.  Otherwise the certificate is
+    "undecided": the residual only bounds the optimum from above.
 
-    A positive factor on a vector is absorbed by its constant, so the
-    question is decided on the unit rows v_i / ||v_i|| (_unit_rows), and
-    a feasible verdict's constants are theirs divided by ||v_i||; no row's
-    magnitude can decide the verdict.  Rows with a constant above the
+    The constants are the unique weights after step 1 on a nonsingular
+    H, the unique minimum-norm weights after step 3, and otherwise
+    whichever weights the deciding solve reached, on a singular H those
+    of the plain solve or else the Tikhonov one; no canonical element of
+    a non-unique feasible set is sought.  A positive factor on a vector
+    is absorbed by its constant, so the question is decided on the unit
+    rows v_i / ||v_i|| (_unit_rows), and a feasible verdict's constants
+    are theirs divided by ||v_i||.  Rows with a constant above the
     largest double raise ValueError.
     """
     if not tol > 0.0:
@@ -444,22 +482,21 @@ def _standard_verdict(
 ) -> ScalabilityVerdict:
     """solve_standard_scaling on the rows V as given, without normalising them.
 
-    The search's side coordinates are solved here: their rows keep the
-    lengths of their parts, so a side part at rounding level stays one.
-    The sampled stage screened them already, so only ``screen`` runs
-    solve_standard_scaling's steps before NNLS: the screen (_screen_bound)
-    and, on a tall family, the minimum-norm weights (_interior_weights).
-    Side solves keep NNLS alone, whose sparse basic solutions the
-    disjoint-support test needs.
+    Only ``screen`` runs the steps solve_standard_scaling takes before
+    NNLS.  The search's side coordinates are solved without them: their
+    rows keep the lengths of their parts, the sampled stage screened them
+    already, and the disjoint-support test needs NNLS's sparse basic
+    solutions.
     """
     n = V.shape[1]
     warnings: list[str] = []
-    if target is None:
+    if target is not None and target.dim != n:
+        raise ValueError(f"target acts on R^{target.dim} but vectors live in R^{n}")
+    if target is None or target.rank == n:
+        # a full-rank target is the identity, whatever its range basis
         C = V
         rank = n
     else:
-        if target.dim != n:
-            raise ValueError(f"target acts on R^{target.dim} but vectors live in R^{n}")
         C = V @ target.range_basis
         rank = target.rank
         leak = np.linalg.norm(V - V @ target.matrix, axis=1)
@@ -473,17 +510,24 @@ def _standard_verdict(
     # tall: a screen step's m^2 cells would exceed the system's m rank^2,
     # and the minimum-norm weights of _interior_weights decide nearly
     # every tall family that scales
-    tall = rank > 2 and C.shape[0] > rank * rank
-    bound = _screen_bound(V, C, tol) if screen and not tall else 0.0
+    m = C.shape[0]
+    tall = rank > 2 and m > rank * rank
+    result, bound = None, 0.0
+    if screen and rank > 2 and not tall and m * m <= _FARKAS_CELLS:
+        if (np.linalg.norm(C, axis=1) > _TRUSTED_SIDE * np.linalg.norm(V, axis=1)).all():
+            result, bound = _gram_weights(C, tol)
+    if screen and not tall and result is None and not bound:
+        bound = _screen_bound(V, C, tol)
     if not bound:
-        A = _gram_columns(C)
-        bvec = _vech(np.eye(rank))
-        w = _interior_weights(A, bvec) if screen and tall else None
-        if w is not None and (residual := float(np.linalg.norm(A @ w - bvec))) <= tol:
-            # the test NNLS's result must meet, met without NNLS
-            result = NNLSResult(w, residual, True, 0)
-        else:
-            result = nnls(A, bvec, max_iter=max_iter)
+        if result is None:
+            A = _gram_columns(C)
+            bvec = _vech(np.eye(rank))
+            w = _interior_weights(A, bvec) if screen and tall else None
+            if w is not None and (residual := float(np.linalg.norm(A @ w - bvec))) <= tol:
+                # the test NNLS's result must meet, met without NNLS
+                result = NNLSResult(w, residual, True, 0)
+            else:
+                result = nnls(A, bvec, max_iter=max_iter)
         if result.residual <= tol:
             constants = np.sqrt(np.maximum(result.x, 0.0))
             scaling = StandardScaling(constants=constants, residual=result.residual, target_rank=rank)

@@ -53,10 +53,11 @@ def test_scale_feasible_and_infeasible(workdir, capsys):
 
 def test_scale_undecided_when_nnls_hits_its_cap(workdir, monkeypatch, capsys):
     # the CLI keeps the default cap; a cap of one step forces the case on
-    # two orthonormal bases of R^3, which scale, so the screen keeps them
+    # two orthonormal bases of R^2, which scale, so the half-plane screen
+    # keeps them and NNLS decides them
     bases = workdir / "bases.csv"
     r = np.sqrt(0.5)
-    fs.save_frame(fs.Frame(np.vstack([np.eye(3), [[r, r, 0.0], [r, -r, 0.0], [0.0, 0.0, 1.0]]])), bases)
+    fs.save_frame(fs.Frame(np.vstack([np.eye(2), [[r, r], [r, -r]]])), bases)
     capped = functools.partial(fs.solve_standard_scaling, max_iter=1)
     monkeypatch.setattr(cli, "solve_standard_scaling", capped)
     code, report, _ = run_cli(["scale", bases], capsys)

@@ -173,9 +173,9 @@ def test_feasibility_invariant_under_flips_and_rescaling(seed):
 
 
 def test_iteration_cap_gives_undecided_not_infeasible():
-    # two orthonormal bases of R^3: scalable, but NNLS needs more than one step
+    # two orthonormal bases of R^2: scalable, but NNLS needs more than one step
     rng = np.random.default_rng(3)
-    X = np.vstack([random_onb_rows(rng, 3), random_onb_rows(rng, 3)])
+    X = np.vstack([random_onb_rows(rng, 2), random_onb_rows(rng, 2)])
     full = fs.solve_standard_scaling(X)
     assert full.feasible and full.converged and full.iterations > 1
     capped = fs.solve_standard_scaling(X, max_iter=1)
@@ -361,8 +361,9 @@ def test_nan_tol_raises():
 
 @given(st.integers(0, 10_000))
 def test_screen_decides_as_the_solve_of_the_unit_rows(seed):
-    # the screen before NNLS changes no feasibility and no label, never
-    # rejects a scalable frame, and reports a bound the solve does not beat
+    # the steps before NNLS change no feasibility and no label: a feasible
+    # verdict without NNLS is one NNLS reaches tol on too, and a rejection
+    # never hits a scalable frame and reports a bound the solve does not beat
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 21))
     m = int(rng.integers(n + 1, 3 * n + 1))
@@ -375,9 +376,12 @@ def test_screen_decides_as_the_solve_of_the_unit_rows(seed):
         verdict = fs.solve_standard_scaling(X)
         solved = _standard_verdict(_unit_rows(X)[0], None, fs.DEFAULT_TOL)
         assert (verdict.feasible, verdict.certificate) == (solved.feasible, solved.certificate)
-        if verdict.iterations == 0:
+        if verdict.iterations == 0 and verdict.feasible:
+            assert verdict.converged and verdict.residual <= fs.DEFAULT_TOL
+            assert fs.verify_parseval(verdict.scaling.constants[:, None] * X).passed
+        elif verdict.iterations == 0:
             assert kind != "scalable" and verdict.converged
-            assert fs.DEFAULT_TOL < verdict.residual <= solved.residual + 1e-12
+            assert 10.0 * fs.DEFAULT_TOL < verdict.residual <= solved.residual + 1e-12
 
 
 def _counting(monkeypatch, name: str) -> list[int]:
@@ -518,3 +522,66 @@ def test_tall_projection_target_decides_as_the_identity_on_its_range():
         if identity.feasible:
             assert np.allclose(target.scaling.constants, identity.scaling.constants, rtol=0.0, atol=1e-10)
     assert fs.solve_standard_scaling(scalable_rows(rng, 3, 5)).iterations == 0
+
+
+def test_union_of_bases_is_decided_without_nnls(monkeypatch):
+    # every basis of a union sums to I, so their differences span a null
+    # space of H and the plain solve leaves them; the Tikhonov weights
+    # decide them, exactly singular H (a repeated basis) included
+    rng = np.random.default_rng(38)
+    nnls_calls = _counting(monkeypatch, "nnls")
+    frames = [scalable_rows(rng, n, bases) for n in (3, 6, 12) for bases in (2, 3)] + [np.vstack([np.eye(4)] * 2)]
+    for X in frames:
+        verdict = fs.solve_standard_scaling(X)
+        assert verdict.feasible and verdict.converged and verdict.iterations == 0
+        assert verdict.residual <= fs.DEFAULT_TOL
+        assert fs.verify_parseval(verdict.scaling.constants[:, None] * X).passed
+    assert nnls_calls == []
+
+
+def test_negative_least_squares_weights_leave_the_frame_to_nnls(monkeypatch):
+    # an orthonormal basis of R^3 and four unit rows: seven columns against
+    # six equations, and the minimum-norm solution, which both solves of H
+    # approach, has negative entries, so NNLS finds the basis
+    rng = np.random.default_rng(0)
+    X = np.vstack([random_onb_rows(rng, 3), unit_rows(rng, 4, 3)])
+    assert np.linalg.lstsq(_gram_columns(X), _vech(np.eye(3)), rcond=None)[0].min() < 0.0
+    assert sc._gram_weights(X, fs.DEFAULT_TOL) == (None, 0.0)
+    nnls_calls = _counting(monkeypatch, "nnls")
+    verdict = fs.solve_standard_scaling(X)
+    assert verdict.feasible and verdict.iterations >= 1 and len(nnls_calls) == 1
+    assert fs.verify_parseval(verdict.scaling.constants[:, None] * X).passed
+
+
+def test_wide_constants_with_nonsingular_gram_are_equivariant():
+    # rows U S^(-1/2) for S = sum_i w_i u_i u_i^T scale with weights w, the
+    # only ones when H is nonsingular, so a row permutation permutes the
+    # constants and row factors 2^e divide them
+    rng = np.random.default_rng(39)
+    for n in (3, 5, 8):
+        for m in (n + 1, n * (n + 1) // 2):
+            U = unit_rows(rng, m, n)
+            w = rng.uniform(0.5, 2.0, m)
+            lam, E = np.linalg.eigh((U.T * w) @ U)
+            X = U @ (E / np.sqrt(lam)) @ E.T
+            G = _unit_rows(X)[0] @ _unit_rows(X)[0].T
+            assert np.linalg.cond(G * G) < 1e8
+            verdict = fs.solve_standard_scaling(X)
+            assert verdict.feasible and verdict.iterations == 0
+            c = verdict.scaling.constants
+            assert np.allclose(c, np.sqrt(w), rtol=1e-10, atol=0.0)
+            Y, order, factors = row_transform(rng, X)
+            moved = fs.solve_standard_scaling(Y)
+            assert moved.feasible and moved.iterations == 0
+            assert np.allclose(moved.scaling.constants * np.abs(factors), c[order], rtol=1e-12, atol=0.0)
+
+
+def test_nearly_repeated_tall_rows_get_the_minimum_norm_weights():
+    # five copies of I_4 moved by 1e-13 make A A^T singular to rounding; the
+    # plain solve's size proves that, and the Tikhonov start gives the
+    # minimum-norm weights 1/5, where the plain one gave weights set by the noise
+    rng = np.random.default_rng(40)
+    X = np.vstack([np.eye(4)] * 5) + 1e-13 * rng.standard_normal((20, 4))
+    verdict = fs.solve_standard_scaling(X)
+    assert verdict.feasible and verdict.iterations == 0
+    assert np.allclose(verdict.scaling.constants, np.sqrt(0.2), rtol=0.0, atol=1e-6)

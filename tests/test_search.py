@@ -404,9 +404,9 @@ def _prescreen_frames(rng):
 
 
 def test_prescreen_rejects_only_frames_the_solver_cannot_scale(monkeypatch):
-    # the search's standard step screens the whole frame before NNLS; a
-    # verdict of no NNLS iterations was rejected, and the skipped solve
-    # must have found it infeasible
+    # the search's standard step decides or screens the whole frame before
+    # NNLS; a verdict of no NNLS iterations was decided or rejected, and the
+    # skipped solve must have reached the same feasibility
     frames = list(_prescreen_frames(np.random.default_rng(41)))
     solve = pw._standard_verdict
     verdicts: list = []
@@ -424,8 +424,8 @@ def test_prescreen_rejects_only_frames_the_solver_cannot_scale(monkeypatch):
         V, verdict = verdicts[0]
         if verdict.iterations:
             continue
-        rejected[scalable] += 1
-        assert not sc._standard_verdict(V, None, TOL).feasible
+        assert sc._standard_verdict(V, None, TOL).feasible == verdict.feasible
+        rejected[scalable] += not verdict.feasible
     assert rejected[True] == 0 and rejected[False] > 100
 
 
@@ -438,13 +438,13 @@ def _counting_nnls(monkeypatch) -> list[int]:
 
 def test_rejected_frame_makes_no_standard_solve(monkeypatch):
     # a certified rank-2 miss in R^4: the screen rejects the whole frame and
-    # every candidate, so the search runs no NNLS; a scalable frame
-    # passes the screen and is solved once
+    # every candidate, so the search runs no NNLS; an orthonormal basis is
+    # decided by its least-squares weights, also without NNLS
     X = clustered_unit_frame(np.random.default_rng(3), 4, 6, 0.02).vectors
     assert fs.solve_standard_scaling(X).iterations == 0
     calls = _counting_nnls(monkeypatch)
     assert fs.search_piecewise(X, ranks={2}, budget=200, seed=0) is None and calls == []
-    assert fs.search_piecewise(np.eye(4), ranks={2}) is not None and len(calls) == 1
+    assert fs.search_piecewise(np.eye(4), ranks={2}) is not None and calls == []
 
 
 def test_shared_support_is_a_miss_after_two_solves(monkeypatch):
