@@ -468,26 +468,58 @@ def _disjoint_split_candidate(X: np.ndarray, G: np.ndarray, tol: float):
 def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     """Which candidates, given by their Gaussian blocks G (C, n, k), a side proves infeasible.
 
-    Gets every candidate's orthogonal factor from one stacked complete QR
-    of the blocks, equal bit for bit to the QR of each block alone that
-    _disjoint_split_candidate solves in, and rejects a side whose
-    _side_margins margin on the rows of nonzero norm exceeds 10 tol.
-    FISTA checks the Farkas bound after steps 1, 2, 4, ..., 128 and 150,
-    and a side leaves the stack at the first checkpoint whose bound
-    exceeds 10 tol.  The smaller side goes first, and the other side is
-    embedded only for the candidates it kept, so the batched FISTA runs
-    only on candidates the exact half-plane rule kept.
+    This is the one account of the sampled stage's screen.  A candidate
+    is rejected when one of its sides has a _side_margins margin above
+    10 tol on the rows of nonzero norm: the exact half-plane margin on a
+    two-dimensional side, the Farkas bound along FISTA steps on a side
+    of dimension d >= 3 (_farkas_margin).  The bound holds for any
+    weights, so a rejected candidate's distance exceeds tol and the
+    feasibility solve could only reject it.  A one-dimensional side
+    always scales, so it is neither judged nor factored.  The smaller of
+    the sides of dimension 2 or more goes first, the range on a tie, and
+    the other is judged only for the candidates the first kept; once
+    none is left the screen returns.
+
+    Factors.  Each side's coordinates come from one batched product X Q.
+    When the range goes first, Q is the stacked thin QR factor of the
+    blocks, and only the blocks the range kept get a complete QR, whose
+    trailing columns give their complement.  Otherwise one stacked
+    complete QR of the blocks serves both sides.  A survivor is solved in
+    the complete QR of its block alone (_disjoint_split_candidate).  The
+    thin factor and the leading columns of the complete one, or a
+    stacked and a per-block factor, may differ by rounding, which moves
+    a margin by rounding only, so a margin above 10 tol still proves
+    that the solver misses.
+
+    Batches.  _surviving_candidates draws and screens the candidates in
+    batches of max(1, _FARKAS_CELLS // m^2) blocks for the m rows of X.
+    As m >= n, that one bound caps every array a batch builds (the
+    blocks, their QR factors, the side coordinates and the FISTA Gram
+    matrices), so memory does not grow with the budget, and at budget
+    200 a rank is one batch up to m = 72.
     """
     n, k = G.shape[1:]
-    Q = np.linalg.qr(G, mode="complete")[0]
-    scales = np.linalg.norm(X, axis=1)
+    scales = np.sqrt((X * X).sum(axis=1))
     X, scales = X[scales > 0.0], scales[scales > 0.0]
     rejected = np.zeros(len(G), dtype=bool)
-    sides = (slice(0, k), slice(k, n)) if k <= n - k else (slice(k, n), slice(0, k))
-    for side in sides:
-        live = np.flatnonzero(~rejected)
-        coords = np.einsum("mi,cij->cmj", X, Q[live, :, side])
-        rejected[live] = _side_margins(coords, scales, tol) > 10.0 * tol
+    # the column slices of Q of the sides of dimension 2 or more, smaller first
+    sides = [cols for d, cols in ((k, slice(0, k)), (n - k, slice(k, n))) if d >= 2]
+    if k > n - k:
+        sides.reverse()
+    if sides and sides[0].start == 0:
+        # the range goes first, in the thin factor
+        rejected = _side_margins(X @ np.linalg.qr(G)[0], scales, tol) > 10.0 * tol
+        sides = sides[1:]
+    live = np.flatnonzero(~rejected)
+    if not sides or live.size == 0:
+        return rejected
+    W = X @ np.linalg.qr(G[live], mode="complete")[0]
+    for cols in sides:
+        out = _side_margins(W[:, :, cols], scales, tol) > 10.0 * tol
+        rejected[live[out]] = True
+        live, W = live[~out], W[~out]
+        if live.size == 0:
+            break
     return rejected
 
 
@@ -496,18 +528,17 @@ def _surviving_candidates(X: np.ndarray, k: int, budget: int, seed: int, tol: fl
 
     Candidate j is block j of
     default_rng((seed, k)).standard_normal((budget, n, k)).  One
-    generator draws and screens them in batches of
-    max(1, _FARKAS_CELLS // m^2) blocks for the m rows of X, so memory
-    does not grow with ``budget``, and draws none after a hit; a block
-    depends on (seed, k, j) only, whatever the batching.
+    generator draws them in the batches of _rejected_draws and draws
+    none after a hit; a block depends on (seed, k, j) only, whatever the
+    batching.
     """
     n = X.shape[1]
     rng = np.random.default_rng((seed, k))
     batch = max(1, _FARKAS_CELLS // len(X) ** 2)
     for start in range(0, budget, batch):
         G = rng.standard_normal((min(batch, budget - start), n, k))
-        rejected = _rejected_draws(X, G, tol)
-        yield from ((c, g) for c, g, r in zip(range(start, budget), G, rejected) if not r)
+        for c in np.flatnonzero(~_rejected_draws(X, G, tol)):
+            yield start + int(c), G[c]
 
 
 # starts per rank of the orthogonal-split route, the blocks of
@@ -671,23 +702,17 @@ def search_piecewise(
     pass construct_from_orthogonal_split and verify_piecewise; otherwise
     the sampled sweep below runs unchanged.
 
-    Candidates are first screened without any solve, in batches of
-    max(1, 2^20 // m^2) blocks, one per rank at budget 200 up to m = 72.
-    The stage's traffic is almost all full-budget misses at certified
-    ranks, where the route does not run, so one pass serves it best and a
-    hit pays for screening its whole batch.  Each side is judged by
-    _side_margins: in two dimensions by the exact half-plane margin, in
-    d >= 3 by the Farkas bound along 150 FISTA steps (_farkas_margin),
-    which a side leaves once its bound exceeds 10 tol; a one-dimensional
-    side always scales.  The bound holds for any weights, so a skipped
-    candidate's distance exceeds tol and the feasibility solve could only
-    reject it.  Candidates with a side part at rounding level are never
-    skipped, nor is a side of dimension d >= 3 on over 1,024 rows;
-    survivors take the sequential path in the same coordinates: the
-    higher-rank side is solved first (the range on a tie) and the other
-    only when it scales, so the result is the same as without the screen.
-    Two scaling sides whose supports share an index make a miss, not a
-    split.
+    Candidates are first screened without any solve, in batches;
+    _rejected_draws holds the account of the screen, its factors and its
+    batches.  The stage's traffic is almost all full-budget misses at
+    certified ranks, where the route does not run, so one pass serves it
+    best and a hit pays for screening its whole batch.  Candidates with a
+    side part at rounding level are never skipped, nor is a side of
+    dimension d >= 3 on over 1,024 rows; survivors take the sequential
+    path in the complete QR of their block: the higher-rank side is
+    solved first (the range on a tie) and the other only when it scales,
+    so the result is the same as without the screen.  Two scaling sides
+    whose supports share an index make a miss, not a split.
 
     A positive factor on a vector does not change whether a scaling
     exists, so the search runs on the unit rows of _unit_rows, and the

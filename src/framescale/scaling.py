@@ -257,7 +257,7 @@ def _side_margins(coords: np.ndarray, scales: np.ndarray, tol: float, steps: int
     d = coords.shape[2]
     if d < 2:
         return margin
-    norms = np.linalg.norm(coords, axis=2)
+    norms = np.sqrt((coords * coords).sum(axis=2))
     trusted = np.flatnonzero((norms > _TRUSTED_SIDE * scales).all(axis=1))
     if trusted.size == 0:
         return margin

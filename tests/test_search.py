@@ -141,15 +141,87 @@ def test_search_reaches_a_hit_behind_rejected_candidates(monkeypatch):
     assert two_dim > 0 and edge > 0
 
 
-@pytest.mark.parametrize("index", range(len(CASES)))
+def _wide_cases():
+    # R^6..R^8, where the screen's thin and complete factors may differ by an ulp
+    rng = np.random.default_rng(2025)
+    cases = []
+    for n in (6, 7, 8):
+        cases.append(clustered_unit_frame(rng, n, int(rng.integers(n + 1, 2 * n + 1)), 0.05))
+        cases.append(random_unit_frame(rng, n, int(rng.integers(n + 1, 2 * n + 1))))
+    return cases
+
+
+SOUNDNESS_FRAMES = [frame for frame, _ in CASES] + _wide_cases()
+
+
+@pytest.mark.parametrize("index", range(len(SOUNDNESS_FRAMES)))
 def test_every_screened_candidate_fails_the_solver(index):
-    frame, _ = CASES[index]
+    frame = SOUNDNESS_FRAMES[index]
     X = frame.vectors
     n = frame.dim
+    budget = 40 if n <= 5 else 16
     for k in range(1, n):
-        G = _blocks(index, k, n, 40)
+        G = _blocks(index, k, n, budget)
         for g in G[pw._rejected_draws(X, G, TOL)]:
             assert reference_disjoint_split_candidate(X, g, TOL) is None
+
+
+def _reference_rejections(X: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per block: whether a side rejects it, and whether a side's margin is within 1e-12 relative of 10 tol.
+
+    Each block is factored alone by its complete QR, and each side of
+    dimension 2 or more is judged by _side_margins on the rows of
+    nonzero norm; a candidate is rejected when either side is.
+    """
+    X = X[np.linalg.norm(X, axis=1) > 0.0]
+    scales = np.linalg.norm(X, axis=1)
+    n, k = G.shape[1:]
+    sides = [cols for cols in (slice(0, k), slice(k, n)) if cols.stop - cols.start >= 2]
+    rejected, near = [], []
+    for g in G:
+        W = X @ np.linalg.qr(g, mode="complete")[0]
+        margins = np.array([sc._side_margins(W[:, cols][None], scales, TOL)[0] for cols in sides])
+        rejected.append(bool((margins > 10.0 * TOL).any()))
+        near.append(bool((np.abs(margins - 10.0 * TOL) <= 1e-12 * 10.0 * TOL).any()))
+    return np.array(rejected, dtype=bool), np.array(near, dtype=bool)
+
+
+def _screen_fixtures():
+    """Frames in R^2..R^8, clustered and random, each also with a zero row."""
+    rng = np.random.default_rng(2027)
+    for n in range(2, 9):
+        for frame in (
+            clustered_unit_frame(rng, n, int(rng.integers(n + 1, 2 * n + 2)), 0.03),
+            random_unit_frame(rng, n, int(rng.integers(n + 1, 2 * n + 2))),
+        ):
+            yield frame.vectors
+            yield np.insert(frame.vectors, 1, 0.0, axis=0)
+
+
+def test_screen_matches_the_per_block_reference(monkeypatch):
+    # the batched screen, with its thin range factor and its complete
+    # factor for survivors only, against the complete QR of each block
+    # alone; they may disagree only at a margin within rounding of 10 tol
+    counts = np.zeros(2, dtype=int)
+    for index, X in enumerate(_screen_fixtures()):
+        n = X.shape[1]
+        for k in range(1, n):
+            # a dependent block first, then Gaussian ones
+            G = np.concatenate([np.ones((1, n, k)), _blocks(index, k, n, 12)])
+            got = pw._rejected_draws(X, G, TOL)
+            want, near = _reference_rejections(X, G)
+            assert ((got == want) | near).all()
+            counts += np.bincount(want.astype(int), minlength=2)
+            # batches of 5 candidates: 2 full ones and a last one of 3
+            with monkeypatch.context() as patch:
+                patch.setattr(pw, "_FARKAS_CELLS", 5 * len(X) ** 2)
+                survivors = list(pw._surviving_candidates(X, k, 13, index, TOL))
+            want, near = _reference_rejections(X, _blocks(index, k, n, 13))
+            kept = [c for c, _ in survivors]
+            assert all(not want[c] or near[c] for c in kept)
+            assert all(c in kept or near[c] for c in np.flatnonzero(~want))
+    # both kinds of candidate are common
+    assert counts.min() > 100
 
 
 def _arc_family(rng, m, arc):
@@ -463,9 +535,9 @@ def test_shared_support_is_a_miss_after_two_solves(monkeypatch):
 
 
 def test_survivors_are_solved_in_the_screens_orthogonal_factor(monkeypatch):
-    # the screen judges candidate c in the orthogonal factor of the stacked
-    # QR of its batch; a survivor is solved in X Q for the QR of its block
-    # alone, which must be the same Q bit for bit
+    # a survivor is solved in X Q for the complete QR of its block alone,
+    # which equals that block's factor in a stacked complete QR bit for bit;
+    # the screen judges the survivor's second side in such a stacked factor
     solved: list[np.ndarray] = []
     solve = pw._standard_verdict
     monkeypatch.setattr(pw, "_standard_verdict", lambda V, *args: solved.append(V) or solve(V, *args))
