@@ -32,15 +32,24 @@ perfbench/workloads.py:
   timed, split into those it answers with a scaling ("sweep hit") and
   those it misses ("sweep miss"); and four clustered R^5 frames (spread
   0.02) at each of m = 300 and m = 2,000, searched at rank 1, where the
-  orthogonal-split route does not run.
+  orthogonal-split route does not run;
+- cli: each subcommand as one ``python -m framescale`` process, on the
+  ``cli-session`` workload's files (three rounds of its seven commands,
+  on one frame each in R^2, R^3 and R^4; one round in a smoke run), in
+  the workload's order, so ``verify`` and ``transport`` read the report
+  ``piecewise`` just wrote.  A command's time is the CPU time (user plus
+  system) of its process, which holds interpreter start-up, imports and
+  the command; the report records whether ``PYTHONDONTWRITEBYTECODE``
+  was set, since without it the imports read cached bytecode.
 
-The inputs are timed in fresh processes, one per round and tree, with
-BLAS on one thread.  Each round times this checkout's ``src`` and, with
-``--src DIR``, the package directory DIR too (say, the ``src`` of a
-second checkout at the parent commit); the trees alternate which runs
-first.  An input's time in a round is the fastest of a few calls, and
-for each shape the file records the median and quartiles, over rounds,
-of the mean of those times in milliseconds, and of each round's
+The inputs are timed in fresh processes, one per round and tree (one per
+command for the cli layer), with BLAS on one thread.  Each round times
+this checkout's ``src`` and, with ``--src DIR``, the package directory
+DIR too (say, the ``src`` of a second checkout at the parent commit);
+the trees alternate which runs first.  An input's time in a round is
+the fastest of a few calls (the one process of a cli command), and for
+each shape the file records the median and quartiles, over rounds, of
+the mean of those times in milliseconds, and of each round's
 current/baseline ratio.
 
 Usage, from the repository root:
@@ -55,6 +64,7 @@ import itertools
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -73,6 +83,9 @@ WORKER = (
     "import sys; sys.path[:0] = sys.argv[1:3]; "
     "from layer_bench import time_inputs; time_inputs(sys.argv[3], sys.argv[4])"
 )
+
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+CLI_UNIT = "ms CPU (user + system) per python -m framescale process: median and quartiles over rounds of each subcommand's mean"
 
 # each shape's inputs, an input being the arguments of one timed call
 Inputs = dict[str, list[tuple]]
@@ -233,25 +246,52 @@ def _host() -> dict:
     }
 
 
-def _alternate(src: str | None, rounds: int, layer: str, path: Path) -> dict[str, list[dict[str, float]]]:
-    """Time the inputs at ``path`` in a fresh process per round and tree, alternating which tree runs first.
+def _alternate(trees: dict[str, str], rounds: int, time_tree: Callable[[str], dict[str, float]]) -> dict[str, list[dict[str, float]]]:
+    """Time each tree once per round, alternating which tree runs first.
 
-    The trees are this checkout's ``src`` ("current") and, with ``src``,
-    the package directory ``src`` ("baseline"); the result lists each
-    tree's times by input, one object per round.
+    ``time_tree(label)`` returns one round's times by input; the result
+    lists them per tree, one object per round.
     """
-    trees = {"current": str(ROOT / "src")}
-    if src is not None:
-        trees["baseline"] = str(Path(src).resolve())
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     per_round: dict[str, list[dict[str, float]]] = {label: [] for label in trees}
     for index in range(rounds):
         order = list(trees) if index % 2 == 0 else list(trees)[::-1]
         for label in order:
-            argv = [sys.executable, "-c", WORKER, trees[label], str(ROOT / "scripts"), str(path), layer]
-            done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-            per_round[label].append(json.loads(done.stdout.splitlines()[-1]))
+            per_round[label].append(time_tree(label))
     return per_round
+
+
+def _worker(tree: str, layer: str, path: Path) -> dict[str, float]:
+    """One fresh process that times the layer's inputs at ``path`` on the package directory ``tree``."""
+    argv = [sys.executable, "-c", WORKER, tree, str(ROOT / "scripts"), str(path), layer]
+    done = subprocess.run(argv, env=dict(os.environ, **ONE_THREAD), capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _cli_sessions(trees: dict[str, str], workdir: Path, smoke: bool) -> dict[str, tuple]:
+    """Each tree's ``cli-session`` workload, with its own copy of the files, and its commands."""
+    import workloads
+
+    sessions = {}
+    for label, tree in trees.items():
+        env = dict(os.environ, **ONE_THREAD, PYTHONPATH=os.pathsep.join(filter(None, [tree, os.environ.get("PYTHONPATH")])))
+        (workdir / label).mkdir()
+        session = workloads.CliSession(ROOT, workdir / label, env)
+        sessions[label] = (session, session.build(SEED, (1 if smoke else 3) * session.round_size))
+    return sessions
+
+
+def _time_commands(session, items) -> dict[str, float]:
+    """Run the commands in order, one process each, and return each one's CPU milliseconds."""
+    times = {}
+    for item in items:
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        report = session.run(item)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        verdict = session.check(item, report)
+        if not verdict.ok:
+            raise RuntimeError(f"framescale {' '.join(item.argv)}: {verdict.label}, {verdict.note}")
+        times[f"x{item.index}"] = 1e3 * (after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime)
+    return times
 
 
 def _summary(per_round: dict[str, list[dict[str, float]]], shapes: dict[str, list[str]]) -> dict:
@@ -285,26 +325,39 @@ def _summary(per_round: dict[str, list[dict[str, float]]], shapes: dict[str, lis
 
 def run(layer: str, src: str | None, rounds: int, out: Path, smoke: bool = False) -> dict:
     """Build the layer's inputs, time them for ``rounds`` rounds and write the report to ``out``."""
-    spec = LAYERS[layer]
     # the inputs come from this checkout's package and benchmark workloads
     sys.path[:0] = [path for path in (str(ROOT / "src"), str(ROOT / "perfbench")) if path not in sys.path]
-    arrays: dict[str, np.ndarray] = {}
+    # this checkout's src and, with src, the package directory src as the baseline
+    trees = {"current": str(ROOT / "src")}
+    if src is not None:
+        trees["baseline"] = str(Path(src).resolve())
     shapes: dict[str, list[str]] = {}
-    number = itertools.count()
-    for key, group in spec.build(smoke).items():
-        shapes[key] = [f"x{next(number)}" for _ in group]
-        for name, arguments in zip(shapes[key], group):
-            arrays.update({f"{name}_{position}": np.asarray(value) for position, value in enumerate(arguments)})
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "inputs.npz"
-        np.savez(path, **arrays)
-        per_round = _alternate(src, rounds, layer, path)
+        if layer == "cli":
+            sessions = _cli_sessions(trees, Path(tmp), smoke)
+            for item in sessions["current"][1]:
+                shapes.setdefault(item.argv[0], []).append(f"x{item.index}")
+            per_round = _alternate(trees, rounds, lambda label: _time_commands(*sessions[label]))
+            unit = CLI_UNIT
+            settings = {"pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
+        else:
+            spec = LAYERS[layer]
+            arrays: dict[str, np.ndarray] = {}
+            number = itertools.count()
+            for key, group in spec.build(smoke).items():
+                shapes[key] = [f"x{next(number)}" for _ in group]
+                for name, arguments in zip(shapes[key], group):
+                    arrays.update({f"{name}_{position}": np.asarray(value) for position, value in enumerate(arguments)})
+            path = Path(tmp) / "inputs.npz"
+            np.savez(path, **arrays)
+            per_round = _alternate(trees, rounds, lambda label: _worker(trees[label], layer, path))
+            unit, settings = spec.unit, spec.settings
     report = {
         "script": f"scripts/layer_bench.py {layer}",
-        "unit": spec.unit,
+        "unit": unit,
         "rounds": rounds,
         "seed": SEED,
-        **spec.settings,
+        **settings,
         "host": _host(),
         **_summary(per_round, shapes),
     }
@@ -314,7 +367,7 @@ def run(layer: str, src: str | None, rounds: int, out: Path, smoke: bool = False
 
 def main(argv: list[str] | None = None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("layer", choices=LAYERS)
+    parser.add_argument("layer", choices=[*LAYERS, "cli"])
     parser.add_argument("--src", help="package directory of a second tree to time as the baseline")
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--out", type=Path, help="the report (default: BENCH_<layer>.json at the repository root)")

@@ -9,59 +9,78 @@ non-scalability for clustered families.
 
 __version__ = "0.1.0"
 
-from .frames import (
-    DEFAULT_TOL,
-    Frame,
-    FrameBounds,
-    InternalInconsistencyError,
-    VerificationReport,
-    apply_unitary,
-    canonical_parseval,
-    frame_bounds,
-    frame_operator,
-    normalize_columns,
-    verify_parseval,
-)
-from .projections import (
-    OrthogonalProjection,
-    canonical_projection,
-    complement,
-    projection_from_basis,
-    projection_from_matrix,
-    random_projection,
-    validate_projection,
-)
+import importlib
+
+# ``nnls`` names both a submodule and its function; importing the submodule
+# later would bind the module over a lazily resolved function, so both
+# names are bound here
 from .nnls import NNLSResult, nnls
-from .scaling import (
-    ScalabilityVerdict,
-    StandardScaling,
-    open_quadrant_certificate,
-    solve_standard_scaling,
-)
-from .piecewise import (
-    PiecewiseReport,
-    PiecewiseScaling,
-    R3Construction,
-    construct_from_orthogonal_split,
-    construct_r2,
-    construct_r3,
-    construct_r3_detailed,
-    construct_r4_special,
-    cross_operator,
-    scaled_family,
-    search_piecewise,
-    verify_piecewise,
-)
-from .transport import intertwiner, to_canonical, transport_scaling
-from .obstructions import (
-    ObstructionReport,
-    check_constant_bounds,
-    closeness_obstruction,
-    dichotomy_check,
-    normalization_gap_bound,
-    pairwise_closeness,
-)
-from .fileio import FrameFormatError, load_frame, load_matrix, save_frame
+
+# every other exported name -> the submodule that defines it; a name is
+# looked up in its module on each access, so ``import framescale`` loads
+# only frames and nnls, and a function rebound in its module (by a patch
+# or a tracer) is what the package returns
+_EXPORTS = {
+    "DEFAULT_TOL": "frames",
+    "Frame": "frames",
+    "FrameBounds": "frames",
+    "InternalInconsistencyError": "frames",
+    "VerificationReport": "frames",
+    "apply_unitary": "frames",
+    "canonical_parseval": "frames",
+    "frame_bounds": "frames",
+    "frame_operator": "frames",
+    "normalize_columns": "frames",
+    "verify_parseval": "frames",
+    "OrthogonalProjection": "projections",
+    "canonical_projection": "projections",
+    "complement": "projections",
+    "projection_from_basis": "projections",
+    "projection_from_matrix": "projections",
+    "random_projection": "projections",
+    "validate_projection": "projections",
+    "ScalabilityVerdict": "scaling",
+    "StandardScaling": "scaling",
+    "open_quadrant_certificate": "scaling",
+    "solve_standard_scaling": "scaling",
+    "PiecewiseReport": "piecewise",
+    "PiecewiseScaling": "piecewise",
+    "R3Construction": "piecewise",
+    "construct_from_orthogonal_split": "piecewise",
+    "construct_r2": "piecewise",
+    "construct_r3": "piecewise",
+    "construct_r3_detailed": "piecewise",
+    "construct_r4_special": "piecewise",
+    "cross_operator": "piecewise",
+    "scaled_family": "piecewise",
+    "search_piecewise": "piecewise",
+    "verify_piecewise": "piecewise",
+    "intertwiner": "transport",
+    "to_canonical": "transport",
+    "transport_scaling": "transport",
+    "ObstructionReport": "obstructions",
+    "check_constant_bounds": "obstructions",
+    "closeness_obstruction": "obstructions",
+    "dichotomy_check": "obstructions",
+    "normalization_gap_bound": "obstructions",
+    "pairwise_closeness": "obstructions",
+    "FrameFormatError": "fileio",
+    "load_frame": "fileio",
+    "load_matrix": "fileio",
+    "save_frame": "fileio",
+}
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "DEFAULT_TOL",

@@ -5,6 +5,10 @@ canonical-parseval.  Every run writes a JSON report to stdout or --out.
 Exit codes: 0 verdict computed (including infeasible, undecided or
 not-found), 1 usage error, 2 input format error, 3 internal
 inconsistency.
+
+The top level imports only what every command uses; each command imports
+its solver modules when it runs, so a process loads only what its command
+needs.
 """
 
 from __future__ import annotations
@@ -25,19 +29,6 @@ from .frames import (
     frame_operator,
     verify_parseval,
 )
-from .projections import canonical_projection, projection_from_matrix
-from .scaling import solve_standard_scaling
-from .piecewise import (
-    PiecewiseScaling,
-    construct_from_orthogonal_split,
-    construct_r2,
-    construct_r3,
-    construct_r4_special,
-    search_piecewise,
-    verify_piecewise,
-)
-from .transport import to_canonical, transport_scaling
-from .obstructions import closeness_obstruction
 from .fileio import (
     FrameFormatError,
     load_frame,
@@ -142,6 +133,8 @@ def _matrix_rows(matrix: np.ndarray) -> list[list[float]]:
 
 
 def _load_projection(path, fmt, tol):
+    from .projections import projection_from_matrix
+
     matrix = load_matrix(path, fmt)
     try:
         return projection_from_matrix(matrix, tol)
@@ -168,6 +161,8 @@ def _cmd_analyze(args) -> dict:
 
 
 def _cmd_scale(args) -> dict:
+    from .scaling import solve_standard_scaling
+
     tol = _resolve_tol(args)
     frame = load_frame(args.frame, args.format)
     verdict = solve_standard_scaling(frame.vectors, None, tol)
@@ -193,7 +188,7 @@ def _cmd_scale(args) -> dict:
     return report
 
 
-def _piecewise_scaling_payload(ps: PiecewiseScaling) -> dict:
+def _piecewise_scaling_payload(ps) -> dict:
     return {
         "projection": _matrix_rows(ps.projection.matrix),
         "a": list(map(float, ps.a)),
@@ -211,6 +206,16 @@ def _piecewise_residuals(rep) -> dict:
 
 
 def _cmd_piecewise(args) -> dict:
+    from .projections import canonical_projection
+    from .piecewise import (
+        construct_from_orthogonal_split,
+        construct_r2,
+        construct_r3,
+        construct_r4_special,
+        search_piecewise,
+        verify_piecewise,
+    )
+
     tol = _resolve_tol(args)
     frame = load_frame(args.frame, args.format)
     mode = args.construct or "search"
@@ -270,6 +275,9 @@ def _frame_from_report(report: dict, override_path, fmt) -> Frame:
 
 
 def _scaling_from_report(report: dict, tol: float):
+    from .projections import projection_from_matrix
+    from .piecewise import PiecewiseScaling
+
     payload = report.get("scaling")
     if not isinstance(payload, dict):
         raise _UsageError("report carries no scaling to work with")
@@ -283,6 +291,8 @@ def _scaling_from_report(report: dict, tol: float):
 
 
 def _cmd_verify(args) -> dict:
+    from .piecewise import PiecewiseScaling, verify_piecewise
+
     recorded = load_report(args.report)
     tol = _resolve_tol(args, fallback=float(recorded.get("tolerance", DEFAULT_TOL)))
     frame = _frame_from_report(recorded, args.frame, args.format)
@@ -308,6 +318,8 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_obstruct(args) -> dict:
+    from .obstructions import closeness_obstruction
+
     tol = _resolve_tol(args)
     frame = load_frame(args.frame, args.format)
     result = closeness_obstruction(frame)
@@ -322,6 +334,9 @@ def _cmd_obstruct(args) -> dict:
 
 
 def _cmd_transport(args) -> dict:
+    from .piecewise import PiecewiseScaling, verify_piecewise
+    from .transport import to_canonical, transport_scaling
+
     if bool(args.unitary) == bool(args.to_canonical):
         raise _UsageError("transport needs exactly one of --unitary FILE or --to-canonical")
     recorded = load_report(args.report)

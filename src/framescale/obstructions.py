@@ -27,8 +27,6 @@ from .frames import (
     verify_parseval,
 )
 from .projections import OrthogonalProjection
-from .piecewise import PiecewiseScaling, verify_piecewise
-from .scaling import StandardScaling
 
 _BRANCH_SLACK = 1e-12
 
@@ -297,6 +295,10 @@ def check_constant_bounds(frame, scaling, tol: float = DEFAULT_TOL) -> Verificat
     side of every index stays below sqrt(2).  The scaling must verify
     first; otherwise the bounds are meaningless and this raises.
     """
+    # imported here, so that closeness checks compile neither module
+    from .piecewise import PiecewiseScaling, verify_piecewise
+    from .scaling import StandardScaling
+
     fr = frame if isinstance(frame, Frame) else Frame(frame)
     X = fr.vectors
     m, n = X.shape

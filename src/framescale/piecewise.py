@@ -759,7 +759,8 @@ def _search(fr: Frame, valid: list[int], budget: int, seed: int, tol: float) -> 
                 built = _complement_form(built)
             if verify_piecewise(fr, built, tol).passed:
                 return built
-    from .obstructions import closeness_obstruction  # obstructions imports this module
+    # imported here, so that verify, transport and the searches decided above never compile obstructions
+    from .obstructions import closeness_obstruction
 
     certified = closeness_obstruction(X).applicable_ranks
     ps = _orthogonal_split_route(fr, [k for k in valid if k not in certified], seed, tol, budget)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import framescale as fs
-import framescale.cli as cli
 from framescale.cli import main
 from framescale.fileio import load_report
 from helpers import clustered_unit_frame, ill_conditioned_frame, r3_fixture, tilted_pair_frame
@@ -59,7 +58,7 @@ def test_scale_undecided_when_nnls_hits_its_cap(workdir, monkeypatch, capsys):
     r = np.sqrt(0.5)
     fs.save_frame(fs.Frame(np.vstack([np.eye(2), [[r, r], [r, -r]]])), bases)
     capped = functools.partial(fs.solve_standard_scaling, max_iter=1)
-    monkeypatch.setattr(cli, "solve_standard_scaling", capped)
+    monkeypatch.setattr("framescale.scaling.solve_standard_scaling", capped)
     code, report, _ = run_cli(["scale", bases], capsys)
     assert code == 0
     assert report["verdict"] == "undecided"
@@ -325,12 +324,10 @@ def test_json_frame_input(workdir, capsys):
 
 
 def test_internal_inconsistency_exit_code(workdir, capsys, monkeypatch):
-    import framescale.cli as cli_module
-
     def boom(*args, **kwargs):
         raise fs.InternalInconsistencyError("simulated two-route disagreement")
 
-    monkeypatch.setattr(cli_module, "verify_piecewise", boom)
+    monkeypatch.setattr("framescale.piecewise.verify_piecewise", boom)
     code, _, err = run_cli(
         ["piecewise", workdir / "triple.csv", "--construct", "r3"], capsys
     )

@@ -91,6 +91,15 @@ def test_screen_layer_bench_smoke(tmp_path):
     assert report["budget"] == 200
 
 
+def test_cli_layer_bench_smoke(tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    report = _layer_bench("cli", tmp_path)
+    assert report["shapes"] == dict.fromkeys(
+        ["analyze", "scale", "piecewise", "verify", "transport", "obstruct", "canonical-parseval"], 1
+    )
+    assert report["pythondontwritebytecode"] is True
+
+
 def test_layer_bench_command_line(tmp_path):
     out = tmp_path / "obstruction.json"
     runpy.run_path(str(SCRIPTS / "layer_bench.py"))["main"](["obstruction", "--rounds", "1", "--out", str(out)])
