@@ -17,9 +17,11 @@ perfbench/workloads.py:
   run), ``cone_frame`` with m cycled over 800..1500, which those weights
   cannot scale, so they pay for the weights and NNLS both;
 - obstruction: ``closeness_obstruction(X)`` on the same ``large-frames``
-  frames and on one antipodal tie, 750 random unit rows in R^8 and their
+  frames; on one antipodal tie, 750 random unit rows in R^8 and their
   negatives, so every row ties at the top of the screen and the exact
-  pass re-checks all 1,500;
+  pass re-checks all 1,500; and on four random unit frames of 1,500 rows
+  in each of R^2 and R^3 (one in a smoke run), the shapes on which the
+  screen's float32 pass keeps the most rows for its double re-screen;
 - screen: ``search_piecewise(X, ranks={k}, budget=200, seed=s)``, so the
   sampled stage, when reached, screens up to 200 candidates of one rank.
   The searches are the ``search-miss`` workload (clustered R^4 frames,
@@ -131,6 +133,9 @@ def obstruction_frames(smoke: bool) -> Inputs:
     frames: Inputs = {key: [(X,) for X in group] for key, group in _large_frames(smoke).items()}
     U = workloads.spanning_unit_frame(np.random.default_rng([SEED, 16]), 8, 750)
     frames["antipodal n=8"] = [(np.vstack([U, -U]),)]
+    rng = np.random.default_rng([SEED, 18])
+    for n in (2, 3):
+        frames[f"tall unit n={n} m=1500"] = [(workloads.spanning_unit_frame(rng, n, 1500),) for _ in range(1 if smoke else 4)]
     return frames
 
 

@@ -53,33 +53,61 @@ _BLOCK_CELLS = 2**16
 _DIRECT_CELLS = 2**12
 
 
+def _screen_maxima(Y: np.ndarray, sq: np.ndarray, rows: slice | np.ndarray, step: int) -> np.ndarray:
+    """Largest screened d^2 from each of ``rows`` of Y to every row, ``step`` rows per GEMM.
+
+    Row i of [-2Y, s, 1] against row j of [Y, 1, s] is ||y_i||^2 +
+    ||y_j||^2 - 2 <y_i, y_j>, in the dtype of Y.
+    """
+    m, n = Y.shape
+    right = np.empty((m, n + 2), Y.dtype)
+    right[:, :n], right[:, n], right[:, n + 1] = Y, 1.0, sq
+    count = sq[rows].size
+    left = np.empty((count, n + 2), Y.dtype)
+    np.multiply(Y[rows], -2.0, out=left[:, :n])
+    left[:, n], left[:, n + 1] = sq[rows], 1.0
+    screened = np.empty(count, Y.dtype)
+    for start in range(0, count, step):
+        block = slice(start, start + step)
+        (left[block] @ right.T).max(axis=1, out=screened[block])
+    return screened
+
+
+def _float32_rows(Y: np.ndarray, step: int) -> np.ndarray:
+    """Rows of the centred Y that the float32 pass of _max_pair_distance keeps."""
+    # one exact power of two brings the largest entry into [1/2, 1), so
+    # the float32 copy neither overflows nor loses the cluster to underflow
+    Z = np.ldexp(Y, -int(np.frexp(np.abs(Y).max())[1])).astype(np.float32)
+    sq = np.einsum("ij,ij->i", Z, Z)
+    screened = _screen_maxima(Z, sq, slice(None), step)
+    fl = np.finfo(np.float32)
+    delta = 8.0 * (Y.shape[1] + 4) * (float(fl.eps) * float(sq.max()) + float(fl.tiny))
+    return np.flatnonzero(screened >= float(screened.max()) - 2.0 * delta)
+
+
 def _screened_rows(X: np.ndarray) -> np.ndarray:
     """Rows whose largest distance may reach the maximum over all pairs.
 
     Requires a frame inside _ROW_WINDOW, as _shifted_frame leaves it: a
     single term of the screen that overflowed would drop its pair from
-    the screen, not its row's maximum.
+    the screen, not its row's maximum.  Above _BLOCK_CELLS squared rows
+    a float32 pass picks the rows the double screen re-screens (see
+    _max_pair_distance).
     """
     m, n = X.shape
     # distances do not move under translation, and centring on one row
     # scales the rounding bound to the cluster instead of the norms
     Y = X - X[0]
     sq = np.einsum("ij,ij->i", Y, Y)
-    # row i of left = [-2Y, s, 1] against row j of right = [Y, 1, s] is
-    # ||y_i||^2 + ||y_j||^2 - 2 <y_i, y_j>
-    left, right = np.empty((m, n + 2)), np.empty((m, n + 2))
-    np.multiply(Y, -2.0, out=left[:, :n])
-    right[:, :n] = Y
-    left[:, n], right[:, n + 1] = sq, sq
-    left[:, n + 1] = right[:, n] = 1.0
-    screened = np.empty(m)
+    fl, r2 = np.finfo(float), float(sq.max())
+    delta = 8.0 * (n + 4) * (fl.eps * r2 + fl.tiny)
     step = max(1, _BLOCK_CELLS // m)
-    for start in range(0, m, step):
-        block = slice(start, start + step)
-        (left[block] @ right.T).max(axis=1, out=screened[block])
-    fl = np.finfo(float)
-    delta = 8.0 * (n + 4) * (fl.eps * float(sq.max()) + fl.tiny)
-    return np.flatnonzero(screened >= float(screened.max()) - 2.0 * delta)
+    rows = np.arange(m)
+    if m * m > _BLOCK_CELLS and fl.tiny <= fl.eps * r2:
+        # float32 blocks of twice the rows hold as many bytes
+        rows = _float32_rows(Y, 2 * step)
+    screened = _screen_maxima(Y, sq, rows if rows.size < m else slice(None), step)
+    return rows[screened >= float(screened.max()) - 2.0 * delta]
 
 
 def _exact_rows(X: np.ndarray, step: int) -> np.ndarray:
@@ -141,6 +169,33 @@ def _max_pair_distance(X: np.ndarray) -> tuple[float, tuple[int, int]]:
     difference formula in blocks of about _BLOCK_CELLS cells, so memory
     stays O(m n) plus one block.
 
+    Float32 pass.  When m^2 > _BLOCK_CELLS and tiny <= eps R^2, so that
+    delta <= 32 (n + 4) u R^2, the screen first runs in float32 on Z =
+    fl32(2^t Y), 2^t bringing the largest |y_ik| into [1/2, 1), with s_i
+    now the float32 ||z_i||^2 and blocks of twice the rows, and keeps the
+    rows within 2 delta32 of its top, delta32 = 8 (n + 4) (eps32 R32^2 +
+    tiny32), with R32^2 = max s_i and eps32, tiny32 the float32 constants.
+    In the units of Z, the first three items above with u32 = eps32 / 2 in
+    place of u (u + u32 in the first, for the cast) put a float32 screened
+    value within E32 = (6n + 16) u32 R32^2 of d^2, plus tiny32 terms for
+    values that underflow; the same items put a double screened value
+    within E = (6n + 16) u R^2 + 8 (n + 4) tiny <= delta.  A row the
+    all-double screen keeps lies within 2 delta of its top, so its float32
+    maximum lies within 2 (delta + E + E32) <= 4 delta + 2 E32 of the
+    float32 top.  As u = 2^-29 u32, 4 delta is at most (n + 4) 2^-22 u32
+    R32^2 in these units, so that gap is under (12n + 33) u32 R32^2, and
+    the float32 threshold, rounded to float32, moves by at most 4 u32
+    R32^2 more; both stay below 2 delta32 = (32n + 128) u32 R32^2, whose
+    margin again covers the second-order terms and tiny32 the underflow.
+    So every row the all-double screen keeps survives the float32 pass,
+    among them the row of the double top.  The survivors are then
+    re-screened in double against every row, with the same top and
+    threshold 2 delta, and _screened_rows returns the rows the all-double
+    screen keeps: a block's summation order, which BLAS may pick by the
+    block's shape, can move only a row within rounding of that threshold,
+    never one that can hold the maximum, since the bound above holds for
+    any order.
+
     Inputs of at most _DIRECT_CELLS cells recompute every row.  When the
     re-checked rows fill more than one block, exact copies of a row are
     re-checked once, at their first occurrence (see _exact_rows).
@@ -169,10 +224,8 @@ def _blocked_max(X: np.ndarray, rows: np.ndarray, step: int) -> tuple[float, tup
 def pairwise_closeness(frame) -> float:
     """Largest pairwise distance max_{i != j} ||x_i - x_j||.
 
-    Computed by the blocked kernel described in ``closeness_obstruction``:
-    a screen of squared distances, one GEMM per row block, then an exact
-    re-check of the rows within 2 delta of the screened top, in O(m n)
-    memory plus one block.
+    Computed by the blocked kernel of ``_max_pair_distance``, bit-identical
+    to the full broadcast, in O(m n) memory plus one block.
     """
     X = as_vector_array(frame)
     if X.shape[0] < 2:
@@ -233,17 +286,12 @@ def closeness_obstruction(frame) -> ObstructionReport:
     ranks 2..n-2 are ruled out in any dimension n >= 4.  Thresholds are
     strict, and both gates also require unit norms within 1e-8.
 
-    The radius max ||x_i - x_j|| and ``detail["max_pair"]`` come from a
-    blocked kernel: a screen of every row's largest squared distance,
-    one GEMM of the centred rows with their squared norms appended per
-    row block, then an exact re-check with the difference formula of the
-    rows whose screened maximum lies within 2 delta of the top, where
-    delta = 8 (n + 4) (eps R^2 + tiny) covers the rounding gap between
-    the two formulas (R the largest distance from x_0; the derivation is
-    in ``_max_pair_distance``).  The result is bit-identical to the full
-    (m, m, n) broadcast and its first argmax on the frame that
-    _shifted_frame scales by one power of two, scaled back, and memory
-    stays O(m n) plus one block of about 2^16 cells.
+    The radius max ||x_i - x_j|| and ``detail["max_pair"]`` come from
+    the blocked kernel of ``_max_pair_distance``, which states its
+    rounding bound: they are bit-identical to the full (m, m, n)
+    broadcast and its first argmax on the frame that _shifted_frame
+    scales by one power of two, scaled back, and memory stays O(m n)
+    plus one block of about 2^16 cells.
     """
     X = as_vector_array(frame)
     m, n = X.shape

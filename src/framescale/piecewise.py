@@ -19,6 +19,7 @@ onto the span of the first k columns of Q_j.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -551,6 +552,18 @@ _SPLIT_STEPS = 30
 _SPLIT_DAMPING = 1e-2
 
 
+@lru_cache(maxsize=32)
+def _split_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # _split_system's owned mask, the flat index i n + j of each pair (i, j)
+    # within S or within T, and the rows a, b of the blocks M_ab it needs,
+    # M_ij, M_ji, M_ii and M_jj of every pair, stacked; cached per (n, k),
+    # so every caller shares the arrays: they are read-only
+    own = (np.arange(n) < k)[:, None] == (np.arange(n) < k)[None, :]
+    i, j = (np.concatenate([p, q + k]) for p, q in zip(np.triu_indices(k, 1), np.triu_indices(n - k, 1)))
+    a, b = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
+    return _freeze(own), _freeze(i * n + j), _freeze(a), _freeze(b)
+
+
 def _split_system(V: np.ndarray, k: int):
     """Residuals and Jacobian of the orthogonal split of the rows of V, as a function of Q.
 
@@ -567,11 +580,7 @@ def _split_system(V: np.ndarray, k: int):
     e_a u_b^T - u_b e_a^T.  The function returns None where an owned part
     is at most _TRUSTED_SIDE of its row: its direction is set by rounding.
     """
-    n = V.shape[0]
-    own = (np.arange(n) < k)[:, None] == (np.arange(n) < k)[None, :]
-    i, j = (np.concatenate([p, q + k]) for p, q in zip(np.triu_indices(k, 1), np.triu_indices(n - k, 1)))
-    # flat indices of M_ij, M_ji, M_ii and M_jj for every pair
-    blocks = np.stack([i * n + j, j * n + i, i * (n + 1), j * (n + 1)])
+    own, pairs, a, b = _split_tables(V.shape[0], k)
 
     def system(Q: np.ndarray):
         W = V @ Q
@@ -581,9 +590,10 @@ def _split_system(V: np.ndarray, k: int):
             return None
         norms = np.sqrt(owned)[:, None]
         u, e = O / norms, (W - O) / norms
-        cos = (u @ u.T).take(blocks[0])
-        M = e[:, None, k:, None] * u[None, :, None, :k] - u[None, :, k:, None] * e[:, None, None, :k]
-        m_ij, m_ji, m_ii, m_jj = M.reshape(n * n, -1).take(blocks, axis=0)
+        cos = (u @ u.T).take(pairs)
+        E, U = e.take(a, axis=0), u.take(b, axis=0)
+        M = E[:, k:, None] * U[:, None, :k] - U[:, k:, None] * E[:, None, :k]
+        m_ij, m_ji, m_ii, m_jj = M.reshape(4, -1, M.shape[1] * k)
         return cos, m_ij + m_ji - cos[:, None] * (m_ii + m_jj)
 
     return system
@@ -603,11 +613,11 @@ def _solve_split(system, Q: np.ndarray, k: int, tol: float) -> np.ndarray | None
         return None
     r, J = start
     cost = float(r @ r)
-    damping = _SPLIT_DAMPING
+    damping, eye = _SPLIT_DAMPING, np.eye(len(r))
     for _ in range(_SPLIT_STEPS):
         if cost <= (1e-3 * tol) ** 2:
             break
-        step = -J.T @ np.linalg.solve(J @ J.T + damping * np.eye(len(r)), r)
+        step = -J.T @ np.linalg.solve(J @ J.T + damping * eye, r)
         trial_Q = np.linalg.qr(Q[:, :k] + Q[:, k:] @ step.reshape(-1, k), mode="complete")[0]
         trial = system(trial_Q)
         if trial is not None and float(trial[0] @ trial[0]) < cost:

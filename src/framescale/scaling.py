@@ -68,13 +68,19 @@ def _sym_embedding(n: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
 
 def _gram_columns(V: np.ndarray) -> np.ndarray:
     # column i is the weighted upper triangle of v_i v_i^T, so that the
-    # euclidean norm of the stacked system equals the Frobenius norm
-    iu, weights = _sym_embedding(V.shape[1])
-    # the fancy index copies, so both products go in place
-    cols = V[:, iu[0]]
-    cols *= V[:, iu[1]]
-    cols *= weights
-    return cols.T
+    # euclidean norm of the stacked system equals the Frobenius norm; the
+    # rows of the pairs (p, q >= p) are consecutive in triu order, so one
+    # product per p fills the C-ordered (n (n + 1) / 2, m) array
+    m, n = V.shape
+    _, weights = _sym_embedding(n)
+    VT = np.ascontiguousarray(V.T)
+    A = np.empty((weights.size, m))
+    start = 0
+    for p in range(n):
+        np.multiply(VT[p], VT[p:], out=A[start : start + n - p])
+        start += n - p
+    A *= weights[:, None]
+    return A
 
 
 def _vech(T: np.ndarray) -> np.ndarray:

@@ -74,6 +74,21 @@ def _distance_cases(rng):
     p, q, c, z = s * np.sqrt([9.2, 4.4, 8.94, 4.0])
     far = [[p, q, 0.0], [p, -q, 0.0], [c, 0.0, z], [c, 0.0, -z]]
     yield "cancelling", np.vstack([np.zeros(3), 0.01 * s * rng.standard_normal((40, 3)), far])
+    # the cases below have m > 256 rows, so the screen's float32 pass runs;
+    # on unit rows in R^2 nearly every row survives it
+    yield "tall R^2", unit_rows(rng, 1500, 2)
+    # two pairs whose d^2 differ by 1e-10 relative, far below float32
+    # resolution: the later pair wins
+    near = np.vstack([0.1 * unit_rows(rng, 296, 3), [[1.0, 0, 0], [-1.0, 0, 0]], [[0, 1.0, 0], [0, -1.0, 0]]])
+    near[-2:] *= 1.0 + 5e-11
+    yield "near ties", near
+    yield "far cluster", 1e3 * unit_rows(rng, 1, 3)[0] + 1e-7 * unit_rows(rng, 400, 3)
+    # inside _ROW_WINDOW, so not shifted, but outside the float32 range
+    yield "2^230", np.ldexp(unit_rows(rng, 300, 4), 230)
+    yield "2^-230", np.ldexp(unit_rows(rng, 300, 4), -230)
+    # differences whose squares underflow in double: every d^2 reads 0, so
+    # the float32 pass, which would still tell them apart, must not run
+    yield "underflowing", np.column_stack([np.full(300, 2.0**-240), np.ldexp(rng.standard_normal(300), -600)])
 
 
 @pytest.mark.parametrize("cells", [None, 64])
@@ -113,6 +128,14 @@ def test_max_pair_distance_is_bit_identical_to_broadcast(monkeypatch, cells):
             assert ob._screened_rows(X).size == m
             # distinct rows: the exact pass keeps every one, in any block size
             assert ob._exact_rows(X, 1).size == m
+        elif label == "tall R^2":
+            assert ob._float32_rows(X - X[0], 1).size > 0.9 * X.shape[0]
+        elif label == "near ties":
+            assert expected[1] == (298, 299)
+        elif label.startswith("2^"):
+            assert s == 0
+        elif label == "underflowing":
+            assert expected == (0.0, (0, 0))
 
 
 @pytest.mark.parametrize("spread", [None, 1e-9])

@@ -585,3 +585,20 @@ def test_nearly_repeated_tall_rows_get_the_minimum_norm_weights():
     verdict = fs.solve_standard_scaling(X)
     assert verdict.feasible and verdict.iterations == 0
     assert np.allclose(verdict.scaling.constants, np.sqrt(0.2), rtol=0.0, atol=1e-6)
+
+
+def test_gram_columns_match_the_gather_formula():
+    import framescale.piecewise as pw
+
+    rng = np.random.default_rng(61)
+    for n in range(1, 21):
+        iu, weights = sc._sym_embedding(n)
+        for m in (1, n, 1500):
+            V = rng.standard_normal((m, n))
+            A = _gram_columns(V)
+            assert A.flags.c_contiguous and A.shape == (n * (n + 1) // 2, m)
+            # the same products in the same order, so the same bytes
+            assert A.tobytes() == np.ascontiguousarray((V[:, iu[0]] * V[:, iu[1]] * weights).T).tobytes()
+    # the route's cached tables are shared by every caller, so read-only
+    for table in pw._split_tables(5, 2):
+        assert not table.flags.writeable

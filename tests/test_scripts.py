@@ -81,7 +81,7 @@ def test_scale_layer_bench_smoke(tmp_path):
 
 def test_obstruction_layer_bench_smoke(tmp_path):
     report = _layer_bench("obstruction", tmp_path)
-    assert list(report["shapes"]) == LARGE_SHAPES + ["antipodal n=8"]
+    assert list(report["shapes"]) == LARGE_SHAPES + ["antipodal n=8", "tall unit n=2 m=1500", "tall unit n=3 m=1500"]
 
 
 def test_screen_layer_bench_smoke(tmp_path):
@@ -106,5 +106,10 @@ def test_layer_bench_command_line(tmp_path):
     report = json.loads(out.read_text())
     assert report["script"] == "scripts/layer_bench.py obstruction"
     assert report["rounds"] == 1 and list(report["results"]) == ["current"]
-    assert report["shapes"] == {**{key: 4 for key in LARGE_SHAPES}, "antipodal n=8": 1}
+    assert report["shapes"] == {
+        **{key: 4 for key in LARGE_SHAPES},
+        "antipodal n=8": 1,
+        "tall unit n=2 m=1500": 4,
+        "tall unit n=3 m=1500": 4,
+    }
     assert "current_over_baseline" not in report
