@@ -73,16 +73,24 @@ def _screen_maxima(Y: np.ndarray, sq: np.ndarray, rows: slice | np.ndarray, step
     return screened
 
 
+def _top_rows(screened: np.ndarray, sq: np.ndarray, n: int) -> np.ndarray:
+    """Rows whose screened maximum lies within 2 delta of the top.
+
+    delta = 8 (n + 4) (eps R^2 + tiny), with R^2 = max sq and eps, tiny
+    those of the screen's dtype, as _max_pair_distance derives it.
+    """
+    fl = np.finfo(sq.dtype)
+    delta = 8.0 * (n + 4) * (float(fl.eps) * float(sq.max()) + float(fl.tiny))
+    return np.flatnonzero(screened >= float(screened.max()) - 2.0 * delta)
+
+
 def _float32_rows(Y: np.ndarray, step: int) -> np.ndarray:
     """Rows of the centred Y that the float32 pass of _max_pair_distance keeps."""
     # one exact power of two brings the largest entry into [1/2, 1), so
     # the float32 copy neither overflows nor loses the cluster to underflow
     Z = np.ldexp(Y, -int(np.frexp(np.abs(Y).max())[1])).astype(np.float32)
     sq = np.einsum("ij,ij->i", Z, Z)
-    screened = _screen_maxima(Z, sq, slice(None), step)
-    fl = np.finfo(np.float32)
-    delta = 8.0 * (Y.shape[1] + 4) * (float(fl.eps) * float(sq.max()) + float(fl.tiny))
-    return np.flatnonzero(screened >= float(screened.max()) - 2.0 * delta)
+    return _top_rows(_screen_maxima(Z, sq, slice(None), step), sq, Y.shape[1])
 
 
 def _screened_rows(X: np.ndarray) -> np.ndarray:
@@ -99,15 +107,13 @@ def _screened_rows(X: np.ndarray) -> np.ndarray:
     # scales the rounding bound to the cluster instead of the norms
     Y = X - X[0]
     sq = np.einsum("ij,ij->i", Y, Y)
-    fl, r2 = np.finfo(float), float(sq.max())
-    delta = 8.0 * (n + 4) * (fl.eps * r2 + fl.tiny)
+    fl = np.finfo(float)
     step = max(1, _BLOCK_CELLS // m)
-    rows = np.arange(m)
-    if m * m > _BLOCK_CELLS and fl.tiny <= fl.eps * r2:
-        # float32 blocks of twice the rows hold as many bytes
-        rows = _float32_rows(Y, 2 * step)
-    screened = _screen_maxima(Y, sq, rows if rows.size < m else slice(None), step)
-    return rows[screened >= float(screened.max()) - 2.0 * delta]
+    if m * m <= _BLOCK_CELLS or fl.eps * float(sq.max()) < fl.tiny:
+        return _top_rows(_screen_maxima(Y, sq, slice(None), step), sq, n)
+    # float32 blocks of twice the rows hold as many bytes
+    rows = _float32_rows(Y, 2 * step)
+    return rows[_top_rows(_screen_maxima(Y, sq, rows, step), sq, n)]
 
 
 def _exact_rows(X: np.ndarray, step: int) -> np.ndarray:
