@@ -107,13 +107,14 @@ def _screened_rows(X: np.ndarray) -> np.ndarray:
     # scales the rounding bound to the cluster instead of the norms
     Y = X - X[0]
     sq = np.einsum("ij,ij->i", Y, Y)
-    fl = np.finfo(float)
     step = max(1, _BLOCK_CELLS // m)
-    if m * m <= _BLOCK_CELLS or fl.eps * float(sq.max()) < fl.tiny:
-        return _top_rows(_screen_maxima(Y, sq, slice(None), step), sq, n)
-    # float32 blocks of twice the rows hold as many bytes
-    rows = _float32_rows(Y, 2 * step)
-    return rows[_top_rows(_screen_maxima(Y, sq, rows, step), sq, n)]
+    if m * m > _BLOCK_CELLS:
+        fl = np.finfo(float)
+        if fl.tiny <= fl.eps * float(sq.max()):
+            # float32 blocks of twice the rows hold as many bytes
+            rows = _float32_rows(Y, 2 * step)
+            return rows[_top_rows(_screen_maxima(Y, sq, rows, step), sq, n)]
+    return _top_rows(_screen_maxima(Y, sq, slice(None), step), sq, n)
 
 
 def _exact_rows(X: np.ndarray, step: int) -> np.ndarray:
