@@ -11,8 +11,10 @@ perfbench/workloads.py:
   in R^d per d = 2..5 with d < m <= 15, so search-size systems have at
   most 15 rows and 15 columns;
 - scale: ``solve_standard_scaling(X)`` on the same ``large-frames``
-  frames, so the wide infeasible frames show the screen before NNLS and
-  the tall ones the minimum-norm weights that decide them without NNLS;
+  frames, so the wide frames show the least-squares step (the plain and
+  the Tikhonov solve of H, each of which decides or certifies) before
+  NNLS and the tall ones the minimum-norm weights that decide them
+  without NNLS;
   and on four tall cone frames at each n = 4, 8, 16 (one in a smoke
   run), ``cone_frame`` with m cycled over 800..1500, which those weights
   cannot scale, so they pay for the weights and NNLS both;
@@ -20,8 +22,9 @@ perfbench/workloads.py:
   frames; on one antipodal tie, 750 random unit rows in R^8 and their
   negatives, so every row ties at the top of the screen and the exact
   pass re-checks all 1,500; and on four random unit frames of 1,500 rows
-  in each of R^2 and R^3 (one in a smoke run), the shapes on which the
-  screen's float32 pass keeps the most rows for its double re-screen;
+  in each of R^2 and R^3 (one in a smoke run): in R^2 the screen runs in
+  double alone, in R^3 its float32 pass picks the rows of its double
+  re-screen;
 - screen: ``search_piecewise(X, ranks={k}, budget=200, seed=s)``, so the
   sampled stage, when reached, screens up to 200 candidates of one rank.
   The searches are the ``search-miss`` workload (clustered R^4 frames,

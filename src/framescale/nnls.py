@@ -130,7 +130,8 @@ def nnls(A, b, max_iter: int | None = None) -> NNLSResult:
     objective by a measurable share of b^T b, and ``converged=False`` otherwise.
     A or b with a non-finite entry raises ``ValueError``.
     """
-    A = np.asarray(A, dtype=float)
+    # one layout, so the same system gives the same bits however A is stored
+    A = np.ascontiguousarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
     if A.ndim != 2 or b.shape[0] != A.shape[0]:
         raise ValueError(f"incompatible shapes A={A.shape}, b={b.shape}")

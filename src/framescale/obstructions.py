@@ -99,8 +99,10 @@ def _screened_rows(X: np.ndarray) -> np.ndarray:
     Requires a frame inside _ROW_WINDOW, as _shifted_frame leaves it: a
     single term of the screen that overflowed would drop its pair from
     the screen, not its row's maximum.  Above _BLOCK_CELLS squared rows
-    a float32 pass picks the rows the double screen re-screens (see
-    _max_pair_distance).
+    in R^3 and above, a float32 pass picks the rows the double screen
+    re-screens (see _max_pair_distance).  In R^2 it would keep nearly
+    every row, as points on a circle have row maxima within about
+    (pi / m)^2 of each other, far inside its margin.
     """
     m, n = X.shape
     # distances do not move under translation, and centring on one row
@@ -108,7 +110,7 @@ def _screened_rows(X: np.ndarray) -> np.ndarray:
     Y = X - X[0]
     sq = np.einsum("ij,ij->i", Y, Y)
     step = max(1, _BLOCK_CELLS // m)
-    if m * m > _BLOCK_CELLS:
+    if m * m > _BLOCK_CELLS and n > 2:
         fl = np.finfo(float)
         if fl.tiny <= fl.eps * float(sq.max()):
             # float32 blocks of twice the rows hold as many bytes
@@ -176,12 +178,13 @@ def _max_pair_distance(X: np.ndarray) -> tuple[float, tuple[int, int]]:
     difference formula in blocks of about _BLOCK_CELLS cells, so memory
     stays O(m n) plus one block.
 
-    Float32 pass.  When m^2 > _BLOCK_CELLS and tiny <= eps R^2, so that
-    delta <= 32 (n + 4) u R^2, the screen first runs in float32 on Z =
-    fl32(2^t Y), 2^t bringing the largest |y_ik| into [1/2, 1), with s_i
-    now the float32 ||z_i||^2 and blocks of twice the rows, and keeps the
-    rows within 2 delta32 of its top, delta32 = 8 (n + 4) (eps32 R32^2 +
-    tiny32), with R32^2 = max s_i and eps32, tiny32 the float32 constants.
+    Float32 pass.  When m^2 > _BLOCK_CELLS, n >= 3 and tiny <= eps R^2,
+    so that delta <= 32 (n + 4) u R^2, the screen first runs in float32
+    on Z = fl32(2^t Y), 2^t bringing the largest |y_ik| into [1/2, 1),
+    with s_i now the float32 ||z_i||^2 and blocks of twice the rows, and
+    keeps the rows within 2 delta32 of its top, delta32 = 8 (n + 4)
+    (eps32 R32^2 + tiny32), with R32^2 = max s_i and eps32, tiny32 the
+    float32 constants.
     In the units of Z, the first three items above with u32 = eps32 / 2 in
     place of u (u + u32 in the first, for the cast) put a float32 screened
     value within E32 = (6n + 16) u32 R32^2 of d^2, plus tiny32 terms for

@@ -639,9 +639,13 @@ def _orthogonal_split_route(fr: Frame, ranks, seed: int, tol: float, budget: int
     more cosines, (n - 2k)^2 > n, is skipped.  The other ranks are tried
     nearest to n / 2 first, each from blocks 0 .. min(budget,
     _SPLIT_STARTS) - 1 of the search's candidate stream
-    default_rng((seed, k)).standard_normal((budget, n, k)).  A result
-    must pass construct_from_orthogonal_split and verify_piecewise; a
-    miss proves nothing.
+    default_rng((seed, k)).standard_normal((budget, n, k)), so the route
+    adds no seed stream.  From each start _solve_split runs at most
+    _SPLIT_STEPS Levenberg-Marquardt steps on the pairwise cosines of
+    the parts (_split_system), in the chart Q[:, :k] + Q[:, k:] Delta of
+    the Grassmannian; cosines, unlike raw inner products, keep the parts
+    away from zero.  A result must pass construct_from_orthogonal_split
+    and verify_piecewise; a miss proves nothing.
     """
     X = fr.vectors
     n = fr.dim
@@ -698,19 +702,10 @@ def search_piecewise(
     scaling found here is checked against the unit-norm constant bounds
     before it is verified.
 
-    The orthogonal-split route (_orthogonal_split_route) solves for the
-    split the paper's R^2 and R^3 constructions build: a rank-k projection
-    and disjoint row sets S and T, |S| = k and |T| = n - k, chosen by
-    pivoted selection, with the P x_i (i in S) orthogonal and the
-    (I - P) x_j (j in T) orthogonal, so that reciprocal norms give an
-    orthonormal basis.  It skips the ranks closeness_obstruction certifies
-    and the ranks with more cosines than unknowns, (n - 2k)^2 > n, and
-    tries the others nearest to n / 2 first.  Each rank starts from the
-    blocks of its candidates 0 .. min(budget, 3) - 1 and runs at most 30
-    Levenberg-Marquardt steps on the pairwise cosines of those parts,
-    in the chart B <- qr(B + C Delta) of the Grassmannian.  A result must
-    pass construct_from_orthogonal_split and verify_piecewise; otherwise
-    the sampled sweep below runs unchanged.
+    The orthogonal-split route solves for the split the paper's R^2 and
+    R^3 constructions build, on the ranks closeness_obstruction does not
+    certify; _orthogonal_split_route is its account.  When it finds no
+    scaling, the sampled sweep below runs unchanged.
 
     Candidates are first screened without any solve, in batches;
     _rejected_draws holds the account of the screen, its factors and its

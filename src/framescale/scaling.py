@@ -7,7 +7,8 @@ coordinates c_i = B^T v_i of an orthonormal range basis B, since a
 unitary map changes neither the cone nor the Frobenius distance; the
 identity target is the case B = I.  solve_standard_scaling states once
 the order in which the steps below decide it.  The search's sampled
-stage batches the same screen over stacked families (_side_margins).
+stage screens stacked side families (_side_margins): the half-plane
+margin in two dimensions, the Farkas bound along FISTA steps above.
 """
 
 from __future__ import annotations
@@ -185,14 +186,8 @@ _FARKAS_MOMENTUM = _fista_momentum(150)
 
 # steps after which the Farkas screen evaluates its bound: doubling, so a
 # family certified early leaves the batch after few steps, and the last
-# step, so a family that stays is judged where the fixed run judged it;
-# a shorter run also checks its own last step
+# step, so a family that stays is judged where the fixed run judged it
 _FARKAS_CHECKPOINTS = frozenset([2**i for i in range(8)] + [len(_FARKAS_MOMENTUM)])
-
-# FISTA steps of the screen solve_standard_scaling runs before NNLS; on
-# the infeasible wide frames of the large-frames benchmark every
-# rejection comes by step 16
-_SCREEN_STEPS = 16
 
 # Gram cells (families times rows squared) per batch of the screen; the
 # search draws its candidates in batches of this many cells, and as
@@ -202,20 +197,19 @@ _SCREEN_STEPS = 16
 _FARKAS_CELLS = 2**20
 
 
-def _farkas_margin(units: np.ndarray, stop: float = np.inf, steps: int = len(_FARKAS_MOMENTUM)) -> np.ndarray:
-    """Each family's largest _farkas_bound over the checkpoints of its FISTA run of ``steps`` steps.
+def _farkas_margin(units: np.ndarray, stop: float = np.inf) -> np.ndarray:
+    """Each family's largest _farkas_bound over the checkpoints of its FISTA run.
 
     FISTA minimises ||sum_i w_i u_i u_i^T - I||_F^2 / 2 over w >= 0.
     ``units`` has shape (C, m, d) with unit rows.  The gradient is H w - 1
     with H_ij = (u_i^T u_j)^2, and the step is 1 / L with L the largest
     row sum of H, which bounds its largest eigenvalue; a gradient step
     y - (H y - 1) / L is then one batched product (I - H / L) y + 1 / L.
-    At each step of _FARKAS_CHECKPOINTS up to ``steps``, and at the last
-    step, the bound is evaluated at the residual I - sum_i w_i u_i u_i^T,
-    a direction, not an optimum.  A family whose bound exceeds ``stop``
-    leaves the stack; the others take exactly the steps of a stack
-    without exits, so a family's margin does not depend on the families
-    stacked with it.  A margin above ``stop``
+    At each step of _FARKAS_CHECKPOINTS the bound is evaluated at the
+    residual I - sum_i w_i u_i u_i^T, a direction, not an optimum.  A
+    family whose bound exceeds ``stop`` leaves the stack; the others take
+    exactly the steps of a stack without exits, so a family's margin does
+    not depend on the families stacked with it.  A margin above ``stop``
     may be lower than the fixed run of every step would give, but it is
     still a bound above ``stop``.  A side with m^2 above _FARKAS_CELLS
     gets margin 0.
@@ -229,11 +223,11 @@ def _farkas_margin(units: np.ndarray, stop: float = np.inf, steps: int = len(_FA
     w = y = np.zeros((C, m, 1))
     margin = np.full(C, -np.inf)
     live = np.arange(C)
-    for count, beta in enumerate(_FARKAS_MOMENTUM[:steps], 1):
+    for count, beta in enumerate(_FARKAS_MOMENTUM, 1):
         w_next = np.maximum(descent @ y + step, 0.0)
         y = w_next + beta * (w_next - w)
         w = w_next
-        if count not in _FARKAS_CHECKPOINTS and count < steps:
+        if count not in _FARKAS_CHECKPOINTS:
             continue
         bound = _farkas_bound(units, np.eye(d) - units.transpose(0, 2, 1) @ (w * units))
         margin[live] = np.maximum(margin[live], bound)
@@ -246,16 +240,14 @@ def _farkas_margin(units: np.ndarray, stop: float = np.inf, steps: int = len(_FA
     return margin
 
 
-def _side_margins(coords: np.ndarray, scales: np.ndarray, tol: float, steps: int = len(_FARKAS_MOMENTUM)) -> np.ndarray:
+def _side_margins(coords: np.ndarray, scales: np.ndarray, tol: float) -> np.ndarray:
     """Screen margins of stacked side families, in coordinates (C, m, d) of their range.
 
     ``scales`` are the norms of the m frame rows.  A family is judged
     only when each of its rows has a part above _TRUSTED_SIDE of its
     scale.  A two-dimensional side then gets its half-plane margin, a
-    side of dimension d >= 3 the Farkas bound
-    (tr R^ - d delta) / (1 + sqrt(d) delta) at the residuals R of
-    ``steps`` FISTA steps on its unit coordinates (_farkas_margin).  A
-    margin above 10 tol proves that the family cannot scale.  A family
+    side of dimension d >= 3 its _farkas_margin on its unit coordinates.
+    A margin above 10 tol proves that the family cannot scale.  A family
     that is not judged, and a one-dimensional side, which always scales,
     gets -inf.
     """
@@ -270,31 +262,27 @@ def _side_margins(coords: np.ndarray, scales: np.ndarray, tol: float, steps: int
     if d == 2:
         margin[trusted] = _half_plane_margin(coords[trusted])
     else:
-        margin[trusted] = _farkas_margin(coords[trusted] / norms[trusted, :, None], 10.0 * tol, steps)
+        margin[trusted] = _farkas_margin(coords[trusted] / norms[trusted, :, None], 10.0 * tol)
     return margin
 
 
 def _screen_bound(V: np.ndarray, C: np.ndarray, tol: float) -> float:
-    """A certified lower bound above 10 tol on the distance from I to the cone of the rows C, or 0.
+    """A certified lower bound above 10 tol on the distance from I to the cone of the rows C in R^2, or 0.
 
-    C holds the range coordinates of the m rows V, and the rows of V
-    with norm zero are left out.  A two-dimensional range is judged by
-    its half-plane margin s, whose direction gives the distance
-    sqrt(2) s / sqrt(1 + s^2); a range of dimension d >= 3 by the Farkas
-    margin of _SCREEN_STEPS FISTA steps.  Its callers screen such a range
-    only when m <= d^2, where a step costs m^2 cells, no more than the
-    m d^2 of the solve's system.  Where the screen proves nothing, the
-    result is 0.
+    C holds the two-dimensional range coordinates of the m rows V, and
+    the rows of V with norm zero are left out.  The range is judged by
+    its half-plane margin s (_side_margins), whose direction gives the
+    distance sqrt(2) s / sqrt(1 + s^2).  Where the margin proves
+    nothing, the result is 0.
     """
-    d = C.shape[1]
     scales = np.linalg.norm(V, axis=1)
     rows = scales > 0.0
     if not rows.any():
         return 0.0
-    s = _side_margins(C[rows][None], scales[rows], tol, _SCREEN_STEPS)[0]
+    s = _side_margins(C[rows][None], scales[rows], tol)[0]
     if not s > 10.0 * tol:
         return 0.0
-    return float(np.sqrt(2.0) * s / np.sqrt(1.0 + s * s)) if d == 2 else float(s)
+    return float(np.sqrt(2.0) * s / np.sqrt(1.0 + s * s))
 
 
 # semismooth Newton steps of _interior_weights after its start; on the
@@ -336,25 +324,25 @@ def _gram_weights(C: np.ndarray, tol: float) -> tuple[NNLSResult | None, float]:
     """Decide the rows C by the least-squares weights of sum_i w_i c_i c_i^T = I, or leave them.
 
     With H = (C C^T)^2 entrywise, H w = (||c_i||^2)_i are the normal
-    equations of that system.  Returns (the NNLSResult of w, its defect
-    and 0 iterations, 0.0) when a solution of _psd_solves has w >= 0 and
-    defect ||I - sum_i w_i c_i c_i^T||_F <= tol, and (None, bound) when
-    _farkas_bound of the unit rows at the plain solution's residual is a
-    bound above 10 tol; otherwise (None, 0.0).
+    equations of that system.  Each solution of _psd_solves, in turn,
+    decides: (the NNLSResult of w, its defect and 0 iterations, 0.0) when
+    w >= 0 and the defect ||R||_F of its residual
+    R = I - sum_i w_i c_i c_i^T is at most tol, and (None, bound) when
+    _farkas_bound of the unit rows at R is a bound above 10 tol.  When
+    neither solution decides, the result is (None, 0.0).
     """
     G = C @ C.T
     sq = np.diag(G)
-    for plain, w in zip((True, False), _psd_solves(G * G, sq)):
+    for w in _psd_solves(G * G, sq):
         if w is None:
             continue
         R = np.eye(C.shape[1]) - (C.T * w) @ C
         defect = float(np.linalg.norm(R))
         if defect <= tol and (w >= 0.0).all():
             return NNLSResult(w, defect, True, 0), 0.0
-        if plain:
-            bound = float(_farkas_bound((C / np.sqrt(sq)[:, None])[None], R[None])[0])
-            if bound > 10.0 * tol:
-                return None, bound
+        bound = float(_farkas_bound((C / np.sqrt(sq)[:, None])[None], R[None])[0])
+        if bound > 10.0 * tol:
+            return None, bound
     return None, 0.0
 
 
@@ -425,22 +413,21 @@ def solve_standard_scaling(
     range above ``tol`` times their norm are recorded in a warning, and
     the constants scale their projections.
 
-    The decision order.  Step 1 runs only when every row has a range part
-    above _TRUSTED_SIDE of its norm and m^2 is at most _FARKAS_CELLS for
-    the m rows, step 2 only when every nonzero row has such a part.  A
-    step that decides returns a verdict with ``iterations`` 0 and
+    The decision order.  Step 1 runs only when every nonzero row has a
+    range part above _TRUSTED_SIDE of its norm, step 2 only when every
+    row has such a part and m^2 is at most _FARKAS_CELLS for the m rows.
+    A step that decides returns a verdict with ``iterations`` 0 and
     ``converged`` True, and no NNLS runs.
 
-    1. In a range of dimension k >= 3 with m <= k^2, the least-squares
+    1. In a two-dimensional range, a half-plane margin above 10 ``tol``
+       (_screen_bound) decides infeasible.
+    2. In a range of dimension k >= 3 with m <= k^2, the least-squares
        weights of H w = (||c_i||^2)_i, H = ((c_i^T c_j)^2), the normal
-       equations of the system (_gram_weights): the plain solve, then, if
-       that neither decides nor certifies, a Tikhonov one (_psd_solves).
-       Weights w >= 0 whose defect, computed directly, is at most ``tol``
-       decide feasible.  A Farkas bound above 10 ``tol`` at the plain
-       solve's residual decides infeasible.
-    2. The screen (_screen_bound), in a two-dimensional range or one of
-       dimension k >= 3 with m <= k^2: a half-plane margin, or the Farkas
-       bound along 16 FISTA steps, above 10 ``tol`` decides infeasible.
+       equations of the system (_gram_weights): the plain solve, then a
+       Tikhonov one (_psd_solves).  Each decides in turn: weights w >= 0
+       whose defect, computed directly, is at most ``tol`` decide
+       feasible, and a Farkas bound above 10 ``tol`` at its residual
+       decides infeasible.
     3. In a range of dimension k >= 3 with m > k^2, the minimum-norm
        weights of at most _NEWTON_STEPS semismooth Newton steps
        (_interior_weights) decide feasible when their defect is at most
@@ -455,13 +442,13 @@ def solve_standard_scaling(
     range whose sign-normalized coordinates sit in one open quadrant,
     else "half-plane" when their doubled angles fit in an open half
     circle; both need no solver.  In a range of dimension k >= 3 it is
-    "residual-infeasible" after step 1 or 2, and after NNLS when
+    "residual-infeasible" after step 2, and after NNLS when
     _farkas_bound of the unit rows at the run's residual exceeds ``tol``.
     The bound holds for any weights, so it certifies whether NNLS
     converged, hit ``max_iter`` or stalled.  Otherwise the certificate is
     "undecided": the residual only bounds the optimum from above.
 
-    The constants are the unique weights after step 1 on a nonsingular
+    The constants are the unique weights after step 2 on a nonsingular
     H, the unique minimum-norm weights after step 3, and otherwise
     whichever weights the deciding solve reached, on a singular H those
     of the plain solve or else the Tikhonov one; no canonical element of
@@ -513,17 +500,17 @@ def _standard_verdict(
                 f"(worst out-of-range norm {leak.max():.3e})"
             )
     # a family of m > rank^2 rows in a range of dimension 3 or more is
-    # tall: a screen step's m^2 cells would exceed the system's m rank^2,
-    # and the minimum-norm weights of _interior_weights decide nearly
-    # every tall family that scales
+    # tall: the m^2 cells of the least-squares step's H would exceed the
+    # system's m rank^2, and the minimum-norm weights of _interior_weights
+    # decide nearly every tall family that scales
     m = C.shape[0]
     tall = rank > 2 and m > rank * rank
     result, bound = None, 0.0
-    if screen and rank > 2 and not tall and m * m <= _FARKAS_CELLS:
+    if screen and rank == 2:
+        bound = _screen_bound(V, C, tol)
+    elif screen and rank > 2 and not tall and m * m <= _FARKAS_CELLS:
         if (np.linalg.norm(C, axis=1) > _TRUSTED_SIDE * np.linalg.norm(V, axis=1)).all():
             result, bound = _gram_weights(C, tol)
-    if screen and not tall and result is None and not bound:
-        bound = _screen_bound(V, C, tol)
     if not bound:
         if result is None:
             A = _gram_columns(C)

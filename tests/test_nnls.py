@@ -358,3 +358,19 @@ def test_dependent_entering_column_is_a_judged_stall(monkeypatch):
     res = nnls(np.eye(3), np.ones(3))
     assert not res.converged and res.iterations == 1
     assert np.array_equal(res.x, [1.0, 0.0, 0.0]) and res.residual == np.sqrt(2.0)
+
+
+def test_memory_layout_does_not_change_the_bits():
+    # the same search-size systems stored C-ordered, Fortran-ordered and as
+    # a strided view give the same x, iteration count and convergence flag
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        d = int(rng.integers(2, 6))
+        A = _gram_columns(unit_rows(rng, int(rng.integers(d + 1, 16)), d))
+        b = _vech(np.eye(d))
+        wide = np.zeros((A.shape[0], 2 * A.shape[1]))
+        wide[:, ::2] = A
+        results = [nnls(layout, b) for layout in (A, np.asfortranarray(A), wide[:, ::2])]
+        for result in results[1:]:
+            assert result.x.tobytes() == results[0].x.tobytes()
+            assert (result.iterations, result.converged) == (results[0].iterations, results[0].converged)

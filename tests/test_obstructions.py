@@ -74,8 +74,9 @@ def _distance_cases(rng):
     p, q, c, z = s * np.sqrt([9.2, 4.4, 8.94, 4.0])
     far = [[p, q, 0.0], [p, -q, 0.0], [c, 0.0, z], [c, 0.0, -z]]
     yield "cancelling", np.vstack([np.zeros(3), 0.01 * s * rng.standard_normal((40, 3)), far])
-    # the cases below have m > 256 rows, so the screen's float32 pass runs;
-    # on unit rows in R^2 nearly every row survives it
+    # the cases below have m > 256 rows, so in R^3 and above the screen's
+    # float32 pass runs; on unit rows in R^2 nearly every row would survive
+    # it, so there the double screen runs alone
     yield "tall R^2", unit_rows(rng, 1500, 2)
     # two pairs whose d^2 differ by 1e-10 relative, far below float32
     # resolution: the later pair wins
@@ -87,8 +88,10 @@ def _distance_cases(rng):
     yield "2^230", np.ldexp(unit_rows(rng, 300, 4), 230)
     yield "2^-230", np.ldexp(unit_rows(rng, 300, 4), -230)
     # differences whose squares underflow in double: every d^2 reads 0, so
-    # the float32 pass, which would still tell them apart, must not run
+    # the float32 pass, which would still tell them apart, must not run,
+    # neither in R^2 nor in R^3, where tall frames otherwise take it
     yield "underflowing", np.column_stack([np.full(300, 2.0**-240), np.ldexp(rng.standard_normal(300), -600)])
+    yield "underflowing", np.column_stack([np.full(300, 2.0**-240), np.ldexp(rng.standard_normal((300, 2)), -600)])
 
 
 @pytest.mark.parametrize("cells", [None, 64])
@@ -149,6 +152,20 @@ def test_max_pair_distance_spanning_several_row_blocks(spread):
     # only the two rows of the farthest pair are re-checked, also in a
     # cluster far smaller than the norms, since the screen centres the rows
     assert ob._screened_rows(X).size <= 2
+
+
+def test_float32_pass_runs_only_in_r3_and_above(monkeypatch):
+    # on points of a circle the float32 pass would keep nearly every row
+    calls: list[int] = []
+    float32_rows = ob._float32_rows
+    monkeypatch.setattr(ob, "_float32_rows", lambda *args: calls.append(1) or float32_rows(*args))
+    rng = np.random.default_rng(35)
+    for n, expected in ((2, 0), (3, 1)):
+        del calls[:]
+        X = unit_rows(rng, 600, n)
+        assert X.shape[0] ** 2 > ob._BLOCK_CELLS
+        fs.closeness_obstruction(X)
+        assert len(calls) == expected, n
 
 
 def _repeated_rows(rng, label, m, n):

@@ -402,17 +402,54 @@ def test_screened_cone_makes_no_nnls_call(monkeypatch):
 
 
 def test_tall_frame_goes_to_nnls_unscreened(monkeypatch):
-    # 17 rows in R^4 exceed d^2 = 16: the screen would cost more than it
-    # saves, and the minimum-norm weights of a cone miss, so NNLS decides
+    # 17 rows in R^4 exceed d^2 = 16: the least-squares step would cost
+    # more than it saves, and the minimum-norm weights of a cone miss, so
+    # NNLS decides
     rng = np.random.default_rng(33)
     nnls_calls = _counting(monkeypatch, "nnls")
     margin_calls = _counting(monkeypatch, "_farkas_margin")
     verdict = fs.solve_standard_scaling(cone_rows(rng, 17, 4))
     assert not verdict.feasible and verdict.certificate == "residual-infeasible" and verdict.iterations >= 1
     assert len(nnls_calls) == 1 and margin_calls == []
-    # at d^2 rows the screen runs and rejects
+    # at d^2 rows the least-squares step runs and certifies, with no FISTA screen
     verdict = fs.solve_standard_scaling(cone_rows(rng, 16, 4))
-    assert verdict.iterations == 0 and len(nnls_calls) == 1 and len(margin_calls) == 1
+    assert verdict.iterations == 0 and len(nnls_calls) == 1 and margin_calls == []
+
+
+def test_wide_frames_are_certified_by_each_least_squares_solve(monkeypatch):
+    # the plain and the Tikhonov solve of H each decide or certify, so no
+    # wide frame reaches the FISTA screen; where H is singular by its rank
+    # (m > n (n + 1) / 2) the Tikhonov residual certifies some frames that
+    # the plain one leaves, and every bound is one NNLS's distance obeys
+    rng = np.random.default_rng(41)
+    nnls_calls = _counting(monkeypatch, "nnls")
+    margin_calls = _counting(monkeypatch, "_farkas_margin")
+    yielded: list[int] = []
+    psd_solves = sc._psd_solves
+
+    def counted_solves(G, b):
+        for x in psd_solves(G, b):
+            yielded.append(1)
+            yield x
+
+    monkeypatch.setattr(sc, "_psd_solves", counted_solves)
+    tikhonov = 0
+    for n in (3, 4, 5, 6, 12):
+        half = n * (n + 1) // 2
+        for m in sorted({n + 1, half, half + 1, n * n}):
+            for X in (cone_rows(rng, m, n), unit_rows(rng, m, n), clustered_unit_frame(rng, n, m, 0.3).vectors):
+                del yielded[:]
+                calls = len(nnls_calls)
+                verdict = fs.solve_standard_scaling(X)
+                if verdict.feasible or verdict.iterations:
+                    continue
+                assert verdict.converged and verdict.certificate == "residual-infeasible"
+                assert len(nnls_calls) == calls
+                tikhonov += len(yielded) == 2
+                reference = _standard_verdict(_unit_rows(X)[0], None, fs.DEFAULT_TOL)
+                assert not reference.feasible
+                assert 10.0 * fs.DEFAULT_TOL < verdict.residual <= reference.residual + 1e-12
+    assert margin_calls == [] and tikhonov >= 1
 
 
 def test_screened_projection_target_keeps_its_warning(monkeypatch):
