@@ -47,15 +47,19 @@ perfbench/workloads.py:
   the command; the report records whether ``PYTHONDONTWRITEBYTECODE``
   was set, since without it the imports read cached bytecode.
 
-The inputs are timed in fresh processes, one per round and tree (one per
-command for the cli layer), with BLAS on one thread.  Each round times
-this checkout's ``src`` and, with ``--src DIR``, the package directory
-DIR too (say, the ``src`` of a second checkout at the parent commit);
-the trees alternate which runs first.  An input's time in a round is
-the fastest of a few calls (the one process of a cli command), and for
-each shape the file records the median and quartiles, over rounds, of
-the mean of those times in milliseconds, and of each round's
-current/baseline ratio.
+The in-process layers load this checkout's ``src`` and, with
+``--src DIR``, the package directory DIR too (say, the ``src`` of a
+second checkout at the parent commit) into one process, the second tree
+under its own package name; a command-line run pins BLAS to one thread.
+Each round times every input on both trees in turn before the next
+input, alternating which tree goes first from round to round, so host
+drift and what the process freed before reach both trees alike.  The
+cli layer times each command as its own process, one tree after the
+other in each round.  An input's time in a round is the fastest of a
+few calls (the one process of a cli command), and for each shape the
+file records the median and quartiles, over rounds, of the mean of
+those times in milliseconds, and of each round's current/baseline
+ratio.
 
 Usage, from the repository root:
 
@@ -65,31 +69,31 @@ Usage, from the repository root:
 from __future__ import annotations
 
 import argparse
-import itertools
+import importlib.util
 import json
 import os
 import platform
 import resource
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import ModuleType
 from typing import Callable
+
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+if __name__ == "__main__":
+    # before numpy loads its BLAS
+    os.environ.update(ONE_THREAD)
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 3
 BUDGET = 200  # of every search the screen layer times
-WORKER = (
-    "import sys; sys.path[:0] = sys.argv[1:3]; "
-    "from layer_bench import time_inputs; time_inputs(sys.argv[3], sys.argv[4])"
-)
-
-ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+BASELINE = "framescale_baseline"  # the package name of the --src tree
 CLI_UNIT = "ms CPU (user + system) per python -m framescale process: median and quartiles over rounds of each subcommand's mean"
 
 # each shape's inputs, an input being the arguments of one timed call
@@ -219,26 +223,6 @@ LAYERS = {
 }
 
 
-def time_inputs(path: str, layer: str) -> None:
-    """Worker: print the fastest of the layer's calls on each input, in milliseconds, as JSON."""
-    import framescale
-
-    spec = LAYERS[layer]
-    data = np.load(path)
-    inputs: dict[str, list[np.ndarray]] = {}
-    for key in data.files:  # "<input>_<position>", in order
-        inputs.setdefault(key.rsplit("_", 1)[0], []).append(data[key])
-    out = {}
-    for name, arguments in inputs.items():
-        calls = []
-        for _ in range(spec.calls):
-            start = time.perf_counter()
-            spec.call(framescale, *arguments)
-            calls.append(time.perf_counter() - start)
-        out[name] = min(calls) * 1e3
-    print(json.dumps(out))
-
-
 def _quartiles(values: list[float]) -> dict[str, float]:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
@@ -268,11 +252,43 @@ def _alternate(trees: dict[str, str], rounds: int, time_tree: Callable[[str], di
     return per_round
 
 
-def _worker(tree: str, layer: str, path: Path) -> dict[str, float]:
-    """One fresh process that times the layer's inputs at ``path`` on the package directory ``tree``."""
-    argv = [sys.executable, "-c", WORKER, tree, str(ROOT / "scripts"), str(path), layer]
-    done = subprocess.run(argv, env=dict(os.environ, **ONE_THREAD), capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
+def _load_tree(src: str) -> ModuleType:
+    """The framescale package of the source directory ``src``, imported under the name BASELINE.
+
+    Its modules import each other relatively, so they load as submodules
+    of BASELINE, beside this checkout's framescale.
+    """
+    package = Path(src).resolve() / "framescale"
+    for name in [name for name in sys.modules if name.partition(".")[0] == BASELINE]:
+        del sys.modules[name]
+    spec = importlib.util.spec_from_file_location(BASELINE, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[BASELINE] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _interleave(packages: dict[str, ModuleType], layer: Layer, inputs: dict[str, tuple], rounds: int) -> dict[str, list[dict[str, float]]]:
+    """Time every input on each package in turn, input by input, alternating which goes first each round.
+
+    An input's time is the fastest of the layer's calls, in milliseconds;
+    the result lists each package's times by input, one object per round.
+    """
+    per_round: dict[str, list[dict[str, float]]] = {label: [] for label in packages}
+    for index in range(rounds):
+        order = list(packages) if index % 2 == 0 else list(packages)[::-1]
+        times: dict[str, dict[str, float]] = {label: {} for label in packages}
+        for name, arguments in inputs.items():
+            for label in order:
+                calls = []
+                for _ in range(layer.calls):
+                    start = time.perf_counter()
+                    layer.call(packages[label], *arguments)
+                    calls.append(time.perf_counter() - start)
+                times[label][name] = min(calls) * 1e3
+        for label in packages:
+            per_round[label].append(times[label])
+    return per_round
 
 
 def _cli_sessions(trees: dict[str, str], workdir: Path, smoke: bool) -> dict[str, tuple]:
@@ -335,31 +351,32 @@ def run(layer: str, src: str | None, rounds: int, out: Path, smoke: bool = False
     """Build the layer's inputs, time them for ``rounds`` rounds and write the report to ``out``."""
     # the inputs come from this checkout's package and benchmark workloads
     sys.path[:0] = [path for path in (str(ROOT / "src"), str(ROOT / "perfbench")) if path not in sys.path]
-    # this checkout's src and, with src, the package directory src as the baseline
-    trees = {"current": str(ROOT / "src")}
-    if src is not None:
-        trees["baseline"] = str(Path(src).resolve())
     shapes: dict[str, list[str]] = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        if layer == "cli":
+    if layer == "cli":
+        # this checkout's src and, with src, the package directory src as the baseline
+        trees = {"current": str(ROOT / "src")}
+        if src is not None:
+            trees["baseline"] = str(Path(src).resolve())
+        with tempfile.TemporaryDirectory() as tmp:
             sessions = _cli_sessions(trees, Path(tmp), smoke)
             for item in sessions["current"][1]:
                 shapes.setdefault(item.argv[0], []).append(f"x{item.index}")
             per_round = _alternate(trees, rounds, lambda label: _time_commands(*sessions[label]))
-            unit = CLI_UNIT
-            settings = {"pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
-        else:
-            spec = LAYERS[layer]
-            arrays: dict[str, np.ndarray] = {}
-            number = itertools.count()
-            for key, group in spec.build(smoke).items():
-                shapes[key] = [f"x{next(number)}" for _ in group]
-                for name, arguments in zip(shapes[key], group):
-                    arrays.update({f"{name}_{position}": np.asarray(value) for position, value in enumerate(arguments)})
-            path = Path(tmp) / "inputs.npz"
-            np.savez(path, **arrays)
-            per_round = _alternate(trees, rounds, lambda label: _worker(trees[label], layer, path))
-            unit, settings = spec.unit, spec.settings
+        unit = CLI_UNIT
+        settings = {"pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
+    else:
+        import framescale
+
+        spec = LAYERS[layer]
+        packages = {"current": framescale}
+        if src is not None:
+            packages["baseline"] = _load_tree(src)
+        inputs: dict[str, tuple] = {}
+        for key, group in spec.build(smoke).items():
+            shapes[key] = [f"x{len(inputs) + i}" for i in range(len(group))]
+            inputs.update(zip(shapes[key], group))
+        per_round = _interleave(packages, spec, inputs, rounds)
+        unit, settings = spec.unit, spec.settings
     report = {
         "script": f"scripts/layer_bench.py {layer}",
         "unit": unit,

@@ -43,13 +43,7 @@ from .projections import (
     complement,
     projection_from_basis,
 )
-from .scaling import (
-    _FARKAS_CELLS,
-    _TRUSTED_SIDE,
-    _post_check_unit_norm_invariants,
-    _side_margins,
-    _standard_verdict,
-)
+from .scaling import _TRUSTED_SIDE, _farkas_bound, _half_plane_margin, _standard_verdict, solve_standard_scaling
 
 
 @dataclass(frozen=True)
@@ -316,7 +310,10 @@ def construct_r3_detailed(frame, tol: float = DEFAULT_TOL) -> R3Construction:
     exactly three, otherwise a pivoted selection), aligns signs so the
     first two overlap nonnegatively, and mixes their sum with the
     orthogonal complement direction z using weight
-    lam = sqrt(overlap / (1 - overlap^2)).  Projecting out span{u} with
+    lam = sqrt(overlap / (1 - overlap^2)).  It takes 1 - overlap as
+    h^2 / 2 from the pair's distance h = ||x1 - x2||, which does not
+    cancel on a close pair, and calls the pair numerically dependent
+    when h is at most RANK_RTOL.  Projecting out span{u} with
     u = lam (x1 + x2) + z makes the complement parts of the pair
     orthogonal, while one of the two signs of lam keeps the third vector
     visible on the projected side.  The scaling is
@@ -341,14 +338,15 @@ def construct_r3_detailed(frame, tol: float = DEFAULT_TOL) -> R3Construction:
     if overlap < 0.0:
         x2 = -x2  # sign flips leave every outer product, hence the scaling, unchanged
         overlap = -overlap
-    if overlap >= 1.0 - 1e-12:
+    h = float(np.linalg.norm(x1 - x2))
+    if h <= RANK_RTOL:
         raise ValueError("selected pair is numerically dependent")
     z = np.cross(x1, x2)
     z /= np.linalg.norm(z)
     lead = np.nonzero(np.abs(z) > 1e-12)[0][0]
     if z[lead] < 0.0:
         z = -z
-    lam0 = float(np.sqrt(overlap / (1.0 - overlap**2)))
+    lam0 = float(np.sqrt(overlap / (h * h / 2.0 * (1.0 + overlap))))
     u = None
     lam = 0.0
     for candidate in (lam0, -lam0):
@@ -464,6 +462,100 @@ def _disjoint_split_candidate(X: np.ndarray, G: np.ndarray, tol: float):
     if ((constants[0] > 0.0) & (constants[1] > 0.0)).any():
         return None
     return PiecewiseScaling(_leading_projection(Q, k), *constants)
+
+
+def _fista_momentum(steps: int) -> tuple[float, ...]:
+    # the extrapolation weights (t_k - 1) / t_(k+1) of Beck and Teboulle
+    weights, t = [], 1.0
+    for _ in range(steps):
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        weights.append((t - 1.0) / t_next)
+        t = t_next
+    return tuple(weights)
+
+
+# accelerated projected gradient steps behind each Farkas direction; the
+# bound holds for any weights, so more steps only buy more rejections
+_FARKAS_MOMENTUM = _fista_momentum(150)
+
+# steps after which the Farkas screen evaluates its bound: doubling, so a
+# family certified early leaves the batch after few steps, and the last
+# step, so a family that stays is judged where the fixed run judged it
+_FARKAS_CHECKPOINTS = frozenset([2**i for i in range(8)] + [len(_FARKAS_MOMENTUM)])
+
+# Gram cells (families times rows squared) per batch of the screen, whose
+# batches _rejected_draws accounts for; a side whose m^2 alone exceeds it
+# is not screened
+_FARKAS_CELLS = 2**20
+
+
+def _farkas_margin(units: np.ndarray, stop: float = np.inf) -> np.ndarray:
+    """Each family's largest _farkas_bound over the checkpoints of its FISTA run.
+
+    FISTA minimises ||sum_i w_i u_i u_i^T - I||_F^2 / 2 over w >= 0.
+    ``units`` has shape (C, m, d) with unit rows.  The gradient is H w - 1
+    with H_ij = (u_i^T u_j)^2, and the step is 1 / L with L the largest
+    row sum of H, which bounds its largest eigenvalue; a gradient step
+    y - (H y - 1) / L is then one batched product (I - H / L) y + 1 / L.
+    At each step of _FARKAS_CHECKPOINTS the bound is evaluated at the
+    residual I - sum_i w_i u_i u_i^T, a direction, not an optimum.  A
+    family whose bound exceeds ``stop`` leaves the stack; the others take
+    exactly the steps of a stack without exits, so a family's margin does
+    not depend on the families stacked with it.  A margin above ``stop``
+    may be lower than the fixed run of every step would give, but it is
+    still a bound above ``stop``.  A side with m^2 above _FARKAS_CELLS
+    gets margin 0.
+    """
+    C, m, d = units.shape
+    if m * m > _FARKAS_CELLS:
+        return np.zeros(C)
+    H = (units @ units.transpose(0, 2, 1)) ** 2
+    step = 1.0 / H.sum(axis=2).max(axis=1)[:, None, None]
+    descent = np.eye(m) - step * H
+    w = y = np.zeros((C, m, 1))
+    margin = np.full(C, -np.inf)
+    live = np.arange(C)
+    for count, beta in enumerate(_FARKAS_MOMENTUM, 1):
+        w_next = np.maximum(descent @ y + step, 0.0)
+        y = w_next + beta * (w_next - w)
+        w = w_next
+        if count not in _FARKAS_CHECKPOINTS:
+            continue
+        bound = _farkas_bound(units, np.eye(d) - units.transpose(0, 2, 1) @ (w * units))
+        margin[live] = np.maximum(margin[live], bound)
+        leave = bound > stop
+        if leave.all():
+            break
+        if leave.any():
+            stay = ~leave
+            live, units, descent, step, w, y = (a[stay] for a in (live, units, descent, step, w, y))
+    return margin
+
+
+def _side_margins(coords: np.ndarray, scales: np.ndarray, tol: float) -> np.ndarray:
+    """Screen margins of stacked side families, in coordinates (C, m, d) of their range.
+
+    ``scales`` are the norms of the m frame rows.  A family is judged
+    only when each of its rows has a part above _TRUSTED_SIDE of its
+    scale.  A two-dimensional side then gets its half-plane margin, a
+    side of dimension d >= 3 its _farkas_margin on its unit coordinates.
+    A margin above 10 tol proves that the family cannot scale.  A family
+    that is not judged, and a one-dimensional side, which always scales,
+    gets -inf.
+    """
+    margin = np.full(len(coords), -np.inf)
+    d = coords.shape[2]
+    if d < 2:
+        return margin
+    norms = np.sqrt((coords * coords).sum(axis=2))
+    trusted = np.flatnonzero((norms > _TRUSTED_SIDE * scales).all(axis=1))
+    if trusted.size == 0:
+        return margin
+    if d == 2:
+        margin[trusted] = _half_plane_margin(coords[trusted])
+    else:
+        margin[trusted] = _farkas_margin(coords[trusted] / norms[trusted, :, None], 10.0 * tol)
+    return margin
 
 
 def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
@@ -688,36 +780,19 @@ def search_piecewise(
     requested rank, each tried with a disjoint-support feasibility split.
     Candidate j of rank k is the orthogonal factor Q_j of the complete QR
     of block j of default_rng((seed, k)).standard_normal((budget, n, k)),
-    drawn in batches from one generator per rank; a block depends on
-    (seed, k, j) only, whatever the batching.  The candidate projects onto
-    the span of the first k columns of Q_j, so every block, a dependent
-    one too, gives a rank-k candidate, and its sides are the identity
-    problems in the coordinates X Q_j[:, :k] and X Q_j[:, k:].  A miss
-    is not a proof that no scaling exists.
+    and projects onto the span of Q_j[:, :k]; a block depends on
+    (seed, k, j) only, whatever the batching.  A miss is not a proof
+    that no scaling exists.
 
-    The standard step is solve_standard_scaling's decision on the unit
-    rows the search already holds, with every step it takes before NNLS.
-    Piecewise scaling is for frames that standard scaling cannot make
-    Parseval, so nearly every frame the search sees fails this step.  A
-    scaling found here is checked against the unit-norm constant bounds
-    before it is verified.
-
+    The standard step is solve_standard_scaling on the unit rows the
+    search already holds.  Piecewise scaling is for frames that standard
+    scaling cannot make Parseval, so nearly every frame fails this step.
     The orthogonal-split route solves for the split the paper's R^2 and
     R^3 constructions build, on the ranks closeness_obstruction does not
-    certify; _orthogonal_split_route is its account.  When it finds no
-    scaling, the sampled sweep below runs unchanged.
-
-    Candidates are first screened without any solve, in batches;
-    _rejected_draws holds the account of the screen, its factors and its
-    batches.  The stage's traffic is almost all full-budget misses at
-    certified ranks, where the route does not run, so one pass serves it
-    best and a hit pays for screening its whole batch.  Candidates with a
-    side part at rounding level are never skipped, nor is a side of
-    dimension d >= 3 on over 1,024 rows; survivors take the sequential
-    path in the complete QR of their block: the higher-rank side is
-    solved first (the range on a tie) and the other only when it scales,
-    so the result is the same as without the screen.  Two scaling sides
-    whose supports share an index make a miss, not a split.
+    certify (_orthogonal_split_route).  The sampled sweep screens its
+    candidates without a solve (_rejected_draws) and splits each
+    survivor (_disjoint_split_candidate); the screen drops only
+    candidates the split would miss.
 
     A positive factor on a vector does not change whether a scaling
     exists, so the search runs on the unit rows of _unit_rows, and the
@@ -746,10 +821,10 @@ def _search(fr: Frame, valid: list[int], budget: int, seed: int, tol: float) -> 
         return None
     n = fr.dim
     X = fr.vectors
-    verdict = _standard_verdict(X, None, tol, screen=True)
+    # the Frame passes its rows to solve_standard_scaling without a copy
+    verdict = solve_standard_scaling(fr, None, tol)
     if verdict.feasible:
         c = verdict.scaling.constants
-        _post_check_unit_norm_invariants(c, X, tol)
         ps = PiecewiseScaling(canonical_projection(range(valid[0]), n), c, c)
         if verify_piecewise(fr, ps, tol).passed:
             return ps

@@ -6,9 +6,7 @@ rank k this is the identity problem sum_i w_i c_i c_i^T = I_k in the
 coordinates c_i = B^T v_i of an orthonormal range basis B, since a
 unitary map changes neither the cone nor the Frobenius distance; the
 identity target is the case B = I.  solve_standard_scaling states once
-the order in which the steps below decide it.  The search's sampled
-stage screens stacked side families (_side_margins): the half-plane
-margin in two dimensions, the Farkas bound along FISTA steps above.
+the order in which the steps below decide it.
 """
 
 from __future__ import annotations
@@ -165,124 +163,9 @@ def _farkas_bound(units: np.ndarray, R: np.ndarray) -> np.ndarray:
     return (np.trace(R, axis1=1, axis2=2) - d * delta) / (1.0 + np.sqrt(d) * delta)
 
 
-# a row whose side part is at most this fraction of the row points in a
-# direction set by rounding, so the screen keeps its candidate
+# a row whose part in a range is at most this fraction of the row points
+# in a direction set by rounding, so no step judges the range by it
 _TRUSTED_SIDE = 1e-6
-
-
-def _fista_momentum(steps: int) -> tuple[float, ...]:
-    # the extrapolation weights (t_k - 1) / t_(k+1) of Beck and Teboulle
-    weights, t = [], 1.0
-    for _ in range(steps):
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        weights.append((t - 1.0) / t_next)
-        t = t_next
-    return tuple(weights)
-
-
-# accelerated projected gradient steps behind each Farkas direction; the
-# bound holds for any weights, so more steps only buy more rejections
-_FARKAS_MOMENTUM = _fista_momentum(150)
-
-# steps after which the Farkas screen evaluates its bound: doubling, so a
-# family certified early leaves the batch after few steps, and the last
-# step, so a family that stays is judged where the fixed run judged it
-_FARKAS_CHECKPOINTS = frozenset([2**i for i in range(8)] + [len(_FARKAS_MOMENTUM)])
-
-# Gram cells (families times rows squared) per batch of the screen; the
-# search draws its candidates in batches of this many cells, and as
-# m >= n it also caps a batch's blocks, QR factors and side coordinates.
-# A side whose m^2 alone exceeds it is not screened, and a family whose
-# m^2 does gets no least-squares weights (_gram_weights)
-_FARKAS_CELLS = 2**20
-
-
-def _farkas_margin(units: np.ndarray, stop: float = np.inf) -> np.ndarray:
-    """Each family's largest _farkas_bound over the checkpoints of its FISTA run.
-
-    FISTA minimises ||sum_i w_i u_i u_i^T - I||_F^2 / 2 over w >= 0.
-    ``units`` has shape (C, m, d) with unit rows.  The gradient is H w - 1
-    with H_ij = (u_i^T u_j)^2, and the step is 1 / L with L the largest
-    row sum of H, which bounds its largest eigenvalue; a gradient step
-    y - (H y - 1) / L is then one batched product (I - H / L) y + 1 / L.
-    At each step of _FARKAS_CHECKPOINTS the bound is evaluated at the
-    residual I - sum_i w_i u_i u_i^T, a direction, not an optimum.  A
-    family whose bound exceeds ``stop`` leaves the stack; the others take
-    exactly the steps of a stack without exits, so a family's margin does
-    not depend on the families stacked with it.  A margin above ``stop``
-    may be lower than the fixed run of every step would give, but it is
-    still a bound above ``stop``.  A side with m^2 above _FARKAS_CELLS
-    gets margin 0.
-    """
-    C, m, d = units.shape
-    if m * m > _FARKAS_CELLS:
-        return np.zeros(C)
-    H = (units @ units.transpose(0, 2, 1)) ** 2
-    step = 1.0 / H.sum(axis=2).max(axis=1)[:, None, None]
-    descent = np.eye(m) - step * H
-    w = y = np.zeros((C, m, 1))
-    margin = np.full(C, -np.inf)
-    live = np.arange(C)
-    for count, beta in enumerate(_FARKAS_MOMENTUM, 1):
-        w_next = np.maximum(descent @ y + step, 0.0)
-        y = w_next + beta * (w_next - w)
-        w = w_next
-        if count not in _FARKAS_CHECKPOINTS:
-            continue
-        bound = _farkas_bound(units, np.eye(d) - units.transpose(0, 2, 1) @ (w * units))
-        margin[live] = np.maximum(margin[live], bound)
-        leave = bound > stop
-        if leave.all():
-            break
-        if leave.any():
-            stay = ~leave
-            live, units, descent, step, w, y = (a[stay] for a in (live, units, descent, step, w, y))
-    return margin
-
-
-def _side_margins(coords: np.ndarray, scales: np.ndarray, tol: float) -> np.ndarray:
-    """Screen margins of stacked side families, in coordinates (C, m, d) of their range.
-
-    ``scales`` are the norms of the m frame rows.  A family is judged
-    only when each of its rows has a part above _TRUSTED_SIDE of its
-    scale.  A two-dimensional side then gets its half-plane margin, a
-    side of dimension d >= 3 its _farkas_margin on its unit coordinates.
-    A margin above 10 tol proves that the family cannot scale.  A family
-    that is not judged, and a one-dimensional side, which always scales,
-    gets -inf.
-    """
-    margin = np.full(len(coords), -np.inf)
-    d = coords.shape[2]
-    if d < 2:
-        return margin
-    norms = np.sqrt((coords * coords).sum(axis=2))
-    trusted = np.flatnonzero((norms > _TRUSTED_SIDE * scales).all(axis=1))
-    if trusted.size == 0:
-        return margin
-    if d == 2:
-        margin[trusted] = _half_plane_margin(coords[trusted])
-    else:
-        margin[trusted] = _farkas_margin(coords[trusted] / norms[trusted, :, None], 10.0 * tol)
-    return margin
-
-
-def _screen_bound(V: np.ndarray, C: np.ndarray, tol: float) -> float:
-    """A certified lower bound above 10 tol on the distance from I to the cone of the rows C in R^2, or 0.
-
-    C holds the two-dimensional range coordinates of the m rows V, and
-    the rows of V with norm zero are left out.  The range is judged by
-    its half-plane margin s (_side_margins), whose direction gives the
-    distance sqrt(2) s / sqrt(1 + s^2).  Where the margin proves
-    nothing, the result is 0.
-    """
-    scales = np.linalg.norm(V, axis=1)
-    rows = scales > 0.0
-    if not rows.any():
-        return 0.0
-    s = _side_margins(C[rows][None], scales[rows], tol)[0]
-    if not s > 10.0 * tol:
-        return 0.0
-    return float(np.sqrt(2.0) * s / np.sqrt(1.0 + s * s))
 
 
 # semismooth Newton steps of _interior_weights after its start; on the
@@ -396,6 +279,8 @@ def _interior_weights(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return w
 
 
+
+
 def solve_standard_scaling(
     vectors,
     target: OrthogonalProjection | None = None,
@@ -413,28 +298,30 @@ def solve_standard_scaling(
     range above ``tol`` times their norm are recorded in a warning, and
     the constants scale their projections.
 
-    The decision order.  Step 1 runs only when every nonzero row has a
-    range part above _TRUSTED_SIDE of its norm, step 2 only when every
-    row has such a part and m^2 is at most _FARKAS_CELLS for the m rows.
-    A step that decides returns a verdict with ``iterations`` 0 and
+    The decision order.  Steps 1 to 3 (_decided_before_nnls) leave zero
+    rows out and give them weight 0.  Steps 1 and 2 run only when every
+    other row has a range part above _TRUSTED_SIDE of its norm.  A step
+    that decides returns a verdict with ``iterations`` 0 and
     ``converged`` True, and no NNLS runs.
 
-    1. In a two-dimensional range, a half-plane margin above 10 ``tol``
-       (_screen_bound) decides infeasible.
-    2. In a range of dimension k >= 3 with m <= k^2, the least-squares
-       weights of H w = (||c_i||^2)_i, H = ((c_i^T c_j)^2), the normal
-       equations of the system (_gram_weights): the plain solve, then a
-       Tikhonov one (_psd_solves).  Each decides in turn: weights w >= 0
-       whose defect, computed directly, is at most ``tol`` decide
-       feasible, and a Farkas bound above 10 ``tol`` at its residual
-       decides infeasible.
+    1. In a two-dimensional range, a half-plane margin s above 10 ``tol``
+       decides infeasible: its direction bounds the distance below by
+       sqrt(2) s / sqrt(1 + s^2).
+    2. In a range of dimension k >= 3 with m <= k^2 for the m rows, the
+       least-squares weights of H w = (||c_i||^2)_i, H = ((c_i^T c_j)^2),
+       the normal equations of the system (_gram_weights): the plain
+       solve, then a Tikhonov one (_psd_solves).  Each decides in turn:
+       weights w >= 0 whose defect, computed directly, is at most ``tol``
+       decide feasible, and a Farkas bound above 10 ``tol`` at its
+       residual decides infeasible.
     3. In a range of dimension k >= 3 with m > k^2, the minimum-norm
        weights of at most _NEWTON_STEPS semismooth Newton steps
        (_interior_weights) decide feasible when their defect is at most
        ``tol``; they certify nothing when they miss.
     4. NNLS over the vectorized symmetric system, off-diagonal entries
        weighted by sqrt(2) so that its objective is the Frobenius defect,
-       capped at ``max_iter`` (default 50 m) iterations, decides the rest.
+       capped at ``max_iter`` (default 50 m) iterations, decides the rest
+       (_standard_verdict).
 
     An infeasible verdict from step 1 or 2 reports as ``residual`` its
     certified lower bound on the distance.  Its certificate, and that of
@@ -461,7 +348,8 @@ def solve_standard_scaling(
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     U, r, e = _unit_rows(as_vector_array(vectors))
-    verdict = _standard_verdict(U, target, tol, max_iter, screen=True)
+    C, warnings = _range_coordinates(U, target, tol)
+    verdict = _verdict(C, warnings, tol, max_iter, *_decided_before_nnls(U, C, tol))
     if verdict.feasible and target is None:
         _post_check_unit_norm_invariants(verdict.scaling.constants, U, tol)
     if not verdict.feasible or r is None:
@@ -470,76 +358,92 @@ def solve_standard_scaling(
     return replace(verdict, scaling=replace(verdict.scaling, constants=constants))
 
 
-def _standard_verdict(
-    V: np.ndarray, target: OrthogonalProjection | None, tol: float, max_iter: int | None = None, screen: bool = False
-) -> ScalabilityVerdict:
-    """solve_standard_scaling on the rows V as given, without normalising them.
-
-    Only ``screen`` runs the steps solve_standard_scaling takes before
-    NNLS.  The search's side coordinates are solved without them: their
-    rows keep the lengths of their parts, the sampled stage screened them
-    already, and the disjoint-support test needs NNLS's sparse basic
-    solutions.
-    """
+def _range_coordinates(V: np.ndarray, target: OrthogonalProjection | None, tol: float) -> tuple[np.ndarray, tuple]:
+    # the coordinates of the rows V in the range basis of a target of rank
+    # below n, else V, and the warning on rows that leave the range
     n = V.shape[1]
-    warnings: list[str] = []
     if target is not None and target.dim != n:
         raise ValueError(f"target acts on R^{target.dim} but vectors live in R^{n}")
     if target is None or target.rank == n:
-        # a full-rank target is the identity, whatever its range basis
-        C = V
-        rank = n
-    else:
-        C = V @ target.range_basis
-        rank = target.rank
-        leak = np.linalg.norm(V - V @ target.matrix, axis=1)
-        bad = np.count_nonzero(leak > tol)
-        if bad:
-            warnings.append(
-                f"{bad} vector(s) projected onto the target range "
-                f"(worst out-of-range norm {leak.max():.3e})"
-            )
-    # a family of m > rank^2 rows in a range of dimension 3 or more is
-    # tall: the m^2 cells of the least-squares step's H would exceed the
-    # system's m rank^2, and the minimum-norm weights of _interior_weights
-    # decide nearly every tall family that scales
-    m = C.shape[0]
-    tall = rank > 2 and m > rank * rank
-    result, bound = None, 0.0
-    if screen and rank == 2:
-        bound = _screen_bound(V, C, tol)
-    elif screen and rank > 2 and not tall and m * m <= _FARKAS_CELLS:
-        if (np.linalg.norm(C, axis=1) > _TRUSTED_SIDE * np.linalg.norm(V, axis=1)).all():
-            result, bound = _gram_weights(C, tol)
+        return V, ()
+    leak = np.linalg.norm(V - V @ target.matrix, axis=1)
+    bad = np.count_nonzero(leak > tol)
+    warning = f"{bad} vector(s) projected onto the target range (worst out-of-range norm {leak.max():.3e})"
+    return V @ target.range_basis, (warning,) if bad else ()
+
+
+def _decided_before_nnls(V: np.ndarray, C: np.ndarray, tol: float) -> tuple:
+    """Steps 1 to 3 of solve_standard_scaling on the rows V with range coordinates C.
+
+    Returns (weights whose defect is at most tol, 0.0, system), or (None,
+    a bound above 10 tol on the distance, system), or (None, 0.0, system)
+    when no step decides; system is step 3's vectorized (A, b), for NNLS
+    to reuse, or None.  Step 3 gives a zero row, a zero column of A,
+    weight 0; steps 1 and 2 leave zero rows out (C itself when none is).
+    """
+    m, k = C.shape
+    if k > 2 and m > k * k:
+        A, b = _gram_columns(C), _vech(np.eye(k))
+        w = _interior_weights(A, b)
+        if w is not None and (residual := float(np.linalg.norm(A @ w - b))) <= tol:
+            return NNLSResult(w, residual, True, 0), 0.0, (A, b)
+        return None, 0.0, (A, b)
+    if k < 2:
+        return None, 0.0, None
+    scales = np.linalg.norm(V, axis=1)
+    rows = scales > 0.0
+    whole = bool(rows.all())
+    if not whole:
+        C, scales = C[rows], scales[rows]
+    if not len(C) or not (np.linalg.norm(C, axis=1) > _TRUSTED_SIDE * scales).all():
+        return None, 0.0, None
+    if k == 2:
+        s = _half_plane_margin(C[None])[0]
+        return None, float(np.sqrt(2.0) * s / np.sqrt(1.0 + s * s)) if s > 10.0 * tol else 0.0, None
+    result, bound = _gram_weights(C, tol)
+    if result is not None and not whole:
+        x = np.zeros(m)
+        x[rows] = result.x
+        result = replace(result, x=x)
+    return result, bound, None
+
+
+def _standard_verdict(V: np.ndarray, target: OrthogonalProjection | None, tol: float, max_iter: int | None = None):
+    """Step 4 of solve_standard_scaling alone, NNLS and its certificates, on the rows V as given.
+
+    The search's side solves take it: their rows keep the lengths of
+    their parts, the sampled stage screened them already, and the
+    disjoint-support test needs NNLS's sparse basic solutions.
+    """
+    return _verdict(*_range_coordinates(V, target, tol), tol, max_iter)
+
+
+def _verdict(C, warnings, tol, max_iter, result=None, bound=0.0, system=None) -> ScalabilityVerdict:
+    # the verdict on the range coordinates C, by NNLS on the vectorized
+    # system unless what _decided_before_nnls returned decides it
+    rank = C.shape[1]
     if not bound:
         if result is None:
-            A = _gram_columns(C)
-            bvec = _vech(np.eye(rank))
-            w = _interior_weights(A, bvec) if screen and tall else None
-            if w is not None and (residual := float(np.linalg.norm(A @ w - bvec))) <= tol:
-                # the test NNLS's result must meet, met without NNLS
-                result = NNLSResult(w, residual, True, 0)
-            else:
-                result = nnls(A, bvec, max_iter=max_iter)
+            A, b = system or (_gram_columns(C), _vech(np.eye(rank)))
+            result = nnls(A, b, max_iter=max_iter)
         if result.residual <= tol:
             constants = np.sqrt(np.maximum(result.x, 0.0))
             scaling = StandardScaling(constants=constants, residual=result.residual, target_rank=rank)
             return ScalabilityVerdict(
-                True, scaling, None, result.residual, tuple(warnings), result.converged, result.iterations
+                True, scaling, None, result.residual, warnings, result.converged, result.iterations
             )
     nonzero = C[np.linalg.norm(C, axis=1) > 0.0]
     if rank == 2 and nonzero.shape[0] and open_quadrant_certificate(nonzero):
         certificate = "open-quadrant"
-    elif rank == 2 and nonzero.shape[0] and _half_plane_margin(nonzero[None])[0] > 0.0:
+    elif rank == 2 and nonzero.shape[0] and (bound or _half_plane_margin(nonzero[None])[0] > 0.0):
+        # step 1's bound comes from a positive half-plane margin
         certificate = "half-plane"
     elif bound:
         certificate = "residual-infeasible"
     else:
         units = nonzero / np.linalg.norm(nonzero, axis=1, keepdims=True)
-        R = _unvech(bvec - A @ result.x, rank)
+        R = _unvech(b - A @ result.x, rank)
         certificate = "residual-infeasible" if _farkas_bound(units[None], R[None])[0] > tol else "undecided"
     if bound:
-        return ScalabilityVerdict(False, None, certificate, bound, tuple(warnings), True, 0)
-    return ScalabilityVerdict(
-        False, None, certificate, result.residual, tuple(warnings), result.converged, result.iterations
-    )
+        return ScalabilityVerdict(False, None, certificate, bound, warnings, True, 0)
+    return ScalabilityVerdict(False, None, certificate, result.residual, warnings, result.converged, result.iterations)

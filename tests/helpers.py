@@ -316,7 +316,7 @@ def reference_farkas_margin(units: np.ndarray) -> np.ndarray:
     ``units`` has shape (C, m, d) with unit rows; families are batched in
     _FARKAS_CELLS Gram cells, and a side too large for one batch gets 0.
     """
-    from framescale.scaling import _FARKAS_CELLS, _farkas_bound, _fista_momentum
+    from framescale.piecewise import _FARKAS_CELLS, _farkas_bound, _fista_momentum
 
     C, m, d = units.shape
     batch = _FARKAS_CELLS // (m * m)

@@ -352,12 +352,12 @@ def test_search_random_route_finds_split_in_r4():
 
 
 def test_search_falls_through_when_the_r3_constructor_rejects(monkeypatch):
-    # a spanning triple whose first two vectors overlap above 1 - 1e-12:
-    # construct_r3 calls the pair numerically dependent; and a spanning
+    # a spanning triple whose first two vectors are 1e-8 apart: the third
+    # vector hides from both mixings of construct_r3; and a spanning
     # pair with no row outside tol of P = diag(1, 0): construct_r2 calls it
     # numerically degenerate.  The search must go on to a later route
     # instead of giving up
-    t = 1e-7
+    t = 1e-8
     triple = fs.Frame([[1.0, 0.0, 0.0], [np.cos(t), np.sin(t), 0.0], [0.0, 0.0, 1.0]])
     pair = fs.Frame([[1.0, 0.0], [1.0, 1e-9]])
     later = []
@@ -365,7 +365,7 @@ def test_search_falls_through_when_the_r3_constructor_rejects(monkeypatch):
         route = getattr(pw, name)
         monkeypatch.setattr(pw, name, lambda *args, name=name, route=route: later.append(name) or route(*args))
     for frame, construct, match in (
-        (triple, fs.construct_r3, "numerically dependent"),
+        (triple, fs.construct_r3, "numerically degenerate"),
         (pair, lambda f: fs.construct_r2(f, fs.canonical_projection([0], 2)), "numerically degenerate"),
     ):
         assert frame.is_frame()
@@ -391,6 +391,17 @@ def test_search_falls_through_when_the_r3_constructor_fails_verification(monkeyp
     found = fs.search_piecewise(frame, seed=0)
     assert later, "the search stopped at the failing constructor result"
     assert found is not None and fs.verify_piecewise(frame, found).passed
+
+
+def test_construct_r3_scales_every_clustered_frame_down_to_spread_1e_7():
+    # the paper scales every spanning frame in R^3; 1 - overlap taken from
+    # the pair's distance keeps the construction exact on close pairs
+    rng = np.random.default_rng(11)
+    for spread in np.logspace(-2, -7, 6):
+        for _ in range(40):
+            frame = clustered_unit_frame(rng, 3, int(rng.integers(4, 11)), spread)
+            assert fs.frame_bounds(frame).spanning
+            assert fs.verify_piecewise(frame, fs.construct_r3(frame)).passed
 
 
 def test_clustered_r3_frame_is_scaled_not_an_internal_error():

@@ -407,13 +407,12 @@ def test_tall_frame_goes_to_nnls_unscreened(monkeypatch):
     # NNLS decides
     rng = np.random.default_rng(33)
     nnls_calls = _counting(monkeypatch, "nnls")
-    margin_calls = _counting(monkeypatch, "_farkas_margin")
     verdict = fs.solve_standard_scaling(cone_rows(rng, 17, 4))
     assert not verdict.feasible and verdict.certificate == "residual-infeasible" and verdict.iterations >= 1
-    assert len(nnls_calls) == 1 and margin_calls == []
+    assert len(nnls_calls) == 1
     # at d^2 rows the least-squares step runs and certifies, with no FISTA screen
     verdict = fs.solve_standard_scaling(cone_rows(rng, 16, 4))
-    assert verdict.iterations == 0 and len(nnls_calls) == 1 and margin_calls == []
+    assert verdict.iterations == 0 and len(nnls_calls) == 1
 
 
 def test_wide_frames_are_certified_by_each_least_squares_solve(monkeypatch):
@@ -423,7 +422,6 @@ def test_wide_frames_are_certified_by_each_least_squares_solve(monkeypatch):
     # the plain one leaves, and every bound is one NNLS's distance obeys
     rng = np.random.default_rng(41)
     nnls_calls = _counting(monkeypatch, "nnls")
-    margin_calls = _counting(monkeypatch, "_farkas_margin")
     yielded: list[int] = []
     psd_solves = sc._psd_solves
 
@@ -449,7 +447,24 @@ def test_wide_frames_are_certified_by_each_least_squares_solve(monkeypatch):
                 reference = _standard_verdict(_unit_rows(X)[0], None, fs.DEFAULT_TOL)
                 assert not reference.feasible
                 assert 10.0 * fs.DEFAULT_TOL < verdict.residual <= reference.residual + 1e-12
-    assert margin_calls == [] and tikhonov >= 1
+    assert tikhonov >= 1
+
+
+def test_zero_rows_leave_the_steps_before_nnls(monkeypatch):
+    # a zero row takes no part in the steps before NNLS and gets weight 0,
+    # so a wide cone is still certified, and a union of bases still
+    # scaled, by the least-squares step alone
+    nnls_calls = _counting(monkeypatch, "nnls")
+    cone = np.insert(cone_rows(np.random.default_rng(5), 10, 4), 3, 0.0, axis=0)
+    verdict = fs.solve_standard_scaling(cone)
+    assert not verdict.feasible and verdict.certificate == "residual-infeasible"
+    assert verdict.iterations == 0 and verdict.residual > 10.0 * fs.DEFAULT_TOL
+    rng = np.random.default_rng(6)
+    bases = np.vstack([random_onb_rows(rng, 4), random_onb_rows(rng, 4), np.zeros((1, 4))])
+    verdict = fs.solve_standard_scaling(bases)
+    assert verdict.feasible and verdict.iterations == 0 and verdict.scaling.constants[-1] == 0.0
+    assert fs.verify_parseval(verdict.scaling.constants[:, None] * bases).passed
+    assert nnls_calls == []
 
 
 def test_screened_projection_target_keeps_its_warning(monkeypatch):

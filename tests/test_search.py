@@ -1,5 +1,6 @@
 """The batched screen of search_piecewise against the sequential search."""
 
+import inspect
 import itertools
 import re
 import tracemalloc
@@ -180,7 +181,7 @@ def _reference_rejections(X: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.
     rejected, near = [], []
     for g in G:
         W = X @ np.linalg.qr(g, mode="complete")[0]
-        margins = np.array([sc._side_margins(W[:, cols][None], scales, TOL)[0] for cols in sides])
+        margins = np.array([pw._side_margins(W[:, cols][None], scales, TOL)[0] for cols in sides])
         rejected.append(bool((margins > 10.0 * TOL).any()))
         near.append(bool((np.abs(margins - 10.0 * TOL) <= 1e-12 * 10.0 * TOL).any()))
     return np.array(rejected, dtype=bool), np.array(near, dtype=bool)
@@ -329,7 +330,7 @@ def test_farkas_rejection_is_sound():
     rng = np.random.default_rng(12)
     rejected = kept = 0
     for stack in _threshold_stacks():
-        for V, bound in zip(stack, sc._farkas_margin(_units(stack))):
+        for V, bound in zip(stack, pw._farkas_margin(_units(stack))):
             X = _side_fixture(1, V.shape[1] + 1, rng.uniform(0.5, 2.0, (V.shape[0], 1)), V)[0]
             if not _first_rejected(X, 1):
                 kept += 1
@@ -364,7 +365,7 @@ def test_farkas_bound_values():
     # the FISTA direction nearly attains that distance for the cluster,
     # proves nothing for a basis plus one row, and stacked families keep
     # their own margins
-    margins = sc._farkas_margin(np.stack([units, np.vstack([e, units[:1]])]))
+    margins = pw._farkas_margin(np.stack([units, np.vstack([e, units[:1]])]))
     assert 0.99 / np.sqrt(3.0) <= margins[0] <= 1.0 / np.sqrt(3.0) + 1e-12
     assert margins[1] <= 0.0
 
@@ -385,7 +386,7 @@ def test_farkas_screen_rejects_whatever_the_subspace_margin_rejected():
     farkas_only = 0
     for units in stacks:
         reference = reference_subspace_margin(units) > 10.0 * TOL
-        farkas = sc._farkas_margin(units) > 10.0 * TOL
+        farkas = pw._farkas_margin(units) > 10.0 * TOL
         assert not (reference & ~farkas).any()
         farkas_only += int((farkas & ~reference).sum())
     assert farkas_only > 100
@@ -400,20 +401,20 @@ def test_farkas_bound_stays_nonpositive_on_scalable_families():
             B = random_onb_rows(rng, d)
             families.append(np.vstack([B, B + eps * rng.standard_normal(B.shape)]))
     for V in families:
-        assert sc._farkas_margin(_units(V)[None])[0] <= 0.0
+        assert pw._farkas_margin(_units(V)[None])[0] <= 0.0
 
 
 def test_farkas_margin_leaves_sides_with_too_many_rows(monkeypatch):
     rng = np.random.default_rng(15)
     units = _units(rng.standard_normal((3, 8, 3)) * [1.0, 0.1, 0.1])
-    whole = sc._farkas_margin(units)
+    whole = pw._farkas_margin(units)
     assert (whole > 10.0 * TOL).all()
     # a family whose 8 x 8 Gram matrix just fits is judged as before
-    monkeypatch.setattr(sc, "_FARKAS_CELLS", 64)
-    assert np.array_equal(sc._farkas_margin(units), whole)
+    monkeypatch.setattr(pw, "_FARKAS_CELLS", 64)
+    assert np.array_equal(pw._farkas_margin(units), whole)
     # a family whose Gram matrix exceeds a batch is not judged
-    monkeypatch.setattr(sc, "_FARKAS_CELLS", 63)
-    assert not sc._farkas_margin(units).any()
+    monkeypatch.setattr(pw, "_FARKAS_CELLS", 63)
+    assert not pw._farkas_margin(units).any()
 
 
 def test_early_exit_rejects_a_superset_of_the_fixed_run_soundly():
@@ -421,7 +422,7 @@ def test_early_exit_rejects_a_superset_of_the_fixed_run_soundly():
     stacks = [_units(stack) for stack in _threshold_stacks()] + list(_random_and_clustered_families(rng))
     judged = 0
     for units in stacks:
-        margin = sc._farkas_margin(units, 10.0 * TOL)
+        margin = pw._farkas_margin(units, 10.0 * TOL)
         rejected = margin > 10.0 * TOL
         assert not ((reference_farkas_margin(units) > 10.0 * TOL) & ~rejected).any()
         for V, bound in zip(units[rejected], margin[rejected]):
@@ -433,8 +434,8 @@ def test_early_exit_rejects_a_superset_of_the_fixed_run_soundly():
 def _recording_bounds(monkeypatch) -> list[int]:
     """Patch the Farkas screen to record how many families each bound evaluation judges."""
     sizes: list[int] = []
-    bound = sc._farkas_bound
-    monkeypatch.setattr(sc, "_farkas_bound", lambda units, R: sizes.append(len(units)) or bound(units, R))
+    bound = pw._farkas_bound
+    monkeypatch.setattr(pw, "_farkas_bound", lambda units, R: sizes.append(len(units)) or bound(units, R))
     return sizes
 
 
@@ -442,7 +443,7 @@ def test_farkas_batch_ends_when_its_families_have_left(monkeypatch):
     rng = np.random.default_rng(25)
     clustered = _units(rng.standard_normal((50, 1, 3)) + 0.3 * rng.standard_normal((50, 6, 3)))
     sizes = _recording_bounds(monkeypatch)
-    assert (sc._farkas_margin(clustered, 10.0 * TOL) > 10.0 * TOL).all()
+    assert (pw._farkas_margin(clustered, 10.0 * TOL) > 10.0 * TOL).all()
     # most families certify at step 1 and leave; every one has left by
     # the fifth checkpoint, step 16
     assert sizes[0] == 50 and sizes[1] < 10 and len(sizes) <= 5
@@ -450,14 +451,28 @@ def test_farkas_batch_ends_when_its_families_have_left(monkeypatch):
     # last step, alone once the clustered families have left
     sizes.clear()
     mixed = np.concatenate([clustered, np.vstack([np.eye(3), clustered[0, :3]])[None]])
-    margin = sc._farkas_margin(mixed, 10.0 * TOL)
+    margin = pw._farkas_margin(mixed, 10.0 * TOL)
     assert (margin[:-1] > 10.0 * TOL).all() and margin[-1] <= 0.0
-    assert len(sizes) == len(sc._FARKAS_CHECKPOINTS) and sizes[0] == 51 and sizes[-1] == 1
+    assert len(sizes) == len(pw._FARKAS_CHECKPOINTS) and sizes[0] == 51 and sizes[-1] == 1
+
+
+def test_search_takes_its_standard_step_from_solve_standard_scaling(monkeypatch):
+    # the whole frame's standard step is one solve_standard_scaling call
+    # on the search's own Frame; _standard_verdict is NNLS alone, for the
+    # side solves, and has no switch for the steps before it
+    assert "screen" not in inspect.signature(sc._standard_verdict).parameters
+    calls = []
+    solve = pw.solve_standard_scaling
+    monkeypatch.setattr(pw, "solve_standard_scaling", lambda *args: calls.append(args[0]) or solve(*args))
+    for index, (frame, _) in enumerate(CASES[::5]):
+        calls.clear()
+        fs.search_piecewise(frame, budget=20, seed=index)
+        assert len(calls) == 1 and isinstance(calls[0], fs.Frame)
 
 
 def _counting_solver(monkeypatch) -> list[int]:
-    # the search solves the whole frame's unit rows and the side
-    # coordinates with solve_standard_scaling's unnormalised core
+    # the search solves the side coordinates with solve_standard_scaling's
+    # unnormalised core
     calls: list[int] = []
     solve = pw._standard_verdict
     monkeypatch.setattr(pw, "_standard_verdict", lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
@@ -480,14 +495,14 @@ def test_prescreen_rejects_only_frames_the_solver_cannot_scale(monkeypatch):
     # NNLS; a verdict of no NNLS iterations was decided or rejected, and the
     # skipped solve must have reached the same feasibility
     frames = list(_prescreen_frames(np.random.default_rng(41)))
-    solve = pw._standard_verdict
+    solve = pw.solve_standard_scaling
     verdicts: list = []
 
     def record(V, *args, **kwargs):
-        verdicts.append((V, solve(V, *args, **kwargs)))
+        verdicts.append((V.vectors, solve(V, *args, **kwargs)))
         return verdicts[-1][1]
 
-    monkeypatch.setattr(pw, "_standard_verdict", record)
+    monkeypatch.setattr(pw, "solve_standard_scaling", record)
     rejected = {False: 0, True: 0}
     for frame, scalable in frames:
         assert frame.is_frame()
