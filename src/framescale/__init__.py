@@ -82,54 +82,4 @@ def __dir__():
     return sorted(set(globals()) | set(__all__))
 
 
-__all__ = [
-    "DEFAULT_TOL",
-    "Frame",
-    "FrameBounds",
-    "FrameFormatError",
-    "InternalInconsistencyError",
-    "NNLSResult",
-    "ObstructionReport",
-    "OrthogonalProjection",
-    "PiecewiseReport",
-    "PiecewiseScaling",
-    "R3Construction",
-    "ScalabilityVerdict",
-    "StandardScaling",
-    "VerificationReport",
-    "apply_unitary",
-    "canonical_parseval",
-    "canonical_projection",
-    "check_constant_bounds",
-    "closeness_obstruction",
-    "complement",
-    "construct_from_orthogonal_split",
-    "construct_r2",
-    "construct_r3",
-    "construct_r3_detailed",
-    "construct_r4_special",
-    "cross_operator",
-    "dichotomy_check",
-    "frame_bounds",
-    "frame_operator",
-    "intertwiner",
-    "load_frame",
-    "load_matrix",
-    "nnls",
-    "normalization_gap_bound",
-    "normalize_columns",
-    "open_quadrant_certificate",
-    "pairwise_closeness",
-    "projection_from_basis",
-    "projection_from_matrix",
-    "random_projection",
-    "save_frame",
-    "scaled_family",
-    "search_piecewise",
-    "solve_standard_scaling",
-    "to_canonical",
-    "transport_scaling",
-    "validate_projection",
-    "verify_parseval",
-    "verify_piecewise",
-]
+__all__ = sorted([*_EXPORTS, "NNLSResult", "nnls"])

@@ -162,6 +162,11 @@ def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray
     e_i = 0, so unit inputs keep their bytes and U is its own result.
     When every row comes back as it is, U is X and r and e are None.
     """
+    # a computed squared norm within _UNIT_NORM_TOL of 1 puts the norm
+    # within about _UNIT_NORM_TOL / 2 of it, so such rows come back as they
+    # are under the rule below too, without its scaling
+    if (np.abs(np.einsum("ij,ij->i", X, X) - 1.0) <= _UNIT_NORM_TOL).all():
+        return X, None, None
     e = np.frexp(np.abs(X).max(axis=1))[1]
     Y = np.ldexp(X, -e[:, None])
     r = np.linalg.norm(Y, axis=1)

@@ -43,7 +43,14 @@ from .projections import (
     complement,
     projection_from_basis,
 )
-from .scaling import _TRUSTED_SIDE, _farkas_bound, _half_plane_margin, _standard_verdict, solve_standard_scaling
+from .scaling import (
+    _TRUSTED_SIDE,
+    _farkas_bound,
+    _gram_columns,
+    _half_plane_margin,
+    _standard_verdict,
+    solve_standard_scaling,
+)
 
 
 @dataclass(frozen=True)
@@ -483,40 +490,37 @@ _FARKAS_MOMENTUM = _fista_momentum(150)
 # step, so a family that stays is judged where the fixed run judged it
 _FARKAS_CHECKPOINTS = frozenset([2**i for i in range(8)] + [len(_FARKAS_MOMENTUM)])
 
-# Gram cells (families times rows squared) per batch of the screen, whose
-# batches _rejected_draws accounts for; a side whose m^2 alone exceeds it
-# is not screened
+# cells per batch of the sampled stage's screen, whose batches
+# _rejected_draws accounts for
 _FARKAS_CELLS = 2**20
 
 
 def _farkas_margin(units: np.ndarray, stop: float = np.inf) -> np.ndarray:
     """Each family's largest _farkas_bound over the checkpoints of its FISTA run.
 
-    FISTA minimises ||sum_i w_i u_i u_i^T - I||_F^2 / 2 over w >= 0.
-    ``units`` has shape (C, m, d) with unit rows.  The gradient is H w - 1
-    with H_ij = (u_i^T u_j)^2, and the step is 1 / L with L the largest
-    row sum of H, which bounds its largest eigenvalue; a gradient step
-    y - (H y - 1) / L is then one batched product (I - H / L) y + 1 / L.
+    ``units`` has shape (C, m, d) with unit rows.  FISTA minimises the
+    solver's own objective ||A w - b||^2 / 2 over w >= 0, with A the
+    vectorized system of _gram_columns and b the weighted upper triangle
+    of I.  For unit rows A^T b = 1, so the gradient is A^T (A y) - 1; the
+    step is 1 / L with L the largest entry of A^T (A 1), the largest row
+    sum of the nonnegative A^T A, which bounds its largest eigenvalue.
     At each step of _FARKAS_CHECKPOINTS the bound is evaluated at the
     residual I - sum_i w_i u_i u_i^T, a direction, not an optimum.  A
     family whose bound exceeds ``stop`` leaves the stack; the others take
     exactly the steps of a stack without exits, so a family's margin does
     not depend on the families stacked with it.  A margin above ``stop``
     may be lower than the fixed run of every step would give, but it is
-    still a bound above ``stop``.  A side with m^2 above _FARKAS_CELLS
-    gets margin 0.
+    still a bound above ``stop``.
     """
-    C, m, d = units.shape
-    if m * m > _FARKAS_CELLS:
-        return np.zeros(C)
-    H = (units @ units.transpose(0, 2, 1)) ** 2
-    step = 1.0 / H.sum(axis=2).max(axis=1)[:, None, None]
-    descent = np.eye(m) - step * H
-    w = y = np.zeros((C, m, 1))
-    margin = np.full(C, -np.inf)
-    live = np.arange(C)
+    d = units.shape[2]
+    A = _gram_columns(units)
+    AT = A.transpose(0, 2, 1)
+    step = 1.0 / (AT @ A.sum(axis=2, keepdims=True)).max(axis=1, keepdims=True)
+    w = y = np.zeros((*units.shape[:2], 1))
+    margin = np.full(len(units), -np.inf)
+    live = np.arange(len(units))
     for count, beta in enumerate(_FARKAS_MOMENTUM, 1):
-        w_next = np.maximum(descent @ y + step, 0.0)
+        w_next = np.maximum(y + step * (1.0 - AT @ (A @ y)), 0.0)
         y = w_next + beta * (w_next - w)
         w = w_next
         if count not in _FARKAS_CHECKPOINTS:
@@ -528,30 +532,26 @@ def _farkas_margin(units: np.ndarray, stop: float = np.inf) -> np.ndarray:
             break
         if leave.any():
             stay = ~leave
-            live, units, descent, step, w, y = (a[stay] for a in (live, units, descent, step, w, y))
+            live, units, A, AT, step, w, y = (a[stay] for a in (live, units, A, AT, step, w, y))
     return margin
 
 
 def _side_margins(coords: np.ndarray, scales: np.ndarray, tol: float) -> np.ndarray:
-    """Screen margins of stacked side families, in coordinates (C, m, d) of their range.
+    """Screen margins of stacked side families, in coordinates (C, m, d) of their range, d >= 2.
 
     ``scales`` are the norms of the m frame rows.  A family is judged
     only when each of its rows has a part above _TRUSTED_SIDE of its
     scale.  A two-dimensional side then gets its half-plane margin, a
     side of dimension d >= 3 its _farkas_margin on its unit coordinates.
     A margin above 10 tol proves that the family cannot scale.  A family
-    that is not judged, and a one-dimensional side, which always scales,
-    gets -inf.
+    that is not judged gets -inf.
     """
     margin = np.full(len(coords), -np.inf)
-    d = coords.shape[2]
-    if d < 2:
-        return margin
     norms = np.sqrt((coords * coords).sum(axis=2))
     trusted = np.flatnonzero((norms > _TRUSTED_SIDE * scales).all(axis=1))
     if trusted.size == 0:
         return margin
-    if d == 2:
+    if coords.shape[2] == 2:
         margin[trusted] = _half_plane_margin(coords[trusted])
     else:
         margin[trusted] = _farkas_margin(coords[trusted] / norms[trusted, :, None], 10.0 * tol)
@@ -564,14 +564,15 @@ def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     This is the one account of the sampled stage's screen.  A candidate
     is rejected when one of its sides has a _side_margins margin above
     10 tol on the rows of nonzero norm: the exact half-plane margin on a
-    two-dimensional side, the Farkas bound along FISTA steps on a side
-    of dimension d >= 3 (_farkas_margin).  The bound holds for any
-    weights, so a rejected candidate's distance exceeds tol and the
-    feasibility solve could only reject it.  A one-dimensional side
-    always scales, so it is neither judged nor factored.  The smaller of
-    the sides of dimension 2 or more goes first, the range on a tie, and
-    the other is judged only for the candidates the first kept; once
-    none is left the screen returns.
+    two-dimensional side, and on a side of dimension d >= 3 the Farkas
+    bound along FISTA steps on the side's own vectorized system, the
+    one _gram_columns builds for the solver (_farkas_margin).  The bound
+    holds for any weights, so a rejected candidate's distance exceeds tol
+    and the feasibility solve could only reject it.  A one-dimensional
+    side always scales, so it is neither judged nor factored.  The
+    smaller of the sides of dimension 2 or more goes first, the range on
+    a tie, and the other is judged only for the candidates the first
+    kept; once none is left the screen returns.
 
     Factors.  Each side's coordinates come from one batched product X Q.
     When the range goes first, Q is the stacked thin QR factor of the
@@ -585,11 +586,13 @@ def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     that the solver misses.
 
     Batches.  _surviving_candidates draws and screens the candidates in
-    batches of max(1, _FARKAS_CELLS // m^2) blocks for the m rows of X.
-    As m >= n, that one bound caps every array a batch builds (the
-    blocks, their QR factors, the side coordinates and the FISTA Gram
-    matrices), so memory does not grow with the budget, and at budget
-    200 a rank is one batch up to m = 72.
+    batches of max(1, _FARKAS_CELLS // (m n (n + 1) / 2)) blocks for the m
+    rows of X in R^n.  The largest array per candidate is the system
+    _gram_columns stacks for _farkas_margin, m d (d + 1) / 2 cells on a
+    side of dimension d < n, and as m >= n the cap m n (n + 1) / 2 also
+    bounds the blocks, their QR factors and the side coordinates, so
+    memory does not grow with the budget.  At budget 200 a rank is one
+    batch up to m = 524 in R^4 and m = 349 in R^5.
     """
     n, k = G.shape[1:]
     scales = np.sqrt((X * X).sum(axis=1))
@@ -627,7 +630,7 @@ def _surviving_candidates(X: np.ndarray, k: int, budget: int, seed: int, tol: fl
     """
     n = X.shape[1]
     rng = np.random.default_rng((seed, k))
-    batch = max(1, _FARKAS_CELLS // len(X) ** 2)
+    batch = max(1, _FARKAS_CELLS // (len(X) * n * (n + 1) // 2))
     for start in range(0, budget, batch):
         G = rng.standard_normal((min(batch, budget - start), n, k))
         for c in np.flatnonzero(~_rejected_draws(X, G, tol)):

@@ -69,14 +69,15 @@ def _gram_columns(V: np.ndarray) -> np.ndarray:
     # column i is the weighted upper triangle of v_i v_i^T, so that the
     # euclidean norm of the stacked system equals the Frobenius norm; the
     # rows of the pairs (p, q >= p) are consecutive in triu order, so one
-    # product per p fills the C-ordered (n (n + 1) / 2, m) array
-    m, n = V.shape
+    # product per p fills the C-ordered (n (n + 1) / 2, m) array, and one
+    # (C, n (n + 1) / 2, m) array for a stack V of shape (C, m, n)
+    *stack, m, n = V.shape
     _, weights = _sym_embedding(n)
-    VT = np.ascontiguousarray(V.T)
-    A = np.empty((weights.size, m))
+    VT = np.ascontiguousarray(np.swapaxes(V, -1, -2))
+    A = np.empty((*stack, weights.size, m))
     start = 0
     for p in range(n):
-        np.multiply(VT[p], VT[p:], out=A[start : start + n - p])
+        np.multiply(VT[..., p : p + 1, :], VT[..., p:, :], out=A[..., start : start + n - p, :])
         start += n - p
     A *= weights[:, None]
     return A

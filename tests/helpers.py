@@ -312,28 +312,22 @@ def reference_farkas_margin(units: np.ndarray) -> np.ndarray:
     """_farkas_bound of stacked unit families after a fixed 150 FISTA steps each.
 
     The search screen's Farkas margin before a family could leave its
-    batch at a checkpoint; the early-exit test compares against it.
-    ``units`` has shape (C, m, d) with unit rows; families are batched in
-    _FARKAS_CELLS Gram cells, and a side too large for one batch gets 0.
+    batch at a checkpoint, on the Gram matrix H_ij = (u_i^T u_j)^2 in
+    place of the screen's vectorized system; the early-exit test
+    compares against it.  ``units`` has shape (C, m, d) with unit rows.
     """
-    from framescale.piecewise import _FARKAS_CELLS, _farkas_bound, _fista_momentum
+    from framescale.piecewise import _farkas_bound, _fista_momentum
 
-    C, m, d = units.shape
-    batch = _FARKAS_CELLS // (m * m)
-    if batch == 0:
-        return np.zeros(C)
-    margins = []
-    for u in np.split(units, range(batch, C, batch)):
-        H = (u @ u.transpose(0, 2, 1)) ** 2
-        step = 1.0 / H.sum(axis=2).max(axis=1)[:, None, None]
-        descent = np.eye(m) - step * H
-        w = y = np.zeros((*u.shape[:2], 1))
-        for beta in _fista_momentum(150):
-            w_next = np.maximum(descent @ y + step, 0.0)
-            y = w_next + beta * (w_next - w)
-            w = w_next
-        margins.append(_farkas_bound(u, np.eye(d) - u.transpose(0, 2, 1) @ (w * u)))
-    return np.concatenate(margins)
+    d = units.shape[2]
+    H = (units @ units.transpose(0, 2, 1)) ** 2
+    step = 1.0 / H.sum(axis=2).max(axis=1)[:, None, None]
+    descent = np.eye(units.shape[1]) - step * H
+    w = y = np.zeros((*units.shape[:2], 1))
+    for beta in _fista_momentum(150):
+        w_next = np.maximum(descent @ y + step, 0.0)
+        y = w_next + beta * (w_next - w)
+        w = w_next
+    return _farkas_bound(units, np.eye(d) - units.transpose(0, 2, 1) @ (w * units))
 
 
 def reference_max_pair_distance(X: np.ndarray) -> tuple[float, tuple[int, int]]:

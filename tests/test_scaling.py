@@ -348,6 +348,30 @@ def test_rows_of_mixed_extreme_magnitudes_scale():
         fs.solve_standard_scaling(np.eye(2) * 1e-310)
 
 
+def test_unit_rows_come_back_as_they_are_exactly_within_the_unit_norm_tolerance():
+    # rows at 1 +- 4e-9 pass the squared-norm check, rows at 1 +- 9.9e-9
+    # reach the full rule, which keeps them too, and rows at 1 +- 1.1e-8
+    # are normalised
+    B = random_onb_rows(np.random.default_rng(33), 4)
+    for deviation, kept in ((4e-9, True), (9.9e-9, True), (1.1e-8, False)):
+        for sign in (-1.0, 1.0):
+            X = B * (1.0 + sign * deviation)
+            U, r, e = _unit_rows(X)
+            assert (U is X and r is None and e is None) == kept
+            if not kept:
+                assert np.allclose(np.linalg.norm(U, axis=1), 1.0, rtol=0.0, atol=1e-15)
+                assert np.allclose(np.ldexp(r, e), 1.0 + sign * deviation, rtol=1e-15, atol=0.0)
+    # a zero row comes back as it is; rows of norm 2^-300 and 2^300 are
+    # normalised beside unit rows that keep their bytes
+    X = np.vstack([B, np.zeros(4)])
+    assert _unit_rows(X)[0] is X
+    for k in (-300, 300):
+        U, r, e = _unit_rows(np.vstack([B, np.ldexp(B[:1], k)]))
+        assert np.array_equal(U[:4], B) and np.allclose(U[4], B[0], rtol=0.0, atol=1e-15)
+        assert np.array_equal(r[:4], np.ones(4)) and not e[:4].any()
+        assert np.ldexp(r[4], e[4]) == pytest.approx(2.0**k, rel=1e-15)
+
+
 def test_nan_tol_raises():
     nan = float("nan")
     with pytest.raises(ValueError, match="tol must be positive"):
@@ -651,6 +675,9 @@ def test_gram_columns_match_the_gather_formula():
             assert A.flags.c_contiguous and A.shape == (n * (n + 1) // 2, m)
             # the same products in the same order, so the same bytes
             assert A.tobytes() == np.ascontiguousarray((V[:, iu[0]] * V[:, iu[1]] * weights).T).tobytes()
+        # a stack of families gets each family's bytes
+        stack = rng.standard_normal((3, n + 2, n))
+        assert _gram_columns(stack).tobytes() == np.stack([_gram_columns(V) for V in stack]).tobytes()
     # the route's cached tables are shared by every caller, so read-only
     for table in pw._split_tables(5, 2):
         assert not table.flags.writeable

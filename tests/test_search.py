@@ -215,7 +215,7 @@ def test_screen_matches_the_per_block_reference(monkeypatch):
             counts += np.bincount(want.astype(int), minlength=2)
             # batches of 5 candidates: 2 full ones and a last one of 3
             with monkeypatch.context() as patch:
-                patch.setattr(pw, "_FARKAS_CELLS", 5 * len(X) ** 2)
+                patch.setattr(pw, "_FARKAS_CELLS", 5 * len(X) * n * (n + 1) // 2)
                 survivors = list(pw._surviving_candidates(X, k, 13, index, TOL))
             want, near = _reference_rejections(X, _blocks(index, k, n, 13))
             kept = [c for c, _ in survivors]
@@ -404,17 +404,12 @@ def test_farkas_bound_stays_nonpositive_on_scalable_families():
         assert pw._farkas_margin(_units(V)[None])[0] <= 0.0
 
 
-def test_farkas_margin_leaves_sides_with_too_many_rows(monkeypatch):
-    rng = np.random.default_rng(15)
-    units = _units(rng.standard_normal((3, 8, 3)) * [1.0, 0.1, 0.1])
-    whole = pw._farkas_margin(units)
-    assert (whole > 10.0 * TOL).all()
-    # a family whose 8 x 8 Gram matrix just fits is judged as before
-    monkeypatch.setattr(pw, "_FARKAS_CELLS", 64)
-    assert np.array_equal(pw._farkas_margin(units), whole)
-    # a family whose Gram matrix exceeds a batch is not judged
-    monkeypatch.setattr(pw, "_FARKAS_CELLS", 63)
-    assert not pw._farkas_margin(units).any()
+def test_a_clustered_side_of_1100_rows_is_screened():
+    # rank 1 in R^5 leaves a four-dimensional complement side, which a
+    # cluster of 1,100 rows makes infeasible for every candidate; the
+    # screen judges a side whatever its row count
+    X = clustered_unit_frame(np.random.default_rng(19), 5, 1100, 0.02).vectors
+    assert pw._rejected_draws(X, _blocks(0, 1, 5, 20), TOL).all()
 
 
 def test_early_exit_rejects_a_superset_of_the_fixed_run_soundly():
@@ -624,9 +619,9 @@ def test_screen_keeps_degenerate_and_rounding_level_sides():
 
 def test_chunked_screen_keeps_exactly_the_unrejected_candidates(monkeypatch):
     frame, _ = CASES[-1]
-    X = frame.vectors
+    X, n = frame.vectors, frame.dim
     # batches of 7 candidates: 14 full batches and a last one of 2
-    monkeypatch.setattr(pw, "_FARKAS_CELLS", 7 * len(X) ** 2)
+    monkeypatch.setattr(pw, "_FARKAS_CELLS", 7 * len(X) * n * (n + 1) // 2)
     for k in range(1, frame.dim):
         survivors = list(pw._surviving_candidates(X, k, 100, 9, TOL))
         G = _blocks(9, k, frame.dim, 100)
@@ -638,7 +633,7 @@ def test_chunked_screen_keeps_exactly_the_unrejected_candidates(monkeypatch):
 
 def test_screen_memory_does_not_grow_with_the_budget():
     # a certified rank-2 miss in R^4 screens all 200,000 candidates in
-    # batches of 2^20 // 36 blocks, so the peak is that of one batch;
+    # batches of 2^20 // 60 blocks, so the peak is that of one batch;
     # chunks that grow with the budget peak above 45 MB here
     frame = clustered_unit_frame(np.random.default_rng(3), 4, 6, 0.02)
     tracemalloc.start()
@@ -673,7 +668,7 @@ def test_batched_draws_keep_the_seeding_contract(seed, monkeypatch):
     # 88 batches of 7 and a last batch of 4
     monkeypatch.setattr(pw, "_rejected_draws", lambda X, G, tol: np.zeros(len(G), dtype=bool))
     n, budget = 6, 620
-    monkeypatch.setattr(pw, "_FARKAS_CELLS", 7 * n * n)
+    monkeypatch.setattr(pw, "_FARKAS_CELLS", 7 * n * n * (n + 1) // 2)
     for k in range(1, n):
         drawn = list(pw._surviving_candidates(np.eye(n), k, budget, seed, TOL))
         assert [c for c, _ in drawn] == list(range(budget))
