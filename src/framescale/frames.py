@@ -154,13 +154,14 @@ def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray
     """(U, r, e): the unit rows u_i = x_i / ||x_i|| and each norm as ||x_i|| = r_i 2^e_i.
 
     A positive factor on a vector is absorbed by its scaling constant, so
-    every scaling question is asked of the u_i.  Each row is first
-    multiplied by the exact power of two 2^-e_i that brings its largest
-    entry into [1/2, 1), so its norm r_i lies in [1/2, sqrt(n)) and can
-    neither underflow nor overflow.  A zero row, and a row whose norm
-    lies within _UNIT_NORM_TOL of 1, comes back as it is with r_i = 1 and
-    e_i = 0, so unit inputs keep their bytes and U is its own result.
-    When every row comes back as it is, U is X and r and e are None.
+    every scaling question is asked of the u_i and _row_constants carries
+    the constants back.  Each row is first multiplied by the exact power
+    of two 2^-e_i that brings its largest entry into [1/2, 1), so its
+    norm r_i lies in [1/2, sqrt(n)) and can neither underflow nor
+    overflow.  A zero row, and a row whose norm lies within
+    _UNIT_NORM_TOL of 1, comes back as it is with r_i = 1 and e_i = 0, so
+    unit inputs keep their bytes and U is its own result.  When every row
+    comes back as it is, U is X and r and e are None.
     """
     # a computed squared norm within _UNIT_NORM_TOL of 1 puts the norm
     # within about _UNIT_NORM_TOL / 2 of it, so such rows come back as they

@@ -96,13 +96,11 @@ def _float32_rows(Y: np.ndarray, step: int) -> np.ndarray:
 def _screened_rows(X: np.ndarray) -> np.ndarray:
     """Rows whose largest distance may reach the maximum over all pairs.
 
-    Requires a frame inside _ROW_WINDOW, as _shifted_frame leaves it: a
-    single term of the screen that overflowed would drop its pair from
-    the screen, not its row's maximum.  Above _BLOCK_CELLS squared rows
-    in R^3 and above, a float32 pass picks the rows the double screen
-    re-screens (see _max_pair_distance).  In R^2 it would keep nearly
-    every row, as points on a circle have row maxima within about
-    (pi / m)^2 of each other, far inside its margin.
+    The screen of _max_pair_distance, on a frame inside _ROW_WINDOW, as
+    _shifted_frame leaves it: a single term that overflowed would drop
+    its pair from the screen, not its row's maximum.  The float32 pass is
+    left out in R^2, where points on a circle have row maxima within
+    about (pi / m)^2 of each other, far inside its margin.
     """
     m, n = X.shape
     # distances do not move under translation, and centring on one row
@@ -142,15 +140,12 @@ def _max_pair_distance(X: np.ndarray) -> tuple[float, tuple[int, int]]:
     Bit-identical to the maximum and argmax of
     ``np.sqrt(((X[:, None, :] - X[None, :, :])**2).sum(-1))`` on the
     shifted frame 2^s X of _shifted_frame, multiplied by 2^-s, but never
-    builds that (m, m, n) array.  The shift is exact and is the identity
-    inside _ROW_WINDOW, so no square the kernel forms overflows, and a
-    distance leaves the range of doubles only when its own value does.
-    The screen centres the rows, y_i =
-    x_i - x_0, with s_i the computed ||y_i||^2, and takes each squared
-    distance d^2 = ||y_i||^2 + ||y_j||^2 - 2 <y_i, y_j> as one
-    (n + 2)-term dot product: row i of [-2Y, s, 1] against row j of
-    [Y, 1, s].  So a row block of about _BLOCK_CELLS cells costs one GEMM
-    and one row maximum.
+    builds that (m, m, n) array; a distance leaves the range of doubles
+    only when its own value does.  The screen centres the rows,
+    y_i = x_i - x_0, with s_i the computed ||y_i||^2, and takes each
+    squared distance d^2 = ||y_i||^2 + ||y_j||^2 - 2 <y_i, y_j> as one
+    (n + 2)-term dot product (_screen_maxima), so a row block of about
+    _BLOCK_CELLS cells costs one GEMM and one row maximum.
 
     Rounding bound.  With R^2 = max s_i and unit roundoff u = eps / 2,
     to first order in u and for any summation order, with or without
@@ -205,10 +200,6 @@ def _max_pair_distance(X: np.ndarray) -> tuple[float, tuple[int, int]]:
     block's shape, can move only a row within rounding of that threshold,
     never one that can hold the maximum, since the bound above holds for
     any order.
-
-    Inputs of at most _DIRECT_CELLS cells recompute every row.  When the
-    re-checked rows fill more than one block, exact copies of a row are
-    re-checked once, at their first occurrence (see _exact_rows).
     """
     m, n = X.shape
     step = max(1, _BLOCK_CELLS // (m * n))
@@ -232,11 +223,7 @@ def _blocked_max(X: np.ndarray, rows: np.ndarray, step: int) -> tuple[float, tup
 
 
 def pairwise_closeness(frame) -> float:
-    """Largest pairwise distance max_{i != j} ||x_i - x_j||.
-
-    Computed by the blocked kernel of ``_max_pair_distance``, bit-identical
-    to the full broadcast, in O(m n) memory plus one block.
-    """
+    """Largest pairwise distance max_{i != j} ||x_i - x_j||, by _max_pair_distance."""
     X = as_vector_array(frame)
     if X.shape[0] < 2:
         raise ValueError("pairwise closeness needs at least two vectors")
@@ -247,6 +234,17 @@ def _unit_norm_deviation(X: np.ndarray) -> float:
     # a row whose squared norm overflows lies infinitely far from unit norm
     with np.errstate(over="ignore"):
         return float(np.abs(np.linalg.norm(X, axis=1) - 1.0).max())
+
+
+def _off_diagonal_min(Y: np.ndarray) -> float:
+    # min_{i != j} <y_i, y_j>, in row blocks of about _BLOCK_CELLS Gram entries
+    step = max(1, _BLOCK_CELLS // len(Y))
+    best = np.inf
+    for start in range(0, len(Y), step):
+        G = Y[start : start + step] @ Y.T
+        np.fill_diagonal(G[:, start:], np.inf)
+        best = min(best, float(G.min()))
+    return best
 
 
 def dichotomy_check(frame, projection: OrthogonalProjection, epsilon: float) -> str:
@@ -271,10 +269,8 @@ def dichotomy_check(frame, projection: OrthogonalProjection, epsilon: float) -> 
     if projection.dim != X.shape[1]:
         raise ValueError("projection dimension does not match the vectors")
     Y = X @ projection.matrix
-    Z = X - Y
-    mask = ~np.eye(X.shape[0], dtype=bool)
-    p_min = float((Y @ Y.T)[mask].min())
-    q_min = float((Z @ Z.T)[mask].min())
+    p_min = _off_diagonal_min(Y)
+    q_min = _off_diagonal_min(X - Y)
     p_ok = p_min >= 0.5 - 4.0 * epsilon - _BRANCH_SLACK
     q_ok = q_min >= 0.5 - epsilon - _BRANCH_SLACK
     if p_ok and q_ok:
@@ -294,14 +290,9 @@ def closeness_obstruction(frame) -> ObstructionReport:
 
     In R^4 a cluster radius below 1/8 rules out rank 2; below 1/64 the
     ranks 2..n-2 are ruled out in any dimension n >= 4.  Thresholds are
-    strict, and both gates also require unit norms within 1e-8.
-
-    The radius max ||x_i - x_j|| and ``detail["max_pair"]`` come from
-    the blocked kernel of ``_max_pair_distance``, which states its
-    rounding bound: they are bit-identical to the full (m, m, n)
-    broadcast and its first argmax on the frame that _shifted_frame
-    scales by one power of two, scaled back, and memory stays O(m n)
-    plus one block of about 2^16 cells.
+    strict, and both gates also require unit norms within 1e-8.  The
+    radius max ||x_i - x_j|| and ``detail["max_pair"]`` are those of
+    _max_pair_distance.
     """
     X = as_vector_array(frame)
     m, n = X.shape
@@ -382,9 +373,9 @@ def check_constant_bounds(frame, scaling, tol: float = DEFAULT_TOL) -> Verificat
         support = np.abs(scaling.constants) > tol
         worst = 0.0
         if unit_idx.size and support.any():
-            G = X @ X.T
-            np.fill_diagonal(G, 0.0)
-            worst = float(np.abs(G[np.ix_(unit_idx, support)]).max(initial=0.0))
+            G = X[unit_idx] @ X.T
+            G[np.arange(unit_idx.size), unit_idx] = 0.0
+            worst = float(np.abs(G[:, support]).max(initial=0.0))
         detail["unit_constant_orthogonality"] = (worst <= 10.0 * tol, worst)
     elif isinstance(scaling, PiecewiseScaling):
         if not verify_piecewise(fr, scaling, tol).passed:

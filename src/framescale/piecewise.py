@@ -2,18 +2,10 @@
 
 A piecewise scaling splits every frame vector by an orthogonal projection
 and scales the two parts separately, aiming for a Parseval family
-a_i P x_i + b_i (I - P) x_i.  The verifier evaluates both the direct
-Parseval residual of the recombined family and the equivalent three-part
-decomposition: each projected family must rebuild its projection operator
-and the mixed-term operator must vanish.  Constructors cover frames in
-R^2 and R^3, orthogonal-split data in any dimension, and a special
-position in R^4; a seeded search, which solves for an orthogonal split
-and then samples projections for the feasibility solver, handles the
-rest on a best-effort basis.  Both draw the candidates of rank k from
-one seeded stream: candidate j is the orthogonal factor Q_j of the
-complete QR of block j of
-default_rng((seed, k)).standard_normal((budget, n, k)), and projects
-onto the span of the first k columns of Q_j.
+a_i P x_i + b_i (I - P) x_i.  verify_piecewise checks one; constructors
+cover frames in R^2 and R^3, orthogonal-split data in any dimension, and
+a special position in R^4; a seeded search (search_piecewise) handles the
+rest on a best-effort basis.
 """
 
 from __future__ import annotations
@@ -46,6 +38,7 @@ from .projections import (
 from .scaling import (
     _TRUSTED_SIDE,
     _farkas_bound,
+    _farkas_residual,
     _gram_columns,
     _half_plane_margin,
     _standard_verdict,
@@ -124,8 +117,10 @@ def cross_operator(frame, ps: PiecewiseScaling) -> np.ndarray:
 def verify_piecewise(frame, ps: PiecewiseScaling, tol: float = DEFAULT_TOL) -> PiecewiseReport:
     """Direct Parseval check plus the three-part decomposition.
 
-    ``passed`` reflects the direct check.  The two routes must agree; a
-    verdict gap with residuals beyond 10x tol raises
+    The decomposition is equivalent: each projected family must rebuild
+    its projection operator and the mixed term (cross_operator) must
+    vanish.  ``passed`` reflects the direct check.  The two routes must
+    agree; a verdict gap with residuals beyond 10x tol raises
     InternalInconsistencyError because it can only come from a bug, not
     from the input.
     """
@@ -185,8 +180,8 @@ def construct_r2(frame, projection: OrthogonalProjection, tol: float = DEFAULT_T
     Finds the first indices i != j with P x_i and (I - P) x_j both above
     tol and returns construct_from_orthogonal_split on S = {i}, T = {j}, an
     orthonormal basis of R^2; a spanning family without such a pair is
-    numerically degenerate for P and raises ValueError.  The pair and the
-    split are taken on the unit rows of _unit_rows, constants divided by the row norms.
+    numerically degenerate for P and raises ValueError.  It works on the
+    unit rows of _unit_rows.
     """
     X, r, e = _unit_rows(as_vector_array(frame))
     m, n = X.shape
@@ -223,10 +218,9 @@ def construct_from_orthogonal_split(
     the complement parts on ``q_indices`` for the complementary range.
     Disjoint supports make the mixed term vanish structurally, so the
     rescaled family is an orthonormal basis.  The parts are those of the
-    unit rows of _unit_rows, and the constants are divided by the row
-    norms.  A part at most tol times its vector's norm counts as
-    numerically zero and raises ValueError, as does a normalized overlap
-    above tol.  Every explicit constructor ends here.
+    unit rows of _unit_rows.  A part at most tol times its vector's norm
+    counts as numerically zero and raises ValueError, as does a
+    normalized overlap above tol.  Every explicit constructor ends here.
     """
     X, r, e = _unit_rows(as_vector_array(frame))
     m, n = X.shape
@@ -326,8 +320,7 @@ def construct_r3_detailed(frame, tol: float = DEFAULT_TOL) -> R3Construction:
     visible on the projected side.  The scaling is
     construct_from_orthogonal_split with P = span{u}, S the third index
     and T the pair, so a numerically degenerate part raises ValueError.
-    The triple is selected, and the split built, on the unit rows of
-    _unit_rows; the constants are divided by the row norms.
+    It works on the unit rows of _unit_rows.
     """
     X, r, e = _unit_rows(as_vector_array(frame))
     m, n = X.shape
@@ -440,21 +433,15 @@ def _complement_form(ps: PiecewiseScaling) -> PiecewiseScaling:
 def _disjoint_split_candidate(X: np.ndarray, G: np.ndarray, tol: float):
     """Disjoint-support split for the candidate of the Gaussian block G (n, k), or None.
 
-    With Q the orthogonal factor of the complete QR of G, the candidate
-    projects onto the span of Q[:, :k], and its sides are the identity
-    problems in the coordinates W = X Q that the screen judges, W[:, :k]
-    and W[:, k:].  The higher-rank side is solved first, the range on a
-    tie, since a rank-1 side always scales; the other side is solved
-    only when the first scales.  Two scaling sides make a split only
-    when their supports are disjoint, so a_i b_i = 0 and the mixed term
-    vanishes; a shared index returns None.  Re-solving one side on its rows
-    outside the shared ones could succeed only at noise level: those
-    rows K lie inside the support S of that side's NNLS weights x, whose
-    passive columns A_S are independent (Lawson and Hanson), so weights
-    w' on K with residual at most tol would give
-    ||A_S (x - w')|| <= 2 tol, that is sigma_min(A_S) ||x_O|| <= 2 tol
-    for the weights x_O on the shared rows O.  A miss is not a proof, so
-    the search moves on to its next candidate.
+    The candidate and its two sides are search_piecewise's, in the
+    complete QR of G alone.  The higher-rank side is solved first, the
+    range on a tie, since a rank-1 side always scales; the other side is
+    solved only when the first scales.  Two scaling sides make a split
+    only when their supports are disjoint, so a_i b_i = 0 and the mixed
+    term vanishes; a shared index returns None.  A miss proves nothing:
+    a side re-solved on the rows the other side leaves free may still
+    scale, as its new weights may use rows outside the old support
+    (ROADMAP.md, "Shared supports").
     """
     k = G.shape[1]
     Q = np.linalg.qr(G, mode="complete")[0]
@@ -505,14 +492,13 @@ def _farkas_margin(units: np.ndarray, stop: float = np.inf) -> np.ndarray:
     step is 1 / L with L the largest entry of A^T (A 1), the largest row
     sum of the nonnegative A^T A, which bounds its largest eigenvalue.
     At each step of _FARKAS_CHECKPOINTS the bound is evaluated at the
-    residual I - sum_i w_i u_i u_i^T, a direction, not an optimum.  A
+    _farkas_residual of the weights, a direction, not an optimum.  A
     family whose bound exceeds ``stop`` leaves the stack; the others take
     exactly the steps of a stack without exits, so a family's margin does
     not depend on the families stacked with it.  A margin above ``stop``
     may be lower than the fixed run of every step would give, but it is
     still a bound above ``stop``.
     """
-    d = units.shape[2]
     A = _gram_columns(units)
     AT = A.transpose(0, 2, 1)
     step = 1.0 / (AT @ A.sum(axis=2, keepdims=True)).max(axis=1, keepdims=True)
@@ -525,7 +511,7 @@ def _farkas_margin(units: np.ndarray, stop: float = np.inf) -> np.ndarray:
         w = w_next
         if count not in _FARKAS_CHECKPOINTS:
             continue
-        bound = _farkas_bound(units, np.eye(d) - units.transpose(0, 2, 1) @ (w * units))
+        bound = _farkas_bound(units, _farkas_residual(units, w[..., 0]))
         margin[live] = np.maximum(margin[live], bound)
         leave = bound > stop
         if leave.all():
@@ -541,10 +527,9 @@ def _side_margins(coords: np.ndarray, scales: np.ndarray, tol: float) -> np.ndar
 
     ``scales`` are the norms of the m frame rows.  A family is judged
     only when each of its rows has a part above _TRUSTED_SIDE of its
-    scale.  A two-dimensional side then gets its half-plane margin, a
-    side of dimension d >= 3 its _farkas_margin on its unit coordinates.
-    A margin above 10 tol proves that the family cannot scale.  A family
-    that is not judged gets -inf.
+    scale: a two-dimensional side by its _half_plane_margin, a side of
+    dimension d >= 3 by the _farkas_margin of its unit coordinates.  A
+    family that is not judged gets -inf.
     """
     margin = np.full(len(coords), -np.inf)
     norms = np.sqrt((coords * coords).sum(axis=2))
@@ -563,16 +548,13 @@ def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
 
     This is the one account of the sampled stage's screen.  A candidate
     is rejected when one of its sides has a _side_margins margin above
-    10 tol on the rows of nonzero norm: the exact half-plane margin on a
-    two-dimensional side, and on a side of dimension d >= 3 the Farkas
-    bound along FISTA steps on the side's own vectorized system, the
-    one _gram_columns builds for the solver (_farkas_margin).  The bound
-    holds for any weights, so a rejected candidate's distance exceeds tol
-    and the feasibility solve could only reject it.  A one-dimensional
-    side always scales, so it is neither judged nor factored.  The
-    smaller of the sides of dimension 2 or more goes first, the range on
-    a tie, and the other is judged only for the candidates the first
-    kept; once none is left the screen returns.
+    10 tol on the rows of nonzero norm.  Both margins bound the distance
+    for any weights, so a rejected candidate's distance exceeds tol and
+    the feasibility solve could only reject it.  A one-dimensional side
+    always scales, so it is neither judged nor factored.  The smaller of
+    the sides of dimension 2 or more goes first, the range on a tie, and
+    the other is judged only for the candidates the first kept; once
+    none is left the screen returns.
 
     Factors.  Each side's coordinates come from one batched product X Q.
     When the range goes first, Q is the stacked thin QR factor of the
@@ -591,8 +573,7 @@ def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     _gram_columns stacks for _farkas_margin, m d (d + 1) / 2 cells on a
     side of dimension d < n, and as m >= n the cap m n (n + 1) / 2 also
     bounds the blocks, their QR factors and the side coordinates, so
-    memory does not grow with the budget.  At budget 200 a rank is one
-    batch up to m = 524 in R^4 and m = 349 in R^5.
+    memory does not grow with the budget.
     """
     n, k = G.shape[1:]
     scales = np.sqrt((X * X).sum(axis=1))
@@ -622,11 +603,8 @@ def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
 def _surviving_candidates(X: np.ndarray, k: int, budget: int, seed: int, tol: float):
     """Rank-k candidates the screen keeps, in order, with their Gaussian blocks.
 
-    Candidate j is block j of
-    default_rng((seed, k)).standard_normal((budget, n, k)).  One
-    generator draws them in the batches of _rejected_draws and draws
-    none after a hit; a block depends on (seed, k, j) only, whatever the
-    batching.
+    One generator draws search_piecewise's candidate stream in the
+    batches of _rejected_draws, and none after a hit.
     """
     n = X.shape[1]
     rng = np.random.default_rng((seed, k))
@@ -732,15 +710,13 @@ def _orthogonal_split_route(fr: Frame, ranks, seed: int, tol: float, budget: int
     reciprocal norms then give an orthonormal basis.  The system has
     C(k, 2) + C(n - k, 2) cosines and k (n - k) unknowns, so a rank with
     more cosines, (n - 2k)^2 > n, is skipped.  The other ranks are tried
-    nearest to n / 2 first, each from blocks 0 .. min(budget,
-    _SPLIT_STARTS) - 1 of the search's candidate stream
-    default_rng((seed, k)).standard_normal((budget, n, k)), so the route
-    adds no seed stream.  From each start _solve_split runs at most
-    _SPLIT_STEPS Levenberg-Marquardt steps on the pairwise cosines of
-    the parts (_split_system), in the chart Q[:, :k] + Q[:, k:] Delta of
-    the Grassmannian; cosines, unlike raw inner products, keep the parts
-    away from zero.  A result must pass construct_from_orthogonal_split
-    and verify_piecewise; a miss proves nothing.
+    nearest to n / 2 first, each from the first min(budget,
+    _SPLIT_STARTS) blocks of search_piecewise's candidate stream, so the
+    route adds no seed stream.  From each start _solve_split solves for
+    the pairwise cosines of the parts (_split_system); cosines, unlike
+    raw inner products, keep the parts away from zero.  A result must
+    pass construct_from_orthogonal_split and verify_piecewise; a miss
+    proves nothing.
     """
     X = fr.vectors
     n = fr.dim
@@ -775,31 +751,23 @@ def search_piecewise(
 ) -> PiecewiseScaling | None:
     """Look for a passing piecewise scaling; absence of a result is a value.
 
-    Strategy, in order: standard scalability (equal constants work with
-    any projection), the dedicated constructors for dimensions two and
-    three (when they reject the input as numerically degenerate or their
-    result fails verification, the search goes on), the orthogonal-split
-    route, then a seeded sweep of ``budget`` random projections per
-    requested rank, each tried with a disjoint-support feasibility split.
-    Candidate j of rank k is the orthogonal factor Q_j of the complete QR
-    of block j of default_rng((seed, k)).standard_normal((budget, n, k)),
-    and projects onto the span of Q_j[:, :k]; a block depends on
-    (seed, k, j) only, whatever the batching.  A miss is not a proof
-    that no scaling exists.
+    Strategy, in order: standard scalability by solve_standard_scaling
+    (equal constants work with any projection), the constructors for
+    dimensions two and three (a rejected input or a result that fails
+    verification goes on), the orthogonal-split route
+    (_orthogonal_split_route) at the ranks closeness_obstruction does not
+    certify, then ``budget`` sampled candidates per requested rank, each
+    screened (_rejected_draws) and split (_disjoint_split_candidate).  A
+    miss is not a proof that no scaling exists.  The search runs on the
+    unit rows of _unit_rows.
 
-    The standard step is solve_standard_scaling on the unit rows the
-    search already holds.  Piecewise scaling is for frames that standard
-    scaling cannot make Parseval, so nearly every frame fails this step.
-    The orthogonal-split route solves for the split the paper's R^2 and
-    R^3 constructions build, on the ranks closeness_obstruction does not
-    certify (_orthogonal_split_route).  The sampled sweep screens its
-    candidates without a solve (_rejected_draws) and splits each
-    survivor (_disjoint_split_candidate); the screen drops only
-    candidates the split would miss.
-
-    A positive factor on a vector does not change whether a scaling
-    exists, so the search runs on the unit rows of _unit_rows, and the
-    constants of its result are divided by the row norms.
+    The candidate stream.  Candidate j of rank k is the orthogonal factor
+    Q_j of the complete QR of block j of
+    default_rng((seed, k)).standard_normal((budget, n, k)); it projects
+    onto the span of Q_j[:, :k], and its two sides are the identity
+    problems in the coordinates X Q_j[:, :k] and X Q_j[:, k:].  A block
+    depends on (seed, k, j) only, whatever the batching, so the result is
+    a function of the frame, the ranks, ``budget``, ``seed`` and ``tol``.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")

@@ -127,8 +127,9 @@ def random_projection(n: int, k: int, seed: int) -> OrthogonalProjection:
     """Projection onto the span of the first k columns of Q, the orthogonal
     factor of the complete QR of default_rng(seed).standard_normal((n, k)).
 
-    This is how the search defines a candidate; the output is a function
-    of (n, k, seed) only.
+    A search candidate is built the same way from a Gaussian block, but
+    from the search's own stream (search_piecewise), so this is in
+    general none of them.  The output is a function of (n, k, seed) only.
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"rank must satisfy 1 <= k <= n - 1, got k={k}, n={n}")

@@ -1,12 +1,8 @@
 """Standard scalability as nonnegative linear feasibility.
 
 A family is scalable when nonnegative weights on the outer products
-v_i v_i^T reproduce the target operator.  Toward a projection target of
-rank k this is the identity problem sum_i w_i c_i c_i^T = I_k in the
-coordinates c_i = B^T v_i of an orthonormal range basis B, since a
-unitary map changes neither the cone nor the Frobenius distance; the
-identity target is the case B = I.  solve_standard_scaling states once
-the order in which the steps below decide it.
+v_i v_i^T reproduce the target operator.  solve_standard_scaling decides
+it, and states the question and the order of the steps below.
 """
 
 from __future__ import annotations
@@ -41,11 +37,10 @@ class ScalabilityVerdict:
 
     ``converged`` and ``iterations`` come from the NNLS run behind the
     decision, and ``residual`` is the Frobenius defect its weights
-    reached.  A verdict with ``iterations`` 0 from solve_standard_scaling
-    ran no NNLS and has ``converged`` True: a step before NNLS decided it
-    (see there).  When such a verdict is infeasible, ``residual`` is the
-    certified lower bound above 10 tol on the distance from the target to
-    the cone, not a defect any weights reached.
+    reached.  A verdict that solve_standard_scaling decides before NNLS
+    has ``iterations`` 0 and ``converged`` True, and when it is
+    infeasible its ``residual`` is the certified lower bound above 10 tol
+    on the distance from the target to the cone.
     """
 
     feasible: bool
@@ -88,12 +83,10 @@ def _vech(T: np.ndarray) -> np.ndarray:
     return T[iu] * weights
 
 
-def _unvech(r: np.ndarray, n: int) -> np.ndarray:
-    # the symmetric matrix whose weighted upper triangle is r
-    iu, weights = _sym_embedding(n)
-    R = np.zeros((n, n))
-    R[iu] = r / weights
-    return R + np.triu(R, 1).T
+def _farkas_residual(C: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # the residual I - sum_i w_i c_i c_i^T of the rows C (..., m, d) at the
+    # weights w (..., m): every Farkas bound is evaluated at it
+    return np.eye(C.shape[-1]) - (np.swapaxes(C, -1, -2) * w[..., None, :]) @ C
 
 
 def _post_check_unit_norm_invariants(constants: np.ndarray, U: np.ndarray, tol: float) -> None:
@@ -135,7 +128,9 @@ def _half_plane_margin(coords: np.ndarray) -> np.ndarray:
     ``coords`` has shape (C, m, 2).  With G the largest circular gap
     between the doubled angles 2 atan2(y, x) of a family's rows,
     s = cos((2 pi - G) / 2); s > 0 exactly when the doubled angles fit in
-    an open half circle.
+    an open half circle.  Then, with S_d the reflection through the
+    bisector of that arc, the direction s I - S_d keeps the cone at least
+    sqrt(2) s / sqrt(1 + s^2) from I, so the family cannot scale.
     """
     phi = np.mod(2.0 * np.arctan2(coords[..., 1], coords[..., 0]), 2.0 * np.pi)
     phi.sort(axis=1)
@@ -210,17 +205,17 @@ def _gram_weights(C: np.ndarray, tol: float) -> tuple[NNLSResult | None, float]:
     With H = (C C^T)^2 entrywise, H w = (||c_i||^2)_i are the normal
     equations of that system.  Each solution of _psd_solves, in turn,
     decides: (the NNLSResult of w, its defect and 0 iterations, 0.0) when
-    w >= 0 and the defect ||R||_F of its residual
-    R = I - sum_i w_i c_i c_i^T is at most tol, and (None, bound) when
-    _farkas_bound of the unit rows at R is a bound above 10 tol.  When
-    neither solution decides, the result is (None, 0.0).
+    w >= 0 and the defect ||R||_F of its _farkas_residual R is at most
+    tol, and (None, bound) when _farkas_bound of the unit rows at R is a
+    bound above 10 tol.  When neither solution decides, the result is
+    (None, 0.0).
     """
     G = C @ C.T
     sq = np.diag(G)
     for w in _psd_solves(G * G, sq):
         if w is None:
             continue
-        R = np.eye(C.shape[1]) - (C.T * w) @ C
+        R = _farkas_residual(C, w)
         defect = float(np.linalg.norm(R))
         if defect <= tol and (w >= 0.0).all():
             return NNLSResult(w, defect, True, 0), 0.0
@@ -280,8 +275,6 @@ def _interior_weights(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return w
 
 
-
-
 def solve_standard_scaling(
     vectors,
     target: OrthogonalProjection | None = None,
@@ -293,58 +286,46 @@ def solve_standard_scaling(
     The family is feasible when min_{w >= 0} ||sum_i w_i c_i c_i^T - I_k||_F
     is at most ``tol``, and the constants are sqrt(w).  The c_i are the
     vectors for the identity target, and their coordinates B^T v_i in the
-    orthonormal range basis B of a projection target of rank k < n, so
-    the distance equals the ambient ||sum_i w_i (P v_i)(P v_i)^T - P||_F;
-    a full-rank target is the identity.  Vectors with a part outside the
+    orthonormal range basis B of a projection target of rank k < n: a
+    unitary map changes neither the cone nor the Frobenius distance, so
+    that distance equals the ambient ||sum_i w_i (P v_i)(P v_i)^T - P||_F.
+    A full-rank target is the identity.  Vectors with a part outside the
     range above ``tol`` times their norm are recorded in a warning, and
-    the constants scale their projections.
+    the constants scale their projections.  The question is decided on
+    the unit rows of _unit_rows.
 
     The decision order.  Steps 1 to 3 (_decided_before_nnls) leave zero
-    rows out and give them weight 0.  Steps 1 and 2 run only when every
-    other row has a range part above _TRUSTED_SIDE of its norm.  A step
-    that decides returns a verdict with ``iterations`` 0 and
-    ``converged`` True, and no NNLS runs.
+    rows out, at weight 0, and steps 1 and 2 run only when every other row
+    has a range part above _TRUSTED_SIDE of its norm.  A step that decides
+    leaves NNLS out (see ScalabilityVerdict).
 
-    1. In a two-dimensional range, a half-plane margin s above 10 ``tol``
-       decides infeasible: its direction bounds the distance below by
-       sqrt(2) s / sqrt(1 + s^2).
+    1. In a two-dimensional range, a _half_plane_margin above 10 ``tol``
+       decides infeasible, with that margin's distance bound.
     2. In a range of dimension k >= 3 with m <= k^2 for the m rows, the
-       least-squares weights of H w = (||c_i||^2)_i, H = ((c_i^T c_j)^2),
-       the normal equations of the system (_gram_weights): the plain
-       solve, then a Tikhonov one (_psd_solves).  Each decides in turn:
-       weights w >= 0 whose defect, computed directly, is at most ``tol``
-       decide feasible, and a Farkas bound above 10 ``tol`` at its
-       residual decides infeasible.
+       least-squares weights of the plain and then the Tikhonov solve
+       (_gram_weights) decide feasible or certify infeasible.
     3. In a range of dimension k >= 3 with m > k^2, the minimum-norm
-       weights of at most _NEWTON_STEPS semismooth Newton steps
-       (_interior_weights) decide feasible when their defect is at most
-       ``tol``; they certify nothing when they miss.
-    4. NNLS over the vectorized symmetric system, off-diagonal entries
-       weighted by sqrt(2) so that its objective is the Frobenius defect,
-       capped at ``max_iter`` (default 50 m) iterations, decides the rest
-       (_standard_verdict).
+       weights of _interior_weights decide feasible when their defect is
+       at most ``tol``; they certify nothing when they miss.
+    4. NNLS on the vectorized system of _gram_columns, capped at
+       ``max_iter`` (default 50 m) iterations, decides the rest.
 
-    An infeasible verdict from step 1 or 2 reports as ``residual`` its
-    certified lower bound on the distance.  Its certificate, and that of
-    an NNLS run above ``tol``, is "open-quadrant" in a two-dimensional
-    range whose sign-normalized coordinates sit in one open quadrant,
-    else "half-plane" when their doubled angles fit in an open half
-    circle; both need no solver.  In a range of dimension k >= 3 it is
-    "residual-infeasible" after step 2, and after NNLS when
-    _farkas_bound of the unit rows at the run's residual exceeds ``tol``.
-    The bound holds for any weights, so it certifies whether NNLS
-    converged, hit ``max_iter`` or stalled.  Otherwise the certificate is
-    "undecided": the residual only bounds the optimum from above.
+    The certificate of an infeasible verdict is "open-quadrant" in a
+    two-dimensional range whose sign-normalized coordinates sit in one
+    open quadrant, else "half-plane" when their doubled angles fit in an
+    open half circle; both need no solver.  In a range of dimension
+    k >= 3 it is "residual-infeasible" after step 2, and after NNLS when
+    _farkas_bound of the unit rows at the run's _farkas_residual exceeds
+    ``tol``, whether NNLS converged, hit ``max_iter`` or stalled.
+    Otherwise it is "undecided": the residual only bounds the optimum
+    from above.
 
     The constants are the unique weights after step 2 on a nonsingular
-    H, the unique minimum-norm weights after step 3, and otherwise
-    whichever weights the deciding solve reached, on a singular H those
-    of the plain solve or else the Tikhonov one; no canonical element of
-    a non-unique feasible set is sought.  A positive factor on a vector
-    is absorbed by its constant, so the question is decided on the unit
-    rows v_i / ||v_i|| (_unit_rows), and a feasible verdict's constants
-    are theirs divided by ||v_i||.  Rows with a constant above the
-    largest double raise ValueError.
+    Gram system, the unique minimum-norm weights after step 3, and
+    otherwise whichever weights the deciding solve reached; no canonical
+    element of a non-unique feasible set is sought.  Raises ValueError
+    for a tol that is not positive, and for rows whose constants exceed
+    the largest double (_row_constants).
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -376,11 +357,10 @@ def _range_coordinates(V: np.ndarray, target: OrthogonalProjection | None, tol: 
 def _decided_before_nnls(V: np.ndarray, C: np.ndarray, tol: float) -> tuple:
     """Steps 1 to 3 of solve_standard_scaling on the rows V with range coordinates C.
 
-    Returns (weights whose defect is at most tol, 0.0, system), or (None,
-    a bound above 10 tol on the distance, system), or (None, 0.0, system)
+    Returns (weights whose defect is at most tol, 0.0, system), (None, a
+    bound above 10 tol on the distance, system), or (None, 0.0, system)
     when no step decides; system is step 3's vectorized (A, b), for NNLS
-    to reuse, or None.  Step 3 gives a zero row, a zero column of A,
-    weight 0; steps 1 and 2 leave zero rows out (C itself when none is).
+    to reuse, or None.
     """
     m, k = C.shape
     if k > 2 and m > k * k:
@@ -425,8 +405,7 @@ def _verdict(C, warnings, tol, max_iter, result=None, bound=0.0, system=None) ->
     rank = C.shape[1]
     if not bound:
         if result is None:
-            A, b = system or (_gram_columns(C), _vech(np.eye(rank)))
-            result = nnls(A, b, max_iter=max_iter)
+            result = nnls(*(system or (_gram_columns(C), _vech(np.eye(rank)))), max_iter=max_iter)
         if result.residual <= tol:
             constants = np.sqrt(np.maximum(result.x, 0.0))
             scaling = StandardScaling(constants=constants, residual=result.residual, target_rank=rank)
@@ -443,7 +422,7 @@ def _verdict(C, warnings, tol, max_iter, result=None, bound=0.0, system=None) ->
         certificate = "residual-infeasible"
     else:
         units = nonzero / np.linalg.norm(nonzero, axis=1, keepdims=True)
-        R = _unvech(b - A @ result.x, rank)
+        R = _farkas_residual(C, result.x)
         certificate = "residual-infeasible" if _farkas_bound(units[None], R[None])[0] > tol else "undecided"
     if bound:
         return ScalabilityVerdict(False, None, certificate, bound, warnings, True, 0)

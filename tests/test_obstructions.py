@@ -212,6 +212,25 @@ def test_closeness_obstruction_memory_is_bounded():
     assert _peak_bytes(ob._max_pair_distance, X) < 64 * 2**20
 
 
+def test_dichotomy_check_memory_is_bounded():
+    # one m x m Gram matrix of 3,000 rows takes 72 MB
+    frame = clustered_unit_frame(np.random.default_rng(34), 6, 3000, 0.01)
+    P = fs.random_projection(6, 3, seed=0)
+    assert fs.dichotomy_check(frame, P, 0.5) in ("p-side", "q-side", "both")
+    assert _peak_bytes(fs.dichotomy_check, frame, P, 0.5) < 64 * 2**20
+
+
+def test_check_constant_bounds_memory_is_bounded():
+    # e_1 and a harmonic frame of 2,999 rows in its complement: e_1 alone has
+    # a unit constant, so only its row of the 72 MB Gram matrix is needed
+    theta = np.pi * np.arange(2999) / 2999
+    X = np.vstack([[1.0, 0.0, 0.0], np.column_stack([np.zeros(2999), np.cos(theta), np.sin(theta)])])
+    scaling = fs.StandardScaling(np.concatenate([[1.0], np.full(2999, np.sqrt(2.0 / 2999))]), 0.0, 3)
+    report = fs.check_constant_bounds(X, scaling)
+    assert report.passed and report.detail["unit_constant_orthogonality"] == (True, 0.0)
+    assert _peak_bytes(fs.check_constant_bounds, X, scaling) < 64 * 2**20
+
+
 def test_dichotomy_repeated_vector():
     rng = np.random.default_rng(9)
     x = rng.standard_normal(4)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import framescale as fs
 import framescale.scaling as sc
 from framescale.frames import _unit_rows
-from framescale.scaling import _gram_columns, _half_plane_margin, _standard_verdict, _unvech, _vech
+from framescale.scaling import _gram_columns, _half_plane_margin, _standard_verdict, _vech
 from helpers import (
     clustered_unit_frame,
     cone_rows,
@@ -229,8 +229,6 @@ def test_residual_infeasible_only_where_scipy_cannot_scale():
             assert fs.verify_parseval(verdict.scaling.constants[:, None] * V, None, tol).passed
     assert "residual-infeasible" not in labels[True] and undecided >= 1
     assert labels[False] == {"residual-infeasible"}
-    T = rng.standard_normal((4, 4))
-    assert np.allclose(_unvech(_vech(T + T.T), 4), T + T.T, rtol=0.0, atol=1e-15)
 
 
 def test_iteration_cap_keeps_geometric_certificates():
@@ -678,6 +676,11 @@ def test_gram_columns_match_the_gather_formula():
         # a stack of families gets each family's bytes
         stack = rng.standard_normal((3, n + 2, n))
         assert _gram_columns(stack).tobytes() == np.stack([_gram_columns(V) for V in stack]).tobytes()
+        # the Farkas residual of a family and of a stack is I - sum_i w_i c_i c_i^T
+        for C in (stack[0], stack):
+            w = rng.uniform(0.0, 2.0, C.shape[:-1])
+            R = np.eye(n) - sum(w[..., i, None, None] * C[..., i, :, None] * C[..., i, None, :] for i in range(n + 2))
+            assert np.allclose(sc._farkas_residual(C, w), R, rtol=0.0, atol=1e-12)
     # the route's cached tables are shared by every caller, so read-only
     for table in pw._split_tables(5, 2):
         assert not table.flags.writeable
