@@ -128,10 +128,6 @@ def _base_report(command: str, source, tol: float) -> dict:
     }
 
 
-def _matrix_rows(matrix: np.ndarray) -> list[list[float]]:
-    return [list(map(float, row)) for row in np.asarray(matrix)]
-
-
 def _load_projection(path, fmt, tol):
     from .projections import projection_from_matrix
 
@@ -156,7 +152,7 @@ def _cmd_analyze(args) -> dict:
         "upper": bounds.upper,
         "condition_number": bounds.condition_number,
     }
-    report["frame_operator"] = _matrix_rows(S)
+    report["frame_operator"] = S
     return report
 
 
@@ -172,7 +168,7 @@ def _cmd_scale(args) -> dict:
     report["residuals"] = {"distance_lower_bound" if screened else "frobenius_defect": verdict.residual}
     if verdict.feasible:
         report["verdict"] = "feasible"
-        report["scaling"] = {"c": list(map(float, verdict.scaling.constants))}
+        report["scaling"] = {"c": verdict.scaling.constants}
     elif verdict.certificate == "undecided":
         report["verdict"] = "undecided"
         report["nnls"] = {"converged": verdict.converged, "iterations": verdict.iterations}
@@ -189,11 +185,7 @@ def _cmd_scale(args) -> dict:
 
 
 def _piecewise_scaling_payload(ps) -> dict:
-    return {
-        "projection": _matrix_rows(ps.projection.matrix),
-        "a": list(map(float, ps.a)),
-        "b": list(map(float, ps.b)),
-    }
+    return {"projection": ps.projection.matrix, "a": ps.a, "b": ps.b}
 
 
 def _piecewise_residuals(rep) -> dict:
@@ -355,7 +347,7 @@ def _cmd_transport(args) -> dict:
     report["verdict"] = "transported"
     report["residuals"] = _piecewise_residuals(rep)
     report["scaling"] = _piecewise_scaling_payload(moved)
-    report["frame"] = _matrix_rows(moved_frame.vectors)
+    report["frame"] = moved_frame.vectors
     return report
 
 
@@ -367,7 +359,7 @@ def _cmd_canonical_parseval(args) -> dict:
     report = _base_report("canonical-parseval", args.frame, tol)
     report["verdict"] = "converted"
     report["residuals"] = {"parseval_defect": check.residual}
-    report["frame"] = _matrix_rows(tightened.vectors)
+    report["frame"] = tightened.vectors
     if args.out_frame:
         save_frame(tightened, args.out_frame, args.format)
     return report

@@ -162,14 +162,15 @@ def format_float(value) -> str:
     return format(v, ".17g")
 
 
-def _encode(obj) -> str:
+def dumps_json(obj) -> str:
+    """Deterministic JSON with 17-digit floats; key order is insertion order; arrays encode as their lists."""
     if isinstance(obj, dict):
-        parts = (f"{json.dumps(str(k))}: {_encode(v)}" for k, v in obj.items())
+        parts = (f"{json.dumps(str(k))}: {dumps_json(v)}" for k, v in obj.items())
         return "{" + ", ".join(parts) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_encode(v) for v in obj) + "]"
+        return "[" + ", ".join(dumps_json(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
-        return _encode(obj.tolist())
+        return dumps_json(obj.tolist())
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if obj is None:
@@ -181,11 +182,6 @@ def _encode(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def dumps_json(obj) -> str:
-    """Deterministic JSON with 17-digit floats; key order is insertion order."""
-    return _encode(obj)
 
 
 def write_report(report: dict, out=None) -> None:

@@ -150,14 +150,21 @@ def _shifted_frame(X: np.ndarray) -> tuple[int, np.ndarray]:
     return s, np.ldexp(X, s)
 
 
+def _row_steps(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Y, r, e): the rows y_i = 2^-e_i x_i of the power of two step of _unit_rows, and r_i = ||y_i||."""
+    e = np.frexp(np.abs(X).max(axis=1))[1]
+    Y = np.ldexp(X, -e[:, None])
+    return Y, np.linalg.norm(Y, axis=1), e
+
+
 def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """(U, r, e): the unit rows u_i = x_i / ||x_i|| and each norm as ||x_i|| = r_i 2^e_i.
 
     A positive factor on a vector is absorbed by its scaling constant, so
     every scaling question is asked of the u_i and _row_constants carries
     the constants back.  Each row is first multiplied by the exact power
-    of two 2^-e_i that brings its largest entry into [1/2, 1), so its
-    norm r_i lies in [1/2, sqrt(n)) and can neither underflow nor
+    of two 2^-e_i that brings its largest entry into [1/2, 1) (_row_steps),
+    so its norm r_i lies in [1/2, sqrt(n)) and can neither underflow nor
     overflow.  A zero row, and a row whose norm lies within
     _UNIT_NORM_TOL of 1, comes back as it is with r_i = 1 and e_i = 0, so
     unit inputs keep their bytes and U is its own result.  When every row
@@ -168,9 +175,7 @@ def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray
     # are under the rule below too, without its scaling
     if (np.abs(np.einsum("ij,ij->i", X, X) - 1.0) <= _UNIT_NORM_TOL).all():
         return X, None, None
-    e = np.frexp(np.abs(X).max(axis=1))[1]
-    Y = np.ldexp(X, -e[:, None])
-    r = np.linalg.norm(Y, axis=1)
+    Y, r, e = _row_steps(X)
     # beyond 2^2 the norm is at least 4, so capping the exponent there
     # decides the same rows and keeps the power of two finite
     keep = (r == 0.0) | (np.abs(np.ldexp(r, np.minimum(e, 2)) - 1.0) <= _UNIT_NORM_TOL)
@@ -296,10 +301,11 @@ def apply_unitary(frame, unitary, tol: float = DEFAULT_TOL) -> Frame:
 
 
 def normalize_columns(frame) -> tuple[Frame, np.ndarray]:
-    """Scale every vector to unit norm; returns the new frame and the original norms."""
+    """Scale every vector to unit norm after the row step of _unit_rows; returns the new frame and the norms."""
     fr = frame if isinstance(frame, Frame) else Frame(frame)
-    norms = np.linalg.norm(fr.vectors, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError(f"zero vector at index {int(np.argmin(norms))}")
-    unit = Frame(fr.vectors / norms[:, None], labels=fr.labels)
-    return unit, _freeze(norms)
+    Y, r, e = _row_steps(fr.vectors)
+    if np.any(r == 0.0):
+        raise ValueError(f"zero vector at index {int(np.argmin(r))}")
+    unit = Frame(Y / r[:, None], labels=fr.labels)
+    with np.errstate(over="ignore"):
+        return unit, _freeze(np.ldexp(r, e))

@@ -382,16 +382,17 @@ def construct_r3_detailed(frame, tol: float = DEFAULT_TOL) -> R3Construction:
 
 
 def construct_r4_special(frame, indices, tol: float = DEFAULT_TOL) -> PiecewiseScaling:
-    """Rank-2 scaling from four unit vectors in special position in R^4.
+    """Rank-2 scaling from four vectors in special position in R^4.
 
-    Needs independent unit vectors x1..x4 (selected by index) with x2 and
-    x3 orthogonal to x4 while x1 is not.  Two successive complements
-    produce an orthonormal pair (u, v) whose span projects x1, x2 to an
-    orthogonal pair and leaves x3, x4 orthogonal on the complement side;
+    Needs independent vectors x1..x4 (selected by index) with x2 and x3
+    orthogonal to x4 while x1 is not.  Two successive complements produce
+    an orthonormal pair (u, v) whose span projects x1, x2 to an orthogonal
+    pair and leaves x3, x4 orthogonal on the complement side;
     construct_from_orthogonal_split with P = span{u, v}, S = {x1, x2} and
-    T = {x3, x4} then gives an orthonormal basis.
+    T = {x3, x4} then gives an orthonormal basis.  It works on the unit
+    rows of _unit_rows.
     """
-    X = as_vector_array(frame)
+    X, r, e = _unit_rows(as_vector_array(frame))
     m, n = X.shape
     if n != 4:
         raise ValueError("construct_r4_special needs vectors in R^4")
@@ -399,9 +400,6 @@ def construct_r4_special(frame, indices, tol: float = DEFAULT_TOL) -> PiecewiseS
     if len(idx) != 4:
         raise ValueError(f"need exactly 4 indices, got {len(idx)}")
     quad = X[idx]
-    norms = np.linalg.norm(quad, axis=1)
-    if np.abs(norms - 1.0).max() > tol:
-        raise ValueError("the selected vectors must be unit-norm")
     if Frame(quad).numerical_rank() < 4:
         raise ValueError("the selected vectors must be linearly independent")
     x1, x2, x3, x4 = quad
@@ -421,7 +419,8 @@ def construct_r4_special(frame, indices, tol: float = DEFAULT_TOL) -> PiecewiseS
     if zn <= tol:
         raise ValueError("x2 lies in span{x1, x3, u}; the vectors are not in special position")
     v = zvec / zn
-    return construct_from_orthogonal_split(X, projection_from_basis([u, v]), idx[:2], idx[2:], tol)
+    ps = construct_from_orthogonal_split(X, projection_from_basis([u, v]), idx[:2], idx[2:], tol)
+    return _for_rows(ps, r, e)
 
 
 def _complement_form(ps: PiecewiseScaling) -> PiecewiseScaling:
@@ -477,8 +476,7 @@ _FARKAS_MOMENTUM = _fista_momentum(150)
 # step, so a family that stays is judged where the fixed run judged it
 _FARKAS_CHECKPOINTS = frozenset([2**i for i in range(8)] + [len(_FARKAS_MOMENTUM)])
 
-# cells per batch of the sampled stage's screen, whose batches
-# _rejected_draws accounts for
+# cells per batch of the sampled stage's screen (_screen_batch)
 _FARKAS_CELLS = 2**20
 
 
@@ -568,12 +566,12 @@ def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     that the solver misses.
 
     Batches.  _surviving_candidates draws and screens the candidates in
-    batches of max(1, _FARKAS_CELLS // (m n (n + 1) / 2)) blocks for the m
-    rows of X in R^n.  The largest array per candidate is the system
-    _gram_columns stacks for _farkas_margin, m d (d + 1) / 2 cells on a
-    side of dimension d < n, and as m >= n the cap m n (n + 1) / 2 also
-    bounds the blocks, their QR factors and the side coordinates, so
-    memory does not grow with the budget.
+    batches of _screen_batch(m, n) blocks for the m rows of X in R^n.  The
+    largest array per candidate is the system _gram_columns stacks for
+    _farkas_margin, m d (d + 1) / 2 cells on a side of dimension d < n,
+    and as m >= n the cap m n (n + 1) / 2 also bounds the blocks, their QR
+    factors and the side coordinates, so memory does not grow with the
+    budget.
     """
     n, k = G.shape[1:]
     scales = np.sqrt((X * X).sum(axis=1))
@@ -600,17 +598,21 @@ def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     return rejected
 
 
-def _surviving_candidates(X: np.ndarray, k: int, budget: int, seed: int, tol: float):
-    """Rank-k candidates the screen keeps, in order, with their Gaussian blocks.
+def _screen_batch(m: int, n: int) -> int:
+    # blocks per batch of the screen for m rows in R^n, m n (n + 1) / 2 cells each (_rejected_draws)
+    return max(1, _FARKAS_CELLS // (m * n * (n + 1) // 2))
 
-    One generator draws search_piecewise's candidate stream in the
-    batches of _rejected_draws, and none after a hit.
-    """
-    n = X.shape[1]
+
+def _candidate_blocks(n: int, k: int, budget: int, seed: int, batch: int):
+    """search_piecewise's candidate stream of rank k in R^n, ``batch`` blocks at a time: (j, blocks j, j + 1, ...)."""
     rng = np.random.default_rng((seed, k))
-    batch = max(1, _FARKAS_CELLS // (len(X) * n * (n + 1) // 2))
     for start in range(0, budget, batch):
-        G = rng.standard_normal((min(batch, budget - start), n, k))
+        yield start, rng.standard_normal((min(batch, budget - start), n, k))
+
+
+def _surviving_candidates(X: np.ndarray, k: int, budget: int, seed: int, tol: float):
+    """Rank-k candidates the screen keeps, in order, with their Gaussian blocks; none are drawn after a hit."""
+    for start, G in _candidate_blocks(X.shape[1], k, budget, seed, _screen_batch(*X.shape)):
         for c in np.flatnonzero(~_rejected_draws(X, G, tol)):
             yield start + int(c), G[c]
 
@@ -710,13 +712,12 @@ def _orthogonal_split_route(fr: Frame, ranks, seed: int, tol: float, budget: int
     reciprocal norms then give an orthonormal basis.  The system has
     C(k, 2) + C(n - k, 2) cosines and k (n - k) unknowns, so a rank with
     more cosines, (n - 2k)^2 > n, is skipped.  The other ranks are tried
-    nearest to n / 2 first, each from the first min(budget,
-    _SPLIT_STARTS) blocks of search_piecewise's candidate stream, so the
-    route adds no seed stream.  From each start _solve_split solves for
-    the pairwise cosines of the parts (_split_system); cosines, unlike
-    raw inner products, keep the parts away from zero.  A result must
-    pass construct_from_orthogonal_split and verify_piecewise; a miss
-    proves nothing.
+    nearest to n / 2 first, each from the first batch of _SPLIT_STARTS
+    blocks of _candidate_blocks, so the route adds no seed stream.  From
+    each start _solve_split solves for the pairwise cosines of the parts
+    (_split_system); cosines, unlike raw inner products, keep the parts
+    away from zero.  A result must pass construct_from_orthogonal_split
+    and verify_piecewise; a miss proves nothing.
     """
     X = fr.vectors
     n = fr.dim
@@ -728,8 +729,7 @@ def _orthogonal_split_route(fr: Frame, ranks, seed: int, tol: float, budget: int
         except ValueError:
             continue
         system = _split_system(X[list(S + T)], k)
-        starts = np.random.default_rng((seed, k)).standard_normal((min(budget, _SPLIT_STARTS), n, k))
-        for G in starts:
+        for G in next(_candidate_blocks(n, k, budget, seed, _SPLIT_STARTS))[1]:
             Q = _solve_split(system, np.linalg.qr(G, mode="complete")[0], k, tol)
             if Q is None:
                 continue
@@ -763,11 +763,12 @@ def search_piecewise(
 
     The candidate stream.  Candidate j of rank k is the orthogonal factor
     Q_j of the complete QR of block j of
-    default_rng((seed, k)).standard_normal((budget, n, k)); it projects
-    onto the span of Q_j[:, :k], and its two sides are the identity
-    problems in the coordinates X Q_j[:, :k] and X Q_j[:, k:].  A block
-    depends on (seed, k, j) only, whatever the batching, so the result is
-    a function of the frame, the ranks, ``budget``, ``seed`` and ``tol``.
+    default_rng((seed, k)).standard_normal((budget, n, k)), drawn by
+    _candidate_blocks alone; it projects onto the span of Q_j[:, :k], and
+    its two sides are the identity problems in the coordinates
+    X Q_j[:, :k] and X Q_j[:, k:].  A block depends on (seed, k, j) only,
+    whatever the batching, so the result is a function of the frame, the
+    ranks, ``budget``, ``seed`` and ``tol``.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")

@@ -115,9 +115,9 @@ def open_quadrant_certificate(vectors) -> bool:
     V = as_vector_array(vectors)
     if V.shape[1] != 2:
         raise ValueError("the quadrant certificate applies to 2-dimensional coordinates")
-    norms = np.linalg.norm(V, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError(f"zero vector at index {int(np.argmin(norms))}")
+    zero = ~V.any(axis=1)
+    if zero.any():
+        raise ValueError(f"zero vector at index {int(np.argmax(zero))}")
     s = np.sign(V[:, 0]) * np.sign(V[:, 1])
     return bool(s[0] != 0.0 and (s == s[0]).all())
 

@@ -144,3 +144,11 @@ def test_dumps_json_parses_back(tmp_path):
     out = tmp_path / "report.json"
     write_report(report, out)
     assert load_report(out)["command"] == "analyze"
+
+    # an array encodes to the bytes of its copy as lists of floats
+    rng = np.random.default_rng(0)
+    A = np.ldexp(rng.standard_normal((3, 4)), rng.integers(-1074, 1020, (3, 4)))
+    A[0, :2] = -0.0, 5e-324
+    for arr in (A, A[1], A.T):
+        copy = [list(map(float, row)) for row in arr] if arr.ndim == 2 else list(map(float, arr))
+        assert dumps_json({"a": arr}) == dumps_json({"a": copy})

@@ -87,6 +87,11 @@ def test_frame_quantities_of_power_of_two_multiples(exponent):
     S = fs.frame_operator(np.ldexp(X, exponent))
     with np.errstate(over="ignore"):
         assert np.allclose(S, np.ldexp(fs.frame_operator(X), 2 * exponent), rtol=1e-14, atol=0.0)
+    # the unit rows are those of X, and only the norms carry the factor
+    unit, norms = fs.normalize_columns(np.ldexp(X, exponent))
+    want_unit, want_norms = fs.normalize_columns(X)
+    assert np.array_equal(unit.vectors, want_unit.vectors)
+    assert np.array_equal(norms, np.ldexp(want_norms, exponent))
 
 
 @given(st.integers(0, 10_000))

@@ -285,9 +285,6 @@ def test_construct_r4_special_errors():
     )
     with pytest.raises(ValueError):
         fs.construct_r4_special(dependent, [0, 1, 2, 3])
-    not_unit = fs.Frame(2.0 * np.eye(4))
-    with pytest.raises(ValueError):
-        fs.construct_r4_special(not_unit, [0, 1, 2, 3])
 
 
 def test_search_routes():
@@ -429,6 +426,15 @@ def test_search_and_constructors_scale_power_of_two_multiples(exponent):
     assert fs.verify_piecewise(R3, fs.construct_r3(R3)).passed
     E = np.ldexp(np.eye(2), exponent)
     assert fs.verify_piecewise(E, fs.construct_from_orthogonal_split(E, fs.canonical_projection([0], 2), [0], [1])).passed
+    # r4special on the fixture times 2 and 2^exponent keeps the fixture's
+    # projection and divides its constants by the factor
+    F = r4_special_fixture().vectors
+    want = fs.construct_r4_special(F, [0, 1, 2, 3])
+    for factor in (2.0, np.ldexp(1.0, exponent)):
+        got = fs.construct_r4_special(factor * F, [0, 1, 2, 3])
+        assert np.array_equal(got.projection.matrix, want.projection.matrix)
+        assert np.array_equal(got.a, want.a / factor) and np.array_equal(got.b, want.b / factor)
+        assert fs.verify_piecewise(factor * F, got).passed
     # row factors 2^e with e in [-64, 64] and signs, drawn afresh per
     # exponent, keep a found search found; with the row order changed too,
     # the constructors verify on the frame as given.  The search is not
@@ -451,6 +457,12 @@ def test_search_and_constructors_scale_power_of_two_multiples(exponent):
             where = np.argsort(order)
             ps = fs.construct_from_orthogonal_split(Y, fs.canonical_projection([0], n), where[:1], where[1:])
             assert fs.verify_piecewise(Y, ps).passed
+    # and r4special on row factors, signs and a new order of the scaled fixture
+    Y, order, factors = row_transform(rng, np.ldexp(F, exponent))
+    got = fs.construct_r4_special(Y, np.argsort(order))
+    assert fs.verify_piecewise(Y, got).passed
+    want_a, want_b = (np.ldexp(c, -exponent)[order] / np.abs(factors) for c in (want.a, want.b))
+    assert np.allclose(got.a, want_a, rtol=1e-14, atol=0.0) and np.allclose(got.b, want_b, rtol=1e-14, atol=0.0)
 
 
 def test_orthogonal_split_of_a_tiny_basis():

@@ -314,6 +314,9 @@ def test_power_of_two_multiples_decide_as_the_frame(exponent):
             c = np.ldexp(got.scaling.constants, exponent)
             assert np.allclose(c, want.scaling.constants, rtol=1e-12, atol=1e-12)
     assert {fs.solve_standard_scaling(X).certificate for X in frames} == {None, "open-quadrant", "residual-infeasible"}
+    # the quadrant certificate reads signs, so it answers as for the frame
+    for V in (frames[1], [[1.0, 1.0], [2.0, 1.0], [1.0, 2.0]], [[1.0, 1.0], [1.0, -1.0]]):
+        assert fs.open_quadrant_certificate(np.ldexp(V, exponent)) == fs.open_quadrant_certificate(V)
     # row factors 2^e with e in [-64, 64], row order and signs, drawn
     # afresh per exponent, leave the verdict and its certificate as they
     # are; a change of basis may only trade the quadrant for the half-plane

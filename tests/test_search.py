@@ -215,7 +215,7 @@ def test_screen_matches_the_per_block_reference(monkeypatch):
             counts += np.bincount(want.astype(int), minlength=2)
             # batches of 5 candidates: 2 full ones and a last one of 3
             with monkeypatch.context() as patch:
-                patch.setattr(pw, "_FARKAS_CELLS", 5 * len(X) * n * (n + 1) // 2)
+                patch.setattr(pw, "_screen_batch", lambda m, n: 5)
                 survivors = list(pw._surviving_candidates(X, k, 13, index, TOL))
             want, near = _reference_rejections(X, _blocks(index, k, n, 13))
             kept = [c for c, _ in survivors]
@@ -621,7 +621,7 @@ def test_chunked_screen_keeps_exactly_the_unrejected_candidates(monkeypatch):
     frame, _ = CASES[-1]
     X, n = frame.vectors, frame.dim
     # batches of 7 candidates: 14 full batches and a last one of 2
-    monkeypatch.setattr(pw, "_FARKAS_CELLS", 7 * len(X) * n * (n + 1) // 2)
+    monkeypatch.setattr(pw, "_screen_batch", lambda m, n: 7)
     for k in range(1, frame.dim):
         survivors = list(pw._surviving_candidates(X, k, 100, 9, TOL))
         G = _blocks(9, k, frame.dim, 100)
@@ -668,7 +668,7 @@ def test_batched_draws_keep_the_seeding_contract(seed, monkeypatch):
     # 88 batches of 7 and a last batch of 4
     monkeypatch.setattr(pw, "_rejected_draws", lambda X, G, tol: np.zeros(len(G), dtype=bool))
     n, budget = 6, 620
-    monkeypatch.setattr(pw, "_FARKAS_CELLS", 7 * n * n * (n + 1) // 2)
+    monkeypatch.setattr(pw, "_screen_batch", lambda m, n: 7)
     for k in range(1, n):
         drawn = list(pw._surviving_candidates(np.eye(n), k, budget, seed, TOL))
         assert [c for c, _ in drawn] == list(range(budget))
