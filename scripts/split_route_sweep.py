@@ -6,8 +6,8 @@ the orthogonal-split route of ``search_piecewise`` at ranks 1..n-1:
 it skips the ranks with more cosines than unknowns, (n - 2k)^2 > n, and
 at the others it uses pivoted row sets S and T, three seeded starts per
 rank and Levenberg-Marquardt on the pairwise cosines.  It prints how many frames
-the route scaled (every result is re-checked with ``verify_piecewise``)
-and the mean milliseconds per frame.
+the route scaled (a frame counts when a split the route yields passes
+``verify_piecewise``, as in the search) and the mean milliseconds per frame.
 
 This is evidence, not a theorem.  The paper proves that every frame in
 R^2 and R^3 is piecewise scalable; a frame the route misses here may
@@ -45,12 +45,9 @@ def run(seed: int, frames: int, dims=range(4, 9)) -> None:
             for index in range(frames):
                 frame = spanning_unit_frame(rng, n, m)
                 start = time.perf_counter()
-                ps = _orthogonal_split_route(frame, range(1, n), index, fs.DEFAULT_TOL)
+                splits = _orthogonal_split_route(frame, range(1, n), index, fs.DEFAULT_TOL)
+                hits += any(fs.verify_piecewise(frame, ps).passed for ps in splits)
                 elapsed += time.perf_counter() - start
-                if ps is not None:
-                    if not fs.verify_piecewise(frame, ps).passed:
-                        raise SystemExit("the route returned a scaling that fails verify_piecewise")
-                    hits += 1
             print(f"{n:>3} {m:>4} {frames:>7} {hits:>5} {elapsed / frames * 1e3:>9.2f}")
 
 

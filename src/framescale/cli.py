@@ -109,8 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_tol(args, fallback: float = DEFAULT_TOL) -> float:
-    tol = args.tol if args.tol is not None else fallback
+def _resolve_tol(args) -> float:
+    # every command judges at --tol or DEFAULT_TOL, never at a tolerance an input file names
+    tol = args.tol if args.tol is not None else DEFAULT_TOL
     if not (np.isfinite(tol) and tol > 0.0):
         raise _UsageError(f"--tol must be finite and positive, got {tol}")
     return tol
@@ -286,10 +287,11 @@ def _cmd_verify(args) -> dict:
     from .piecewise import PiecewiseScaling, verify_piecewise
 
     recorded = load_report(args.report)
-    tol = _resolve_tol(args, fallback=float(recorded.get("tolerance", DEFAULT_TOL)))
+    tol = _resolve_tol(args)
     frame = _frame_from_report(recorded, args.frame, args.format)
     scaling = _scaling_from_report(recorded, tol)
     report = _base_report("verify", args.report, tol)
+    report["recorded_tolerance"] = recorded.get("tolerance")
     if isinstance(scaling, PiecewiseScaling):
         rep = verify_piecewise(frame, scaling, tol)
         residuals = _piecewise_residuals(rep)
@@ -332,7 +334,7 @@ def _cmd_transport(args) -> dict:
     if bool(args.unitary) == bool(args.to_canonical):
         raise _UsageError("transport needs exactly one of --unitary FILE or --to-canonical")
     recorded = load_report(args.report)
-    tol = _resolve_tol(args, fallback=float(recorded.get("tolerance", DEFAULT_TOL)))
+    tol = _resolve_tol(args)
     frame = _frame_from_report(recorded, None, args.format)
     scaling = _scaling_from_report(recorded, tol)
     if not isinstance(scaling, PiecewiseScaling):

@@ -10,6 +10,7 @@ rest on a best-effort basis.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -703,8 +704,8 @@ def _solve_split(system, Q: np.ndarray, k: int, tol: float) -> np.ndarray | None
     return Q if cost <= tol * tol else None
 
 
-def _orthogonal_split_route(fr: Frame, ranks, seed: int, tol: float, budget: int = _SPLIT_STARTS) -> PiecewiseScaling | None:
-    """An orthogonal-split scaling solved for at the given ranks, or None.
+def _orthogonal_split_route(fr: Frame, ranks, seed: int, tol: float, budget: int = _SPLIT_STARTS) -> Iterator[PiecewiseScaling]:
+    """Orthogonal-split scalings solved for at the given ranks, in order.
 
     Rank k picks k rows S and then n - k further rows T by pivoted
     selection, and looks for a rank-k projection under which the parts
@@ -716,8 +717,8 @@ def _orthogonal_split_route(fr: Frame, ranks, seed: int, tol: float, budget: int
     blocks of _candidate_blocks, so the route adds no seed stream.  From
     each start _solve_split solves for the pairwise cosines of the parts
     (_split_system); cosines, unlike raw inner products, keep the parts
-    away from zero.  A result must pass construct_from_orthogonal_split
-    and verify_piecewise; a miss proves nothing.
+    away from zero.  Each solution that construct_from_orthogonal_split
+    accepts is yielded unverified; a miss proves nothing.
     """
     X = fr.vectors
     n = fr.dim
@@ -737,9 +738,7 @@ def _orthogonal_split_route(fr: Frame, ranks, seed: int, tol: float, budget: int
                 ps = construct_from_orthogonal_split(X, _leading_projection(Q, k), S, T, tol)
             except ValueError:
                 continue
-            if verify_piecewise(fr, ps, tol).passed:
-                return ps
-    return None
+            yield ps
 
 
 def search_piecewise(
@@ -751,15 +750,16 @@ def search_piecewise(
 ) -> PiecewiseScaling | None:
     """Look for a passing piecewise scaling; absence of a result is a value.
 
-    Strategy, in order: standard scalability by solve_standard_scaling
-    (equal constants work with any projection), the constructors for
-    dimensions two and three (a rejected input or a result that fails
-    verification goes on), the orthogonal-split route
-    (_orthogonal_split_route) at the ranks closeness_obstruction does not
-    certify, then ``budget`` sampled candidates per requested rank, each
-    screened (_rejected_draws) and split (_disjoint_split_candidate).  A
-    miss is not a proof that no scaling exists.  The search runs on the
-    unit rows of _unit_rows.
+    Candidates, in order: equal constants from solve_standard_scaling
+    (they work with any projection), the constructor for dimension two
+    or three (in complement form when rank 1 is not requested), the
+    orthogonal-split route (_orthogonal_split_route) at the ranks
+    closeness_obstruction does not certify, then ``budget`` sampled
+    candidates per requested rank, each screened (_rejected_draws) and
+    split (_disjoint_split_candidate).  The answer is the first that
+    passes verify_piecewise on the unit rows of _unit_rows, the one
+    acceptance check; a later route runs only when every earlier
+    candidate failed it.  A miss is not a proof that no scaling exists.
 
     The candidate stream.  Candidate j of rank k is the orthogonal factor
     Q_j of the complete QR of block j of
@@ -783,23 +783,24 @@ def search_piecewise(
     if not valid:
         return None
     U, r, e = _unit_rows(fr.vectors)
-    ps = _search(fr if U is fr.vectors else Frame(U), valid, budget, seed, tol)
-    return None if ps is None else _for_rows(ps, r, e)
+    unit = fr if U is fr.vectors else Frame(U)
+    for ps in _candidate_scalings(unit, valid, budget, seed, tol):
+        if verify_piecewise(unit, ps, tol).passed:
+            return _for_rows(ps, r, e)
+    return None
 
 
-def _search(fr: Frame, valid: list[int], budget: int, seed: int, tol: float) -> PiecewiseScaling | None:
-    # search_piecewise on a frame of unit or zero rows, for the sorted ranks ``valid``
+def _candidate_scalings(fr: Frame, valid: list[int], budget: int, seed: int, tol: float) -> Iterator[PiecewiseScaling]:
+    # search_piecewise's candidates, in its order, for a frame of unit or zero rows and the sorted ranks ``valid``
     if not fr.is_frame():
-        return None
+        return
     n = fr.dim
     X = fr.vectors
     # the Frame passes its rows to solve_standard_scaling without a copy
     verdict = solve_standard_scaling(fr, None, tol)
     if verdict.feasible:
         c = verdict.scaling.constants
-        ps = PiecewiseScaling(canonical_projection(range(valid[0]), n), c, c)
-        if verify_piecewise(fr, ps, tol).passed:
-            return ps
+        yield PiecewiseScaling(canonical_projection(range(valid[0]), n), c, c)
     if n <= 3:
         # a numerically degenerate selection, like a failing result, goes on to the later routes
         try:
@@ -807,20 +808,15 @@ def _search(fr: Frame, valid: list[int], budget: int, seed: int, tol: float) -> 
         except ValueError:
             pass
         else:
-            if 1 not in valid:  # built has rank 1, and a valid set without 1 holds n - 1
-                built = _complement_form(built)
-            if verify_piecewise(fr, built, tol).passed:
-                return built
+            # built has rank 1, and a valid set without 1 holds n - 1
+            yield built if 1 in valid else _complement_form(built)
     # imported here, so that verify, transport and the searches decided above never compile obstructions
     from .obstructions import closeness_obstruction
 
     certified = closeness_obstruction(X).applicable_ranks
-    ps = _orthogonal_split_route(fr, [k for k in valid if k not in certified], seed, tol, budget)
-    if ps is not None:
-        return ps
+    yield from _orthogonal_split_route(fr, [k for k in valid if k not in certified], seed, tol, budget)
     for k in valid:
         for _, G in _surviving_candidates(X, k, budget, seed, tol):
             ps = _disjoint_split_candidate(X, G, tol)
-            if ps is not None and verify_piecewise(fr, ps, tol).passed:
-                return ps
-    return None
+            if ps is not None:
+                yield ps

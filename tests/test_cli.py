@@ -287,6 +287,15 @@ def test_malformed_reports_are_input_errors(workdir, capsys):
     for args in (["verify", broken], ["transport", broken, "--to-canonical"]):
         code, _, err = run_cli(args, capsys)
         assert code == 2 and "'frame'" in err and "'input'" in err
+    # a matrix that is no projection is an input error at --tol or the
+    # default, whatever tolerance the report names
+    report = json.loads(json.dumps(recorded))
+    report["tolerance"] = 1e3
+    report["scaling"]["projection"] = [[0.7, 0.2, 0.0], [0.2, 0.1, 0.0], [0.0, 0.0, 0.3]]
+    broken.write_text(json.dumps(report))
+    for args in (["verify", broken], ["transport", broken, "--to-canonical"]):
+        code, _, err = run_cli(args, capsys)
+        assert code == 2 and "not an orthogonal projection" in err
 
 
 def test_tol_must_be_finite_and_positive(workdir, capsys):
@@ -301,6 +310,16 @@ def test_tol_must_be_finite_and_positive(workdir, capsys):
         for args in (["scale", frame], ["piecewise", frame], ["verify", recorded]):
             code, report, err = run_cli([*args, f"--tol={tol}"], capsys)
             assert code == 1 and report is None and "--tol must be finite and positive" in err
+    # nor may a tolerance a report names: verify judges at --tol or the
+    # default; this frame has no standard scaling (scale bounds its
+    # distance below by 0.94), and both forged scalings leave a residual of 2.9
+    rows = [[1.0, 0.0, 0.0], [0.9, 0.1, 0.0], [0.9, 0.0, 0.1], [0.95, 0.05, 0.05]]
+    forged = workdir / "forged.json"
+    for scaling in ({"projection": np.diag([1.0, 0.0, 0.0]).tolist(), "a": [1] * 4, "b": [1] * 4}, {"c": [1] * 4}):
+        forged.write_text(json.dumps({"input": "unused.csv", "tolerance": 1e3, "frame": rows, "scaling": scaling}))
+        code, report, _ = run_cli(["verify", forged], capsys)
+        assert code == 0 and report["verdict"] == "fail"
+        assert report["tolerance"] == fs.DEFAULT_TOL and report["recorded_tolerance"] == 1e3
 
 
 def test_report_determinism(workdir, capsys):

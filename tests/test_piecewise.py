@@ -375,19 +375,37 @@ def test_search_falls_through_when_the_r3_constructor_rejects(monkeypatch):
 
 
 def test_search_falls_through_when_the_r3_constructor_fails_verification(monkeypatch):
-    # a constructor result that fails verify_piecewise is a miss of that
-    # route, like a ValueError, so the search must try the later routes
+    # a candidate that fails verify_piecewise, from the constructor or from
+    # the route, is a miss of that candidate, like a ValueError, so the
+    # search must try the later candidates; search_piecewise verifies each
+    # candidate once, up to the hit
     frame = random_unit_frame(np.random.default_rng(8), 3, 6)
     assert not fs.solve_standard_scaling(frame.vectors).feasible
     failing = fs.PiecewiseScaling(fs.canonical_projection([0], 3), np.zeros(6), np.zeros(6))
+    failing_split = fs.PiecewiseScaling(fs.canonical_projection([1], 3), np.zeros(6), np.zeros(6))
     assert not fs.verify_piecewise(frame, failing).passed
+    assert not fs.verify_piecewise(frame, failing_split).passed
     monkeypatch.setattr(pw, "construct_r3", lambda *args: failing)
-    later = []
-    route = pw._orthogonal_split_route
-    monkeypatch.setattr(pw, "_orthogonal_split_route", lambda *args: later.append(args) or route(*args))
-    found = fs.search_piecewise(frame, seed=0)
-    assert later, "the search stopped at the failing constructor result"
-    assert found is not None and fs.verify_piecewise(frame, found).passed
+    route, stream, verify = pw._orthogonal_split_route, pw._candidate_scalings, pw.verify_piecewise
+    for route_fails_first in (False, True):
+        later, yielded, verified = [], [], []
+
+        def patched_route(*args):
+            later.append(args)
+            if route_fails_first:
+                yield failing_split
+            yield from route(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pw, "_orthogonal_split_route", patched_route)
+            patch.setattr(pw, "_candidate_scalings", lambda *args: (yielded.append(ps) or ps for ps in stream(*args)))
+            patch.setattr(pw, "verify_piecewise", lambda *args: verified.append(args[1]) or verify(*args))
+            found = fs.search_piecewise(frame, seed=0)
+        assert later, "the search stopped at the failing constructor result"
+        assert found is not None and verify(frame, found).passed
+        assert [id(ps) for ps in verified] == [id(ps) for ps in yielded]
+        assert yielded[0] is failing and found is yielded[-1]
+        assert (yielded[1] is failing_split) == route_fails_first
 
 
 def test_construct_r3_scales_every_clustered_frame_down_to_spread_1e_7():

@@ -79,7 +79,7 @@ def _recording_survivors(monkeypatch) -> list[int]:
 
 def _sampled_stage_only(monkeypatch) -> None:
     """Patch the orthogonal-split route out, so the sampled stage answers as in the reference search."""
-    monkeypatch.setattr(pw, "_orthogonal_split_route", lambda *args: None)
+    monkeypatch.setattr(pw, "_orthogonal_split_route", lambda *args: iter(()))
 
 
 def _side_fixture(k: int, n: int, side_coords: np.ndarray, other_coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
