@@ -4,7 +4,10 @@ Subcommands: analyze, scale, piecewise, verify, obstruct, transport,
 canonical-parseval.  Every run writes a JSON report to stdout or --out.
 Exit codes: 0 verdict computed (including infeasible, undecided or
 not-found), 1 usage error, 2 input format error, 3 internal
-inconsistency.
+inconsistency.  main parses the flags, resolves --tol, reads the
+command's frame file or report and starts its report, in that order, so
+a usage error comes before any file is read; each command then fills in
+its own fields.
 
 The top level imports only what every command uses; each command imports
 its solver modules when it runs, so a process loads only what its command
@@ -31,6 +34,8 @@ from .frames import (
 )
 from .fileio import (
     FrameFormatError,
+    _numbers,
+    _rows_from_json,
     load_frame,
     load_matrix,
     load_report,
@@ -99,8 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transport", parents=[common], help="move a piecewise scaling by a unitary")
     p.add_argument("report")
-    p.add_argument("--unitary", default=None, help="unitary matrix file")
-    p.add_argument("--to-canonical", action="store_true", help="transport onto the coordinate projection")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--unitary", default=None, help="unitary matrix file")
+    target.add_argument("--to-canonical", action="store_true", help="transport onto the coordinate projection")
 
     p = sub.add_parser("canonical-parseval", parents=[common], help="tighten a frame to a Parseval frame")
     p.add_argument("frame")
@@ -139,13 +145,10 @@ def _load_projection(path, fmt, tol):
         raise FrameFormatError(str(exc), path) from None
 
 
-def _cmd_analyze(args) -> dict:
-    tol = _resolve_tol(args)
-    frame = load_frame(args.frame, args.format)
+def _cmd_analyze(args, frame: Frame, tol: float, report: dict) -> None:
     bounds = frame_bounds(frame)
     S = frame_operator(frame)
     defect = float(np.linalg.norm(S - np.eye(frame.dim), "fro"))
-    report = _base_report("analyze", args.frame, tol)
     report["verdict"] = "spanning" if bounds.spanning else "non-spanning"
     report["residuals"] = {"parseval_defect": defect}
     report["bounds"] = {
@@ -154,16 +157,12 @@ def _cmd_analyze(args) -> dict:
         "condition_number": bounds.condition_number,
     }
     report["frame_operator"] = S
-    return report
 
 
-def _cmd_scale(args) -> dict:
+def _cmd_scale(args, frame: Frame, tol: float, report: dict) -> None:
     from .scaling import solve_standard_scaling
 
-    tol = _resolve_tol(args)
-    frame = load_frame(args.frame, args.format)
     verdict = solve_standard_scaling(frame.vectors, None, tol)
-    report = _base_report("scale", args.frame, tol)
     # a certified verdict of no NNLS iterations holds a certified bound, not a defect reached
     screened = not verdict.feasible and verdict.iterations == 0 and verdict.certificate != "undecided"
     report["residuals"] = {"distance_lower_bound" if screened else "frobenius_defect": verdict.residual}
@@ -182,7 +181,6 @@ def _cmd_scale(args) -> dict:
         report["certificate"] = verdict.certificate
     for warning in verdict.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    return report
 
 
 def _piecewise_scaling_payload(ps) -> dict:
@@ -198,7 +196,7 @@ def _piecewise_residuals(rep) -> dict:
     }
 
 
-def _cmd_piecewise(args) -> dict:
+def _cmd_piecewise(args, frame: Frame, tol: float, report: dict) -> None:
     from .projections import canonical_projection
     from .piecewise import (
         construct_from_orthogonal_split,
@@ -209,16 +207,9 @@ def _cmd_piecewise(args) -> dict:
         verify_piecewise,
     )
 
-    tol = _resolve_tol(args)
-    frame = load_frame(args.frame, args.format)
     mode = args.construct or "search"
-    ps = None
     if mode == "r2":
-        P = (
-            _load_projection(args.projection, args.format, tol)
-            if args.projection
-            else canonical_projection([0], 2)
-        )
+        P = _load_projection(args.projection, args.format, tol) if args.projection else canonical_projection([0], 2)
         ps = construct_r2(frame, P, tol)
     elif mode == "r3":
         ps = construct_r3(frame, tol)
@@ -242,56 +233,57 @@ def _cmd_piecewise(args) -> dict:
             if not ranks or not all(1 <= k < frame.dim for k in ranks):
                 raise _UsageError(f"--rank values must lie in 1..{frame.dim - 1}, got {ranks}")
         ps = search_piecewise(frame, ranks=ranks, budget=args.budget, seed=args.seed, tol=tol)
-    report = _base_report("piecewise", args.frame, tol)
     report["seed"] = args.seed
     if ps is None:
         report["verdict"] = "not-found"
         report["note"] = (
             "search budget exhausted; this is not a proof that no piecewise scaling exists"
         )
-        return report
+        return
     rep = verify_piecewise(frame, ps, tol)
     report["verdict"] = "found" if rep.passed else "constructed-but-failed"
     report["residuals"] = _piecewise_residuals(rep)
     report["scaling"] = _piecewise_scaling_payload(ps)
-    return report
 
 
-def _frame_from_report(report: dict, override_path, fmt) -> Frame:
+def _frame_from_report(recorded: dict, override_path, fmt, path) -> tuple[str, Frame]:
+    # the frame a report's scaling applies to, and its source: the
+    # override file, "report" for an embedded frame, else the input file
     if override_path is not None:
-        return load_frame(override_path, fmt)
-    if "frame" in report:
-        return Frame(np.array(report["frame"], dtype=float))
-    if "input" not in report:
-        raise FrameFormatError("report has neither a 'frame' nor an 'input' entry")
-    return load_frame(report["input"], fmt)
+        return str(override_path), load_frame(override_path, fmt)
+    if "frame" in recorded:
+        return "report", Frame(_rows_from_json(recorded, "frame", path))
+    source = recorded.get("input")
+    if not isinstance(source, str):
+        raise FrameFormatError("report has neither a 'frame' entry nor an 'input' file name")
+    return source, load_frame(source, fmt)
 
 
-def _scaling_from_report(report: dict, tol: float):
+def _scaling_from_report(recorded: dict, tol: float, path):
     from .projections import projection_from_matrix
     from .piecewise import PiecewiseScaling
 
-    payload = report.get("scaling")
+    payload = recorded.get("scaling")
     if not isinstance(payload, dict):
         raise _UsageError("report carries no scaling to work with")
     if "c" in payload:
-        return np.array(payload["c"], dtype=float)
+        return _numbers(payload["c"], 'scaling "c"', path)
     for key in ("projection", "a", "b"):
         if key not in payload:
             raise FrameFormatError(f"report scaling lacks the '{key}' entry")
-    P = projection_from_matrix(np.array(payload["projection"], dtype=float), tol)
-    return PiecewiseScaling(P, np.array(payload["a"], dtype=float), np.array(payload["b"], dtype=float))
+    P = projection_from_matrix(_rows_from_json(payload, "projection", path), tol)
+    return PiecewiseScaling(P, _numbers(payload["a"], 'scaling "a"', path), _numbers(payload["b"], 'scaling "b"', path))
 
 
-def _cmd_verify(args) -> dict:
+def _cmd_verify(args, recorded: dict, tol: float, report: dict) -> None:
+    import hashlib
+
     from .piecewise import PiecewiseScaling, verify_piecewise
 
-    recorded = load_report(args.report)
-    tol = _resolve_tol(args)
-    frame = _frame_from_report(recorded, args.frame, args.format)
-    scaling = _scaling_from_report(recorded, tol)
-    report = _base_report("verify", args.report, tol)
+    source, frame = _frame_from_report(recorded, args.frame, args.format, args.report)
+    scaling = _scaling_from_report(recorded, tol, args.report)
     report["recorded_tolerance"] = recorded.get("tolerance")
+    report["checked_frame"] = {"source": source, "sha256": hashlib.sha256(frame.vectors.tobytes()).hexdigest()}
     if isinstance(scaling, PiecewiseScaling):
         rep = verify_piecewise(frame, scaling, tol)
         residuals = _piecewise_residuals(rep)
@@ -308,35 +300,26 @@ def _cmd_verify(args) -> dict:
     residuals["max_drift_from_recorded"] = drift
     report["residuals"] = residuals
     report["verdict"] = "pass" if passed and drift <= _ROUND_TRIP_TOL else "fail"
-    return report
 
 
-def _cmd_obstruct(args) -> dict:
+def _cmd_obstruct(args, frame: Frame, tol: float, report: dict) -> None:
     from .obstructions import closeness_obstruction
 
-    tol = _resolve_tol(args)
-    frame = load_frame(args.frame, args.format)
     result = closeness_obstruction(frame)
-    report = _base_report("obstruct", args.frame, tol)
     report["verdict"] = result.theorem
     if result.applicable_ranks:
         report["certificate"] = result.theorem
     report["epsilon"] = result.epsilon
     report["applicable_ranks"] = sorted(result.applicable_ranks)
     report["residuals"] = {"unit_norm_deviation": float(result.detail["unit_norm_deviation"])}
-    return report
 
 
-def _cmd_transport(args) -> dict:
+def _cmd_transport(args, recorded: dict, tol: float, report: dict) -> None:
     from .piecewise import PiecewiseScaling, verify_piecewise
     from .transport import to_canonical, transport_scaling
 
-    if bool(args.unitary) == bool(args.to_canonical):
-        raise _UsageError("transport needs exactly one of --unitary FILE or --to-canonical")
-    recorded = load_report(args.report)
-    tol = _resolve_tol(args)
-    frame = _frame_from_report(recorded, None, args.format)
-    scaling = _scaling_from_report(recorded, tol)
+    _, frame = _frame_from_report(recorded, None, args.format, args.report)
+    scaling = _scaling_from_report(recorded, tol, args.report)
     if not isinstance(scaling, PiecewiseScaling):
         raise _UsageError("transport applies to piecewise scalings only")
     if args.to_canonical:
@@ -345,26 +328,20 @@ def _cmd_transport(args) -> dict:
         U = load_matrix(args.unitary, args.format)
         moved_frame, moved = transport_scaling(frame, scaling, U, tol)
     rep = verify_piecewise(moved_frame, moved, tol)
-    report = _base_report("transport", args.report, tol)
     report["verdict"] = "transported"
     report["residuals"] = _piecewise_residuals(rep)
     report["scaling"] = _piecewise_scaling_payload(moved)
     report["frame"] = moved_frame.vectors
-    return report
 
 
-def _cmd_canonical_parseval(args) -> dict:
-    tol = _resolve_tol(args)
-    frame = load_frame(args.frame, args.format)
+def _cmd_canonical_parseval(args, frame: Frame, tol: float, report: dict) -> None:
     tightened = canonical_parseval(frame)
     check = verify_parseval(tightened.vectors, None, tol)
-    report = _base_report("canonical-parseval", args.frame, tol)
     report["verdict"] = "converted"
     report["residuals"] = {"parseval_defect": check.residual}
     report["frame"] = tightened.vectors
     if args.out_frame:
         save_frame(tightened, args.out_frame, args.format)
-    return report
 
 
 _COMMANDS = {
@@ -385,7 +362,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report = _COMMANDS[args.command](args)
+        tol = _resolve_tol(args)
+        if args.command in ("verify", "transport"):
+            source, data = args.report, load_report(args.report)
+        else:
+            source, data = args.frame, load_frame(args.frame, args.format)
+        report = _base_report(args.command, source, tol)
+        _COMMANDS[args.command](args, data, tol, report)
     except _UsageError as exc:
         print(f"framescale: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

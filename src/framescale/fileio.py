@@ -76,27 +76,35 @@ def _load_json_object(text: str, path) -> dict:
     return obj
 
 
+def _numbers(row, where: str, path) -> np.ndarray:
+    """The JSON array ``row`` of numbers as floats; diagnostics call it ``where``.
+
+    The one rule for frame, matrix and report arrays: booleans and
+    strings are no numbers, and integers beyond the doubles are errors.
+    """
+    if not isinstance(row, list):
+        raise FrameFormatError(f"{where} is not an array", path)
+    values: list[float] = []
+    for j, item in enumerate(row):
+        if isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise FrameFormatError(f"{where}, coordinate {j} is not a number", path)
+        try:
+            values.append(float(item))
+        except OverflowError:
+            raise FrameFormatError(f"{where}, coordinate {j} exceeds the range of doubles", path) from None
+    return np.array(values)
+
+
 def _rows_from_json(obj: dict, key: str, path) -> np.ndarray:
     """The array of arrays of numbers under ``key``; diagnostics name that key."""
     entries = obj.get(key)
     if not isinstance(entries, list) or not entries:
         raise FrameFormatError(f'"{key}" must be a nonempty array of arrays', path)
-    width: int | None = None
-    rows: list[list[float]] = []
-    for i, row in enumerate(entries):
-        if not isinstance(row, list):
-            raise FrameFormatError(f'"{key}" entry {i} is not an array', path)
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise FrameFormatError(f'"{key}" entry {i} has length {len(row)}, expected {width}', path)
-        values: list[float] = []
-        for j, item in enumerate(row):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise FrameFormatError(f'"{key}" entry {i}, coordinate {j} is not a number', path)
-            values.append(float(item))
-        rows.append(values)
-    return np.array(rows, dtype=float)
+    rows = [_numbers(row, f'"{key}" entry {i}', path) for i, row in enumerate(entries)]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise FrameFormatError(f'"{key}" entry {i} has length {len(row)}, expected {len(rows[0])}', path)
+    return np.array(rows)
 
 
 def load_frame(path, fmt: str | None = None) -> Frame:

@@ -184,7 +184,7 @@ def construct_r2(frame, projection: OrthogonalProjection, tol: float = DEFAULT_T
     numerically degenerate for P and raises ValueError.  It works on the
     unit rows of _unit_rows.
     """
-    X, r, e = _unit_rows(as_vector_array(frame))
+    X = _unit_rows(as_vector_array(frame))[0]
     m, n = X.shape
     if n != 2:
         raise ValueError("construct_r2 needs vectors in R^2")
@@ -201,7 +201,7 @@ def construct_r2(frame, projection: OrthogonalProjection, tol: float = DEFAULT_T
             continue
         for j in range(m):
             if j != i and zn[j] > tol:
-                return _for_rows(construct_from_orthogonal_split(X, projection, [i], [j], tol), r, e)
+                return construct_from_orthogonal_split(frame, projection, [i], [j], tol)
     raise ValueError("no pair i != j has P x_i and (I - P) x_j above tol; the frame is numerically degenerate")
 
 
@@ -221,7 +221,8 @@ def construct_from_orthogonal_split(
     rescaled family is an orthonormal basis.  The parts are those of the
     unit rows of _unit_rows.  A part at most tol times its vector's norm
     counts as numerically zero and raises ValueError, as does a
-    normalized overlap above tol.  Every explicit constructor ends here.
+    normalized overlap above tol.  Every explicit constructor ends here
+    on its caller's rows, and only here are constants carried back.
     """
     X, r, e = _unit_rows(as_vector_array(frame))
     m, n = X.shape
@@ -323,7 +324,7 @@ def construct_r3_detailed(frame, tol: float = DEFAULT_TOL) -> R3Construction:
     and T the pair, so a numerically degenerate part raises ValueError.
     It works on the unit rows of _unit_rows.
     """
-    X, r, e = _unit_rows(as_vector_array(frame))
+    X = _unit_rows(as_vector_array(frame))[0]
     m, n = X.shape
     if n != 3:
         raise ValueError("construct_r3 needs vectors in R^3")
@@ -372,7 +373,7 @@ def construct_r3_detailed(frame, tol: float = DEFAULT_TOL) -> R3Construction:
             f"complement parts of the pair are not orthogonal (residual {orth_residual:.3e})"
         )
     return R3Construction(
-        scaling=_for_rows(construct_from_orthogonal_split(X, P, sel[2:], sel[:2], tol), r, e),
+        scaling=construct_from_orthogonal_split(frame, P, sel[2:], sel[:2], tol),
         indices=sel,
         mixing_vector=_freeze(u),
         mixing_weight=lam,
@@ -393,7 +394,7 @@ def construct_r4_special(frame, indices, tol: float = DEFAULT_TOL) -> PiecewiseS
     T = {x3, x4} then gives an orthonormal basis.  It works on the unit
     rows of _unit_rows.
     """
-    X, r, e = _unit_rows(as_vector_array(frame))
+    X = _unit_rows(as_vector_array(frame))[0]
     m, n = X.shape
     if n != 4:
         raise ValueError("construct_r4_special needs vectors in R^4")
@@ -420,8 +421,7 @@ def construct_r4_special(frame, indices, tol: float = DEFAULT_TOL) -> PiecewiseS
     if zn <= tol:
         raise ValueError("x2 lies in span{x1, x3, u}; the vectors are not in special position")
     v = zvec / zn
-    ps = construct_from_orthogonal_split(X, projection_from_basis([u, v]), idx[:2], idx[2:], tol)
-    return _for_rows(ps, r, e)
+    return construct_from_orthogonal_split(frame, projection_from_basis([u, v]), idx[:2], idx[2:], tol)
 
 
 def _complement_form(ps: PiecewiseScaling) -> PiecewiseScaling:
@@ -449,7 +449,7 @@ def _disjoint_split_candidate(X: np.ndarray, G: np.ndarray, tol: float):
     sides = (W[:, :k], W[:, k:])
     constants = [None, None]
     for i in sorted(range(2), key=lambda i: -sides[i].shape[1]):
-        verdict = _standard_verdict(sides[i], None, tol)
+        verdict = _standard_verdict(sides[i], tol)
         if not verdict.feasible:
             return None
         constants[i] = verdict.scaling.constants

@@ -389,14 +389,14 @@ def _decided_before_nnls(V: np.ndarray, C: np.ndarray, tol: float) -> tuple:
     return result, bound, None
 
 
-def _standard_verdict(V: np.ndarray, target: OrthogonalProjection | None, tol: float, max_iter: int | None = None):
-    """Step 4 of solve_standard_scaling alone, NNLS and its certificates, on the rows V as given.
+def _standard_verdict(V: np.ndarray, tol: float):
+    """Step 4 of solve_standard_scaling alone, NNLS and its certificates, on the rows V as given toward I.
 
     The search's side solves take it: their rows keep the lengths of
     their parts, the sampled stage screened them already, and the
     disjoint-support test needs NNLS's sparse basic solutions.
     """
-    return _verdict(*_range_coordinates(V, target, tol), tol, max_iter)
+    return _verdict(V, (), tol, None)
 
 
 def _verdict(C, warnings, tol, max_iter, result=None, bound=0.0, system=None) -> ScalabilityVerdict:

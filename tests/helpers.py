@@ -246,10 +246,10 @@ def reference_disjoint_split_candidate(X: np.ndarray, G: np.ndarray, tol: float)
     Q = np.linalg.qr(G, mode="complete")[0]
     W = X @ Q
     Y, Z = W[:, :k], W[:, k:]
-    vp = _standard_verdict(Y, None, tol)
+    vp = _standard_verdict(Y, tol)
     if not vp.feasible:
         return None
-    vq = _standard_verdict(Z, None, tol)
+    vq = _standard_verdict(Z, tol)
     if not vq.feasible:
         return None
     a = np.array(vp.scaling.constants)
@@ -274,7 +274,7 @@ def reference_restricted_constants(V: np.ndarray, keep: np.ndarray, tol: float):
     idx = np.nonzero(keep)[0]
     if idx.size == 0:
         return None
-    verdict = _standard_verdict(V[idx], None, tol)
+    verdict = _standard_verdict(V[idx], tol)
     if not verdict.feasible:
         return None
     out = np.zeros(keep.shape[0])

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import re
 import subprocess
@@ -114,6 +115,13 @@ def test_piecewise_split_and_verify_round_trip(workdir, capsys):
     assert code == 0
     assert verify_report["verdict"] == "pass"
     assert verify_report["residuals"]["max_drift_from_recorded"] <= 1e-12
+    # the report names the frame it checked: the input file, or the --frame override
+    rows_digest = hashlib.sha256(fs.load_frame(workdir / "pair.csv").vectors.tobytes()).hexdigest()
+    assert verify_report["checked_frame"] == {"source": str(workdir / "pair.csv"), "sha256": rows_digest}
+    fs.save_frame(tilted_pair_frame(0.1), workdir / "pair-copy.csv")
+    code, verify_report, _ = run_cli(["verify", out, "--frame", workdir / "pair-copy.csv"], capsys)
+    assert code == 0 and verify_report["verdict"] == "pass"
+    assert verify_report["checked_frame"] == {"source": str(workdir / "pair-copy.csv"), "sha256": rows_digest}
 
 
 def test_verify_standard_scale_report(workdir, capsys):
@@ -243,6 +251,20 @@ def test_exit_codes(workdir, capsys):
     code, _, _ = run_cli(["analyze", workdir / "does-not-exist.csv"], capsys)
     assert code == 2
 
+    # usage errors come before any file is read
+    missing = workdir / "does-not-exist.json"
+    for args in (
+        ["analyze", missing],
+        ["scale", missing],
+        ["piecewise", missing],
+        ["verify", missing],
+        ["obstruct", missing],
+        ["transport", missing, "--to-canonical"],
+        ["canonical-parseval", missing],
+    ):
+        code, report, err = run_cli([*args, "--tol", "nan"], capsys)
+        assert code == 1 and report is None and "--tol must be finite and positive" in err, args
+
     # a spanning pair with no row outside tol of P = diag(1, 0): the r2
     # constructor calls it degenerate input, and the search goes on to later routes
     flat = workdir / "flat.csv"
@@ -283,10 +305,11 @@ def test_malformed_reports_are_input_errors(workdir, capsys):
             assert code == 2 and f"'{key}'" in err
     report = json.loads(json.dumps(recorded))
     del report["input"]
-    broken.write_text(json.dumps(report))
-    for args in (["verify", broken], ["transport", broken, "--to-canonical"]):
-        code, _, err = run_cli(args, capsys)
-        assert code == 2 and "'frame'" in err and "'input'" in err
+    for input_entry in ({}, {"input": 5}):
+        broken.write_text(json.dumps({**report, **input_entry}))
+        for args in (["verify", broken], ["transport", broken, "--to-canonical"]):
+            code, _, err = run_cli(args, capsys)
+            assert code == 2 and "'frame'" in err and "'input'" in err
     # a matrix that is no projection is an input error at --tol or the
     # default, whatever tolerance the report names
     report = json.loads(json.dumps(recorded))
@@ -296,6 +319,19 @@ def test_malformed_reports_are_input_errors(workdir, capsys):
     for args in (["verify", broken], ["transport", broken, "--to-canonical"]):
         code, _, err = run_cli(args, capsys)
         assert code == 2 and "not an orthogonal projection" in err
+    # a report's arrays follow the frame-file rules: booleans and strings are no numbers
+    for frame, scaling, message in (
+        ([[True, False], [False, True]], {"c": [1, 1]}, '"frame" entry 0, coordinate 0 is not a number'),
+        ([["1", "0"], ["0", "1"]], {"c": ["1", "1"]}, '"frame" entry 0, coordinate 0 is not a number'),
+        ([[1, 0], [0, 1]], {"c": ["1", "1"]}, 'scaling "c", coordinate 0 is not a number'),
+        ([[1, 0], [0, 1]], {"c": [1, 10**400]}, 'scaling "c", coordinate 1 exceeds the range of doubles'),
+        ([[1, 0], [0, 1]], {"projection": [[1, 0], [0, False]], "a": [1, 0], "b": [0, 1]}, '"projection" entry 1, coordinate 1'),
+        ([[1, 0], [0, 1]], {"projection": [[1, 0], [0, 0]], "a": "1", "b": [0, 1]}, 'scaling "a" is not an array'),
+        ([[1, 0], [0, 1]], {"projection": [[1, 0], [0, 0]], "a": [1, 0], "b": [0, True]}, 'scaling "b", coordinate 1'),
+    ):
+        broken.write_text(json.dumps({"input": "unused.csv", "frame": frame, "scaling": scaling}))
+        code, report, err = run_cli(["verify", broken], capsys)
+        assert code == 2 and report is None and message in err, (frame, scaling, err)
 
 
 def test_tol_must_be_finite_and_positive(workdir, capsys):
@@ -320,6 +356,8 @@ def test_tol_must_be_finite_and_positive(workdir, capsys):
         code, report, _ = run_cli(["verify", forged], capsys)
         assert code == 0 and report["verdict"] == "fail"
         assert report["tolerance"] == fs.DEFAULT_TOL and report["recorded_tolerance"] == 1e3
+        rows_digest = hashlib.sha256(np.array(rows).tobytes()).hexdigest()
+        assert report["checked_frame"] == {"source": "report", "sha256": rows_digest}
 
 
 def test_report_determinism(workdir, capsys):

@@ -107,7 +107,7 @@ def test_half_plane_certificate_outside_one_quadrant():
     assert s == pytest.approx(np.cos(np.radians(50.0)))
     # the screen decides it and reports the bound; NNLS reaches no less
     assert verdict.iterations == 0 and verdict.residual == np.sqrt(2.0) * s / np.sqrt(1.0 + s * s)
-    solved = _standard_verdict(V, None, fs.DEFAULT_TOL)
+    solved = _standard_verdict(V, fs.DEFAULT_TOL)
     assert solved.certificate == "half-plane" and solved.residual >= verdict.residual - 1e-12
 
     # the same family inside a rank-2 target in R^3
@@ -399,7 +399,7 @@ def test_screen_decides_as_the_solve_of_the_unit_rows(seed):
     }
     for kind, X in frames.items():
         verdict = fs.solve_standard_scaling(X)
-        solved = _standard_verdict(_unit_rows(X)[0], None, fs.DEFAULT_TOL)
+        solved = _standard_verdict(_unit_rows(X)[0], fs.DEFAULT_TOL)
         assert (verdict.feasible, verdict.certificate) == (solved.feasible, solved.certificate)
         if verdict.iterations == 0 and verdict.feasible:
             assert verdict.converged and verdict.residual <= fs.DEFAULT_TOL
@@ -469,7 +469,7 @@ def test_wide_frames_are_certified_by_each_least_squares_solve(monkeypatch):
                 assert verdict.converged and verdict.certificate == "residual-infeasible"
                 assert len(nnls_calls) == calls
                 tikhonov += len(yielded) == 2
-                reference = _standard_verdict(_unit_rows(X)[0], None, fs.DEFAULT_TOL)
+                reference = _standard_verdict(_unit_rows(X)[0], fs.DEFAULT_TOL)
                 assert not reference.feasible
                 assert 10.0 * fs.DEFAULT_TOL < verdict.residual <= reference.residual + 1e-12
     assert tikhonov >= 1
@@ -531,7 +531,7 @@ def test_tall_verdicts_without_nnls_only_where_nnls_scales(seed):
     for kind, X in _tall_frames(rng, n).items():
         verdict = fs.solve_standard_scaling(X)
         U = _unit_rows(X)[0]
-        solved = _standard_verdict(U, None, fs.DEFAULT_TOL)
+        solved = _standard_verdict(U, fs.DEFAULT_TOL)
         if verdict.feasible:
             assert fs.verify_parseval(verdict.scaling.constants[:, None] * X).passed
         if verdict.feasible and verdict.iterations == 0:

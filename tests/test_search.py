@@ -248,7 +248,7 @@ def test_half_plane_rejection_is_sound():
                     continue
                 rejected += 1
                 s = float(sc._half_plane_margin(V[None])[0])
-                verdict = sc._standard_verdict(V, None, TOL)
+                verdict = sc._standard_verdict(V, TOL)
                 assert not verdict.feasible
                 assert verdict.residual >= np.sqrt(2.0) * s / np.sqrt(1.0 + s * s) - 1e-12
     assert rejected > 100 and kept > 100
@@ -336,7 +336,7 @@ def test_farkas_rejection_is_sound():
                 kept += 1
                 continue
             rejected += 1
-            verdict = sc._standard_verdict(V, None, TOL)
+            verdict = sc._standard_verdict(V, TOL)
             assert not verdict.feasible
             assert verdict.residual >= bound - 1e-12
     assert rejected > 100 and kept > 100
@@ -421,7 +421,7 @@ def test_early_exit_rejects_a_superset_of_the_fixed_run_soundly():
         rejected = margin > 10.0 * TOL
         assert not ((reference_farkas_margin(units) > 10.0 * TOL) & ~rejected).any()
         for V, bound in zip(units[rejected], margin[rejected]):
-            assert sc._standard_verdict(V, None, TOL).residual >= bound - 1e-12
+            assert sc._standard_verdict(V, TOL).residual >= bound - 1e-12
             judged += 1
     assert judged > 1000
 
@@ -506,7 +506,7 @@ def test_prescreen_rejects_only_frames_the_solver_cannot_scale(monkeypatch):
         V, verdict = verdicts[0]
         if verdict.iterations:
             continue
-        assert sc._standard_verdict(V, None, TOL).feasible == verdict.feasible
+        assert sc._standard_verdict(V, TOL).feasible == verdict.feasible
         rejected[scalable] += not verdict.feasible
     assert rejected[True] == 0 and rejected[False] > 100
 
