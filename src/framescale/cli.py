@@ -4,10 +4,10 @@ Subcommands: analyze, scale, piecewise, verify, obstruct, transport,
 canonical-parseval.  Every run writes a JSON report to stdout or --out.
 Exit codes: 0 verdict computed (including infeasible, undecided or
 not-found), 1 usage error, 2 input format error, 3 internal
-inconsistency.  main parses the flags, resolves --tol, reads the
-command's frame file or report and starts its report, in that order, so
-a usage error comes before any file is read; each command then fills in
-its own fields.
+inconsistency.  main parses the flags, resolves --tol, checks the
+piecewise flags that need no frame, reads the command's frame file or
+report and starts its report, in that order, so a usage error comes
+before any file is read; each command then fills in its own fields.
 
 The top level imports only what every command uses; each command imports
 its solver modules when it runs, so a process loads only what its command
@@ -27,6 +27,7 @@ from .frames import (
     DEFAULT_TOL,
     Frame,
     InternalInconsistencyError,
+    _check_tol,
     canonical_parseval,
     frame_bounds,
     frame_operator,
@@ -118,9 +119,30 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_tol(args) -> float:
     # every command judges at --tol or DEFAULT_TOL, never at a tolerance an input file names
     tol = args.tol if args.tol is not None else DEFAULT_TOL
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise _UsageError(f"--tol must be finite and positive, got {tol}")
-    return tol
+    try:
+        return _check_tol(tol)
+    except ValueError:
+        raise _UsageError(f"--tol must be finite and positive, got {tol}") from None
+
+
+def _check_piecewise_flags(args) -> None:
+    # the piecewise flags that need no frame, with --rank merged and sorted;
+    # only --rank's upper bound waits for the frame
+    mode = args.construct or "search"
+    if mode == "r4special" and (args.indices is None or len(args.indices) != 4):
+        raise _UsageError("--construct r4special needs --indices i,j,k,l")
+    if mode == "split" and (args.projection is None or args.p_indices is None or args.q_indices is None):
+        raise _UsageError("--construct split needs --projection, --p-indices and --q-indices")
+    if mode != "search":
+        return
+    if args.budget < 1:
+        raise _UsageError(f"--budget must be at least 1, got {args.budget}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
+    if args.rank is not None:
+        args.rank = sorted({k for chunk in args.rank for k in chunk})
+        if not args.rank or args.rank[0] < 1:
+            raise _UsageError(f"--rank values must be at least 1, got {args.rank}")
 
 
 def _base_report(command: str, source, tol: float) -> dict:
@@ -179,8 +201,6 @@ def _cmd_scale(args, frame: Frame, tol: float, report: dict) -> None:
     else:
         report["verdict"] = "infeasible"
         report["certificate"] = verdict.certificate
-    for warning in verdict.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
 
 
 def _piecewise_scaling_payload(ps) -> dict:
@@ -214,25 +234,14 @@ def _cmd_piecewise(args, frame: Frame, tol: float, report: dict) -> None:
     elif mode == "r3":
         ps = construct_r3(frame, tol)
     elif mode == "r4special":
-        if args.indices is None or len(args.indices) != 4:
-            raise _UsageError("--construct r4special needs --indices i,j,k,l")
         ps = construct_r4_special(frame, args.indices, tol)
     elif mode == "split":
-        if args.projection is None or args.p_indices is None or args.q_indices is None:
-            raise _UsageError("--construct split needs --projection, --p-indices and --q-indices")
         P = _load_projection(args.projection, args.format, tol)
         ps = construct_from_orthogonal_split(frame, P, args.p_indices, args.q_indices, tol)
     else:
-        if args.budget < 1:
-            raise _UsageError(f"--budget must be at least 1, got {args.budget}")
-        if args.seed < 0:
-            raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
-        ranks = None
-        if args.rank is not None:
-            ranks = sorted({k for chunk in args.rank for k in chunk})
-            if not ranks or not all(1 <= k < frame.dim for k in ranks):
-                raise _UsageError(f"--rank values must lie in 1..{frame.dim - 1}, got {ranks}")
-        ps = search_piecewise(frame, ranks=ranks, budget=args.budget, seed=args.seed, tol=tol)
+        if args.rank is not None and args.rank[-1] >= frame.dim:
+            raise _UsageError(f"--rank values must lie in 1..{frame.dim - 1}, got {args.rank}")
+        ps = search_piecewise(frame, ranks=args.rank, budget=args.budget, seed=args.seed, tol=tol)
     report["seed"] = args.seed
     if ps is None:
         report["verdict"] = "not-found"
@@ -282,6 +291,9 @@ def _cmd_verify(args, recorded: dict, tol: float, report: dict) -> None:
 
     source, frame = _frame_from_report(recorded, args.frame, args.format, args.report)
     scaling = _scaling_from_report(recorded, tol, args.report)
+    if not isinstance(scaling, PiecewiseScaling) and len(scaling) != frame.size:
+        message = f'scaling "c" has {len(scaling)} constants but the frame has {frame.size} vectors'
+        raise FrameFormatError(message, args.report)
     report["recorded_tolerance"] = recorded.get("tolerance")
     report["checked_frame"] = {"source": source, "sha256": hashlib.sha256(frame.vectors.tobytes()).hexdigest()}
     if isinstance(scaling, PiecewiseScaling):
@@ -363,6 +375,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         tol = _resolve_tol(args)
+        if args.command == "piecewise":
+            _check_piecewise_flags(args)
         if args.command in ("verify", "transport"):
             source, data = args.report, load_report(args.report)
         else:

@@ -39,6 +39,13 @@ class InternalInconsistencyError(RuntimeError):
     """
 
 
+def _check_tol(tol: float) -> float:
+    """The one tolerance rule of every entry point: tol itself when finite and positive, else ValueError."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    return tol
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -247,8 +254,7 @@ def verify_parseval(vectors, target=None, tol: float = DEFAULT_TOL) -> Verificat
     projection matrix and every vector must lie in its range; both
     residuals must stay within ``tol``.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     V = as_vector_array(vectors)
     n = V.shape[1]
     T = None
@@ -289,6 +295,7 @@ def canonical_parseval(frame) -> Frame:
 
 def apply_unitary(frame, unitary, tol: float = DEFAULT_TOL) -> Frame:
     """Image {U x_i} of the frame under a unitary map; frame bounds are preserved."""
+    _check_tol(tol)
     fr = frame if isinstance(frame, Frame) else Frame(frame)
     U = np.asarray(unitary, dtype=float)
     n = fr.dim

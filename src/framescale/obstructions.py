@@ -20,6 +20,7 @@ from .frames import (
     Frame,
     InternalInconsistencyError,
     _UNIT_NORM_TOL,
+    _check_tol,
     _scaled_back,
     _shifted_frame,
     VerificationReport,
@@ -348,6 +349,7 @@ def check_constant_bounds(frame, scaling, tol: float = DEFAULT_TOL) -> Verificat
     from .piecewise import PiecewiseScaling, verify_piecewise
     from .scaling import StandardScaling
 
+    _check_tol(tol)
     fr = frame if isinstance(frame, Frame) else Frame(frame)
     X = fr.vectors
     m, n = X.shape

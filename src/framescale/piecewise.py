@@ -21,6 +21,7 @@ from .frames import (
     RANK_RTOL,
     Frame,
     InternalInconsistencyError,
+    _check_tol,
     _freeze,
     _parseval_report,
     _row_constants,
@@ -125,8 +126,7 @@ def verify_piecewise(frame, ps: PiecewiseScaling, tol: float = DEFAULT_TOL) -> P
     InternalInconsistencyError because it can only come from a bug, not
     from the input.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     aY, bZ = _scaled_parts(frame, ps)
     P = ps.projection
     n = P.dim
@@ -184,6 +184,7 @@ def construct_r2(frame, projection: OrthogonalProjection, tol: float = DEFAULT_T
     numerically degenerate for P and raises ValueError.  It works on the
     unit rows of _unit_rows.
     """
+    _check_tol(tol)
     X = _unit_rows(as_vector_array(frame))[0]
     m, n = X.shape
     if n != 2:
@@ -224,6 +225,7 @@ def construct_from_orthogonal_split(
     normalized overlap above tol.  Every explicit constructor ends here
     on its caller's rows, and only here are constants carried back.
     """
+    _check_tol(tol)
     X, r, e = _unit_rows(as_vector_array(frame))
     m, n = X.shape
     if projection.dim != n:
@@ -324,6 +326,7 @@ def construct_r3_detailed(frame, tol: float = DEFAULT_TOL) -> R3Construction:
     and T the pair, so a numerically degenerate part raises ValueError.
     It works on the unit rows of _unit_rows.
     """
+    _check_tol(tol)
     X = _unit_rows(as_vector_array(frame))[0]
     m, n = X.shape
     if n != 3:
@@ -394,6 +397,7 @@ def construct_r4_special(frame, indices, tol: float = DEFAULT_TOL) -> PiecewiseS
     T = {x3, x4} then gives an orthonormal basis.  It works on the unit
     rows of _unit_rows.
     """
+    _check_tol(tol)
     X = _unit_rows(as_vector_array(frame))[0]
     m, n = X.shape
     if n != 4:
@@ -774,8 +778,7 @@ def search_piecewise(
         raise ValueError("budget must be at least 1")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     fr = frame if isinstance(frame, Frame) else Frame(frame)
     n = fr.dim
     wanted = set(range(1, n)) if ranks is None else {int(k) for k in ranks} & set(range(1, n))

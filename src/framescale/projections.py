@@ -11,6 +11,7 @@ from .frames import (
     DEFAULT_TOL,
     InternalInconsistencyError,
     VerificationReport,
+    _check_tol,
     _freeze,
     _rank,
     _shifted_frame,
@@ -139,6 +140,7 @@ def random_projection(n: int, k: int, seed: int) -> OrthogonalProjection:
 
 def validate_projection(matrix, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Check symmetry and idempotence residuals of a candidate matrix."""
+    _check_tol(tol)
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"projection candidate must be square, got shape {M.shape}")

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frames import DEFAULT_TOL, InternalInconsistencyError, _freeze, _row_constants, _unit_rows, as_vector_array
+from .frames import DEFAULT_TOL, InternalInconsistencyError, _check_tol, _freeze, _row_constants, _unit_rows, as_vector_array
 from .nnls import NNLSResult, nnls
 from .projections import OrthogonalProjection
 
@@ -199,16 +199,15 @@ def _psd_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return next((x for x in _psd_solves(G, b) if x is not None), None)
 
 
-def _gram_weights(C: np.ndarray, tol: float) -> tuple[NNLSResult | None, float]:
+def _gram_weights(C: np.ndarray, tol: float) -> tuple[np.ndarray | None, float]:
     """Decide the rows C by the least-squares weights of sum_i w_i c_i c_i^T = I, or leave them.
 
     With H = (C C^T)^2 entrywise, H w = (||c_i||^2)_i are the normal
     equations of that system.  Each solution of _psd_solves, in turn,
-    decides: (the NNLSResult of w, its defect and 0 iterations, 0.0) when
-    w >= 0 and the defect ||R||_F of its _farkas_residual R is at most
-    tol, and (None, bound) when _farkas_bound of the unit rows at R is a
-    bound above 10 tol.  When neither solution decides, the result is
-    (None, 0.0).
+    decides: (w, the defect ||R||_F of its _farkas_residual R) when
+    w >= 0 and that defect is at most tol, and (None, bound) when
+    _farkas_bound of the unit rows at R is a bound above 10 tol.  When
+    neither solution decides, the result is (None, 0.0).
     """
     G = C @ C.T
     sq = np.diag(G)
@@ -218,7 +217,7 @@ def _gram_weights(C: np.ndarray, tol: float) -> tuple[NNLSResult | None, float]:
         R = _farkas_residual(C, w)
         defect = float(np.linalg.norm(R))
         if defect <= tol and (w >= 0.0).all():
-            return NNLSResult(w, defect, True, 0), 0.0
+            return w, defect
         bound = float(_farkas_bound((C / np.sqrt(sq)[:, None])[None], R[None])[0])
         if bound > 10.0 * tol:
             return None, bound
@@ -233,14 +232,14 @@ def _interior_weights(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     Appl. 2004).  Starting from y = (A A^T)^-1 b, each step takes
     w = (A^T y)_+ and g = b - A w and sets y += (A_S A_S^T)^-1 g on the
     columns S with A^T y > 0, where A_S A_S^T is A A^T less the columns
-    outside S when fewer than half are.  Each solve is _psd_solve's, so a
-    nearly singular A A^T, say rows repeated up to rounding, gets Tikhonov
-    weights near the minimiser.  When S is the set the last solve used,
-    A w = b up to rounding and w is the minimiser; the run also stops
-    when a step does not halve ||g||, after _NEWTON_STEPS steps, or when
-    no solve succeeds.  Returns the w of the smallest ||g|| reached, or
-    None when A A^T admits no solve.  A w away from b proves nothing: the
-    caller must check ||A w - b||.
+    outside S.  Each solve is _psd_solve's, so a nearly singular A A^T,
+    say rows repeated up to rounding, gets Tikhonov weights near the
+    minimiser.  When S is the set the last solve used, A w = b up to
+    rounding and w is the minimiser; the run also stops when a step does
+    not halve ||g||, after _NEWTON_STEPS steps, or when no solve
+    succeeds.  Returns the w of the smallest ||g|| reached, or None when
+    A A^T admits no solve.  A w away from b proves nothing: the caller
+    must check ||A w - b||.
     """
     G = A @ A.T
     y = _psd_solve(G, b)
@@ -260,14 +259,8 @@ def _interior_weights(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         w, gg = w_next, gg_next
         if slow or step == _NEWTON_STEPS or (S == solved).all():
             break
-        N = ~S
-        if 2 * np.count_nonzero(N) < len(S):
-            AN = A[:, N]
-            GS = G - AN @ AN.T
-        else:
-            AS = A[:, S]
-            GS = AS @ AS.T
-        dy = _psd_solve(GS, g)
+        AN = A[:, ~S]
+        dy = _psd_solve(G - AN @ AN.T, g)
         if dy is None:
             break
         y = y + dy
@@ -294,9 +287,10 @@ def solve_standard_scaling(
     the constants scale their projections.  The question is decided on
     the unit rows of _unit_rows.
 
-    The decision order.  Steps 1 to 3 (_decided_before_nnls) leave zero
-    rows out, at weight 0, and steps 1 and 2 run only when every other row
-    has a range part above _TRUSTED_SIDE of its norm.  A step that decides
+    The decision order.  _decide runs the steps below in turn and
+    returns the verdict of the first that decides.  Steps 1 and 2 leave
+    zero rows out, at weight 0, and run only when every other row has a
+    range part above _TRUSTED_SIDE of its norm.  A step that decides
     leaves NNLS out (see ScalabilityVerdict).
 
     1. In a two-dimensional range, a _half_plane_margin above 10 ``tol``
@@ -324,14 +318,15 @@ def solve_standard_scaling(
     Gram system, the unique minimum-norm weights after step 3, and
     otherwise whichever weights the deciding solve reached; no canonical
     element of a non-unique feasible set is sought.  Raises ValueError
-    for a tol that is not positive, and for rows whose constants exceed
-    the largest double (_row_constants).
+    for a tol that is not finite and positive (_check_tol), and for rows
+    whose constants exceed the largest double (_row_constants).
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     U, r, e = _unit_rows(as_vector_array(vectors))
     C, warnings = _range_coordinates(U, target, tol)
-    verdict = _verdict(C, warnings, tol, max_iter, *_decided_before_nnls(U, C, tol))
+    verdict = _decide(U, C, tol, max_iter)
+    if warnings:
+        verdict = replace(verdict, warnings=warnings)
     if verdict.feasible and target is None:
         _post_check_unit_norm_invariants(verdict.scaling.constants, U, tol)
     if not verdict.feasible or r is None:
@@ -354,76 +349,77 @@ def _range_coordinates(V: np.ndarray, target: OrthogonalProjection | None, tol: 
     return V @ target.range_basis, (warning,) if bad else ()
 
 
-def _decided_before_nnls(V: np.ndarray, C: np.ndarray, tol: float) -> tuple:
-    """Steps 1 to 3 of solve_standard_scaling on the rows V with range coordinates C.
-
-    Returns (weights whose defect is at most tol, 0.0, system), (None, a
-    bound above 10 tol on the distance, system), or (None, 0.0, system)
-    when no step decides; system is step 3's vectorized (A, b), for NNLS
-    to reuse, or None.
-    """
+def _decide(V: np.ndarray, C: np.ndarray, tol: float, max_iter: int | None) -> ScalabilityVerdict:
+    # the steps of solve_standard_scaling in order on the rows V with range
+    # coordinates C; the first that decides returns its verdict
     m, k = C.shape
-    if k > 2 and m > k * k:
-        A, b = _gram_columns(C), _vech(np.eye(k))
+    tall = k > 2 and m > k * k
+    if k >= 2 and not tall:
+        scales = np.linalg.norm(V, axis=1)
+        rows = scales > 0.0
+        # C itself when no row is zero: a gathered copy moves residual bytes
+        D = C if rows.all() else C[rows]
+        trusted = len(D) and (np.linalg.norm(D, axis=1) > _TRUSTED_SIDE * scales[rows]).all()
+        if trusted and k == 2:
+            s = _half_plane_margin(D[None])[0]
+            if s > 10.0 * tol:
+                return _infeasible(C, tol, float(np.sqrt(2.0) * s / np.sqrt(1.0 + s * s)))
+        elif trusted:
+            w, value = _gram_weights(D, tol)
+            if w is not None:
+                x = np.zeros(m)
+                x[rows] = w
+                return _feasible(x, value, k)
+            if value:
+                return _infeasible(C, tol, value)
+    system = None
+    if tall:
+        A, b = system = _gram_columns(C), _vech(np.eye(k))
         w = _interior_weights(A, b)
-        if w is not None and (residual := float(np.linalg.norm(A @ w - b))) <= tol:
-            return NNLSResult(w, residual, True, 0), 0.0, (A, b)
-        return None, 0.0, (A, b)
-    if k < 2:
-        return None, 0.0, None
-    scales = np.linalg.norm(V, axis=1)
-    rows = scales > 0.0
-    whole = bool(rows.all())
-    if not whole:
-        C, scales = C[rows], scales[rows]
-    if not len(C) or not (np.linalg.norm(C, axis=1) > _TRUSTED_SIDE * scales).all():
-        return None, 0.0, None
-    if k == 2:
-        s = _half_plane_margin(C[None])[0]
-        return None, float(np.sqrt(2.0) * s / np.sqrt(1.0 + s * s)) if s > 10.0 * tol else 0.0, None
-    result, bound = _gram_weights(C, tol)
-    if result is not None and not whole:
-        x = np.zeros(m)
-        x[rows] = result.x
-        result = replace(result, x=x)
-    return result, bound, None
+        if w is not None and (defect := float(np.linalg.norm(A @ w - b))) <= tol:
+            return _feasible(w, defect, k)
+    return _nnls_verdict(C, tol, max_iter, system)
 
 
-def _standard_verdict(V: np.ndarray, tol: float):
+def _standard_verdict(V: np.ndarray, tol: float) -> ScalabilityVerdict:
     """Step 4 of solve_standard_scaling alone, NNLS and its certificates, on the rows V as given toward I.
 
     The search's side solves take it: their rows keep the lengths of
     their parts, the sampled stage screened them already, and the
     disjoint-support test needs NNLS's sparse basic solutions.
     """
-    return _verdict(V, (), tol, None)
+    return _nnls_verdict(V, tol, None, None)
 
 
-def _verdict(C, warnings, tol, max_iter, result=None, bound=0.0, system=None) -> ScalabilityVerdict:
-    # the verdict on the range coordinates C, by NNLS on the vectorized
-    # system unless what _decided_before_nnls returned decides it
+def _nnls_verdict(C: np.ndarray, tol: float, max_iter: int | None, system) -> ScalabilityVerdict:
+    # step 4 on the range coordinates C, on step 3's vectorized system when it built one
+    run = nnls(*(system or (_gram_columns(C), _vech(np.eye(C.shape[1])))), max_iter=max_iter)
+    if run.residual <= tol:
+        return _feasible(run.x, run.residual, C.shape[1], run.converged, run.iterations)
+    return _infeasible(C, tol, run.residual, run)
+
+
+def _feasible(w: np.ndarray, defect: float, rank: int, converged=True, iterations=0) -> ScalabilityVerdict:
+    scaling = StandardScaling(constants=np.sqrt(np.maximum(w, 0.0)), residual=defect, target_rank=rank)
+    return ScalabilityVerdict(True, scaling, None, defect, (), converged, iterations)
+
+
+def _infeasible(C: np.ndarray, tol: float, residual: float, run: NNLSResult | None = None) -> ScalabilityVerdict:
+    # the labelled infeasible verdict on the range coordinates C: residual
+    # is a bound a step before NNLS certified, or the defect of the NNLS run
     rank = C.shape[1]
-    if not bound:
-        if result is None:
-            result = nnls(*(system or (_gram_columns(C), _vech(np.eye(rank)))), max_iter=max_iter)
-        if result.residual <= tol:
-            constants = np.sqrt(np.maximum(result.x, 0.0))
-            scaling = StandardScaling(constants=constants, residual=result.residual, target_rank=rank)
-            return ScalabilityVerdict(
-                True, scaling, None, result.residual, warnings, result.converged, result.iterations
-            )
     nonzero = C[np.linalg.norm(C, axis=1) > 0.0]
     if rank == 2 and nonzero.shape[0] and open_quadrant_certificate(nonzero):
         certificate = "open-quadrant"
-    elif rank == 2 and nonzero.shape[0] and (bound or _half_plane_margin(nonzero[None])[0] > 0.0):
+    elif rank == 2 and nonzero.shape[0] and (run is None or _half_plane_margin(nonzero[None])[0] > 0.0):
         # step 1's bound comes from a positive half-plane margin
         certificate = "half-plane"
-    elif bound:
+    elif run is None:
         certificate = "residual-infeasible"
     else:
         units = nonzero / np.linalg.norm(nonzero, axis=1, keepdims=True)
-        R = _farkas_residual(C, result.x)
+        R = _farkas_residual(C, run.x)
         certificate = "residual-infeasible" if _farkas_bound(units[None], R[None])[0] > tol else "undecided"
-    if bound:
-        return ScalabilityVerdict(False, None, certificate, bound, warnings, True, 0)
-    return ScalabilityVerdict(False, None, certificate, result.residual, warnings, result.converged, result.iterations)
+    if run is None:
+        return ScalabilityVerdict(False, None, certificate, residual)
+    return ScalabilityVerdict(False, None, certificate, residual, (), run.converged, run.iterations)

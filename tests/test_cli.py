@@ -264,6 +264,15 @@ def test_exit_codes(workdir, capsys):
     ):
         code, report, err = run_cli([*args, "--tol", "nan"], capsys)
         assert code == 1 and report is None and "--tol must be finite and positive" in err, args
+    # argparse's own usage errors exit 1 as well
+    for args, message in (
+        (["analyze", missing, "--no-such-flag"], "unrecognized arguments"),
+        (["piecewise", missing, "--budget", "x"], "--budget"),
+        (["piecewise", missing, "--construct", "r4special", "--indices", "a,b"], "comma-separated integers"),
+        (["transport", missing], "--unitary"),
+    ):
+        code, report, err = run_cli(args, capsys)
+        assert code == 1 and report is None and message in err, args
 
     # a spanning pair with no row outside tol of P = diag(1, 0): the r2
     # constructor calls it degenerate input, and the search goes on to later routes
@@ -286,6 +295,19 @@ def test_search_flags_out_of_range_are_usage_errors(workdir, capsys):
     ):
         code, report, err = run_cli(["piecewise", workdir / "triple.csv", *flags], capsys)
         assert code == 1 and report is None and message in err
+    # only --rank's upper bound needs the frame: the other flags are usage
+    # errors before a missing frame is read
+    for flags, message in (
+        (["--budget", "0"], "--budget"),
+        (["--seed", "-1"], "--seed"),
+        (["--rank", "0"], "--rank"),
+        (["--rank", ","], "--rank"),
+        (["--construct", "r4special"], "--indices"),
+        (["--construct", "r4special", "--indices", "0,1,2"], "--indices"),
+        (["--construct", "split", "--p-indices", "0", "--q-indices", "1"], "--projection"),
+    ):
+        code, report, err = run_cli(["piecewise", workdir / "does-not-exist.csv", *flags], capsys)
+        assert code == 1 and report is None and message in err, flags
     code, report, _ = run_cli(["piecewise", workdir / "triple.csv", "--rank", "2", "--budget", "1"], capsys)
     assert code == 0 and report["verdict"] in ("found", "not-found")
 
@@ -325,6 +347,7 @@ def test_malformed_reports_are_input_errors(workdir, capsys):
         ([["1", "0"], ["0", "1"]], {"c": ["1", "1"]}, '"frame" entry 0, coordinate 0 is not a number'),
         ([[1, 0], [0, 1]], {"c": ["1", "1"]}, 'scaling "c", coordinate 0 is not a number'),
         ([[1, 0], [0, 1]], {"c": [1, 10**400]}, 'scaling "c", coordinate 1 exceeds the range of doubles'),
+        ([[1, 0], [0, 1]], {"c": [1, 1, 1]}, 'scaling "c" has 3 constants but the frame has 2 vectors'),
         ([[1, 0], [0, 1]], {"projection": [[1, 0], [0, False]], "a": [1, 0], "b": [0, 1]}, '"projection" entry 1, coordinate 1'),
         ([[1, 0], [0, 1]], {"projection": [[1, 0], [0, 0]], "a": "1", "b": [0, 1]}, 'scaling "a" is not an array'),
         ([[1, 0], [0, 1]], {"projection": [[1, 0], [0, 0]], "a": [1, 0], "b": [0, True]}, 'scaling "b", coordinate 1'),

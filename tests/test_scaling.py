@@ -382,6 +382,34 @@ def test_nan_tol_raises():
     ps = fs.PiecewiseScaling(fs.canonical_projection([0], 2), np.ones(2), np.ones(2))
     with pytest.raises(ValueError, match="tol must be positive"):
         fs.verify_piecewise(np.eye(2), ps, tol=nan)
+    # every entry point takes one rule: a NaN or infinite tol passes no
+    # check, so the split of two overlapping p-side rows, which leaves a
+    # direct residual of 0.85, must not come back or verify
+    X = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+    P = fs.projection_from_matrix(np.diag([1.0, 1.0, 0.0]))
+    with pytest.raises(ValueError, match="not orthogonal"):
+        fs.construct_from_orthogonal_split(X, P, [0, 1], [2])
+    overlapping = fs.PiecewiseScaling(P, np.array([1.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0]))
+    standard = fs.StandardScaling(np.ones(2), 0.0, 2)
+    calls = [
+        lambda tol: fs.solve_standard_scaling(np.eye(2), tol=tol),
+        lambda tol: fs.verify_parseval(fs.scaled_family(X, overlapping), tol=tol),
+        lambda tol: fs.verify_piecewise(X, overlapping, tol=tol),
+        lambda tol: fs.search_piecewise(np.eye(3), tol=tol),
+        lambda tol: fs.construct_from_orthogonal_split(X, P, [0, 1], [2], tol),
+        lambda tol: fs.construct_r2(np.eye(2), fs.canonical_projection([0], 2), tol),
+        lambda tol: fs.construct_r3(np.eye(3), tol),
+        lambda tol: fs.construct_r3_detailed(np.eye(3), tol),
+        lambda tol: fs.construct_r4_special(np.eye(4), [0, 1, 2, 3], tol),
+        lambda tol: fs.validate_projection(np.eye(2), tol),
+        lambda tol: fs.projection_from_matrix(np.eye(2), tol),
+        lambda tol: fs.apply_unitary(np.eye(2), np.eye(2), tol),
+        lambda tol: fs.check_constant_bounds(np.eye(2), standard, tol),
+    ]
+    for tol in (nan, float("inf"), -float("inf"), 0.0, -1e-8):
+        for call in calls:
+            with pytest.raises(ValueError, match="tol must be positive"):
+                call(tol)
 
 
 @given(st.integers(0, 10_000))
