@@ -6,8 +6,8 @@ Exit codes: 0 verdict computed (including infeasible, undecided or
 not-found), 1 usage error, 2 input format error, 3 internal
 inconsistency.  main parses the flags, resolves --tol, checks the
 piecewise flags that need no frame, reads the command's frame file or
-report and starts its report, in that order, so a usage error comes
-before any file is read; each command then fills in its own fields.
+report (_read_report) and starts its report, in that order, so a usage
+error comes before any file is read; each command fills in its fields.
 
 The top level imports only what every command uses; each command imports
 its solver modules when it runs, so a process loads only what its command
@@ -73,7 +73,7 @@ def _int_list(text: str) -> list[int]:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None, help="absolute Frobenius tolerance (default 1e-8)")
-    common.add_argument("--format", choices=("csv", "json"), default=None, help="force the frame file format")
+    common.add_argument("--format", choices=("csv", "json"), default=None, help="frame file format; other files go by extension")
     common.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
     parser = _Parser(prog="framescale", description="Scalings of finite frames in R^n.")
@@ -157,10 +157,10 @@ def _base_report(command: str, source, tol: float) -> dict:
     }
 
 
-def _load_projection(path, fmt, tol):
+def _load_projection(path, tol):
     from .projections import projection_from_matrix
 
-    matrix = load_matrix(path, fmt)
+    matrix = load_matrix(path)
     try:
         return projection_from_matrix(matrix, tol)
     except ValueError as exc:
@@ -203,10 +203,6 @@ def _cmd_scale(args, frame: Frame, tol: float, report: dict) -> None:
         report["certificate"] = verdict.certificate
 
 
-def _piecewise_scaling_payload(ps) -> dict:
-    return {"projection": ps.projection.matrix, "a": ps.a, "b": ps.b}
-
-
 def _piecewise_residuals(rep) -> dict:
     return {
         "direct": rep.direct_residual,
@@ -214,6 +210,16 @@ def _piecewise_residuals(rep) -> dict:
         "q_side": rep.q_side.residual,
         "cross_norm": rep.cross_norm,
     }
+
+
+def _piecewise_result(report: dict, frame: Frame, ps, tol: float) -> bool:
+    # the residuals verify_piecewise finds on ps and ps itself; True when it passes
+    from .piecewise import verify_piecewise
+
+    rep = verify_piecewise(frame, ps, tol)
+    report["residuals"] = _piecewise_residuals(rep)
+    report["scaling"] = {"projection": ps.projection.matrix, "a": ps.a, "b": ps.b}
+    return rep.passed
 
 
 def _cmd_piecewise(args, frame: Frame, tol: float, report: dict) -> None:
@@ -224,19 +230,18 @@ def _cmd_piecewise(args, frame: Frame, tol: float, report: dict) -> None:
         construct_r3,
         construct_r4_special,
         search_piecewise,
-        verify_piecewise,
     )
 
     mode = args.construct or "search"
     if mode == "r2":
-        P = _load_projection(args.projection, args.format, tol) if args.projection else canonical_projection([0], 2)
+        P = _load_projection(args.projection, tol) if args.projection else canonical_projection([0], 2)
         ps = construct_r2(frame, P, tol)
     elif mode == "r3":
         ps = construct_r3(frame, tol)
     elif mode == "r4special":
         ps = construct_r4_special(frame, args.indices, tol)
     elif mode == "split":
-        P = _load_projection(args.projection, args.format, tol)
+        P = _load_projection(args.projection, tol)
         ps = construct_from_orthogonal_split(frame, P, args.p_indices, args.q_indices, tol)
     else:
         if args.rank is not None and args.rank[-1] >= frame.dim:
@@ -249,52 +254,60 @@ def _cmd_piecewise(args, frame: Frame, tol: float, report: dict) -> None:
             "search budget exhausted; this is not a proof that no piecewise scaling exists"
         )
         return
-    rep = verify_piecewise(frame, ps, tol)
-    report["verdict"] = "found" if rep.passed else "constructed-but-failed"
-    report["residuals"] = _piecewise_residuals(rep)
-    report["scaling"] = _piecewise_scaling_payload(ps)
+    report["verdict"] = "found" if _piecewise_result(report, frame, ps, tol) else "constructed-but-failed"
 
 
-def _frame_from_report(recorded: dict, override_path, fmt, path) -> tuple[str, Frame]:
-    # the frame a report's scaling applies to, and its source: the
-    # override file, "report" for an embedded frame, else the input file
-    if override_path is not None:
-        return str(override_path), load_frame(override_path, fmt)
-    if "frame" in recorded:
-        return "report", Frame(_rows_from_json(recorded, "frame", path))
-    source = recorded.get("input")
-    if not isinstance(source, str):
-        raise FrameFormatError("report has neither a 'frame' entry nor an 'input' file name")
-    return source, load_frame(source, fmt)
+def _read_report(path, override_path, fmt, tol: float):
+    """The frame's source, the Frame, the scaling and the recorded (tolerance, residuals) of a report.
 
-
-def _scaling_from_report(recorded: dict, tol: float, path):
+    The source is the override file, "report" for an embedded frame, else
+    the input file the report names; the scaling is the constants ``c`` or
+    a PiecewiseScaling.  Every defect of the report is a FrameFormatError.
+    """
     from .projections import projection_from_matrix
     from .piecewise import PiecewiseScaling
 
+    recorded = load_report(path)
+    if override_path is not None:
+        source, frame = str(override_path), load_frame(override_path, fmt)
+    elif "frame" in recorded:
+        source, frame = "report", Frame(_rows_from_json(recorded, "frame", path))
+    elif isinstance(recorded.get("input"), str):
+        source, frame = recorded["input"], load_frame(recorded["input"], fmt)
+    else:
+        raise FrameFormatError("report has neither a 'frame' entry nor an 'input' file name", path)
     payload = recorded.get("scaling")
     if not isinstance(payload, dict):
-        raise _UsageError("report carries no scaling to work with")
+        raise FrameFormatError("report carries no scaling to work with", path)
     if "c" in payload:
-        return _numbers(payload["c"], 'scaling "c"', path)
-    for key in ("projection", "a", "b"):
-        if key not in payload:
-            raise FrameFormatError(f"report scaling lacks the '{key}' entry")
-    P = projection_from_matrix(_rows_from_json(payload, "projection", path), tol)
-    return PiecewiseScaling(P, _numbers(payload["a"], 'scaling "a"', path), _numbers(payload["b"], 'scaling "b"', path))
+        scaling = _numbers(payload["c"], 'scaling "c"', path)
+        if len(scaling) != frame.size:
+            raise FrameFormatError(f'scaling "c" has {len(scaling)} constants but the frame has {frame.size} vectors', path)
+    else:
+        for key in ("projection", "a", "b"):
+            if key not in payload:
+                raise FrameFormatError(f"report scaling lacks the '{key}' entry", path)
+        P = projection_from_matrix(_rows_from_json(payload, "projection", path), tol)
+        scaling = PiecewiseScaling(P, _numbers(payload["a"], 'scaling "a"', path), _numbers(payload["b"], 'scaling "b"', path))
+    tolerance = _numbers([recorded["tolerance"]], '"tolerance"', path)[0] if "tolerance" in recorded else None
+    residuals = recorded.get("residuals") or {}
+    if not isinstance(residuals, dict):
+        raise FrameFormatError('"residuals" must be an object', path)
+    # a residual is a number, or a non-finite value as format_float writes it
+    residuals = {
+        key: _numbers([float(v) if v in ("nan", "inf", "-inf") else v], f'residual "{key}"', path)[0]
+        for key, v in residuals.items()
+    }
+    return source, frame, scaling, (tolerance, residuals)
 
 
-def _cmd_verify(args, recorded: dict, tol: float, report: dict) -> None:
+def _cmd_verify(args, read, tol: float, report: dict) -> None:
     import hashlib
 
     from .piecewise import PiecewiseScaling, verify_piecewise
 
-    source, frame = _frame_from_report(recorded, args.frame, args.format, args.report)
-    scaling = _scaling_from_report(recorded, tol, args.report)
-    if not isinstance(scaling, PiecewiseScaling) and len(scaling) != frame.size:
-        message = f'scaling "c" has {len(scaling)} constants but the frame has {frame.size} vectors'
-        raise FrameFormatError(message, args.report)
-    report["recorded_tolerance"] = recorded.get("tolerance")
+    source, frame, scaling, (recorded_tol, recorded_residuals) = read
+    report["recorded_tolerance"] = recorded_tol
     report["checked_frame"] = {"source": source, "sha256": hashlib.sha256(frame.vectors.tobytes()).hexdigest()}
     if isinstance(scaling, PiecewiseScaling):
         rep = verify_piecewise(frame, scaling, tol)
@@ -304,12 +317,9 @@ def _cmd_verify(args, recorded: dict, tol: float, report: dict) -> None:
         pv = verify_parseval(scaling[:, None] * frame.vectors, None, tol)
         residuals = {"frobenius_defect": pv.residual}
         passed = pv.passed
-    recorded_residuals = recorded.get("residuals") or {}
-    drift = 0.0
-    for key, value in residuals.items():
-        if key in recorded_residuals:
-            drift = max(drift, abs(value - float(recorded_residuals[key])))
-    residuals["max_drift_from_recorded"] = drift
+    # np.max keeps a NaN drift, which then fails the round trip
+    drifts = [abs(value - recorded_residuals[key]) for key, value in residuals.items() if key in recorded_residuals]
+    residuals["max_drift_from_recorded"] = drift = float(np.max(drifts, initial=0.0))
     report["residuals"] = residuals
     report["verdict"] = "pass" if passed and drift <= _ROUND_TRIP_TOL else "fail"
 
@@ -326,23 +336,19 @@ def _cmd_obstruct(args, frame: Frame, tol: float, report: dict) -> None:
     report["residuals"] = {"unit_norm_deviation": float(result.detail["unit_norm_deviation"])}
 
 
-def _cmd_transport(args, recorded: dict, tol: float, report: dict) -> None:
-    from .piecewise import PiecewiseScaling, verify_piecewise
+def _cmd_transport(args, read, tol: float, report: dict) -> None:
+    from .piecewise import PiecewiseScaling
     from .transport import to_canonical, transport_scaling
 
-    _, frame = _frame_from_report(recorded, None, args.format, args.report)
-    scaling = _scaling_from_report(recorded, tol, args.report)
+    _, frame, scaling, _ = read
     if not isinstance(scaling, PiecewiseScaling):
-        raise _UsageError("transport applies to piecewise scalings only")
+        raise FrameFormatError("transport applies to piecewise scalings only", args.report)
     if args.to_canonical:
         moved_frame, moved = to_canonical(frame, scaling)
     else:
-        U = load_matrix(args.unitary, args.format)
-        moved_frame, moved = transport_scaling(frame, scaling, U, tol)
-    rep = verify_piecewise(moved_frame, moved, tol)
-    report["verdict"] = "transported"
-    report["residuals"] = _piecewise_residuals(rep)
-    report["scaling"] = _piecewise_scaling_payload(moved)
+        moved_frame, moved = transport_scaling(frame, scaling, load_matrix(args.unitary), tol)
+    passed = _piecewise_result(report, moved_frame, moved, tol)
+    report["verdict"] = "transported" if passed else "transported-but-failed"
     report["frame"] = moved_frame.vectors
 
 
@@ -353,7 +359,7 @@ def _cmd_canonical_parseval(args, frame: Frame, tol: float, report: dict) -> Non
     report["residuals"] = {"parseval_defect": check.residual}
     report["frame"] = tightened.vectors
     if args.out_frame:
-        save_frame(tightened, args.out_frame, args.format)
+        save_frame(tightened, args.out_frame)
 
 
 _COMMANDS = {
@@ -378,7 +384,7 @@ def main(argv=None) -> int:
         if args.command == "piecewise":
             _check_piecewise_flags(args)
         if args.command in ("verify", "transport"):
-            source, data = args.report, load_report(args.report)
+            source, data = args.report, _read_report(args.report, getattr(args, "frame", None), args.format, tol)
         else:
             source, data = args.frame, load_frame(args.frame, args.format)
         report = _base_report(args.command, source, tol)
@@ -386,9 +392,6 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"framescale: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FrameFormatError as exc:
-        print(f"framescale: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except InternalInconsistencyError as exc:
         print(f"framescale: internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -200,6 +200,17 @@ def test_transport_unitary_and_canonical(workdir, capsys):
     proj = np.array(canon["scaling"]["projection"])
     assert np.array_equal(proj, np.diag([1.0, 0.0, 0.0]))
 
+    # a scaling that does not verify moves to one that does not either, and
+    # the transport verdict says so, as verify does on the same report
+    spoiled = load_report(out)
+    spoiled["scaling"]["a"] = [5 * a for a in spoiled["scaling"]["a"]]
+    out.write_text(json.dumps(spoiled))
+    code, report, _ = run_cli(["transport", out, "--unitary", upath], capsys)
+    assert code == 0 and report["verdict"] == "transported-but-failed"
+    assert report["residuals"]["direct"] > 1.0
+    code, verify_report, _ = run_cli(["verify", out], capsys)
+    assert code == 0 and verify_report["verdict"] == "fail"
+
 
 def test_canonical_parseval_command(workdir, capsys):
     out_frame = workdir / "tight.csv"
@@ -355,6 +366,31 @@ def test_malformed_reports_are_input_errors(workdir, capsys):
         broken.write_text(json.dumps({"input": "unused.csv", "frame": frame, "scaling": scaling}))
         code, report, err = run_cli(["verify", broken], capsys)
         assert code == 2 and report is None and message in err, (frame, scaling, err)
+    # so do the recorded tolerance and residuals: a residual is a number or
+    # a non-finite value as reports write it, and the error names the key
+    for entry, message in (
+        ({"residuals": "direct"}, '"residuals" must be an object'),
+        ({"residuals": {"direct": None}}, 'residual "direct"'),
+        ({"residuals": {"direct": [1]}}, 'residual "direct"'),
+        ({"residuals": {"direct": "x"}}, 'residual "direct"'),
+        ({"residuals": {"direct": True}}, 'residual "direct"'),
+        ({"tolerance": {"x": 1}}, '"tolerance"'),
+    ):
+        broken.write_text(json.dumps({**recorded, **entry}))
+        code, report, err = run_cli(["verify", broken], capsys)
+        assert code == 2 and report is None and f"{broken}: {message}" in err, (entry, err)
+    # a report with no scaling, and a standard scaling given to transport,
+    # are input errors too
+    analyzed, scaled = workdir / "analyze.json", workdir / "scale.json"
+    assert run_cli(["analyze", workdir / "triple.csv", "--out", analyzed], capsys)[0] == 0
+    assert run_cli(["scale", workdir / "onb2.csv", "--out", scaled], capsys)[0] == 0
+    for args, message in (
+        (["verify", analyzed], "report carries no scaling to work with"),
+        (["transport", analyzed, "--to-canonical"], "report carries no scaling to work with"),
+        (["transport", scaled, "--to-canonical"], "transport applies to piecewise scalings only"),
+    ):
+        code, report, err = run_cli(args, capsys)
+        assert code == 2 and report is None and f"{args[1]}: {message}" in err, (args, err)
 
 
 def test_tol_must_be_finite_and_positive(workdir, capsys):
@@ -381,6 +417,17 @@ def test_tol_must_be_finite_and_positive(workdir, capsys):
         assert report["tolerance"] == fs.DEFAULT_TOL and report["recorded_tolerance"] == 1e3
         rows_digest = hashlib.sha256(np.array(rows).tobytes()).hexdigest()
         assert report["checked_frame"] == {"source": "report", "sha256": rows_digest}
+    # a scaling that verifies fails the round trip against residuals
+    # recorded as NaN: the drift from them is no number
+    found = workdir / "found.json"
+    code, _, _ = run_cli(["piecewise", frame, "--out", found], capsys)
+    assert code == 0 and load_report(found)["verdict"] == "found"
+    spoiled = load_report(found)
+    spoiled["residuals"] = {key: "nan" for key in spoiled["residuals"]}
+    found.write_text(json.dumps(spoiled))
+    code, report, _ = run_cli(["verify", found], capsys)
+    assert code == 0 and report["verdict"] == "fail"
+    assert report["residuals"]["max_drift_from_recorded"] == "nan"
 
 
 def test_report_determinism(workdir, capsys):
@@ -401,6 +448,18 @@ def test_json_frame_input(workdir, capsys):
     code, report, _ = run_cli(["analyze", jframe], capsys)
     assert code == 0 and report["verdict"] == "spanning"
     assert report["frame_operator"] == [[1, 0], [0, 1]]
+
+    # --format names the frame file's format only: a CSV projection and a
+    # CSV --out-frame follow their extension
+    dat = workdir / "pair.dat"
+    fs.save_frame(tilted_pair_frame(0.1), dat, "json")
+    split = ["--construct", "split", "--projection", workdir / "proj.csv", "--p-indices", "0", "--q-indices", "1"]
+    code, report, err = run_cli(["piecewise", dat, "--format", "json", *split], capsys)
+    assert code == 0 and report["verdict"] == "found", err
+    out_frame = workdir / "tight.csv"
+    code, report, err = run_cli(["canonical-parseval", dat, "--format", "json", "--out-frame", out_frame], capsys)
+    assert code == 0, err
+    assert fs.load_frame(out_frame).vectors.tolist() == report["frame"]
 
 
 def test_internal_inconsistency_exit_code(workdir, capsys, monkeypatch):

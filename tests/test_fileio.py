@@ -72,6 +72,20 @@ def test_json_frame_diagnostics(tmp_path):
     with pytest.raises(FrameFormatError):
         fs.load_frame(broken)
 
+    for i, (text, message) in enumerate(
+        (
+            ("[[1, 0], [0, 1]]", "top-level JSON value must be an object"),
+            ('{"vectors": [[1, 0], [0, 1]], "labels": ["u"]}', '"labels" must list one label per vector'),
+        )
+    ):
+        path = tmp_path / f"frame{i}.json"
+        path.write_text(text)
+        with pytest.raises(FrameFormatError) as err:
+            fs.load_frame(path)
+        assert str(err.value) == f"{path}: {message}"
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        fs.load_frame(broken, "xml")
+
 
 @pytest.mark.parametrize(
     "text, message",
@@ -97,6 +111,7 @@ def test_json_matrix_diagnostics_name_the_matrix_key(tmp_path):
         ('{"matrix": [[1, 0], 5]}', '"matrix" entry 1 is not an array'),
         ('{"matrix": [[1, "x"], [0, 1]]}', '"matrix" entry 0, coordinate 1 is not a number'),
         ('{"matrix": []}', '"matrix" must be a nonempty array of arrays'),
+        ('{"rows": [[1, 0], [0, 1]]}', 'expected a "matrix" key'),
     ]
     for i, (text, message) in enumerate(cases):
         path = tmp_path / f"mat{i}.json"
@@ -140,6 +155,8 @@ def test_dumps_json_parses_back(tmp_path):
     parsed = json.loads(text)
     assert parsed["values"] == [1.5, 2, True, None, "text"]
     assert parsed["nested"]["matrix"] == [[1, 0], [0, 1]]
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        dumps_json({"values": {1.5}})
 
     out = tmp_path / "report.json"
     write_report(report, out)

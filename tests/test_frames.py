@@ -194,6 +194,8 @@ def test_apply_unitary_examples():
 
     with pytest.raises(ValueError):
         fs.apply_unitary(f, np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match=r"unitary must be 2 x 2, got \(3, 3\)"):
+        fs.apply_unitary(f, np.eye(3))
 
 
 @given(st.integers(0, 10_000))

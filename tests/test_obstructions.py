@@ -260,6 +260,10 @@ def test_dichotomy_hypothesis_gates():
         fs.dichotomy_check(frame, P, 1e-9)  # distances exceed epsilon
     with pytest.raises(ValueError):
         fs.dichotomy_check(fs.Frame(2.0 * frame.vectors), P, 0.1)
+    with pytest.raises(ValueError, match="dichotomy check needs at least two vectors"):
+        fs.dichotomy_check(fs.Frame(frame.vectors[:1]), P, 0.1)
+    with pytest.raises(ValueError, match="projection dimension does not match the vectors"):
+        fs.dichotomy_check(frame, fs.random_projection(3, 1, seed=0), 0.1)
 
 
 def test_projected_overlap_lower_bound_property():
@@ -333,6 +337,8 @@ def test_normalization_gap_examples():
         fs.normalization_gap_bound([0.2, 0.0], [0.3, 0.0])
     with pytest.raises(ValueError):
         fs.normalization_gap_bound([1.1, 0.0], [0.9, 0.0])
+    with pytest.raises(ValueError, match=r"vectors differ in dimension: \(2,\) vs \(3,\)"):
+        fs.normalization_gap_bound([0.5, 0.0], [0.5, 0.0, 0.0])
 
 
 def test_normalization_gap_property():
@@ -364,6 +370,14 @@ def test_check_constant_bounds_standard():
     with pytest.raises(ValueError):  # non-verifying scaling is a precondition failure
         fake = fs.StandardScaling(np.array([2.0, 1.0, 1.0]), 0.0, 3)
         fs.check_constant_bounds(onb, fake)
+    for frame, scaling, error, message in (
+        (fs.Frame(2.0 * np.eye(3)), verdict.scaling, ValueError, "frame must be unit-norm within 1e-08"),
+        (onb, fs.StandardScaling(np.ones(3), 0.0, 2), ValueError, "constant bounds apply to full-space standard scalings"),
+        (onb, fs.StandardScaling(np.ones(2), 0.0, 3), ValueError, "scaling has 2 constants for 3 vectors"),
+        (onb, np.ones(3), TypeError, "unsupported scaling type: ndarray"),
+    ):
+        with pytest.raises(error, match=message):
+            fs.check_constant_bounds(frame, scaling)
 
 
 def test_check_constant_bounds_unit_constants_ignore_zero_support():

@@ -84,6 +84,8 @@ def test_verify_piecewise_shape_errors():
         fs.verify_piecewise(frame, fs.PiecewiseScaling(PI2(), np.ones(3), np.ones(3)))
     with pytest.raises(ValueError):
         fs.PiecewiseScaling(PI2(), np.ones(3), np.ones(4))
+    with pytest.raises(ValueError, match=r"projection acts on R\^2 but vectors live in R\^4"):
+        fs.verify_piecewise(frame, fs.PiecewiseScaling(fs.canonical_projection([0], 2), np.ones(4), np.ones(4)))
 
 
 def _random_tuple(rng, n, m):
@@ -184,6 +186,10 @@ def test_construct_r2_examples():
         fs.construct_r2(frame, fs.canonical_projection([0, 1], 2))
     with pytest.raises(ValueError):
         fs.construct_r2(fs.Frame([[1.0, 0.0], [2.0, 0.0]]), P)
+    with pytest.raises(ValueError, match=r"construct_r2 needs vectors in R\^2"):
+        fs.construct_r2(fs.Frame(np.eye(3)), P)
+    with pytest.raises(ValueError, match=r"projection must act on R\^2"):
+        fs.construct_r2(frame, fs.canonical_projection([0], 3))
 
 
 @given(st.integers(0, 10_000))
@@ -225,6 +231,16 @@ def test_construct_from_orthogonal_split_examples():
         fs.construct_from_orthogonal_split(pair, P, [0], [0])
     with pytest.raises(ValueError):  # wrong p-side cardinality
         fs.construct_from_orthogonal_split(pair, P, [0, 1], [1])
+    for args, message in (
+        ((pair, P, [0, 0], [1]), r"p_indices contains repeated indices: \[0, 0\]"),
+        ((pair, P, [0], [2]), r"q_indices must lie in \[0, 2\), got \[2\]"),
+        ((pair, fs.canonical_projection([0], 3), [0], [1]), r"projection acts on R\^3 but vectors live in R\^2"),
+        ((frame, P3, [0, 1], [3]), "need exactly 3 p-side vectors to span the range, got 2"),
+        ((frame, P3, [0, 1, 2], []), "need exactly 1 q-side vectors to span the complement, got 0"),
+        ((fs.Frame(np.eye(2)), P, [1], [0]), "projected p-side vector 0 is numerically zero"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            fs.construct_from_orthogonal_split(*args)
 
 
 def test_construct_r3_fixture_values():
@@ -274,6 +290,10 @@ def test_construct_r3_rescales_to_original_norms():
 def test_construct_r3_rejects_non_spanning():
     with pytest.raises(ValueError):
         fs.construct_r3(fs.Frame([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"construct_r3 needs vectors in R\^3"):
+        fs.construct_r3(fs.Frame(np.eye(2)))
+    with pytest.raises(ValueError, match="frame must contain at least three vectors"):
+        fs.construct_r3(fs.Frame([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
 
 
 def test_construct_r4_special_errors():
@@ -285,6 +305,24 @@ def test_construct_r4_special_errors():
     )
     with pytest.raises(ValueError):
         fs.construct_r4_special(dependent, [0, 1, 2, 3])
+    with pytest.raises(ValueError, match=r"construct_r4_special needs vectors in R\^4"):
+        fs.construct_r4_special(fs.Frame(np.vstack([np.eye(3), np.ones(3)])), [0, 1, 2, 3])
+    with pytest.raises(ValueError, match="need exactly 4 indices, got 3"):
+        fs.construct_r4_special(frame, [0, 1, 2])
+    tilted = fs.Frame([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="need <x2, x4> = <x3, x4> = 0"):
+        fs.construct_r4_special(tilted, [0, 1, 2, 3])
+    # independent quadruples within 1e-5 of special-position failures,
+    # which a tolerance of 1e-4 cannot tell apart from them
+    d = 1e-5
+    near_x2_x4 = fs.Frame([[0.6, d, 0.0, 0.8], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"x1 lies in span\{x2, x4\}"):
+        fs.construct_r4_special(near_x2_x4, [0, 1, 2, 3], tol=1e-4)
+    x1 = np.array([0.3, 0.4, 0.5, 0.6])
+    x3 = np.array([0.5, 0.7 * x1[1], 0.7 * x1[2], 0.0]) + d * np.array([0.0, -x1[2], x1[1], 0.0])
+    near_x1_x3_u = fs.Frame([x1, [1.0, 0.0, 0.0, 0.0], x3, [0.0, 0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"x2 lies in span\{x1, x3, u\}"):
+        fs.construct_r4_special(near_x1_x3_u, [0, 1, 2, 3], tol=1e-4)
 
 
 def test_search_routes():

@@ -176,3 +176,9 @@ def test_basis_edge_cases():
     # both eigenvalues exceed 1/2
     with pytest.raises(ValueError):
         fs.projection_from_matrix(np.diag([0.6, 0.6]), tol=1.0)
+
+    # the dataclass checks its own shapes
+    with pytest.raises(ValueError, match=r"projection matrix must be square, got \(2, 3\)"):
+        fs.OrthogonalProjection(np.zeros((2, 3)), 0, np.zeros((2, 0)))
+    with pytest.raises(ValueError, match=r"range basis must be \(2, 1\), got \(2, 2\)"):
+        fs.OrthogonalProjection(np.diag([1.0, 0.0]), 1, np.eye(2))

@@ -57,6 +57,8 @@ def test_solve_against_projection_target_records_warning():
     assert verdict.feasible
     scaled = verdict.scaling.constants[:, None] * (vectors @ P.matrix)
     assert fs.verify_parseval(scaled, target=P).passed
+    with pytest.raises(ValueError, match=r"target acts on R\^4 but vectors live in R\^3"):
+        fs.solve_standard_scaling(vectors, target=fs.canonical_projection([0, 1], 4))
 
 
 def test_open_quadrant_certificate_examples():

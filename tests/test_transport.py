@@ -25,6 +25,8 @@ def test_intertwiner_swap_example():
 def test_intertwiner_rank_mismatch():
     with pytest.raises(ValueError):
         fs.intertwiner(fs.canonical_projection([0], 3), fs.canonical_projection([0, 1], 3))
+    with pytest.raises(ValueError, match=r"projections act on R\^2 and R\^3"):
+        fs.intertwiner(fs.canonical_projection([0], 2), fs.canonical_projection([0], 3))
 
 
 @given(st.integers(0, 10_000))
