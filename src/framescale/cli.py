@@ -287,8 +287,19 @@ def _read_report(path, override_path, fmt, tol: float):
         for key in ("projection", "a", "b"):
             if key not in payload:
                 raise FrameFormatError(f"report scaling lacks the '{key}' entry", path)
-        P = projection_from_matrix(_rows_from_json(payload, "projection", path), tol)
-        scaling = PiecewiseScaling(P, _numbers(payload["a"], 'scaling "a"', path), _numbers(payload["b"], 'scaling "b"', path))
+        matrix = _rows_from_json(payload, "projection", path)
+        a, b = _numbers(payload["a"], 'scaling "a"', path), _numbers(payload["b"], 'scaling "b"', path)
+        try:
+            P = projection_from_matrix(matrix, tol)
+        except ValueError as exc:
+            raise FrameFormatError(f'scaling "projection": {exc}', path) from None
+        if len(a) != len(b):
+            raise FrameFormatError(f'scaling "a" has {len(a)} constants but "b" has {len(b)}', path)
+        if len(a) != frame.size:
+            raise FrameFormatError(f'scaling "a" and "b" have {len(a)} constants but the frame has {frame.size} vectors', path)
+        if P.dim != frame.dim:
+            raise FrameFormatError(f'scaling "projection" acts on R^{P.dim} but the frame lies in R^{frame.dim}', path)
+        scaling = PiecewiseScaling(P, a, b)
     tolerance = _numbers([recorded["tolerance"]], '"tolerance"', path)[0] if "tolerance" in recorded else None
     residuals = recorded.get("residuals") or {}
     if not isinstance(residuals, dict):

@@ -317,8 +317,8 @@ def construct_r3_detailed(frame, tol: float = DEFAULT_TOL) -> R3Construction:
     orthogonal complement direction z using weight
     lam = sqrt(overlap / (1 - overlap^2)).  It takes 1 - overlap as
     h^2 / 2 from the pair's distance h = ||x1 - x2||, which does not
-    cancel on a close pair, and calls the pair numerically dependent
-    when h is at most RANK_RTOL.  Projecting out span{u} with
+    cancel on a close pair; the rank check keeps h off zero, since
+    sigma_3 <= h / sqrt(2).  Projecting out span{u} with
     u = lam (x1 + x2) + z makes the complement parts of the pair
     orthogonal, while one of the two signs of lam keeps the third vector
     visible on the projected side.  The scaling is
@@ -344,8 +344,6 @@ def construct_r3_detailed(frame, tol: float = DEFAULT_TOL) -> R3Construction:
         x2 = -x2  # sign flips leave every outer product, hence the scaling, unchanged
         overlap = -overlap
     h = float(np.linalg.norm(x1 - x2))
-    if h <= RANK_RTOL:
-        raise ValueError("selected pair is numerically dependent")
     z = np.cross(x1, x2)
     z /= np.linalg.norm(z)
     lead = np.nonzero(np.abs(z) > 1e-12)[0][0]
@@ -765,6 +763,13 @@ def search_piecewise(
     acceptance check; a later route runs only when every earlier
     candidate failed it.  A miss is not a proof that no scaling exists.
 
+    At n >= 4 closeness_obstruction is asked before the standard step,
+    and a frame with a certified rank skips the equal constants: its unit
+    rows lie within eps < 1/8 of one row, so every standard scaling
+    misses the identity by more than _CERTIFIED_DEFECT = 0.96 (see
+    _candidate_scalings), and the step runs there only at a ``tol`` that
+    large.  At n <= 3 no rank is ever certified, and none is asked for.
+
     The candidate stream.  Candidate j of rank k is the orthogonal factor
     Q_j of the complete QR of block j of
     default_rng((seed, k)).standard_normal((budget, n, k)), drawn by
@@ -793,17 +798,33 @@ def search_piecewise(
     return None
 
 
+# a lower bound on the standard defect of every frame closeness_obstruction certifies
+_CERTIFIED_DEFECT = 0.96
+
+
 def _candidate_scalings(fr: Frame, valid: list[int], budget: int, seed: int, tol: float) -> Iterator[PiecewiseScaling]:
     # search_piecewise's candidates, in its order, for a frame of unit or zero rows and the sorted ranks ``valid``
     if not fr.is_frame():
         return
     n = fr.dim
     X = fr.vectors
-    # the Frame passes its rows to solve_standard_scaling without a copy
-    verdict = solve_standard_scaling(fr, None, tol)
-    if verdict.feasible:
-        c = verdict.scaling.constants
-        yield PiecewiseScaling(canonical_projection(range(valid[0]), n), c, c)
+    certified = frozenset()
+    if n >= 4:
+        # imported here, so that verify, transport and the R^2 and R^3 searches never compile obstructions
+        from .obstructions import closeness_obstruction
+
+        certified = closeness_obstruction(X).applicable_ranks
+    # a certified frame has no standard scaling within _CERTIFIED_DEFECT: its unit
+    # rows lie within eps < 1/8 of the row x_0, so for a unit y orthogonal to x_0 and
+    # S = sum_i w_i x_i x_i^T, w >= 0, y^T S y <= eps^2 sum(w) while x_0^T S x_0 >=
+    # (1 - eps^2 / 2)^2 sum(w), and no sum(w) brings both within
+    # 1 - 2 eps^2 / (eps^2 + (1 - eps^2 / 2)^2) > 0.968 of 1
+    if not certified or tol >= _CERTIFIED_DEFECT:
+        # the Frame passes its rows to solve_standard_scaling without a copy
+        verdict = solve_standard_scaling(fr, None, tol)
+        if verdict.feasible:
+            c = verdict.scaling.constants
+            yield PiecewiseScaling(canonical_projection(range(valid[0]), n), c, c)
     if n <= 3:
         # a numerically degenerate selection, like a failing result, goes on to the later routes
         try:
@@ -813,10 +834,6 @@ def _candidate_scalings(fr: Frame, valid: list[int], budget: int, seed: int, tol
         else:
             # built has rank 1, and a valid set without 1 holds n - 1
             yield built if 1 in valid else _complement_form(built)
-    # imported here, so that verify, transport and the searches decided above never compile obstructions
-    from .obstructions import closeness_obstruction
-
-    certified = closeness_obstruction(X).applicable_ranks
     yield from _orthogonal_split_route(fr, [k for k in valid if k not in certified], seed, tol, budget)
     for k in valid:
         for _, G in _surviving_candidates(X, k, budget, seed, tol):

@@ -351,7 +351,18 @@ def test_malformed_reports_are_input_errors(workdir, capsys):
     broken.write_text(json.dumps(report))
     for args in (["verify", broken], ["transport", broken, "--to-canonical"]):
         code, _, err = run_cli(args, capsys)
-        assert code == 2 and "not an orthogonal projection" in err
+        assert code == 2 and f'{broken}: scaling "projection": matrix is not an orthogonal projection' in err
+    # so are constants that do not fit each other or the frame, and a
+    # projection of another dimension
+    for edit, message in (
+        ({"scaling": {**recorded["scaling"], "a": recorded["scaling"]["a"][:2]}}, 'scaling "a" has 2 constants but "b" has 3'),
+        ({"frame": [[1.0, 0.0, 0.0]]}, 'scaling "a" and "b" have 3 constants but the frame has 1 vectors'),
+        ({"frame": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}, 'scaling "projection" acts on R^3 but the frame lies in R^2'),
+    ):
+        broken.write_text(json.dumps({**recorded, **edit}))
+        for args in (["verify", broken], ["transport", broken, "--to-canonical"]):
+            code, report, err = run_cli(args, capsys)
+            assert code == 2 and report is None and f"{broken}: {message}" in err, (edit, err)
     # a report's arrays follow the frame-file rules: booleans and strings are no numbers
     for frame, scaling, message in (
         ([[True, False], [False, True]], {"c": [1, 1]}, '"frame" entry 0, coordinate 0 is not a number'),

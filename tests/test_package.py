@@ -148,6 +148,8 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path):
         ("obstruct", str(frame)): {"piecewise", "scaling", "transport"},
         ("verify", str(report)): {"obstructions", "transport"},
         ("transport", str(report), "--to-canonical"): {"obstructions"},
+        # a search in R^2 or R^3 ends in its constructor and asks no obstruction
+        ("piecewise", str(frame)): {"obstructions", "transport"},
     }
     for argv, absent in not_loaded.items():
         loaded = _loaded(*argv, *out)

@@ -294,6 +294,10 @@ def test_construct_r3_rejects_non_spanning():
         fs.construct_r3(fs.Frame(np.eye(2)))
     with pytest.raises(ValueError, match="frame must contain at least three vectors"):
         fs.construct_r3(fs.Frame([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    # a pair at distance h ~ 1e-15 leaves sigma_3 <= h / sqrt(2), so the rank check rejects it
+    near = np.array([1.0, 1e-15, 0.0])
+    with pytest.raises(ValueError, match=r"frame must span R\^3"):
+        fs.construct_r3(fs.Frame([[1.0, 0.0, 0.0], near / np.linalg.norm(near), [0.0, 0.0, 1.0]]))
 
 
 def test_construct_r4_special_errors():

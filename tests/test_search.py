@@ -451,18 +451,57 @@ def test_farkas_batch_ends_when_its_families_have_left(monkeypatch):
     assert len(sizes) == len(pw._FARKAS_CHECKPOINTS) and sizes[0] == 51 and sizes[-1] == 1
 
 
+def _certified_r4_frames(rng, count: int) -> list[fs.Frame]:
+    """Clustered unit frames in R^4, m 5..8, each with rank 2 certified by closeness_obstruction."""
+    frames = []
+    while len(frames) < count:
+        frame = clustered_unit_frame(rng, 4, int(rng.integers(5, 9)), 0.02)
+        if 2 in fs.closeness_obstruction(frame).applicable_ranks:
+            frames.append(frame)
+    return frames
+
+
 def test_search_takes_its_standard_step_from_solve_standard_scaling(monkeypatch):
     # the whole frame's standard step is one solve_standard_scaling call
-    # on the search's own Frame; _standard_verdict is NNLS alone, for the
-    # side solves, and has no switch for the steps before it
+    # on the search's own Frame when closeness_obstruction certifies no
+    # rank, and none when it certifies one; _standard_verdict is NNLS
+    # alone, for the side solves, and has no switch for the steps before it
     assert "screen" not in inspect.signature(sc._standard_verdict).parameters
     calls = []
     solve = pw.solve_standard_scaling
     monkeypatch.setattr(pw, "solve_standard_scaling", lambda *args: calls.append(args[0]) or solve(*args))
-    for index, (frame, _) in enumerate(CASES[::5]):
+    frames = _certified_r4_frames(np.random.default_rng(62), 6) + [frame for frame, _ in CASES[::5]]
+    steps = []
+    for index, frame in enumerate(frames):
         calls.clear()
         fs.search_piecewise(frame, budget=20, seed=index)
-        assert len(calls) == 1 and isinstance(calls[0], fs.Frame)
+        assert all(isinstance(call, fs.Frame) for call in calls)
+        steps.append((bool(fs.closeness_obstruction(frame).applicable_ranks), len(calls)))
+    assert steps.count((True, 0)) >= 6 and steps.count((False, 1)) >= 4 and len(set(steps)) == 2, steps
+    # at a tol of at least _CERTIFIED_DEFECT the step runs on a certified
+    # frame too, and its equal constants stay the answer
+    calls.clear()
+    found = fs.search_piecewise(frames[0], ranks={2}, budget=20, seed=0, tol=2.0)
+    assert len(calls) == 1 and found is not None and np.array_equal(found.a, found.b)
+
+
+def test_certified_frames_have_no_standard_scaling():
+    # the reason the search skips its standard step: a frame with a
+    # certified rank misses the identity by more than _CERTIFIED_DEFECT,
+    # on criterion 06's clustered frames and on tighter ones, which
+    # closeness_obstruction certifies at n = 5 and 6 too
+    rng = np.random.default_rng(61)
+    judged = {4: 0, 5: 0, 6: 0}
+    for n in judged:
+        for spread in (0.02, 0.002):
+            for _ in range(20):
+                frame = clustered_unit_frame(rng, n, int(rng.integers(n + 1, 2 * n + 1)), spread, max_closeness=0.1)
+                if not fs.closeness_obstruction(frame).applicable_ranks:
+                    continue
+                for tol in (TOL, 0.5, np.nextafter(pw._CERTIFIED_DEFECT, 0.0)):
+                    assert fs.solve_standard_scaling(frame, None, tol).feasible is False, (n, tol)
+                judged[n] += 1
+    assert min(judged.values()) >= 10, judged
 
 
 def _counting_solver(monkeypatch) -> list[int]:
