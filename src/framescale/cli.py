@@ -273,7 +273,13 @@ def _read_report(path, override_path, fmt, tol: float):
     elif "frame" in recorded:
         source, frame = "report", Frame(_rows_from_json(recorded, "frame", path))
     elif isinstance(recorded.get("input"), str):
-        source, frame = recorded["input"], load_frame(recorded["input"], fmt)
+        source = recorded["input"]
+        if not source:
+            raise FrameFormatError("report's 'input' entry names no file", path)
+        try:
+            frame = load_frame(source, fmt)
+        except OSError as exc:
+            raise FrameFormatError(f"cannot read the 'input' file {source!r}: {exc.strerror or exc}", path) from None
     else:
         raise FrameFormatError("report has neither a 'frame' entry nor an 'input' file name", path)
     payload = recorded.get("scaling")

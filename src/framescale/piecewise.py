@@ -482,6 +482,10 @@ _FARKAS_CHECKPOINTS = frozenset([2**i for i in range(8)] + [len(_FARKAS_MOMENTUM
 # cells per batch of the sampled stage's screen (_screen_batch)
 _FARKAS_CELLS = 2**20
 
+# share of its squared norm a column of _thin_factor must keep through both
+# Gram-Schmidt passes, or its block is factored by LAPACK's QR instead
+_GRAM_SCHMIDT_KEPT = 1e-6
+
 
 def _farkas_margin(units: np.ndarray, stop: float = np.inf) -> np.ndarray:
     """Each family's largest _farkas_bound over the checkpoints of its FISTA run.
@@ -533,7 +537,7 @@ def _side_margins(coords: np.ndarray, scales: np.ndarray, tol: float) -> np.ndar
     family that is not judged gets -inf.
     """
     margin = np.full(len(coords), -np.inf)
-    norms = np.sqrt((coords * coords).sum(axis=2))
+    norms = np.sqrt(np.einsum("cmj,cmj->cm", coords, coords))
     trusted = np.flatnonzero((norms > _TRUSTED_SIDE * scales).all(axis=1))
     if trusted.size == 0:
         return margin
@@ -542,6 +546,32 @@ def _side_margins(coords: np.ndarray, scales: np.ndarray, tol: float) -> np.ndar
     else:
         margin[trusted] = _farkas_margin(coords[trusted] / norms[trusted, :, None], 10.0 * tol)
     return margin
+
+
+def _thin_factor(G: np.ndarray) -> np.ndarray:
+    """Orthonormal bases (C, n, k) of the column spaces of the blocks G (C, n, k).
+
+    Classical Gram-Schmidt, applied twice to each column, runs on the
+    whole stack at once.  A block with a column that keeps at most
+    _GRAM_SCHMIDT_KEPT of its squared norm through both passes (a
+    dependent block, a zero column) takes np.linalg.qr's thin factor
+    instead.  Why the screen may use these bases: _rejected_draws.
+    """
+    Q = np.empty_like(G)
+    weak = np.zeros(len(G), dtype=bool)
+    for j in range(G.shape[2]):
+        v = G[:, :, j]
+        before = after = np.einsum("cn,cn->c", v, v)
+        if j:
+            B = Q[:, :, :j]
+            for _ in range(2):
+                v = v - np.einsum("cnj,cj->cn", B, np.einsum("cnj,cn->cj", B, v))
+            after = np.einsum("cn,cn->c", v, v)
+        weak |= after <= _GRAM_SCHMIDT_KEPT * before
+        Q[:, :, j] = v / np.sqrt(np.where(after > 0.0, after, 1.0))[:, None]
+    if weak.any():
+        Q[weak] = np.linalg.qr(G[weak])[0]
+    return Q
 
 
 def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
@@ -558,15 +588,23 @@ def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     none is left the screen returns.
 
     Factors.  Each side's coordinates come from one batched product X Q.
-    When the range goes first, Q is the stacked thin QR factor of the
-    blocks, and only the blocks the range kept get a complete QR, whose
-    trailing columns give their complement.  Otherwise one stacked
-    complete QR of the blocks serves both sides.  A survivor is solved in
-    the complete QR of its block alone (_disjoint_split_candidate).  The
-    thin factor and the leading columns of the complete one, or a
-    stacked and a per-block factor, may differ by rounding, which moves
-    a margin by rounding only, so a margin above 10 tol still proves
-    that the solver misses.
+    When the range goes first, Q is the _thin_factor of the blocks, and
+    only the blocks the range kept get a complete QR, whose trailing
+    columns give their complement.  Otherwise one stacked complete QR of
+    the blocks serves both sides.  A survivor is solved in the complete
+    QR of its block alone (_disjoint_split_candidate).  Both margins are
+    invariant under orthogonal maps of a side's coordinates, so any
+    orthonormal basis of the side gives the same margin in exact
+    arithmetic.  A block _thin_factor keeps has every column keep more
+    than 1e-3 of its norm, so with unit columns its condition number
+    kappa is at most of order 10^3, and Gram-Schmidt applied twice is
+    orthonormal to O(u) and spans LAPACK's plane to O(u kappa) (Kahan and
+    Parlett: twice is enough); any other block takes LAPACK's factor.  So
+    the Gram-Schmidt and LAPACK bases, the thin factor and the leading
+    columns of the complete one, or a stacked and a per-block factor,
+    differ by rounding, which moves a margin far less than the 9 tol
+    between the solver's tol and the screen's 10 tol: a margin above
+    10 tol still proves that the solver misses.
 
     Batches.  _surviving_candidates draws and screens the candidates in
     batches of _screen_batch(m, n) blocks for the m rows of X in R^n.  The
@@ -586,7 +624,7 @@ def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
         sides.reverse()
     if sides and sides[0].start == 0:
         # the range goes first, in the thin factor
-        rejected = _side_margins(X @ np.linalg.qr(G)[0], scales, tol) > 10.0 * tol
+        rejected = _side_margins(X @ _thin_factor(G), scales, tol) > 10.0 * tol
         sides = sides[1:]
     live = np.flatnonzero(~rejected)
     if not sides or live.size == 0:

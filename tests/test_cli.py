@@ -343,6 +343,16 @@ def test_malformed_reports_are_input_errors(workdir, capsys):
         for args in (["verify", broken], ["transport", broken, "--to-canonical"]):
             code, _, err = run_cli(args, capsys)
             assert code == 2 and "'frame'" in err and "'input'" in err
+    # an 'input' entry that names no file, or a file that cannot be read
+    for name, message in (
+        ("", "report's 'input' entry names no file"),
+        (str(workdir / "does-not-exist.csv"), "cannot read the 'input' file"),
+        (str(workdir), "cannot read the 'input' file"),
+    ):
+        broken.write_text(json.dumps({**report, "input": name}))
+        for args in (["verify", broken], ["transport", broken, "--to-canonical"]):
+            code, _, err = run_cli(args, capsys)
+            assert code == 2 and f"{broken}: {message}" in err, (name, err)
     # a matrix that is no projection is an input error at --tol or the
     # default, whatever tolerance the report names
     report = json.loads(json.dumps(recorded))

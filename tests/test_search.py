@@ -4,6 +4,7 @@ import inspect
 import itertools
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,43 @@ def test_screen_matches_the_per_block_reference(monkeypatch):
             assert all(c in kept or near[c] for c in np.flatnonzero(~want))
     # both kinds of candidate are common
     assert counts.min() > 100
+
+
+def _near_dependent(rng, n: int, k: int, size: np.ndarray) -> np.ndarray:
+    """Gaussian blocks (C, n, k) whose last column is a mix of the others plus noise of the given size."""
+    G = rng.standard_normal((len(size), n, k))
+    G[:, :, -1] = np.einsum("cnj,cj->cn", G[:, :, :-1], rng.standard_normal((len(size), k - 1)))
+    G[:, :, -1] += size[:, None] * rng.standard_normal((len(size), n))
+    return G
+
+
+def _dependent_blocks(rng, n: int, k: int) -> np.ndarray:
+    """Blocks (C, n, k) with a column Gram-Schmidt cannot keep: repeated, zero or nearly dependent columns."""
+    zero_column = rng.standard_normal((k, n, k))
+    zero_column[np.arange(k), :, np.arange(k)] = 0.0
+    return np.concatenate([np.ones((1, n, k)), np.zeros((1, n, k)), zero_column, _near_dependent(rng, n, k, np.full(4, 1e-9))])
+
+
+def test_thin_factor_is_an_orthonormal_basis_of_each_block():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for n, k in ((4, 2), (5, 2), (6, 3), (8, 4)):
+            rng = np.random.default_rng((2031, n, k))
+            # Gaussian blocks, and blocks whose last column lies about 10^-2.5 to
+            # 10^-1 off the others' span, where Gram-Schmidt applied once loses
+            # orthogonality and both factors span the plane to O(u kappa) only
+            G = np.concatenate([rng.standard_normal((2000, n, k)), _near_dependent(rng, n, k, np.logspace(-2.5, -1.0, 500))])
+            Q, lapack = pw._thin_factor(G), np.linalg.qr(G)[0]
+            QT = Q.transpose(0, 2, 1)
+            assert np.abs(QT @ Q - np.eye(k)).max() <= 1e-14
+            span = np.abs(Q @ QT - lapack @ lapack.transpose(0, 2, 1)).max(axis=(1, 2))
+            assert span[:2000].max() <= 1e-12 and span[2000:].max() <= 1e-11
+            # a block Gram-Schmidt cannot keep gets LAPACK's factor, bit for bit,
+            # alone or stacked between kept blocks
+            D = _dependent_blocks(rng, n, k)
+            assert np.array_equal(pw._thin_factor(D), np.linalg.qr(D)[0])
+            Q = pw._thin_factor(np.concatenate([G[:3], D, G[3:6]]))
+            assert np.array_equal(Q[3 : 3 + len(D)], np.linalg.qr(D)[0])
 
 
 def _arc_family(rng, m, arc):
