@@ -146,27 +146,28 @@ def obstruction_frames(smoke: bool) -> Inputs:
     return frames
 
 
-def _reaches_sampled_stage(pw, X: np.ndarray, k: int) -> tuple[bool, bool]:
+def _reaches_sampled_stage(X: np.ndarray, k: int) -> tuple[bool, bool]:
     """Whether the rank-k search of X at seed 0 reaches the sampled stage, and whether it finds a scaling."""
+    import framescale.search as search
+    from framescale.piecewise import search_piecewise
+
     reached = []
-    survivors = pw._surviving_candidates
+    survivors = search._surviving_candidates
 
     def record(*args):
         reached.append(True)
         yield from survivors(*args)
 
-    pw._surviving_candidates = record
+    search._surviving_candidates = record
     try:
-        found = pw.search_piecewise(X, ranks={k}, budget=BUDGET, seed=0) is not None
+        found = search_piecewise(X, ranks={k}, budget=BUDGET, seed=0) is not None
     finally:
-        pw._surviving_candidates = survivors
+        search._surviving_candidates = survivors
     return bool(reached), found
 
 
 def screen_searches(smoke: bool) -> Inputs:
     import workloads
-
-    import framescale.piecewise as pw
 
     miss = workloads.SearchMiss().build(SEED, 4 if smoke else 164)  # the ops of a 25 s benchmark run
     searches: Inputs = {"search-miss": [(item.frame, 2, item.index) for item in miss], "sweep hit": [], "sweep miss": []}
@@ -175,7 +176,7 @@ def screen_searches(smoke: bool) -> Inputs:
         for _ in range(2 if smoke else 60):
             X = workloads.spanning_unit_frame(rng, n, int(rng.integers(n + 1, 3 * n + 1)))
             for k in range(1, n):
-                reached, found = _reaches_sampled_stage(pw, X, k)
+                reached, found = _reaches_sampled_stage(X, k)
                 if reached:
                     searches["sweep hit" if found else "sweep miss"].append((X, k, 0))
     count = 1 if smoke else 4  # per clustered shape

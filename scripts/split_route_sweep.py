@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 import framescale as fs
-from framescale.piecewise import _orthogonal_split_route
+from framescale.search import _orthogonal_split_route
 
 
 def sizes(n: int) -> list[int]:

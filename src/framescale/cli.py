@@ -257,6 +257,9 @@ def _cmd_piecewise(args, frame: Frame, tol: float, report: dict) -> None:
     report["verdict"] = "found" if _piecewise_result(report, frame, ps, tol) else "constructed-but-failed"
 
 
+# a report may hold any doubles, so the products that check it may overflow: the
+# residual then reads inf or nan and fails, with no numpy warning on stderr
+@np.errstate(over="ignore", invalid="ignore")
 def _read_report(path, override_path, fmt, tol: float):
     """The frame's source, the Frame, the scaling and the recorded (tolerance, residuals) of a report.
 
@@ -280,6 +283,8 @@ def _read_report(path, override_path, fmt, tol: float):
             frame = load_frame(source, fmt)
         except OSError as exc:
             raise FrameFormatError(f"cannot read the 'input' file {source!r}: {exc.strerror or exc}", path) from None
+        except ValueError as exc:
+            raise FrameFormatError(f"the 'input' file is malformed: {exc}", path) from None
     else:
         raise FrameFormatError("report has neither a 'frame' entry nor an 'input' file name", path)
     payload = recorded.get("scaling")
@@ -318,6 +323,7 @@ def _read_report(path, override_path, fmt, tol: float):
     return source, frame, scaling, (tolerance, residuals)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as _read_report
 def _cmd_verify(args, read, tol: float, report: dict) -> None:
     import hashlib
 
@@ -353,6 +359,7 @@ def _cmd_obstruct(args, frame: Frame, tol: float, report: dict) -> None:
     report["residuals"] = {"unit_norm_deviation": float(result.detail["unit_norm_deviation"])}
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as _read_report
 def _cmd_transport(args, read, tol: float, report: dict) -> None:
     from .piecewise import PiecewiseScaling
     from .transport import to_canonical, transport_scaling

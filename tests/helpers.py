@@ -316,7 +316,8 @@ def reference_farkas_margin(units: np.ndarray) -> np.ndarray:
     place of the screen's vectorized system; the early-exit test
     compares against it.  ``units`` has shape (C, m, d) with unit rows.
     """
-    from framescale.piecewise import _farkas_bound, _fista_momentum
+    from framescale.scaling import _farkas_bound
+    from framescale.search import _fista_momentum
 
     d = units.shape[2]
     H = (units @ units.transpose(0, 2, 1)) ** 2

@@ -343,11 +343,15 @@ def test_malformed_reports_are_input_errors(workdir, capsys):
         for args in (["verify", broken], ["transport", broken, "--to-canonical"]):
             code, _, err = run_cli(args, capsys)
             assert code == 2 and "'frame'" in err and "'input'" in err
-    # an 'input' entry that names no file, or a file that cannot be read
+    # an 'input' entry that names no file, a file that cannot be read, or a
+    # malformed file, whose own diagnostic the message keeps
+    malformed = workdir / "bad.csv"
+    malformed.write_text("1,0\n0,x\n")
     for name, message in (
         ("", "report's 'input' entry names no file"),
         (str(workdir / "does-not-exist.csv"), "cannot read the 'input' file"),
         (str(workdir), "cannot read the 'input' file"),
+        (str(malformed), f"the 'input' file is malformed: {malformed}: line 2, column 2: invalid number 'x'"),
     ):
         broken.write_text(json.dumps({**report, "input": name}))
         for args in (["verify", broken], ["transport", broken, "--to-canonical"]):

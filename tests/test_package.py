@@ -142,14 +142,14 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path):
     assert main(["piecewise", str(frame), "--construct", "r3", "--out", str(report)]) == 0
     out = ["--out", str(tmp_path / "report.json")]
     not_loaded = {
-        ("analyze", str(frame)): {"projections", "scaling", "piecewise", "obstructions", "transport"},
-        ("canonical-parseval", str(frame)): {"projections", "scaling", "piecewise", "obstructions", "transport"},
-        ("scale", str(frame)): {"piecewise", "obstructions", "transport"},
-        ("obstruct", str(frame)): {"piecewise", "scaling", "transport"},
-        ("verify", str(report)): {"obstructions", "transport"},
-        ("transport", str(report), "--to-canonical"): {"obstructions"},
-        # a search in R^2 or R^3 ends in its constructor and asks no obstruction
-        ("piecewise", str(frame)): {"obstructions", "transport"},
+        ("analyze", str(frame)): {"projections", "scaling", "piecewise", "search", "obstructions", "transport"},
+        ("canonical-parseval", str(frame)): {"projections", "scaling", "piecewise", "search", "obstructions", "transport"},
+        ("scale", str(frame)): {"piecewise", "search", "obstructions", "transport"},
+        ("obstruct", str(frame)): {"piecewise", "search", "scaling", "transport"},
+        ("verify", str(report)): {"search", "obstructions", "transport"},
+        ("transport", str(report), "--to-canonical"): {"search", "obstructions"},
+        # a search in R^2 or R^3 ends in its constructor: it asks no obstruction and needs no route
+        ("piecewise", str(frame)): {"search", "obstructions", "transport"},
     }
     for argv, absent in not_loaded.items():
         loaded = _loaded(*argv, *out)

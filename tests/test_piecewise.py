@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import framescale as fs
 import framescale.piecewise as pw
+import framescale.search as search
 from framescale.piecewise import _complement_form
 from helpers import (
     blocked_split_frame,
@@ -401,8 +402,8 @@ def test_search_falls_through_when_the_r3_constructor_rejects(monkeypatch):
     pair = fs.Frame([[1.0, 0.0], [1.0, 1e-9]])
     later = []
     for name in ("_orthogonal_split_route", "_surviving_candidates"):
-        route = getattr(pw, name)
-        monkeypatch.setattr(pw, name, lambda *args, name=name, route=route: later.append(name) or route(*args))
+        route = getattr(search, name)
+        monkeypatch.setattr(search, name, lambda *args, name=name, route=route: later.append(name) or route(*args))
     for frame, construct, match in (
         (triple, fs.construct_r3, "numerically degenerate"),
         (pair, lambda f: fs.construct_r2(f, fs.canonical_projection([0], 2)), "numerically degenerate"),
@@ -428,7 +429,7 @@ def test_search_falls_through_when_the_r3_constructor_fails_verification(monkeyp
     assert not fs.verify_piecewise(frame, failing).passed
     assert not fs.verify_piecewise(frame, failing_split).passed
     monkeypatch.setattr(pw, "construct_r3", lambda *args: failing)
-    route, stream, verify = pw._orthogonal_split_route, pw._candidate_scalings, pw.verify_piecewise
+    route, stream, verify = search._orthogonal_split_route, pw._candidate_scalings, pw.verify_piecewise
     for route_fails_first in (False, True):
         later, yielded, verified = [], [], []
 
@@ -439,7 +440,7 @@ def test_search_falls_through_when_the_r3_constructor_fails_verification(monkeyp
             yield from route(*args)
 
         with monkeypatch.context() as patch:
-            patch.setattr(pw, "_orthogonal_split_route", patched_route)
+            patch.setattr(search, "_orthogonal_split_route", patched_route)
             patch.setattr(pw, "_candidate_scalings", lambda *args: (yielded.append(ps) or ps for ps in stream(*args)))
             patch.setattr(pw, "verify_piecewise", lambda *args: verified.append(args[1]) or verify(*args))
             found = fs.search_piecewise(frame, seed=0)

@@ -695,7 +695,7 @@ def test_nearly_repeated_tall_rows_get_the_minimum_norm_weights():
 
 
 def test_gram_columns_match_the_gather_formula():
-    import framescale.piecewise as pw
+    import framescale.search as search
 
     rng = np.random.default_rng(61)
     for n in range(1, 21):
@@ -715,5 +715,5 @@ def test_gram_columns_match_the_gather_formula():
             R = np.eye(n) - sum(w[..., i, None, None] * C[..., i, :, None] * C[..., i, None, :] for i in range(n + 2))
             assert np.allclose(sc._farkas_residual(C, w), R, rtol=0.0, atol=1e-12)
     # the route's cached tables are shared by every caller, so read-only
-    for table in pw._split_tables(5, 2):
+    for table in search._split_tables(5, 2):
         assert not table.flags.writeable

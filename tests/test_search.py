@@ -11,6 +11,7 @@ import pytest
 
 import framescale as fs
 import framescale.piecewise as pw
+import framescale.search as search
 import framescale.scaling as sc
 from helpers import (
     clustered_unit_frame,
@@ -61,26 +62,26 @@ def _blocks(seed: int, k: int, n: int, count: int) -> np.ndarray:
 
 def _first_rejected(X: np.ndarray, k: int) -> bool:
     """Whether the screen rejects candidate 0 of rank k, seed 0."""
-    return bool(pw._rejected_draws(X, _blocks(0, k, X.shape[1], 1), TOL)[0])
+    return bool(search._rejected_draws(X, _blocks(0, k, X.shape[1], 1), TOL)[0])
 
 
 def _recording_survivors(monkeypatch) -> list[int]:
     """Patch the search to record the candidate indices the screen lets through."""
     seen: list[int] = []
-    survivors = pw._surviving_candidates
+    survivors = search._surviving_candidates
 
     def record(*args):
         for candidate, G in survivors(*args):
             seen.append(candidate)
             yield candidate, G
 
-    monkeypatch.setattr(pw, "_surviving_candidates", record)
+    monkeypatch.setattr(search, "_surviving_candidates", record)
     return seen
 
 
 def _sampled_stage_only(monkeypatch) -> None:
     """Patch the orthogonal-split route out, so the sampled stage answers as in the reference search."""
-    monkeypatch.setattr(pw, "_orthogonal_split_route", lambda *args: iter(()))
+    monkeypatch.setattr(search, "_orthogonal_split_route", lambda *args: iter(()))
 
 
 def _side_fixture(k: int, n: int, side_coords: np.ndarray, other_coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,8 +96,8 @@ def test_search_matches_sequential_reference(index, monkeypatch):
     budget = 60
     _sampled_stage_only(monkeypatch)
     tried = []
-    split = pw._disjoint_split_candidate
-    monkeypatch.setattr(pw, "_disjoint_split_candidate", lambda X, P, tol: tried.append(P) or split(X, P, tol))
+    split = search._disjoint_split_candidate
+    monkeypatch.setattr(search, "_disjoint_split_candidate", lambda X, P, tol: tried.append(P) or split(X, P, tol))
     got = fs.search_piecewise(frame, ranks=ranks, budget=budget, seed=index)
     solved = len(tried)
     want = reference_search_piecewise(frame, ranks=ranks, budget=budget, seed=index)
@@ -164,7 +165,7 @@ def test_every_screened_candidate_fails_the_solver(index):
     budget = 40 if n <= 5 else 16
     for k in range(1, n):
         G = _blocks(index, k, n, budget)
-        for g in G[pw._rejected_draws(X, G, TOL)]:
+        for g in G[search._rejected_draws(X, G, TOL)]:
             assert reference_disjoint_split_candidate(X, g, TOL) is None
 
 
@@ -182,7 +183,7 @@ def _reference_rejections(X: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.
     rejected, near = [], []
     for g in G:
         W = X @ np.linalg.qr(g, mode="complete")[0]
-        margins = np.array([pw._side_margins(W[:, cols][None], scales, TOL)[0] for cols in sides])
+        margins = np.array([search._side_margins(W[:, cols][None], scales, TOL)[0] for cols in sides])
         rejected.append(bool((margins > 10.0 * TOL).any()))
         near.append(bool((np.abs(margins - 10.0 * TOL) <= 1e-12 * 10.0 * TOL).any()))
     return np.array(rejected, dtype=bool), np.array(near, dtype=bool)
@@ -210,14 +211,14 @@ def test_screen_matches_the_per_block_reference(monkeypatch):
         for k in range(1, n):
             # a dependent block first, then Gaussian ones
             G = np.concatenate([np.ones((1, n, k)), _blocks(index, k, n, 12)])
-            got = pw._rejected_draws(X, G, TOL)
+            got = search._rejected_draws(X, G, TOL)
             want, near = _reference_rejections(X, G)
             assert ((got == want) | near).all()
             counts += np.bincount(want.astype(int), minlength=2)
             # batches of 5 candidates: 2 full ones and a last one of 3
             with monkeypatch.context() as patch:
-                patch.setattr(pw, "_screen_batch", lambda m, n: 5)
-                survivors = list(pw._surviving_candidates(X, k, 13, index, TOL))
+                patch.setattr(search, "_screen_batch", lambda m, n: 5)
+                survivors = list(search._surviving_candidates(X, k, 13, index, TOL))
             want, near = _reference_rejections(X, _blocks(index, k, n, 13))
             kept = [c for c, _ in survivors]
             assert all(not want[c] or near[c] for c in kept)
@@ -250,7 +251,7 @@ def test_thin_factor_is_an_orthonormal_basis_of_each_block():
             # 10^-1 off the others' span, where Gram-Schmidt applied once loses
             # orthogonality and both factors span the plane to O(u kappa) only
             G = np.concatenate([rng.standard_normal((2000, n, k)), _near_dependent(rng, n, k, np.logspace(-2.5, -1.0, 500))])
-            Q, lapack = pw._thin_factor(G), np.linalg.qr(G)[0]
+            Q, lapack = search._thin_factor(G), np.linalg.qr(G)[0]
             QT = Q.transpose(0, 2, 1)
             assert np.abs(QT @ Q - np.eye(k)).max() <= 1e-14
             span = np.abs(Q @ QT - lapack @ lapack.transpose(0, 2, 1)).max(axis=(1, 2))
@@ -258,8 +259,8 @@ def test_thin_factor_is_an_orthonormal_basis_of_each_block():
             # a block Gram-Schmidt cannot keep gets LAPACK's factor, bit for bit,
             # alone or stacked between kept blocks
             D = _dependent_blocks(rng, n, k)
-            assert np.array_equal(pw._thin_factor(D), np.linalg.qr(D)[0])
-            Q = pw._thin_factor(np.concatenate([G[:3], D, G[3:6]]))
+            assert np.array_equal(search._thin_factor(D), np.linalg.qr(D)[0])
+            Q = search._thin_factor(np.concatenate([G[:3], D, G[3:6]]))
             assert np.array_equal(Q[3 : 3 + len(D)], np.linalg.qr(D)[0])
 
 
@@ -368,7 +369,7 @@ def test_farkas_rejection_is_sound():
     rng = np.random.default_rng(12)
     rejected = kept = 0
     for stack in _threshold_stacks():
-        for V, bound in zip(stack, pw._farkas_margin(_units(stack))):
+        for V, bound in zip(stack, search._farkas_margin(_units(stack))):
             X = _side_fixture(1, V.shape[1] + 1, rng.uniform(0.5, 2.0, (V.shape[0], 1)), V)[0]
             if not _first_rejected(X, 1):
                 kept += 1
@@ -403,7 +404,7 @@ def test_farkas_bound_values():
     # the FISTA direction nearly attains that distance for the cluster,
     # proves nothing for a basis plus one row, and stacked families keep
     # their own margins
-    margins = pw._farkas_margin(np.stack([units, np.vstack([e, units[:1]])]))
+    margins = search._farkas_margin(np.stack([units, np.vstack([e, units[:1]])]))
     assert 0.99 / np.sqrt(3.0) <= margins[0] <= 1.0 / np.sqrt(3.0) + 1e-12
     assert margins[1] <= 0.0
 
@@ -424,7 +425,7 @@ def test_farkas_screen_rejects_whatever_the_subspace_margin_rejected():
     farkas_only = 0
     for units in stacks:
         reference = reference_subspace_margin(units) > 10.0 * TOL
-        farkas = pw._farkas_margin(units) > 10.0 * TOL
+        farkas = search._farkas_margin(units) > 10.0 * TOL
         assert not (reference & ~farkas).any()
         farkas_only += int((farkas & ~reference).sum())
     assert farkas_only > 100
@@ -439,7 +440,7 @@ def test_farkas_bound_stays_nonpositive_on_scalable_families():
             B = random_onb_rows(rng, d)
             families.append(np.vstack([B, B + eps * rng.standard_normal(B.shape)]))
     for V in families:
-        assert pw._farkas_margin(_units(V)[None])[0] <= 0.0
+        assert search._farkas_margin(_units(V)[None])[0] <= 0.0
 
 
 def test_a_clustered_side_of_1100_rows_is_screened():
@@ -447,7 +448,7 @@ def test_a_clustered_side_of_1100_rows_is_screened():
     # cluster of 1,100 rows makes infeasible for every candidate; the
     # screen judges a side whatever its row count
     X = clustered_unit_frame(np.random.default_rng(19), 5, 1100, 0.02).vectors
-    assert pw._rejected_draws(X, _blocks(0, 1, 5, 20), TOL).all()
+    assert search._rejected_draws(X, _blocks(0, 1, 5, 20), TOL).all()
 
 
 def test_early_exit_rejects_a_superset_of_the_fixed_run_soundly():
@@ -455,7 +456,7 @@ def test_early_exit_rejects_a_superset_of_the_fixed_run_soundly():
     stacks = [_units(stack) for stack in _threshold_stacks()] + list(_random_and_clustered_families(rng))
     judged = 0
     for units in stacks:
-        margin = pw._farkas_margin(units, 10.0 * TOL)
+        margin = search._farkas_margin(units, 10.0 * TOL)
         rejected = margin > 10.0 * TOL
         assert not ((reference_farkas_margin(units) > 10.0 * TOL) & ~rejected).any()
         for V, bound in zip(units[rejected], margin[rejected]):
@@ -467,8 +468,8 @@ def test_early_exit_rejects_a_superset_of_the_fixed_run_soundly():
 def _recording_bounds(monkeypatch) -> list[int]:
     """Patch the Farkas screen to record how many families each bound evaluation judges."""
     sizes: list[int] = []
-    bound = pw._farkas_bound
-    monkeypatch.setattr(pw, "_farkas_bound", lambda units, R: sizes.append(len(units)) or bound(units, R))
+    bound = search._farkas_bound
+    monkeypatch.setattr(search, "_farkas_bound", lambda units, R: sizes.append(len(units)) or bound(units, R))
     return sizes
 
 
@@ -476,7 +477,7 @@ def test_farkas_batch_ends_when_its_families_have_left(monkeypatch):
     rng = np.random.default_rng(25)
     clustered = _units(rng.standard_normal((50, 1, 3)) + 0.3 * rng.standard_normal((50, 6, 3)))
     sizes = _recording_bounds(monkeypatch)
-    assert (pw._farkas_margin(clustered, 10.0 * TOL) > 10.0 * TOL).all()
+    assert (search._farkas_margin(clustered, 10.0 * TOL) > 10.0 * TOL).all()
     # most families certify at step 1 and leave; every one has left by
     # the fifth checkpoint, step 16
     assert sizes[0] == 50 and sizes[1] < 10 and len(sizes) <= 5
@@ -484,9 +485,9 @@ def test_farkas_batch_ends_when_its_families_have_left(monkeypatch):
     # last step, alone once the clustered families have left
     sizes.clear()
     mixed = np.concatenate([clustered, np.vstack([np.eye(3), clustered[0, :3]])[None]])
-    margin = pw._farkas_margin(mixed, 10.0 * TOL)
+    margin = search._farkas_margin(mixed, 10.0 * TOL)
     assert (margin[:-1] > 10.0 * TOL).all() and margin[-1] <= 0.0
-    assert len(sizes) == len(pw._FARKAS_CHECKPOINTS) and sizes[0] == 51 and sizes[-1] == 1
+    assert len(sizes) == len(search._FARKAS_CHECKPOINTS) and sizes[0] == 51 and sizes[-1] == 1
 
 
 def _certified_r4_frames(rng, count: int) -> list[fs.Frame]:
@@ -546,8 +547,8 @@ def _counting_solver(monkeypatch) -> list[int]:
     # the search solves the side coordinates with solve_standard_scaling's
     # unnormalised core
     calls: list[int] = []
-    solve = pw._standard_verdict
-    monkeypatch.setattr(pw, "_standard_verdict", lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+    solve = search._standard_verdict
+    monkeypatch.setattr(search, "_standard_verdict", lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
     return calls
 
 
@@ -618,7 +619,7 @@ def test_shared_support_is_a_miss_after_two_solves(monkeypatch):
     supports = [fs.solve_standard_scaling(V, None, TOL).scaling.constants > 0.0 for V in (W[:, :3], W[:, 3:])]
     assert supports[0].all() and supports[1].tolist() == [True, False, False]
     calls = _counting_solver(monkeypatch)
-    assert pw._disjoint_split_candidate(X, _blocks(0, 3, 4, 1)[0], TOL) is None and len(calls) == 2
+    assert search._disjoint_split_candidate(X, _blocks(0, 3, 4, 1)[0], TOL) is None and len(calls) == 2
 
 
 def test_survivors_are_solved_in_the_screens_orthogonal_factor(monkeypatch):
@@ -626,18 +627,18 @@ def test_survivors_are_solved_in_the_screens_orthogonal_factor(monkeypatch):
     # which equals that block's factor in a stacked complete QR bit for bit;
     # the screen judges the survivor's second side in such a stacked factor
     solved: list[np.ndarray] = []
-    solve = pw._standard_verdict
-    monkeypatch.setattr(pw, "_standard_verdict", lambda V, *args: solved.append(V) or solve(V, *args))
+    solve = search._standard_verdict
+    monkeypatch.setattr(search, "_standard_verdict", lambda V, *args: solved.append(V) or solve(V, *args))
     survivors = hits = 0
     for index, (frame, _) in enumerate(CASES[::3]):
         X, n = frame.vectors, frame.dim
         for k in range(1, n):
             stacked = np.linalg.qr(_blocks(index, k, n, 40), mode="complete")[0]
-            for c, G in pw._surviving_candidates(X, k, 40, index, TOL):
+            for c, G in search._surviving_candidates(X, k, 40, index, TOL):
                 Q = stacked[c]
                 assert np.array_equal(np.linalg.qr(G, mode="complete")[0], Q)
                 solved.clear()
-                ps = pw._disjoint_split_candidate(X, G, TOL)
+                ps = search._disjoint_split_candidate(X, G, TOL)
                 W = X @ Q
                 sides = sorted((W[:, :k], W[:, k:]), key=lambda V: -V.shape[1])
                 assert 1 <= len(solved) <= 2 and all(map(np.array_equal, solved, sides))
@@ -656,12 +657,12 @@ def test_a_dependent_block_is_an_ordinary_rank_k_candidate():
     assert np.linalg.norm(Q.T @ Q - np.eye(4)) <= 1e-14
     # a certified rank-2 miss: the screen rejects it and the solver finds no split
     X = clustered_unit_frame(np.random.default_rng(3), 4, 6, 0.02).vectors
-    assert pw._rejected_draws(X, G[None], TOL)[0]
-    assert pw._disjoint_split_candidate(X, G, TOL) is None
+    assert search._rejected_draws(X, G[None], TOL)[0]
+    assert search._disjoint_split_candidate(X, G, TOL) is None
     # the columns of Q as frame rows split into the two coordinate sides
     X = Q.T
-    assert not pw._rejected_draws(X, G[None], TOL)[0]
-    ps = pw._disjoint_split_candidate(X, G, TOL)
+    assert not search._rejected_draws(X, G[None], TOL)[0]
+    ps = search._disjoint_split_candidate(X, G, TOL)
     assert ps.projection.rank == 2 and np.array_equal(ps.projection.range_basis, Q[:, :2])
     assert np.allclose(ps.a, [1.0, 1.0, 0.0, 0.0], atol=1e-12) and np.allclose(ps.b, [0.0, 0.0, 1.0, 1.0], atol=1e-12)
     assert fs.verify_piecewise(X, ps, TOL).passed
@@ -669,7 +670,7 @@ def test_a_dependent_block_is_an_ordinary_rank_k_candidate():
 
 def test_screen_keeps_degenerate_and_rounding_level_sides():
     X = clustered_unit_frame(np.random.default_rng(3), 4, 6, 0.02).vectors
-    assert pw._rejected_draws(X, _blocks(0, 2, 4, 16), TOL).all()
+    assert search._rejected_draws(X, _blocks(0, 2, 4, 16), TOL).all()
     # rank 2 in R^5: the range side is a cluster of doubled angles in
     # [0, 1], which only its two-dimensional side can reject, since the
     # complement coordinates e_1, e_2, e_3 scale
@@ -698,11 +699,11 @@ def test_chunked_screen_keeps_exactly_the_unrejected_candidates(monkeypatch):
     frame, _ = CASES[-1]
     X, n = frame.vectors, frame.dim
     # batches of 7 candidates: 14 full batches and a last one of 2
-    monkeypatch.setattr(pw, "_screen_batch", lambda m, n: 7)
+    monkeypatch.setattr(search, "_screen_batch", lambda m, n: 7)
     for k in range(1, frame.dim):
-        survivors = list(pw._surviving_candidates(X, k, 100, 9, TOL))
+        survivors = list(search._surviving_candidates(X, k, 100, 9, TOL))
         G = _blocks(9, k, frame.dim, 100)
-        one_by_one = [pw._rejected_draws(X, G[c : c + 1], TOL)[0] for c in range(100)]
+        one_by_one = [search._rejected_draws(X, G[c : c + 1], TOL)[0] for c in range(100)]
         assert [c for c, _ in survivors] == [c for c in range(100) if not one_by_one[c]]
         assert all(np.array_equal(g, G[c]) for c, g in survivors)
         assert len(survivors) < 100
@@ -743,11 +744,11 @@ CONTRACT_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 11, np.int64(2**40
 def test_batched_draws_keep_the_seeding_contract(seed, monkeypatch):
     # with nothing rejected, the search draws candidates 0..619 through
     # 88 batches of 7 and a last batch of 4
-    monkeypatch.setattr(pw, "_rejected_draws", lambda X, G, tol: np.zeros(len(G), dtype=bool))
+    monkeypatch.setattr(search, "_rejected_draws", lambda X, G, tol: np.zeros(len(G), dtype=bool))
     n, budget = 6, 620
-    monkeypatch.setattr(pw, "_screen_batch", lambda m, n: 7)
+    monkeypatch.setattr(search, "_screen_batch", lambda m, n: 7)
     for k in range(1, n):
-        drawn = list(pw._surviving_candidates(np.eye(n), k, budget, seed, TOL))
+        drawn = list(search._surviving_candidates(np.eye(n), k, budget, seed, TOL))
         assert [c for c, _ in drawn] == list(range(budget))
         assert np.array_equal([G for _, G in drawn], _blocks(seed, k, n, budget))
 

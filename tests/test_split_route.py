@@ -5,6 +5,7 @@ import pytest
 
 import framescale as fs
 import framescale.piecewise as pw
+import framescale.search as search
 from helpers import clustered_unit_frame, random_unit_frame
 
 TOL = fs.DEFAULT_TOL
@@ -17,7 +18,7 @@ def _chart_step(Q: np.ndarray, k: int, delta: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (5, 2), (5, 3), (6, 1), (8, 3)])
 def test_jacobian_matches_central_differences(n, k):
     rng = np.random.default_rng(n * 10 + k)
-    system = pw._split_system(rng.standard_normal((n, n)), k)
+    system = search._split_system(rng.standard_normal((n, n)), k)
     Q = np.linalg.qr(rng.standard_normal((n, k)), mode="complete")[0]
     r, J = system(Q)
     assert J.shape == (k * (k - 1) // 2 + (n - k) * (n - k - 1) // 2, k * (n - k))
@@ -39,7 +40,7 @@ def test_residuals_are_the_cosines_of_the_owned_parts():
     units = parts / np.linalg.norm(parts, axis=1, keepdims=True)
     C = units @ units.T
     want = np.concatenate([C[:k, :k][np.triu_indices(k, 1)], C[k:, k:][np.triu_indices(n - k, 1)]])
-    assert np.allclose(pw._split_system(V, k)(Q)[0], want, atol=1e-14)
+    assert np.allclose(search._split_system(V, k)(Q)[0], want, atol=1e-14)
 
 
 def test_a_part_at_rounding_level_stops_the_system():
@@ -47,8 +48,8 @@ def test_a_part_at_rounding_level_stops_the_system():
     Q = np.eye(n)
     V = np.eye(n)
     V[0] = [1e-9, 0.0, 1.0, 0.0]  # its range part is 1e-9 of the row
-    assert pw._split_system(V, k)(Q) is None
-    assert pw._split_system(np.eye(n), k)(Q) is not None
+    assert search._split_system(V, k)(Q) is None
+    assert search._split_system(np.eye(n), k)(Q) is not None
 
 
 def test_greedy_selection_skips_excluded_rows():
@@ -66,15 +67,15 @@ def test_starts_are_the_first_draws_of_the_seeding_contract(monkeypatch):
     rng = np.random.default_rng(8)
     frame = random_unit_frame(rng, 6, 9)
     starts = []
-    monkeypatch.setattr(pw, "_solve_split", lambda system, Q, k, tol: starts.append((k, Q)))
+    monkeypatch.setattr(search, "_solve_split", lambda system, Q, k, tol: starts.append((k, Q)))
     seed = 41
-    assert list(pw._orthogonal_split_route(frame, [1, 2, 3, 4, 5], seed, TOL)) == []
+    assert list(search._orthogonal_split_route(frame, [1, 2, 3, 4, 5], seed, TOL)) == []
     # nearest to n / 2 first, then every start of a rank before the next
     # rank; ranks 1 and 5 have more cosines than unknowns and are skipped
     assert [k for k, _ in starts] == [3, 3, 3, 2, 2, 2, 4, 4, 4]
     for index, (k, Q) in enumerate(starts):
         # start j is block j of the rank's candidate stream
-        G = np.random.default_rng((seed, k)).standard_normal((pw._SPLIT_STARTS, 6, k))[index % pw._SPLIT_STARTS]
+        G = np.random.default_rng((seed, k)).standard_normal((search._SPLIT_STARTS, 6, k))[index % search._SPLIT_STARTS]
         assert np.array_equal(Q, np.linalg.qr(G, mode="complete")[0])
 
 
@@ -83,7 +84,7 @@ def test_budget_bounds_the_starts_of_each_rank(monkeypatch):
     frame = random_unit_frame(rng, 5, 8)
     assert not fs.solve_standard_scaling(frame).feasible and not fs.closeness_obstruction(frame).applicable_ranks
     solved = []
-    monkeypatch.setattr(pw, "_solve_split", lambda system, Q, k, tol: solved.append(k))
+    monkeypatch.setattr(search, "_solve_split", lambda system, Q, k, tol: solved.append(k))
     for budget, starts in ((1, 1), (2, 2), (5, 3)):
         solved.clear()
         fs.search_piecewise(frame, budget=budget, seed=3)
@@ -93,11 +94,22 @@ def test_budget_bounds_the_starts_of_each_rank(monkeypatch):
 @pytest.mark.parametrize("n", range(2, 10))
 def test_route_skips_ranks_with_more_cosines_than_unknowns(n, monkeypatch):
     ranks = []
-    monkeypatch.setattr(pw, "_split_system", lambda V, k: ranks.append(k) or (lambda Q: None))
-    list(pw._orthogonal_split_route(random_unit_frame(np.random.default_rng(n), n, n + 2), range(1, n), 0, TOL))
+    monkeypatch.setattr(search, "_split_system", lambda V, k: ranks.append(k) or (lambda Q: None))
+    list(search._orthogonal_split_route(random_unit_frame(np.random.default_rng(n), n, n + 2), range(1, n), 0, TOL))
     square_or_under = {k for k in range(1, n) if k * (k - 1) // 2 + (n - k) * (n - k - 1) // 2 <= k * (n - k)}
     assert set(ranks) == square_or_under
     assert (1 in ranks) == (n <= 4)
+
+
+def test_route_builds_through_the_piecewise_module(monkeypatch):
+    # a tracer or a patch that rebinds construct_from_orthogonal_split in
+    # piecewise.py must see every call the route makes
+    built = []
+    construct = pw.construct_from_orthogonal_split
+    monkeypatch.setattr(pw, "construct_from_orthogonal_split", lambda *args: built.append(args[2:4]) or construct(*args))
+    frame = random_unit_frame(np.random.default_rng(8), 5, 8)
+    found = fs.search_piecewise(frame, seed=3)
+    assert found is not None and built and all(len(S) + len(T) == 5 for S, T in built)
 
 
 def _first_verified(frame, splits):
@@ -110,7 +122,7 @@ def _route_results(seed: int, count: int):
     for index in range(count):
         n = 4 + index % 2
         frame = random_unit_frame(rng, n, int(rng.integers(n + 1, 3 * n + 1)))
-        yield frame, _first_verified(frame, pw._orthogonal_split_route(frame, range(1, n), index, TOL))
+        yield frame, _first_verified(frame, search._orthogonal_split_route(frame, range(1, n), index, TOL))
 
 
 def test_route_results_verify_with_disjoint_supports_and_repeat():
@@ -143,8 +155,8 @@ def test_search_returns_the_route_result_at_the_requested_rank():
 def test_route_never_solves_a_certified_rank(monkeypatch):
     rng = np.random.default_rng(12)
     solved = []
-    split_system = pw._split_system
-    monkeypatch.setattr(pw, "_split_system", lambda V, k: solved.append(k) or split_system(V, k))
+    split_system = search._split_system
+    monkeypatch.setattr(search, "_split_system", lambda V, k: solved.append(k) or split_system(V, k))
     cases = [(clustered_unit_frame(rng, 4, 6, 0.02), {2}), (clustered_unit_frame(rng, 6, 8, 0.001), {2, 3, 4})]
     for frame, certified in cases:
         assert fs.closeness_obstruction(frame).applicable_ranks == certified
@@ -165,5 +177,5 @@ def test_route_hit_rate_on_random_unit_frames(n):
     hits = 0
     for index in range(20):
         frame = random_unit_frame(rng, n, int(rng.integers(n + 1, 3 * n + 1)))
-        hits += _first_verified(frame, pw._orthogonal_split_route(frame, range(1, n), index, TOL)) is not None
+        hits += _first_verified(frame, search._orthogonal_split_route(frame, range(1, n), index, TOL)) is not None
     assert hits >= 17
