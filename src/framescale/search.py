@@ -82,6 +82,14 @@ _FARKAS_CELLS = 2**20
 # Gram-Schmidt passes, or its block is factored by LAPACK's QR instead
 _GRAM_SCHMIDT_KEPT = 1e-6
 
+# the cone step's rounding allowance per unit of the dimension n and of
+# the largest row norm, more than 10^6 n u (_rejected_draws, "Cone.")
+_CONE_ROUNDING = 2.0**-32
+
+# the cone step's allowance for the angle arithmetic of _half_plane_margin,
+# an absolute error on a margin (_rejected_draws, "Cone.")
+_CONE_ANGLES = 2.0**-40
+
 
 def _farkas_margin(units: np.ndarray, stop: float = np.inf) -> np.ndarray:
     """Each family's largest _farkas_bound over the checkpoints of its FISTA run.
@@ -170,6 +178,39 @@ def _thin_factor(G: np.ndarray) -> np.ndarray:
     return Q
 
 
+def _cone_rejections(X: np.ndarray, scales: np.ndarray, G: np.ndarray, tol: float):
+    """The cone step of _rejected_draws on the rows X of nonzero norms ``scales``.
+
+    Returns which of the candidates of the blocks G (C, n, k) the step
+    rejects, and their _thin_factor, or no rejection and None where the
+    step is skipped.
+    """
+    n, k = G.shape[1:]
+    rejected = np.zeros(len(G), dtype=bool)
+    if 2 not in (k, n - k):
+        return rejected, None
+    x0, size = X[0], scales.max()
+    delta = _CONE_ROUNDING * n * size
+    D = X - x0
+    rho = np.sqrt(np.einsum("mn,mn->m", D, D).max()) + delta
+
+    def decided(part):
+        # the trusted and the margin conditions on a side whose part of x0 has norm ``part``
+        trusted = part - rho > _TRUSTED_SIDE * size
+        return trusted & ((1.0 - 10.0 * tol - _CONE_ANGLES) * part * part > 2.0 * rho * rho)
+
+    if not decided(scales[0]):
+        return rejected, None
+    Q = _thin_factor(G)
+    p = np.einsum("cnj,n->cj", Q, x0)
+    r = np.sqrt(np.einsum("cj,cj->c", p, p))
+    # the larger norm of the parts of x0 on the two-dimensional sides
+    part = r if k == 2 else 0.0
+    if n - k == 2:
+        part = np.maximum(part, np.sqrt(np.maximum(scales[0] ** 2 - (r + delta) ** 2 - delta * size, 0.0)))
+    return decided(part - delta), Q
+
+
 def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     """Which candidates, given by their Gaussian blocks G (C, n, k), a side proves infeasible.
 
@@ -178,16 +219,54 @@ def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     10 tol on the rows of nonzero norm.  Both margins bound the distance
     for any weights, so a rejected candidate's distance exceeds tol and
     the feasibility solve could only reject it.  A one-dimensional side
-    always scales, so it is neither judged nor factored.  The smaller of
-    the sides of dimension 2 or more goes first, the range on a tie, and
-    the other is judged only for the candidates the first kept; once
-    none is left the screen returns.
+    always scales, so it is neither judged nor factored.  The cone step
+    goes first and rejects candidates by the first row alone; only the
+    others reach the exact screen, where the smaller of the sides of
+    dimension 2 or more goes first, the range on a tie, and the other is
+    judged only for the candidates the first kept; once none is left the
+    screen returns.
+
+    Cone.  Let x_0 be the first row of nonzero norm and rho the largest
+    ||x_i - x_0||.  An orthogonal projection shortens differences, so a
+    side's part of x_i lies within rho of its part of x_0.  Where that
+    part has norm r > rho, every part is longer than r - rho and makes an
+    angle of at most asin(rho / r) with it, so the doubled angles fit in
+    an arc of 4 asin(rho / r), and a two-dimensional side has half-plane
+    margin at least cos(2 asin(rho / r)) = 1 - 2 rho^2 / r^2.  The range
+    part of x_0 has the norm r of Q^T x_0, Q the thin factor, and the
+    complement part the norm sqrt(||x_0||^2 - r^2).  The step rejects a
+    candidate when, on some two-dimensional side, 1 - 2 rho^2 / r^2
+    exceeds 10 tol and r - rho exceeds _TRUSTED_SIDE of the largest row
+    norm S: then _side_margins trusts every part of that side and finds
+    a margin above 10 tol, so the exact screen rejects the candidate too
+    and the step changes no rejection.  Both conditions grow with r, so
+    the larger part of x_0 on a two-dimensional side decides.
+    Rounding: the exact screen's parts are products in its own factors,
+    and with delta = _CONE_ROUNDING n S each thing that moves them from
+    the step's values is far below delta: a product's rounding (about
+    n^1.5 u S), a factor's departure from orthonormality (O(n u)
+    relative), and the angle between the thin factor's plane and
+    LAPACK's (O(u kappa), kappa of order 10^3, below).  So the step takes
+    rho + delta for rho, r - delta for the range norm and
+    sqrt(||x_0||^2 - (r + delta)^2 - delta S) - delta for the complement
+    norm, where delta S bounds the squared norms' rounding, and it asks
+    1 - 2 rho^2 / r^2 to exceed 10 tol + _CONE_ANGLES, which covers the
+    few ulps of 2 pi that the arctan2, sort and gaps of
+    _half_plane_margin lose.  Skip: when neither side is
+    two-dimensional, or when the conditions fail at r = ||x_0||, which
+    bounds every part (so whenever sqrt(2) rho >= ||x_0||), the step
+    takes no factor and costs at most O(m n).  The range and complement
+    norms of x_0 have squares summing to ||x_0||^2, so at rank 2 in R^4
+    one of them is at least ||x_0|| / sqrt(2), and for rho well below
+    ||x_0|| / 2 the step decides every candidate: the exact screen never
+    runs.
 
     Factors.  Each side's coordinates come from one batched product X Q.
-    When the range goes first, Q is the _thin_factor of the blocks, and
-    only the blocks the range kept get a complete QR, whose trailing
-    columns give their complement.  Otherwise one stacked complete QR of
-    the blocks serves both sides.  A survivor is solved in the complete
+    When the range goes first, Q is the _thin_factor of the blocks, the
+    cone step's when it ran, and only the blocks the range kept get a
+    complete QR, whose trailing columns give their complement.
+    Otherwise one stacked complete QR of the blocks the cone step kept
+    serves both sides.  A survivor is solved in the complete
     QR of its block alone (_disjoint_split_candidate).  Both margins are
     invariant under orthogonal maps of a side's coordinates, so any
     orthonormal basis of the side gives the same margin in exact
@@ -213,16 +292,19 @@ def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     n, k = G.shape[1:]
     scales = np.sqrt((X * X).sum(axis=1))
     X, scales = X[scales > 0.0], scales[scales > 0.0]
-    rejected = np.zeros(len(G), dtype=bool)
     # the column slices of Q of the sides of dimension 2 or more, smaller first
     sides = [cols for d, cols in ((k, slice(0, k)), (n - k, slice(k, n))) if d >= 2]
     if k > n - k:
         sides.reverse()
-    if sides and sides[0].start == 0:
-        # the range goes first, in the thin factor
-        rejected = _side_margins(X @ _thin_factor(G), scales, tol) > 10.0 * tol
-        sides = sides[1:]
+    rejected, Q = _cone_rejections(X, scales, G, tol)
     live = np.flatnonzero(~rejected)
+    if sides and sides[0].start == 0 and live.size:
+        # the range goes first, in the thin factor
+        Q = _thin_factor(G) if Q is None else Q[live]
+        out = _side_margins(X @ Q, scales, tol) > 10.0 * tol
+        rejected[live[out]] = True
+        live = live[~out]
+        sides = sides[1:]
     if not sides or live.size == 0:
         return rejected
     W = X @ np.linalg.qr(G[live], mode="complete")[0]

@@ -227,6 +227,117 @@ def test_screen_matches_the_per_block_reference(monkeypatch):
     assert counts.min() > 100
 
 
+def _cone_fixtures():
+    """Criterion 06's clustered R^4 frames with a zero first row, the screen's fixtures, and all of them with rows of unequal norm."""
+    rng = np.random.default_rng(61)
+    frames = [clustered_unit_frame(rng, 4, int(rng.integers(5, 9)), 0.02, max_closeness=0.1).vectors for _ in range(20)]
+    frames = [np.insert(X, 0, 0.0, axis=0) for X in frames] + list(_screen_fixtures())
+    rng = np.random.default_rng(63)
+    return frames + [X * rng.uniform(0.3, 3.0, (len(X), 1)) for X in frames]
+
+
+CONE_FIXTURES = _cone_fixtures()
+
+
+def _cone_step(X: np.ndarray, G: np.ndarray):
+    """The cone step's rejections and factor, on the rows of X of nonzero norm as _rejected_draws passes them."""
+    scales = np.sqrt((X * X).sum(axis=1))
+    return search._cone_rejections(X[scales > 0.0], scales[scales > 0.0], G, TOL)
+
+
+def _exact_screen(monkeypatch, X: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """_rejected_draws with its cone step skipped."""
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_cone_rejections", lambda X, scales, G, tol: (np.zeros(len(G), dtype=bool), None))
+        return search._rejected_draws(X, G, TOL)
+
+
+def test_every_cone_rejection_is_rejected_by_the_reference():
+    # a cone rejection is a certificate the per-block exact screen agrees
+    # with, with no allowance at 10 tol; the step decides at rank 2 and at
+    # ranks where only the complement is two-dimensional
+    decided = {"rank 2": 0, "complement only": 0}
+    for index, X in enumerate(CONE_FIXTURES):
+        n = X.shape[1]
+        for k in range(1, n):
+            G = np.concatenate([np.ones((1, n, k)), _blocks(index, k, n, 12)])
+            rejected = _cone_step(X, G)[0]
+            assert not (rejected & ~_reference_rejections(X, G)[0]).any(), (index, k)
+            decided["rank 2" if k == 2 else "complement only"] += int(rejected.sum())
+    assert min(decided.values()) > 100, decided
+
+
+def test_rejected_draws_equal_the_exact_screen(monkeypatch):
+    # the cone step changes no rejection, so the exact screen's margins
+    # stay checked on the certified frames where the step decides them all
+    cone = 0
+    for index, X in enumerate(CONE_FIXTURES):
+        n = X.shape[1]
+        for k in range(1, n):
+            G = np.concatenate([np.ones((1, n, k)), _blocks(index, k, n, 40)])
+            got = search._rejected_draws(X, G, TOL)
+            assert np.array_equal(got, _exact_screen(monkeypatch, X, G)), (index, k)
+            cone += int(_cone_step(X, G)[0].sum())
+    assert cone > 1000
+    # criterion 06's frames, every rank-2 candidate decided by the cone step
+    for index, X in enumerate(CONE_FIXTURES[:20]):
+        G = _blocks(index, 2, 4, 200)
+        assert _cone_step(X, G)[0].all() and _exact_screen(monkeypatch, X, G).all()
+
+
+def test_cone_step_skip_rule(monkeypatch):
+    # rows e_1 and e_1 + t e_j: rho = t, and the step runs exactly when the
+    # conditions could hold at r = ||x_0||, that is sqrt(2) t < 1 up to its allowances
+    G = _blocks(0, 2, 4, 30)
+    for t, runs in ((0.7, True), (0.71, False)):
+        X = np.vstack([np.eye(4)[0], np.eye(4)[0] + t * np.eye(4)[1:]])
+        rejected, Q = _cone_step(X, G)
+        assert (Q is not None) == runs and not (rejected & ~_reference_rejections(X, G)[0]).any()
+    # the step takes no factor at ranks with no two-dimensional side, even
+    # on a cluster it would decide at rank 2
+    X = clustered_unit_frame(np.random.default_rng(5), 5, 8, 0.001).vectors
+    assert _cone_step(X, _blocks(0, 2, 5, 10))[0].all()
+    for n, k in ((5, 1), (5, 4), (2, 1)):
+        rejected, Q = _cone_step(X[:, :n], _blocks(0, k, n, 10))
+        assert Q is None and not rejected.any()
+    # a random frame in R^4 has sqrt(2) rho >= ||x_0||: the exact screen runs
+    # in one thin factor, its own
+    factors = []
+    thin = search._thin_factor
+    monkeypatch.setattr(search, "_thin_factor", lambda G: factors.append(len(G)) or thin(G))
+    X = random_unit_frame(np.random.default_rng(6), 4, 9).vectors
+    assert np.sqrt(2.0) * np.linalg.norm(X - X[0], axis=1).max() >= 1.0
+    search._rejected_draws(X, G, TOL)
+    assert factors == [30]
+    # on criterion 06's frames neither _side_margins nor a complete QR runs
+    monkeypatch.setattr(search, "_side_margins", None)
+    monkeypatch.setattr(search.np.linalg, "qr", None)
+    factors.clear()
+    for index, X in enumerate(CONE_FIXTURES[:20]):
+        assert search._rejected_draws(X, _blocks(index, 2, 4, 50), TOL).all()
+    assert factors == [50] * 20
+
+
+def test_cone_step_keeps_what_the_exact_screen_keeps():
+    # rank 2 in R^3, where the complement is one-dimensional and never judged
+    # parts at the two tangent points of the circle of radius rho = 0.8
+    # around the range part (1, 0) of x_0: the half-plane margin is
+    # 1 - 2 rho^2 = -0.28 exactly, so the candidate is kept, and a bound of
+    # 1 - rho^2 would reject it
+    side = np.array([[1.0, 0.0], [0.36, 0.48], [0.36, -0.48]])
+    X = _side_fixture(2, 3, side, np.ones((3, 1)))[0]
+    assert sc._half_plane_margin(side[None])[0] == pytest.approx(-0.28, abs=1e-12)
+    # equal rows whose range part, 1e-7 of the row, is not trusted: the exact
+    # screen keeps the candidate, and a step without the trusted condition
+    # would reject it on a bound of 1
+    tiny = _side_fixture(2, 3, np.tile([1e-7, 0.0], (3, 1)), np.ones((3, 1)))[0]
+    for X in (X, tiny):
+        G = _blocks(0, 2, 3, 1)
+        rejected, Q = _cone_step(X, G)
+        assert Q is not None and not rejected[0]
+        assert not _first_rejected(X, 2) and not _reference_rejections(X, G)[0][0]
+
+
 def _near_dependent(rng, n: int, k: int, size: np.ndarray) -> np.ndarray:
     """Gaussian blocks (C, n, k) whose last column is a mix of the others plus noise of the given size."""
     G = rng.standard_normal((len(size), n, k))
