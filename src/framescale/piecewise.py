@@ -10,6 +10,7 @@ rest on a best-effort basis, with its route and sampled stage in search.py.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -422,6 +423,16 @@ def _complement_form(ps: PiecewiseScaling) -> PiecewiseScaling:
     return PiecewiseScaling(complement(ps.projection), ps.b, ps.a)
 
 
+def _integer(value, name: str) -> int:
+    # value as an int, as operator.index reads it (numpy integers pass); a bool or anything else names the argument
+    try:
+        if not isinstance(value, (bool, np.bool_)):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def search_piecewise(
     frame,
     ranks=None,
@@ -456,16 +467,22 @@ def search_piecewise(
     its two sides are the identity problems in the coordinates
     X Q_j[:, :k] and X Q_j[:, k:].  A block depends on (seed, k, j) only,
     whatever the batching, so the result is a function of the frame, the
-    ranks, ``budget``, ``seed`` and ``tol``.
+    ranks, ``budget``, ``seed`` and ``tol``.  ``budget``, ``seed`` and
+    each rank must be integers as operator.index reads them (numpy
+    integers pass, booleans do not); anything else is a ValueError that
+    names it.
     """
+    budget, seed = _integer(budget, "budget"), _integer(seed, "seed")
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
+    if ranks is not None:
+        ranks = {_integer(k, "each of ranks") for k in ranks}
     _check_tol(tol)
     fr = frame if isinstance(frame, Frame) else Frame(frame)
     n = fr.dim
-    wanted = set(range(1, n)) if ranks is None else {int(k) for k in ranks} & set(range(1, n))
+    wanted = set(range(1, n)) if ranks is None else ranks & set(range(1, n))
     valid = sorted(wanted)
     if not valid:
         return None

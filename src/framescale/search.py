@@ -78,10 +78,6 @@ _FARKAS_CHECKPOINTS = frozenset([2**i for i in range(8)] + [len(_FARKAS_MOMENTUM
 # cells per batch of the sampled stage's screen (_screen_batch)
 _FARKAS_CELLS = 2**20
 
-# share of its squared norm a column of _thin_factor must keep through both
-# Gram-Schmidt passes, or its block is factored by LAPACK's QR instead
-_GRAM_SCHMIDT_KEPT = 1e-6
-
 # the cone step's rounding allowance per unit of the dimension n and of
 # the largest row norm, more than 10^6 n u (_rejected_draws, "Cone.")
 _CONE_ROUNDING = 2.0**-32
@@ -152,63 +148,18 @@ def _side_margins(coords: np.ndarray, scales: np.ndarray, tol: float) -> np.ndar
     return margin
 
 
-def _thin_factor(G: np.ndarray) -> np.ndarray:
-    """Orthonormal bases (C, n, k) of the column spaces of the blocks G (C, n, k).
-
-    Classical Gram-Schmidt, applied twice to each column, runs on the
-    whole stack at once.  A block with a column that keeps at most
-    _GRAM_SCHMIDT_KEPT of its squared norm through both passes (a
-    dependent block, a zero column) takes np.linalg.qr's thin factor
-    instead.  Why the screen may use these bases: _rejected_draws.
-    """
-    Q = np.empty_like(G)
-    weak = np.zeros(len(G), dtype=bool)
-    for j in range(G.shape[2]):
-        v = G[:, :, j]
-        before = after = np.einsum("cn,cn->c", v, v)
-        if j:
-            B = Q[:, :, :j]
-            for _ in range(2):
-                v = v - np.einsum("cnj,cj->cn", B, np.einsum("cnj,cn->cj", B, v))
-            after = np.einsum("cn,cn->c", v, v)
-        weak |= after <= _GRAM_SCHMIDT_KEPT * before
-        Q[:, :, j] = v / np.sqrt(np.where(after > 0.0, after, 1.0))[:, None]
-    if weak.any():
-        Q[weak] = np.linalg.qr(G[weak])[0]
-    return Q
-
-
-def _cone_rejections(X: np.ndarray, scales: np.ndarray, G: np.ndarray, tol: float):
-    """The cone step of _rejected_draws on the rows X of nonzero norms ``scales``.
-
-    Returns which of the candidates of the blocks G (C, n, k) the step
-    rejects, and their _thin_factor, or no rejection and None where the
-    step is skipped.
-    """
-    n, k = G.shape[1:]
-    rejected = np.zeros(len(G), dtype=bool)
-    if 2 not in (k, n - k):
-        return rejected, None
+def _cone_rejects(X: np.ndarray, scales: np.ndarray, n: int, k: int, tol: float) -> bool:
+    """Whether the cone step of _rejected_draws rejects every rank-k candidate in R^n, on the rows X of nonzero norms ``scales``."""
+    if (k, n - k) != (2, 2):
+        return False
     x0, size = X[0], scales.max()
     delta = _CONE_ROUNDING * n * size
     D = X - x0
     rho = np.sqrt(np.einsum("mn,mn->m", D, D).max()) + delta
-
-    def decided(part):
-        # the trusted and the margin conditions on a side whose part of x0 has norm ``part``
-        trusted = part - rho > _TRUSTED_SIDE * size
-        return trusted & ((1.0 - 10.0 * tol - _CONE_ANGLES) * part * part > 2.0 * rho * rho)
-
-    if not decided(scales[0]):
-        return rejected, None
-    Q = _thin_factor(G)
-    p = np.einsum("cnj,n->cj", Q, x0)
-    r = np.sqrt(np.einsum("cj,cj->c", p, p))
-    # the larger norm of the parts of x0 on the two-dimensional sides
-    part = r if k == 2 else 0.0
-    if n - k == 2:
-        part = np.maximum(part, np.sqrt(np.maximum(scales[0] ** 2 - (r + delta) ** 2 - delta * size, 0.0)))
-    return decided(part - delta), Q
+    # the larger of x0's parts on the two planes
+    part = np.sqrt(max(scales[0] ** 2 - delta * size, 0.0) / 2.0) - delta
+    trusted = part - rho > _TRUSTED_SIDE * size
+    return bool(trusted and (1.0 - 10.0 * tol - _CONE_ANGLES) * part * part > 2.0 * rho * rho)
 
 
 def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
@@ -219,12 +170,11 @@ def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     10 tol on the rows of nonzero norm.  Both margins bound the distance
     for any weights, so a rejected candidate's distance exceeds tol and
     the feasibility solve could only reject it.  A one-dimensional side
-    always scales, so it is neither judged nor factored.  The cone step
-    goes first and rejects candidates by the first row alone; only the
-    others reach the exact screen, where the smaller of the sides of
-    dimension 2 or more goes first, the range on a tie, and the other is
-    judged only for the candidates the first kept; once none is left the
-    screen returns.
+    always scales, so it is never judged.  The cone step goes first and
+    may reject the whole batch by the first row alone; otherwise the
+    exact screen judges the smaller of the sides of dimension 2 or more
+    first, the range on a tie, and the other only for the candidates the
+    first kept; once none is left the screen returns.
 
     Cone.  Let x_0 be the first row of nonzero norm and rho the largest
     ||x_i - x_0||.  An orthogonal projection shortens differences, so a
@@ -232,52 +182,33 @@ def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     part has norm r > rho, every part is longer than r - rho and makes an
     angle of at most asin(rho / r) with it, so the doubled angles fit in
     an arc of 4 asin(rho / r), and a two-dimensional side has half-plane
-    margin at least cos(2 asin(rho / r)) = 1 - 2 rho^2 / r^2.  The range
-    part of x_0 has the norm r of Q^T x_0, Q the thin factor, and the
-    complement part the norm sqrt(||x_0||^2 - r^2).  The step rejects a
-    candidate when, on some two-dimensional side, 1 - 2 rho^2 / r^2
-    exceeds 10 tol and r - rho exceeds _TRUSTED_SIDE of the largest row
-    norm S: then _side_margins trusts every part of that side and finds
-    a margin above 10 tol, so the exact screen rejects the candidate too
-    and the step changes no rejection.  Both conditions grow with r, so
-    the larger part of x_0 on a two-dimensional side decides.
-    Rounding: the exact screen's parts are products in its own factors,
+    margin at least cos(2 asin(rho / r)) = 1 - 2 rho^2 / r^2.  At rank 2
+    in R^4 both sides are planes, and the squares of x_0's two parts sum
+    to ||x_0||^2, so the larger part has r >= ||x_0|| / sqrt(2).  The
+    step rejects every candidate of the batch when, at that r,
+    1 - 2 rho^2 / r^2 exceeds 10 tol and r - rho exceeds _TRUSTED_SIDE of
+    the largest row norm S: then on each candidate's larger side
+    _side_margins trusts every part and finds a margin above 10 tol, so
+    the exact screen rejects the candidate too and the step changes no
+    rejection.  That holds whenever rho is a little below ||x_0|| / 2.
+    At any other rank, or at a larger rho, the step rejects nothing and
+    costs at most O(m n).
+    Rounding: the exact screen's parts are products in its own factor,
     and with delta = _CONE_ROUNDING n S each thing that moves them from
-    the step's values is far below delta: a product's rounding (about
-    n^1.5 u S), a factor's departure from orthonormality (O(n u)
-    relative), and the angle between the thin factor's plane and
-    LAPACK's (O(u kappa), kappa of order 10^3, below).  So the step takes
-    rho + delta for rho, r - delta for the range norm and
-    sqrt(||x_0||^2 - (r + delta)^2 - delta S) - delta for the complement
-    norm, where delta S bounds the squared norms' rounding, and it asks
-    1 - 2 rho^2 / r^2 to exceed 10 tol + _CONE_ANGLES, which covers the
-    few ulps of 2 pi that the arctan2, sort and gaps of
-    _half_plane_margin lose.  Skip: when neither side is
-    two-dimensional, or when the conditions fail at r = ||x_0||, which
-    bounds every part (so whenever sqrt(2) rho >= ||x_0||), the step
-    takes no factor and costs at most O(m n).  The range and complement
-    norms of x_0 have squares summing to ||x_0||^2, so at rank 2 in R^4
-    one of them is at least ||x_0|| / sqrt(2), and for rho well below
-    ||x_0|| / 2 the step decides every candidate: the exact screen never
-    runs.
+    their exact values is far below delta: a product's rounding (about
+    n^1.5 u S) and the factor's departure from orthonormality (O(n u)
+    relative).  So the step takes rho + delta for rho and
+    sqrt((||x_0||^2 - delta S) / 2) - delta for r, where delta S bounds
+    the squared norm's rounding, and it asks 1 - 2 rho^2 / r^2 to exceed
+    10 tol + _CONE_ANGLES, which covers the few ulps of 2 pi that the
+    arctan2, sort and gaps of _half_plane_margin lose.
 
-    Factors.  Each side's coordinates come from one batched product X Q.
-    When the range goes first, Q is the _thin_factor of the blocks, the
-    cone step's when it ran, and only the blocks the range kept get a
-    complete QR, whose trailing columns give their complement.
-    Otherwise one stacked complete QR of the blocks the cone step kept
-    serves both sides.  A survivor is solved in the complete
-    QR of its block alone (_disjoint_split_candidate).  Both margins are
-    invariant under orthogonal maps of a side's coordinates, so any
-    orthonormal basis of the side gives the same margin in exact
-    arithmetic.  A block _thin_factor keeps has every column keep more
-    than 1e-3 of its norm, so with unit columns its condition number
-    kappa is at most of order 10^3, and Gram-Schmidt applied twice is
-    orthonormal to O(u) and spans LAPACK's plane to O(u kappa) (Kahan and
-    Parlett: twice is enough); any other block takes LAPACK's factor.  So
-    the Gram-Schmidt and LAPACK bases, the thin factor and the leading
-    columns of the complete one, or a stacked and a per-block factor,
-    differ by rounding, which moves a margin far less than the 9 tol
+    Factors.  One stacked complete QR of the blocks serves both sides,
+    whose coordinates are column slices of one batched product X Q.  A
+    survivor is solved in the complete QR of its block alone
+    (_disjoint_split_candidate), which is the factor the stack gave it.
+    Both margins are invariant under orthogonal maps of a side's
+    coordinates, and rounding moves a margin far less than the 9 tol
     between the solver's tol and the screen's 10 tol: a margin above
     10 tol still proves that the solver misses.
 
@@ -292,22 +223,17 @@ def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     n, k = G.shape[1:]
     scales = np.sqrt((X * X).sum(axis=1))
     X, scales = X[scales > 0.0], scales[scales > 0.0]
+    if _cone_rejects(X, scales, n, k, tol):
+        return np.ones(len(G), dtype=bool)
+    rejected = np.zeros(len(G), dtype=bool)
     # the column slices of Q of the sides of dimension 2 or more, smaller first
     sides = [cols for d, cols in ((k, slice(0, k)), (n - k, slice(k, n))) if d >= 2]
     if k > n - k:
         sides.reverse()
-    rejected, Q = _cone_rejections(X, scales, G, tol)
-    live = np.flatnonzero(~rejected)
-    if sides and sides[0].start == 0 and live.size:
-        # the range goes first, in the thin factor
-        Q = _thin_factor(G) if Q is None else Q[live]
-        out = _side_margins(X @ Q, scales, tol) > 10.0 * tol
-        rejected[live[out]] = True
-        live = live[~out]
-        sides = sides[1:]
-    if not sides or live.size == 0:
+    if not sides:
         return rejected
-    W = X @ np.linalg.qr(G[live], mode="complete")[0]
+    live = np.arange(len(G))
+    W = X @ np.linalg.qr(G, mode="complete")[0]
     for cols in sides:
         out = _side_margins(W[:, :, cols], scales, tol) > 10.0 * tol
         rejected[live[out]] = True

@@ -4,7 +4,6 @@ import inspect
 import itertools
 import re
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -202,9 +201,9 @@ def _screen_fixtures():
 
 
 def test_screen_matches_the_per_block_reference(monkeypatch):
-    # the batched screen, with its thin range factor and its complete
-    # factor for survivors only, against the complete QR of each block
-    # alone; they may disagree only at a margin within rounding of 10 tol
+    # the batched screen, with one stacked complete factor whose second
+    # side is judged for survivors only, against the complete QR of each
+    # block alone; they may disagree only at a margin within rounding of 10 tol
     counts = np.zeros(2, dtype=int)
     for index, X in enumerate(_screen_fixtures()):
         n = X.shape[1]
@@ -239,32 +238,34 @@ def _cone_fixtures():
 CONE_FIXTURES = _cone_fixtures()
 
 
-def _cone_step(X: np.ndarray, G: np.ndarray):
-    """The cone step's rejections and factor, on the rows of X of nonzero norm as _rejected_draws passes them."""
+def _cone_step(X: np.ndarray, k: int) -> bool:
+    """Whether the cone step rejects the whole rank-k batch, on the rows of X of nonzero norm as _rejected_draws passes them."""
     scales = np.sqrt((X * X).sum(axis=1))
-    return search._cone_rejections(X[scales > 0.0], scales[scales > 0.0], G, TOL)
+    return search._cone_rejects(X[scales > 0.0], scales[scales > 0.0], X.shape[1], k, TOL)
 
 
 def _exact_screen(monkeypatch, X: np.ndarray, G: np.ndarray) -> np.ndarray:
     """_rejected_draws with its cone step skipped."""
     with monkeypatch.context() as patch:
-        patch.setattr(search, "_cone_rejections", lambda X, scales, G, tol: (np.zeros(len(G), dtype=bool), None))
+        patch.setattr(search, "_cone_rejects", lambda X, scales, n, k, tol: False)
         return search._rejected_draws(X, G, TOL)
 
 
 def test_every_cone_rejection_is_rejected_by_the_reference():
     # a cone rejection is a certificate the per-block exact screen agrees
-    # with, with no allowance at 10 tol; the step decides at rank 2 and at
-    # ranks where only the complement is two-dimensional
-    decided = {"rank 2": 0, "complement only": 0}
+    # with, with no allowance at 10 tol, on every candidate of the batch;
+    # the step decides only at rank 2 in R^4
+    decided = 0
     for index, X in enumerate(CONE_FIXTURES):
         n = X.shape[1]
         for k in range(1, n):
+            if not _cone_step(X, k):
+                continue
+            assert (n, k) == (4, 2), index
             G = np.concatenate([np.ones((1, n, k)), _blocks(index, k, n, 12)])
-            rejected = _cone_step(X, G)[0]
-            assert not (rejected & ~_reference_rejections(X, G)[0]).any(), (index, k)
-            decided["rank 2" if k == 2 else "complement only"] += int(rejected.sum())
-    assert min(decided.values()) > 100, decided
+            assert _reference_rejections(X, G)[0].all(), index
+            decided += len(G)
+    assert decided > 100
 
 
 def test_rejected_draws_equal_the_exact_screen(monkeypatch):
@@ -277,102 +278,75 @@ def test_rejected_draws_equal_the_exact_screen(monkeypatch):
             G = np.concatenate([np.ones((1, n, k)), _blocks(index, k, n, 40)])
             got = search._rejected_draws(X, G, TOL)
             assert np.array_equal(got, _exact_screen(monkeypatch, X, G)), (index, k)
-            cone += int(_cone_step(X, G)[0].sum())
+            cone += len(G) * _cone_step(X, k)
     assert cone > 1000
-    # criterion 06's frames, every rank-2 candidate decided by the cone step
+    # criterion 06's frames: the cone step decides every rank-2 candidate,
+    # and the exact screen alone rejects all 200 too
     for index, X in enumerate(CONE_FIXTURES[:20]):
         G = _blocks(index, 2, 4, 200)
-        assert _cone_step(X, G)[0].all() and _exact_screen(monkeypatch, X, G).all()
+        assert _cone_step(X, 2) and _exact_screen(monkeypatch, X, G).all()
 
 
 def test_cone_step_skip_rule(monkeypatch):
-    # rows e_1 and e_1 + t e_j: rho = t, and the step runs exactly when the
-    # conditions could hold at r = ||x_0||, that is sqrt(2) t < 1 up to its allowances
+    # rows e_1 and e_1 + t e_j: rho = t and the larger part of x_0 on the
+    # two planes is at least 1 / sqrt(2), so the step decides exactly when
+    # sqrt(2) t < 1 / sqrt(2), up to its allowances
     G = _blocks(0, 2, 4, 30)
-    for t, runs in ((0.7, True), (0.71, False)):
+    for t, decides in ((0.49, True), (0.5, False)):
         X = np.vstack([np.eye(4)[0], np.eye(4)[0] + t * np.eye(4)[1:]])
-        rejected, Q = _cone_step(X, G)
-        assert (Q is not None) == runs and not (rejected & ~_reference_rejections(X, G)[0]).any()
-    # the step takes no factor at ranks with no two-dimensional side, even
-    # on a cluster it would decide at rank 2
-    X = clustered_unit_frame(np.random.default_rng(5), 5, 8, 0.001).vectors
-    assert _cone_step(X, _blocks(0, 2, 5, 10))[0].all()
-    for n, k in ((5, 1), (5, 4), (2, 1)):
-        rejected, Q = _cone_step(X[:, :n], _blocks(0, k, n, 10))
-        assert Q is None and not rejected.any()
-    # a random frame in R^4 has sqrt(2) rho >= ||x_0||: the exact screen runs
-    # in one thin factor, its own
+        assert _cone_step(X, 2) == decides
+        if decides:
+            assert _reference_rejections(X, G)[0].all()
+    # nothing is decided unless both sides are planes, even on clusters of
+    # spread 0.001 like the one the step decides at rank 2 in R^4
+    rng = np.random.default_rng(5)
+    assert _cone_step(clustered_unit_frame(rng, 4, 8, 0.001).vectors, 2)
+    for n, k in ((5, 2), (5, 3), (4, 1), (3, 1)):
+        assert not _cone_step(clustered_unit_frame(rng, n, 8, 0.001).vectors, k), (n, k)
+    # a random frame in R^4 has 2 rho >= ||x_0||: the exact screen runs in
+    # one stacked complete QR
     factors = []
-    thin = search._thin_factor
-    monkeypatch.setattr(search, "_thin_factor", lambda G: factors.append(len(G)) or thin(G))
+    qr = np.linalg.qr
+    monkeypatch.setattr(search.np.linalg, "qr", lambda G, mode: factors.append(len(G)) or qr(G, mode))
     X = random_unit_frame(np.random.default_rng(6), 4, 9).vectors
-    assert np.sqrt(2.0) * np.linalg.norm(X - X[0], axis=1).max() >= 1.0
+    assert 2.0 * np.linalg.norm(X - X[0], axis=1).max() >= 1.0
     search._rejected_draws(X, G, TOL)
     assert factors == [30]
-    # on criterion 06's frames neither _side_margins nor a complete QR runs
+    # on criterion 06's frames neither _side_margins nor any QR runs
     monkeypatch.setattr(search, "_side_margins", None)
     monkeypatch.setattr(search.np.linalg, "qr", None)
-    factors.clear()
     for index, X in enumerate(CONE_FIXTURES[:20]):
         assert search._rejected_draws(X, _blocks(index, 2, 4, 50), TOL).all()
-    assert factors == [50] * 20
 
 
 def test_cone_step_keeps_what_the_exact_screen_keeps():
     # rank 2 in R^3, where the complement is one-dimensional and never judged
     # parts at the two tangent points of the circle of radius rho = 0.8
     # around the range part (1, 0) of x_0: the half-plane margin is
-    # 1 - 2 rho^2 = -0.28 exactly, so the candidate is kept, and a bound of
-    # 1 - rho^2 would reject it
+    # 1 - 2 rho^2 = -0.28 exactly, so the candidate is kept
     side = np.array([[1.0, 0.0], [0.36, 0.48], [0.36, -0.48]])
     X = _side_fixture(2, 3, side, np.ones((3, 1)))[0]
     assert sc._half_plane_margin(side[None])[0] == pytest.approx(-0.28, abs=1e-12)
     # equal rows whose range part, 1e-7 of the row, is not trusted: the exact
-    # screen keeps the candidate, and a step without the trusted condition
-    # would reject it on a bound of 1
+    # screen keeps the candidate, which a bound of 1 would reject
     tiny = _side_fixture(2, 3, np.tile([1e-7, 0.0], (3, 1)), np.ones((3, 1)))[0]
     for X in (X, tiny):
-        G = _blocks(0, 2, 3, 1)
-        rejected, Q = _cone_step(X, G)
-        assert Q is not None and not rejected[0]
-        assert not _first_rejected(X, 2) and not _reference_rejections(X, G)[0][0]
-
-
-def _near_dependent(rng, n: int, k: int, size: np.ndarray) -> np.ndarray:
-    """Gaussian blocks (C, n, k) whose last column is a mix of the others plus noise of the given size."""
-    G = rng.standard_normal((len(size), n, k))
-    G[:, :, -1] = np.einsum("cnj,cj->cn", G[:, :, :-1], rng.standard_normal((len(size), k - 1)))
-    G[:, :, -1] += size[:, None] * rng.standard_normal((len(size), n))
-    return G
-
-
-def _dependent_blocks(rng, n: int, k: int) -> np.ndarray:
-    """Blocks (C, n, k) with a column Gram-Schmidt cannot keep: repeated, zero or nearly dependent columns."""
-    zero_column = rng.standard_normal((k, n, k))
-    zero_column[np.arange(k), :, np.arange(k)] = 0.0
-    return np.concatenate([np.ones((1, n, k)), np.zeros((1, n, k)), zero_column, _near_dependent(rng, n, k, np.full(4, 1e-9))])
-
-
-def test_thin_factor_is_an_orthonormal_basis_of_each_block():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        for n, k in ((4, 2), (5, 2), (6, 3), (8, 4)):
-            rng = np.random.default_rng((2031, n, k))
-            # Gaussian blocks, and blocks whose last column lies about 10^-2.5 to
-            # 10^-1 off the others' span, where Gram-Schmidt applied once loses
-            # orthogonality and both factors span the plane to O(u kappa) only
-            G = np.concatenate([rng.standard_normal((2000, n, k)), _near_dependent(rng, n, k, np.logspace(-2.5, -1.0, 500))])
-            Q, lapack = search._thin_factor(G), np.linalg.qr(G)[0]
-            QT = Q.transpose(0, 2, 1)
-            assert np.abs(QT @ Q - np.eye(k)).max() <= 1e-14
-            span = np.abs(Q @ QT - lapack @ lapack.transpose(0, 2, 1)).max(axis=(1, 2))
-            assert span[:2000].max() <= 1e-12 and span[2000:].max() <= 1e-11
-            # a block Gram-Schmidt cannot keep gets LAPACK's factor, bit for bit,
-            # alone or stacked between kept blocks
-            D = _dependent_blocks(rng, n, k)
-            assert np.array_equal(search._thin_factor(D), np.linalg.qr(D)[0])
-            Q = search._thin_factor(np.concatenate([G[:3], D, G[3:6]]))
-            assert np.array_equal(Q[3 : 3 + len(D)], np.linalg.qr(D)[0])
+        assert not _cone_step(X, 2)
+        assert not _first_rejected(X, 2) and not _reference_rejections(X, _blocks(0, 2, 3, 1))[0][0]
+    # rank 2 in R^4: x_0 has parts of norm r = 1 / sqrt(2) on both planes,
+    # and the other rows move its range part to the tangent points of the
+    # circle of radius rho just above ||x_0|| / 2, so the range side has
+    # margin 1 - 2 rho^2 / r^2 < 0.  The step does not decide, where a
+    # bound of 1 - rho^2 / r^2 on the larger part would decide the range side
+    r, rho = np.sqrt(0.5), 0.5 + 1e-3
+    angle = np.arcsin(rho / r)
+    tangent = np.sqrt(r * r - rho * rho) * np.array([np.cos(angle), np.sin(angle)])
+    side = np.array([[r, 0.0], tangent, tangent * [1.0, -1.0]])
+    X, B = _side_fixture(2, 4, side, np.tile([r, 0.0], (3, 1)))
+    assert np.linalg.norm(X - X[0], axis=1).max() == pytest.approx(rho, abs=1e-12)
+    assert not _cone_step(X, 2) and 1.0 - rho * rho / (r * r) > 10.0 * TOL
+    margin = search._side_margins((X @ B[:, :2])[None], np.ones(3), TOL)[0]
+    assert margin == pytest.approx(1.0 - 2.0 * rho * rho / (r * r), abs=1e-12) and margin < 0.0
 
 
 def _arc_family(rng, m, arc):
@@ -864,12 +838,34 @@ def test_batched_draws_keep_the_seeding_contract(seed, monkeypatch):
         assert np.array_equal([G for _, G in drawn], _blocks(seed, k, n, budget))
 
 
-@pytest.mark.parametrize("seed", [1.5, np.float64(2.0), np.array(3), np.bool_(True)])
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.0), np.array(3.0), np.bool_(True)])
 def test_non_integer_seeds_fail_as_the_seeding_contract_does(seed):
-    with pytest.raises(TypeError) as contract:
+    # seeds the stream cannot take are rejected at entry, by name
+    with pytest.raises(TypeError):
         np.random.default_rng((seed, 2))
-    with pytest.raises(TypeError, match=re.escape(str(contract.value))):
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
         fs.search_piecewise(CASES[0][0], ranks={2}, seed=seed)
+
+
+def test_search_takes_only_integer_budgets_seeds_and_ranks():
+    # a clustered R^5 frame at rank 1, where the route does not run, reaches
+    # the sampled stage, whose range() took a float budget to a TypeError
+    # before the budget was checked at entry
+    X = clustered_unit_frame(np.random.default_rng(4), 5, 7, 0.05).vectors
+    for kwargs, name in (
+        ({"budget": 2.5}, "budget"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"ranks": {2.7}}, "each of ranks"),
+        ({"ranks": {"2"}}, "each of ranks"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            fs.search_piecewise(X, **{"ranks": {1}, **kwargs})
+    # numpy integers and a 0-d integer array are read as their values
+    want = fs.search_piecewise(X, ranks={1}, budget=20, seed=3)
+    for kwargs in ({"ranks": [np.int64(1)]}, {"budget": np.int32(20)}, {"seed": np.uint8(3)}, {"seed": np.array(3)}):
+        got = fs.search_piecewise(X, **{"ranks": {1}, "budget": 20, "seed": 3, **kwargs})
+        assert _same_result(got, want), kwargs
 
 
 def test_search_rejects_a_nonpositive_tol():
