@@ -16,7 +16,7 @@ import numpy as np
 
 from . import piecewise
 from .frames import Frame, _freeze
-from .piecewise import PiecewiseScaling, _greedy_independent
+from .piecewise import PiecewiseScaling, _aligned_rows, _greedy_independent
 from .projections import _leading_projection
 from .scaling import (
     _TRUSTED_SIDE,
@@ -79,11 +79,11 @@ _FARKAS_CHECKPOINTS = frozenset([2**i for i in range(8)] + [len(_FARKAS_MOMENTUM
 _FARKAS_CELLS = 2**20
 
 # the cone step's rounding allowance per unit of the dimension n and of
-# the largest row norm, more than 10^6 n u (_rejected_draws, "Cone.")
+# the largest row norm, more than 10^6 n u (_cone_rejects, "Cone.")
 _CONE_ROUNDING = 2.0**-32
 
 # the cone step's allowance for the angle arithmetic of _half_plane_margin,
-# an absolute error on a margin (_rejected_draws, "Cone.")
+# an absolute error on a margin (_cone_rejects, "Cone.")
 _CONE_ANGLES = 2.0**-40
 
 
@@ -148,10 +148,50 @@ def _side_margins(coords: np.ndarray, scales: np.ndarray, tol: float) -> np.ndar
     return margin
 
 
-def _cone_rejects(X: np.ndarray, scales: np.ndarray, n: int, k: int, tol: float) -> bool:
-    """Whether the cone step of _rejected_draws rejects every rank-k candidate in R^n, on the rows X of nonzero norms ``scales``."""
+def _cone_rejects(X: np.ndarray, k: int, tol: float) -> bool:
+    """Whether every rank-k candidate in R^n has a side that _rejected_draws rejects, decided from the rows X alone.
+
+    This is the cone step, taken once per rank before any block is drawn
+    (_surviving_candidates).  It reads the rows of _aligned_rows(X): the
+    nonzero rows, each flipped into the half-space of the first.  Both
+    margins of the exact screen are sign-free, as a flip adds pi to a
+    row's angle and 2 pi to its doubled angle, and the trusted test reads
+    norms; the screen drops zero rows too.  So the aligned rows have the
+    screen's margins, and on a cluster with some rows negated they give
+    the small rho below where the rows as given do not.
+
+    Cone.  Let x_0 be the first aligned row and rho the largest
+    ||x_i - x_0||.  An orthogonal projection shortens differences, so a
+    side's part of x_i lies within rho of its part of x_0.  Where that
+    part has norm r > rho, every part is longer than r - rho and makes an
+    angle of at most asin(rho / r) with it, so the doubled angles fit in
+    an arc of 4 asin(rho / r), and a two-dimensional side has half-plane
+    margin at least cos(2 asin(rho / r)) = 1 - 2 rho^2 / r^2.  At rank 2
+    in R^4 both sides are planes, and the squares of x_0's two parts sum
+    to ||x_0||^2, so the larger part has r >= ||x_0|| / sqrt(2).  The
+    step decides the rank when, at that r, 1 - 2 rho^2 / r^2 exceeds
+    10 tol and r - rho exceeds _TRUSTED_SIDE of the largest row norm S:
+    then on each candidate's larger side _side_margins trusts every part
+    and finds a margin above 10 tol, so the exact screen rejects every
+    candidate too, whatever its block.  That holds whenever rho is a
+    little below ||x_0|| / 2.  At any other rank, or at a larger rho, the
+    step decides nothing and costs at most O(m n).
+    Rounding: the exact screen's parts are products in its own factor,
+    and with delta = _CONE_ROUNDING n S each thing that moves them from
+    their exact values is far below delta: a product's rounding (about
+    n^1.5 u S) and the factor's departure from orthonormality (O(n u)
+    relative); a flip moves none, as negation is exact.  So the step
+    takes rho + delta for rho and sqrt((||x_0||^2 - delta S) / 2) - delta
+    for r, where delta S bounds the squared norm's rounding, and it asks
+    1 - 2 rho^2 / r^2 to exceed 10 tol + _CONE_ANGLES, which covers the
+    few ulps of 2 pi that the arctan2, sort and gaps of _half_plane_margin
+    lose.
+    """
+    n = X.shape[1]
     if (k, n - k) != (2, 2):
         return False
+    X = _aligned_rows(X)
+    scales = np.sqrt(np.einsum("mn,mn->m", X, X))
     x0, size = X[0], scales.max()
     delta = _CONE_ROUNDING * n * size
     D = X - x0
@@ -165,43 +205,16 @@ def _cone_rejects(X: np.ndarray, scales: np.ndarray, n: int, k: int, tol: float)
 def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     """Which candidates, given by their Gaussian blocks G (C, n, k), a side proves infeasible.
 
-    This is the one account of the sampled stage's screen.  A candidate
-    is rejected when one of its sides has a _side_margins margin above
-    10 tol on the rows of nonzero norm.  Both margins bound the distance
-    for any weights, so a rejected candidate's distance exceeds tol and
-    the feasibility solve could only reject it.  A one-dimensional side
-    always scales, so it is never judged.  The cone step goes first and
-    may reject the whole batch by the first row alone; otherwise the
-    exact screen judges the smaller of the sides of dimension 2 or more
-    first, the range on a tie, and the other only for the candidates the
-    first kept; once none is left the screen returns.
-
-    Cone.  Let x_0 be the first row of nonzero norm and rho the largest
-    ||x_i - x_0||.  An orthogonal projection shortens differences, so a
-    side's part of x_i lies within rho of its part of x_0.  Where that
-    part has norm r > rho, every part is longer than r - rho and makes an
-    angle of at most asin(rho / r) with it, so the doubled angles fit in
-    an arc of 4 asin(rho / r), and a two-dimensional side has half-plane
-    margin at least cos(2 asin(rho / r)) = 1 - 2 rho^2 / r^2.  At rank 2
-    in R^4 both sides are planes, and the squares of x_0's two parts sum
-    to ||x_0||^2, so the larger part has r >= ||x_0|| / sqrt(2).  The
-    step rejects every candidate of the batch when, at that r,
-    1 - 2 rho^2 / r^2 exceeds 10 tol and r - rho exceeds _TRUSTED_SIDE of
-    the largest row norm S: then on each candidate's larger side
-    _side_margins trusts every part and finds a margin above 10 tol, so
-    the exact screen rejects the candidate too and the step changes no
-    rejection.  That holds whenever rho is a little below ||x_0|| / 2.
-    At any other rank, or at a larger rho, the step rejects nothing and
-    costs at most O(m n).
-    Rounding: the exact screen's parts are products in its own factor,
-    and with delta = _CONE_ROUNDING n S each thing that moves them from
-    their exact values is far below delta: a product's rounding (about
-    n^1.5 u S) and the factor's departure from orthonormality (O(n u)
-    relative).  So the step takes rho + delta for rho and
-    sqrt((||x_0||^2 - delta S) / 2) - delta for r, where delta S bounds
-    the squared norm's rounding, and it asks 1 - 2 rho^2 / r^2 to exceed
-    10 tol + _CONE_ANGLES, which covers the few ulps of 2 pi that the
-    arctan2, sort and gaps of _half_plane_margin lose.
+    This is the exact screen, the one account of the sampled stage's
+    rejections; _cone_rejects decides a whole rank only where this screen
+    would reject every candidate.  A candidate is rejected when one of
+    its sides has a _side_margins margin above 10 tol on the rows of
+    nonzero norm.  Both margins bound the distance for any weights, so a
+    rejected candidate's distance exceeds tol and the feasibility solve
+    could only reject it.  A one-dimensional side always scales, so it is
+    never judged.  The smaller of the sides of dimension 2 or more is
+    judged first, the range on a tie, and the other only for the
+    candidates the first kept; once none is left the screen returns.
 
     Factors.  One stacked complete QR of the blocks serves both sides,
     whose coordinates are column slices of one batched product X Q.  A
@@ -223,8 +236,6 @@ def _rejected_draws(X: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     n, k = G.shape[1:]
     scales = np.sqrt((X * X).sum(axis=1))
     X, scales = X[scales > 0.0], scales[scales > 0.0]
-    if _cone_rejects(X, scales, n, k, tol):
-        return np.ones(len(G), dtype=bool)
     rejected = np.zeros(len(G), dtype=bool)
     # the column slices of Q of the sides of dimension 2 or more, smaller first
     sides = [cols for d, cols in ((k, slice(0, k)), (n - k, slice(k, n))) if d >= 2]
@@ -256,7 +267,15 @@ def _candidate_blocks(n: int, k: int, budget: int, seed: int, batch: int):
 
 
 def _surviving_candidates(X: np.ndarray, k: int, budget: int, seed: int, tol: float):
-    """Rank-k candidates the screen keeps, in order, with their Gaussian blocks; none are drawn after a hit."""
+    """Rank-k candidates the screen keeps, in order, with their Gaussian blocks.
+
+    None is drawn at a rank the cone step decides (_cone_rejects), where
+    the exact screen would reject every block, nor after a hit.  Each
+    rank draws from its own stream, so skipping one changes no other
+    rank's candidates.
+    """
+    if _cone_rejects(X, k, tol):
+        return
     for start, G in _candidate_blocks(X.shape[1], k, budget, seed, _screen_batch(*X.shape)):
         for c in np.flatnonzero(~_rejected_draws(X, G, tol)):
             yield start + int(c), G[c]

@@ -15,6 +15,7 @@ import framescale.scaling as sc
 from helpers import (
     clustered_unit_frame,
     cone_rows,
+    every_other_row_negated,
     mercedes_frame,
     random_onb_rows,
     random_unit_frame,
@@ -226,11 +227,20 @@ def test_screen_matches_the_per_block_reference(monkeypatch):
     assert counts.min() > 100
 
 
-def _cone_fixtures():
-    """Criterion 06's clustered R^4 frames with a zero first row, the screen's fixtures, and all of them with rows of unequal norm."""
+def _criterion_06_frames() -> list[np.ndarray]:
+    """The first 20 frames of criterion 06's generator: clustered unit rows in R^4 with rank 2 certified as drawn."""
     rng = np.random.default_rng(61)
-    frames = [clustered_unit_frame(rng, 4, int(rng.integers(5, 9)), 0.02, max_closeness=0.1).vectors for _ in range(20)]
-    frames = [np.insert(X, 0, 0.0, axis=0) for X in frames] + list(_screen_fixtures())
+    return [clustered_unit_frame(rng, 4, int(rng.integers(5, 9)), 0.02, max_closeness=0.1).vectors for _ in range(20)]
+
+
+CRITERION_06 = _criterion_06_frames()
+CRITERION_06_ZERO = [np.insert(X, 0, 0.0, axis=0) for X in CRITERION_06]
+CRITERION_06_NEGATED = [every_other_row_negated(X) for X in CRITERION_06]
+
+
+def _cone_fixtures():
+    """Criterion 06's clustered R^4 frames with a zero first row, the screen's fixtures, criterion 06's frames with every other row negated, and all of them with rows of unequal norm."""
+    frames = CRITERION_06_ZERO + list(_screen_fixtures()) + CRITERION_06_NEGATED
     rng = np.random.default_rng(63)
     return frames + [X * rng.uniform(0.3, 3.0, (len(X), 1)) for X in frames]
 
@@ -239,22 +249,23 @@ CONE_FIXTURES = _cone_fixtures()
 
 
 def _cone_step(X: np.ndarray, k: int) -> bool:
-    """Whether the cone step rejects the whole rank-k batch, on the rows of X of nonzero norm as _rejected_draws passes them."""
-    scales = np.sqrt((X * X).sum(axis=1))
-    return search._cone_rejects(X[scales > 0.0], scales[scales > 0.0], X.shape[1], k, TOL)
+    """Whether the cone step decides rank k, so that the search draws no candidate there."""
+    return search._cone_rejects(X, k, TOL)
 
 
-def _exact_screen(monkeypatch, X: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """_rejected_draws with its cone step skipped."""
+def _survivor_indices(monkeypatch, X: np.ndarray, k: int, budget: int, seed: int, cone: bool = True) -> list[int]:
+    """The candidate indices _surviving_candidates yields, with its cone step or with the exact screen alone."""
     with monkeypatch.context() as patch:
-        patch.setattr(search, "_cone_rejects", lambda X, scales, n, k, tol: False)
-        return search._rejected_draws(X, G, TOL)
+        if not cone:
+            patch.setattr(search, "_cone_rejects", lambda X, k, tol: False)
+        return [c for c, _ in search._surviving_candidates(X, k, budget, seed, TOL)]
 
 
 def test_every_cone_rejection_is_rejected_by_the_reference():
-    # a cone rejection is a certificate the per-block exact screen agrees
-    # with, with no allowance at 10 tol, on every candidate of the batch;
-    # the step decides only at rank 2 in R^4
+    # a cone decision is a certificate the per-block exact screen agrees
+    # with, with no allowance at 10 tol, on every block; the step decides
+    # only at rank 2 in R^4, and on criterion 06's negated frames only
+    # after the rows are aligned
     decided = 0
     for index, X in enumerate(CONE_FIXTURES):
         n = X.shape[1]
@@ -266,57 +277,69 @@ def test_every_cone_rejection_is_rejected_by_the_reference():
             assert _reference_rejections(X, G)[0].all(), index
             decided += len(G)
     assert decided > 100
+    for X in CRITERION_06_NEGATED:
+        assert _cone_step(X, 2)
+        assert np.linalg.norm(X - X[0], axis=1).max() > 1.0
 
 
 def test_rejected_draws_equal_the_exact_screen(monkeypatch):
-    # the cone step changes no rejection, so the exact screen's margins
-    # stay checked on the certified frames where the step decides them all
+    # the search keeps the same candidates with the cone step as with the
+    # exact screen, _rejected_draws, alone; at a rank the step decides the
+    # exact screen rejects every block, so its margins stay checked on the
+    # certified frames where the search draws nothing
     cone = 0
     for index, X in enumerate(CONE_FIXTURES):
         n = X.shape[1]
         for k in range(1, n):
-            G = np.concatenate([np.ones((1, n, k)), _blocks(index, k, n, 40)])
-            got = search._rejected_draws(X, G, TOL)
-            assert np.array_equal(got, _exact_screen(monkeypatch, X, G)), (index, k)
-            cone += len(G) * _cone_step(X, k)
+            kept = _survivor_indices(monkeypatch, X, k, 40, index)
+            assert kept == _survivor_indices(monkeypatch, X, k, 40, index, cone=False), (index, k)
+            if _cone_step(X, k):
+                G = np.concatenate([np.ones((1, n, k)), _blocks(index, k, n, 40)])
+                assert kept == [] and search._rejected_draws(X, G, TOL).all(), (index, k)
+                cone += len(G)
     assert cone > 1000
-    # criterion 06's frames: the cone step decides every rank-2 candidate,
-    # and the exact screen alone rejects all 200 too
-    for index, X in enumerate(CONE_FIXTURES[:20]):
-        G = _blocks(index, 2, 4, 200)
-        assert _cone_step(X, 2) and _exact_screen(monkeypatch, X, G).all()
+    # criterion 06's frames, with a zero row and negated: the cone step
+    # decides rank 2, and the exact screen alone rejects all 200 blocks too
+    for frames in (CRITERION_06_ZERO, CRITERION_06_NEGATED):
+        for index, X in enumerate(frames):
+            assert _cone_step(X, 2) and search._rejected_draws(X, _blocks(index, 2, 4, 200), TOL).all()
 
 
 def test_cone_step_skip_rule(monkeypatch):
-    # rows e_1 and e_1 + t e_j: rho = t and the larger part of x_0 on the
-    # two planes is at least 1 / sqrt(2), so the step decides exactly when
-    # sqrt(2) t < 1 / sqrt(2), up to its allowances
+    # rows e_1 and e_1 + t e_j, or their negations: rho = t on the aligned
+    # rows and the larger part of x_0 on the two planes is at least
+    # 1 / sqrt(2), so the step decides exactly when sqrt(2) t < 1 / sqrt(2),
+    # up to its allowances
     G = _blocks(0, 2, 4, 30)
     for t, decides in ((0.49, True), (0.5, False)):
         X = np.vstack([np.eye(4)[0], np.eye(4)[0] + t * np.eye(4)[1:]])
-        assert _cone_step(X, 2) == decides
-        if decides:
-            assert _reference_rejections(X, G)[0].all()
+        for rows in (X, every_other_row_negated(X), -X):
+            assert _cone_step(rows, 2) == decides
+            if decides:
+                assert _reference_rejections(rows, G)[0].all()
     # nothing is decided unless both sides are planes, even on clusters of
     # spread 0.001 like the one the step decides at rank 2 in R^4
     rng = np.random.default_rng(5)
     assert _cone_step(clustered_unit_frame(rng, 4, 8, 0.001).vectors, 2)
     for n, k in ((5, 2), (5, 3), (4, 1), (3, 1)):
         assert not _cone_step(clustered_unit_frame(rng, n, 8, 0.001).vectors, k), (n, k)
-    # a random frame in R^4 has 2 rho >= ||x_0||: the exact screen runs in
-    # one stacked complete QR
+    # a random frame in R^4 is not decided: the search draws its blocks and
+    # the exact screen judges them in one stacked complete QR
     factors = []
     qr = np.linalg.qr
     monkeypatch.setattr(search.np.linalg, "qr", lambda G, mode: factors.append(len(G)) or qr(G, mode))
     X = random_unit_frame(np.random.default_rng(6), 4, 9).vectors
-    assert 2.0 * np.linalg.norm(X - X[0], axis=1).max() >= 1.0
-    search._rejected_draws(X, G, TOL)
+    assert not _cone_step(X, 2)
+    list(search._surviving_candidates(X, 2, 30, 0, TOL))
     assert factors == [30]
-    # on criterion 06's frames neither _side_margins nor any QR runs
+    # on criterion 06's frames, with a zero row or negated, the search
+    # yields nothing at rank 2 and draws nothing: no block, no
+    # _side_margins and no QR
+    monkeypatch.setattr(search, "_candidate_blocks", None)
     monkeypatch.setattr(search, "_side_margins", None)
     monkeypatch.setattr(search.np.linalg, "qr", None)
-    for index, X in enumerate(CONE_FIXTURES[:20]):
-        assert search._rejected_draws(X, _blocks(index, 2, 4, 50), TOL).all()
+    for index, X in enumerate(CRITERION_06_ZERO + CRITERION_06_NEGATED):
+        assert list(search._surviving_candidates(X, 2, 200, index, TOL)) == []
 
 
 def test_cone_step_keeps_what_the_exact_screen_keeps():
@@ -610,22 +633,58 @@ def test_search_takes_its_standard_step_from_solve_standard_scaling(monkeypatch)
 
 
 def test_certified_frames_have_no_standard_scaling():
-    # the reason the search skips its standard step: a frame with a
-    # certified rank misses the identity by more than _CERTIFIED_DEFECT,
-    # on criterion 06's clustered frames and on tighter ones, which
-    # closeness_obstruction certifies at n = 5 and 6 too
+    # the reason the search skips its standard step: a frame whose aligned
+    # rows have a certified rank misses the identity by more than
+    # _CERTIFIED_DEFECT, on criterion 06's clustered frames and on tighter
+    # ones, which closeness_obstruction certifies at n = 5 and 6 too, as
+    # drawn, with every other row negated and with a zero row appended
     rng = np.random.default_rng(61)
     judged = {4: 0, 5: 0, 6: 0}
     for n in judged:
         for spread in (0.02, 0.002):
             for _ in range(20):
                 frame = clustered_unit_frame(rng, n, int(rng.integers(n + 1, 2 * n + 1)), spread, max_closeness=0.1)
-                if not fs.closeness_obstruction(frame).applicable_ranks:
+                ranks = fs.closeness_obstruction(frame).applicable_ranks
+                if not ranks:
                     continue
-                for tol in (TOL, 0.5, np.nextafter(pw._CERTIFIED_DEFECT, 0.0)):
-                    assert fs.solve_standard_scaling(frame, None, tol).feasible is False, (n, tol)
+                for X in (frame.vectors, every_other_row_negated(frame.vectors), np.vstack([frame.vectors, np.zeros(n)])):
+                    assert fs.closeness_obstruction(pw._aligned_rows(X)).applicable_ranks == ranks
+                    for tol in (TOL, 0.5, np.nextafter(pw._CERTIFIED_DEFECT, 0.0)):
+                        assert fs.solve_standard_scaling(X, None, tol).feasible is False, (n, tol)
                 judged[n] += 1
     assert min(judged.values()) >= 10, judged
+
+
+def _refuse(*args):
+    raise AssertionError("the search ran a step that a certified rank skips")
+
+
+def test_a_certified_cluster_with_negated_or_zero_rows_draws_nothing(monkeypatch):
+    # certification and the cone step read the aligned rows, so criterion
+    # 06's frames with every other row negated, or with a zero row
+    # appended, keep rank 2 certified, which the paper's test on the rows
+    # as given does not: the search skips the standard step, the route
+    # and every draw, and misses
+    monkeypatch.setattr(search, "_orthogonal_split_route", _refuse)
+    monkeypatch.setattr(search, "_candidate_blocks", _refuse)
+    monkeypatch.setattr(pw, "solve_standard_scaling", _refuse)
+    for index, X in enumerate(CRITERION_06):
+        for rows in (every_other_row_negated(X), np.vstack([X, np.zeros(4)])):
+            assert not fs.closeness_obstruction(rows).applicable_ranks
+            assert fs.search_piecewise(rows, ranks={2}, budget=200, seed=index) is None
+
+
+def test_a_decided_rank_changes_no_other_ranks_candidates():
+    # each rank draws from its own stream and the route from its own call,
+    # so a rank that draws nothing moves no other candidate: on certified
+    # clusters, as drawn and negated, ranks {1, 2, 3} give the bytes of {1, 3}
+    found = 0
+    for index, X in enumerate(CRITERION_06[:10]):
+        for rows in (X, every_other_row_negated(X)):
+            got = fs.search_piecewise(rows, ranks={1, 2, 3}, budget=40, seed=index)
+            assert _same_result(got, fs.search_piecewise(rows, ranks={1, 3}, budget=40, seed=index)), index
+            found += got is not None
+    assert found > 0
 
 
 def _counting_solver(monkeypatch) -> list[int]:
