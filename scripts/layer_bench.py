@@ -30,9 +30,7 @@ perfbench/workloads.py:
   The searches are the ``search-miss`` workload (clustered R^4 frames,
   m = 5..8, whose rank 2 ``closeness_obstruction`` certifies, searched at
   rank 2 with the workload's seeds, so each is a miss that the sampled
-  stage's cone step decides before it draws a candidate); the same
-  searches with every other row of each frame negated ("negated cluster
-  n=4"), which changes no outer product and so no answer; the
+  stage's cone step decides before it draws a candidate); the
   rank-restricted sweep (spanning unit frames from one
   ``default_rng(2026)`` stream, 60 for each n = 4, 5, 6 in turn,
   with m from ``integers(n + 1, 3n + 1)``, every rank searched alone at
@@ -169,20 +167,11 @@ def _reaches_sampled_stage(X: np.ndarray, k: int) -> tuple[bool, bool]:
     return bool(reached), found
 
 
-def _negated(X: np.ndarray) -> np.ndarray:
-    """X with every other row negated, from the second."""
-    Y = np.array(X)
-    Y[1::2] *= -1.0
-    return Y
-
-
 def screen_searches(smoke: bool) -> Inputs:
     import workloads
 
     miss = workloads.SearchMiss().build(SEED, 4 if smoke else 164)  # the ops of a 25 s benchmark run
-    searches: Inputs = {"search-miss": [(item.frame, 2, item.index) for item in miss]}
-    searches["negated cluster n=4"] = [(_negated(item.frame), 2, item.index) for item in miss]
-    searches["sweep hit"], searches["sweep miss"] = [], []
+    searches: Inputs = {"search-miss": [(item.frame, 2, item.index) for item in miss], "sweep hit": [], "sweep miss": []}
     rng = np.random.default_rng(2026)
     for n in (4, 5, 6):
         for _ in range(2 if smoke else 60):

@@ -455,16 +455,12 @@ def search_piecewise(
     acceptance check; a later route runs only when every earlier
     candidate failed it.  A miss is not a proof that no scaling exists.
 
-    Neither a row's sign nor a zero row changes an outer product, so the
-    certificate and the cone step read the rows of _aligned_rows: the
-    nonzero rows, each flipped into the half-space of the first.  At
-    n >= 4 closeness_obstruction is asked on them before the standard
-    step, and a frame with a certified rank skips the equal constants:
-    its aligned unit rows lie within eps < 1/8 of one row, so every
-    standard scaling misses the identity by more than
-    _CERTIFIED_DEFECT = 0.96 (see _candidate_scalings), and the step runs
-    there only at a ``tol`` that large.  At n <= 3 no rank is ever
-    certified, and none is asked for.
+    At n >= 4 closeness_obstruction is asked before the standard step,
+    and a frame with a certified rank skips the equal constants: its unit
+    rows lie within eps < 1/8 of one row, so every standard scaling
+    misses the identity by more than _CERTIFIED_DEFECT = 0.96 (see
+    _candidate_scalings), and the step runs there only at a ``tol`` that
+    large.  At n <= 3 no rank is ever certified, and none is asked for.
 
     The candidate stream.  Candidate j of rank k is the orthogonal factor
     Q_j of the complete QR of block j of
@@ -500,28 +496,8 @@ def search_piecewise(
     return None
 
 
-# a lower bound on the standard defect of every frame whose aligned rows
-# (_aligned_rows) closeness_obstruction certifies
+# a lower bound on the standard defect of every frame closeness_obstruction certifies
 _CERTIFIED_DEFECT = 0.96
-
-
-def _aligned_rows(X: np.ndarray) -> np.ndarray:
-    """The nonzero rows of X, each flipped into the half-space of the first; X itself when every row lies in the open half-space of X[0].
-
-    A scaling question reads only the outer products x_i x_i^T, which a
-    row's sign leaves unchanged and to which a zero row adds nothing.
-    For unit rows ||s_i x_i - s_0 x_0|| < sqrt(2) exactly when
-    <s_i x_i, s_0 x_0> > 0, so if the rows under any signs s lie within a
-    distance below sqrt(2) of each other, they do under these signs, up
-    to one global sign, and a cluster certificate taken on these rows
-    holds for every sign pattern.  X must have a nonzero row.
-    """
-    if (X @ X[0] > 0.0).all():
-        return X
-    Y = X[X.any(axis=1)]
-    flip = Y @ Y[0] < 0.0
-    Y[flip] = -Y[flip]
-    return Y
 
 
 def _candidate_scalings(fr: Frame, valid: list[int], budget: int, seed: int, tol: float) -> Iterator[PiecewiseScaling]:
@@ -535,14 +511,12 @@ def _candidate_scalings(fr: Frame, valid: list[int], budget: int, seed: int, tol
         # imported here, so that verify, transport and the R^2 and R^3 searches never compile obstructions
         from .obstructions import closeness_obstruction
 
-        certified = closeness_obstruction(_aligned_rows(X)).applicable_ranks
-    # a certified frame has no standard scaling within _CERTIFIED_DEFECT: its aligned
+        certified = closeness_obstruction(X).applicable_ranks
+    # a certified frame has no standard scaling within _CERTIFIED_DEFECT: its unit
     # rows lie within eps < 1/8 of the row x_0, so for a unit y orthogonal to x_0 and
     # S = sum_i w_i x_i x_i^T, w >= 0, y^T S y <= eps^2 sum(w) while x_0^T S x_0 >=
     # (1 - eps^2 / 2)^2 sum(w), and no sum(w) brings both within
-    # 1 - 2 eps^2 / (eps^2 + (1 - eps^2 / 2)^2) > 0.968 of 1; a standard scaling
-    # reads only the x_i x_i^T, so the bound holds for the rows as given, whose
-    # signs and zero rows change no outer product and no sum S
+    # 1 - 2 eps^2 / (eps^2 + (1 - eps^2 / 2)^2) > 0.968 of 1
     if not certified or tol >= _CERTIFIED_DEFECT:
         # the Frame passes its rows to solve_standard_scaling without a copy
         verdict = solve_standard_scaling(fr, None, tol)
@@ -561,9 +535,7 @@ def _candidate_scalings(fr: Frame, valid: list[int], budget: int, seed: int, tol
     # imported here, so that verify, transport and the searches a constructor answers never compile the search's machinery
     from .search import _disjoint_split_candidate, _orthogonal_split_route, _surviving_candidates
 
-    uncertified = [k for k in valid if k not in certified]
-    if uncertified:
-        yield from _orthogonal_split_route(fr, uncertified, seed, tol, budget)
+    yield from _orthogonal_split_route(fr, [k for k in valid if k not in certified], seed, tol, budget)
     for k in valid:
         for _, G in _surviving_candidates(X, k, budget, seed, tol):
             ps = _disjoint_split_candidate(X, G, tol)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import piecewise
 from .frames import Frame, _freeze
-from .piecewise import PiecewiseScaling, _aligned_rows, _greedy_independent
+from .piecewise import PiecewiseScaling, _greedy_independent
 from .projections import _leading_projection
 from .scaling import (
     _TRUSTED_SIDE,
@@ -152,15 +152,10 @@ def _cone_rejects(X: np.ndarray, k: int, tol: float) -> bool:
     """Whether every rank-k candidate in R^n has a side that _rejected_draws rejects, decided from the rows X alone.
 
     This is the cone step, taken once per rank before any block is drawn
-    (_surviving_candidates).  It reads the rows of _aligned_rows(X): the
-    nonzero rows, each flipped into the half-space of the first.  Both
-    margins of the exact screen are sign-free, as a flip adds pi to a
-    row's angle and 2 pi to its doubled angle, and the trusted test reads
-    norms; the screen drops zero rows too.  So the aligned rows have the
-    screen's margins, and on a cluster with some rows negated they give
-    the small rho below where the rows as given do not.
+    (_surviving_candidates), on the rows of nonzero norm, as the exact
+    screen reads them.
 
-    Cone.  Let x_0 be the first aligned row and rho the largest
+    Cone.  Let x_0 be the first row of nonzero norm and rho the largest
     ||x_i - x_0||.  An orthogonal projection shortens differences, so a
     side's part of x_i lies within rho of its part of x_0.  Where that
     part has norm r > rho, every part is longer than r - rho and makes an
@@ -180,18 +175,17 @@ def _cone_rejects(X: np.ndarray, k: int, tol: float) -> bool:
     and with delta = _CONE_ROUNDING n S each thing that moves them from
     their exact values is far below delta: a product's rounding (about
     n^1.5 u S) and the factor's departure from orthonormality (O(n u)
-    relative); a flip moves none, as negation is exact.  So the step
-    takes rho + delta for rho and sqrt((||x_0||^2 - delta S) / 2) - delta
-    for r, where delta S bounds the squared norm's rounding, and it asks
-    1 - 2 rho^2 / r^2 to exceed 10 tol + _CONE_ANGLES, which covers the
-    few ulps of 2 pi that the arctan2, sort and gaps of _half_plane_margin
-    lose.
+    relative).  So the step takes rho + delta for rho and
+    sqrt((||x_0||^2 - delta S) / 2) - delta for r, where delta S bounds
+    the squared norm's rounding, and it asks 1 - 2 rho^2 / r^2 to exceed
+    10 tol + _CONE_ANGLES, which covers the few ulps of 2 pi that the
+    arctan2, sort and gaps of _half_plane_margin lose.
     """
     n = X.shape[1]
     if (k, n - k) != (2, 2):
         return False
-    X = _aligned_rows(X)
-    scales = np.sqrt(np.einsum("mn,mn->m", X, X))
+    scales = np.sqrt((X * X).sum(axis=1))
+    X, scales = X[scales > 0.0], scales[scales > 0.0]
     x0, size = X[0], scales.max()
     delta = _CONE_ROUNDING * n * size
     D = X - x0

@@ -39,13 +39,6 @@ def clustered_unit_frame(
     raise RuntimeError("failed to draw a clustered spanning frame")
 
 
-def every_other_row_negated(X: np.ndarray) -> np.ndarray:
-    """X with every other row negated, from the second: the same outer products, and for a cluster pair distances near 2."""
-    Y = np.array(X)
-    Y[1::2] *= -1.0
-    return Y
-
-
 def random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     return Q

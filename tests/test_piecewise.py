@@ -10,7 +10,6 @@ from framescale.piecewise import _complement_form
 from helpers import (
     blocked_split_frame,
     clustered_unit_frame,
-    every_other_row_negated,
     magnitude_gate_frames,
     open_quadrant_frame,
     r3_fixture,
@@ -361,51 +360,6 @@ def test_search_routes():
         fs.search_piecewise(frame3, budget=0)
     with pytest.raises(ValueError):
         fs.search_piecewise(frame3, seed=-1)
-
-
-def test_aligned_rows_drop_zero_rows_and_flip_into_the_first_rows_half_space():
-    X = np.array([[0.0, 0.0, 0.0], [0.6, 0.8, 0.0], [-0.6, 0.0, 0.8], [0.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
-    got = pw._aligned_rows(X)
-    assert np.array_equal(got, [[0.6, 0.8, 0.0], [0.6, -0.0, -0.8], [-0.0, 1.0, -0.0], [0.0, 0.0, 1.0]])
-    # an orthogonal row keeps its sign; a row is read by its entries, not its norm
-    tiny = np.array([[1.0, 0.0], [0.0, -1.0], [-1e-200, 0.0]])
-    assert np.array_equal(pw._aligned_rows(tiny), [[1.0, 0.0], [0.0, -1.0], [1e-200, 0.0]])
-    # rows with nothing to flip or drop come back as they are, as the same array
-    rows = clustered_unit_frame(np.random.default_rng(3), 4, 6, 0.02).vectors
-    assert pw._aligned_rows(rows) is rows
-    assert np.array_equal(pw._aligned_rows(-rows), -rows)
-    # a flip is exact, so a cluster with negated rows aligns back to its own bytes
-    assert np.array_equal(pw._aligned_rows(np.vstack([every_other_row_negated(rows), np.zeros(4)])), rows)
-
-
-def _sign_and_zero_row_copies(rng):
-    """Certified clusters in R^4, R^5 and R^6 with every other row negated, and with a zero row inserted, so the paper's test on the rows as given certifies nothing."""
-    for n, spread in ((4, 0.02), (5, 0.002), (6, 0.002)):
-        for _ in range(6):
-            X = clustered_unit_frame(rng, n, int(rng.integers(n + 1, 2 * n + 1)), spread).vectors
-            yield every_other_row_negated(X)
-            yield np.insert(X, 2, 0.0, axis=0)
-
-
-def test_ranks_aligned_rows_certify_have_no_scaling():
-    # soundness of certifying on aligned rows: at every rank that
-    # closeness_obstruction certifies on _aligned_rows, a random
-    # projection leaves a side that solve_standard_scaling rejects
-    rng = np.random.default_rng(48)
-    judged = 0
-    for X in _sign_and_zero_row_copies(rng):
-        n = X.shape[1]
-        assert not fs.closeness_obstruction(X).applicable_ranks
-        ranks = fs.closeness_obstruction(pw._aligned_rows(X)).applicable_ranks
-        assert ranks == set(range(2, n - 1)), n
-        for k in ranks:
-            for _ in range(15):
-                Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-                W = X @ Q
-                sides = [fs.solve_standard_scaling(V, None, fs.DEFAULT_TOL).feasible for V in (W[:, :k], W[:, k:])]
-                assert not all(sides), (n, k)
-                judged += 1
-    assert judged >= 500
 
 
 def test_search_random_route_finds_split_in_r4():

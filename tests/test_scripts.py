@@ -86,7 +86,7 @@ def test_obstruction_layer_bench_smoke(tmp_path):
 
 def test_screen_layer_bench_smoke(tmp_path):
     report = _layer_bench("screen", tmp_path)
-    assert list(report["shapes"]) == ["search-miss", "negated cluster n=4", "sweep hit", "sweep miss", "clustered n=5 m=300"]
+    assert list(report["shapes"]) == ["search-miss", "sweep hit", "sweep miss", "clustered n=5 m=300"]
     assert report["shapes"]["search-miss"] == 4
     assert report["budget"] == 200
 

@@ -15,7 +15,6 @@ import framescale.scaling as sc
 from helpers import (
     clustered_unit_frame,
     cone_rows,
-    every_other_row_negated,
     mercedes_frame,
     random_onb_rows,
     random_unit_frame,
@@ -235,12 +234,11 @@ def _criterion_06_frames() -> list[np.ndarray]:
 
 CRITERION_06 = _criterion_06_frames()
 CRITERION_06_ZERO = [np.insert(X, 0, 0.0, axis=0) for X in CRITERION_06]
-CRITERION_06_NEGATED = [every_other_row_negated(X) for X in CRITERION_06]
 
 
 def _cone_fixtures():
-    """Criterion 06's clustered R^4 frames with a zero first row, the screen's fixtures, criterion 06's frames with every other row negated, and all of them with rows of unequal norm."""
-    frames = CRITERION_06_ZERO + list(_screen_fixtures()) + CRITERION_06_NEGATED
+    """Criterion 06's clustered R^4 frames with a zero first row, the screen's fixtures, and all of them with rows of unequal norm."""
+    frames = CRITERION_06_ZERO + list(_screen_fixtures())
     rng = np.random.default_rng(63)
     return frames + [X * rng.uniform(0.3, 3.0, (len(X), 1)) for X in frames]
 
@@ -264,8 +262,7 @@ def _survivor_indices(monkeypatch, X: np.ndarray, k: int, budget: int, seed: int
 def test_every_cone_rejection_is_rejected_by_the_reference():
     # a cone decision is a certificate the per-block exact screen agrees
     # with, with no allowance at 10 tol, on every block; the step decides
-    # only at rank 2 in R^4, and on criterion 06's negated frames only
-    # after the rows are aligned
+    # only at rank 2 in R^4
     decided = 0
     for index, X in enumerate(CONE_FIXTURES):
         n = X.shape[1]
@@ -277,9 +274,6 @@ def test_every_cone_rejection_is_rejected_by_the_reference():
             assert _reference_rejections(X, G)[0].all(), index
             decided += len(G)
     assert decided > 100
-    for X in CRITERION_06_NEGATED:
-        assert _cone_step(X, 2)
-        assert np.linalg.norm(X - X[0], axis=1).max() > 1.0
 
 
 def test_rejected_draws_equal_the_exact_screen(monkeypatch):
@@ -298,25 +292,22 @@ def test_rejected_draws_equal_the_exact_screen(monkeypatch):
                 assert kept == [] and search._rejected_draws(X, G, TOL).all(), (index, k)
                 cone += len(G)
     assert cone > 1000
-    # criterion 06's frames, with a zero row and negated: the cone step
-    # decides rank 2, and the exact screen alone rejects all 200 blocks too
-    for frames in (CRITERION_06_ZERO, CRITERION_06_NEGATED):
-        for index, X in enumerate(frames):
-            assert _cone_step(X, 2) and search._rejected_draws(X, _blocks(index, 2, 4, 200), TOL).all()
+    # criterion 06's frames: the cone step decides rank 2, and the exact
+    # screen alone rejects all 200 blocks too
+    for index, X in enumerate(CRITERION_06_ZERO):
+        assert _cone_step(X, 2) and search._rejected_draws(X, _blocks(index, 2, 4, 200), TOL).all()
 
 
 def test_cone_step_skip_rule(monkeypatch):
-    # rows e_1 and e_1 + t e_j, or their negations: rho = t on the aligned
-    # rows and the larger part of x_0 on the two planes is at least
-    # 1 / sqrt(2), so the step decides exactly when sqrt(2) t < 1 / sqrt(2),
-    # up to its allowances
+    # rows e_1 and e_1 + t e_j: rho = t and the larger part of x_0 on the
+    # two planes is at least 1 / sqrt(2), so the step decides exactly when
+    # sqrt(2) t < 1 / sqrt(2), up to its allowances
     G = _blocks(0, 2, 4, 30)
     for t, decides in ((0.49, True), (0.5, False)):
         X = np.vstack([np.eye(4)[0], np.eye(4)[0] + t * np.eye(4)[1:]])
-        for rows in (X, every_other_row_negated(X), -X):
-            assert _cone_step(rows, 2) == decides
-            if decides:
-                assert _reference_rejections(rows, G)[0].all()
+        assert _cone_step(X, 2) == decides
+        if decides:
+            assert _reference_rejections(X, G)[0].all()
     # nothing is decided unless both sides are planes, even on clusters of
     # spread 0.001 like the one the step decides at rank 2 in R^4
     rng = np.random.default_rng(5)
@@ -332,13 +323,12 @@ def test_cone_step_skip_rule(monkeypatch):
     assert not _cone_step(X, 2)
     list(search._surviving_candidates(X, 2, 30, 0, TOL))
     assert factors == [30]
-    # on criterion 06's frames, with a zero row or negated, the search
-    # yields nothing at rank 2 and draws nothing: no block, no
-    # _side_margins and no QR
+    # on criterion 06's frames the search yields nothing at rank 2 and
+    # draws nothing: no block, no _side_margins and no QR
     monkeypatch.setattr(search, "_candidate_blocks", None)
     monkeypatch.setattr(search, "_side_margins", None)
     monkeypatch.setattr(search.np.linalg, "qr", None)
-    for index, X in enumerate(CRITERION_06_ZERO + CRITERION_06_NEGATED):
+    for index, X in enumerate(CRITERION_06_ZERO):
         assert list(search._surviving_candidates(X, 2, 200, index, TOL)) == []
 
 
@@ -633,57 +623,49 @@ def test_search_takes_its_standard_step_from_solve_standard_scaling(monkeypatch)
 
 
 def test_certified_frames_have_no_standard_scaling():
-    # the reason the search skips its standard step: a frame whose aligned
-    # rows have a certified rank misses the identity by more than
-    # _CERTIFIED_DEFECT, on criterion 06's clustered frames and on tighter
-    # ones, which closeness_obstruction certifies at n = 5 and 6 too, as
-    # drawn, with every other row negated and with a zero row appended
+    # the reason the search skips its standard step: a frame with a
+    # certified rank misses the identity by more than _CERTIFIED_DEFECT,
+    # on criterion 06's clustered frames and on tighter ones, which
+    # closeness_obstruction certifies at n = 5 and 6 too
     rng = np.random.default_rng(61)
     judged = {4: 0, 5: 0, 6: 0}
     for n in judged:
         for spread in (0.02, 0.002):
             for _ in range(20):
                 frame = clustered_unit_frame(rng, n, int(rng.integers(n + 1, 2 * n + 1)), spread, max_closeness=0.1)
-                ranks = fs.closeness_obstruction(frame).applicable_ranks
-                if not ranks:
+                if not fs.closeness_obstruction(frame).applicable_ranks:
                     continue
-                for X in (frame.vectors, every_other_row_negated(frame.vectors), np.vstack([frame.vectors, np.zeros(n)])):
-                    assert fs.closeness_obstruction(pw._aligned_rows(X)).applicable_ranks == ranks
-                    for tol in (TOL, 0.5, np.nextafter(pw._CERTIFIED_DEFECT, 0.0)):
-                        assert fs.solve_standard_scaling(X, None, tol).feasible is False, (n, tol)
+                for tol in (TOL, 0.5, np.nextafter(pw._CERTIFIED_DEFECT, 0.0)):
+                    assert fs.solve_standard_scaling(frame, None, tol).feasible is False, (n, tol)
                 judged[n] += 1
     assert min(judged.values()) >= 10, judged
 
 
 def _refuse(*args):
-    raise AssertionError("the search ran a step that a certified rank skips")
+    raise AssertionError("the search ran a step that a decided rank skips")
 
 
-def test_a_certified_cluster_with_negated_or_zero_rows_draws_nothing(monkeypatch):
-    # certification and the cone step read the aligned rows, so criterion
-    # 06's frames with every other row negated, or with a zero row
-    # appended, keep rank 2 certified, which the paper's test on the rows
-    # as given does not: the search skips the standard step, the route
-    # and every draw, and misses
-    monkeypatch.setattr(search, "_orthogonal_split_route", _refuse)
-    monkeypatch.setattr(search, "_candidate_blocks", _refuse)
+def test_a_certified_cluster_draws_nothing(monkeypatch):
+    # criterion 06's frames: rank 2 is certified, so the search skips the
+    # standard step and the route, and the cone step decides it, so the
+    # search draws no block there and misses
     monkeypatch.setattr(pw, "solve_standard_scaling", _refuse)
+    monkeypatch.setattr(search, "_greedy_independent", _refuse)
+    monkeypatch.setattr(search, "_split_system", _refuse)
+    monkeypatch.setattr(search, "_candidate_blocks", _refuse)
     for index, X in enumerate(CRITERION_06):
-        for rows in (every_other_row_negated(X), np.vstack([X, np.zeros(4)])):
-            assert not fs.closeness_obstruction(rows).applicable_ranks
-            assert fs.search_piecewise(rows, ranks={2}, budget=200, seed=index) is None
+        assert fs.search_piecewise(X, ranks={2}, budget=200, seed=index) is None
 
 
 def test_a_decided_rank_changes_no_other_ranks_candidates():
     # each rank draws from its own stream and the route from its own call,
     # so a rank that draws nothing moves no other candidate: on certified
-    # clusters, as drawn and negated, ranks {1, 2, 3} give the bytes of {1, 3}
+    # clusters ranks {1, 2, 3} give the bytes of {1, 3}
     found = 0
     for index, X in enumerate(CRITERION_06[:10]):
-        for rows in (X, every_other_row_negated(X)):
-            got = fs.search_piecewise(rows, ranks={1, 2, 3}, budget=40, seed=index)
-            assert _same_result(got, fs.search_piecewise(rows, ranks={1, 3}, budget=40, seed=index)), index
-            found += got is not None
+        got = fs.search_piecewise(X, ranks={1, 2, 3}, budget=40, seed=index)
+        assert _same_result(got, fs.search_piecewise(X, ranks={1, 3}, budget=40, seed=index)), index
+        found += got is not None
     assert found > 0
 
 
